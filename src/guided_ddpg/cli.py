@@ -12,10 +12,10 @@ from pathlib import Path
 
 from .envs import InsertionEnvConfig, load_env_config
 from .exceptions import ConfigurationError, NumericalError, SpecError
+from .guided import evaluate_policy
 from .harness import (
     adaptability_sweep,
     compare_runs,
-    evaluate,
     load_agent_checkpoint,
     parse_spec,
     run_experiment,
@@ -36,7 +36,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     actor, hyper = load_agent_checkpoint(args.checkpoint)
     env = load_env_config(args.env_config) if args.env_config else InsertionEnvConfig()
-    metrics = evaluate(actor, hyper, env, args.episodes, args.seed)
+    metrics = evaluate_policy(actor, hyper, env, args.episodes, args.seed)
     result = {
         "success_rate": metrics.success_rate,
         "mean_return": metrics.mean_return,
@@ -66,6 +66,13 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="guided-ddpg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -79,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--env-config", default=None, help="key-value environment config file")
     p_eval.add_argument("--episodes", type=int, default=50)
-    p_eval.add_argument("--seed", type=int, default=0)
+    p_eval.add_argument("--seed", type=_seed, default=0)
     p_eval.set_defaults(func=_cmd_eval)
 
     p_cmp = sub.add_parser("compare", help="merge two run directories into a comparison table")
@@ -92,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--checkpoint", required=True)
     p_sweep.add_argument("--spec", required=True, help="spec providing base env and sweep grids")
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--seed", type=int, default=0)
+    p_sweep.add_argument("--seed", type=_seed, default=0)
     p_sweep.set_defaults(func=_cmd_sweep)
     return parser
 

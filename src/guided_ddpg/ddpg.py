@@ -16,7 +16,6 @@ from .exceptions import ConfigurationError, InputError, NumericalError
 from .nets import (
     AdamState,
     MlpParams,
-    add_grads,
     adam_init,
     adam_step,
     mlp_backward,
@@ -142,7 +141,7 @@ def critic_loss_grads(
     err = q[:, 0] - y
     n = batch.states.shape[0]
     loss = float(np.mean(err**2))
-    grads, _ = mlp_backward(nets.critic, x, (2.0 / n) * err[:, None], cache)
+    grads, _ = mlp_backward(nets.critic, x, (2.0 / n) * err[:, None], cache, wrt_input=False)
 
     if sup_batch is not None and supervision_weight > 0.0:
         xs = np.concatenate([_scaled_obs(hyper, sup_batch.states), sup_batch.actions / hyper.action_bound], axis=1)
@@ -150,8 +149,10 @@ def critic_loss_grads(
         err_s = qs[:, 0] - sup_batch.q_values
         ns = sup_batch.states.shape[0]
         loss += supervision_weight * float(np.mean(err_s**2))
-        sup_grads, _ = mlp_backward(nets.critic, xs, (2.0 * supervision_weight / ns) * err_s[:, None], cache_s)
-        grads = add_grads(grads, sup_grads)
+        sup_grads, _ = mlp_backward(
+            nets.critic, xs, (2.0 * supervision_weight / ns) * err_s[:, None], cache_s, wrt_input=False
+        )
+        grads = grads + sup_grads
     return loss, grads
 
 
@@ -190,11 +191,11 @@ def actor_objective_grads(
     # dQ/d(action input) of the target critic at (s, actor(s)).
     critic_in = np.concatenate([xs, out], axis=1)
     q, critic_cache = mlp_forward_cached(nets.target_critic, critic_in)
-    _, input_grad = mlp_backward(nets.target_critic, critic_in, np.ones((n, 1)), critic_cache)
+    _, input_grad = mlp_backward(nets.target_critic, critic_in, np.ones((n, 1)), critic_cache, wrt_params=False)
     dq_dout = input_grad[:, xs.shape[1] :]
 
     objective = -float(np.mean(q[:, 0]))
-    grads, _ = mlp_backward(nets.actor, xs, (-1.0 / n) * dq_dout, actor_cache)
+    grads, _ = mlp_backward(nets.actor, xs, (-1.0 / n) * dq_dout, actor_cache, wrt_input=False)
 
     if sup_batch is not None and supervision_weight > 0.0:
         xs_s = _scaled_obs(hyper, sup_batch.states)
@@ -203,9 +204,10 @@ def actor_objective_grads(
         ns = sup_batch.states.shape[0]
         objective += supervision_weight * float(np.mean(np.sum(diff**2, axis=1)))
         sup_grads, _ = mlp_backward(
-            nets.actor, xs_s, (2.0 * supervision_weight * hyper.action_bound / ns) * diff, sup_cache
+            nets.actor, xs_s, (2.0 * supervision_weight * hyper.action_bound / ns) * diff, sup_cache,
+            wrt_input=False,
         )
-        grads = add_grads(grads, sup_grads)
+        grads = grads + sup_grads
     return objective, grads
 
 

@@ -258,8 +258,22 @@ def rollout(config: InsertionEnvConfig, controller, rng, stop_on_success: bool =
 _CONFIG_FIELDS = {f.name: f for f in InsertionEnvConfig.__dataclass_fields__.values()}  # type: ignore[attr-defined]
 
 
+def _parse_env_value(key: str, value: str):
+    if key == "horizon":
+        return int(value)
+    if key == "target_point":
+        parts = value.split(",")
+        if len(parts) != 2:
+            raise ValueError("expected two comma-separated numbers")
+        return (float(parts[0]), float(parts[1]))
+    return float(value)
+
+
 def load_env_config(path) -> InsertionEnvConfig:
-    """Read a flat ``key = value`` config file (SI units, ``#`` comments)."""
+    """Read a flat ``key = value`` config file (SI units, ``#`` comments).
+
+    ``target_point`` takes two comma-separated numbers, ``x, y``.
+    """
     values: dict = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -271,9 +285,9 @@ def load_env_config(path) -> InsertionEnvConfig:
         if key not in _CONFIG_FIELDS:
             raise ConfigurationError(f"{path}:{lineno}: unknown environment key {key!r}")
         try:
-            values[key] = int(value) if key == "horizon" else float(value)
+            values[key] = _parse_env_value(key, value)
         except ValueError as exc:
-            raise ConfigurationError(f"{path}:{lineno}: bad numeric value for {key!r}: {value!r}") from exc
+            raise ConfigurationError(f"{path}:{lineno}: bad value for {key!r}: {value!r}: {exc}") from exc
     return InsertionEnvConfig(**values)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -20,7 +20,7 @@ import numpy as np
 from .ddpg import DdpgHyper
 from .envs import InsertionEnvConfig
 from .exceptions import SpecError
-from .guided import EvalMetrics, TrainConfig, TrainingLog, evaluate_policy, train
+from .guided import TrainConfig, TrainingLog, evaluate_policy, train
 from .nets import MlpParams, mlp_from_dict, mlp_to_dict
 from .trajopt import SupervisorConfig
 
@@ -41,8 +41,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise SpecError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
-        if not self.seeds:
-            raise SpecError("seeds must be non-empty")
+        if not self.seeds or min(self.seeds) < 0:
+            raise SpecError(f"seeds must be non-empty and >= 0, got {self.seeds}")
         if self.eval_episodes < 1:
             raise SpecError("eval_episodes must be >= 1")
 
@@ -81,10 +81,6 @@ def _parse_float_pair(v: str) -> tuple[float, float]:
     return parts  # type: ignore[return-value]
 
 
-def _parse_int_tuple(v: str) -> tuple[int, ...]:
-    return _parse_int_list(v)
-
-
 # key -> (section, field, parser). Sections: spec, train, env, hyper, supervisor.
 _SPEC_KEYS: dict = {}
 
@@ -120,7 +116,7 @@ _register("hyper", {
     "discount": _parse_float, "target_rate": _parse_float, "batch_size": _parse_int,
     "supervision_batch_size": _parse_int, "supervision_decay": _parse_float,
     "actor_lr": _parse_float, "critic_lr": _parse_float,
-    "actor_hidden": _parse_int_tuple, "critic_hidden": _parse_int_tuple,
+    "actor_hidden": _parse_int_list, "critic_hidden": _parse_int_list,
     "noise_scale": _parse_float_pair, "noise_theta": _parse_float, "noise_dt": _parse_float,
 })
 _register("supervisor", {
@@ -193,18 +189,29 @@ def save_agent_checkpoint(path, nets, hyper: DdpgHyper) -> None:
 
 
 def load_agent_checkpoint(path) -> tuple[MlpParams, DdpgHyper]:
-    """Load the greedy policy: actor parameters plus the scaling it was trained with."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format") != "agent-checkpoint" or payload.get("version") != 1:
+    """Load the greedy policy: actor parameters plus the scaling it was trained with.
+
+    Raises :class:`SpecError` for a file that is not a well-formed agent checkpoint.
+    """
+    text = Path(path).read_text(encoding="utf-8")  # a missing file stays an OSError
+    try:
+        payload = json.loads(text)
+    except ValueError as exc:
+        raise SpecError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict) or payload.get("format") != "agent-checkpoint" or payload.get("version") != 1:
         raise SpecError(f"unrecognized checkpoint header in {path}")
+    missing = [key for key in ("action_bound", "obs_scale", "actor") if key not in payload]
+    if missing:
+        raise SpecError(f"checkpoint {path} lacks {missing}")
     actor = mlp_from_dict(payload["actor"])
-    hyper = DdpgHyper(action_bound=payload["action_bound"], obs_scale=tuple(payload["obs_scale"]))
+    try:
+        hyper = DdpgHyper(action_bound=float(payload["action_bound"]),
+                          obs_scale=tuple(float(s) for s in payload["obs_scale"]))
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"checkpoint {path}: bad action_bound or obs_scale: {exc}") from exc
+    if len(hyper.obs_scale) != actor.input_dim or not hyper.action_bound > 0.0:
+        raise SpecError(f"checkpoint {path}: obs_scale needs {actor.input_dim} entries and action_bound must be > 0")
     return actor, hyper
-
-
-def evaluate(actor: MlpParams, hyper: DdpgHyper, env: InsertionEnvConfig, n_episodes: int, seed) -> EvalMetrics:
-    """Deterministic greedy evaluation (no exploration noise, no learning)."""
-    return evaluate_policy(actor, hyper, env, n_episodes, seed)
 
 
 def _write_learning_curves(out: Path, logs: dict) -> None:
@@ -257,8 +264,8 @@ def run_experiment(spec_path, out_dir) -> Path:
         save_agent_checkpoint(seed_dir / "checkpoint.json", nets, config.hyper)
         _write_supervisor_diagnostics(seed_dir / "supervisor_diag.csv", log)
 
-        final_eval = evaluate(nets.actor, config.hyper, config.env, spec.eval_episodes,
-                              [seed, 0xE7A1])
+        final_eval = evaluate_policy(nets.actor, config.hyper, config.env, spec.eval_episodes,
+                                     [seed, 0xE7A1])
         to_threshold = log.rollouts_to_threshold(config.success_threshold)
         summary = {
             "algorithm": spec.algorithm,
@@ -350,11 +357,14 @@ def adaptability_sweep(
     """Evaluate one trained policy across clearances and hole offsets.
 
     Clearances are absolute (hole half-width minus peg half-width, meters);
-    offsets shift the true hole center while the policy stays fixed.
+    offsets shift the true hole center while the policy stays fixed. Cell
+    ``(i, j)`` draws its episodes from the ``i * len(hole_offsets) + j``-th
+    child of ``SeedSequence(seed)``.
     """
     actor, hyper = load_agent_checkpoint(checkpoint_path)
     clearances = clearances or (env.clearance,)
     hole_offsets = hole_offsets or (env.hole_center_offset,)
+    cell_seeds = iter(np.random.SeedSequence(seed).spawn(len(clearances) * len(hole_offsets)))
     rows = []
     for clearance in clearances:
         for offset in hole_offsets:
@@ -365,7 +375,7 @@ def adaptability_sweep(
                 target_point=None,
             )
             sub_env = replace(env, **extremes)
-            metrics = evaluate(actor, hyper, sub_env, n_episodes, [seed, int(1e6 * clearance), int(1e6 * offset)])
+            metrics = evaluate_policy(actor, hyper, sub_env, n_episodes, next(cell_seeds))
             rows.append({
                 "clearance": clearance,
                 "hole_offset": offset,

@@ -1,42 +1,76 @@
 """Dense feedforward networks with analytic backprop, Adam, and target tracking.
 
-Everything is float64 and functional: operations return new parameter objects
-and never mutate their arguments, so snapshots can be shared freely between
-the learner and evaluation code.
+Each network keeps all its parameters in one contiguous float64 vector:
+layer by layer, the weight matrix row-major, then the bias. ``weights[t]`` and
+``biases[t]`` are read-only reshaped views of that vector, used by the matmuls.
+Gradients and both Adam moments are vectors in the same layout, so an Adam
+step, a soft update and a finiteness check are each one vector operation.
+
+Everything is float64 and functional: operations return new vectors and never
+mutate their arguments, so snapshots can be shared freely between the learner
+and evaluation code.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
-from pathlib import Path
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .exceptions import ConfigurationError, NumericalError, ShapeError
+from .exceptions import ConfigurationError, NumericalError, ShapeError, SpecError
 
 Array = np.ndarray
 
 HIDDEN_ACTIVATIONS = ("tanh", "relu")
 OUTPUT_ACTIVATIONS = ("identity", "tanh")
 
-CHECKPOINT_FORMAT = "mlp-checkpoint"
-CHECKPOINT_VERSION = 1
+
+def _param_count(layer_sizes: Sequence[int]) -> int:
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]))
+
+
+def layer_views(layer_sizes: Sequence[int], vector: Array) -> tuple[tuple[Array, ...], tuple[Array, ...]]:
+    """Per-layer ``(weights, biases)`` views of a vector in the parameter layout."""
+    weights, biases = [], []
+    i = 0
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        weights.append(vector[i : i + fan_out * fan_in].reshape(fan_out, fan_in))
+        i += fan_out * fan_in
+        biases.append(vector[i : i + fan_out])
+        i += fan_out
+    return tuple(weights), tuple(biases)
 
 
 @dataclass(frozen=True)
 class MlpParams:
-    """Weights and biases of a dense network.
+    """Parameters of a dense network, stored as one vector.
 
     ``weights[t]`` has shape ``(layer_sizes[t+1], layer_sizes[t])`` and
-    ``biases[t]`` has length ``layer_sizes[t+1]``.
+    ``biases[t]`` has length ``layer_sizes[t+1]``; both are views of
+    ``vector``, which is read-only.
     """
 
     layer_sizes: tuple[int, ...]
-    weights: tuple[Array, ...]
-    biases: tuple[Array, ...]
+    vector: Array
     hidden_activation: str = "tanh"
     output_activation: str = "identity"
+    weights: tuple[Array, ...] = field(init=False, repr=False, compare=False)
+    biases: tuple[Array, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.hidden_activation not in HIDDEN_ACTIVATIONS:
+            raise ConfigurationError(f"unknown hidden activation {self.hidden_activation!r}")
+        if self.output_activation not in OUTPUT_ACTIVATIONS:
+            raise ConfigurationError(f"unknown output activation {self.output_activation!r}")
+        vector = np.asarray(self.vector, dtype=np.float64)
+        if vector.shape != (_param_count(self.layer_sizes),):
+            raise ShapeError(f"vector of shape {vector.shape} does not match layer_sizes {self.layer_sizes}")
+        vector = vector.view()  # freezing a view leaves the caller's array writable
+        vector.flags.writeable = False
+        weights, biases = layer_views(self.layer_sizes, vector)
+        object.__setattr__(self, "vector", vector)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "biases", biases)
 
     @property
     def input_dim(self) -> int:
@@ -50,23 +84,17 @@ class MlpParams:
     def n_layers(self) -> int:
         return len(self.weights)
 
-
-@dataclass(frozen=True)
-class MlpGrads:
-    """Per-parameter gradients, shape-matching an :class:`MlpParams`."""
-
-    weights: tuple[Array, ...]
-    biases: tuple[Array, ...]
+    def with_vector(self, vector: Array) -> "MlpParams":
+        """The same architecture with other parameter values."""
+        return MlpParams(self.layer_sizes, vector, self.hidden_activation, self.output_activation)
 
 
 @dataclass(frozen=True)
 class AdamState:
-    """Moment estimates and step counter of the adaptive-moment optimizer."""
+    """Moment estimates (vectors in the parameter layout) and step counter."""
 
-    m_weights: tuple[Array, ...]
-    m_biases: tuple[Array, ...]
-    v_weights: tuple[Array, ...]
-    v_biases: tuple[Array, ...]
+    m: Array
+    v: Array
     step_count: int
     learning_rate: float
     beta1: float = 0.9
@@ -87,18 +115,13 @@ def mlp_init(
     sizes = tuple(int(s) for s in layer_sizes)
     if len(sizes) < 2 or any(s < 1 for s in sizes):
         raise ConfigurationError(f"layer_sizes must have >=2 entries, all >=1, got {layer_sizes}")
-    if hidden_activation not in HIDDEN_ACTIVATIONS:
-        raise ConfigurationError(f"unknown hidden activation {hidden_activation!r}")
-    if output_activation not in OUTPUT_ACTIVATIONS:
-        raise ConfigurationError(f"unknown output activation {output_activation!r}")
     rng = np.random.default_rng(seed)
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+    vector = np.zeros(_param_count(sizes))
+    for w in layer_views(sizes, vector)[0]:
+        fan_out, fan_in = w.shape
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return MlpParams(sizes, tuple(weights), tuple(biases), hidden_activation, output_activation)
+        w[...] = rng.uniform(-limit, limit, size=(fan_out, fan_in))
+    return MlpParams(sizes, vector, hidden_activation, output_activation)
 
 
 def _apply_hidden(name: str, z: Array) -> Array:
@@ -154,14 +177,22 @@ def mlp_forward_cached(params: MlpParams, x: Array) -> tuple[Array, list[Array]]
 
 
 def mlp_backward(
-    params: MlpParams, x: Array, output_gradient: Array, activations: list[Array] | None = None
-) -> tuple[MlpGrads, Array]:
+    params: MlpParams,
+    x: Array,
+    output_gradient: Array,
+    activations: list[Array] | None = None,
+    *,
+    wrt_params: bool = True,
+    wrt_input: bool = True,
+) -> tuple[Array | None, Array | None]:
     """Backpropagate ``output_gradient`` through the network.
 
-    Returns gradients of a scalar loss whose gradient at the network output
-    is ``output_gradient``, with respect to every parameter and to the input.
-    For batched inputs the parameter gradients are summed over rows; the
-    input gradient keeps one row per sample.
+    Returns ``(param_grad, input_grad)``: gradients of a scalar loss whose
+    gradient at the network output is ``output_gradient``, with respect to the
+    parameter vector and to the input. For batched inputs the parameter
+    gradient is summed over rows; the input gradient keeps one row per sample.
+    A gradient the caller does not ask for (``wrt_params`` / ``wrt_input``
+    false) is not computed and comes back as ``None``.
     """
     xb, single = _as_batch(params, x)
     g = np.asarray(output_gradient, dtype=np.float64)
@@ -171,8 +202,10 @@ def mlp_backward(
         raise ShapeError(f"output_gradient shape {np.shape(output_gradient)} does not match output dim {params.output_dim}")
 
     acts = _forward_cached(params, xb) if activations is None else activations
-    d_weights: list[Array] = [None] * params.n_layers  # type: ignore[list-item]
-    d_biases: list[Array] = [None] * params.n_layers  # type: ignore[list-item]
+    param_grad = None
+    if wrt_params:
+        param_grad = np.empty(params.vector.size)
+        d_weights, d_biases = layer_views(params.layer_sizes, param_grad)
     last = params.n_layers - 1
 
     delta = g
@@ -186,13 +219,14 @@ def mlp_backward(
                 delta = delta * (1.0 - a_out * a_out)
             else:
                 delta = delta * (a_out > 0.0)
-        d_weights[t] = delta.T @ acts[t]
-        d_biases[t] = delta.sum(axis=0)
-        delta = delta @ params.weights[t]
+        if wrt_params:
+            np.matmul(delta.T, acts[t], out=d_weights[t])
+            delta.sum(axis=0, out=d_biases[t])
+        if t > 0 or wrt_input:
+            delta = delta @ params.weights[t]
 
-    grads = MlpGrads(tuple(d_weights), tuple(d_biases))
-    input_grad = delta[0] if single else delta
-    return grads, input_grad
+    input_grad = (delta[0] if single else delta) if wrt_input else None
+    return param_grad, input_grad
 
 
 def adam_init(params: MlpParams, learning_rate: float, beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8) -> AdamState:
@@ -200,16 +234,16 @@ def adam_init(params: MlpParams, learning_rate: float, beta1: float = 0.9, beta2
         raise ConfigurationError(f"learning_rate must be positive, got {learning_rate}")
     if not (0.0 < beta1 < 1.0 and 0.0 < beta2 < 1.0):
         raise ConfigurationError("moment decay rates must lie in (0, 1)")
-    zeros_w = tuple(np.zeros_like(w) for w in params.weights)
-    zeros_b = tuple(np.zeros_like(b) for b in params.biases)
-    return AdamState(zeros_w, zeros_b, tuple(np.zeros_like(w) for w in params.weights), tuple(np.zeros_like(b) for b in params.biases), 0, float(learning_rate), beta1, beta2, epsilon)
+    size = params.vector.size
+    return AdamState(np.zeros(size), np.zeros(size), 0, float(learning_rate), beta1, beta2, epsilon)
 
 
-def adam_step(state: AdamState, params: MlpParams, grads: MlpGrads) -> tuple[MlpParams, AdamState]:
+def adam_step(state: AdamState, params: MlpParams, grads: Array) -> tuple[MlpParams, AdamState]:
     """One bias-corrected adaptive-moment update. Raises on non-finite gradients."""
-    # a non-finite entry anywhere poisons the sum of sums
-    total = sum(float(g.sum()) for g in grads.weights) + sum(float(g.sum()) for g in grads.biases)
-    if not np.isfinite(total):
+    if grads.shape != params.vector.shape:
+        raise ShapeError(f"gradient of shape {grads.shape} for {params.vector.size} parameters")
+    # a non-finite entry anywhere poisons the sum
+    if not np.isfinite(grads.sum()):
         raise NumericalError("non-finite gradient passed to adam_step")
 
     t = state.step_count + 1
@@ -217,20 +251,10 @@ def adam_step(state: AdamState, params: MlpParams, grads: MlpGrads) -> tuple[Mlp
     scale1 = lr / (1.0 - b1**t)
     inv_sqrt_corr2 = 1.0 / np.sqrt(1.0 - b2**t)
 
-    def updated(p, g, m, v):
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * (g * g)
-        return p - scale1 * m / (np.sqrt(v) * inv_sqrt_corr2 + eps), m, v
-
-    w_res = [updated(p, g, m, v) for p, g, m, v in zip(params.weights, grads.weights, state.m_weights, state.v_weights)]
-    b_res = [updated(p, g, m, v) for p, g, m, v in zip(params.biases, grads.biases, state.m_biases, state.v_biases)]
-
-    new_params = MlpParams(params.layer_sizes, tuple(r[0] for r in w_res), tuple(r[0] for r in b_res),
-                           params.hidden_activation, params.output_activation)
-    new_state = AdamState(tuple(r[1] for r in w_res), tuple(r[1] for r in b_res),
-                          tuple(r[2] for r in w_res), tuple(r[2] for r in b_res),
-                          t, lr, b1, b2, eps)
-    return new_params, new_state
+    m = b1 * state.m + (1.0 - b1) * grads
+    v = b2 * state.v + (1.0 - b2) * (grads * grads)
+    new_params = params.with_vector(params.vector - scale1 * m / (np.sqrt(v) * inv_sqrt_corr2 + eps))
+    return new_params, AdamState(m, v, t, lr, b1, b2, eps)
 
 
 def soft_update(target: MlpParams, source: MlpParams, rate: float) -> MlpParams:
@@ -239,52 +263,7 @@ def soft_update(target: MlpParams, source: MlpParams, rate: float) -> MlpParams:
         raise ConfigurationError(f"soft-update rate must lie in (0, 1], got {rate}")
     if target.layer_sizes != source.layer_sizes:
         raise ShapeError("target and source networks have different layer sizes")
-    new_w = tuple(rate * ws + (1.0 - rate) * wt for wt, ws in zip(target.weights, source.weights))
-    new_b = tuple(rate * bs + (1.0 - rate) * bt for bt, bs in zip(target.biases, source.biases))
-    return replace(target, weights=new_w, biases=new_b)
-
-
-def add_grads(a: MlpGrads, b: MlpGrads) -> MlpGrads:
-    return MlpGrads(
-        tuple(x + y for x, y in zip(a.weights, b.weights)),
-        tuple(x + y for x, y in zip(a.biases, b.biases)),
-    )
-
-
-def scale_grads(a: MlpGrads, factor: float) -> MlpGrads:
-    return MlpGrads(tuple(factor * x for x in a.weights), tuple(factor * x for x in a.biases))
-
-
-def params_to_vector(params: MlpParams) -> Array:
-    """Flatten all parameters (weights row-major, then biases, layer by layer)."""
-    parts = []
-    for w, b in zip(params.weights, params.biases):
-        parts.append(w.ravel())
-        parts.append(b.ravel())
-    return np.concatenate(parts)
-
-
-def vector_to_params(params: MlpParams, vec: Array) -> MlpParams:
-    """Inverse of :func:`params_to_vector`, using ``params`` for shapes."""
-    vec = np.asarray(vec, dtype=np.float64)
-    new_w, new_b = [], []
-    i = 0
-    for w, b in zip(params.weights, params.biases):
-        new_w.append(vec[i : i + w.size].reshape(w.shape).copy())
-        i += w.size
-        new_b.append(vec[i : i + b.size].copy())
-        i += b.size
-    if i != vec.size:
-        raise ShapeError(f"vector of length {vec.size} does not match parameter count {i}")
-    return replace(params, weights=tuple(new_w), biases=tuple(new_b))
-
-
-def grads_to_vector(grads: MlpGrads) -> Array:
-    parts = []
-    for w, b in zip(grads.weights, grads.biases):
-        parts.append(w.ravel())
-        parts.append(b.ravel())
-    return np.concatenate(parts)
+    return target.with_vector(rate * source.vector + (1.0 - rate) * target.vector)
 
 
 def mlp_to_dict(params: MlpParams) -> dict:
@@ -298,24 +277,20 @@ def mlp_to_dict(params: MlpParams) -> dict:
 
 
 def mlp_from_dict(d: dict) -> MlpParams:
-    sizes = tuple(int(s) for s in d["layer_sizes"])
-    weights = tuple(np.asarray(w, dtype=np.float64) for w in d["weights"])
-    biases = tuple(np.asarray(b, dtype=np.float64) for b in d["biases"])
-    for t, (w, b) in enumerate(zip(weights, biases)):
-        if w.shape != (sizes[t + 1], sizes[t]) or b.shape != (sizes[t + 1],):
-            raise ShapeError(f"layer {t} arrays do not match layer_sizes {sizes}")
-    return MlpParams(sizes, weights, biases, d["hidden_activation"], d["output_activation"])
-
-
-def save_mlp(params: MlpParams, path) -> None:
-    """Write a versioned JSON checkpoint; float64 values round-trip bit-exactly."""
-    payload = {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION}
-    payload.update(mlp_to_dict(params))
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
-
-
-def load_mlp(path) -> MlpParams:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format") != CHECKPOINT_FORMAT or payload.get("version") != CHECKPOINT_VERSION:
-        raise ConfigurationError(f"unrecognized checkpoint header in {path}")
-    return mlp_from_dict(payload)
+    """Inverse of :func:`mlp_to_dict`; raises :class:`SpecError` on any malformed entry."""
+    try:
+        sizes = tuple(int(s) for s in d["layer_sizes"])
+        if len(sizes) < 2 or len(d["weights"]) != len(sizes) - 1 or len(d["biases"]) != len(sizes) - 1:
+            raise ShapeError(f"expected {len(sizes) - 1} weight and bias arrays")
+        parts = []
+        for t, (w, b) in enumerate(zip(d["weights"], d["biases"])):
+            w, b = np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64)
+            if w.shape != (sizes[t + 1], sizes[t]) or b.shape != (sizes[t + 1],):
+                raise ShapeError(f"layer {t} arrays do not match layer_sizes {sizes}")
+            parts += [w.ravel(), b]
+        vector = np.concatenate(parts)
+        if not np.all(np.isfinite(vector)):
+            raise ValueError("non-finite parameter values")
+        return MlpParams(sizes, vector, d["hidden_activation"], d["output_activation"])
+    except (KeyError, TypeError, ValueError) as exc:  # ConfigurationError and ShapeError are ValueErrors
+        raise SpecError(f"malformed network entry: {exc!r}") from exc

@@ -17,7 +17,6 @@ from guided_ddpg.ddpg import (
     target_update,
 )
 from guided_ddpg.exceptions import ConfigurationError, InputError
-from guided_ddpg.nets import grads_to_vector, mlp_forward, params_to_vector, vector_to_params
 from guided_ddpg.replay import SupervisionBatch, TransitionBatch
 
 
@@ -49,8 +48,8 @@ def random_supervision(rng, n=3) -> SupervisionBatch:
 class TestAgent:
     def test_targets_start_as_copies(self):
         nets = make_agent(tiny_hyper(), seed=0)
-        assert np.array_equal(params_to_vector(nets.actor), params_to_vector(nets.target_actor))
-        assert np.array_equal(params_to_vector(nets.critic), params_to_vector(nets.target_critic))
+        assert np.array_equal(nets.actor.vector, nets.target_actor.vector)
+        assert np.array_equal(nets.critic.vector, nets.target_critic.vector)
 
     def test_dimensions(self):
         nets = make_agent(tiny_hyper(), seed=1)
@@ -86,12 +85,10 @@ class TestCriticTarget:
         nets = make_agent(hyper, seed=0)
         # zero out the critic weights, set output bias to b: Q == b everywhere
         b = 0.37
-        vec = np.zeros(params_to_vector(nets.critic).size)
-        critic = vector_to_params(nets.critic, vec)
-        biases = list(critic.biases)
-        biases[-1] = np.array([b])
-        critic = type(critic)(critic.layer_sizes, critic.weights, tuple(biases),
-                              critic.hidden_activation, critic.output_activation)
+        vec = np.zeros(nets.critic.vector.size)
+        vec[-1] = b  # the output bias closes the parameter vector
+        critic = nets.critic.with_vector(vec)
+        assert np.array_equal(critic.biases[-1], [b])
         nets = AgentNets(nets.actor, critic, nets.target_actor, critic, nets.actor_opt, nets.critic_opt)
         batch = TransitionBatch(
             states=np.zeros((1, 6)), actions=np.zeros((1, 2)),
@@ -110,20 +107,19 @@ class TestCriticUpdate:
         sup = random_supervision(rng, n=2)
         w_to = 0.7
 
-        _, grads = critic_loss_grads(nets, hyper, batch, sup, w_to)
-        analytic = grads_to_vector(grads)
+        _, analytic = critic_loss_grads(nets, hyper, batch, sup, w_to)
 
         y = critic_target(batch, nets, hyper)
 
         def loss_of(vec):
-            critic = vector_to_params(nets.critic, vec)
+            critic = nets.critic.with_vector(vec)
             q = critic_value(critic, hyper, batch.states, batch.actions)
             value = np.mean((q - y) ** 2)
             qs = critic_value(critic, hyper, sup.states, sup.actions)
             value += w_to * np.mean((qs - sup.q_values) ** 2)
             return float(value)
 
-        theta = params_to_vector(nets.critic)
+        theta = nets.critic.vector
         numeric = np.zeros_like(theta)
         h = 1e-6
         for i in range(theta.size):
@@ -141,7 +137,7 @@ class TestCriticUpdate:
         sup = random_supervision(rng)
         _, with_sup_zero = critic_loss_grads(nets, hyper, batch, sup, 0.0)
         _, without_sup = critic_loss_grads(nets, hyper, batch, None, 0.0)
-        assert np.array_equal(grads_to_vector(with_sup_zero), grads_to_vector(without_sup))
+        assert np.array_equal(with_sup_zero, without_sup)
 
     def test_satisfied_critic_has_zero_gradient(self):
         # build a batch whose targets equal the critic's own outputs
@@ -154,9 +150,9 @@ class TestCriticUpdate:
         batch = TransitionBatch(states, actions, states.copy(), q.copy(), np.ones(4, dtype=bool))
         sup = SupervisionBatch(states, actions, q.copy())
         _, grads = critic_loss_grads(nets, hyper, batch, sup, 0.5)
-        assert np.max(np.abs(grads_to_vector(grads))) < 1e-12
+        assert np.max(np.abs(grads)) < 1e-12
         updated = critic_update(nets, hyper, batch, sup, 0.5)
-        assert np.allclose(params_to_vector(updated.critic), params_to_vector(nets.critic), atol=1e-12)
+        assert np.allclose(updated.critic.vector, nets.critic.vector, atol=1e-12)
 
 
 class TestActorUpdate:
@@ -168,18 +164,17 @@ class TestActorUpdate:
         sup = random_supervision(rng, n=2)
         w_to = 0.4
 
-        _, grads = actor_objective_grads(nets, hyper, batch, sup, w_to)
-        analytic = grads_to_vector(grads)
+        _, analytic = actor_objective_grads(nets, hyper, batch, sup, w_to)
 
         def objective_of(vec):
-            actor = vector_to_params(nets.actor, vec)
+            actor = nets.actor.with_vector(vec)
             acts = policy_action(actor, hyper, batch.states)
             value = -np.mean(critic_value(nets.target_critic, hyper, batch.states, acts))
             sup_acts = policy_action(actor, hyper, sup.states)
             value += w_to * np.mean(np.sum((sup_acts - sup.actions) ** 2, axis=1))
             return float(value)
 
-        theta = params_to_vector(nets.actor)
+        theta = nets.actor.vector
         numeric = np.zeros_like(theta)
         h = 1e-6
         for i in range(theta.size):
@@ -194,7 +189,7 @@ class TestActorUpdate:
         hyper = tiny_hyper()
         nets = make_agent(hyper, seed=11)
         # make live critic different from target critic
-        bumped = vector_to_params(nets.critic, params_to_vector(nets.critic) + 0.5)
+        bumped = nets.critic.with_vector(nets.critic.vector + 0.5)
         nets = AgentNets(nets.actor, bumped, nets.target_actor, nets.target_critic,
                          nets.actor_opt, nets.critic_opt)
         batch = random_batch(rng)
@@ -203,7 +198,7 @@ class TestActorUpdate:
         nets2 = AgentNets(nets.actor, nets.target_critic, nets.target_actor, nets.target_critic,
                           nets.actor_opt, nets.critic_opt)
         _, grads_same_target = actor_objective_grads(nets2, hyper, batch, None, 0.0)
-        assert np.array_equal(grads_to_vector(grads_now), grads_to_vector(grads_same_target))
+        assert np.array_equal(grads_now, grads_same_target)
 
     def test_large_weight_drives_actor_to_supervision(self):
         hyper = tiny_hyper(actor_lr=5e-2)
@@ -226,10 +221,10 @@ class TestTargetUpdate:
         batch = random_batch(rng)
         nets = critic_update(nets, hyper, batch, None, 0.0)
         nets = actor_update(nets, hyper, batch, None, 0.0)
-        before_t = params_to_vector(nets.target_critic)
-        source = params_to_vector(nets.critic)
+        before_t = nets.target_critic.vector
+        source = nets.critic.vector
         updated = target_update(nets, 0.25)
-        after_t = params_to_vector(updated.target_critic)
+        after_t = updated.target_critic.vector
         # each coordinate stays between its old value and the source value
         low = np.minimum(before_t, source) - 1e-15
         high = np.maximum(before_t, source) + 1e-15

@@ -243,3 +243,15 @@ class TestConfigFile:
         path.write_text("mass = heavy\n")
         with pytest.raises(ConfigurationError):
             load_env_config(path)
+
+    def test_target_point_is_a_pair(self, tmp_path):
+        path = tmp_path / "env.cfg"
+        path.write_text("target_point = 0.001, -0.015\n")
+        assert load_env_config(path).target_point == (0.001, -0.015)
+
+    @pytest.mark.parametrize("value", ["0.1", "0.1, 0.2, 0.3", "0.1, deep", ""])
+    def test_malformed_target_point_rejected(self, tmp_path, value):
+        path = tmp_path / "env.cfg"
+        path.write_text(f"target_point = {value}\n")
+        with pytest.raises(ConfigurationError, match="target_point"):
+            load_env_config(path)

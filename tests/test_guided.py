@@ -15,7 +15,6 @@ from guided_ddpg.ddpg import (
 from guided_ddpg.envs import EnvState, InsertionEnvConfig, env_reset, env_step
 from guided_ddpg.exceptions import SupervisorError
 from guided_ddpg.guided import TrainConfig, evaluate_policy, rng_streams, train
-from guided_ddpg.nets import params_to_vector
 from guided_ddpg.replay import ReplayBuffer, stack_transitions
 from guided_ddpg.trajopt import SupervisorConfig
 
@@ -40,7 +39,7 @@ class TestDegenerateRuns:
         config = tiny_config(epochs=0)
         nets, log = train(config)
         fresh = make_agent(config.hyper, rng_streams(config.seed).net_seed)
-        assert np.array_equal(params_to_vector(nets.actor), params_to_vector(fresh.actor))
+        assert np.array_equal(nets.actor.vector, fresh.actor.vector)
         assert log.episodes == [] and log.evals == [] and log.epochs == []
 
     def test_zero_ddpg_episodes(self):
@@ -104,7 +103,7 @@ class TestDeterminism:
     def test_different_seeds_differ(self):
         nets_a, _ = train(tiny_config(seed=0, epochs=1, n_trajopt=0))
         nets_b, _ = train(tiny_config(seed=1, epochs=1, n_trajopt=0))
-        assert not np.array_equal(params_to_vector(nets_a.actor), params_to_vector(nets_b.actor))
+        assert not np.array_equal(nets_a.actor.vector, nets_b.actor.vector)
 
 
 class TestPureDdpgReduction:
@@ -149,8 +148,8 @@ class TestPureDdpgReduction:
 
         for name in ("actor", "critic", "target_actor", "target_critic"):
             assert np.array_equal(
-                params_to_vector(getattr(nets_guided, name)),
-                params_to_vector(getattr(nets, name)),
+                getattr(nets_guided, name).vector,
+                getattr(nets, name).vector,
             ), f"{name} parameters diverged from the reference loop"
 
 
@@ -187,8 +186,7 @@ class TestEvaluation:
         config = tiny_config(env=env)
         nets = make_agent(config.hyper, 0)
         # zero out the actor: outputs 0 force, peg never reaches the target
-        from guided_ddpg.nets import vector_to_params
-        actor = vector_to_params(nets.actor, np.zeros(params_to_vector(nets.actor).size))
+        actor = nets.actor.with_vector(np.zeros(nets.actor.vector.size))
         metrics = evaluate_policy(actor, config.hyper, env, 5, seed=1)
         assert metrics.success_rate == 0.0
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from guided_ddpg.harness import (
 )
 from guided_ddpg.ddpg import DdpgHyper, make_agent, policy_action
 from guided_ddpg.envs import InsertionEnvConfig
-from guided_ddpg.nets import params_to_vector
+from guided_ddpg.guided import evaluate_policy
 
 TINY_SPEC = """
 # tiny smoke-test experiment
@@ -144,11 +145,18 @@ class TestCheckpoints:
         path = tmp_path / "ckpt.json"
         save_agent_checkpoint(path, nets, hyper)
         actor, loaded_hyper = load_agent_checkpoint(path)
-        assert np.array_equal(params_to_vector(actor), params_to_vector(nets.actor))
+        assert np.array_equal(actor.vector, nets.actor.vector)
         assert loaded_hyper.action_bound == hyper.action_bound
         states = np.random.default_rng(0).normal(size=(4, 6)) * 0.01
         assert np.allclose(policy_action(actor, loaded_hyper, states),
                            policy_action(nets.actor, hyper, states))
+
+    def test_bad_header_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        for header in ('{"format": "other", "version": 1}', '{"format": "agent-checkpoint", "version": 9}', "[1, 2]"):
+            path.write_text(header)
+            with pytest.raises(SpecError, match="header"):
+                load_agent_checkpoint(path)
 
 
 class TestSweep:
@@ -164,6 +172,25 @@ class TestSweep:
         lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 5
         assert lines[0].startswith("clearance_m,hole_offset_m,success_rate")
+
+    def test_cell_seeds_are_spawned_over_grid_indices(self, tmp_path):
+        env = InsertionEnvConfig(horizon=6)
+        hyper = DdpgHyper.for_env(env, actor_hidden=(8,), critic_hidden=(8,))
+        nets = make_agent(hyper, 0)
+        ckpt = tmp_path / "ckpt.json"
+        save_agent_checkpoint(ckpt, nets, hyper)
+        clearances, offsets = (0.0005, 0.0001), (-0.0005, 0.0, 0.0005)
+        rows = adaptability_sweep(ckpt, env, clearances, offsets, 3, 4, tmp_path / "sweep.csv")
+        actor, loaded_hyper = load_agent_checkpoint(ckpt)
+        children = np.random.SeedSequence(4).spawn(len(clearances) * len(offsets))
+        for k, row in enumerate(rows):
+            clearance, offset = clearances[k // len(offsets)], offsets[k % len(offsets)]
+            assert (row["clearance"], row["hole_offset"]) == (clearance, offset)
+            cell_env = replace(env, hole_half_width=env.peg_half_width + clearance,
+                               hole_center_offset=offset, success_tolerance=None, target_point=None)
+            expected = evaluate_policy(actor, loaded_hyper, cell_env, 3, children[k])
+            assert (row["success_rate"], row["mean_return"], row["mean_steps"]) == (
+                expected.success_rate, expected.mean_return, expected.mean_steps)
 
 
 class TestCli:
@@ -193,3 +220,60 @@ class TestCli:
     def test_missing_checkpoint_exit_code(self, tmp_path):
         code = cli_main(["eval", "--checkpoint", str(tmp_path / "nope.json")])
         assert code == 1
+
+    @staticmethod
+    def _checkpoint_payload(tmp_path) -> dict:
+        env = InsertionEnvConfig(horizon=6)
+        hyper = DdpgHyper.for_env(env, actor_hidden=(8,), critic_hidden=(8,))
+        path = tmp_path / "good.json"
+        save_agent_checkpoint(path, make_agent(hyper, 0), hyper)
+        return json.loads(path.read_text())
+
+    def _eval_exit_code(self, tmp_path, text: str, *extra) -> int:
+        path = tmp_path / "ckpt.json"
+        path.write_text(text)
+        return cli_main(["eval", "--checkpoint", str(path), "--episodes", "1", *extra])
+
+    def test_checkpoint_invalid_json_exit_code(self, tmp_path, capsys):
+        assert self._eval_exit_code(tmp_path, "{not json") == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
+    def test_checkpoint_missing_actor_exit_code(self, tmp_path):
+        payload = self._checkpoint_payload(tmp_path)
+        del payload["actor"]
+        assert self._eval_exit_code(tmp_path, json.dumps(payload)) == 2
+
+    def test_checkpoint_truncated_weight_row_exit_code(self, tmp_path):
+        payload = self._checkpoint_payload(tmp_path)
+        payload["actor"]["weights"][0][3].pop()
+        assert self._eval_exit_code(tmp_path, json.dumps(payload)) == 2
+
+    def test_checkpoint_unknown_activation_exit_code(self, tmp_path):
+        payload = self._checkpoint_payload(tmp_path)
+        payload["actor"]["hidden_activation"] = "sigmoid"
+        assert self._eval_exit_code(tmp_path, json.dumps(payload)) == 2
+
+    def test_negative_seed_exit_code(self, tiny_spec_path, tmp_path):
+        with pytest.raises(SystemExit) as exc:  # argparse rejects it before any command runs
+            self._eval_exit_code(tmp_path, json.dumps(self._checkpoint_payload(tmp_path)), "--seed", "-1")
+        assert exc.value.code == 2
+        spec = tmp_path / "neg_seed.spec"
+        spec.write_text(tiny_spec_path.read_text().replace("seeds = 0,1", "seeds = 0,-1"))
+        assert cli_main(["train", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("value,code", [("0.1", 2), ("0.0, -0.02", 0)])
+    def test_env_config_target_point(self, tmp_path, value, code):
+        env_cfg = tmp_path / "env.cfg"
+        env_cfg.write_text(f"horizon = 6\ntarget_point = {value}\n")
+        text = json.dumps(self._checkpoint_payload(tmp_path))
+        assert self._eval_exit_code(tmp_path, text, "--env-config", str(env_cfg)) == code
+
+    def test_sweep_with_negative_hole_offset(self, tiny_spec_path, tmp_path, capsys):
+        spec = tmp_path / "neg.spec"
+        spec.write_text(tiny_spec_path.read_text().replace(
+            "sweep_hole_offsets = 0.0,0.0005", "sweep_hole_offsets = -0.0005,0.0005"))
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text(json.dumps(self._checkpoint_payload(tmp_path)))
+        assert cli_main(["sweep", "--checkpoint", str(ckpt), "--spec", str(spec),
+                         "--out", str(tmp_path / "sweep")]) == 0
+        assert json.loads(capsys.readouterr().out)["cells"] == 4

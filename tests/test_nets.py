@@ -1,20 +1,20 @@
+import json
+
 import numpy as np
 import pytest
 
-from guided_ddpg.exceptions import ConfigurationError, NumericalError, ShapeError
+from guided_ddpg.exceptions import ConfigurationError, NumericalError, ShapeError, SpecError
 from guided_ddpg.nets import (
-    MlpGrads,
     adam_init,
     adam_step,
-    grads_to_vector,
-    load_mlp,
+    layer_views,
     mlp_backward,
     mlp_forward,
+    mlp_forward_cached,
+    mlp_from_dict,
     mlp_init,
-    params_to_vector,
-    save_mlp,
+    mlp_to_dict,
     soft_update,
-    vector_to_params,
 )
 
 
@@ -23,9 +23,9 @@ def finite_difference_grad(params, x, output_gradient, h=1e-5):
     g = np.asarray(output_gradient, dtype=np.float64)
 
     def loss(vec):
-        return float(np.dot(mlp_forward(vector_to_params(params, vec), x), g))
+        return float(np.dot(mlp_forward(params.with_vector(vec), x), g))
 
-    theta = params_to_vector(params)
+    theta = params.vector
     grad = np.zeros_like(theta)
     for i in range(theta.size):
         plus = theta.copy()
@@ -34,6 +34,36 @@ def finite_difference_grad(params, x, output_gradient, h=1e-5):
         minus[i] -= h
         grad[i] = (loss(plus) - loss(minus)) / (2 * h)
     return grad
+
+
+def per_layer_adam(params, grads, m, v, step_count, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Oracle: the adaptive-moment update applied array by array, on lists of layer arrays."""
+    t = step_count + 1
+    scale1 = lr / (1.0 - b1**t)
+    inv_sqrt_corr2 = 1.0 / np.sqrt(1.0 - b2**t)
+    new_p, new_m, new_v = [], [], []
+    for p_i, g_i, m_i, v_i in zip(params, grads, m, v):
+        m_i = b1 * m_i + (1.0 - b1) * g_i
+        v_i = b2 * v_i + (1.0 - b2) * (g_i * g_i)
+        new_p.append(p_i - scale1 * m_i / (np.sqrt(v_i) * inv_sqrt_corr2 + eps))
+        new_m.append(m_i)
+        new_v.append(v_i)
+    return new_p, new_m, new_v
+
+
+def per_layer_soft_update(target, source, rate):
+    """Oracle: the target blend applied array by array."""
+    return [rate * s + (1.0 - rate) * t for t, s in zip(target, source)]
+
+
+def layer_arrays(layer_sizes, vector):
+    """Copies of the layer arrays of a vector, in checkpoint order: w0, b0, w1, b1, ..."""
+    weights, biases = layer_views(layer_sizes, vector)
+    return [a.copy() for pair in zip(weights, biases) for a in pair]
+
+
+def flatten(arrays):
+    return np.concatenate([a.ravel() for a in arrays])
 
 
 class TestInit:
@@ -70,26 +100,23 @@ class TestInit:
 class TestForward:
     def test_identity_network(self):
         params = mlp_init([3, 3], output_activation="identity", seed=0)
-        params = vector_to_params(params, np.concatenate([np.eye(3).ravel(), np.zeros(3)]))
+        params = params.with_vector(np.concatenate([np.eye(3).ravel(), np.zeros(3)]))
         x = np.array([0.3, -1.2, 4.0])
         assert np.allclose(mlp_forward(params, x), x)
 
     def test_hand_affine(self):
         params = mlp_init([2, 2], seed=0)
-        params = vector_to_params(params, np.array([2.0, 0.0, 0.0, 3.0, 1.0, -1.0]))
+        params = params.with_vector(np.array([2.0, 0.0, 0.0, 3.0, 1.0, -1.0]))
         assert np.allclose(mlp_forward(params, np.array([1.0, 1.0])), [3.0, 2.0])
 
     def test_zero_weights_give_output_bias(self):
         params = mlp_init([4, 8, 2], seed=1)
-        vec = np.zeros(params_to_vector(params).size)
-        # set final bias only
-        params_zero = vector_to_params(params, vec)
         out_bias = np.array([0.5, -0.25])
-        weights = list(params_zero.weights)
-        biases = list(params_zero.biases)
-        biases[-1] = out_bias
-        params_zero = type(params_zero)(params_zero.layer_sizes, tuple(weights), tuple(biases),
-                                        params_zero.hidden_activation, params_zero.output_activation)
+        # set final bias only: it closes the parameter vector
+        vec = np.zeros(params.vector.size)
+        vec[-2:] = out_bias
+        params_zero = params.with_vector(vec)
+        assert np.array_equal(params_zero.biases[-1], out_bias)
         for x in (np.zeros(4), np.ones(4), np.array([3.0, -2.0, 0.1, 9.0])):
             assert np.allclose(mlp_forward(params_zero, x), out_bias)
 
@@ -113,8 +140,9 @@ class TestBackward:
         x = np.array([0.5, -1.0, 2.0])
         g = np.array([1.0, -2.0])
         grads, _ = mlp_backward(params, x, g)
-        assert np.allclose(grads.weights[0], np.outer(g, x))
-        assert np.allclose(grads.biases[0], g)
+        weights, biases = layer_views(params.layer_sizes, grads)
+        assert np.allclose(weights[0], np.outer(g, x))
+        assert np.allclose(biases[0], g)
 
     @pytest.mark.parametrize("hidden_activation,output_activation", [
         ("tanh", "identity"), ("relu", "identity"), ("tanh", "tanh"),
@@ -124,7 +152,7 @@ class TestBackward:
         rng = np.random.default_rng(3)
         x = rng.normal(size=6)
         g = rng.normal(size=2)
-        analytic = grads_to_vector(mlp_backward(params, x, g)[0])
+        analytic = mlp_backward(params, x, g)[0]
         numeric = finite_difference_grad(params, x, g)
         denom = np.maximum(np.abs(numeric), 1e-8)
         assert np.max(np.abs(analytic - numeric) / denom) < 1e-4
@@ -147,7 +175,7 @@ class TestBackward:
     def test_zero_output_gradient_zero_everywhere(self):
         params = mlp_init([3, 8, 2], seed=4)
         grads, input_grad = mlp_backward(params, np.ones(3), np.zeros(2))
-        assert np.all(grads_to_vector(grads) == 0.0)
+        assert np.all(grads == 0.0)
         assert np.all(input_grad == 0.0)
 
     def test_batched_param_grads_sum_over_rows(self):
@@ -156,33 +184,33 @@ class TestBackward:
         xs = rng.normal(size=(5, 3))
         gs = rng.normal(size=(5, 2))
         batch_grads, _ = mlp_backward(params, xs, gs)
-        summed = sum(
-            grads_to_vector(mlp_backward(params, x, g)[0]) for x, g in zip(xs, gs)
-        )
-        assert np.allclose(grads_to_vector(batch_grads), summed)
+        summed = sum(mlp_backward(params, x, g)[0] for x, g in zip(xs, gs))
+        assert np.allclose(batch_grads, summed)
 
 
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
         params = mlp_init([2, 2], seed=0)
         state = adam_init(params, 1e-3)
-        zero = MlpGrads(tuple(np.zeros_like(w) for w in params.weights),
-                        tuple(np.zeros_like(b) for b in params.biases))
+        zero = np.zeros(params.vector.size)
         new_params, new_state = adam_step(state, params, zero)
-        assert np.array_equal(params_to_vector(new_params), params_to_vector(params))
+        assert np.array_equal(new_params.vector, params.vector)
         assert new_state.step_count == 1
 
     def test_first_step_magnitude_is_learning_rate(self):
         params = mlp_init([2, 2], seed=0)
         lr = 3e-3
         state = adam_init(params, lr)
-        grads = MlpGrads(tuple(0.5 * np.ones_like(w) for w in params.weights),
-                         tuple(-0.25 * np.ones_like(b) for b in params.biases))
+        grads = np.empty(params.vector.size)
+        weights, biases = layer_views(params.layer_sizes, grads)
+        for w, b in zip(weights, biases):
+            w[...] = 0.5
+            b[...] = -0.25
         new_params, _ = adam_step(state, params, grads)
-        delta = params_to_vector(new_params) - params_to_vector(params)
+        delta = new_params.vector - params.vector
         assert np.allclose(np.abs(delta), lr, rtol=1e-6)
         # update opposes the gradient sign
-        assert np.all(np.sign(delta) == -np.sign(grads_to_vector(grads)))
+        assert np.all(np.sign(delta) == -np.sign(grads))
 
     def test_determinism(self):
         params = mlp_init([3, 4, 1], seed=8)
@@ -190,15 +218,52 @@ class TestAdam:
         grads, _ = mlp_backward(params, np.ones(3), np.ones(1))
         a_params, a_state = adam_step(state, params, grads)
         b_params, b_state = adam_step(state, params, grads)
-        assert np.array_equal(params_to_vector(a_params), params_to_vector(b_params))
+        assert np.array_equal(a_params.vector, b_params.vector)
         assert a_state.step_count == b_state.step_count
 
     def test_nonfinite_gradient_rejected(self):
         params = mlp_init([2, 1], seed=0)
         state = adam_init(params, 1e-3)
-        bad = MlpGrads((np.array([[np.nan, 0.0]]),), (np.zeros(1),))
-        with pytest.raises(NumericalError):
-            adam_step(state, params, bad)
+        for poison in (np.nan, np.inf, -np.inf):
+            bad = np.array([poison, 0.0, 0.0])
+            with pytest.raises(NumericalError):
+                adam_step(state, params, bad)
+
+    def test_wrong_gradient_length_rejected(self):
+        params = mlp_init([2, 1], seed=0)
+        with pytest.raises(ShapeError):
+            adam_step(adam_init(params, 1e-3), params, np.zeros(4))
+
+    def test_matches_per_layer_oracle_bitwise(self):
+        rng = np.random.default_rng(12)
+        params = mlp_init([6, 16, 16, 2], seed=4)
+        state = adam_init(params, 1e-3)
+        sizes = params.layer_sizes
+        p = layer_arrays(sizes, params.vector)
+        m = [np.zeros_like(a) for a in p]
+        v = [np.zeros_like(a) for a in p]
+        for k in range(6):
+            grads = rng.normal(scale=10.0 ** (k - 3), size=params.vector.size)
+            params, state = adam_step(state, params, grads)
+            p, m, v = per_layer_adam(p, layer_arrays(sizes, grads), m, v, k, 1e-3)
+            assert state.step_count == k + 1
+            assert np.array_equal(params.vector, flatten(p))
+            assert np.array_equal(state.m, flatten(m))
+            assert np.array_equal(state.v, flatten(v))
+
+    def test_inputs_unchanged(self):
+        rng = np.random.default_rng(13)
+        params = mlp_init([3, 4, 1], seed=8)
+        state = adam_init(params, 1e-3)
+        params, state = adam_step(state, params, rng.normal(size=params.vector.size))
+        grads = rng.normal(size=params.vector.size)
+        before = [a.copy() for a in (params.vector, state.m, state.v, grads)]
+        new_params, new_state = adam_step(state, params, grads)
+        for a, b in zip(before, (params.vector, state.m, state.v, grads)):
+            assert np.array_equal(a, b)
+        assert state.step_count == 1
+        for new in (new_params.vector, new_state.m, new_state.v):
+            assert not any(np.shares_memory(new, old) for old in (params.vector, state.m, state.v, grads))
 
 
 class TestSoftUpdate:
@@ -206,39 +271,60 @@ class TestSoftUpdate:
         target = mlp_init([3, 2], seed=1)
         source = mlp_init([3, 2], seed=2)
         updated = soft_update(target, source, 1.0)
-        assert np.array_equal(params_to_vector(updated), params_to_vector(source))
+        assert np.array_equal(updated.vector, source.vector)
 
     def test_paper_rate_arithmetic(self):
         target = mlp_init([2, 2], seed=0)
-        target = vector_to_params(target, np.zeros(6))
-        source = vector_to_params(target, np.ones(6))
+        target = target.with_vector(np.zeros(6))
+        source = target.with_vector(np.ones(6))
         updated = soft_update(target, source, 0.001)
-        assert np.allclose(params_to_vector(updated), 0.001)
+        assert np.allclose(updated.vector, 0.001)
 
     def test_geometric_decay_toward_fixed_source(self):
         rng = np.random.default_rng(5)
         target = mlp_init([4, 3], seed=3)
-        source = vector_to_params(target, rng.normal(size=params_to_vector(target).size))
+        source = target.with_vector(rng.normal(size=target.vector.size))
         rate = 0.05
-        gap0 = np.linalg.norm(params_to_vector(target) - params_to_vector(source))
+        gap0 = np.linalg.norm(target.vector - source.vector)
         current = target
         for k in range(1, 30):
             current = soft_update(current, source, rate)
-            gap = np.linalg.norm(params_to_vector(current) - params_to_vector(source))
+            gap = np.linalg.norm(current.vector - source.vector)
             assert np.isclose(gap, gap0 * (1 - rate) ** k, rtol=1e-10)
 
     def test_convex_combination_property(self):
         rng = np.random.default_rng(7)
         target = mlp_init([5, 4, 2], seed=1)
-        tvec = rng.normal(size=params_to_vector(target).size)
+        tvec = rng.normal(size=target.vector.size)
         svec = rng.normal(size=tvec.size)
-        t = vector_to_params(target, tvec)
-        s = vector_to_params(target, svec)
+        t = target.with_vector(tvec)
+        s = target.with_vector(svec)
         for rate in (0.001, 0.3, 0.77, 1.0):
-            u = params_to_vector(soft_update(t, s, rate))
+            u = soft_update(t, s, rate).vector
             low = np.minimum(tvec, svec) - 1e-15
             high = np.maximum(tvec, svec) + 1e-15
             assert np.all(u >= low) and np.all(u <= high)
+
+    def test_matches_per_layer_oracle_bitwise(self):
+        rng = np.random.default_rng(9)
+        target = mlp_init([6, 16, 16, 1], seed=1)
+        expected = layer_arrays(target.layer_sizes, target.vector)
+        for rate in (0.001, 0.001, 0.3, 0.77, 1.0):
+            source = target.with_vector(rng.normal(size=target.vector.size))
+            target = soft_update(target, source, rate)
+            expected = per_layer_soft_update(expected, layer_arrays(source.layer_sizes, source.vector), rate)
+            assert np.array_equal(target.vector, flatten(expected))
+
+    def test_inputs_unchanged(self):
+        rng = np.random.default_rng(10)
+        target = mlp_init([4, 3], seed=3)
+        source = target.with_vector(rng.normal(size=target.vector.size))
+        before_t, before_s = target.vector.copy(), source.vector.copy()
+        updated = soft_update(target, source, 0.25)
+        assert np.array_equal(target.vector, before_t)
+        assert np.array_equal(source.vector, before_s)
+        assert not np.shares_memory(updated.vector, target.vector)
+        assert not np.shares_memory(updated.vector, source.vector)
 
     @pytest.mark.parametrize("rate", [0.0, -0.1, 1.5])
     def test_bad_rate_rejected(self, rate):
@@ -248,18 +334,86 @@ class TestSoftUpdate:
 
 
 class TestSerialization:
-    def test_roundtrip_bit_exact(self, tmp_path):
+    def test_roundtrip_bit_exact(self):
         params = mlp_init([6, 64, 64, 2], "relu", "tanh", seed=123)
-        path = tmp_path / "net.json"
-        save_mlp(params, path)
-        loaded = load_mlp(path)
+        loaded = mlp_from_dict(json.loads(json.dumps(mlp_to_dict(params))))
         assert loaded.layer_sizes == params.layer_sizes
         assert loaded.hidden_activation == "relu"
         assert loaded.output_activation == "tanh"
-        assert np.array_equal(params_to_vector(loaded), params_to_vector(params))
+        assert np.array_equal(loaded.vector, params.vector)
 
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"format": "other", "version": 9}')
-        with pytest.raises(ConfigurationError):
-            load_mlp(path)
+    @pytest.mark.parametrize("corrupt", [
+        lambda d: d.pop("weights"),
+        lambda d: d.update(hidden_activation="sigmoid"),
+        lambda d: d.update(output_activation="softmax"),
+        lambda d: d.update(layer_sizes=[3]),
+        lambda d: d.update(layer_sizes="3,4"),
+        lambda d: d["weights"].pop(),
+        lambda d: d["weights"][0][1].pop(),
+        lambda d: d["weights"][0].pop(),
+        lambda d: d["biases"][1].append(0.0),
+        lambda d: d["weights"][1][0].__setitem__(0, "x"),
+        lambda d: d["biases"][0].__setitem__(1, float("nan")),
+    ])
+    def test_malformed_entries_rejected(self, corrupt):
+        d = json.loads(json.dumps(mlp_to_dict(mlp_init([3, 4, 2], seed=0))))
+        corrupt(d)
+        with pytest.raises(SpecError):
+            mlp_from_dict(d)
+
+    def test_non_object_rejected(self):
+        with pytest.raises(SpecError):
+            mlp_from_dict([1, 2, 3])
+
+
+class TestFlatLayout:
+    def test_views_share_memory_in_checkpoint_order(self):
+        params = mlp_init([6, 16, 8, 2], seed=5)
+        d = mlp_to_dict(params)
+        in_checkpoint_order = [np.asarray(a).ravel() for pair in zip(d["weights"], d["biases"]) for a in pair]
+        assert np.array_equal(params.vector, np.concatenate(in_checkpoint_order))
+        offset = 0
+        for w, b in zip(params.weights, params.biases):
+            for view in (w, b):
+                assert np.shares_memory(view, params.vector)
+                assert view.ctypes.data == params.vector.ctypes.data + 8 * offset
+                assert view.flags.c_contiguous
+                offset += view.size
+        assert offset == params.vector.size
+
+    def test_vector_is_read_only_and_caller_array_is_not(self):
+        params = mlp_init([3, 2], seed=0)
+        vec = np.arange(8.0)
+        frozen = params.with_vector(vec)
+        with pytest.raises(ValueError):
+            frozen.vector[0] = 1.0
+        with pytest.raises(ValueError):
+            frozen.weights[0][0, 0] = 1.0
+        vec[0] = -1.0  # the caller's own array stays writable
+        assert frozen.weights[0][0, 0] == -1.0
+
+    def test_wrong_vector_length_rejected(self):
+        params = mlp_init([3, 2], seed=0)
+        with pytest.raises(ShapeError):
+            params.with_vector(np.zeros(7))
+
+
+class TestReducedBackward:
+    @pytest.mark.parametrize("hidden_activation,output_activation", [
+        ("tanh", "identity"), ("relu", "tanh"),
+    ])
+    @pytest.mark.parametrize("batch", [None, 5])
+    def test_reduced_passes_match_full_pass_bitwise(self, hidden_activation, output_activation, batch):
+        params = mlp_init([8, 16, 16, 1], hidden_activation, output_activation, seed=21)
+        rng = np.random.default_rng(4)
+        shape = (8,) if batch is None else (batch, 8)
+        x = rng.normal(size=shape)
+        g = rng.normal(size=shape[:-1] + (1,))
+        _, cache = mlp_forward_cached(params, x)
+        full_params, full_input = mlp_backward(params, x, g, cache)
+        only_params, no_input = mlp_backward(params, x, g, cache, wrt_input=False)
+        no_params, only_input = mlp_backward(params, x, g, cache, wrt_params=False)
+        assert no_input is None and no_params is None
+        assert np.array_equal(only_params, full_params)
+        assert np.array_equal(only_input, full_input)
+        assert only_input.shape == x.shape
