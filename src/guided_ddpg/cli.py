@@ -1,7 +1,7 @@
 """Command-line entry point: train, eval, compare, sweep.
 
-Exit codes: 0 success, 2 spec/schema problems, 3 numerical failure,
-1 anything else.
+Exit codes: 0 success, 2 spec/schema problems and invalid inputs,
+3 numerical failure, 1 anything else.
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .envs import InsertionEnvConfig, load_env_config
-from .exceptions import ConfigurationError, NumericalError, SpecError
+from .exceptions import ConfigurationError, InputError, NumericalError, SpecError
 from .guided import evaluate_policy
 from .harness import (
     adaptability_sweep,
@@ -111,6 +111,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (SpecError, ConfigurationError) as exc:
         print(f"spec error: {exc}", file=sys.stderr)
+        return EXIT_SPEC
+    except InputError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return EXIT_SPEC
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

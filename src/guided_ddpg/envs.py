@@ -235,8 +235,10 @@ def rollout(config: InsertionEnvConfig, controller, rng, stop_on_success: bool =
     state = env_reset(config, rng)
     states = [state.as_vector()]
     actions, rewards, dones = [], [], []
+    succeeded = False
     for t in range(config.horizon):
         tr = env_step(config, state, controller(t, state.as_vector()))
+        succeeded = succeeded or tr.done
         done = bool(tr.done) or t == config.horizon - 1
         actions.append(tr.action)
         rewards.append(tr.reward)
@@ -250,7 +252,7 @@ def rollout(config: InsertionEnvConfig, controller, rng, stop_on_success: bool =
         actions=np.asarray(actions),
         rewards=np.asarray(rewards),
         dones=np.asarray(dones, dtype=bool),
-        success=bool(np.any([success(EnvState.from_vector(s), config) for s in states[1:]])),
+        success=bool(succeeded),
         steps=len(actions),
     )
 

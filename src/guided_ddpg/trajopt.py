@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrs
 
 from .envs import InsertionEnvConfig, Rollout, rollout
 from .exceptions import (
@@ -218,10 +219,23 @@ def linearize_policy(
 
 
 def _chol_or_raise(mat: Array, what: str) -> Array:
+    """Lower Cholesky factor of one matrix or of a stack of matrices."""
     try:
         return np.linalg.cholesky(mat)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(f"{what} is not positive definite") from exc
+
+
+def _require_finite(what: str, *arrays: Array) -> None:
+    # A NaN off the diagonal passes the Cholesky factorization unnoticed, and
+    # LAPACK solves propagate it silently; this is the guard for both.
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NumericalError(f"{what} received non-finite values")
+
+
+def _log_det(chol: Array) -> Array:
+    """Log-determinants from a stack of Cholesky factors."""
+    return 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
 
 
 def kl_divergence(p: TrajectoryDistribution, other: LinearGaussianPolicy) -> float:
@@ -229,28 +243,27 @@ def kl_divergence(p: TrajectoryDistribution, other: LinearGaussianPolicy) -> flo
 
     The expectation over states uses ``p``'s own marginals, so the result is
     the KL divergence between the two closed-loop trajectory distributions
-    (their shared dynamics terms cancel).
+    (their shared dynamics terms cancel). Raises
+    :class:`NotPositiveDefiniteError` when a covariance fails its Cholesky
+    factorization and :class:`NumericalError` on non-finite solve inputs.
     """
     pol = p.policy
     if pol.horizon != other.horizon or pol.action_dim != other.action_dim:
         raise ShapeError("policies must share horizon and dimensions")
-    m = pol.action_dim
-    total = 0.0
-    for t in range(pol.horizon):
-        c1 = pol.C[t]
-        c2 = other.C[t]
-        l1 = _chol_or_raise(c1, "policy covariance")
-        l2 = _chol_or_raise(c2, "policy covariance")
-        logdet1 = 2.0 * np.sum(np.log(np.diag(l1)))
-        logdet2 = 2.0 * np.sum(np.log(np.diag(l2)))
-        c2_inv_c1 = scipy.linalg.cho_solve((l2, True), c1)
-        dK = pol.K[t] - other.K[t]
-        d = dK @ p.mean[t] + (pol.k[t] - other.k[t])
-        c2_inv_d = scipy.linalg.cho_solve((l2, True), d)
-        c2_inv_dK = scipy.linalg.cho_solve((l2, True), dK)
-        quad = float(d @ c2_inv_d) + float(np.trace(c2_inv_dK @ p.cov[t] @ dK.T))
-        total += 0.5 * (logdet2 - logdet1 - m + float(np.trace(c2_inv_c1)) + quad)
-    return float(total)
+    T, m = pol.horizon, pol.action_dim
+    l1 = _chol_or_raise(pol.C, "policy covariance")
+    l2 = _chol_or_raise(other.C, "policy covariance")
+    dK = pol.K - other.K
+    d = np.einsum("tij,tj->ti", dK, p.mean[:T]) + (pol.k - other.k)
+    _require_finite("KL divergence", l2, pol.C, d, dK)
+    # With W = L2^-1: tr(C2^-1 C1) = |W L1|^2, d' C2^-1 d = |W d|^2 and
+    # tr(C2^-1 dK S dK') = tr(W dK S (W dK)'), so one batched solve with L2
+    # against the stacked right-hand side [L1 | d | dK] gives every term.
+    w = np.linalg.solve(l2, np.concatenate([l1, d[:, :, None], dK], axis=2))
+    w_l1, w_d, w_dK = w[:, :, :m], w[:, :, m], w[:, :, m + 1:]
+    trace = np.einsum("tij,tij->t", w_l1, w_l1)
+    quad = np.einsum("ti,ti->t", w_d, w_d) + np.einsum("tij,tjk,tik->t", w_dK, p.cov[:T], w_dK)
+    return float(0.5 * np.sum(_log_det(l2) - _log_det(l1) - m + trace + quad))
 
 
 def lqg_backward(
@@ -266,7 +279,8 @@ def lqg_backward(
     prior the recursion reduces to a plain finite-horizon LQR solve of the
     quadratic cost, and the returned covariance is the inverse action
     Hessian. Raises :class:`NotPositiveDefiniteError` when that Hessian
-    (plus ``lm_reg`` on its diagonal) fails its Cholesky factorization.
+    (plus ``lm_reg`` on its diagonal) fails its Cholesky factorization, and
+    :class:`NumericalError` when a solve would receive non-finite values.
     """
     if eta <= 0.0:
         raise InputError(f"eta must be positive, got {eta}")
@@ -277,42 +291,53 @@ def lqg_backward(
     if prior is not None and (prior.horizon != T or prior.action_dim != m):
         raise ShapeError("prior horizon/dimensions disagree with dynamics")
 
-    prior_inv = None
+    eye = np.eye(m)
+    quad = cost.Czz / eta
+    lin = cost.cz / eta
     if prior is not None:
-        prior_inv = []
+        l2 = _chol_or_raise(prior.C, "prior covariance")
+        _require_finite("prior covariance", l2)
+        # LAPACK returns Fortran-ordered inverses; keeping that layout per
+        # step keeps the products below bitwise equal to per-step ones.
+        prior_inv = np.empty((T, m, m)).transpose(0, 2, 1)
         for t in range(T):
-            l2 = _chol_or_raise(prior.C[t], "prior covariance")
-            prior_inv.append(scipy.linalg.cho_solve((l2, True), np.eye(m)))
+            prior_inv[t] = dpotrs(l2[t], eye, lower=1)[0]
+        M = np.empty((T, m, n + m))
+        M[:, :, :n] = -prior.K
+        M[:, :, n:] = eye
+        MT = M.transpose(0, 2, 1)
+        quad = quad + MT @ prior_inv @ M
+        lin = lin - (MT @ (prior_inv @ prior.k[:, :, None]))[:, :, 0]
 
     K = np.zeros((T, m, n))
     k = np.zeros((T, m))
     C = np.zeros((T, m, m))
     Vxx = cost.Cxx_T / eta
     vx = cost.cx_T / eta
+    # One solve per step against [Qux | qu | I] gives -K, -k and the
+    # covariance, bitwise equal to three separate solves.
+    rhs = np.empty((m, n + 1 + m))
+    rhs[:, n + 1:] = eye
+    reg = lm_reg * eye
     for t in range(T - 1, -1, -1):
-        quad = cost.Czz[t] / eta
-        lin = cost.cz[t] / eta
-        if prior is not None:
-            Ci = prior_inv[t]
-            M = np.concatenate([-prior.K[t], np.eye(m)], axis=1)
-            quad = quad + M.T @ Ci @ M
-            lin = lin - M.T @ (Ci @ prior.k[t])
-
         Ft = dynamics.F[t]
         ft = dynamics.f[t]
-        Q = quad + Ft.T @ Vxx @ Ft
-        q = lin + Ft.T @ (Vxx @ ft + vx)
+        Q = quad[t] + Ft.T @ Vxx @ Ft
+        q = lin[t] + Ft.T @ (Vxx @ ft + vx)
 
-        Quu = 0.5 * (Q[n:, n:] + Q[n:, n:].T) + lm_reg * np.eye(m)
+        Quu = 0.5 * (Q[n:, n:] + Q[n:, n:].T) + reg
         Qux = Q[n:, :n]
         Qxx = Q[:n, :n]
-        qu = q[n:]
         qx = q[:n]
 
         l_uu = _chol_or_raise(Quu, "action Hessian")
-        K[t] = -scipy.linalg.cho_solve((l_uu, True), Qux)
-        k[t] = -scipy.linalg.cho_solve((l_uu, True), qu)
-        Cuu = scipy.linalg.cho_solve((l_uu, True), np.eye(m))
+        rhs[:, :n] = Qux
+        rhs[:, n] = q[n:]
+        _require_finite("Riccati solve", l_uu, rhs)
+        sol = dpotrs(l_uu, rhs, lower=1)[0]
+        K[t] = -sol[:, :n]
+        k[t] = -sol[:, n]
+        Cuu = sol[:, n + 1:]
         C[t] = 0.5 * (Cuu + Cuu.T)
 
         Vxx = Qxx + Qux.T @ K[t]
@@ -332,17 +357,24 @@ def lqg_forward(
     if policy.horizon != T:
         raise ShapeError("policy and dynamics horizons disagree")
     n = dynamics.state_dim
+    m = policy.action_dim
     mean = np.zeros((T + 1, n))
     cov = np.zeros((T + 1, n, n))
     mean[0] = np.asarray(init_mean, dtype=np.float64)
     cov[0] = np.asarray(init_cov, dtype=np.float64)
+    mu_z = np.empty(n + m)
+    joint_cov = np.empty((n + m, n + m))
     for t in range(T):
         Kt, kt, Ct = policy.K[t], policy.k[t], policy.C[t]
         mu, S = mean[t], cov[t]
-        mu_u = Kt @ mu + kt
         SKt = S @ Kt.T
-        joint_cov = np.block([[S, SKt], [SKt.T, Kt @ SKt + Ct]])
-        mean[t + 1] = dynamics.F[t] @ np.concatenate([mu, mu_u]) + dynamics.f[t]
+        mu_z[:n] = mu
+        mu_z[n:] = Kt @ mu + kt
+        joint_cov[:n, :n] = S
+        joint_cov[:n, n:] = SKt
+        joint_cov[n:, :n] = SKt.T
+        joint_cov[n:, n:] = Kt @ SKt + Ct
+        mean[t + 1] = dynamics.F[t] @ mu_z + dynamics.f[t]
         nxt = dynamics.F[t] @ joint_cov @ dynamics.F[t].T + dynamics.Sigma[t]
         cov[t + 1] = 0.5 * (nxt + nxt.T)
     return TrajectoryDistribution(mean, cov, policy, dynamics)
@@ -351,19 +383,23 @@ def lqg_forward(
 def expected_cost(cost: QuadraticCost, traj: TrajectoryDistribution) -> float:
     """Exact Gaussian expectation of the quadratic cost under ``traj``."""
     pol = traj.policy
-    total = 0.0
-    for t in range(cost.horizon):
-        Kt, kt, Ct = pol.K[t], pol.k[t], pol.C[t]
-        mu, S = traj.mean[t], traj.cov[t]
-        mu_z = np.concatenate([mu, Kt @ mu + kt])
-        SKt = S @ Kt.T
-        cov_z = np.block([[S, SKt], [SKt.T, Kt @ SKt + Ct]])
-        total += 0.5 * float(mu_z @ cost.Czz[t] @ mu_z + np.trace(cost.Czz[t] @ cov_z))
-        total += float(cost.cz[t] @ mu_z) + float(cost.const[t])
+    T, n, m = cost.horizon, pol.state_dim, pol.action_dim
+    mu, S = traj.mean[:T], traj.cov[:T]
+    SKt = S @ pol.K.transpose(0, 2, 1)
+    mu_z = np.empty((T, n + m))
+    mu_z[:, :n] = mu
+    mu_z[:, n:] = np.einsum("tij,tj->ti", pol.K, mu) + pol.k
+    cov_z = np.empty((T, n + m, n + m))
+    cov_z[:, :n, :n] = S
+    cov_z[:, :n, n:] = SKt
+    cov_z[:, n:, :n] = SKt.transpose(0, 2, 1)
+    cov_z[:, n:, n:] = pol.K @ SKt + pol.C
+    stage = 0.5 * (np.einsum("ti,tij,tj->t", mu_z, cost.Czz, mu_z) + np.einsum("tij,tji->t", cost.Czz, cov_z))
+    stage += np.einsum("ti,ti->t", cost.cz, mu_z) + cost.const
     mu_T, S_T = traj.mean[-1], traj.cov[-1]
-    total += 0.5 * float(mu_T @ cost.Cxx_T @ mu_T + np.trace(cost.Cxx_T @ S_T))
-    total += float(cost.cx_T @ mu_T) + float(cost.const_T)
-    return total
+    terminal = 0.5 * float(mu_T @ cost.Cxx_T @ mu_T + np.trace(cost.Cxx_T @ S_T))
+    terminal += float(cost.cx_T @ mu_T) + float(cost.const_T)
+    return float(np.sum(stage)) + terminal
 
 
 # ---------------------------------------------------------------------------

@@ -210,6 +210,27 @@ class TestRollout:
         assert roll.states.shape == (config.horizon + 1, 6)
         assert roll.dones[-1]
 
+    @pytest.mark.parametrize("stop_on_success", [True, False])
+    def test_success_matches_per_state_oracle(self, config, stop_on_success):
+        def controller(gain, leave_after):
+            # drive toward the slot floor, then pull out at full force
+            def act(t, s):
+                if t >= leave_after:
+                    return np.array([0.0, config.action_bound])
+                return gain * (config.target - s[:2]) - 0.5 * np.sqrt(gain) * s[2:4]
+            return act
+
+        outcomes = set()
+        for gain, leave_after in [(0.0, 100), (50.0, 100), (50.0, 40), (200.0, 100), (200.0, 40)]:
+            for seed in range(3):
+                roll = rollout(config, controller(gain, leave_after), seed, stop_on_success=stop_on_success)
+                oracle = any(success(EnvState.from_vector(s), config) for s in roll.states[1:])
+                assert roll.success == oracle
+                outcomes.add((oracle, success(EnvState.from_vector(roll.states[-1]), config)))
+        assert {(True, True), (False, False)} <= outcomes
+        if not stop_on_success:
+            assert (True, False) in outcomes  # inserted, then pulled out before the horizon
+
     def test_csv_export(self, tmp_path, config):
         roll = rollout(config, lambda t, s: np.array([0.1, -0.2]), 2, stop_on_success=False)
         path = tmp_path / "traj.csv"

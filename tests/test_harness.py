@@ -268,6 +268,15 @@ class TestCli:
         text = json.dumps(self._checkpoint_payload(tmp_path))
         assert self._eval_exit_code(tmp_path, text, "--env-config", str(env_cfg)) == code
 
+    def test_diverging_environment_exit_code(self, tmp_path, capsys):
+        env_cfg = tmp_path / "env.cfg"
+        env_cfg.write_text("dt = 5.0\nwall_stiffness = 1e15\n")
+        text = json.dumps(self._checkpoint_payload(tmp_path))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert self._eval_exit_code(tmp_path, text, "--env-config", str(env_cfg)) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and "diverged" in err and "Traceback" not in err
+
     def test_sweep_with_negative_hole_offset(self, tiny_spec_path, tmp_path, capsys):
         spec = tmp_path / "neg.spec"
         spec.write_text(tiny_spec_path.read_text().replace(

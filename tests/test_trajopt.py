@@ -1,9 +1,20 @@
+from __future__ import annotations
+
 import numpy as np
 import pytest
+import scipy.linalg
 
+from guided_ddpg import trajopt
 from guided_ddpg.ddpg import DdpgHyper, make_agent, policy_action
 from guided_ddpg.envs import InsertionEnvConfig, rollout
-from guided_ddpg.exceptions import InputError, ShapeError, TrustRegionError
+from guided_ddpg.exceptions import (
+    InputError,
+    NotPositiveDefiniteError,
+    NumericalError,
+    ShapeError,
+    SupervisorError,
+    TrustRegionError,
+)
 from guided_ddpg.trajopt import (
     DualState,
     LinearDynamics,
@@ -11,6 +22,7 @@ from guided_ddpg.trajopt import (
     QuadraticCost,
     SmoothedInsertionCost,
     SupervisorConfig,
+    TrajectoryDistribution,
     cost_to_go,
     expected_cost,
     fit_dynamics,
@@ -59,6 +71,149 @@ def constant_policy(horizon, n, m, K=None, k=None, cov=None):
     cov = np.eye(m) if cov is None else cov
     return LinearGaussianPolicy(np.tile(K, (horizon, 1, 1)), np.tile(k, (horizon, 1)),
                                 np.tile(cov, (horizon, 1, 1)))
+
+
+# ---------------------------------------------------------------------------
+# The per-step stage implementations the vectorized ones replaced, kept as
+# oracles: lqg_backward and lqg_forward must match them bitwise, and
+# kl_divergence and expected_cost to 1e-12 relative.
+
+
+def _oracle_chol(mat: np.ndarray, what: str) -> np.ndarray:
+    try:
+        return np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(f"{what} is not positive definite") from exc
+
+
+def oracle_kl_divergence(p: TrajectoryDistribution, other: LinearGaussianPolicy) -> float:
+    """Sum over steps of the expected Gaussian KL between action conditionals."""
+    pol = p.policy
+    if pol.horizon != other.horizon or pol.action_dim != other.action_dim:
+        raise ShapeError("policies must share horizon and dimensions")
+    m = pol.action_dim
+    total = 0.0
+    for t in range(pol.horizon):
+        c1 = pol.C[t]
+        c2 = other.C[t]
+        l1 = _oracle_chol(c1, "policy covariance")
+        l2 = _oracle_chol(c2, "policy covariance")
+        logdet1 = 2.0 * np.sum(np.log(np.diag(l1)))
+        logdet2 = 2.0 * np.sum(np.log(np.diag(l2)))
+        c2_inv_c1 = scipy.linalg.cho_solve((l2, True), c1)
+        dK = pol.K[t] - other.K[t]
+        d = dK @ p.mean[t] + (pol.k[t] - other.k[t])
+        c2_inv_d = scipy.linalg.cho_solve((l2, True), d)
+        c2_inv_dK = scipy.linalg.cho_solve((l2, True), dK)
+        quad = float(d @ c2_inv_d) + float(np.trace(c2_inv_dK @ p.cov[t] @ dK.T))
+        total += 0.5 * (logdet2 - logdet1 - m + float(np.trace(c2_inv_c1)) + quad)
+    return float(total)
+
+
+def oracle_lqg_backward(
+    dynamics: LinearDynamics,
+    cost: QuadraticCost,
+    prior: LinearGaussianPolicy | None,
+    eta: float,
+    lm_reg: float = 0.0,
+) -> LinearGaussianPolicy:
+    """Maximum-entropy Riccati recursion on the dual surrogate cost."""
+    if eta <= 0.0:
+        raise InputError(f"eta must be positive, got {eta}")
+    T = dynamics.horizon
+    n, m = cost.state_dim, cost.action_dim
+    if cost.horizon != T or dynamics.F.shape[1] != n:
+        raise ShapeError("dynamics and cost horizons/dimensions disagree")
+    if prior is not None and (prior.horizon != T or prior.action_dim != m):
+        raise ShapeError("prior horizon/dimensions disagree with dynamics")
+
+    prior_inv = None
+    if prior is not None:
+        prior_inv = []
+        for t in range(T):
+            l2 = _oracle_chol(prior.C[t], "prior covariance")
+            prior_inv.append(scipy.linalg.cho_solve((l2, True), np.eye(m)))
+
+    K = np.zeros((T, m, n))
+    k = np.zeros((T, m))
+    C = np.zeros((T, m, m))
+    Vxx = cost.Cxx_T / eta
+    vx = cost.cx_T / eta
+    for t in range(T - 1, -1, -1):
+        quad = cost.Czz[t] / eta
+        lin = cost.cz[t] / eta
+        if prior is not None:
+            Ci = prior_inv[t]
+            M = np.concatenate([-prior.K[t], np.eye(m)], axis=1)
+            quad = quad + M.T @ Ci @ M
+            lin = lin - M.T @ (Ci @ prior.k[t])
+
+        Ft = dynamics.F[t]
+        ft = dynamics.f[t]
+        Q = quad + Ft.T @ Vxx @ Ft
+        q = lin + Ft.T @ (Vxx @ ft + vx)
+
+        Quu = 0.5 * (Q[n:, n:] + Q[n:, n:].T) + lm_reg * np.eye(m)
+        Qux = Q[n:, :n]
+        Qxx = Q[:n, :n]
+        qu = q[n:]
+        qx = q[:n]
+
+        l_uu = _oracle_chol(Quu, "action Hessian")
+        K[t] = -scipy.linalg.cho_solve((l_uu, True), Qux)
+        k[t] = -scipy.linalg.cho_solve((l_uu, True), qu)
+        Cuu = scipy.linalg.cho_solve((l_uu, True), np.eye(m))
+        C[t] = 0.5 * (Cuu + Cuu.T)
+
+        Vxx = Qxx + Qux.T @ K[t]
+        Vxx = 0.5 * (Vxx + Vxx.T)
+        vx = qx + Qux.T @ k[t]
+    return LinearGaussianPolicy(K, k, C)
+
+
+def oracle_lqg_forward(
+    dynamics: LinearDynamics,
+    policy: LinearGaussianPolicy,
+    init_mean: np.ndarray,
+    init_cov: np.ndarray,
+) -> TrajectoryDistribution:
+    """Propagate Gaussian state marginals through the closed loop."""
+    T = dynamics.horizon
+    if policy.horizon != T:
+        raise ShapeError("policy and dynamics horizons disagree")
+    n = dynamics.state_dim
+    mean = np.zeros((T + 1, n))
+    cov = np.zeros((T + 1, n, n))
+    mean[0] = np.asarray(init_mean, dtype=np.float64)
+    cov[0] = np.asarray(init_cov, dtype=np.float64)
+    for t in range(T):
+        Kt, kt, Ct = policy.K[t], policy.k[t], policy.C[t]
+        mu, S = mean[t], cov[t]
+        mu_u = Kt @ mu + kt
+        SKt = S @ Kt.T
+        joint_cov = np.block([[S, SKt], [SKt.T, Kt @ SKt + Ct]])
+        mean[t + 1] = dynamics.F[t] @ np.concatenate([mu, mu_u]) + dynamics.f[t]
+        nxt = dynamics.F[t] @ joint_cov @ dynamics.F[t].T + dynamics.Sigma[t]
+        cov[t + 1] = 0.5 * (nxt + nxt.T)
+    return TrajectoryDistribution(mean, cov, policy, dynamics)
+
+
+def oracle_expected_cost(cost: QuadraticCost, traj: TrajectoryDistribution) -> float:
+    """Exact Gaussian expectation of the quadratic cost under ``traj``."""
+    pol = traj.policy
+    total = 0.0
+    for t in range(cost.horizon):
+        Kt, kt, Ct = pol.K[t], pol.k[t], pol.C[t]
+        mu, S = traj.mean[t], traj.cov[t]
+        mu_z = np.concatenate([mu, Kt @ mu + kt])
+        SKt = S @ Kt.T
+        cov_z = np.block([[S, SKt], [SKt.T, Kt @ SKt + Ct]])
+        total += 0.5 * float(mu_z @ cost.Czz[t] @ mu_z + np.trace(cost.Czz[t] @ cov_z))
+        total += float(cost.cz[t] @ mu_z) + float(cost.const[t])
+    mu_T, S_T = traj.mean[-1], traj.cov[-1]
+    total += 0.5 * float(mu_T @ cost.Cxx_T @ mu_T + np.trace(cost.Cxx_T @ S_T))
+    total += float(cost.cx_T @ mu_T) + float(cost.const_T)
+    return total
 
 
 class TestFitDynamics:
@@ -393,6 +548,164 @@ class TestUpdateTrajectory:
         for t in range(result.policy.horizon):
             eigvals = np.linalg.eigvalsh(result.policy.C[t])
             assert np.min(eigvals) > 0.0
+
+
+def _spd(rng, size, cond=1.0):
+    """Random symmetric positive definite matrix with condition number ``cond``."""
+    q, _ = np.linalg.qr(rng.normal(size=(size, size)))
+    return (q * (np.geomspace(1.0, 1.0 / cond, size) * rng.uniform(0.1, 3.0))) @ q.T
+
+
+def random_stage_problem(rng, cond=1.0):
+    """Random dynamics, cost, two policies and initial moments; policy
+    covariances have condition number ``cond``."""
+    n, m, T = int(rng.integers(1, 7)), int(rng.integers(2, 4)), int(rng.integers(1, 30))
+    F = np.concatenate([rng.normal(scale=0.5, size=(T, n, n)) + 0.5 * np.eye(n),
+                        rng.normal(size=(T, n, m))], axis=2)
+    dynamics = LinearDynamics(F, rng.normal(size=(T, n)), np.stack([0.01 * _spd(rng, n) for _ in range(T)]))
+    cost = QuadraticCost(np.stack([_spd(rng, n + m) for _ in range(T)]), rng.normal(size=(T, n + m)),
+                         rng.normal(size=T), _spd(rng, n), rng.normal(size=n), 0.3, n, m)
+
+    def policy():
+        return LinearGaussianPolicy(rng.normal(scale=0.3, size=(T, m, n)), rng.normal(size=(T, m)),
+                                    np.stack([_spd(rng, m, cond) for _ in range(T)]))
+
+    return dynamics, cost, policy(), policy(), rng.normal(size=n), 0.1 * _spd(rng, n)
+
+
+def _exact_kl(traj, other, mpmath):
+    """The closed-form trajectory KL evaluated in 40-digit arithmetic."""
+    mpmath.mp.dps = 40
+    pol = traj.policy
+    total = mpmath.mpf(0)
+    for t in range(pol.horizon):
+        c1, c2 = mpmath.matrix(pol.C[t].tolist()), mpmath.matrix(other.C[t].tolist())
+        dK = mpmath.matrix((pol.K[t] - other.K[t]).tolist())
+        d = dK * mpmath.matrix(traj.mean[t].tolist()) + mpmath.matrix((pol.k[t] - other.k[t]).tolist())
+        c2_inv = c2**-1
+        quad = (d.T * c2_inv * d)[0, 0]
+        quad += sum((c2_inv * dK * mpmath.matrix(traj.cov[t].tolist()) * dK.T)[i, i] for i in range(c1.rows))
+        trace = sum((c2_inv * c1)[i, i] for i in range(c1.rows))
+        total += 0.5 * (mpmath.log(mpmath.det(c2)) - mpmath.log(mpmath.det(c1)) - c1.rows + trace + quad)
+    return float(total)
+
+
+class TestStagesMatchOracles:
+    @pytest.mark.parametrize("with_prior", [True, False])
+    @pytest.mark.parametrize("lm_reg", [0.0, 1e-6])
+    @pytest.mark.parametrize("cond", [1.0, 1e8])
+    def test_backward_and_forward_bitwise(self, with_prior, lm_reg, cond):
+        rng = np.random.default_rng([int(with_prior), int(lm_reg > 0), int(cond)])
+        for _ in range(25):
+            dynamics, cost, prior, _, mu0, S0 = random_stage_problem(rng, cond)
+            prior = prior if with_prior else None
+            eta = 10.0 ** rng.uniform(-2, 3)
+            want = oracle_lqg_backward(dynamics, cost, prior, eta, lm_reg)
+            got = lqg_backward(dynamics, cost, prior, eta, lm_reg)
+            for a, b in ((got.K, want.K), (got.k, want.k), (got.C, want.C)):
+                assert np.array_equal(a, b)
+            traj = lqg_forward(dynamics, want, mu0, S0)
+            ref = oracle_lqg_forward(dynamics, want, mu0, S0)
+            assert np.array_equal(traj.mean, ref.mean) and np.array_equal(traj.cov, ref.cov)
+
+    @pytest.mark.parametrize("with_prior", [True, False])
+    @pytest.mark.parametrize("lm_reg", [0.0, 1e-6])
+    def test_kl_and_cost_within_1e12(self, with_prior, lm_reg):
+        rng = np.random.default_rng([7, int(with_prior), int(lm_reg > 0)])
+        for _ in range(25):
+            dynamics, cost, prior, other, mu0, S0 = random_stage_problem(rng)
+            policy = lqg_backward(dynamics, cost, prior if with_prior else None, 10.0 ** rng.uniform(-2, 3), lm_reg)
+            traj = lqg_forward(dynamics, policy, mu0, S0)
+            reference = prior if with_prior else other
+            assert kl_divergence(traj, reference) == pytest.approx(oracle_kl_divergence(traj, reference), rel=1e-12)
+            assert expected_cost(cost, traj) == pytest.approx(oracle_expected_cost(cost, traj), rel=1e-12)
+
+    def test_near_singular_covariances(self):
+        # With condition number 1e8 the per-step solves of the oracle lose
+        # up to ~1e-7 of the KL, so the KL is held to the exact value, and
+        # must be at least as close to it as the oracle.
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(8)
+        for _ in range(12):
+            dynamics, cost, prior, _, mu0, S0 = random_stage_problem(rng, cond=1e8)
+            policy = lqg_backward(dynamics, cost, prior, 10.0 ** rng.uniform(-2, 3))
+            traj = lqg_forward(dynamics, policy, mu0, S0)
+            exact = _exact_kl(traj, prior, mpmath)
+            error = abs(kl_divergence(traj, prior) - exact)
+            assert error <= abs(oracle_kl_divergence(traj, prior) - exact) + 1e-12 * abs(exact)
+            assert expected_cost(cost, traj) == pytest.approx(oracle_expected_cost(cost, traj), rel=1e-12)
+
+    def test_non_finite_inputs_raise_numerical_error(self):
+        rng = np.random.default_rng(9)
+        dynamics, cost, prior, _, mu0, S0 = random_stage_problem(rng)
+        f = dynamics.f.copy()
+        f[-1, 0] = np.nan
+        with pytest.raises(NumericalError) as exc:
+            lqg_backward(LinearDynamics(dynamics.F, f, dynamics.Sigma), cost, prior, 1.0)
+        # not the factorization failure that update_trajectory retries
+        assert not isinstance(exc.value, NotPositiveDefiniteError)
+        traj = lqg_forward(dynamics, prior, mu0, S0)
+        mean = traj.mean.copy()
+        mean[0, 0] = np.inf
+        with pytest.raises(NumericalError):
+            kl_divergence(TrajectoryDistribution(mean, traj.cov, prior, dynamics), prior)
+
+    @staticmethod
+    def _supervise(env, policy_fn, monkeypatch):
+        controllers = []
+        solve = trajopt.update_trajectory
+
+        def recording(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            controllers.append(result.policy)
+            return result
+
+        with monkeypatch.context() as patch:
+            patch.setattr(trajopt, "update_trajectory", recording)
+            result, dual = run_supervisor(env, policy_fn, 3, DualState(eta=1.0, epsilon=20.0),
+                                          SupervisorConfig(), 0.99, np.random.default_rng(11))
+        return result, dual, controllers[-1]
+
+    def test_run_supervisor_bitwise_equal_to_oracle_stages(self, monkeypatch):
+        env = InsertionEnvConfig(horizon=40)
+        hyper = DdpgHyper.for_env(env)
+        nets = make_agent(hyper, seed=5)
+        policy_fn = lambda S: policy_action(nets.actor, hyper, S)
+        got, got_dual, got_final = self._supervise(env, policy_fn, monkeypatch)
+        for name in ("lqg_backward", "lqg_forward", "kl_divergence", "expected_cost"):
+            monkeypatch.setattr(trajopt, name, globals()["oracle_" + name])
+        want, want_dual, want_final = self._supervise(env, policy_fn, monkeypatch)
+
+        for a, b in ((got_final.K, want_final.K), (got_final.k, want_final.k), (got_final.C, want_final.C)):
+            assert np.array_equal(a, b)
+        assert len(got.supervision) == len(want.supervision) == env.horizon
+        for a, b in zip(got.supervision, want.supervision):
+            assert np.array_equal(a.state, b.state) and np.array_equal(a.action, b.action)
+            assert a.q_value == b.q_value
+        for a, b in zip(got.sample_rollouts, want.sample_rollouts):
+            assert np.array_equal(a.states, b.states)
+        assert (got_dual.eta, got_dual.epsilon) == (want_dual.eta, want_dual.epsilon)
+        for a, b in zip(got.diagnostics, want.diagnostics):
+            assert (a.eta, a.epsilon, a.status) == (b.eta, b.epsilon, b.status)
+            assert a.achieved_kl == pytest.approx(b.achieved_kl, rel=1e-9)
+            assert a.expected_improvement == pytest.approx(b.expected_improvement, rel=1e-9)
+
+    def test_non_finite_model_degrades_the_epoch(self, monkeypatch):
+        fit = trajopt.fit_dynamics
+
+        def nan_fit(*args, **kwargs):
+            dynamics = fit(*args, **kwargs)
+            f = dynamics.f.copy()
+            f[-1, 0] = np.nan
+            return LinearDynamics(dynamics.F, f, dynamics.Sigma)
+
+        monkeypatch.setattr(trajopt, "fit_dynamics", nan_fit)
+        env = InsertionEnvConfig(horizon=20)
+        hyper = DdpgHyper.for_env(env)
+        nets = make_agent(hyper, seed=0)
+        with pytest.raises(SupervisorError):
+            run_supervisor(env, lambda S: policy_action(nets.actor, hyper, S), 1,
+                           DualState(eta=1.0, epsilon=20.0), SupervisorConfig(), 0.99, np.random.default_rng(0))
 
 
 class TestCostToGo:
