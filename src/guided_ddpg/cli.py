@@ -73,6 +73,13 @@ def _seed(text: str) -> int:
     return value
 
 
+def _episodes(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"episodes must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="guided-ddpg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -85,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a checkpointed policy")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--env-config", default=None, help="key-value environment config file")
-    p_eval.add_argument("--episodes", type=int, default=50)
+    p_eval.add_argument("--episodes", type=_episodes, default=50)
     p_eval.add_argument("--seed", type=_seed, default=0)
     p_eval.set_defaults(func=_cmd_eval)
 

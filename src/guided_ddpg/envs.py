@@ -153,36 +153,69 @@ def contact_force(config: InsertionEnvConfig, position: Array, velocity: Array) 
     return np.array([fx, fy])
 
 
+def contact_forces(config: InsertionEnvConfig, positions: Array, velocities: Array) -> Array:
+    """:func:`contact_force` of each row of ``(N, 2)`` positions and velocities, as ``(N, 2)``."""
+    return np.array([contact_force(config, p, v) for p, v in zip(positions.tolist(), velocities.tolist())])
+
+
 def env_reset(config: InsertionEnvConfig, seed) -> EnvState:
     """Place the peg above the slot with a uniform lateral perturbation.
 
     ``seed`` may be an integer (or sequence of integers) or an existing
     ``numpy.random.Generator``; a fixed seed reproduces the state exactly.
     """
+    return EnvState.from_vector(env_reset_rows(config, seed, 1)[0])
+
+
+def env_reset_rows(config: InsertionEnvConfig, seed, n: int) -> Array:
+    """``n`` reset states as ``(n, 6)`` rows, with one lateral draw for all of them.
+
+    ``Generator.uniform(size=n)`` yields the same values as ``n`` scalar
+    draws, so the rows equal ``n`` successive :func:`env_reset` calls on one
+    generator. No draw is made when ``reset_range`` is zero.
+    """
     rng = np.random.default_rng(seed)
-    offset = rng.uniform(-config.reset_range, config.reset_range) if config.reset_range > 0.0 else 0.0
-    position = np.array([offset, config.start_height])
-    return EnvState(position, np.zeros(2), np.zeros(2))
+    states = np.zeros((n, STATE_DIM))
+    if config.reset_range > 0.0:
+        states[:, 0] = rng.uniform(-config.reset_range, config.reset_range, size=n)
+    states[:, 1] = config.start_height
+    return states
+
+
+def _norms(rows: Array) -> Array:
+    # vecdot runs the dot kernel np.linalg.norm uses on one vector, so each
+    # entry equals the norm of that row alone, to the last bit.
+    return np.sqrt(np.vecdot(rows, rows))
+
+
+def costs(positions: Array, actions: Array, config: InsertionEnvConfig) -> Array:
+    """Stage cost of each ``(..., 2)`` position and action: a small
+    action-magnitude penalty plus the distance to the slot floor."""
+    return config.action_cost_weight * _norms(actions) + _norms(positions - config.target)
 
 
 def cost(state_vec: Array, action: Array, config: InsertionEnvConfig) -> float:
-    """Stage cost: small action-magnitude penalty plus distance to the slot floor."""
+    """:func:`costs` of one state vector and action."""
     state_vec = np.asarray(state_vec, dtype=np.float64)
     action = np.asarray(action, dtype=np.float64)
-    pos = state_vec[0:2]
-    return config.action_cost_weight * float(np.linalg.norm(action)) + float(np.linalg.norm(pos - config.target))
+    return float(costs(state_vec[0:2], action, config))
+
+
+def successes(positions: Array, config: InsertionEnvConfig) -> Array:
+    """Inserted, for each ``(..., 2)`` position: near the slot floor, below
+    the surface, and laterally inside the slot."""
+    # Allow for the static penetration the penalty contact admits.
+    allow = config.action_bound / config.wall_stiffness
+    return (
+        (positions[..., 1] < 0.0)
+        & (_norms(positions - config.target) < config.success_tolerance)
+        & (np.abs(positions[..., 0] - config.hole_center_offset) <= config.clearance + allow)
+    )
 
 
 def success(state: EnvState, config: InsertionEnvConfig) -> bool:
-    """Inserted: near the slot floor, below the surface, and laterally inside the slot."""
-    pos = state.position
-    if pos[1] >= 0.0:
-        return False
-    if np.linalg.norm(pos - config.target) >= config.success_tolerance:
-        return False
-    # Allow for the static penetration the penalty contact admits.
-    allow = config.action_bound / config.wall_stiffness
-    return abs(pos[0] - config.hole_center_offset) <= config.clearance + allow
+    """:func:`successes` of one state."""
+    return bool(successes(state.position, config))
 
 
 def env_step(config: InsertionEnvConfig, state: EnvState, action: Array) -> Transition:
@@ -207,6 +240,41 @@ def env_step(config: InsertionEnvConfig, state: EnvState, action: Array) -> Tran
 
     reward = -cost(state.as_vector(), a, config)
     return Transition(state.as_vector(), a, next_state.as_vector(), reward, success(next_state, config))
+
+
+def env_step_rows(
+    config: InsertionEnvConfig, states: Array, actions: Array, forces: Array
+) -> tuple[Array, Array, Array]:
+    """:func:`env_step` for ``N`` rows at once: ``(next_states, rewards, successes)``.
+
+    ``states`` is ``(N, 6)`` and ``actions`` is ``(N, 2)``. ``forces`` is the
+    ``(N, 2)`` contact force acting at the start of the step, that is
+    :func:`contact_forces` of the rows' positions and velocities; after a
+    step it equals the last two columns of ``next_states``, so a caller
+    stepping on carries it instead of recomputing it. The arithmetic is the
+    scalar step's, elementwise, the contact model is :func:`contact_force`
+    row by row, and rewards and successes come from :func:`costs` and
+    :func:`successes`, which :func:`cost` and :func:`success` call on one
+    row, so all three outputs are bitwise those of ``N`` scalar steps. The
+    same checks raise :class:`InputError`: a non-finite action or a diverged
+    state.
+    """
+    actions = np.asarray(actions, dtype=np.float64)
+    if actions.shape != (len(states), ACTION_DIM) or not np.all(np.isfinite(actions)):
+        raise InputError(f"actions must be finite ({len(states)}, {ACTION_DIM}) rows, got {actions!r}")
+    a = np.clip(actions, -config.action_bound, config.action_bound)
+
+    position, velocity = states[:, 0:2], states[:, 2:4]
+    accel = (a + forces) / config.mass
+    new_velocity = velocity + config.dt * accel
+    new_position = position + config.dt * new_velocity
+    next_states = np.concatenate(
+        [new_position, new_velocity, contact_forces(config, new_position, new_velocity)], axis=1
+    )
+    if not np.all(np.isfinite(next_states)):
+        raise InputError("environment state diverged to non-finite values")
+
+    return next_states, -costs(position, a, config), successes(new_position, config)
 
 
 @dataclass

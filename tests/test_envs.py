@@ -11,6 +11,7 @@ from guided_ddpg.envs import (
     load_env_config,
     rollout,
     success,
+    successes,
     write_rollout_csv,
 )
 from guided_ddpg.exceptions import ConfigurationError, InputError
@@ -201,6 +202,23 @@ class TestSuccess:
         pos = cfg.target + np.array([0.004, 0.001])
         state = EnvState(pos, np.zeros(2), np.zeros(2))
         assert not success(state, cfg)
+
+    @pytest.mark.parametrize("cfg,base,step,clause", [
+        # distance to the target, with the slot wide enough not to decide
+        (InsertionEnvConfig(hole_half_width=0.02, workspace_half_width=0.03), (0.0, -0.02), (0.0, 0.001), "tolerance"),
+        # lateral offset: clearance plus the static penetration the contact admits
+        (InsertionEnvConfig(hole_center_offset=-0.002, success_tolerance=0.05), (-0.002, -0.01), (0.001, 0.0), "lateral"),
+        # the table surface, with the target just above it
+        (InsertionEnvConfig(target_point=(0.0, 0.0005), success_tolerance=0.002), (0.0, 0.0), (0.0, 1.0), "surface"),
+    ])
+    def test_each_clause_at_its_boundary(self, cfg, base, step, clause):
+        """Rows just inside and just outside one clause's edge, ``step`` pointing out; the other clauses hold."""
+        edge = {"tolerance": cfg.success_tolerance, "lateral": cfg.clearance + cfg.action_bound / cfg.wall_stiffness,
+                "surface": 0.0}[clause]
+        base, step = np.array(base), np.array(step) / np.linalg.norm(step)
+        rows = np.array([base + (edge + d) * step for d in (-1e-7, 1e-7)])
+        assert successes(rows, cfg).tolist() == [True, False]
+        assert [success(EnvState(r, np.zeros(2), np.zeros(2)), cfg) for r in rows] == [True, False]
 
 
 class TestRollout:

@@ -12,9 +12,9 @@ from guided_ddpg.ddpg import (
     supervision_weight,
     target_update,
 )
-from guided_ddpg.envs import EnvState, InsertionEnvConfig, env_reset, env_step
-from guided_ddpg.exceptions import SupervisorError
-from guided_ddpg.guided import TrainConfig, evaluate_policy, rng_streams, train
+from guided_ddpg.envs import EnvState, InsertionEnvConfig, env_reset, env_step, rollout
+from guided_ddpg.exceptions import ConfigurationError, InputError, SupervisorError
+from guided_ddpg.guided import EvalMetrics, TrainConfig, evaluate_policy, rng_streams, train
 from guided_ddpg.replay import ReplayBuffer, stack_transitions
 from guided_ddpg.trajopt import SupervisorConfig
 
@@ -190,9 +190,100 @@ class TestEvaluation:
         metrics = evaluate_policy(actor, config.hyper, env, 5, seed=1)
         assert metrics.success_rate == 0.0
 
+    def test_empty_evaluation_rejected(self):
+        config = tiny_config()
+        actor = make_agent(config.hyper, 0).actor
+        for n in (0, -3):
+            with pytest.raises(InputError):
+                evaluate_policy(actor, config.hyper, config.env, n, seed=0)
+        with pytest.raises(ConfigurationError):
+            tiny_config(eval_every=2, eval_episodes=0)
+        assert tiny_config(eval_every=0, eval_episodes=0).eval_episodes == 0  # never evaluates
+
     def test_stop_at_threshold_halts(self):
         # an always-evaluating config with an impossible-to-miss threshold of 0
         config = tiny_config(epochs=3, n_ddpg=5, n_trajopt=0, eval_every=1,
                              eval_episodes=1, success_threshold=-1.0, stop_at_threshold=True)
         _, log = train(config)
         assert len(log.episodes_by_phase("ddpg")) == 1
+
+
+def per_episode_evaluate_policy(actor, hyper, env, n_episodes, seed) -> EvalMetrics:
+    """The per-episode loop ``evaluate_policy`` ran before lockstep; the oracle below."""
+    rng = np.random.default_rng(seed)
+    successes, returns, steps = [], [], []
+    for _ in range(n_episodes):
+        roll = rollout(env, lambda t, s: policy_action(actor, hyper, s), rng, stop_on_success=True)
+        successes.append(roll.success)
+        returns.append(roll.episode_return)
+        steps.append(roll.steps)
+    return EvalMetrics(float(np.mean(successes)), float(np.mean(returns)), float(np.mean(steps)))
+
+
+def constant_push_actor(hyper, push):
+    """An actor with zero weights whose output bias makes it always push with ``push`` newtons."""
+    actor = make_agent(hyper, 0).actor
+    vector = np.zeros(actor.vector.size)
+    vector[-2:] = np.arctanh(np.asarray(push) / hyper.action_bound)
+    return actor.with_vector(vector)
+
+
+# Geometries: the default slot, a wide slot with a lenient tolerance (episodes
+# succeed at different steps), negative and positive hole offsets, no reset
+# perturbation, and resets that can start inside a workspace wall (a contact
+# force at t = 0 that the observation does not show).
+ORACLE_ENVS = [
+    InsertionEnvConfig(horizon=40),
+    InsertionEnvConfig(horizon=60, hole_half_width=0.009, success_tolerance=0.006),
+    InsertionEnvConfig(horizon=60, hole_half_width=0.009, hole_center_offset=-0.002, success_tolerance=0.006),
+    InsertionEnvConfig(horizon=50, hole_center_offset=0.0015, hole_half_width=0.0065),
+    InsertionEnvConfig(horizon=60, reset_range=0.0, hole_half_width=0.006, success_tolerance=0.005),
+    InsertionEnvConfig(horizon=30, reset_range=0.02),
+]
+
+
+class TestLockstepMatchesPerEpisodeLoop:
+    @staticmethod
+    def assert_same_metrics(actor, hyper, env, n_episodes, seed) -> EvalMetrics:
+        got = evaluate_policy(actor, hyper, env, n_episodes, seed)
+        want = per_episode_evaluate_policy(actor, hyper, env, n_episodes, seed)
+        assert got.success_rate == want.success_rate
+        assert got.mean_steps == want.mean_steps
+        assert got.mean_return == pytest.approx(want.mean_return, rel=1e-12, abs=0.0)
+        return want
+
+    @pytest.mark.parametrize("env", ORACLE_ENVS)
+    def test_agent_actor(self, env):
+        hyper = DdpgHyper.for_env(env, actor_hidden=(16, 16))
+        for seed in range(3):
+            actor = make_agent(hyper, [seed, 9]).actor
+            self.assert_same_metrics(actor, hyper, env, 7, seed)
+
+    @pytest.mark.parametrize("env", ORACLE_ENVS)
+    def test_constant_push_actor(self, env):
+        hyper = DdpgHyper.for_env(env, actor_hidden=(8,))
+        actor = constant_push_actor(hyper, (0.4, -2.0))
+        self.assert_same_metrics(actor, hyper, env, 12, 3)
+
+    def test_active_set_shrinks_mid_run(self):
+        env = ORACLE_ENVS[2]
+        hyper = DdpgHyper.for_env(env, actor_hidden=(8,))
+        actor = constant_push_actor(hyper, (0.4, -2.0))
+        rng = np.random.default_rng(3)
+        steps = [rollout(env, lambda t, s: policy_action(actor, hyper, s), rng).steps for _ in range(12)]
+        assert len(set(steps)) >= 3 and env.horizon in steps  # several exits, and some never succeed
+        metrics = self.assert_same_metrics(actor, hyper, env, 12, 3)
+        assert 0.0 < metrics.success_rate < 1.0
+
+    def test_single_episode(self):
+        env = ORACLE_ENVS[1]
+        hyper = DdpgHyper.for_env(env, actor_hidden=(8,))
+        self.assert_same_metrics(constant_push_actor(hyper, (0.0, -1.0)), hyper, env, 1, 0)
+
+    def test_nan_actor_raises_input_error(self):
+        env = InsertionEnvConfig(horizon=10)
+        hyper = DdpgHyper.for_env(env, actor_hidden=(8,))
+        actor = make_agent(hyper, 0).actor
+        actor = actor.with_vector(np.full(actor.vector.size, np.nan))
+        with pytest.raises(InputError):
+            evaluate_policy(actor, hyper, env, 4, seed=0)

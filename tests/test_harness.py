@@ -261,6 +261,18 @@ class TestCli:
         spec.write_text(tiny_spec_path.read_text().replace("seeds = 0,1", "seeds = 0,-1"))
         assert cli_main(["train", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("episodes", ["0", "-3"])
+    def test_empty_evaluation_exit_code(self, tmp_path, episodes):
+        with pytest.raises(SystemExit) as exc:  # argparse rejects it before any command runs
+            cli_main(["eval", "--checkpoint", str(tmp_path / "any.json"), "--episodes", episodes])
+        assert exc.value.code == 2
+
+    def test_spec_with_empty_training_evaluations_exit_code(self, tiny_spec_path, tmp_path, capsys):
+        spec = tmp_path / "no_eval.spec"
+        spec.write_text(tiny_spec_path.read_text().replace("train_eval_episodes = 2", "train_eval_episodes = 0"))
+        assert cli_main(["train", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+        assert "eval_episodes must be >= 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value,code", [("0.1", 2), ("0.0, -0.02", 0)])
     def test_env_config_target_point(self, tmp_path, value, code):
         env_cfg = tmp_path / "env.cfg"
