@@ -15,7 +15,6 @@ never observes ``hole_center_offset``. A penalty-walled workspace box
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -60,6 +59,11 @@ class InsertionEnvConfig:
             raise ConfigurationError("mass and action_bound must be positive")
         if self.workspace_half_width <= self.hole_half_width or self.workspace_height <= self.start_height:
             raise ConfigurationError("workspace box must contain the slot and the start pose")
+        if not 0.0 <= self.reset_range <= self.workspace_half_width - self.peg_half_width:
+            # a wider reset could start the peg inside a side wall, under a force the reset state does not record
+            raise ConfigurationError(
+                f"reset_range must be in [0, workspace_half_width - peg_half_width], got {self.reset_range}"
+            )
         if self.success_tolerance is None:
             object.__setattr__(self, "success_tolerance", 0.05 * self.hole_depth)
         if self.target_point is None:
@@ -359,17 +363,3 @@ def load_env_config(path) -> InsertionEnvConfig:
         except ValueError as exc:
             raise ConfigurationError(f"{path}:{lineno}: bad value for {key!r}: {value!r}: {exc}") from exc
     return InsertionEnvConfig(**values)
-
-
-def write_rollout_csv(roll: Rollout, path) -> None:
-    """Export a trajectory as CSV rows (t, state..., action..., reward, done)."""
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "px", "py", "vx", "vy", "fx", "fy", "ax", "ay", "reward", "done"])
-        for t in range(roll.steps):
-            writer.writerow(
-                [t]
-                + [repr(float(v)) for v in roll.states[t]]
-                + [repr(float(v)) for v in roll.actions[t]]
-                + [repr(float(roll.rewards[t])), int(roll.dones[t])]
-            )

@@ -173,9 +173,6 @@ class TrainingLog:
                 return ev.n_roll
         return None
 
-    def final_eval(self) -> Optional[EvalRecord]:
-        return self.evals[-1] if self.evals else None
-
     def write_csv(self, path) -> None:
         """Deterministic log export: wall-clock timings deliberately excluded."""
         with open(path, "w", newline="\n", encoding="utf-8") as fh:
@@ -208,8 +205,7 @@ class TrainingLog:
 def rollout_transitions(roll: Rollout) -> list:
     """Split a rollout into stored transitions (actions already clipped)."""
     return [
-        Transition(roll.states[t].copy(), roll.actions[t].copy(), roll.states[t + 1].copy(),
-                   float(roll.rewards[t]), bool(roll.dones[t]))
+        Transition(roll.states[t], roll.actions[t], roll.states[t + 1], float(roll.rewards[t]), bool(roll.dones[t]))
         for t in range(roll.steps)
     ]
 

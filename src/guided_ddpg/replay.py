@@ -1,20 +1,23 @@
-"""Bounded FIFO replay buffers with uniform sampling.
+"""Bounded FIFO replay buffers of packed float rows, with uniform sampling.
 
 Two buffers back the learner: one holds per-step supervision samples from
 the trajectory optimizer, the other holds every environment transition.
 Distinct item types keep the two training signals from being cross-wired.
+
+Determinism contract: the ``k``-th push (counting from 0) is written to row
+``k % capacity``, and :meth:`ReplayBuffer.sample_rows` draws its indices as
+``rng.integers(0, len(buffer), size=n)``. Equal pushes and equal generator
+states therefore give bitwise-equal batches.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generic, Iterator, List, Sequence, TypeVar
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .envs import Transition
 from .exceptions import ConfigurationError, InputError
-
-Item = TypeVar("Item")
 
 
 @dataclass(frozen=True)
@@ -30,73 +33,44 @@ class SupervisionSample:
     q_value: float
 
 
-class ReplayBuffer(Generic[Item]):
-    """Ring buffer: oldest items are evicted first once capacity is reached.
+class ReplayBuffer:
+    """Ring of ``capacity`` packed rows; the oldest row is overwritten first.
 
-    An optional ``packer`` maps each item to a fixed-width float row held in
-    a parallel array, enabling allocation-light batched sampling through
-    :meth:`sample_rows`. Both sampling methods draw identical indices for
-    identical generator states.
+    Each pushed item is packed by ``packer`` into a ``row_width`` float row
+    and only that row is kept, so the caller may reuse the item's arrays. The
+    ``k``-th push lands in row ``k % capacity``; sampling draws row indices
+    uniformly with replacement from ``rng.integers(0, len(self))``.
     """
 
-    def __init__(self, capacity: int, packer=None, row_width: int = 0):
+    def __init__(self, capacity: int, packer: Callable[[object], np.ndarray], row_width: int):
         if capacity < 1:
             raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
-        self._items: List[Item] = []
-        self._head = 0  # index of the oldest item once full
         self.total_pushed = 0
         self._packer = packer
-        self._rows = np.empty((0, row_width)) if packer is not None else None
+        try:
+            self._rows = np.empty((self.capacity, row_width))
+        except MemoryError as exc:
+            raise ConfigurationError(f"a replay capacity of {capacity} rows does not fit in memory") from exc
 
     def __len__(self) -> int:
-        return len(self._items)
+        return min(self.total_pushed, self.capacity)
 
-    def __iter__(self) -> Iterator[Item]:
-        return iter(self.items())
-
-    def items(self) -> List[Item]:
-        """Stored items in insertion order, oldest first."""
-        return self._items[self._head :] + self._items[: self._head]
-
-    def push(self, item: Item) -> "ReplayBuffer[Item]":
-        if len(self._items) < self.capacity:
-            slot = len(self._items)
-            self._items.append(item)
-            if self._packer is not None and slot >= self._rows.shape[0]:
-                grow = min(self.capacity, max(1024, 2 * self._rows.shape[0]))
-                new_rows = np.empty((grow, self._rows.shape[1]))
-                new_rows[: self._rows.shape[0]] = self._rows
-                self._rows = new_rows
-        else:
-            slot = self._head
-            self._items[slot] = item
-            self._head = (self._head + 1) % self.capacity
-        if self._packer is not None:
-            self._rows[slot] = self._packer(item)
+    def push(self, item) -> "ReplayBuffer":
+        self._rows[self.total_pushed % self.capacity] = self._packer(item)
         self.total_pushed += 1
         return self
 
-    def extend(self, items: Sequence[Item]) -> "ReplayBuffer[Item]":
+    def extend(self, items: Iterable) -> "ReplayBuffer":
         for item in items:
             self.push(item)
         return self
 
-    def sample(self, n: int, rng: np.random.Generator) -> List[Item]:
-        """Draw ``n`` items uniformly with replacement."""
-        if not self._items:
-            raise InputError("cannot sample from an empty replay buffer")
-        idx = rng.integers(0, len(self._items), size=int(n))
-        return [self._items[i] for i in idx]
-
     def sample_rows(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Packed counterpart of :meth:`sample`; same draws, stacked rows."""
-        if self._packer is None:
-            raise ConfigurationError("buffer was constructed without a packer")
-        if not self._items:
+        """Draw ``n`` stored rows uniformly with replacement, as an ``(n, row_width)`` copy."""
+        if self.total_pushed == 0:
             raise InputError("cannot sample from an empty replay buffer")
-        idx = rng.integers(0, len(self._items), size=int(n))
-        return self._rows[idx]
+        return self._rows[rng.integers(0, len(self), size=int(n))]
 
 
 @dataclass(frozen=True)
@@ -132,19 +106,9 @@ def transition_batch_from_rows(rows: np.ndarray) -> TransitionBatch:
     )
 
 
-def transition_buffer(capacity: int) -> "ReplayBuffer[Transition]":
-    """Transition buffer with the packed sampling path enabled."""
-    return ReplayBuffer(capacity, packer=pack_transition, row_width=TRANSITION_ROW_WIDTH)
-
-
-def stack_transitions(items: Sequence[Transition]) -> TransitionBatch:
-    return TransitionBatch(
-        states=np.stack([t.state for t in items]),
-        actions=np.stack([t.action for t in items]),
-        next_states=np.stack([t.next_state for t in items]),
-        rewards=np.array([t.reward for t in items]),
-        dones=np.array([t.done for t in items], dtype=bool),
-    )
+def transition_buffer(capacity: int) -> ReplayBuffer:
+    """Ring of packed :class:`Transition` rows."""
+    return ReplayBuffer(capacity, pack_transition, TRANSITION_ROW_WIDTH)
 
 
 SUPERVISION_ROW_WIDTH = 9  # state(6) + action(2) + q_value
@@ -158,14 +122,6 @@ def supervision_batch_from_rows(rows: np.ndarray) -> SupervisionBatch:
     return SupervisionBatch(states=rows[:, 0:6], actions=rows[:, 6:8], q_values=rows[:, 8])
 
 
-def supervision_buffer(capacity: int) -> "ReplayBuffer[SupervisionSample]":
-    """Supervision buffer with the packed sampling path enabled."""
-    return ReplayBuffer(capacity, packer=pack_supervision, row_width=SUPERVISION_ROW_WIDTH)
-
-
-def stack_supervision(items: Sequence[SupervisionSample]) -> SupervisionBatch:
-    return SupervisionBatch(
-        states=np.stack([s.state for s in items]),
-        actions=np.stack([s.action for s in items]),
-        q_values=np.array([s.q_value for s in items]),
-    )
+def supervision_buffer(capacity: int) -> ReplayBuffer:
+    """Ring of packed :class:`SupervisionSample` rows."""
+    return ReplayBuffer(capacity, pack_supervision, SUPERVISION_ROW_WIDTH)

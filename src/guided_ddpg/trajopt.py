@@ -767,8 +767,5 @@ def run_supervisor(
 
     final = rollout(env, _linear_gaussian_controller(current, rng), rng, stop_on_success=False)
     values = cost_to_go(final.rewards, discount)
-    supervision = [
-        SupervisionSample(final.states[t].copy(), final.actions[t].copy(), float(values[t]))
-        for t in range(final.steps)
-    ]
+    supervision = [SupervisionSample(final.states[t], final.actions[t], float(values[t])) for t in range(final.steps)]
     return SupervisorResult(supervision, sample_rollouts, final, diagnostics), dual

@@ -1,13 +1,16 @@
-"""The traced benchmark replaces package attributes by name at run time.
+"""Fast checks of what the benchmark relies on in the package.
 
+The traced benchmark replaces package attributes by name at run time, and it
+measures replay memory by pushing item objects through the buffer factories.
 Its own smoke tests are slow, so this checks here that every boundary it wraps
-still exists and is callable.
+still exists and is callable, and that replay stays within its memory budget.
 """
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
+from perfbench.run import replay_bytes  # noqa: E402
 from perfbench.spans import wrap_targets  # noqa: E402
 
 
@@ -16,3 +19,10 @@ def test_every_wrap_target_resolves_to_a_callable():
     assert targets
     for owner, attr, _name, _hook in targets:
         assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
+
+
+def test_replay_holds_only_packed_rows():
+    # 16 and 9 float64 columns are 128 and 72 B; the bounds leave room for the ring's header
+    per_transition, per_sample = replay_bytes()
+    assert per_transition <= 200.0
+    assert per_sample <= 100.0

@@ -12,7 +12,6 @@ from guided_ddpg.envs import (
     rollout,
     success,
     successes,
-    write_rollout_csv,
 )
 from guided_ddpg.exceptions import ConfigurationError, InputError
 
@@ -40,7 +39,8 @@ class TestConfig:
         cfg = InsertionEnvConfig(hole_center_offset=0.0011)
         assert cfg.target[0] == pytest.approx(0.0011)
 
-    @pytest.mark.parametrize("kwargs", [dict(dt=0.0), dict(horizon=0), dict(wall_stiffness=0.0)])
+    @pytest.mark.parametrize("kwargs", [dict(dt=0.0), dict(horizon=0), dict(wall_stiffness=0.0),
+                                        dict(reset_range=0.02), dict(reset_range=-0.001)])
     def test_bad_numbers_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             InsertionEnvConfig(**kwargs)
@@ -248,14 +248,6 @@ class TestRollout:
         assert {(True, True), (False, False)} <= outcomes
         if not stop_on_success:
             assert (True, False) in outcomes  # inserted, then pulled out before the horizon
-
-    def test_csv_export(self, tmp_path, config):
-        roll = rollout(config, lambda t, s: np.array([0.1, -0.2]), 2, stop_on_success=False)
-        path = tmp_path / "traj.csv"
-        write_rollout_csv(roll, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].split(",")[:3] == ["t", "px", "py"]
-        assert len(lines) == roll.steps + 1
 
 
 class TestConfigFile:

@@ -273,12 +273,26 @@ class TestCli:
         assert cli_main(["train", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
         assert "eval_episodes must be >= 1" in capsys.readouterr().err
 
+    def test_unallocatable_replay_capacity_exit_code(self, tiny_spec_path, tmp_path, capsys):
+        spec = tmp_path / "huge.spec"
+        spec.write_text(tiny_spec_path.read_text().replace("r2_capacity = 500", "r2_capacity = 10000000000000"))
+        assert cli_main(["train", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+        assert "does not fit in memory" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value,code", [("0.1", 2), ("0.0, -0.02", 0)])
     def test_env_config_target_point(self, tmp_path, value, code):
         env_cfg = tmp_path / "env.cfg"
         env_cfg.write_text(f"horizon = 6\ntarget_point = {value}\n")
         text = json.dumps(self._checkpoint_payload(tmp_path))
         assert self._eval_exit_code(tmp_path, text, "--env-config", str(env_cfg)) == code
+
+    @pytest.mark.parametrize("value,code", [("0.02", 2), ("-0.001", 2), ("0.015", 0)])
+    def test_env_config_reset_range(self, tmp_path, capsys, value, code):
+        env_cfg = tmp_path / "env.cfg"
+        env_cfg.write_text(f"horizon = 6\nreset_range = {value}\n")
+        text = json.dumps(self._checkpoint_payload(tmp_path))
+        assert self._eval_exit_code(tmp_path, text, "--env-config", str(env_cfg)) == code
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_diverging_environment_exit_code(self, tmp_path, capsys):
         env_cfg = tmp_path / "env.cfg"
