@@ -10,13 +10,14 @@ import json
 import sys
 from pathlib import Path
 
-from .envs import InsertionEnvConfig, load_env_config
-from .exceptions import ConfigurationError, InputError, NumericalError, SpecError
+from .envs import InsertionEnvConfig
+from .exceptions import ConfigurationError, InputError, NumericalError
 from .guided import evaluate_policy
 from .harness import (
     adaptability_sweep,
     compare_runs,
     load_agent_checkpoint,
+    load_env_config,
     parse_spec,
     run_experiment,
 )
@@ -91,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpointed policy")
     p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--env-config", default=None, help="key-value environment config file")
+    p_eval.add_argument("--env-config", default=None,
+                        help="environment config file, in the key = value format of guided_ddpg.harness.read_config")
     p_eval.add_argument("--episodes", type=_episodes, default=50)
     p_eval.add_argument("--seed", type=_seed, default=0)
     p_eval.set_defaults(func=_cmd_eval)
@@ -116,7 +118,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpecError, ConfigurationError) as exc:
+    except ConfigurationError as exc:  # SpecError included
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC
     except InputError as exc:

@@ -16,7 +16,6 @@ never observes ``hole_center_offset``. A penalty-walled workspace box
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -51,10 +50,17 @@ class InsertionEnvConfig:
     target_point: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.hole_half_width < self.peg_half_width:
-            raise ConfigurationError("hole_half_width must be >= peg_half_width (clearance >= 0)")
-        if self.dt <= 0.0 or self.horizon < 1 or self.wall_stiffness <= 0.0:
-            raise ConfigurationError("dt > 0, horizon >= 1, wall_stiffness > 0 required")
+        if self.peg_half_width <= 0.0 or self.hole_half_width < self.peg_half_width:
+            raise ConfigurationError("peg_half_width > 0 and hole_half_width >= peg_half_width required")
+        if self.hole_depth <= 0.0 or self.start_height < 0.0:
+            # either would reset the peg inside the table, under a force the reset state does not record
+            raise ConfigurationError(
+                f"hole_depth > 0 and start_height >= 0 required, got {self.hole_depth} and {self.start_height}"
+            )
+        if self.dt <= 0.0 or self.horizon < 1 or self.wall_stiffness <= 0.0 or self.wall_damping < 0.0:
+            raise ConfigurationError("dt > 0, horizon >= 1, wall_stiffness > 0, wall_damping >= 0 required")
+        if self.action_cost_weight < 0.0:
+            raise ConfigurationError(f"action_cost_weight must be >= 0, got {self.action_cost_weight}")
         if self.mass <= 0.0 or self.action_bound <= 0.0:
             raise ConfigurationError("mass and action_bound must be positive")
         if self.workspace_half_width <= self.hole_half_width or self.workspace_height <= self.start_height:
@@ -66,6 +72,8 @@ class InsertionEnvConfig:
             )
         if self.success_tolerance is None:
             object.__setattr__(self, "success_tolerance", 0.05 * self.hole_depth)
+        if self.success_tolerance <= 0.0:
+            raise ConfigurationError(f"success_tolerance must be > 0, got {self.success_tolerance}")
         if self.target_point is None:
             object.__setattr__(self, "target_point", (self.hole_center_offset, -self.hole_depth))
         object.__setattr__(self, "target_point", (float(self.target_point[0]), float(self.target_point[1])))
@@ -327,39 +335,3 @@ def rollout(config: InsertionEnvConfig, controller, rng, stop_on_success: bool =
         success=bool(succeeded),
         steps=len(actions),
     )
-
-
-_CONFIG_FIELDS = {f.name: f for f in InsertionEnvConfig.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-
-
-def _parse_env_value(key: str, value: str):
-    if key == "horizon":
-        return int(value)
-    if key == "target_point":
-        parts = value.split(",")
-        if len(parts) != 2:
-            raise ValueError("expected two comma-separated numbers")
-        return (float(parts[0]), float(parts[1]))
-    return float(value)
-
-
-def load_env_config(path) -> InsertionEnvConfig:
-    """Read a flat ``key = value`` config file (SI units, ``#`` comments).
-
-    ``target_point`` takes two comma-separated numbers, ``x, y``.
-    """
-    values: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigurationError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_FIELDS:
-            raise ConfigurationError(f"{path}:{lineno}: unknown environment key {key!r}")
-        try:
-            values[key] = _parse_env_value(key, value)
-        except ValueError as exc:
-            raise ConfigurationError(f"{path}:{lineno}: bad value for {key!r}: {value!r}: {exc}") from exc
-    return InsertionEnvConfig(**values)

@@ -29,5 +29,5 @@ class SupervisorError(RuntimeError):
     """The trajectory-optimization supervisor failed for one epoch."""
 
 
-class SpecError(ValueError):
-    """An experiment spec file failed schema validation."""
+class SpecError(ConfigurationError):
+    """A spec, config, checkpoint or result file failed schema validation."""

@@ -1,19 +1,21 @@
 """Experiment runner: spec files, multi-seed training, evaluation, sweeps.
 
-A spec is a flat ``key = value`` file (SI units, ``#`` comments). Training
-artifacts are one directory per seed (deterministic log CSV, timings CSV,
-checkpoint, summary JSON) plus aggregate learning curves and a comparison
-table over seeds. Evaluation and adaptability sweeps run from checkpoints
-without touching any training state.
+A spec is a flat ``key = value`` file in the format :func:`read_config`
+documents. Training artifacts are one directory per seed (deterministic log
+CSV, timings CSV, checkpoint, summary JSON) plus aggregate learning curves
+and a comparison table over seeds. Evaluation and adaptability sweeps run
+from checkpoints without touching any training state.
 """
 from __future__ import annotations
 
 import csv
 import json
+import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
-from typing import Optional
+from types import NoneType, UnionType
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -41,131 +43,139 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise SpecError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
-        if not self.seeds or min(self.seeds) < 0:
-            raise SpecError(f"seeds must be non-empty and >= 0, got {self.seeds}")
+        if not self.seeds or min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
+            # a repeated seed would overwrite its own artifacts and count twice in the medians
+            raise SpecError(f"seeds must be non-empty, distinct and >= 0, got {self.seeds}")
         if self.eval_episodes < 1:
             raise SpecError("eval_episodes must be >= 1")
 
 
-def _parse_int(v: str) -> int:
-    return int(v)
+# The config classes a spec sets, each with the fields it cannot set: the
+# nested configs; ``seed``, which each entry of ``seeds`` overrides; and the
+# scaling that DdpgHyper.for_env derives from the environment.
+SPEC_SECTIONS = (
+    ("spec", ExperimentSpec, ("train",)),
+    ("train", TrainConfig, ("env", "hyper", "supervisor", "seed")),
+    ("env", InsertionEnvConfig, ()),
+    ("hyper", DdpgHyper, ("action_bound", "obs_scale")),
+    ("supervisor", SupervisorConfig, ()),
+)
 
 
-def _parse_float(v: str) -> float:
-    return float(v)
+def config_keys(sections) -> dict:
+    """Map each key of a config file over ``sections`` to ``(class, field, type)``."""
+    keys: dict = {}
+    for section, cls, skipped in sections:
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            if f.name not in skipped:
+                keys[f"{section}_{f.name}" if f.name in keys else f.name] = (cls, f, hints[f.name])
+    return keys
 
 
-def _parse_bool(v: str) -> bool:
-    lowered = v.strip().lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected boolean, got {v!r}")
+def _parse_value(text: str, hint):
+    optional = get_origin(hint) in (Union, UnionType)
+    if optional:
+        (hint,) = (arg for arg in get_args(hint) if arg is not NoneType)
+    if get_origin(hint) is tuple:
+        args = get_args(hint)
+        items = tuple(_parse_value(x.strip(), args[0]) for x in text.split(",") if x.strip())
+        if args[-1] is Ellipsis:
+            return items
+        if len(items) == 1 and not optional:  # a per-axis scale, given once for every axis
+            items *= len(args)
+        if len(items) != len(args):
+            raise ValueError(f"expected {len(args)} comma-separated numbers, got {text!r}")
+        return items
+    if hint is bool:
+        lowered = text.lower()
+        if lowered in ("true", "1", "yes"):
+            return True
+        if lowered in ("false", "0", "no"):
+            return False
+        raise ValueError(f"expected boolean, got {text!r}")
+    if hint is float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"expected a finite number, got {text!r}")
+        return value
+    if hint in (int, str):
+        return hint(text)
+    raise TypeError(f"no reader for fields of type {hint}")
 
 
-def _parse_int_list(v: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in v.split(",") if x.strip())
+def read_config(path, sections) -> dict:
+    """Read a ``key = value`` file into ``{config class: {field: value}}``.
 
+    This is the one format of experiment specs (:func:`parse_spec`) and
+    environment files (:func:`load_env_config`):
 
-def _parse_float_list(v: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in v.split(",") if x.strip())
+    - UTF-8 text with one ``key = value`` per line. ``#`` starts a comment;
+      blank lines are skipped. Units are SI.
+    - The keys are the field names of the config classes in ``sections``,
+      without the fields a section lists as not settable. A name that an
+      earlier section already uses gets its section's prefix, so
+      ``TrainConfig.eval_episodes`` is written ``train_eval_episodes``.
+      A key left out keeps its field's default; a field with no default must
+      be given.
+    - A value is parsed by its field's type annotation: ``int``; ``float``,
+      which must be finite; ``bool`` as ``true``/``false``, ``yes``/``no`` or
+      ``1``/``0``, in any case; ``str`` as written; ``tuple[T, ...]`` as
+      comma-separated items, possibly none; a pair ``tuple[float, float]`` as
+      two comma-separated numbers, where one number fills both axes
+      (``noise_scale``, ``exploration_std``); and ``Optional[T]`` as ``T``,
+      except that an optional pair is a point (``target_point``) and needs
+      both numbers.
 
-
-def _parse_float_pair(v: str) -> tuple[float, float]:
-    parts = _parse_float_list(v)
-    if len(parts) == 1:
-        return (parts[0], parts[0])
-    if len(parts) != 2:
-        raise ValueError("expected one or two comma-separated numbers")
-    return parts  # type: ignore[return-value]
-
-
-# key -> (section, field, parser). Sections: spec, train, env, hyper, supervisor.
-_SPEC_KEYS: dict = {}
-
-
-def _register(section: str, names: dict) -> None:
-    for key, parser in names.items():
-        _SPEC_KEYS[key] = (section, key, parser)
-
-
-_register("spec", {
-    "algorithm": str,
-    "seeds": _parse_int_list,
-    "eval_episodes": _parse_int,
-    "sweep_clearances": _parse_float_list,
-    "sweep_hole_offsets": _parse_float_list,
-})
-_register("train", {
-    "epochs": _parse_int, "n_ddpg": _parse_int, "n_inc": _parse_int, "n_trajopt": _parse_int,
-    "r1_capacity": _parse_int, "r2_capacity": _parse_int, "seed": _parse_int,
-    "eval_every": _parse_int, "train_eval_episodes": _parse_int,
-    "success_threshold": _parse_float, "stop_at_threshold": _parse_bool,
-    "max_rollouts": _parse_int, "kl_step": _parse_float, "eta_init": _parse_float,
-})
-_register("env", {
-    "peg_half_width": _parse_float, "hole_half_width": _parse_float, "hole_depth": _parse_float,
-    "hole_center_offset": _parse_float, "wall_stiffness": _parse_float, "wall_damping": _parse_float,
-    "mass": _parse_float, "dt": _parse_float, "horizon": _parse_int, "action_bound": _parse_float,
-    "start_height": _parse_float, "reset_range": _parse_float, "action_cost_weight": _parse_float,
-    "workspace_half_width": _parse_float, "workspace_height": _parse_float,
-    "success_tolerance": _parse_float,
-})
-_register("hyper", {
-    "discount": _parse_float, "target_rate": _parse_float, "batch_size": _parse_int,
-    "supervision_batch_size": _parse_int, "supervision_decay": _parse_float,
-    "actor_lr": _parse_float, "critic_lr": _parse_float,
-    "actor_hidden": _parse_int_list, "critic_hidden": _parse_int_list,
-    "noise_scale": _parse_float_pair, "noise_theta": _parse_float, "noise_dt": _parse_float,
-})
-_register("supervisor", {
-    "samples_per_subiter": _parse_int, "exploration_std": _parse_float_pair,
-    "dynamics_reg": _parse_float, "smoothing": _parse_float,
-    "terminal_weight": _parse_float, "max_dual_iterations": _parse_int,
-})
-
-
-def parse_spec(path) -> ExperimentSpec:
-    """Parse and validate a flat key-value experiment spec."""
-    sections: dict = {"spec": {}, "train": {}, "env": {}, "hyper": {}, "supervisor": {}}
+    Every problem in the file is reported in one :class:`SpecError`, each
+    with its line number; a missing file stays an ``OSError``.
+    """
+    keys = config_keys(sections)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SpecError(f"{path} is not UTF-8 text: {exc}") from exc
+    values: dict = {cls: {} for _, cls, _ in sections}
     problems = []
-    text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq:
             problems.append(f"line {lineno}: expected 'key = value', got {raw!r}")
-            continue
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _SPEC_KEYS:
+        elif key not in keys:
             problems.append(f"line {lineno}: unknown key {key!r}")
-            continue
-        section, name, parser = _SPEC_KEYS[key]
-        try:
-            sections[section][name] = parser(value)
-        except ValueError as exc:
-            problems.append(f"line {lineno}: bad value for {key!r}: {exc}")
-    if "algorithm" not in sections["spec"]:
-        problems.append("missing required key 'algorithm'")
-    if "seeds" not in sections["spec"]:
-        problems.append("missing required key 'seeds'")
+        else:
+            cls, f, hint = keys[key]
+            try:
+                values[cls][f.name] = _parse_value(value, hint)
+            except ValueError as exc:
+                problems.append(f"line {lineno}: bad value for {key!r}: {exc}")
+    for key, (cls, f, _) in keys.items():
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in values[cls]:
+            problems.append(f"missing required key {key!r}")
     if problems:
-        raise SpecError(f"invalid spec {path}:\n  " + "\n  ".join(problems))
+        raise SpecError(f"invalid config {path}:\n  " + "\n  ".join(problems))
+    return values
 
+
+def parse_spec(path) -> ExperimentSpec:
+    """Parse and validate an experiment spec: a :func:`read_config` file over :data:`SPEC_SECTIONS`."""
+    values = read_config(path, SPEC_SECTIONS)
     try:
-        env = InsertionEnvConfig(**sections["env"])
-        hyper = DdpgHyper.for_env(env, **sections["hyper"])
-        supervisor = SupervisorConfig(**sections["supervisor"])
-        train_kwargs = dict(sections["train"])
-        if "train_eval_episodes" in train_kwargs:
-            train_kwargs["eval_episodes"] = train_kwargs.pop("train_eval_episodes")
-        config = TrainConfig(env=env, hyper=hyper, supervisor=supervisor, **train_kwargs)
-        spec = ExperimentSpec(train=config, **sections["spec"])
+        env = InsertionEnvConfig(**values[InsertionEnvConfig])
+        hyper = DdpgHyper.for_env(env, **values[DdpgHyper])
+        supervisor = SupervisorConfig(**values[SupervisorConfig])
+        config = TrainConfig(env=env, hyper=hyper, supervisor=supervisor, **values[TrainConfig])
+        return ExperimentSpec(train=config, **values[ExperimentSpec])
     except (ValueError, TypeError) as exc:
         raise SpecError(f"invalid spec {path}: {exc}") from exc
-    return spec
+
+
+def load_env_config(path) -> InsertionEnvConfig:
+    """Read an environment file: a :func:`read_config` file over the fields of :class:`InsertionEnvConfig`."""
+    return InsertionEnvConfig(**read_config(path, [("env", InsertionEnvConfig, ())])[InsertionEnvConfig])
 
 
 def pure_ddpg_config(config: TrainConfig) -> TrainConfig:
@@ -294,16 +304,7 @@ def run_experiment(spec_path, out_dir) -> Path:
         "per_seed": per_seed_rows,
     }
     (out / "aggregate.json").write_text(json.dumps(aggregate, indent=2), encoding="utf-8")
-    with open(out / "comparison_table.csv", "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["algorithm", "median_rollouts_to_threshold", "median_wall_clock_s",
-                         "median_final_success_rate"])
-        writer.writerow([
-            spec.algorithm,
-            aggregate["median_rollouts_to_threshold"],
-            f"{aggregate['median_wall_clock_s']:.2f}",
-            aggregate["median_final_success_rate"],
-        ])
+    _write_comparison(out / "comparison_table.csv", [aggregate])
     return out
 
 
@@ -323,21 +324,37 @@ def _write_supervisor_diagnostics(path, log: TrainingLog) -> None:
                 ])
 
 
-def compare_runs(dir_a, dir_b, out_path) -> dict:
-    """Merge two aggregate results into one comparison table."""
-    rows = []
-    for d in (dir_a, dir_b):
-        agg = json.loads((Path(d) / "aggregate.json").read_text(encoding="utf-8"))
-        rows.append(agg)
-    with open(out_path, "w", newline="\n", encoding="utf-8") as fh:
+_COMPARISON_COLUMNS = ("algorithm", "median_rollouts_to_threshold", "median_wall_clock_s",
+                       "median_final_success_rate")
+
+
+def _write_comparison(path, aggregates: list) -> None:
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["algorithm", "median_rollouts_to_threshold", "median_wall_clock_s",
-                         "median_final_success_rate"])
-        for agg in rows:
+        writer.writerow(_COMPARISON_COLUMNS)
+        for agg in aggregates:
             writer.writerow([
                 agg["algorithm"], agg["median_rollouts_to_threshold"],
                 f"{agg['median_wall_clock_s']:.2f}", agg["median_final_success_rate"],
             ])
+
+
+def _read_aggregate(run_dir) -> dict:
+    path = Path(run_dir) / "aggregate.json"
+    try:
+        agg = json.loads(path.read_text(encoding="utf-8"))  # a missing file stays an OSError
+    except ValueError as exc:
+        raise SpecError(f"{path} is not valid JSON: {exc}") from exc
+    missing = [key for key in _COMPARISON_COLUMNS if not isinstance(agg, dict) or key not in agg]
+    if missing:
+        raise SpecError(f"{path} lacks {missing}")
+    return agg
+
+
+def compare_runs(dir_a, dir_b, out_path) -> dict:
+    """Merge two aggregate results into one table; a malformed ``aggregate.json`` raises :class:`SpecError`."""
+    rows = [_read_aggregate(dir_a), _read_aggregate(dir_b)]
+    _write_comparison(out_path, rows)
     a, b = rows
     ratio = None
     if a["median_rollouts_to_threshold"] and b["median_rollouts_to_threshold"]:

@@ -640,6 +640,9 @@ class SupervisorConfig:
     def __post_init__(self):
         if self.samples_per_subiter < 2:
             raise InputError("need >= 2 rollouts per sub-iteration to fit dynamics")
+        if self.max_dual_iterations < 1 or self.dynamics_reg < 0.0 or min(self.exploration_std) < 0.0:
+            # no dual iterations or a negative regularizer would leave every epoch degraded
+            raise InputError("max_dual_iterations >= 1, dynamics_reg >= 0 and exploration_std >= 0 required")
 
 
 @dataclass

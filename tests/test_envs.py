@@ -8,12 +8,12 @@ from guided_ddpg.envs import (
     cost,
     env_reset,
     env_step,
-    load_env_config,
     rollout,
     success,
     successes,
 )
 from guided_ddpg.exceptions import ConfigurationError, InputError
+from guided_ddpg.harness import load_env_config
 
 
 @pytest.fixture
@@ -40,7 +40,10 @@ class TestConfig:
         assert cfg.target[0] == pytest.approx(0.0011)
 
     @pytest.mark.parametrize("kwargs", [dict(dt=0.0), dict(horizon=0), dict(wall_stiffness=0.0),
-                                        dict(reset_range=0.02), dict(reset_range=-0.001)])
+                                        dict(reset_range=0.02), dict(reset_range=-0.001),
+                                        dict(start_height=-0.001), dict(hole_depth=0.0), dict(hole_depth=-0.01),
+                                        dict(peg_half_width=0.0), dict(wall_damping=-1.0),
+                                        dict(success_tolerance=0.0), dict(action_cost_weight=-1e-4)])
     def test_bad_numbers_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             InsertionEnvConfig(**kwargs)

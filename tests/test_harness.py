@@ -7,8 +7,11 @@ import pytest
 from guided_ddpg.cli import main as cli_main
 from guided_ddpg.exceptions import SpecError
 from guided_ddpg.harness import (
+    SPEC_SECTIONS,
+    ExperimentSpec,
     adaptability_sweep,
     compare_runs,
+    config_keys,
     load_agent_checkpoint,
     parse_spec,
     pure_ddpg_config,
@@ -17,7 +20,8 @@ from guided_ddpg.harness import (
 )
 from guided_ddpg.ddpg import DdpgHyper, make_agent, policy_action
 from guided_ddpg.envs import InsertionEnvConfig
-from guided_ddpg.guided import evaluate_policy
+from guided_ddpg.guided import TrainConfig, evaluate_policy
+from guided_ddpg.trajopt import SupervisorConfig
 
 TINY_SPEC = """
 # tiny smoke-test experiment
@@ -87,6 +91,43 @@ class TestSpecParsing:
         path.write_text("algorithm = sarsa\nseeds = 0\n")
         with pytest.raises(SpecError):
             parse_spec(path)
+
+
+class TestConfigReader:
+    @staticmethod
+    def _spec_path(tmp_path, lines: str):
+        path = tmp_path / "s.spec"
+        path.write_text("algorithm = guided_ddpg\nseeds = 0\n" + lines)
+        return path
+
+    def test_every_key_parses_back_to_its_default(self, tmp_path):
+        # max_rollouts defaults to None, which no value spells, so it is written as 500
+        spec = ExperimentSpec(algorithm="pure_ddpg", train=TrainConfig(max_rollouts=500), seeds=(3,))
+        owners = {ExperimentSpec: spec, TrainConfig: spec.train, InsertionEnvConfig: spec.train.env,
+                  DdpgHyper: spec.train.hyper, SupervisorConfig: spec.train.supervisor}
+        lines = []
+        for key, (cls, field, _) in config_keys(SPEC_SECTIONS).items():
+            value = getattr(owners[cls], field.name)
+            lines.append(f"{key} = {', '.join(map(str, value)) if isinstance(value, tuple) else value}")
+        path = tmp_path / "defaults.spec"
+        path.write_text("\n".join(lines))
+        assert parse_spec(path) == spec
+
+    @pytest.mark.parametrize("key", ["sweep_clearances", "kl_step", "mass", "supervision_decay", "smoothing"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_float_rejected(self, tmp_path, key, value):
+        with pytest.raises(SpecError, match=f"line 3: bad value for '{key}'"):
+            parse_spec(self._spec_path(tmp_path, f"{key} = {value}\n"))
+
+    def test_target_point_in_spec(self, tmp_path):
+        spec = parse_spec(self._spec_path(tmp_path, "target_point = 0.001, -0.015\n"))
+        assert spec.train.env.target_point == (0.001, -0.015)
+
+    @pytest.mark.parametrize("line", ["max_dual_iterations = 0", "dynamics_reg = -1e-6",
+                                      "exploration_std = -1.0", "exploration_std = 1.0, -0.5"])
+    def test_bad_supervisor_config_rejected(self, tmp_path, line):
+        with pytest.raises(SpecError):
+            parse_spec(self._spec_path(tmp_path, line + "\n"))
 
 
 class TestPureDdpgTransform:
@@ -217,6 +258,27 @@ class TestCli:
         path.write_text("algorithm = nonsense\nseeds = 0\n")
         assert cli_main(["train", "--spec", str(path), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("line", ["seeds = 0,0", "seed = 3"])
+    def test_duplicate_seeds_or_seed_key_exit_code(self, tiny_spec_path, tmp_path, capsys, line):
+        spec = tmp_path / "seeds.spec"
+        spec.write_text(tiny_spec_path.read_text() + line + "\n")
+        assert cli_main(["train", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+        assert "seed" in capsys.readouterr().err
+
+    def test_non_utf8_spec_exit_code(self, tmp_path, capsys):
+        spec = tmp_path / "latin.spec"
+        spec.write_bytes(b"algorithm = guided_ddpg\nseeds = 0 # \xff\xfe\n")
+        assert cli_main(["train", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["{not json", '{"algorithm": "x"}'])
+    def test_malformed_aggregate_exit_code(self, tmp_path, capsys, text):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "aggregate.json").write_text(text)
+        assert cli_main(["compare", "--run-a", str(run), "--run-b", str(run), "--out", str(tmp_path / "cmp")]) == 2
+        assert "aggregate.json" in capsys.readouterr().err
+
     def test_missing_checkpoint_exit_code(self, tmp_path):
         code = cli_main(["eval", "--checkpoint", str(tmp_path / "nope.json")])
         assert code == 1
@@ -293,6 +355,13 @@ class TestCli:
         text = json.dumps(self._checkpoint_payload(tmp_path))
         assert self._eval_exit_code(tmp_path, text, "--env-config", str(env_cfg)) == code
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_non_utf8_env_config_exit_code(self, tmp_path, capsys):
+        env_cfg = tmp_path / "env.cfg"
+        env_cfg.write_bytes(b"horizon = 6 # \xff\xfe\n")
+        text = json.dumps(self._checkpoint_payload(tmp_path))
+        assert self._eval_exit_code(tmp_path, text, "--env-config", str(env_cfg)) == 2
+        assert "not UTF-8" in capsys.readouterr().err
 
     def test_diverging_environment_exit_code(self, tmp_path, capsys):
         env_cfg = tmp_path / "env.cfg"
