@@ -1,7 +1,7 @@
 """Trajectory-optimization-guided DDPG for stiff 2D insertion tasks."""
 
 from .ddpg import AgentNets, DdpgHyper, OrnsteinUhlenbeckNoise, supervision_weight
-from .envs import EnvState, InsertionEnvConfig, Transition, cost, env_reset, env_step, success
+from .envs import InsertionEnvConfig, Transition, env_reset, env_step
 from .guided import TrainConfig, TrainingLog, evaluate_policy, train
 from .harness import ExperimentSpec, parse_spec, run_experiment
 from .nets import MlpParams, mlp_backward, mlp_forward, mlp_init, soft_update

@@ -4,8 +4,14 @@ A point-mass peg (tracked at its bottom-center) must descend into a slot cut
 into a rigid table. Contact with the table, the slot walls, and the slot
 floor is modeled with a stiff spring-damper penalty, so the local dynamics
 change sharply between free flight, edge contact, and in-hole sliding. The
-observation is the full state: position, velocity, and the contact force
-currently acting on the peg.
+observation is the full state, one ``(6,)`` row: position (columns 0:2),
+velocity (2:4) and the contact force acting on the peg (4:6).
+
+State-row invariant: columns 4:6 of a state hold :func:`contact_forces` of
+that row's position and velocity. :func:`env_step` reads the force acting at
+the start of a step from those columns instead of recomputing it, so a
+hand-built state must carry its force there; :func:`env_reset` and
+:func:`env_step` produce only rows that do.
 
 Geometry (world frame, SI units): the table surface is the plane y = 0; the
 slot spans ``|x - hole_center_offset| <= hole_half_width`` down to
@@ -15,7 +21,7 @@ never observes ``hole_center_offset``. A penalty-walled workspace box
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +59,7 @@ class InsertionEnvConfig:
         if self.peg_half_width <= 0.0 or self.hole_half_width < self.peg_half_width:
             raise ConfigurationError("peg_half_width > 0 and hole_half_width >= peg_half_width required")
         if self.hole_depth <= 0.0 or self.start_height < 0.0:
-            # either would reset the peg inside the table, under a force the reset state does not record
+            # either would reset the peg inside the table
             raise ConfigurationError(
                 f"hole_depth > 0 and start_height >= 0 required, got {self.hole_depth} and {self.start_height}"
             )
@@ -66,7 +72,7 @@ class InsertionEnvConfig:
         if self.workspace_half_width <= self.hole_half_width or self.workspace_height <= self.start_height:
             raise ConfigurationError("workspace box must contain the slot and the start pose")
         if not 0.0 <= self.reset_range <= self.workspace_half_width - self.peg_half_width:
-            # a wider reset could start the peg inside a side wall, under a force the reset state does not record
+            # a wider reset could start the peg inside a side wall
             raise ConfigurationError(
                 f"reset_range must be in [0, workspace_half_width - peg_half_width], got {self.reset_range}"
             )
@@ -85,23 +91,6 @@ class InsertionEnvConfig:
     @property
     def target(self) -> Array:
         return np.array(self.target_point)
-
-
-@dataclass(frozen=True)
-class EnvState:
-    position: Array
-    velocity: Array
-    contact_force: Array
-
-    def as_vector(self) -> Array:
-        return np.concatenate([self.position, self.velocity, self.contact_force])
-
-    @staticmethod
-    def from_vector(vec: Array) -> "EnvState":
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (STATE_DIM,):
-            raise InputError(f"state vector must have shape ({STATE_DIM},), got {vec.shape}")
-        return EnvState(vec[0:2].copy(), vec[2:4].copy(), vec[4:6].copy())
 
 
 @dataclass(frozen=True)
@@ -167,30 +156,28 @@ def contact_force(config: InsertionEnvConfig, position: Array, velocity: Array) 
 
 def contact_forces(config: InsertionEnvConfig, positions: Array, velocities: Array) -> Array:
     """:func:`contact_force` of each row of ``(N, 2)`` positions and velocities, as ``(N, 2)``."""
-    return np.array([contact_force(config, p, v) for p, v in zip(positions.tolist(), velocities.tolist())])
+    forces = [contact_force(config, p, v) for p, v in zip(positions.tolist(), velocities.tolist())]
+    return np.array(forces).reshape(len(forces), 2)  # (0, 2) for no rows, not (0,)
 
 
-def env_reset(config: InsertionEnvConfig, seed) -> EnvState:
-    """Place the peg above the slot with a uniform lateral perturbation.
+def env_reset(config: InsertionEnvConfig, seed, n: int) -> Array:
+    """``n`` reset states as ``(n, 6)`` rows: the peg above the slot, at rest,
+    with a uniform lateral perturbation.
 
     ``seed`` may be an integer (or sequence of integers) or an existing
-    ``numpy.random.Generator``; a fixed seed reproduces the state exactly.
-    """
-    return EnvState.from_vector(env_reset_rows(config, seed, 1)[0])
-
-
-def env_reset_rows(config: InsertionEnvConfig, seed, n: int) -> Array:
-    """``n`` reset states as ``(n, 6)`` rows, with one lateral draw for all of them.
-
-    ``Generator.uniform(size=n)`` yields the same values as ``n`` scalar
-    draws, so the rows equal ``n`` successive :func:`env_reset` calls on one
-    generator. No draw is made when ``reset_range`` is zero.
+    ``numpy.random.Generator``; a fixed seed reproduces the rows exactly.
+    ``Generator.uniform(size=n)`` yields the same values as ``n`` one-row
+    draws, so the rows equal ``n`` successive one-row resets on one
+    generator. No draw is made when ``reset_range`` is zero. Columns 4:6 are
+    :func:`contact_forces` of the reset pose, which is zero for every reset a
+    valid :class:`InsertionEnvConfig` allows.
     """
     rng = np.random.default_rng(seed)
     states = np.zeros((n, STATE_DIM))
     if config.reset_range > 0.0:
         states[:, 0] = rng.uniform(-config.reset_range, config.reset_range, size=n)
     states[:, 1] = config.start_height
+    states[:, 4:6] = contact_forces(config, states[:, 0:2], states[:, 2:4])
     return states
 
 
@@ -206,13 +193,6 @@ def costs(positions: Array, actions: Array, config: InsertionEnvConfig) -> Array
     return config.action_cost_weight * _norms(actions) + _norms(positions - config.target)
 
 
-def cost(state_vec: Array, action: Array, config: InsertionEnvConfig) -> float:
-    """:func:`costs` of one state vector and action."""
-    state_vec = np.asarray(state_vec, dtype=np.float64)
-    action = np.asarray(action, dtype=np.float64)
-    return float(costs(state_vec[0:2], action, config))
-
-
 def successes(positions: Array, config: InsertionEnvConfig) -> Array:
     """Inserted, for each ``(..., 2)`` position: near the slot floor, below
     the surface, and laterally inside the slot."""
@@ -225,60 +205,31 @@ def successes(positions: Array, config: InsertionEnvConfig) -> Array:
     )
 
 
-def success(state: EnvState, config: InsertionEnvConfig) -> bool:
-    """:func:`successes` of one state."""
-    return bool(successes(state.position, config))
+def env_step(config: InsertionEnvConfig, states: Array, actions: Array) -> tuple[Array, Array, Array]:
+    """Advance ``N`` rows one step with semi-implicit Euler integration.
 
-
-def env_step(config: InsertionEnvConfig, state: EnvState, action: Array) -> Transition:
-    """Advance one step with semi-implicit Euler integration.
-
-    The action is clipped to the bound; the stored transition carries the
-    clipped (executed) action. ``done`` reflects task success only — horizon
-    truncation is the rollout loop's responsibility.
+    ``states`` is ``(N, 6)`` and ``actions`` is ``(N, 2)``; the result is
+    ``(next_states, rewards, successes)``, each with one entry per row. The
+    force acting at the start of the step is read from the state's own
+    columns 4:6, so a hand-built state must carry :func:`contact_forces` of
+    its position and velocity there; :func:`env_reset` and this step keep
+    that invariant. Actions are clipped to the bound and the reward is minus
+    :func:`costs` of the start position and the clipped action. A success
+    comes from :func:`successes` of the new position; horizon truncation is
+    the caller's. Every operation is elementwise over rows, so a row stepped
+    with others equals that row stepped alone, bitwise. A non-finite action
+    or a diverged state raises :class:`InputError`.
     """
-    action = np.asarray(action, dtype=np.float64)
-    if action.shape != (ACTION_DIM,) or not np.all(np.isfinite(action)):
-        raise InputError(f"action must be a finite 2-vector, got {action!r}")
-    a = np.clip(action, -config.action_bound, config.action_bound)
-
-    f_contact = contact_force(config, state.position, state.velocity)
-    accel = (a + f_contact) / config.mass
-    new_velocity = state.velocity + config.dt * accel
-    new_position = state.position + config.dt * new_velocity
-    next_state = EnvState(new_position, new_velocity, contact_force(config, new_position, new_velocity))
-    if not np.all(np.isfinite(next_state.as_vector())):
-        raise InputError("environment state diverged to non-finite values")
-
-    reward = -cost(state.as_vector(), a, config)
-    return Transition(state.as_vector(), a, next_state.as_vector(), reward, success(next_state, config))
-
-
-def env_step_rows(
-    config: InsertionEnvConfig, states: Array, actions: Array, forces: Array
-) -> tuple[Array, Array, Array]:
-    """:func:`env_step` for ``N`` rows at once: ``(next_states, rewards, successes)``.
-
-    ``states`` is ``(N, 6)`` and ``actions`` is ``(N, 2)``. ``forces`` is the
-    ``(N, 2)`` contact force acting at the start of the step, that is
-    :func:`contact_forces` of the rows' positions and velocities; after a
-    step it equals the last two columns of ``next_states``, so a caller
-    stepping on carries it instead of recomputing it. The arithmetic is the
-    scalar step's, elementwise, the contact model is :func:`contact_force`
-    row by row, and rewards and successes come from :func:`costs` and
-    :func:`successes`, which :func:`cost` and :func:`success` call on one
-    row, so all three outputs are bitwise those of ``N`` scalar steps. The
-    same checks raise :class:`InputError`: a non-finite action or a diverged
-    state.
-    """
+    states = np.asarray(states, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.float64)
+    if states.ndim != 2 or states.shape[1] != STATE_DIM:
+        raise InputError(f"states must be (N, {STATE_DIM}) rows, got shape {states.shape}")
     if actions.shape != (len(states), ACTION_DIM) or not np.all(np.isfinite(actions)):
         raise InputError(f"actions must be finite ({len(states)}, {ACTION_DIM}) rows, got {actions!r}")
     a = np.clip(actions, -config.action_bound, config.action_bound)
 
-    position, velocity = states[:, 0:2], states[:, 2:4]
-    accel = (a + forces) / config.mass
-    new_velocity = velocity + config.dt * accel
+    position, velocity, force = states[:, 0:2], states[:, 2:4], states[:, 4:6]
+    new_velocity = velocity + config.dt * ((a + force) / config.mass)
     new_position = position + config.dt * new_velocity
     next_states = np.concatenate(
         [new_position, new_velocity, contact_forces(config, new_position, new_velocity)], axis=1
@@ -308,27 +259,28 @@ class Rollout:
 def rollout(config: InsertionEnvConfig, controller, rng, stop_on_success: bool = True) -> Rollout:
     """Run one episode under ``controller(t, state_vec) -> action``.
 
-    With ``stop_on_success=False`` the episode always runs the full horizon
-    (used when fixed-length trajectories are required); the ``dones`` flags
-    still mark success states and the final step.
+    The episode is one :func:`env_step` row; ``actions`` holds the clipped
+    (executed) actions. With ``stop_on_success=False`` the episode always
+    runs the full horizon (used when fixed-length trajectories are required);
+    the ``dones`` flags still mark success states and the final step.
     """
-    state = env_reset(config, rng)
-    states = [state.as_vector()]
-    actions, rewards, dones = [], [], []
+    states = env_reset(config, rng, 1)
+    trace, actions, rewards, dones = [states[0]], [], [], []
     succeeded = False
     for t in range(config.horizon):
-        tr = env_step(config, state, controller(t, state.as_vector()))
-        succeeded = succeeded or tr.done
-        done = bool(tr.done) or t == config.horizon - 1
-        actions.append(tr.action)
-        rewards.append(tr.reward)
+        action = np.asarray(controller(t, states[0]), dtype=np.float64)
+        action = np.clip(action, -config.action_bound, config.action_bound)
+        states, reward, success = env_step(config, states, action[None])
+        succeeded = succeeded or bool(success[0])
+        done = bool(success[0]) or t == config.horizon - 1
+        actions.append(action)
+        rewards.append(reward[0])
         dones.append(done)
-        states.append(tr.next_state)
-        state = EnvState.from_vector(tr.next_state)
+        trace.append(states[0])
         if done and stop_on_success:
             break
     return Rollout(
-        states=np.asarray(states),
+        states=np.asarray(trace),
         actions=np.asarray(actions),
         rewards=np.asarray(rewards),
         dones=np.asarray(dones, dtype=bool),

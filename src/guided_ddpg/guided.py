@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -31,15 +31,11 @@ from .ddpg import (
     target_update,
 )
 from .envs import (
-    EnvState,
     InsertionEnvConfig,
     Rollout,
     Transition,
-    contact_forces,
     env_reset,
-    env_reset_rows,
     env_step,
-    env_step_rows,
     rollout,  # noqa: F401  (unused here; the benchmark's tracer wraps guided.rollout by name)
 )
 from .exceptions import ConfigurationError, InputError, SupervisorError
@@ -112,6 +108,11 @@ class TrainConfig:
             raise ConfigurationError("episode/epoch counts must be non-negative")
         if self.r1_capacity < 1 or self.r2_capacity < 1:
             raise ConfigurationError("buffer capacities must be positive")
+        if self.eval_every < 0 or not 0.0 <= self.success_threshold <= 1.0:
+            raise ConfigurationError(
+                f"eval_every >= 0 and success_threshold in [0, 1] required, "
+                f"got {self.eval_every} and {self.success_threshold}"
+            )
         if self.eval_every > 0 and self.eval_episodes < 1:
             raise ConfigurationError(f"eval_episodes must be >= 1 when eval_every > 0, got {self.eval_episodes}")
         if self.hyper is None:
@@ -215,11 +216,11 @@ def evaluate_policy(actor, hyper: DdpgHyper, env: InsertionEnvConfig, n_episodes
 
     All ``n_episodes`` episodes start together and advance one time step per
     iteration: one ``policy_action`` on the states of the episodes still
-    running, then one :func:`env_step_rows`. An episode leaves the active set
-    when it succeeds or reaches the horizon. The resets are the draws that
-    running the episodes one after another with ``rollout(...,
-    stop_on_success=True)`` would make, the step is bitwise the scalar one,
-    and each return is summed as that loop sums it. The one difference is the
+    running, then one :func:`env_step` on those rows. An episode leaves the
+    active set when it succeeds or reaches the horizon. The resets are the
+    draws that running the episodes one after another with ``rollout(...,
+    stop_on_success=True)`` would make, each row steps as it would alone, and
+    each return is summed as that loop sums it. The one difference is the
     batched policy forward pass, whose actions can differ from single-row
     passes in the last bits; the stiff contact can grow that over an episode.
     Success rate and mean steps equal the per-episode loop's unless a state
@@ -228,14 +229,13 @@ def evaluate_policy(actor, hyper: DdpgHyper, env: InsertionEnvConfig, n_episodes
     """
     if n_episodes < 1:
         raise InputError(f"n_episodes must be >= 1, got {n_episodes}")
-    states = env_reset_rows(env, seed, n_episodes)
-    forces = contact_forces(env, states[:, 0:2], states[:, 2:4])
+    states = env_reset(env, seed, n_episodes)
     active = np.arange(n_episodes)
     rewards = np.zeros((n_episodes, env.horizon))
     steps = np.full(n_episodes, env.horizon)
     succeeded = np.zeros(n_episodes, dtype=bool)
     for t in range(env.horizon):
-        states, step_rewards, done = env_step_rows(env, states, policy_action(actor, hyper, states), forces)
+        states, step_rewards, done = env_step(env, states, policy_action(actor, hyper, states))
         rewards[active, t] = step_rewards
         if done.any():
             finished = active[done]
@@ -244,7 +244,6 @@ def evaluate_policy(actor, hyper: DdpgHyper, env: InsertionEnvConfig, n_episodes
             active, states = active[~done], states[~done]
             if active.size == 0:
                 break
-        forces = states[:, 4:6]
     returns = [rewards[i, :steps[i]].sum() for i in range(n_episodes)]
     return EvalMetrics(float(np.mean(succeeded)), float(np.mean(returns)), float(np.mean(steps)))
 
@@ -290,19 +289,19 @@ def ddpg_block(
         effective_w = w_to if len(r1) > 0 else 0.0
 
         noise.reset()
-        state = env_reset(env, streams.env)
+        state = env_reset(env, streams.env, 1)
         episode_return = 0.0
         episode_success = False
         steps = 0
         for t in range(env.horizon):
-            action = policy_action(nets.actor, hyper, state.as_vector())
+            action = policy_action(nets.actor, hyper, state[0])
             action = np.clip(action + noise.sample(streams.noise), -env.action_bound, env.action_bound)
-            tr = env_step(env, state, action)
-            episode_success = episode_success or tr.done  # done from the env means success
-            if t == env.horizon - 1:
-                tr = replace(tr, done=True)
-            r2.push(tr)
-            episode_return += tr.reward
+            next_state, rewards, successes = env_step(env, state, action[None])
+            reward, success = float(rewards[0]), bool(successes[0])
+            episode_success = episode_success or success
+            done = success or t == env.horizon - 1
+            r2.push(Transition(state[0], action, next_state[0], reward, done))
+            episode_return += reward
             steps += 1
 
             batch = transition_batch_from_rows(r2.sample_rows(hyper.batch_size, streams.replay))
@@ -313,8 +312,8 @@ def ddpg_block(
             nets = actor_update(nets, hyper, batch, sup, effective_w)
             nets = target_update(nets, hyper.target_rate)
 
-            state = EnvState.from_vector(tr.next_state)
-            if tr.done:
+            state = next_state
+            if done:
                 break
         log.episodes.append(
             EpisodeRecord(len(log.episodes), epoch, "ddpg", n_roll, steps, episode_return,

@@ -348,6 +348,11 @@ def _read_aggregate(run_dir) -> dict:
     missing = [key for key in _COMPARISON_COLUMNS if not isinstance(agg, dict) or key not in agg]
     if missing:
         raise SpecError(f"{path} lacks {missing}")
+    for key in _COMPARISON_COLUMNS[1:]:
+        value = agg[key]
+        is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (is_number or (value is None and key == "median_rollouts_to_threshold")):
+            raise SpecError(f"{path}: {key} must be a number, got {value!r}")
     return agg
 
 

@@ -80,9 +80,6 @@ class LinearGaussianPolicy:
     def action_dim(self) -> int:
         return self.K.shape[1]
 
-    def action_mean(self, t: int, state: Array) -> Array:
-        return self.K[t] @ state + self.k[t]
-
 
 @dataclass(frozen=True)
 class TrajectoryDistribution:
@@ -568,17 +565,6 @@ class SmoothedInsertionCost:
         hess = np.eye(x.size) / h - np.outer(x, x) / h**3
         return h, grad, hess
 
-    def stage_cost(self, state: Array, action: Array) -> float:
-        """Unsmoothed stage cost (matches the environment's reward sign-flipped)."""
-        pos = np.asarray(state)[0:2]
-        return self.action_weight * float(np.linalg.norm(action)) + float(np.linalg.norm(pos - self.target))
-
-    def true_cost(self, states: Array, actions: Array) -> float:
-        """Total rollout cost including the terminal distance term."""
-        total = sum(self.stage_cost(states[t], actions[t]) for t in range(actions.shape[0]))
-        total += self.terminal_weight * float(np.linalg.norm(np.asarray(states[-1])[0:2] - self.target))
-        return total
-
     def quadratize(self, states: Array, actions: Array) -> QuadraticCost:
         """Expand the smoothed cost around a nominal trajectory.
 
@@ -643,6 +629,9 @@ class SupervisorConfig:
         if self.max_dual_iterations < 1 or self.dynamics_reg < 0.0 or min(self.exploration_std) < 0.0:
             # no dual iterations or a negative regularizer would leave every epoch degraded
             raise InputError("max_dual_iterations >= 1, dynamics_reg >= 0 and exploration_std >= 0 required")
+        if self.terminal_weight < 0.0:
+            # a negative terminal cost rewards ending far from the slot and can leave the cost unbounded below
+            raise InputError(f"terminal_weight must be >= 0, got {self.terminal_weight}")
 
 
 @dataclass
@@ -679,6 +668,13 @@ def _linear_gaussian_controller(policy: LinearGaussianPolicy, rng: np.random.Gen
         return policy.K[t] @ state + policy.k[t] + chols[t] @ rng.standard_normal(policy.action_dim)
 
     return controller
+
+
+def _sample_cost(roll: Rollout, env: InsertionEnvConfig, terminal_weight: float) -> float:
+    """Total cost of a sampled rollout: its stage costs, the negated rewards,
+    plus the terminal distance term of :class:`SmoothedInsertionCost`, unsmoothed."""
+    terminal = float(np.linalg.norm(roll.states[-1, 0:2] - env.target))
+    return sum(-r for r in roll.rewards.tolist()) + terminal_weight * terminal
 
 
 def initial_state_distribution(env: InsertionEnvConfig) -> tuple[Array, Array]:
@@ -732,7 +728,7 @@ def run_supervisor(
 
             states = np.stack([r.states for r in batch])
             actions = np.stack([r.actions for r in batch])
-            mean_cost = float(np.mean([cost_model.true_cost(r.states, r.actions) for r in batch]))
+            mean_cost = float(np.mean([_sample_cost(r, env, cfg.terminal_weight) for r in batch]))
 
             actual_improvement = np.nan
             if expected_improvement is not None and prev_mean_cost is not None:

@@ -1,4 +1,4 @@
-"""Property tests for the environment: the batched step and the contact model."""
+"""Property tests for the environment: the row step, the reset, and the contact model."""
 import numpy as np
 import pytest
 
@@ -7,14 +7,11 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from guided_ddpg.envs import (  # noqa: E402
-    EnvState,
     InsertionEnvConfig,
     contact_force,
     contact_forces,
     env_reset,
-    env_reset_rows,
     env_step,
-    env_step_rows,
 )
 
 CONFIGS = [
@@ -58,29 +55,49 @@ def rows_of(states) -> np.ndarray:
 @settings(max_examples=200, deadline=None)
 @given(case=configs_and_rows())
 def test_batched_step_matches_scalar_steps(case):
+    """``N`` rows stepped at once equal, bitwise, each row stepped alone."""
     config, rows = case
     states = rows_of([s for s, _ in rows])
     acts = np.array([a for _, a in rows])
     states[:, 4:6] = contact_forces(config, states[:, 0:2], states[:, 2:4])
-    next_states, rewards, successes = env_step_rows(config, states, acts, states[:, 4:6])
-    for i, (state, action) in enumerate(zip(states, acts)):
-        tr = env_step(config, EnvState.from_vector(state), action)
-        assert np.array_equal(next_states[i], tr.next_state)
-        assert rewards[i] == tr.reward
-        assert bool(successes[i]) == tr.done
+    next_states, rewards, successes = env_step(config, states, acts)
+    for i in range(len(states)):
+        alone = env_step(config, states[i:i + 1], acts[i:i + 1])
+        assert np.array_equal(next_states[i], alone[0][0])
+        assert rewards[i] == alone[1][0]
+        assert successes[i] == alone[2][0]
 
 
 @settings(max_examples=50, deadline=None)
 @given(config=st.sampled_from(CONFIGS + [InsertionEnvConfig(reset_range=0.0)]),
        n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
 def test_batched_reset_matches_successive_scalar_draws(config, n, seed):
+    """``n`` rows at once equal ``n`` successive one-row resets on one generator."""
     rng = np.random.default_rng(seed)
     r = config.reset_range
     offsets = [rng.uniform(-r, r) if r > 0.0 else 0.0 for _ in range(n)]
     want = np.array([[x, config.start_height, 0.0, 0.0, 0.0, 0.0] for x in offsets])
-    assert np.array_equal(env_reset_rows(config, seed, n), want)
+    assert np.array_equal(env_reset(config, seed, n), want)
     rng = np.random.default_rng(seed)
-    assert np.array_equal([env_reset(config, rng).as_vector() for _ in range(n)], want)
+    assert np.array_equal(np.concatenate([env_reset(config, rng, 1) for _ in range(n)]), want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=st.sampled_from(CONFIGS + [InsertionEnvConfig(reset_range=0.015)]),
+       seed=st.integers(0, 2**32 - 1), starts=st.lists(coords, max_size=3),
+       pushes=st.lists(st.lists(actions, min_size=6, max_size=6), min_size=1, max_size=40))
+def test_rows_carry_their_contact_force(config, seed, starts, pushes):
+    """After :func:`env_reset` and after every :func:`env_step`, columns 4:6 of
+    each row equal :func:`contact_forces` of that row's position and velocity."""
+    states = env_reset(config, seed, 3)
+    assert np.array_equal(states[:, 4:6], contact_forces(config, states[:, 0:2], states[:, 2:4]))
+    # hand-built rows that satisfy the invariant, some of them in contact
+    built = rows_of(starts)
+    built[:, 4:6] = contact_forces(config, built[:, 0:2], built[:, 2:4])
+    states = np.concatenate([states, built])
+    for push in pushes:
+        states, _, _ = env_step(config, states, np.array(push[:len(states)]))
+        assert np.array_equal(states[:, 4:6], contact_forces(config, states[:, 0:2], states[:, 2:4]))
 
 
 def overlaps(config: InsertionEnvConfig, x: float, y: float) -> dict:

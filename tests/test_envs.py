@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from guided_ddpg.envs import (
-    EnvState,
     InsertionEnvConfig,
     contact_force,
-    cost,
+    costs,
     env_reset,
     env_step,
     rollout,
-    success,
     successes,
 )
 from guided_ddpg.exceptions import ConfigurationError, InputError
@@ -22,7 +20,14 @@ def config():
 
 
 def free_space_state(x=0.0, y=0.01, vx=0.0, vy=0.0):
-    return EnvState(np.array([x, y]), np.array([vx, vy]), np.zeros(2))
+    """One state row away from every body, so the contact force it carries is zero."""
+    return np.array([[x, y, vx, vy, 0.0, 0.0]])
+
+
+def step_one(config, state, action):
+    """Step one state row under one action; the next row, its reward and its success."""
+    next_states, rewards, succeeded = env_step(config, state, np.asarray(action, dtype=float)[None])
+    return next_states, rewards[0], succeeded[0]
 
 
 class TestConfig:
@@ -51,22 +56,29 @@ class TestConfig:
 
 class TestReset:
     def test_fixed_seed_repeats(self, config):
-        a = env_reset(config, 42)
-        b = env_reset(config, 42)
-        assert np.array_equal(a.as_vector(), b.as_vector())
+        a = env_reset(config, 42, 5)
+        b = env_reset(config, 42, 5)
+        assert a.shape == (5, 6)
+        assert np.array_equal(a, b)
+
+    def test_no_rows(self, config):
+        assert env_reset(config, 0, 0).shape == (0, 6)
+        next_states, rewards, succeeded = env_step(config, env_reset(config, 0, 0), np.zeros((0, 2)))
+        assert next_states.shape == (0, 6) and rewards.shape == (0,) and succeeded.shape == (0,)
 
     def test_zero_range_is_nominal(self):
         cfg = InsertionEnvConfig(reset_range=0.0)
-        state = env_reset(cfg, 3)
-        assert np.array_equal(state.position, [0.0, cfg.start_height])
+        states = env_reset(cfg, 3, 4)
+        assert np.array_equal(states, np.tile([0.0, cfg.start_height, 0.0, 0.0, 0.0, 0.0], (4, 1)))
 
     def test_lateral_offset_within_bound(self, config):
         for seed in range(1, 200):
-            state = env_reset(config, seed)
-            assert abs(state.position[0]) <= config.reset_range
-            assert state.position[1] == config.start_height
-            assert np.all(state.velocity == 0.0)
-            assert np.all(state.contact_force == 0.0)
+            states = env_reset(config, seed, 2)
+            assert np.all(np.abs(states[:, 0]) <= config.reset_range)
+            assert np.all(states[:, 1] == config.start_height)
+            assert np.all(states[:, 2:4] == 0.0)
+            # the reset force is +0.0: no valid reset starts inside a body
+            assert np.all(states[:, 4:6] == 0.0) and not np.signbit(states[:, 4:6]).any()
 
 
 class TestContact:
@@ -120,9 +132,9 @@ class TestContact:
 class TestStep:
     def test_free_space_zero_action_is_static(self, config):
         state = free_space_state()
-        tr = env_step(config, state, np.zeros(2))
-        assert np.array_equal(tr.next_state[0:2], state.position)
-        assert np.all(tr.next_state[4:6] == 0.0)
+        next_state, _, _ = step_one(config, state, np.zeros(2))
+        assert np.array_equal(next_state[0, 0:2], state[0, 0:2])
+        assert np.all(next_state[0, 4:6] == 0.0)
 
     def test_constant_force_integration_oracle(self, config):
         # semi-implicit Euler: after n steps, v = n*dt*F/m exactly
@@ -130,43 +142,59 @@ class TestStep:
         force = np.array([0.0, -0.5])
         n = 17
         for _ in range(n):
-            tr = env_step(config, state, force)
-            state = EnvState.from_vector(tr.next_state)
+            state, _, _ = step_one(config, state, force)
         expected_v = n * config.dt * force[1] / config.mass
-        assert state.velocity[1] == pytest.approx(expected_v, rel=1e-12)
+        assert state[0, 3] == pytest.approx(expected_v, rel=1e-12)
 
     def test_kinetic_energy_constant_without_contact(self, config):
         state = free_space_state(x=0.0, y=0.012, vx=0.01, vy=0.005)
-        e0 = 0.5 * config.mass * np.sum(state.velocity**2)
+        e0 = 0.5 * config.mass * np.sum(state[0, 2:4] ** 2)
         for _ in range(25):
-            tr = env_step(config, state, np.zeros(2))
-            state = EnvState.from_vector(tr.next_state)
-            assert 0.5 * config.mass * np.sum(state.velocity**2) == pytest.approx(e0, rel=1e-12)
+            state, _, _ = step_one(config, state, np.zeros(2))
+            assert 0.5 * config.mass * np.sum(state[0, 2:4] ** 2) == pytest.approx(e0, rel=1e-12)
 
     def test_action_clipped(self, config):
-        tr = env_step(config, free_space_state(), np.array([100.0, -100.0]))
-        assert np.all(np.abs(tr.action) <= config.action_bound)
+        # an action beyond the bound steps exactly as the bound itself
+        bound = config.action_bound
+        over = step_one(config, free_space_state(), np.array([100.0, -100.0]))
+        at = step_one(config, free_space_state(), np.array([bound, -bound]))
+        assert np.array_equal(over[0], at[0]) and over[1] == at[1]
+        inside = step_one(config, free_space_state(), np.array([0.5 * bound, -bound]))
+        assert not np.array_equal(over[0], inside[0])
 
     def test_nonfinite_action_rejected(self, config):
+        for bad in (np.array([np.nan, 0.0]), np.array([0.0, np.inf])):
+            with pytest.raises(InputError):
+                step_one(config, free_space_state(), bad)
         with pytest.raises(InputError):
-            env_step(config, free_space_state(), np.array([np.nan, 0.0]))
+            env_step(config, free_space_state(), np.zeros((2, 2)))  # one action per row
+        with pytest.raises(InputError):
+            env_step(config, free_space_state()[0], np.zeros((1, 2)))  # states must be rows
 
     def test_reward_is_negative_cost(self, config):
         state = free_space_state(x=0.001)
-        tr = env_step(config, state, np.array([0.5, -0.5]))
-        assert tr.reward == pytest.approx(-cost(state.as_vector(), tr.action, config))
-        assert tr.reward <= 0.0
+        action = np.array([0.5, -0.5])
+        _, reward, _ = step_one(config, state, action)
+        assert reward == -costs(state[0, 0:2], action, config)
+        assert reward <= 0.0
+
+    def test_force_is_read_from_the_state(self, config):
+        # a state row carrying a force steps as if that force were part of the action
+        carried = free_space_state(y=0.015)
+        carried[0, 4:6] = [1.5, -0.25]
+        next_carried, _, _ = step_one(config, carried, np.array([0.5, 0.5]))
+        next_plain, _, _ = step_one(config, free_space_state(y=0.015), np.array([2.0, 0.25]))
+        assert np.array_equal(next_carried, next_plain)
 
     def test_trajectory_deterministic(self, config):
         actions = np.random.default_rng(0).uniform(-1, 1, size=(30, 2))
 
         def run():
-            state = env_reset(config, 9)
+            states = env_reset(config, 9, 3)
             trace = []
             for a in actions:
-                tr = env_step(config, state, a)
-                state = EnvState.from_vector(tr.next_state)
-                trace.append(tr.next_state)
+                states, _, _ = env_step(config, states, np.tile(a, (3, 1)))
+                trace.append(states)
             return np.array(trace)
 
         assert np.array_equal(run(), run())
@@ -174,37 +202,29 @@ class TestStep:
 
 class TestCost:
     def test_zero_at_target_with_zero_action(self, config):
-        state = np.array([config.target[0], config.target[1], 0, 0, 0, 0])
-        assert cost(state, np.zeros(2), config) == 0.0
+        assert costs(config.target, np.zeros(2), config) == 0.0
 
     def test_unit_distance(self, config):
-        state = np.array([config.target[0], config.target[1] + 1.0, 0, 0, 0, 0])
-        assert cost(state, np.zeros(2), config) == pytest.approx(1.0)
+        assert costs(config.target + [0.0, 1.0], np.zeros(2), config) == pytest.approx(1.0)
 
     def test_action_norm_weighting(self, config):
-        state = np.array([config.target[0], config.target[1], 0, 0, 0, 0])
-        assert cost(state, np.array([3.0, 4.0]), config) == pytest.approx(5e-4)
+        rows = np.array([config.target, config.target])
+        assert costs(rows, np.array([[3.0, 4.0], [0.0, 0.0]]), config) == pytest.approx([5e-4, 0.0])
 
 
 class TestSuccess:
     def test_true_at_target(self, config):
-        state = EnvState(config.target.copy(), np.zeros(2), np.zeros(2))
-        assert success(state, config)
+        assert successes(config.target, config)
 
     def test_false_above_plane(self, config):
-        state = EnvState(np.array([0.0, 0.001]), np.zeros(2), np.zeros(2))
-        assert not success(state, config)
+        assert not successes(np.array([0.0, 0.001]), config)
 
     def test_true_within_tolerance_inside_hole(self, config):
-        pos = config.target + np.array([0.0, 0.04 * config.hole_depth])
-        state = EnvState(pos, np.zeros(2), np.zeros(2))
-        assert success(state, config)
+        assert successes(config.target + np.array([0.0, 0.04 * config.hole_depth]), config)
 
     def test_false_when_laterally_outside(self):
         cfg = InsertionEnvConfig(success_tolerance=0.05)
-        pos = cfg.target + np.array([0.004, 0.001])
-        state = EnvState(pos, np.zeros(2), np.zeros(2))
-        assert not success(state, cfg)
+        assert not successes(cfg.target + np.array([0.004, 0.001]), cfg)
 
     @pytest.mark.parametrize("cfg,base,step,clause", [
         # distance to the target, with the slot wide enough not to decide
@@ -221,15 +241,17 @@ class TestSuccess:
         base, step = np.array(base), np.array(step) / np.linalg.norm(step)
         rows = np.array([base + (edge + d) * step for d in (-1e-7, 1e-7)])
         assert successes(rows, cfg).tolist() == [True, False]
-        assert [success(EnvState(r, np.zeros(2), np.zeros(2)), cfg) for r in rows] == [True, False]
+        assert [bool(successes(r, cfg)) for r in rows] == [True, False]
 
 
 class TestRollout:
     def test_full_horizon_when_not_stopping(self, config):
-        roll = rollout(config, lambda t, s: np.zeros(2), 1, stop_on_success=False)
+        roll = rollout(config, lambda t, s: np.array([100.0, -100.0]), 1, stop_on_success=False)
         assert roll.steps == config.horizon
         assert roll.states.shape == (config.horizon + 1, 6)
         assert roll.dones[-1]
+        # the stored actions are the executed ones, clipped to the bound
+        assert np.array_equal(roll.actions, np.tile([config.action_bound, -config.action_bound], (config.horizon, 1)))
 
     @pytest.mark.parametrize("stop_on_success", [True, False])
     def test_success_matches_per_state_oracle(self, config, stop_on_success):
@@ -245,9 +267,10 @@ class TestRollout:
         for gain, leave_after in [(0.0, 100), (50.0, 100), (50.0, 40), (200.0, 100), (200.0, 40)]:
             for seed in range(3):
                 roll = rollout(config, controller(gain, leave_after), seed, stop_on_success=stop_on_success)
-                oracle = any(success(EnvState.from_vector(s), config) for s in roll.states[1:])
+                oracle = bool(successes(roll.states[1:, 0:2], config).any())
                 assert roll.success == oracle
-                outcomes.add((oracle, success(EnvState.from_vector(roll.states[-1]), config)))
+                assert roll.dones[:-1].tolist() == successes(roll.states[1:-1, 0:2], config).tolist()
+                outcomes.add((oracle, bool(successes(roll.states[-1, 0:2], config))))
         assert {(True, True), (False, False)} <= outcomes
         if not stop_on_success:
             assert (True, False) in outcomes  # inserted, then pulled out before the horizon

@@ -12,7 +12,7 @@ from guided_ddpg.ddpg import (
     supervision_weight,
     target_update,
 )
-from guided_ddpg.envs import EnvState, InsertionEnvConfig, env_reset, env_step, rollout
+from guided_ddpg.envs import InsertionEnvConfig, Transition, env_reset, env_step, rollout
 from guided_ddpg.exceptions import ConfigurationError, InputError, SupervisorError
 from guided_ddpg.guided import EvalMetrics, TrainConfig, evaluate_policy, rng_streams, train
 from guided_ddpg.replay import transition_batch_from_rows, transition_buffer
@@ -127,22 +127,20 @@ class TestPureDdpgReduction:
         for _epoch in range(config.epochs):
             for _ep in range(n_ddpg):
                 noise.reset()
-                state = env_reset(env, streams.env)
+                state = env_reset(env, streams.env, 1)[0]
                 for t in range(env.horizon):
-                    action = policy_action(nets.actor, hyper, state.as_vector())
+                    action = policy_action(nets.actor, hyper, state)
                     action = np.clip(action + noise.sample(streams.noise),
                                      -env.action_bound, env.action_bound)
-                    tr = env_step(env, state, action)
-                    if t == env.horizon - 1:
-                        from dataclasses import replace
-                        tr = replace(tr, done=True)
-                    r2.push(tr)
+                    next_states, rewards, successes = env_step(env, state[None], action[None])
+                    next_state, done = next_states[0], bool(successes[0]) or t == env.horizon - 1
+                    r2.push(Transition(state, action, next_state, float(rewards[0]), done))
                     batch = transition_batch_from_rows(r2.sample_rows(hyper.batch_size, streams.replay))
                     nets = critic_update(nets, hyper, batch, None, 0.0)
                     nets = actor_update(nets, hyper, batch, None, 0.0)
                     nets = target_update(nets, hyper.target_rate)
-                    state = EnvState.from_vector(tr.next_state)
-                    if tr.done:
+                    state = next_state
+                    if done:
                         break
             n_ddpg += config.n_inc
 
@@ -200,10 +198,18 @@ class TestEvaluation:
             tiny_config(eval_every=2, eval_episodes=0)
         assert tiny_config(eval_every=0, eval_episodes=0).eval_episodes == 0  # never evaluates
 
+    @pytest.mark.parametrize("overrides", [dict(success_threshold=-0.1), dict(success_threshold=7.0),
+                                           dict(success_threshold=float("nan")), dict(eval_every=-1)])
+    def test_out_of_range_evaluation_settings_rejected(self, overrides):
+        with pytest.raises(ConfigurationError):
+            tiny_config(**overrides)
+        for threshold in (0.0, 1.0):
+            assert tiny_config(success_threshold=threshold).success_threshold == threshold
+
     def test_stop_at_threshold_halts(self):
         # an always-evaluating config with an impossible-to-miss threshold of 0
         config = tiny_config(epochs=3, n_ddpg=5, n_trajopt=0, eval_every=1,
-                             eval_episodes=1, success_threshold=-1.0, stop_at_threshold=True)
+                             eval_episodes=1, success_threshold=0.0, stop_at_threshold=True)
         _, log = train(config)
         assert len(log.episodes_by_phase("ddpg")) == 1
 

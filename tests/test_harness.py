@@ -124,7 +124,8 @@ class TestConfigReader:
         assert spec.train.env.target_point == (0.001, -0.015)
 
     @pytest.mark.parametrize("line", ["max_dual_iterations = 0", "dynamics_reg = -1e-6",
-                                      "exploration_std = -1.0", "exploration_std = 1.0, -0.5"])
+                                      "exploration_std = -1.0", "exploration_std = 1.0, -0.5",
+                                      "terminal_weight = -1"])
     def test_bad_supervisor_config_rejected(self, tmp_path, line):
         with pytest.raises(SpecError):
             parse_spec(self._spec_path(tmp_path, line + "\n"))
@@ -278,6 +279,29 @@ class TestCli:
         (run / "aggregate.json").write_text(text)
         assert cli_main(["compare", "--run-a", str(run), "--run-b", str(run), "--out", str(tmp_path / "cmp")]) == 2
         assert "aggregate.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("median_wall_clock_s", '"slow"'),
+                                           ("median_final_success_rate", "null"),
+                                           ("median_rollouts_to_threshold", '"12"'),
+                                           ("median_wall_clock_s", "true")])
+    def test_aggregate_field_of_wrong_type_exit_code(self, tmp_path, capsys, key, value):
+        fields = {"median_rollouts_to_threshold": "null", "median_wall_clock_s": "1.5",
+                  "median_final_success_rate": "0.5", key: value}
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "aggregate.json").write_text(
+            '{"algorithm": "guided_ddpg", ' + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}")
+        assert cli_main(["compare", "--run-a", str(run), "--run-b", str(run), "--out", str(tmp_path / "cmp")]) == 2
+        err = capsys.readouterr().err
+        assert "spec error" in err and key in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("line", ["terminal_weight = -1", "success_threshold = 7", "eval_every = -1"])
+    def test_out_of_range_setting_exit_code(self, tiny_spec_path, tmp_path, capsys, line):
+        spec = tmp_path / "bad.spec"
+        spec.write_text(tiny_spec_path.read_text() + line + "\n")
+        assert cli_main(["train", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert line.split()[0] in err and "Traceback" not in err
 
     def test_missing_checkpoint_exit_code(self, tmp_path):
         code = cli_main(["eval", "--checkpoint", str(tmp_path / "nope.json")])
