@@ -59,6 +59,10 @@ class DdpgHyper:
             raise ConfigurationError("supervision_decay must be >= 0")
         if any(s < 0.0 for s in self.noise_scale):
             raise ConfigurationError("noise scales must be >= 0")
+        if not (self.noise_theta > 0.0 and self.noise_dt > 0.0 and self.noise_theta * self.noise_dt < 2.0):
+            # each step scales the noise state by 1 - theta * dt, which must lie in (-1, 1) to stay bounded
+            raise ConfigurationError(f"noise_theta > 0, noise_dt > 0 and noise_theta * noise_dt < 2 required, "
+                                     f"got {self.noise_theta} and {self.noise_dt}")
 
     @classmethod
     def for_env(cls, env: InsertionEnvConfig, **overrides) -> "DdpgHyper":
@@ -83,11 +87,11 @@ class AgentNets:
     critic_opt: AdamState
 
 
-def make_agent(hyper: DdpgHyper, seed, state_dim: int = STATE_DIM, action_dim: int = ACTION_DIM) -> AgentNets:
+def make_agent(hyper: DdpgHyper, seed) -> AgentNets:
     """Fresh actor/critic with targets initialized as exact copies."""
     base = list(np.atleast_1d(np.asarray(seed)).ravel())
-    actor = mlp_init([state_dim, *hyper.actor_hidden, action_dim], "tanh", "tanh", seed=base + [0])
-    critic = mlp_init([state_dim + action_dim, *hyper.critic_hidden, 1], "tanh", "identity", seed=base + [1])
+    actor = mlp_init([STATE_DIM, *hyper.actor_hidden, ACTION_DIM], "tanh", seed=base + [0])
+    critic = mlp_init([STATE_DIM + ACTION_DIM, *hyper.critic_hidden, 1], "identity", seed=base + [1])
     return AgentNets(
         actor=actor,
         critic=critic,
@@ -265,7 +269,3 @@ class OrnsteinUhlenbeckNoise:
     def sample(self, rng: np.random.Generator) -> Array:
         self._x = self._x + self.theta * (-self._x) * self.dt + self.scale * np.sqrt(self.dt) * rng.standard_normal(self.dim)
         return self._x.copy()
-
-    @property
-    def stationary_std(self) -> Array:
-        return self.scale / np.sqrt(2.0 * self.theta - self.theta**2 * self.dt)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -66,7 +65,6 @@ class RngStreams:
     noise: np.random.Generator
     replay: np.random.Generator
     supervisor: np.random.Generator
-    eval_seed: int
 
 
 def rng_streams(seed: int) -> RngStreams:
@@ -77,7 +75,6 @@ def rng_streams(seed: int) -> RngStreams:
         noise=np.random.default_rng([seed, STREAM_NOISE]),
         replay=np.random.default_rng([seed, STREAM_REPLAY]),
         supervisor=np.random.default_rng([seed, STREAM_SUPERVISOR]),
-        eval_seed=seed,
     )
 
 
@@ -113,6 +110,8 @@ class TrainConfig:
                 f"eval_every >= 0 and success_threshold in [0, 1] required, "
                 f"got {self.eval_every} and {self.success_threshold}"
             )
+        if not (self.kl_step > 0.0 and self.eta_init > 0.0):
+            raise ConfigurationError(f"kl_step and eta_init must be > 0, got {self.kl_step} and {self.eta_init}")
         if self.eval_every > 0 and self.eval_episodes < 1:
             raise ConfigurationError(f"eval_episodes must be >= 1 when eval_every > 0, got {self.eval_episodes}")
         if self.hyper is None:

@@ -117,7 +117,7 @@ def read_config(path, sections) -> dict:
       earlier section already uses gets its section's prefix, so
       ``TrainConfig.eval_episodes`` is written ``train_eval_episodes``.
       A key left out keeps its field's default; a field with no default must
-      be given.
+      be given. No key may be given twice.
     - A value is parsed by its field's type annotation: ``int``; ``float``,
       which must be finite; ``bool`` as ``true``/``false``, ``yes``/``no`` or
       ``1``/``0``, in any case; ``str`` as written; ``tuple[T, ...]`` as
@@ -137,6 +137,7 @@ def read_config(path, sections) -> dict:
         raise SpecError(f"{path} is not UTF-8 text: {exc}") from exc
     values: dict = {cls: {} for _, cls, _ in sections}
     problems = []
+    first_line: dict = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -146,7 +147,10 @@ def read_config(path, sections) -> dict:
             problems.append(f"line {lineno}: expected 'key = value', got {raw!r}")
         elif key not in keys:
             problems.append(f"line {lineno}: unknown key {key!r}")
+        elif key in first_line:
+            problems.append(f"line {lineno}: key {key!r} already given on line {first_line[key]}")
         else:
+            first_line[key] = lineno
             cls, f, hint = keys[key]
             try:
                 values[cls][f.name] = _parse_value(value, hint)

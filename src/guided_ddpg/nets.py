@@ -6,6 +6,7 @@ layer by layer, the weight matrix row-major, then the bias. ``weights[t]`` and
 Gradients and both Adam moments are vectors in the same layout, so an Adam
 step, a soft update and a finiteness check are each one vector operation.
 
+Hidden layers are always tanh; the output layer is identity or tanh.
 Everything is float64 and functional: operations return new vectors and never
 mutate their arguments, so snapshots can be shared freely between the learner
 and evaluation code.
@@ -21,8 +22,11 @@ from .exceptions import ConfigurationError, NumericalError, ShapeError, SpecErro
 
 Array = np.ndarray
 
-HIDDEN_ACTIVATIONS = ("tanh", "relu")
 OUTPUT_ACTIVATIONS = ("identity", "tanh")
+
+ADAM_BETA1 = 0.9  # decay rate of Adam's first-moment estimate
+ADAM_BETA2 = 0.999  # decay rate of Adam's second-moment estimate
+ADAM_EPSILON = 1e-8  # denominator floor; bounds the step where the second moment is near zero
 
 
 def _param_count(layer_sizes: Sequence[int]) -> int:
@@ -52,14 +56,11 @@ class MlpParams:
 
     layer_sizes: tuple[int, ...]
     vector: Array
-    hidden_activation: str = "tanh"
     output_activation: str = "identity"
     weights: tuple[Array, ...] = field(init=False, repr=False, compare=False)
     biases: tuple[Array, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.hidden_activation not in HIDDEN_ACTIVATIONS:
-            raise ConfigurationError(f"unknown hidden activation {self.hidden_activation!r}")
         if self.output_activation not in OUTPUT_ACTIVATIONS:
             raise ConfigurationError(f"unknown output activation {self.output_activation!r}")
         vector = np.asarray(self.vector, dtype=np.float64)
@@ -86,7 +87,7 @@ class MlpParams:
 
     def with_vector(self, vector: Array) -> "MlpParams":
         """The same architecture with other parameter values."""
-        return MlpParams(self.layer_sizes, vector, self.hidden_activation, self.output_activation)
+        return MlpParams(self.layer_sizes, vector, self.output_activation)
 
 
 @dataclass(frozen=True)
@@ -97,14 +98,10 @@ class AdamState:
     v: Array
     step_count: int
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
 
 def mlp_init(
     layer_sizes: Sequence[int],
-    hidden_activation: str = "tanh",
     output_activation: str = "identity",
     seed=0,
 ) -> MlpParams:
@@ -121,19 +118,7 @@ def mlp_init(
         fan_out, fan_in = w.shape
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         w[...] = rng.uniform(-limit, limit, size=(fan_out, fan_in))
-    return MlpParams(sizes, vector, hidden_activation, output_activation)
-
-
-def _apply_hidden(name: str, z: Array) -> Array:
-    if name == "tanh":
-        return np.tanh(z)
-    return np.maximum(z, 0.0)  # relu
-
-
-def _apply_output(name: str, z: Array) -> Array:
-    if name == "tanh":
-        return np.tanh(z)
-    return z
+    return MlpParams(sizes, vector, output_activation)
 
 
 def _as_batch(params: MlpParams, x: Array) -> tuple[Array, bool]:
@@ -153,7 +138,7 @@ def _forward_cached(params: MlpParams, x: Array) -> list[Array]:
     last = params.n_layers - 1
     for t, (w, b) in enumerate(zip(params.weights, params.biases)):
         z = h @ w.T + b
-        h = _apply_output(params.output_activation, z) if t == last else _apply_hidden(params.hidden_activation, z)
+        h = np.tanh(z) if t < last or params.output_activation == "tanh" else z
         acts.append(h)
     return acts
 
@@ -211,14 +196,8 @@ def mlp_backward(
     delta = g
     for t in range(last, -1, -1):
         a_out = acts[t + 1]
-        if t == last:
-            if params.output_activation == "tanh":
-                delta = delta * (1.0 - a_out * a_out)
-        else:
-            if params.hidden_activation == "tanh":
-                delta = delta * (1.0 - a_out * a_out)
-            else:
-                delta = delta * (a_out > 0.0)
+        if t < last or params.output_activation == "tanh":
+            delta = delta * (1.0 - a_out * a_out)
         if wrt_params:
             np.matmul(delta.T, acts[t], out=d_weights[t])
             delta.sum(axis=0, out=d_biases[t])
@@ -229,13 +208,11 @@ def mlp_backward(
     return param_grad, input_grad
 
 
-def adam_init(params: MlpParams, learning_rate: float, beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8) -> AdamState:
+def adam_init(params: MlpParams, learning_rate: float) -> AdamState:
     if learning_rate <= 0.0:
         raise ConfigurationError(f"learning_rate must be positive, got {learning_rate}")
-    if not (0.0 < beta1 < 1.0 and 0.0 < beta2 < 1.0):
-        raise ConfigurationError("moment decay rates must lie in (0, 1)")
     size = params.vector.size
-    return AdamState(np.zeros(size), np.zeros(size), 0, float(learning_rate), beta1, beta2, epsilon)
+    return AdamState(np.zeros(size), np.zeros(size), 0, float(learning_rate))
 
 
 def adam_step(state: AdamState, params: MlpParams, grads: Array) -> tuple[MlpParams, AdamState]:
@@ -247,14 +224,14 @@ def adam_step(state: AdamState, params: MlpParams, grads: Array) -> tuple[MlpPar
         raise NumericalError("non-finite gradient passed to adam_step")
 
     t = state.step_count + 1
-    b1, b2, eps, lr = state.beta1, state.beta2, state.epsilon, state.learning_rate
+    b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, state.learning_rate
     scale1 = lr / (1.0 - b1**t)
     inv_sqrt_corr2 = 1.0 / np.sqrt(1.0 - b2**t)
 
     m = b1 * state.m + (1.0 - b1) * grads
     v = b2 * state.v + (1.0 - b2) * (grads * grads)
     new_params = params.with_vector(params.vector - scale1 * m / (np.sqrt(v) * inv_sqrt_corr2 + eps))
-    return new_params, AdamState(m, v, t, lr, b1, b2, eps)
+    return new_params, AdamState(m, v, t, lr)
 
 
 def soft_update(target: MlpParams, source: MlpParams, rate: float) -> MlpParams:
@@ -269,7 +246,7 @@ def soft_update(target: MlpParams, source: MlpParams, rate: float) -> MlpParams:
 def mlp_to_dict(params: MlpParams) -> dict:
     return {
         "layer_sizes": list(params.layer_sizes),
-        "hidden_activation": params.hidden_activation,
+        "hidden_activation": "tanh",
         "output_activation": params.output_activation,
         "weights": [w.tolist() for w in params.weights],
         "biases": [b.tolist() for b in params.biases],
@@ -291,6 +268,8 @@ def mlp_from_dict(d: dict) -> MlpParams:
         vector = np.concatenate(parts)
         if not np.all(np.isfinite(vector)):
             raise ValueError("non-finite parameter values")
-        return MlpParams(sizes, vector, d["hidden_activation"], d["output_activation"])
+        if d["hidden_activation"] != "tanh":
+            raise ValueError(f"hidden activation must be 'tanh', got {d['hidden_activation']!r}")
+        return MlpParams(sizes, vector, d["output_activation"])
     except (KeyError, TypeError, ValueError) as exc:  # ConfigurationError and ShapeError are ValueErrors
         raise SpecError(f"malformed network entry: {exc!r}") from exc

@@ -14,8 +14,8 @@ dynamics are ``s' = F [s; u] + f + noise``; controllers are
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -33,6 +33,16 @@ from .exceptions import (
 from .replay import SupervisionSample
 
 Array = np.ndarray
+
+ETA_MIN = 1e-8  # floor of the dual variable eta: the weakest pull toward the prior
+ETA_MAX = 1e16  # ceiling of eta: the strongest pull toward the prior
+ETA_FACTOR = 10.0  # step of the dual search's walk until it brackets the trust region
+EPSILON_MIN = 1e-9  # floor of the trust region (the KL step size epsilon)
+EPSILON_MAX = 1e9  # ceiling of the trust region
+EPSILON_SHRINK_RATIO = 0.25  # realized / predicted improvement below which the trust region halves
+EPSILON_GROW_RATIO = 0.75  # realized / predicted improvement above which it grows by 1.5x
+KL_RTOL = 0.1  # largest relative miss of the trust region by the achieved KL that counts as converged
+POLICY_FIT_REG = 1e-6  # ridge on the state Gram matrix of a policy fit; bounds its gains on collinear states
 
 
 # ---------------------------------------------------------------------------
@@ -54,10 +64,6 @@ class LinearDynamics:
     @property
     def state_dim(self) -> int:
         return self.F.shape[1]
-
-    @property
-    def action_dim(self) -> int:
-        return self.F.shape[2] - self.F.shape[1]
 
 
 @dataclass(frozen=True)
@@ -88,7 +94,6 @@ class TrajectoryDistribution:
     mean: Array  # (T+1, n)
     cov: Array  # (T+1, n, n)
     policy: LinearGaussianPolicy
-    dynamics: LinearDynamics
 
 
 @dataclass(frozen=True)
@@ -97,11 +102,6 @@ class DualState:
 
     eta: float = 1.0
     epsilon: float = 100.0
-    penalty: float = 1.0
-    eta_min: float = 1e-8
-    eta_max: float = 1e16
-    epsilon_min: float = 1e-9
-    epsilon_max: float = 1e9
 
     def __post_init__(self):
         if self.eta <= 0.0 or self.epsilon <= 0.0:
@@ -174,7 +174,6 @@ def linearize_policy(
     policy_fn: Callable[[Array], Array],
     states: Array,
     noise_cov: Array,
-    reg: float = 1e-6,
 ) -> LinearGaussianPolicy:
     """Affine fit of a deterministic policy around sampled states, per step.
 
@@ -202,7 +201,7 @@ def linearize_policy(
         u_mean = U.mean(axis=0)
         Sc = S - s_mean
         Uc = U - u_mean
-        gram = Sc.T @ Sc + reg * np.eye(n)
+        gram = Sc.T @ Sc + POLICY_FIT_REG * np.eye(n)
         try:
             K[t] = scipy.linalg.solve(gram, Sc.T @ Uc, assume_a="pos").T
         except scipy.linalg.LinAlgError as exc:
@@ -374,7 +373,7 @@ def lqg_forward(
         mean[t + 1] = dynamics.F[t] @ mu_z + dynamics.f[t]
         nxt = dynamics.F[t] @ joint_cov @ dynamics.F[t].T + dynamics.Sigma[t]
         cov[t + 1] = 0.5 * (nxt + nxt.T)
-    return TrajectoryDistribution(mean, cov, policy, dynamics)
+    return TrajectoryDistribution(mean, cov, policy)
 
 
 def expected_cost(cost: QuadraticCost, traj: TrajectoryDistribution) -> float:
@@ -403,27 +402,20 @@ def expected_cost(cost: QuadraticCost, traj: TrajectoryDistribution) -> float:
 # Dual / trust-region adaptation
 
 
-def update_eta(dual: DualState, achieved_kl: float, epsilon: float | None = None, factor: float = 10.0) -> DualState:
-    """Scale the dual variable by a fixed factor toward the constraint.
+def update_eta(dual: DualState, achieved_kl: float) -> DualState:
+    """Scale the dual variable by :data:`ETA_FACTOR` toward the constraint.
 
-    Too little divergence means the constraint is over-enforced, so eta
-    shrinks; too much means it is under-enforced, so eta grows. The result
-    is clamped to ``[eta_min, eta_max]``.
+    Less divergence than ``dual.epsilon`` means the constraint is
+    over-enforced, so eta shrinks; more means it is under-enforced, so eta
+    grows. The result is clamped to ``[ETA_MIN, ETA_MAX]``.
     """
     if achieved_kl < 0.0:
         raise InputError(f"achieved_kl must be >= 0, got {achieved_kl}")
-    eps = dual.epsilon if epsilon is None else float(epsilon)
-    eta = dual.eta / factor if achieved_kl < eps else dual.eta * factor
-    return replace(dual, eta=float(np.clip(eta, dual.eta_min, dual.eta_max)))
+    eta = dual.eta / ETA_FACTOR if achieved_kl < dual.epsilon else dual.eta * ETA_FACTOR
+    return replace(dual, eta=float(np.clip(eta, ETA_MIN, ETA_MAX)))
 
 
-def update_epsilon(
-    dual: DualState,
-    expected_improvement: float,
-    actual_improvement: float,
-    shrink_threshold: float = 0.25,
-    grow_threshold: float = 0.75,
-) -> DualState:
+def update_epsilon(dual: DualState, expected_improvement: float, actual_improvement: float) -> DualState:
     """Adapt the trust region to the model's predictive quality.
 
     The region halves when the realized improvement falls far short of the
@@ -435,13 +427,13 @@ def update_epsilon(
     if expected_improvement <= 0.0:
         return dual
     ratio = actual_improvement / expected_improvement
-    if ratio < shrink_threshold:
+    if ratio < EPSILON_SHRINK_RATIO:
         eps = dual.epsilon * 0.5
-    elif ratio > grow_threshold:
+    elif ratio > EPSILON_GROW_RATIO:
         eps = dual.epsilon * 1.5
     else:
         return dual
-    return replace(dual, epsilon=float(np.clip(eps, dual.epsilon_min, dual.epsilon_max)))
+    return replace(dual, epsilon=float(np.clip(eps, EPSILON_MIN, EPSILON_MAX)))
 
 
 @dataclass(frozen=True)
@@ -464,23 +456,25 @@ def update_trajectory(
     init_mean: Array,
     init_cov: Array,
     max_dual_iterations: int = 20,
-    convergence_rtol: float = 0.1,
 ) -> TrajOptResult:
     """Solve the KL-constrained problem by adapting the dual variable.
 
     Alternates backward pass, forward marginal propagation, and KL
     measurement while searching eta: a fixed-factor walk until the target
-    divergence is bracketed, then geometric bisection. On convergence the
-    achieved KL lies within ``convergence_rtol`` of the trust region; if the
-    iteration budget runs out, the best strictly feasible controller is
-    returned with a warning status, and the absence of any feasible iterate
-    raises :class:`TrustRegionError`.
+    divergence is bracketed, then geometric bisection. An iterate whose KL or
+    expected cost is not finite (an aggressive controller on a bad model)
+    counts as infinite KL, so it pushes eta up like any iterate outside the
+    trust region. On convergence the achieved KL lies within
+    :data:`KL_RTOL` of the trust region. The search ends early when the walk
+    is clamped at ``ETA_MIN`` or ``ETA_MAX``. If it ends without converging,
+    the best strictly feasible controller is returned with a warning status,
+    and the absence of any feasible iterate raises :class:`TrustRegionError`.
     """
     eps = dual.epsilon
     prior_traj = lqg_forward(dynamics, prior, init_mean, init_cov)
     prior_cost = expected_cost(cost, prior_traj)
 
-    eta = float(np.clip(dual.eta, dual.eta_min, dual.eta_max))
+    eta = float(np.clip(dual.eta, ETA_MIN, ETA_MAX))
     eta_floor = None  # below this, divergence exceeds the trust region
     eta_ceil = None  # above this, divergence is inside the trust region
     lm_reg = 0.0
@@ -498,14 +492,11 @@ def update_trajectory(
         kl = kl_divergence(traj, prior)
         new_cost = expected_cost(cost, traj)
         if not (np.isfinite(kl) and np.isfinite(new_cost)):
-            # wildly aggressive controller on a bad model: force a larger eta
-            eta_floor = eta if eta_floor is None else max(eta_floor, eta)
-            eta = float(np.sqrt(eta_floor * eta_ceil)) if eta_ceil is not None else min(eta * 10.0, dual.eta_max)
-            continue
+            kl = np.inf  # outside any trust region, so eta grows as for any too-large KL
 
         if kl <= eps and (best is None or new_cost < best[0]):
             best = (new_cost, policy, kl, eta)
-        if abs(kl - eps) <= convergence_rtol * eps:
+        if abs(kl - eps) <= KL_RTOL * eps:
             return TrajOptResult(policy, replace(dual, eta=eta), kl, prior_cost, new_cost, True, "converged", iterations)
 
         if kl > eps:
@@ -516,7 +507,7 @@ def update_trajectory(
         if eta_floor is not None and eta_ceil is not None:
             eta = float(np.sqrt(eta_floor * eta_ceil))
         else:
-            dual_step = update_eta(replace(dual, eta=eta), kl, eps)
+            dual_step = update_eta(replace(dual, eta=eta), kl)
             if dual_step.eta == eta:
                 break  # clamped at a bound; no further progress possible
             eta = dual_step.eta

@@ -270,14 +270,15 @@ class TestNoise:
         assert np.array_equal(seq1, seq2)
 
     def test_empirical_mean_near_zero(self):
-        # CLT bound: |mean| < 3 * stationary_std / sqrt(n)
+        # CLT bound: |mean| < 3 * stationary std / sqrt(n)
         noise = OrnsteinUhlenbeckNoise(1, 1.0, theta=0.15)
         rng = np.random.default_rng(17)
         n = 100_000
         samples = np.array([noise.sample(rng)[0] for _ in range(n)])
         # correlated draws: effective sample size is n * (theta / (2 - theta)) approximately;
         # use a conservative inflation of the CLT bound instead
-        sigma = noise.stationary_std[0]
+        # stationary std of x' = (1 - theta dt) x + scale sqrt(dt) N(0, 1) at scale 1
+        sigma = 1.0 / np.sqrt(2.0 * noise.theta - noise.theta**2 * noise.dt)
         assert abs(samples.mean()) < 3 * sigma / np.sqrt(n) * np.sqrt(2 / noise.theta)
 
     def test_reset_restarts_from_zero(self):
@@ -292,3 +293,11 @@ class TestNoise:
     def test_negative_scale_rejected(self):
         with pytest.raises(ConfigurationError):
             OrnsteinUhlenbeckNoise(2, -1.0)
+
+    @pytest.mark.parametrize("theta,dt", [(0.0, 1.0), (-0.1, 1.0), (0.15, 0.0), (0.15, -1.0), (3.0, 1.0),
+                                          (1.0, 2.0), (-3.0, -1.0)])
+    def test_hyper_rejects_diverging_or_degenerate_noise(self, theta, dt):
+        # the noise state is scaled by 1 - theta * dt each step
+        with pytest.raises(ConfigurationError, match="noise_theta"):
+            tiny_hyper(noise_theta=theta, noise_dt=dt)
+        assert tiny_hyper(noise_theta=1.99, noise_dt=1.0).noise_theta == 1.99

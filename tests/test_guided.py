@@ -206,6 +206,12 @@ class TestEvaluation:
         for threshold in (0.0, 1.0):
             assert tiny_config(success_threshold=threshold).success_threshold == threshold
 
+    @pytest.mark.parametrize("overrides", [dict(kl_step=0.0), dict(kl_step=-1.0), dict(eta_init=0.0),
+                                           dict(eta_init=-1.0)])
+    def test_non_positive_trust_region_settings_rejected(self, overrides):
+        with pytest.raises(ConfigurationError, match=next(iter(overrides))):
+            tiny_config(**overrides)
+
     def test_stop_at_threshold_halts(self):
         # an always-evaluating config with an impossible-to-miss threshold of 0
         config = tiny_config(epochs=3, n_ddpg=5, n_trajopt=0, eval_every=1,

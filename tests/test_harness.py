@@ -58,6 +58,15 @@ def tiny_spec_path(tmp_path):
     return path
 
 
+def spec_with_line(tiny_spec_path, line: str):
+    """A copy of the tiny spec in which ``line`` sets its key: it replaces the line that sets it, if any."""
+    key = line.split("=")[0].strip()
+    kept = [old for old in tiny_spec_path.read_text().splitlines() if old.split("=")[0].strip() != key]
+    path = tiny_spec_path.with_name("edited.spec")
+    path.write_text("\n".join(kept + [line]) + "\n")
+    return path
+
+
 class TestSpecParsing:
     def test_parses_sections(self, tiny_spec_path):
         spec = parse_spec(tiny_spec_path)
@@ -122,6 +131,15 @@ class TestConfigReader:
     def test_target_point_in_spec(self, tmp_path):
         spec = parse_spec(self._spec_path(tmp_path, "target_point = 0.001, -0.015\n"))
         assert spec.train.env.target_point == (0.001, -0.015)
+
+    def test_duplicate_key_reported_with_both_lines(self, tmp_path):
+        path = self._spec_path(tmp_path, "epochs = 1\nmass = 2.0\nepochs = 3\nwarp = 1\nmass = 2.0\n")
+        with pytest.raises(SpecError) as exc:
+            parse_spec(path)
+        message = str(exc.value)
+        assert "line 5: key 'epochs' already given on line 3" in message
+        assert "line 7: key 'mass' already given on line 4" in message
+        assert "line 6: unknown key 'warp'" in message
 
     @pytest.mark.parametrize("line", ["max_dual_iterations = 0", "dynamics_reg = -1e-6",
                                       "exploration_std = -1.0", "exploration_std = 1.0, -0.5",
@@ -193,6 +211,16 @@ class TestCheckpoints:
         assert np.allclose(policy_action(actor, loaded_hyper, states),
                            policy_action(nets.actor, hyper, states))
 
+    def test_every_net_records_tanh_hidden_layers(self, tmp_path):
+        hyper = DdpgHyper.for_env(InsertionEnvConfig(), actor_hidden=(8,), critic_hidden=(8, 8))
+        path = tmp_path / "ckpt.json"
+        save_agent_checkpoint(path, make_agent(hyper, 0), hyper)
+        payload = json.loads(path.read_text())
+        for net, output in (("actor", "tanh"), ("critic", "identity"),
+                            ("target_actor", "tanh"), ("target_critic", "identity")):
+            assert payload[net]["hidden_activation"] == "tanh"
+            assert payload[net]["output_activation"] == output
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         for header in ('{"format": "other", "version": 1}', '{"format": "agent-checkpoint", "version": 9}', "[1, 2]"):
@@ -261,10 +289,30 @@ class TestCli:
 
     @pytest.mark.parametrize("line", ["seeds = 0,0", "seed = 3"])
     def test_duplicate_seeds_or_seed_key_exit_code(self, tiny_spec_path, tmp_path, capsys, line):
-        spec = tmp_path / "seeds.spec"
-        spec.write_text(tiny_spec_path.read_text() + line + "\n")
+        spec = spec_with_line(tiny_spec_path, line)
         assert cli_main(["train", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
-        assert "seed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "seed" in err and "already given" not in err
+
+    def test_duplicate_key_exit_code(self, tiny_spec_path, tmp_path, capsys):
+        spec = tmp_path / "twice.spec"
+        spec.write_text(tiny_spec_path.read_text() + "epochs = 3\n")
+        assert cli_main(["train", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        epochs_line = TINY_SPEC.splitlines().index("epochs = 1") + 1
+        last_line = len(TINY_SPEC.splitlines()) + 1
+        assert f"line {last_line}: key 'epochs' already given on line {epochs_line}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_duplicate_key_in_env_config_exit_code(self, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text(json.dumps(self._checkpoint_payload(tmp_path)))
+        env_cfg = tmp_path / "env.cfg"
+        env_cfg.write_text("horizon = 6\nhorizon = 7\n")
+        assert cli_main(["eval", "--checkpoint", str(ckpt), "--episodes", "1", "--env-config", str(env_cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "line 2: key 'horizon' already given on line 1" in err and "Traceback" not in err
 
     def test_non_utf8_spec_exit_code(self, tmp_path, capsys):
         spec = tmp_path / "latin.spec"
@@ -295,13 +343,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert "spec error" in err and key in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("line", ["terminal_weight = -1", "success_threshold = 7", "eval_every = -1"])
+    @pytest.mark.parametrize("line", ["terminal_weight = -1", "success_threshold = 7", "eval_every = -1",
+                                      "noise_theta = 3", "kl_step = 0", "eta_init = -1"])
     def test_out_of_range_setting_exit_code(self, tiny_spec_path, tmp_path, capsys, line):
-        spec = tmp_path / "bad.spec"
-        spec.write_text(tiny_spec_path.read_text() + line + "\n")
+        spec = spec_with_line(tiny_spec_path, line)
         assert cli_main(["train", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert line.split()[0] in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()  # rejected when the spec is parsed
 
     def test_missing_checkpoint_exit_code(self, tmp_path):
         code = cli_main(["eval", "--checkpoint", str(tmp_path / "nope.json")])
@@ -334,10 +383,13 @@ class TestCli:
         payload["actor"]["weights"][0][3].pop()
         assert self._eval_exit_code(tmp_path, json.dumps(payload)) == 2
 
-    def test_checkpoint_unknown_activation_exit_code(self, tmp_path):
+    def test_checkpoint_unknown_activation_exit_code(self, tmp_path, capsys):
         payload = self._checkpoint_payload(tmp_path)
-        payload["actor"]["hidden_activation"] = "sigmoid"
-        assert self._eval_exit_code(tmp_path, json.dumps(payload)) == 2
+        for activation in ("sigmoid", "relu"):
+            payload["actor"]["hidden_activation"] = activation
+            assert self._eval_exit_code(tmp_path, json.dumps(payload)) == 2
+            err = capsys.readouterr().err
+            assert activation in err and "Traceback" not in err
 
     def test_negative_seed_exit_code(self, tiny_spec_path, tmp_path):
         with pytest.raises(SystemExit) as exc:  # argparse rejects it before any command runs

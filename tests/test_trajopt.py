@@ -195,7 +195,7 @@ def oracle_lqg_forward(
         mean[t + 1] = dynamics.F[t] @ np.concatenate([mu, mu_u]) + dynamics.f[t]
         nxt = dynamics.F[t] @ joint_cov @ dynamics.F[t].T + dynamics.Sigma[t]
         cov[t + 1] = 0.5 * (nxt + nxt.T)
-    return TrajectoryDistribution(mean, cov, policy, dynamics)
+    return TrajectoryDistribution(mean, cov, policy)
 
 
 def oracle_expected_cost(cost: QuadraticCost, traj: TrajectoryDistribution) -> float:
@@ -459,8 +459,8 @@ class TestDualUpdates:
         assert update_eta(dual, 2.0).eta > 1.0
 
     def test_eta_clamped_at_min(self):
-        dual = DualState(eta=1e-8, epsilon=1.0, eta_min=1e-8)
-        assert update_eta(dual, 0.1).eta == 1e-8
+        dual = DualState(eta=trajopt.ETA_MIN, epsilon=1.0)
+        assert update_eta(dual, 0.1).eta == trajopt.ETA_MIN
 
     def test_epsilon_halves_on_poor_improvement(self):
         dual = DualState(eta=1.0, epsilon=0.4)
@@ -541,6 +541,23 @@ class TestUpdateTrajectory:
             traj = lqg_forward(dynamics, policy, mu0, S0)
             kls.append(kl_divergence(traj, prior))
         assert all(a >= b for a, b in zip(kls, kls[1:]))
+
+    def test_non_finite_kl_walks_eta_up_and_stops_at_its_ceiling(self, monkeypatch):
+        # an iterate with non-finite KL counts as outside the trust region: eta grows tenfold from 1
+        # per backward pass, and the search gives up once it is clamped at 1e16, 17 passes in all
+        dynamics, prior, quad, mu0, S0 = fitted_insertion_problem()
+        etas = []
+
+        def counting_backward(*args):
+            etas.append(args[3])
+            return lqg_backward(*args)
+
+        monkeypatch.setattr(trajopt, "lqg_backward", counting_backward)
+        monkeypatch.setattr(trajopt, "kl_divergence", lambda traj, prior: np.inf)
+        with pytest.raises(TrustRegionError):
+            update_trajectory(dynamics, prior, DualState(eta=1.0, epsilon=1e-2), quad, mu0, S0, max_dual_iterations=50)
+        assert len(etas) == 17
+        assert etas == [10.0**i for i in range(17)] and etas[-1] == trajopt.ETA_MAX
 
     def test_returned_covariances_positive_definite(self):
         dynamics, prior, quad, mu0, S0 = fitted_insertion_problem(seed=2)
@@ -648,7 +665,7 @@ class TestStagesMatchOracles:
         mean = traj.mean.copy()
         mean[0, 0] = np.inf
         with pytest.raises(NumericalError):
-            kl_divergence(TrajectoryDistribution(mean, traj.cov, prior, dynamics), prior)
+            kl_divergence(TrajectoryDistribution(mean, traj.cov, prior), prior)
 
     @staticmethod
     def _supervise(env, policy_fn, monkeypatch):
