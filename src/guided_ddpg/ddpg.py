@@ -29,6 +29,13 @@ from .replay import SupervisionBatch, TransitionBatch
 Array = np.ndarray
 
 
+def _check_ou_rate(theta: float, dt: float) -> None:
+    # each step scales the noise state by 1 - theta * dt, which must lie in (-1, 1) to stay bounded
+    if not (theta > 0.0 and dt > 0.0 and theta * dt < 2.0):
+        raise ConfigurationError(f"noise_theta > 0, noise_dt > 0 and noise_theta * noise_dt < 2 required, "
+                                 f"got {theta} and {dt}")
+
+
 @dataclass(frozen=True)
 class DdpgHyper:
     """Learner hyperparameters plus the fixed feature scaling for net inputs."""
@@ -57,12 +64,15 @@ class DdpgHyper:
             raise ConfigurationError("batch sizes must be positive")
         if self.supervision_decay < 0.0:
             raise ConfigurationError("supervision_decay must be >= 0")
+        if not all(np.isfinite(lr) and lr > 0.0 for lr in (self.actor_lr, self.critic_lr)):
+            raise ConfigurationError(f"actor_lr and critic_lr must be positive and finite, "
+                                     f"got {self.actor_lr} and {self.critic_lr}")
+        if any(w < 1 for w in (*self.actor_hidden, *self.critic_hidden)):
+            raise ConfigurationError(f"actor_hidden and critic_hidden widths must be >= 1, "
+                                     f"got {self.actor_hidden} and {self.critic_hidden}")
         if any(s < 0.0 for s in self.noise_scale):
             raise ConfigurationError("noise scales must be >= 0")
-        if not (self.noise_theta > 0.0 and self.noise_dt > 0.0 and self.noise_theta * self.noise_dt < 2.0):
-            # each step scales the noise state by 1 - theta * dt, which must lie in (-1, 1) to stay bounded
-            raise ConfigurationError(f"noise_theta > 0, noise_dt > 0 and noise_theta * noise_dt < 2 required, "
-                                     f"got {self.noise_theta} and {self.noise_dt}")
+        _check_ou_rate(self.noise_theta, self.noise_dt)
 
     @classmethod
     def for_env(cls, env: InsertionEnvConfig, **overrides) -> "DdpgHyper":
@@ -255,8 +265,9 @@ class OrnsteinUhlenbeckNoise:
 
     def __init__(self, dim: int, scale, theta: float = 0.15, dt: float = 1.0):
         scale = np.broadcast_to(np.asarray(scale, dtype=np.float64), (dim,)).copy()
-        if np.any(scale < 0.0) or theta <= 0.0 or dt <= 0.0:
-            raise ConfigurationError("noise scale must be >= 0 and theta, dt > 0")
+        if np.any(scale < 0.0):
+            raise ConfigurationError("noise scale must be >= 0")
+        _check_ou_rate(theta, dt)
         self.dim = dim
         self.scale = scale
         self.theta = theta

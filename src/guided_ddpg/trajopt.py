@@ -11,6 +11,10 @@ real rollout improvements.
 Conventions: a horizon-``T`` problem has ``T+1`` states and ``T`` actions;
 dynamics are ``s' = F [s; u] + f + noise``; controllers are
 ``u = K s + k + N(0, C)``.
+
+scipy is imported on the first supervisor solve, not with the module: pure
+DDPG, evaluation and the command line never solve, and importing
+``scipy.linalg`` would double their start-up time and memory.
 """
 from __future__ import annotations
 
@@ -18,8 +22,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dpotrs
 
 from .envs import InsertionEnvConfig, Rollout, rollout
 from .exceptions import (
@@ -131,6 +133,21 @@ class QuadraticCost:
 # Model fitting
 
 
+def _solve_pos(gram: Array, rhs: Array, what: str) -> Array:
+    """``gram^-1 rhs`` for a symmetric positive definite ``gram`` (LAPACK posv).
+
+    Raises :class:`NumericalError` on non-finite input or a failed factorization.
+    """
+    _require_finite(what, gram, rhs)
+    # Deferred so that pure DDPG and evaluation never load scipy.
+    import scipy.linalg
+
+    try:
+        return scipy.linalg.solve(gram, rhs, assume_a="pos")
+    except scipy.linalg.LinAlgError as exc:
+        raise NumericalError(f"{what} failed") from exc
+
+
 def fit_dynamics(states: Array, actions: Array, reg: float = 1e-6) -> LinearDynamics:
     """Per-step ridge regression of next state on [state; action].
 
@@ -156,10 +173,7 @@ def fit_dynamics(states: Array, actions: Array, reg: float = 1e-6) -> LinearDyna
         X = np.concatenate([states[:, t, :], actions[:, t, :], np.ones((n_roll, 1))], axis=1)
         Y = states[:, t + 1, :]
         gram = X.T @ X + reg * np.eye(n + m + 1)
-        try:
-            beta = scipy.linalg.solve(gram, X.T @ Y, assume_a="pos")
-        except scipy.linalg.LinAlgError as exc:
-            raise NumericalError(f"dynamics fit failed at step {t}") from exc
+        beta = _solve_pos(gram, X.T @ Y, f"dynamics fit at step {t}")
         F[t] = beta[: n + m].T
         f[t] = beta[n + m]
         resid = Y - X @ beta
@@ -202,10 +216,7 @@ def linearize_policy(
         Sc = S - s_mean
         Uc = U - u_mean
         gram = Sc.T @ Sc + POLICY_FIT_REG * np.eye(n)
-        try:
-            K[t] = scipy.linalg.solve(gram, Sc.T @ Uc, assume_a="pos").T
-        except scipy.linalg.LinAlgError as exc:
-            raise NumericalError(f"policy linearization failed at step {t}") from exc
+        K[t] = _solve_pos(gram, Sc.T @ Uc, f"policy linearization at step {t}").T
         k[t] = u_mean - K[t] @ s_mean
     return LinearGaussianPolicy(K, k, C)
 
@@ -259,7 +270,10 @@ def kl_divergence(p: TrajectoryDistribution, other: LinearGaussianPolicy) -> flo
     w_l1, w_d, w_dK = w[:, :, :m], w[:, :, m], w[:, :, m + 1:]
     trace = np.einsum("tij,tij->t", w_l1, w_l1)
     quad = np.einsum("ti,ti->t", w_d, w_d) + np.einsum("tij,tjk,tik->t", w_dK, p.cov[:T], w_dK)
-    return float(0.5 * np.sum(_log_det(l2) - _log_det(l1) - m + trace + quad))
+    kl = 0.5 * np.sum(_log_det(l2) - _log_det(l1) - m + trace + quad)
+    # A KL divergence is never negative, but rounding makes a policy's KL
+    # against itself about -2e-15; np.maximum keeps a NaN a NaN.
+    return float(np.maximum(kl, 0.0))
 
 
 def lqg_backward(
@@ -280,6 +294,9 @@ def lqg_backward(
     """
     if eta <= 0.0:
         raise InputError(f"eta must be positive, got {eta}")
+    # Deferred so that pure DDPG and evaluation never load scipy.
+    from scipy.linalg.lapack import dpotrs
+
     T = dynamics.horizon
     n, m = cost.state_dim, cost.action_dim
     if cost.horizon != T or dynamics.F.shape[1] != n:

@@ -297,7 +297,26 @@ class TestNoise:
     @pytest.mark.parametrize("theta,dt", [(0.0, 1.0), (-0.1, 1.0), (0.15, 0.0), (0.15, -1.0), (3.0, 1.0),
                                           (1.0, 2.0), (-3.0, -1.0)])
     def test_hyper_rejects_diverging_or_degenerate_noise(self, theta, dt):
-        # the noise state is scaled by 1 - theta * dt each step
+        # the noise state is scaled by 1 - theta * dt each step; built without DdpgHyper,
+        # theta = 3 used to reach |x| = 1.8e17 after 60 samples
         with pytest.raises(ConfigurationError, match="noise_theta"):
             tiny_hyper(noise_theta=theta, noise_dt=dt)
+        with pytest.raises(ConfigurationError, match="noise_theta"):
+            OrnsteinUhlenbeckNoise(1, 1.0, theta=theta, dt=dt)
         assert tiny_hyper(noise_theta=1.99, noise_dt=1.0).noise_theta == 1.99
+        assert OrnsteinUhlenbeckNoise(1, 1.0, theta=1.99, dt=1.0).theta == 1.99
+
+
+class TestHyper:
+    @pytest.mark.parametrize("key", ["actor_lr", "critic_lr"])
+    @pytest.mark.parametrize("value", [0.0, -1e-3, float("inf"), float("nan")])
+    def test_rejects_bad_learning_rate(self, key, value):
+        with pytest.raises(ConfigurationError, match=key):
+            tiny_hyper(**{key: value})
+
+    @pytest.mark.parametrize("key", ["actor_hidden", "critic_hidden"])
+    @pytest.mark.parametrize("widths", [(0,), (8, 0), (-1, 8)])
+    def test_rejects_hidden_width_below_one(self, key, widths):
+        with pytest.raises(ConfigurationError, match=key):
+            tiny_hyper(**{key: widths})
+        assert getattr(tiny_hyper(**{key: (1,)}), key) == (1,)

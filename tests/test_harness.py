@@ -344,13 +344,22 @@ class TestCli:
         assert "spec error" in err and key in err and "Traceback" not in err
 
     @pytest.mark.parametrize("line", ["terminal_weight = -1", "success_threshold = 7", "eval_every = -1",
-                                      "noise_theta = 3", "kl_step = 0", "eta_init = -1"])
+                                      "noise_theta = 3", "kl_step = 0", "eta_init = -1", "actor_lr = 0",
+                                      "critic_lr = -1", "actor_hidden = 0", "critic_hidden = 8,0"])
     def test_out_of_range_setting_exit_code(self, tiny_spec_path, tmp_path, capsys, line):
         spec = spec_with_line(tiny_spec_path, line)
         assert cli_main(["train", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert line.split()[0] in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()  # rejected when the spec is parsed
+
+    def test_overflowing_dynamics_fit_exit_code(self, tiny_spec_path, tmp_path, capsys):
+        # a bound of 1e300 overflows the supervisor's dynamics fit, which degrades its epoch
+        spec = spec_with_line(tiny_spec_path, "action_bound = 1e300")
+        with np.errstate(all="ignore"):
+            code = cli_main(["train", "--spec", str(spec), "--out", str(tmp_path / "o")])
+        assert code in (0, 3)
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_missing_checkpoint_exit_code(self, tmp_path):
         code = cli_main(["eval", "--checkpoint", str(tmp_path / "nope.json")])

@@ -269,6 +269,14 @@ class TestFitDynamics:
                 se = np.sqrt(sigma2 * np.diag(xtx_inv))[: n + m]
                 assert np.all(np.abs(dyn.F[t][i] - truth[i]) <= 3.0 * se)
 
+    def test_overflowing_rollouts_raise_numerical_error(self):
+        # rollouts scaled to 1e300 overflow the Gram matrix to inf
+        rng = np.random.default_rng(3)
+        states = 1e300 * rng.normal(size=(5, 4, 3))
+        actions = 1e300 * rng.normal(size=(5, 3, 2))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError, match="dynamics fit at step 0"):
+            fit_dynamics(states, actions)
+
     def test_too_few_rollouts_rejected(self):
         with pytest.raises(InputError):
             fit_dynamics(np.zeros((1, 3, 2)), np.zeros((1, 2, 1)))
@@ -352,6 +360,23 @@ class TestKlDivergence:
                                  np.tile(0.01 * np.eye(n), (horizon, 1, 1)))
             traj = lqg_forward(dyn, p, np.zeros(n), 0.1 * np.eye(n))
             assert kl_divergence(traj, q) >= 0.0
+
+
+    def test_nonnegative_on_stage_problems(self):
+        # a policy against itself and an optimized policy against its prior, where
+        # rounding alone used to make the first about -2e-15
+        rng = np.random.default_rng(14)
+        for _ in range(30):
+            dynamics, cost, prior, _, mu0, S0 = random_stage_problem(rng)
+            assert kl_divergence(lqg_forward(dynamics, prior, mu0, S0), prior) >= 0.0
+            policy = lqg_backward(dynamics, cost, prior, 10.0 ** rng.uniform(-2, 16))
+            assert kl_divergence(lqg_forward(dynamics, policy, mu0, S0), prior) >= 0.0
+
+    def test_nan_state_covariance_stays_nan(self):
+        # update_trajectory counts a non-finite KL as infinite, so the clamp at zero must keep a NaN
+        pol = constant_policy(3, 2, 2, K=np.ones((2, 2)), cov=np.eye(2))
+        traj = TrajectoryDistribution(np.zeros((4, 2)), np.full((4, 2, 2), np.nan), pol)
+        assert np.isnan(kl_divergence(traj, constant_policy(3, 2, 2, cov=np.eye(2))))
 
 
 class TestLqgBackward:
@@ -458,6 +483,10 @@ class TestDualUpdates:
         dual = DualState(eta=1.0, epsilon=1.0)
         assert update_eta(dual, 2.0).eta > 1.0
 
+    def test_negative_kl_rejected(self):
+        with pytest.raises(InputError, match="achieved_kl"):
+            update_eta(DualState(eta=1.0, epsilon=1.0), -1e-3)
+
     def test_eta_clamped_at_min(self):
         dual = DualState(eta=trajopt.ETA_MIN, epsilon=1.0)
         assert update_eta(dual, 0.1).eta == trajopt.ETA_MIN
@@ -558,6 +587,16 @@ class TestUpdateTrajectory:
             update_trajectory(dynamics, prior, DualState(eta=1.0, epsilon=1e-2), quad, mu0, S0, max_dual_iterations=50)
         assert len(etas) == 17
         assert etas == [10.0**i for i in range(17)] and etas[-1] == trajopt.ETA_MAX
+
+    def test_search_started_at_large_eta_keeps_a_nonnegative_kl(self):
+        # near eta = 1e12-1e16 the optimized policy is the prior up to rounding, whose KL
+        # used to read about -2e-15 and make update_eta raise InputError
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            dynamics, cost, prior, _, mu0, S0 = random_stage_problem(rng)
+            for eta in (1e12, 1e16):
+                result = update_trajectory(dynamics, prior, DualState(eta=eta, epsilon=1.0), cost, mu0, S0)
+                assert 0.0 <= result.achieved_kl <= 1.0 + trajopt.KL_RTOL
 
     def test_returned_covariances_positive_definite(self):
         dynamics, prior, quad, mu0, S0 = fitted_insertion_problem(seed=2)
