@@ -7,7 +7,7 @@ exactly to standard DDPG.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .nets import (
     adam_step,
     mlp_backward,
     mlp_forward,
-    mlp_forward_cached,
     mlp_init,
     soft_update,
 )
@@ -52,8 +51,9 @@ class DdpgHyper:
     noise_scale: tuple[float, float] = (1.0, 1.0)
     noise_theta: float = 0.15
     noise_dt: float = 1.0
-    action_bound: float = 5.0
-    obs_scale: tuple[float, ...] = (50.0, 50.0, 2.0, 2.0, 0.1, 0.1)
+    # no defaults: for_env derives the scaling from the task, and a checkpoint stores it
+    action_bound: float = field(kw_only=True)
+    obs_scale: tuple[float, ...] = field(kw_only=True)
 
     def __post_init__(self):
         if not (0.0 <= self.discount < 1.0):
@@ -117,15 +117,14 @@ def _scaled_obs(hyper: DdpgHyper, states: Array) -> Array:
 
 
 def policy_action(actor: MlpParams, hyper: DdpgHyper, states: Array) -> Array:
-    """Deterministic policy output in action units (tanh-squashed to the bound)."""
-    return hyper.action_bound * mlp_forward(actor, _scaled_obs(hyper, states))
+    """Deterministic ``(N, 2)`` actions for ``(N, 6)`` state rows, tanh-squashed to the bound."""
+    return hyper.action_bound * mlp_forward(actor, _scaled_obs(hyper, states))[0]
 
 
 def critic_value(critic: MlpParams, hyper: DdpgHyper, states: Array, actions: Array) -> Array:
-    """Q estimate; returns a scalar per row (squeezed last axis)."""
-    states = np.asarray(states)
-    x = np.concatenate([_scaled_obs(hyper, states), np.asarray(actions) / hyper.action_bound], axis=-1)
-    return mlp_forward(critic, x)[..., 0]
+    """Q estimates, one per row of the ``(N, 6)`` states and ``(N, 2)`` actions."""
+    x = np.concatenate([_scaled_obs(hyper, states), np.asarray(actions) / hyper.action_bound], axis=1)
+    return mlp_forward(critic, x)[0][:, 0]
 
 
 def critic_target(batch: TransitionBatch, nets: AgentNets, hyper: DdpgHyper) -> Array:
@@ -151,7 +150,7 @@ def critic_loss_grads(
     """
     y = critic_target(batch, nets, hyper)
     x = np.concatenate([_scaled_obs(hyper, batch.states), batch.actions / hyper.action_bound], axis=1)
-    q, cache = mlp_forward_cached(nets.critic, x)
+    q, cache = mlp_forward(nets.critic, x)
     err = q[:, 0] - y
     n = batch.states.shape[0]
     loss = float(np.mean(err**2))
@@ -159,7 +158,7 @@ def critic_loss_grads(
 
     if sup_batch is not None and supervision_weight > 0.0:
         xs = np.concatenate([_scaled_obs(hyper, sup_batch.states), sup_batch.actions / hyper.action_bound], axis=1)
-        qs, cache_s = mlp_forward_cached(nets.critic, xs)
+        qs, cache_s = mlp_forward(nets.critic, xs)
         err_s = qs[:, 0] - sup_batch.q_values
         ns = sup_batch.states.shape[0]
         loss += supervision_weight * float(np.mean(err_s**2))
@@ -199,12 +198,12 @@ def actor_objective_grads(
     only; critic parameters stay fixed.
     """
     xs = _scaled_obs(hyper, batch.states)
-    out, actor_cache = mlp_forward_cached(nets.actor, xs)  # in [-1, 1]; action = bound * out
+    out, actor_cache = mlp_forward(nets.actor, xs)  # in [-1, 1]; action = bound * out
     n = batch.states.shape[0]
 
     # dQ/d(action input) of the target critic at (s, actor(s)).
     critic_in = np.concatenate([xs, out], axis=1)
-    q, critic_cache = mlp_forward_cached(nets.target_critic, critic_in)
+    q, critic_cache = mlp_forward(nets.target_critic, critic_in)
     _, input_grad = mlp_backward(nets.target_critic, critic_in, np.ones((n, 1)), critic_cache, wrt_params=False)
     dq_dout = input_grad[:, xs.shape[1] :]
 
@@ -213,7 +212,7 @@ def actor_objective_grads(
 
     if sup_batch is not None and supervision_weight > 0.0:
         xs_s = _scaled_obs(hyper, sup_batch.states)
-        out_s, sup_cache = mlp_forward_cached(nets.actor, xs_s)
+        out_s, sup_cache = mlp_forward(nets.actor, xs_s)
         diff = hyper.action_bound * out_s - sup_batch.actions
         ns = sup_batch.states.shape[0]
         objective += supervision_weight * float(np.mean(np.sum(diff**2, axis=1)))
@@ -263,7 +262,7 @@ class OrnsteinUhlenbeckNoise:
     yields the zero vector forever.
     """
 
-    def __init__(self, dim: int, scale, theta: float = 0.15, dt: float = 1.0):
+    def __init__(self, dim: int, scale, theta: float, dt: float):
         scale = np.broadcast_to(np.asarray(scale, dtype=np.float64), (dim,)).copy()
         if np.any(scale < 0.0):
             raise ConfigurationError("noise scale must be >= 0")

@@ -256,13 +256,12 @@ class Rollout:
         return float(self.rewards.sum())
 
 
-def rollout(config: InsertionEnvConfig, controller, rng, stop_on_success: bool = True) -> Rollout:
-    """Run one episode under ``controller(t, state_vec) -> action``.
+def rollout(config: InsertionEnvConfig, controller, rng) -> Rollout:
+    """Run one episode of exactly ``config.horizon`` steps under ``controller(t, state_vec) -> action``.
 
     The episode is one :func:`env_step` row; ``actions`` holds the clipped
-    (executed) actions. With ``stop_on_success=False`` the episode always
-    runs the full horizon (used when fixed-length trajectories are required);
-    the ``dones`` flags still mark success states and the final step.
+    (executed) actions. It always runs the full horizon, so rollouts have
+    equal length; the ``dones`` flags mark success states and the final step.
     """
     states = env_reset(config, rng, 1)
     trace, actions, rewards, dones = [states[0]], [], [], []
@@ -277,8 +276,6 @@ def rollout(config: InsertionEnvConfig, controller, rng, stop_on_success: bool =
         rewards.append(reward[0])
         dones.append(done)
         trace.append(states[0])
-        if done and stop_on_success:
-            break
     return Rollout(
         states=np.asarray(trace),
         actions=np.asarray(actions),

@@ -83,7 +83,7 @@ class TrainConfig:
     """Everything one training run depends on."""
 
     env: InsertionEnvConfig = field(default_factory=InsertionEnvConfig)
-    hyper: Optional[DdpgHyper] = None  # derived from env when omitted
+    hyper: DdpgHyper = field(kw_only=True)  # usually DdpgHyper.for_env(env)
     supervisor: SupervisorConfig = field(default_factory=SupervisorConfig)
     epochs: int = 100
     n_ddpg: int = 21
@@ -114,8 +114,9 @@ class TrainConfig:
             raise ConfigurationError(f"kl_step and eta_init must be > 0, got {self.kl_step} and {self.eta_init}")
         if self.eval_every > 0 and self.eval_episodes < 1:
             raise ConfigurationError(f"eval_episodes must be >= 1 when eval_every > 0, got {self.eval_episodes}")
-        if self.hyper is None:
-            object.__setattr__(self, "hyper", DdpgHyper.for_env(self.env))
+        if self.hyper.action_bound != self.env.action_bound:
+            raise ConfigurationError(f"hyper.action_bound {self.hyper.action_bound} differs from "
+                                     f"env.action_bound {self.env.action_bound}")
 
 
 @dataclass
@@ -217,22 +218,25 @@ def evaluate_policy(actor, hyper: DdpgHyper, env: InsertionEnvConfig, n_episodes
     iteration: one ``policy_action`` on the states of the episodes still
     running, then one :func:`env_step` on those rows. An episode leaves the
     active set when it succeeds or reaches the horizon. The resets are the
-    draws that running the episodes one after another with ``rollout(...,
-    stop_on_success=True)`` would make, each row steps as it would alone, and
-    each return is summed as that loop sums it. The one difference is the
-    batched policy forward pass, whose actions can differ from single-row
-    passes in the last bits; the stiff contact can grow that over an episode.
-    Success rate and mean steps equal the per-episode loop's unless a state
-    lands within those bits of the success boundary, and mean return agrees
-    to a few parts in 1e12 on the inputs tried.
+    draws that running the episodes one after another (the per-episode
+    oracle in ``tests/test_guided.py``) would make, each row steps as it
+    would alone, and each return is summed as that loop sums it. The one
+    difference is the batched policy forward pass, whose actions can differ
+    from single-row passes in the last bits; the stiff contact can grow that
+    over an episode. Success rate and mean steps equal the per-episode
+    loop's unless a state lands within those bits of the success boundary,
+    and mean return agrees to a few parts in 1e12 on the inputs tried.
     """
     if n_episodes < 1:
         raise InputError(f"n_episodes must be >= 1, got {n_episodes}")
-    states = env_reset(env, seed, n_episodes)
-    active = np.arange(n_episodes)
-    rewards = np.zeros((n_episodes, env.horizon))
-    steps = np.full(n_episodes, env.horizon)
-    succeeded = np.zeros(n_episodes, dtype=bool)
+    try:
+        states = env_reset(env, seed, n_episodes)
+        active = np.arange(n_episodes)
+        rewards = np.zeros((n_episodes, env.horizon))
+        steps = np.full(n_episodes, env.horizon)
+        succeeded = np.zeros(n_episodes, dtype=bool)
+    except MemoryError as exc:
+        raise InputError(f"{n_episodes} evaluation episodes do not fit in memory") from exc
     for t in range(env.horizon):
         states, step_rewards, done = env_step(env, states, policy_action(actor, hyper, states))
         rewards[active, t] = step_rewards
@@ -293,7 +297,7 @@ def ddpg_block(
         episode_success = False
         steps = 0
         for t in range(env.horizon):
-            action = policy_action(nets.actor, hyper, state[0])
+            action = policy_action(nets.actor, hyper, state)[0]
             action = np.clip(action + noise.sample(streams.noise), -env.action_bound, env.action_bound)
             next_state, rewards, successes = env_step(env, state, action[None])
             reward, success = float(rewards[0]), bool(successes[0])

@@ -20,7 +20,7 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .ddpg import DdpgHyper
-from .envs import InsertionEnvConfig
+from .envs import ACTION_DIM, STATE_DIM, InsertionEnvConfig
 from .exceptions import SpecError
 from .guided import TrainConfig, TrainingLog, evaluate_policy, train
 from .nets import MlpParams, mlp_from_dict, mlp_to_dict
@@ -218,13 +218,16 @@ def load_agent_checkpoint(path) -> tuple[MlpParams, DdpgHyper]:
     if missing:
         raise SpecError(f"checkpoint {path} lacks {missing}")
     actor = mlp_from_dict(payload["actor"])
+    if actor.input_dim != STATE_DIM or actor.output_dim != ACTION_DIM:
+        raise SpecError(f"checkpoint {path}: actor layer sizes {list(actor.layer_sizes)} do not map "
+                        f"{STATE_DIM} state entries to {ACTION_DIM} action entries")
     try:
         hyper = DdpgHyper(action_bound=float(payload["action_bound"]),
                           obs_scale=tuple(float(s) for s in payload["obs_scale"]))
     except (TypeError, ValueError) as exc:
         raise SpecError(f"checkpoint {path}: bad action_bound or obs_scale: {exc}") from exc
-    if len(hyper.obs_scale) != actor.input_dim or not hyper.action_bound > 0.0:
-        raise SpecError(f"checkpoint {path}: obs_scale needs {actor.input_dim} entries and action_bound must be > 0")
+    if len(hyper.obs_scale) != STATE_DIM or not hyper.action_bound > 0.0:
+        raise SpecError(f"checkpoint {path}: obs_scale needs {STATE_DIM} entries and action_bound must be > 0")
     return actor, hyper
 
 

@@ -7,6 +7,8 @@ Gradients and both Adam moments are vectors in the same layout, so an Adam
 step, a soft update and a finiteness check are each one vector operation.
 
 Hidden layers are always tanh; the output layer is identity or tanh.
+Inputs are ``(N, input_dim)`` rows, one sample per row; outputs keep one row
+per input row.
 Everything is float64 and functional: operations return new vectors and never
 mutate their arguments, so snapshots can be shared freely between the learner
 and evaluation code.
@@ -121,72 +123,54 @@ def mlp_init(
     return MlpParams(sizes, vector, output_activation)
 
 
-def _as_batch(params: MlpParams, x: Array) -> tuple[Array, bool]:
+def _rows(params: MlpParams, x: Array) -> Array:
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != params.input_dim:
-        raise ShapeError(f"input shape {np.shape(x)} incompatible with input_dim {params.input_dim}")
-    return x, single
+        raise ShapeError(f"input shape {np.shape(x)} is not (N, {params.input_dim}) rows")
+    return x
 
 
-def _forward_cached(params: MlpParams, x: Array) -> list[Array]:
-    """Return the list of layer activations, ``[input, h1, ..., output]``."""
-    acts = [x]
-    h = x
+def mlp_forward(params: MlpParams, x: Array) -> tuple[Array, list[Array]]:
+    """Evaluate the network on ``(N, input_dim)`` rows.
+
+    Returns ``(output, activations)``: the ``(N, output_dim)`` output and the
+    layer activations ``[input, h1, ..., output]`` that :func:`mlp_backward`
+    differentiates through.
+    """
+    h = _rows(params, x)
+    acts = [h]
     last = params.n_layers - 1
     for t, (w, b) in enumerate(zip(params.weights, params.biases)):
         z = h @ w.T + b
         h = np.tanh(z) if t < last or params.output_activation == "tanh" else z
         acts.append(h)
-    return acts
-
-
-def mlp_forward(params: MlpParams, x: Array) -> Array:
-    """Evaluate the network on a vector or a batch of row vectors."""
-    xb, single = _as_batch(params, x)
-    out = _forward_cached(params, xb)[-1]
-    return out[0] if single else out
-
-
-def mlp_forward_cached(params: MlpParams, x: Array) -> tuple[Array, list[Array]]:
-    """Batched forward pass that also returns the layer activations.
-
-    The cache can be handed to :func:`mlp_backward` to skip its internal
-    forward pass when the same (params, input) pair is differentiated.
-    """
-    xb, _ = _as_batch(params, x)
-    acts = _forward_cached(params, xb)
-    return acts[-1], acts
+    return h, acts
 
 
 def mlp_backward(
     params: MlpParams,
     x: Array,
     output_gradient: Array,
-    activations: list[Array] | None = None,
+    activations: list[Array],
     *,
     wrt_params: bool = True,
     wrt_input: bool = True,
 ) -> tuple[Array | None, Array | None]:
     """Backpropagate ``output_gradient`` through the network.
 
+    ``x`` holds ``(N, input_dim)`` rows, ``output_gradient`` one output row
+    each, and ``activations`` what :func:`mlp_forward` returned for them.
     Returns ``(param_grad, input_grad)``: gradients of a scalar loss whose
     gradient at the network output is ``output_gradient``, with respect to the
-    parameter vector and to the input. For batched inputs the parameter
-    gradient is summed over rows; the input gradient keeps one row per sample.
+    parameter vector (summed over rows) and to the input (one row per row).
     A gradient the caller does not ask for (``wrt_params`` / ``wrt_input``
     false) is not computed and comes back as ``None``.
     """
-    xb, single = _as_batch(params, x)
+    xb = _rows(params, x)
     g = np.asarray(output_gradient, dtype=np.float64)
-    if single:
-        g = g[None, :]
     if g.shape != (xb.shape[0], params.output_dim):
         raise ShapeError(f"output_gradient shape {np.shape(output_gradient)} does not match output dim {params.output_dim}")
 
-    acts = _forward_cached(params, xb) if activations is None else activations
     param_grad = None
     if wrt_params:
         param_grad = np.empty(params.vector.size)
@@ -195,17 +179,16 @@ def mlp_backward(
 
     delta = g
     for t in range(last, -1, -1):
-        a_out = acts[t + 1]
+        a_out = activations[t + 1]
         if t < last or params.output_activation == "tanh":
             delta = delta * (1.0 - a_out * a_out)
         if wrt_params:
-            np.matmul(delta.T, acts[t], out=d_weights[t])
+            np.matmul(delta.T, activations[t], out=d_weights[t])
             delta.sum(axis=0, out=d_biases[t])
         if t > 0 or wrt_input:
             delta = delta @ params.weights[t]
 
-    input_grad = (delta[0] if single else delta) if wrt_input else None
-    return param_grad, input_grad
+    return param_grad, delta if wrt_input else None
 
 
 def adam_init(params: MlpParams, learning_rate: float) -> AdamState:

@@ -56,15 +56,13 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return min(self.total_pushed, self.capacity)
 
-    def push(self, item) -> "ReplayBuffer":
+    def push(self, item) -> None:
         self._rows[self.total_pushed % self.capacity] = self._packer(item)
         self.total_pushed += 1
-        return self
 
-    def extend(self, items: Iterable) -> "ReplayBuffer":
+    def extend(self, items: Iterable) -> None:
         for item in items:
             self.push(item)
-        return self
 
     def sample_rows(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``n`` stored rows uniformly with replacement, as an ``(n, row_width)`` copy."""

@@ -102,8 +102,8 @@ class TrajectoryDistribution:
 class DualState:
     """Dual variable and trust region of the KL-constrained optimization."""
 
-    eta: float = 1.0
-    epsilon: float = 100.0
+    eta: float
+    epsilon: float
 
     def __post_init__(self):
         if self.eta <= 0.0 or self.epsilon <= 0.0:
@@ -148,7 +148,7 @@ def _solve_pos(gram: Array, rhs: Array, what: str) -> Array:
         raise NumericalError(f"{what} failed") from exc
 
 
-def fit_dynamics(states: Array, actions: Array, reg: float = 1e-6) -> LinearDynamics:
+def fit_dynamics(states: Array, actions: Array, reg: float) -> LinearDynamics:
     """Per-step ridge regression of next state on [state; action].
 
     ``states`` has shape (N, T+1, n) and ``actions`` (N, T, m) over N
@@ -472,7 +472,7 @@ def update_trajectory(
     cost: QuadraticCost,
     init_mean: Array,
     init_cov: Array,
-    max_dual_iterations: int = 20,
+    max_dual_iterations: int,
 ) -> TrajOptResult:
     """Solve the KL-constrained problem by adapting the dual variable.
 
@@ -559,7 +559,7 @@ class SmoothedInsertionCost:
     optionally reweighted.
     """
 
-    def __init__(self, env: InsertionEnvConfig, smoothing: float = 1e-4, terminal_weight: float = 1.0):
+    def __init__(self, env: InsertionEnvConfig, smoothing: float, terminal_weight: float):
         self.target = env.target
         self.action_weight = env.action_cost_weight
         self.smoothing = smoothing
@@ -731,7 +731,7 @@ def run_supervisor(
                 controller = _gaussian_controller(policy_fn, chol_explore, rng)
             else:
                 controller = _linear_gaussian_controller(current, rng)
-            batch = [rollout(env, controller, rng, stop_on_success=False) for _ in range(cfg.samples_per_subiter)]
+            batch = [rollout(env, controller, rng) for _ in range(cfg.samples_per_subiter)]
             sample_rollouts.extend(batch)
 
             states = np.stack([r.states for r in batch])
@@ -772,7 +772,7 @@ def run_supervisor(
     except (NumericalError, TrustRegionError) as exc:
         raise SupervisorError(f"trajectory optimization failed: {exc}") from exc
 
-    final = rollout(env, _linear_gaussian_controller(current, rng), rng, stop_on_success=False)
+    final = rollout(env, _linear_gaussian_controller(current, rng), rng)
     values = cost_to_go(final.rewards, discount)
     supervision = [SupervisionSample(final.states[t], final.actions[t], float(values[t])) for t in range(final.steps)]
     return SupervisorResult(supervision, sample_rollouts, final, diagnostics), dual

@@ -3,15 +3,20 @@
 The traced benchmark replaces package attributes by name at run time, and it
 measures replay memory by pushing item objects through the buffer factories.
 Its own smoke tests are slow, so this checks here that every boundary it wraps
-still exists and is callable, and that replay stays within its memory budget.
+still exists and is callable, that replay stays within its memory budget, and
+that a tiny training run passes the benchmark's own checks of its schedule,
+buffer counts, supervisor steps and determinism.
 """
 import sys
 from pathlib import Path
+
+import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from perfbench.run import replay_bytes  # noqa: E402
 from perfbench.spans import wrap_targets  # noqa: E402
+from perfbench.workloads import SIZES, train_config, train_once  # noqa: E402
 
 
 def test_every_wrap_target_resolves_to_a_callable():
@@ -26,3 +31,16 @@ def test_replay_holds_only_packed_rows():
     per_transition, per_sample = replay_bytes()
     assert per_transition <= 200.0
     assert per_sample <= 100.0
+
+
+@pytest.mark.parametrize("workload", ["guided_train", "pure_train"])
+def test_tiny_training_workload_passes_its_checks_and_repeats(workload, tmp_path):
+    config = train_config(workload, 3, SIZES["tiny"])
+    outcomes = []
+    for run in ("a", "b"):
+        (tmp_path / run).mkdir()
+        outcomes.append(train_once(config, tmp_path / run))
+    for outcome in outcomes:
+        assert outcome.problems == []
+        assert outcome.failed == 0
+    assert outcomes[0].checksums == outcomes[1].checksums

@@ -254,16 +254,16 @@ class TestSupervisionWeight:
 
 class TestNoise:
     def test_zero_scale_is_zero_forever(self):
-        noise = OrnsteinUhlenbeckNoise(2, 0.0)
+        noise = OrnsteinUhlenbeckNoise(2, 0.0, 0.15, 1.0)
         rng = np.random.default_rng(0)
         for _ in range(10):
             assert np.all(noise.sample(rng) == 0.0)
 
     def test_fixed_seed_repeats_sequence(self):
-        a = OrnsteinUhlenbeckNoise(2, 0.5)
-        b = OrnsteinUhlenbeckNoise(2, 0.5)
+        a = OrnsteinUhlenbeckNoise(2, 0.5, 0.15, 1.0)
+        b = OrnsteinUhlenbeckNoise(2, 0.5, 0.15, 1.0)
         seq_a = [a.sample(np.random.default_rng(42)) for _ in range(1)]
-        a2 = OrnsteinUhlenbeckNoise(2, 0.5)
+        a2 = OrnsteinUhlenbeckNoise(2, 0.5, 0.15, 1.0)
         rng1, rng2 = np.random.default_rng(5), np.random.default_rng(5)
         seq1 = np.array([a2.sample(rng1) for _ in range(50)])
         seq2 = np.array([b.sample(rng2) for _ in range(50)])
@@ -271,7 +271,7 @@ class TestNoise:
 
     def test_empirical_mean_near_zero(self):
         # CLT bound: |mean| < 3 * stationary std / sqrt(n)
-        noise = OrnsteinUhlenbeckNoise(1, 1.0, theta=0.15)
+        noise = OrnsteinUhlenbeckNoise(1, 1.0, theta=0.15, dt=1.0)
         rng = np.random.default_rng(17)
         n = 100_000
         samples = np.array([noise.sample(rng)[0] for _ in range(n)])
@@ -282,7 +282,7 @@ class TestNoise:
         assert abs(samples.mean()) < 3 * sigma / np.sqrt(n) * np.sqrt(2 / noise.theta)
 
     def test_reset_restarts_from_zero(self):
-        noise = OrnsteinUhlenbeckNoise(2, 1.0)
+        noise = OrnsteinUhlenbeckNoise(2, 1.0, 0.15, 1.0)
         rng = np.random.default_rng(3)
         first = noise.sample(rng)
         noise.reset()
@@ -292,7 +292,7 @@ class TestNoise:
 
     def test_negative_scale_rejected(self):
         with pytest.raises(ConfigurationError):
-            OrnsteinUhlenbeckNoise(2, -1.0)
+            OrnsteinUhlenbeckNoise(2, -1.0, 0.15, 1.0)
 
     @pytest.mark.parametrize("theta,dt", [(0.0, 1.0), (-0.1, 1.0), (0.15, 0.0), (0.15, -1.0), (3.0, 1.0),
                                           (1.0, 2.0), (-3.0, -1.0)])
@@ -320,3 +320,10 @@ class TestHyper:
         with pytest.raises(ConfigurationError, match=key):
             tiny_hyper(**{key: widths})
         assert getattr(tiny_hyper(**{key: (1,)}), key) == (1,)
+
+    def test_scaling_has_no_default(self):
+        # DdpgHyper.for_env derives the scaling from the task; a literal default disagreed with it
+        with pytest.raises(TypeError, match="action_bound"):
+            DdpgHyper()
+        with pytest.raises(TypeError, match="obs_scale"):
+            DdpgHyper(action_bound=5.0)

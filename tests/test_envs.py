@@ -246,15 +246,14 @@ class TestSuccess:
 
 class TestRollout:
     def test_full_horizon_when_not_stopping(self, config):
-        roll = rollout(config, lambda t, s: np.array([100.0, -100.0]), 1, stop_on_success=False)
+        roll = rollout(config, lambda t, s: np.array([100.0, -100.0]), 1)
         assert roll.steps == config.horizon
         assert roll.states.shape == (config.horizon + 1, 6)
         assert roll.dones[-1]
         # the stored actions are the executed ones, clipped to the bound
         assert np.array_equal(roll.actions, np.tile([config.action_bound, -config.action_bound], (config.horizon, 1)))
 
-    @pytest.mark.parametrize("stop_on_success", [True, False])
-    def test_success_matches_per_state_oracle(self, config, stop_on_success):
+    def test_success_matches_per_state_oracle(self, config):
         def controller(gain, leave_after):
             # drive toward the slot floor, then pull out at full force
             def act(t, s):
@@ -266,14 +265,14 @@ class TestRollout:
         outcomes = set()
         for gain, leave_after in [(0.0, 100), (50.0, 100), (50.0, 40), (200.0, 100), (200.0, 40)]:
             for seed in range(3):
-                roll = rollout(config, controller(gain, leave_after), seed, stop_on_success=stop_on_success)
+                roll = rollout(config, controller(gain, leave_after), seed)
+                assert roll.steps == config.horizon
                 oracle = bool(successes(roll.states[1:, 0:2], config).any())
                 assert roll.success == oracle
                 assert roll.dones[:-1].tolist() == successes(roll.states[1:-1, 0:2], config).tolist()
                 outcomes.add((oracle, bool(successes(roll.states[-1, 0:2], config))))
-        assert {(True, True), (False, False)} <= outcomes
-        if not stop_on_success:
-            assert (True, False) in outcomes  # inserted, then pulled out before the horizon
+        # inserted and still in; inserted, then pulled out before the horizon; never inserted
+        assert {(True, True), (True, False), (False, False)} <= outcomes
 
 
 class TestConfigFile:

@@ -12,7 +12,7 @@ from guided_ddpg.ddpg import (
     supervision_weight,
     target_update,
 )
-from guided_ddpg.envs import InsertionEnvConfig, Transition, env_reset, env_step, rollout
+from guided_ddpg.envs import InsertionEnvConfig, Transition, env_reset, env_step, rollout, successes
 from guided_ddpg.exceptions import ConfigurationError, InputError, SupervisorError
 from guided_ddpg.guided import EvalMetrics, TrainConfig, evaluate_policy, rng_streams, train
 from guided_ddpg.replay import transition_batch_from_rows, transition_buffer
@@ -129,7 +129,7 @@ class TestPureDdpgReduction:
                 noise.reset()
                 state = env_reset(env, streams.env, 1)[0]
                 for t in range(env.horizon):
-                    action = policy_action(nets.actor, hyper, state)
+                    action = policy_action(nets.actor, hyper, state[None])[0]
                     action = np.clip(action + noise.sample(streams.noise),
                                      -env.action_bound, env.action_bound)
                     next_states, rewards, successes = env_step(env, state[None], action[None])
@@ -212,6 +212,15 @@ class TestEvaluation:
         with pytest.raises(ConfigurationError, match=next(iter(overrides))):
             tiny_config(**overrides)
 
+    def test_hyper_must_be_given_and_share_the_action_bound(self):
+        with pytest.raises(TypeError, match="hyper"):
+            TrainConfig()
+        # an actor scaled to 5 N would be clipped to 2 N by the environment and misread by the critic
+        with pytest.raises(ConfigurationError, match="action_bound"):
+            TrainConfig(env=InsertionEnvConfig(action_bound=2.0), hyper=DdpgHyper.for_env(InsertionEnvConfig()))
+        env = InsertionEnvConfig(action_bound=2.0)
+        assert TrainConfig(env=env, hyper=DdpgHyper.for_env(env)).hyper.action_bound == 2.0
+
     def test_stop_at_threshold_halts(self):
         # an always-evaluating config with an impossible-to-miss threshold of 0
         config = tiny_config(epochs=3, n_ddpg=5, n_trajopt=0, eval_every=1,
@@ -220,16 +229,26 @@ class TestEvaluation:
         assert len(log.episodes_by_phase("ddpg")) == 1
 
 
+def per_episode_results(actor, hyper, env, n_episodes, seed) -> list:
+    """``(success, return, steps)`` of each episode, run one after another.
+
+    Each full-horizon rollout is cut at its first ``done``: a success or the
+    horizon. The policy draws nothing from ``rng``, so the steps after the cut
+    leave later resets unchanged. Success is read from the position at the cut.
+    """
+    rng = np.random.default_rng(seed)
+    results = []
+    for _ in range(n_episodes):
+        roll = rollout(env, lambda t, s: policy_action(actor, hyper, s[None])[0], rng)
+        steps = int(np.argmax(roll.dones)) + 1
+        results.append((bool(successes(roll.states[steps, 0:2], env)), float(roll.rewards[:steps].sum()), steps))
+    return results
+
+
 def per_episode_evaluate_policy(actor, hyper, env, n_episodes, seed) -> EvalMetrics:
     """The per-episode loop ``evaluate_policy`` ran before lockstep; the oracle below."""
-    rng = np.random.default_rng(seed)
-    successes, returns, steps = [], [], []
-    for _ in range(n_episodes):
-        roll = rollout(env, lambda t, s: policy_action(actor, hyper, s), rng, stop_on_success=True)
-        successes.append(roll.success)
-        returns.append(roll.episode_return)
-        steps.append(roll.steps)
-    return EvalMetrics(float(np.mean(successes)), float(np.mean(returns)), float(np.mean(steps)))
+    succeeded, returns, steps = zip(*per_episode_results(actor, hyper, env, n_episodes, seed))
+    return EvalMetrics(float(np.mean(succeeded)), float(np.mean(returns)), float(np.mean(steps)))
 
 
 def constant_push_actor(hyper, push):
@@ -282,8 +301,7 @@ class TestLockstepMatchesPerEpisodeLoop:
         env = ORACLE_ENVS[2]
         hyper = DdpgHyper.for_env(env, actor_hidden=(8,))
         actor = constant_push_actor(hyper, (0.4, -2.0))
-        rng = np.random.default_rng(3)
-        steps = [rollout(env, lambda t, s: policy_action(actor, hyper, s), rng).steps for _ in range(12)]
+        steps = [steps for _, _, steps in per_episode_results(actor, hyper, env, 12, 3)]
         assert len(set(steps)) >= 3 and env.horizon in steps  # several exits, and some never succeed
         metrics = self.assert_same_metrics(actor, hyper, env, 12, 3)
         assert 0.0 < metrics.success_rate < 1.0

@@ -21,6 +21,7 @@ from guided_ddpg.harness import (
 from guided_ddpg.ddpg import DdpgHyper, make_agent, policy_action
 from guided_ddpg.envs import InsertionEnvConfig
 from guided_ddpg.guided import TrainConfig, evaluate_policy
+from guided_ddpg.nets import mlp_init, mlp_to_dict
 from guided_ddpg.trajopt import SupervisorConfig
 
 TINY_SPEC = """
@@ -111,7 +112,8 @@ class TestConfigReader:
 
     def test_every_key_parses_back_to_its_default(self, tmp_path):
         # max_rollouts defaults to None, which no value spells, so it is written as 500
-        spec = ExperimentSpec(algorithm="pure_ddpg", train=TrainConfig(max_rollouts=500), seeds=(3,))
+        hyper = DdpgHyper.for_env(InsertionEnvConfig())
+        spec = ExperimentSpec(algorithm="pure_ddpg", train=TrainConfig(hyper=hyper, max_rollouts=500), seeds=(3,))
         owners = {ExperimentSpec: spec, TrainConfig: spec.train, InsertionEnvConfig: spec.train.env,
                   DdpgHyper: spec.train.hyper, SupervisorConfig: spec.train.supervisor}
         lines = []
@@ -399,6 +401,30 @@ class TestCli:
             assert self._eval_exit_code(tmp_path, json.dumps(payload)) == 2
             err = capsys.readouterr().err
             assert activation in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("sizes", [[3, 4, 2], [6, 4, 3]], ids=["3-4-2", "6-4-3"])
+    def test_checkpoint_actor_of_wrong_shape_exit_code(self, tmp_path, capsys, sizes):
+        # an actor must map the 6 state entries to the 2 action entries; [3, 4, 2] with three
+        # obs_scale entries used to load and fail on broadcasting, [6, 4, 3] inside env_step
+        payload = self._checkpoint_payload(tmp_path)
+        payload["actor"] = mlp_to_dict(mlp_init(sizes, "tanh", seed=0))
+        payload["obs_scale"] = payload["obs_scale"][: sizes[0]]
+        assert self._eval_exit_code(tmp_path, json.dumps(payload)) == 2
+        err = capsys.readouterr().err
+        assert str(sizes) in err and "Traceback" not in err
+
+    def test_unallocatable_evaluation_exit_code(self, tiny_spec_path, tmp_path, capsys):
+        # 10**15 episodes need more than a 47-bit address space, so the allocation fails at once
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text(json.dumps(self._checkpoint_payload(tmp_path)))
+        assert cli_main(["eval", "--checkpoint", str(ckpt), "--episodes", str(10**15)]) == 2
+        err = capsys.readouterr().err
+        assert "do not fit in memory" in err and "Traceback" not in err
+        spec = spec_with_line(tiny_spec_path, f"eval_episodes = {10**15}")
+        assert cli_main(["sweep", "--checkpoint", str(ckpt), "--spec", str(spec),
+                         "--out", str(tmp_path / "sweep")]) == 2
+        err = capsys.readouterr().err
+        assert "do not fit in memory" in err and "Traceback" not in err
 
     def test_negative_seed_exit_code(self, tiny_spec_path, tmp_path):
         with pytest.raises(SystemExit) as exc:  # argparse rejects it before any command runs

@@ -10,7 +10,6 @@ from guided_ddpg.nets import (
     layer_views,
     mlp_backward,
     mlp_forward,
-    mlp_forward_cached,
     mlp_from_dict,
     mlp_init,
     mlp_to_dict,
@@ -18,12 +17,21 @@ from guided_ddpg.nets import (
 )
 
 
+def forward(params, x):
+    return mlp_forward(params, x)[0]
+
+
+def backward(params, x, output_gradient, **flags):
+    """``mlp_backward`` through the activations of a fresh forward pass."""
+    return mlp_backward(params, x, output_gradient, mlp_forward(params, x)[1], **flags)
+
+
 def finite_difference_grad(params, x, output_gradient, h=1e-5):
-    """Independent oracle: central differences of loss = output_gradient . f(x)."""
+    """Independent oracle: central differences of loss = sum(output_gradient * f(x))."""
     g = np.asarray(output_gradient, dtype=np.float64)
 
     def loss(vec):
-        return float(np.dot(mlp_forward(params.with_vector(vec), x), g))
+        return float(np.sum(forward(params.with_vector(vec), x) * g))
 
     theta = params.vector
     grad = np.zeros_like(theta)
@@ -101,13 +109,13 @@ class TestForward:
     def test_identity_network(self):
         params = mlp_init([3, 3], output_activation="identity", seed=0)
         params = params.with_vector(np.concatenate([np.eye(3).ravel(), np.zeros(3)]))
-        x = np.array([0.3, -1.2, 4.0])
-        assert np.allclose(mlp_forward(params, x), x)
+        x = np.array([[0.3, -1.2, 4.0]])
+        assert np.allclose(forward(params, x), x)
 
     def test_hand_affine(self):
         params = mlp_init([2, 2], seed=0)
         params = params.with_vector(np.array([2.0, 0.0, 0.0, 3.0, 1.0, -1.0]))
-        assert np.allclose(mlp_forward(params, np.array([1.0, 1.0])), [3.0, 2.0])
+        assert np.allclose(forward(params, np.array([[1.0, 1.0]])), [[3.0, 2.0]])
 
     def test_zero_weights_give_output_bias(self):
         params = mlp_init([4, 8, 2], seed=1)
@@ -117,41 +125,50 @@ class TestForward:
         vec[-2:] = out_bias
         params_zero = params.with_vector(vec)
         assert np.array_equal(params_zero.biases[-1], out_bias)
-        for x in (np.zeros(4), np.ones(4), np.array([3.0, -2.0, 0.1, 9.0])):
-            assert np.allclose(mlp_forward(params_zero, x), out_bias)
+        xs = np.array([np.zeros(4), np.ones(4), [3.0, -2.0, 0.1, 9.0]])
+        assert np.allclose(forward(params_zero, xs), np.tile(out_bias, (3, 1)))
 
     def test_batch_matches_rows(self):
         params = mlp_init([3, 16, 2], seed=5)
         xs = np.random.default_rng(0).normal(size=(7, 3))
-        batch = mlp_forward(params, xs)
-        rows = np.stack([mlp_forward(params, x) for x in xs])
+        batch = forward(params, xs)
+        rows = np.concatenate([forward(params, x[None]) for x in xs])
         # BLAS may accumulate batched and single-row products in different orders
         assert np.allclose(batch, rows, rtol=1e-13, atol=1e-15)
 
     def test_shape_error(self):
         params = mlp_init([3, 2], seed=0)
         with pytest.raises(ShapeError):
-            mlp_forward(params, np.zeros(4))
+            mlp_forward(params, np.zeros((1, 4)))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 1, 3), ()])
+    def test_input_that_is_not_rows_rejected(self, shape):
+        params = mlp_init([3, 2], seed=0)
+        with pytest.raises(ShapeError):
+            mlp_forward(params, np.zeros(shape))
+        _, acts = mlp_forward(params, np.zeros((1, 3)))
+        with pytest.raises(ShapeError):
+            mlp_backward(params, np.zeros(shape), np.zeros((1, 2)), acts)
 
 
 class TestBackward:
     def test_linear_net_weight_grad_is_outer_product(self):
         params = mlp_init([3, 2], seed=2)
-        x = np.array([0.5, -1.0, 2.0])
-        g = np.array([1.0, -2.0])
-        grads, _ = mlp_backward(params, x, g)
+        x = np.array([[0.5, -1.0, 2.0]])
+        g = np.array([[1.0, -2.0]])
+        grads, _ = backward(params, x, g)
         weights, biases = layer_views(params.layer_sizes, grads)
-        assert np.allclose(weights[0], np.outer(g, x))
-        assert np.allclose(biases[0], g)
+        assert np.allclose(weights[0], np.outer(g[0], x[0]))
+        assert np.allclose(biases[0], g[0])
 
     # ids name the hidden and the output activation
     @pytest.mark.parametrize("output_activation", ["identity", "tanh"], ids=["tanh-identity", "tanh-tanh"])
     def test_gradcheck_6_32_2(self, output_activation):
         params = mlp_init([6, 32, 2], output_activation, seed=11)
         rng = np.random.default_rng(3)
-        x = rng.normal(size=6)
-        g = rng.normal(size=2)
-        analytic = mlp_backward(params, x, g)[0]
+        x = rng.normal(size=(1, 6))
+        g = rng.normal(size=(1, 2))
+        analytic = backward(params, x, g)[0]
         numeric = finite_difference_grad(params, x, g)
         denom = np.maximum(np.abs(numeric), 1e-8)
         assert np.max(np.abs(analytic - numeric) / denom) < 1e-4
@@ -159,21 +176,21 @@ class TestBackward:
     def test_input_gradient_matches_finite_difference(self):
         params = mlp_init([4, 16, 3], seed=9)
         rng = np.random.default_rng(1)
-        x = rng.normal(size=4)
-        g = rng.normal(size=3)
-        _, input_grad = mlp_backward(params, x, g)
+        x = rng.normal(size=(1, 4))
+        g = rng.normal(size=(1, 3))
+        _, input_grad = backward(params, x, g)
         h = 1e-6
-        numeric = np.zeros(4)
+        numeric = np.zeros((1, 4))
         for i in range(4):
             xp, xm = x.copy(), x.copy()
-            xp[i] += h
-            xm[i] -= h
-            numeric[i] = (np.dot(mlp_forward(params, xp), g) - np.dot(mlp_forward(params, xm), g)) / (2 * h)
+            xp[0, i] += h
+            xm[0, i] -= h
+            numeric[0, i] = (np.sum(forward(params, xp) * g) - np.sum(forward(params, xm) * g)) / (2 * h)
         assert np.allclose(input_grad, numeric, rtol=1e-5, atol=1e-8)
 
     def test_zero_output_gradient_zero_everywhere(self):
         params = mlp_init([3, 8, 2], seed=4)
-        grads, input_grad = mlp_backward(params, np.ones(3), np.zeros(2))
+        grads, input_grad = backward(params, np.ones((1, 3)), np.zeros((1, 2)))
         assert np.all(grads == 0.0)
         assert np.all(input_grad == 0.0)
 
@@ -182,8 +199,8 @@ class TestBackward:
         rng = np.random.default_rng(2)
         xs = rng.normal(size=(5, 3))
         gs = rng.normal(size=(5, 2))
-        batch_grads, _ = mlp_backward(params, xs, gs)
-        summed = sum(mlp_backward(params, x, g)[0] for x, g in zip(xs, gs))
+        batch_grads, _ = backward(params, xs, gs)
+        summed = sum(backward(params, x[None], g[None])[0] for x, g in zip(xs, gs))
         assert np.allclose(batch_grads, summed)
 
 
@@ -214,7 +231,7 @@ class TestAdam:
     def test_determinism(self):
         params = mlp_init([3, 4, 1], seed=8)
         state = adam_init(params, 1e-3)
-        grads, _ = mlp_backward(params, np.ones(3), np.ones(1))
+        grads, _ = backward(params, np.ones((1, 3)), np.ones((1, 1)))
         a_params, a_state = adam_step(state, params, grads)
         b_params, b_state = adam_step(state, params, grads)
         assert np.array_equal(a_params.vector, b_params.vector)
@@ -402,14 +419,13 @@ class TestFlatLayout:
 class TestReducedBackward:
     # ids name the hidden and the output activation
     @pytest.mark.parametrize("output_activation", ["identity", "tanh"], ids=["tanh-identity", "tanh-tanh"])
-    @pytest.mark.parametrize("batch", [None, 5])
+    @pytest.mark.parametrize("batch", [1, 5])
     def test_reduced_passes_match_full_pass_bitwise(self, output_activation, batch):
         params = mlp_init([8, 16, 16, 1], output_activation, seed=21)
         rng = np.random.default_rng(4)
-        shape = (8,) if batch is None else (batch, 8)
-        x = rng.normal(size=shape)
-        g = rng.normal(size=shape[:-1] + (1,))
-        _, cache = mlp_forward_cached(params, x)
+        x = rng.normal(size=(batch, 8))
+        g = rng.normal(size=(batch, 1))
+        _, cache = mlp_forward(params, x)
         full_params, full_input = mlp_backward(params, x, g, cache)
         only_params, no_input = mlp_backward(params, x, g, cache, wrt_input=False)
         no_params, only_input = mlp_backward(params, x, g, cache, wrt_params=False)
