@@ -4,17 +4,24 @@ The critic regresses onto bootstrapped targets plus (weighted) optimizer
 value targets; the actor ascends the target critic plus a (weighted) L2 pull
 toward optimizer actions. With supervision weight zero both updates reduce
 exactly to standard DDPG.
+
+The learner's state is one :class:`AgentNets`, updated in place once per
+environment step: :func:`critic_update` and :func:`actor_update` write the
+critic's and the actor's slice of ``AgentNets.params`` and their Adam moments
+through ``adam_step``, and :func:`target_update` blends ``AgentNets.targets``
+toward ``params`` through one ``soft_update``. Nothing else writes them. Every
+check that can fail runs before the first write, so an update that raises
+leaves the nets as they were.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .envs import ACTION_DIM, STATE_DIM, InsertionEnvConfig
-from .exceptions import ConfigurationError, InputError, NumericalError
+from .exceptions import ConfigurationError, InputError, NumericalError, ShapeError
 from .nets import (
-    AdamState,
     MlpParams,
     adam_init,
     adam_step,
@@ -87,14 +94,34 @@ class DdpgHyper:
         return cls(**defaults)
 
 
-@dataclass(frozen=True)
 class AgentNets:
-    actor: MlpParams
-    critic: MlpParams
-    target_actor: MlpParams
-    target_critic: MlpParams
-    actor_opt: AdamState
-    critic_opt: AdamState
+    """The learner's four nets and their two Adam states, in two joint vectors.
+
+    ``params`` is ``[critic | actor]`` and ``targets`` is
+    ``[target_critic | target_actor]``, each part in the checkpoint layout.
+    ``actor``, ``critic``, ``target_actor`` and ``target_critic`` are
+    read-only views into them: a holder cannot write through a net but sees
+    every update that :func:`critic_update`, :func:`actor_update` and
+    :func:`target_update` make. A snapshot that must not move with training
+    is a ``.copy()`` of a vector.
+
+    The constructor copies the four given nets, so the result never aliases
+    them or each other, and starts both Adam states from zero.
+    """
+
+    def __init__(self, actor: MlpParams, critic: MlpParams, target_actor: MlpParams,
+                 target_critic: MlpParams, actor_lr: float, critic_lr: float):
+        if target_actor.layer_sizes != actor.layer_sizes or target_critic.layer_sizes != critic.layer_sizes:
+            raise ShapeError("a target net's layer sizes differ from its source's")
+        self.params = np.concatenate([critic.vector, actor.vector])
+        self.targets = np.concatenate([target_critic.vector, target_actor.vector])
+        n = critic.vector.size
+        self.critic = MlpParams(critic.layer_sizes, self.params[:n], critic.output_activation)
+        self.actor = MlpParams(actor.layer_sizes, self.params[n:], actor.output_activation)
+        self.target_critic = MlpParams(critic.layer_sizes, self.targets[:n], target_critic.output_activation)
+        self.target_actor = MlpParams(actor.layer_sizes, self.targets[n:], target_actor.output_activation)
+        self.critic_opt = adam_init(critic, critic_lr)
+        self.actor_opt = adam_init(actor, actor_lr)
 
 
 def make_agent(hyper: DdpgHyper, seed) -> AgentNets:
@@ -102,14 +129,7 @@ def make_agent(hyper: DdpgHyper, seed) -> AgentNets:
     base = list(np.atleast_1d(np.asarray(seed)).ravel())
     actor = mlp_init([STATE_DIM, *hyper.actor_hidden, ACTION_DIM], "tanh", seed=base + [0])
     critic = mlp_init([STATE_DIM + ACTION_DIM, *hyper.critic_hidden, 1], "identity", seed=base + [1])
-    return AgentNets(
-        actor=actor,
-        critic=critic,
-        target_actor=actor,
-        target_critic=critic,
-        actor_opt=adam_init(actor, hyper.actor_lr),
-        critic_opt=adam_init(critic, hyper.critic_lr),
-    )
+    return AgentNets(actor, critic, actor, critic, hyper.actor_lr, hyper.critic_lr)
 
 
 def _scaled_obs(hyper: DdpgHyper, states: Array) -> Array:
@@ -175,12 +195,12 @@ def critic_update(
     batch: TransitionBatch,
     sup_batch: SupervisionBatch | None,
     supervision_weight: float,
-) -> AgentNets:
+) -> None:
+    """One Adam step on the critic's slice of ``nets.params``, in place."""
     loss, grads = critic_loss_grads(nets, hyper, batch, sup_batch, supervision_weight)
     if not np.isfinite(loss):
         raise NumericalError("critic loss is non-finite; parameters unchanged")
-    critic, critic_opt = adam_step(nets.critic_opt, nets.critic, grads)
-    return replace(nets, critic=critic, critic_opt=critic_opt)
+    adam_step(nets.critic_opt, nets.params[: nets.critic.vector.size], grads)
 
 
 def actor_objective_grads(
@@ -230,20 +250,17 @@ def actor_update(
     batch: TransitionBatch,
     sup_batch: SupervisionBatch | None,
     supervision_weight: float,
-) -> AgentNets:
+) -> None:
+    """One Adam step on the actor's slice of ``nets.params``, in place."""
     objective, grads = actor_objective_grads(nets, hyper, batch, sup_batch, supervision_weight)
     if not np.isfinite(objective):
         raise NumericalError("actor objective is non-finite; parameters unchanged")
-    actor, actor_opt = adam_step(nets.actor_opt, nets.actor, grads)
-    return replace(nets, actor=actor, actor_opt=actor_opt)
+    adam_step(nets.actor_opt, nets.params[nets.critic.vector.size :], grads)
 
 
-def target_update(nets: AgentNets, rate: float) -> AgentNets:
-    return replace(
-        nets,
-        target_actor=soft_update(nets.target_actor, nets.actor, rate),
-        target_critic=soft_update(nets.target_critic, nets.critic, rate),
-    )
+def target_update(nets: AgentNets, rate: float) -> None:
+    """Blend both target nets toward their sources with one soft update, in place."""
+    soft_update(nets.targets, nets.params, rate)
 
 
 def supervision_weight(n_roll: int, c: float) -> float:

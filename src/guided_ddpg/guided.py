@@ -211,6 +211,21 @@ def rollout_transitions(roll: Rollout) -> list:
     ]
 
 
+def evaluation_arrays(env: InsertionEnvConfig, n_episodes: int) -> tuple[Array, Array, Array]:
+    """The per-episode arrays of a lockstep evaluation: rewards by time step, steps, successes.
+
+    Raises :class:`InputError` for a count below one or one whose arrays do
+    not fit in memory, so a caller can size an evaluation before it starts.
+    """
+    if n_episodes < 1:
+        raise InputError(f"n_episodes must be >= 1, got {n_episodes}")
+    try:
+        return (np.zeros((n_episodes, env.horizon)), np.full(n_episodes, env.horizon),
+                np.zeros(n_episodes, dtype=bool))
+    except MemoryError as exc:
+        raise InputError(f"{n_episodes} evaluation episodes do not fit in memory") from exc
+
+
 def evaluate_policy(actor, hyper: DdpgHyper, env: InsertionEnvConfig, n_episodes: int, seed) -> EvalMetrics:
     """Run noise-free episodes in lockstep; never touches buffers or parameters.
 
@@ -227,16 +242,12 @@ def evaluate_policy(actor, hyper: DdpgHyper, env: InsertionEnvConfig, n_episodes
     loop's unless a state lands within those bits of the success boundary,
     and mean return agrees to a few parts in 1e12 on the inputs tried.
     """
-    if n_episodes < 1:
-        raise InputError(f"n_episodes must be >= 1, got {n_episodes}")
+    rewards, steps, succeeded = evaluation_arrays(env, n_episodes)
     try:
         states = env_reset(env, seed, n_episodes)
-        active = np.arange(n_episodes)
-        rewards = np.zeros((n_episodes, env.horizon))
-        steps = np.full(n_episodes, env.horizon)
-        succeeded = np.zeros(n_episodes, dtype=bool)
     except MemoryError as exc:
         raise InputError(f"{n_episodes} evaluation episodes do not fit in memory") from exc
+    active = np.arange(n_episodes)
     for t in range(env.horizon):
         states, step_rewards, done = env_step(env, states, policy_action(actor, hyper, states))
         rewards[active, t] = step_rewards
@@ -273,11 +284,11 @@ def ddpg_block(
     epoch: int,
     log: TrainingLog,
     t_start: float,
-) -> tuple[AgentNets, int, bool]:
+) -> tuple[int, bool]:
     """Run exploratory episodes with one update triple per environment step.
 
-    Returns the updated nets, the new exploratory-episode count, and whether
-    the stop condition (evaluation success threshold) was reached.
+    Updates ``nets`` in place. Returns the new exploratory-episode count and
+    whether the stop condition (evaluation success threshold) was reached.
     """
     hyper = config.hyper
     env = config.env
@@ -311,9 +322,9 @@ def ddpg_block(
             sup = None
             if effective_w > 0.0:
                 sup = supervision_batch_from_rows(r1.sample_rows(hyper.supervision_batch_size, streams.replay))
-            nets = critic_update(nets, hyper, batch, sup, effective_w)
-            nets = actor_update(nets, hyper, batch, sup, effective_w)
-            nets = target_update(nets, hyper.target_rate)
+            critic_update(nets, hyper, batch, sup, effective_w)
+            actor_update(nets, hyper, batch, sup, effective_w)
+            target_update(nets, hyper.target_rate)
 
             state = next_state
             if done:
@@ -329,7 +340,7 @@ def ddpg_block(
             if config.stop_at_threshold and record.success_rate >= config.success_threshold:
                 stop = True
                 break
-    return nets, n_roll, stop
+    return n_roll, stop
 
 
 def train(config: TrainConfig) -> tuple[AgentNets, TrainingLog]:
@@ -344,13 +355,13 @@ def train(config: TrainConfig) -> tuple[AgentNets, TrainingLog]:
     log = TrainingLog()
     dual = DualState(eta=config.eta_init, epsilon=config.kl_step)
 
+    def actor_fn(states):  # the supervisor runs between DDPG blocks, so it sees the actor fixed
+        return policy_action(nets.actor, hyper, states)
+
     n_roll = 0
     n_ddpg = config.n_ddpg
     for epoch in range(config.epochs):
         if config.n_trajopt > 0:
-            def actor_fn(states, _nets=nets):
-                return policy_action(_nets.actor, hyper, states)
-
             try:
                 result, dual = run_supervisor(
                     config.env, actor_fn, config.n_trajopt, dual,
@@ -376,7 +387,7 @@ def train(config: TrainConfig) -> tuple[AgentNets, TrainingLog]:
         else:
             log.epochs.append(EpochRecord(epoch, "skipped", "n_trajopt=0", []))
 
-        nets, n_roll, stop = ddpg_block(
+        n_roll, stop = ddpg_block(
             nets, config, r1, r2, streams, noise, n_roll, n_ddpg, epoch, log, t_start
         )
         n_ddpg += config.n_inc

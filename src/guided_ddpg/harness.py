@@ -22,7 +22,7 @@ import numpy as np
 from .ddpg import DdpgHyper
 from .envs import ACTION_DIM, STATE_DIM, InsertionEnvConfig
 from .exceptions import SpecError
-from .guided import TrainConfig, TrainingLog, evaluate_policy, train
+from .guided import TrainConfig, TrainingLog, evaluate_policy, evaluation_arrays, train
 from .nets import MlpParams, mlp_from_dict, mlp_to_dict
 from .trajopt import SupervisorConfig
 
@@ -261,6 +261,10 @@ def _median_or_none(values: list) -> Optional[float]:
 def run_experiment(spec_path, out_dir) -> Path:
     """Train every seed in the spec and write per-seed plus aggregate artifacts."""
     spec = parse_spec(spec_path)
+    # evaluation sizes its arrays only after a seed has trained; reject a count that cannot fit first
+    evaluation_arrays(spec.train.env, spec.eval_episodes)
+    if spec.train.eval_every > 0:
+        evaluation_arrays(spec.train.env, spec.train.eval_episodes)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -8,10 +8,14 @@ step, a soft update and a finiteness check are each one vector operation.
 
 Hidden layers are always tanh; the output layer is identity or tanh.
 Inputs are ``(N, input_dim)`` rows, one sample per row; outputs keep one row
-per input row.
-Everything is float64 and functional: operations return new vectors and never
-mutate their arguments, so snapshots can be shared freely between the learner
-and evaluation code.
+per input row. Everything is float64.
+
+The forward and backward passes read their arguments and return new arrays.
+:func:`adam_step` and :func:`soft_update` instead write into the vectors they
+are given, which belong to whoever allocated them (the learner's are
+``ddpg.AgentNets.params`` and ``.targets``). An :class:`MlpParams` can view
+such a vector without being able to write to it, but it sees every update; a
+snapshot that must not move is a ``.copy()``.
 """
 from __future__ import annotations
 
@@ -92,9 +96,12 @@ class MlpParams:
         return MlpParams(self.layer_sizes, vector, self.output_activation)
 
 
-@dataclass(frozen=True)
+@dataclass
 class AdamState:
-    """Moment estimates (vectors in the parameter layout) and step counter."""
+    """Moment estimates (vectors in the parameter layout) and step counter.
+
+    :func:`adam_step` updates ``m``, ``v`` and ``step_count`` in place.
+    """
 
     m: Array
     v: Array
@@ -198,10 +205,17 @@ def adam_init(params: MlpParams, learning_rate: float) -> AdamState:
     return AdamState(np.zeros(size), np.zeros(size), 0, float(learning_rate))
 
 
-def adam_step(state: AdamState, params: MlpParams, grads: Array) -> tuple[MlpParams, AdamState]:
-    """One bias-corrected adaptive-moment update. Raises on non-finite gradients."""
-    if grads.shape != params.vector.shape:
-        raise ShapeError(f"gradient of shape {grads.shape} for {params.vector.size} parameters")
+def adam_step(state: AdamState, vector: Array, grads: Array) -> None:
+    """One bias-corrected adaptive-moment update of ``vector``, in place.
+
+    Writes ``vector``, ``state.m``, ``state.v`` and ``state.step_count``, and
+    none of them when it raises: shapes and finiteness are checked first.
+    """
+    if not (grads.shape == vector.shape == state.m.shape == state.v.shape):
+        raise ShapeError(f"gradient of shape {grads.shape} for {vector.size} parameters "
+                         f"and moments of {state.m.size}")
+    if not vector.flags.writeable:
+        raise ValueError("adam_step updates its parameter vector in place; it is read-only")
     # a non-finite entry anywhere poisons the sum
     if not np.isfinite(grads.sum()):
         raise NumericalError("non-finite gradient passed to adam_step")
@@ -211,19 +225,34 @@ def adam_step(state: AdamState, params: MlpParams, grads: Array) -> tuple[MlpPar
     scale1 = lr / (1.0 - b1**t)
     inv_sqrt_corr2 = 1.0 / np.sqrt(1.0 - b2**t)
 
-    m = b1 * state.m + (1.0 - b1) * grads
-    v = b2 * state.v + (1.0 - b2) * (grads * grads)
-    new_params = params.with_vector(params.vector - scale1 * m / (np.sqrt(v) * inv_sqrt_corr2 + eps))
-    return new_params, AdamState(m, v, t, lr)
+    # m = b1 * m + (1 - b1) * g and v = b2 * v + (1 - b2) * (g * g), the same IEEE
+    # operations as the textbook expressions: products and sums commute exactly
+    m, v = state.m, state.v
+    step = (1.0 - b1) * grads
+    m *= b1
+    m += step
+    denom = grads * grads
+    denom *= 1.0 - b2
+    v *= b2
+    v += denom
+    # vector -= scale1 * m / (sqrt(v) * inv_sqrt_corr2 + eps)
+    np.sqrt(v, out=denom)
+    denom *= inv_sqrt_corr2
+    denom += eps
+    np.multiply(m, scale1, out=step)
+    step /= denom
+    vector -= step
+    state.step_count = t
 
 
-def soft_update(target: MlpParams, source: MlpParams, rate: float) -> MlpParams:
-    """Blend ``rate * source + (1 - rate) * target``, elementwise."""
+def soft_update(target: Array, source: Array, rate: float) -> None:
+    """Blend ``target = rate * source + (1 - rate) * target`` elementwise, in place."""
     if not (0.0 < rate <= 1.0):
         raise ConfigurationError(f"soft-update rate must lie in (0, 1], got {rate}")
-    if target.layer_sizes != source.layer_sizes:
-        raise ShapeError("target and source networks have different layer sizes")
-    return target.with_vector(rate * source.vector + (1.0 - rate) * target.vector)
+    if target.shape != source.shape:
+        raise ShapeError(f"target of shape {target.shape} and source of shape {source.shape} differ")
+    target *= 1.0 - rate
+    target += rate * source
 
 
 def mlp_to_dict(params: MlpParams) -> dict:

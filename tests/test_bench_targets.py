@@ -3,14 +3,19 @@
 The traced benchmark replaces package attributes by name at run time, and it
 measures replay memory by pushing item objects through the buffer factories.
 Its own smoke tests are slow, so this checks here that every boundary it wraps
-still exists and is callable, that replay stays within its memory budget, and
-that a tiny training run passes the benchmark's own checks of its schedule,
-buffer counts, supervisor steps and determinism.
+still exists and is callable, that the update spans still find the
+supervision batch and are entered once per exploratory step, that replay
+stays within its memory budget, and that a tiny training run passes the
+benchmark's own checks of its schedule, buffer counts, supervisor steps and
+determinism.
 """
+import inspect
 import sys
 from pathlib import Path
 
 import pytest
+
+from guided_ddpg import ddpg, guided
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
@@ -18,12 +23,44 @@ from perfbench.run import replay_bytes  # noqa: E402
 from perfbench.spans import wrap_targets  # noqa: E402
 from perfbench.workloads import SIZES, train_config, train_once  # noqa: E402
 
+# what one exploratory step calls, in order, through the names the bench wraps
+STEP_CALLS = ["critic_update", "adam_step", "actor_update", "adam_step", "target_update", "soft_update"]
+
 
 def test_every_wrap_target_resolves_to_a_callable():
     targets = wrap_targets()
     assert targets
     for owner, attr, _name, _hook in targets:
         assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
+
+
+@pytest.mark.parametrize("update", ["critic_update", "actor_update"])
+def test_supervision_batch_is_the_fourth_argument(update):
+    # the bench names a span ``_sup`` by reading positional argument 3
+    parameters = list(inspect.signature(getattr(guided, update)).parameters)
+    assert parameters.index("sup_batch") == 3
+
+
+def test_each_exploratory_step_makes_one_update_triple(monkeypatch):
+    calls = []
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("critic_update", "actor_update", "target_update"):
+        counting(guided, name)
+    for name in ("adam_step", "soft_update"):
+        counting(ddpg, name)
+    _, log = guided.train(train_config("pure_train", 0, SIZES["tiny"]))
+    steps = sum(e.steps for e in log.episodes_by_phase("ddpg"))
+    assert steps > 0
+    assert calls == STEP_CALLS * steps
 
 
 def test_replay_holds_only_packed_rows():

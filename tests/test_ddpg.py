@@ -1,3 +1,5 @@
+from dataclasses import dataclass, replace
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,8 @@ from guided_ddpg.ddpg import (
     supervision_weight,
     target_update,
 )
-from guided_ddpg.exceptions import ConfigurationError, InputError
+from guided_ddpg.exceptions import ConfigurationError, InputError, NumericalError, ShapeError
+from guided_ddpg.nets import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, AdamState, MlpParams, mlp_init
 from guided_ddpg.replay import SupervisionBatch, TransitionBatch
 
 
@@ -56,6 +59,38 @@ class TestAgent:
         assert nets.actor.input_dim == 6 and nets.actor.output_dim == 2
         assert nets.critic.input_dim == 8 and nets.critic.output_dim == 1
 
+    def test_targets_never_alias_their_sources(self):
+        nets = make_agent(tiny_hyper(), seed=0)
+        assert not np.shares_memory(nets.target_actor.vector, nets.actor.vector)
+        assert not np.shares_memory(nets.target_critic.vector, nets.critic.vector)
+        assert not np.shares_memory(nets.params, nets.targets)
+        copied = AgentNets(nets.actor, nets.critic, nets.actor, nets.critic, 1e-3, 1e-3)
+        for name in ("actor", "critic", "target_actor", "target_critic"):
+            assert not np.shares_memory(getattr(copied, name).vector, getattr(nets, name).vector)
+
+    def test_nets_are_read_only_views_of_the_joint_vectors(self):
+        nets = make_agent(tiny_hyper(), seed=0)
+        n = nets.critic.vector.size
+        assert np.array_equal(nets.params, np.concatenate([nets.critic.vector, nets.actor.vector]))
+        assert np.array_equal(nets.targets, np.concatenate([nets.target_critic.vector, nets.target_actor.vector]))
+        assert nets.critic.vector.ctypes.data == nets.params.ctypes.data
+        assert nets.actor.vector.ctypes.data == nets.params.ctypes.data + 8 * n
+        assert nets.target_critic.vector.ctypes.data == nets.targets.ctypes.data
+        assert nets.target_actor.vector.ctypes.data == nets.targets.ctypes.data + 8 * n
+        for name in ("actor", "critic", "target_actor", "target_critic"):
+            with pytest.raises(ValueError):
+                getattr(nets, name).vector[0] = 1.0
+            with pytest.raises(ValueError):
+                getattr(nets, name).weights[0][0, 0] = 1.0
+        nets.params[n] = 7.0  # the owner writes; every view sees it
+        assert nets.actor.vector[0] == 7.0 and nets.actor.weights[0][0, 0] == 7.0
+
+    def test_mismatched_target_rejected(self):
+        nets = make_agent(tiny_hyper(), seed=0)
+        other = mlp_init([6, 4, 2], "tanh", seed=0)
+        with pytest.raises(ShapeError):
+            AgentNets(nets.actor, nets.critic, other, nets.critic, 1e-3, 1e-3)
+
     def test_actions_respect_bound(self):
         hyper = tiny_hyper()
         nets = make_agent(hyper, seed=2)
@@ -89,7 +124,7 @@ class TestCriticTarget:
         vec[-1] = b  # the output bias closes the parameter vector
         critic = nets.critic.with_vector(vec)
         assert np.array_equal(critic.biases[-1], [b])
-        nets = AgentNets(nets.actor, critic, nets.target_actor, critic, nets.actor_opt, nets.critic_opt)
+        nets = AgentNets(nets.actor, critic, nets.target_actor, critic, hyper.actor_lr, hyper.critic_lr)
         batch = TransitionBatch(
             states=np.zeros((1, 6)), actions=np.zeros((1, 2)),
             next_states=np.zeros((1, 6)), rewards=np.array([1.0]), dones=np.array([False]),
@@ -151,8 +186,25 @@ class TestCriticUpdate:
         sup = SupervisionBatch(states, actions, q.copy())
         _, grads = critic_loss_grads(nets, hyper, batch, sup, 0.5)
         assert np.max(np.abs(grads)) < 1e-12
-        updated = critic_update(nets, hyper, batch, sup, 0.5)
-        assert np.allclose(updated.critic.vector, nets.critic.vector, atol=1e-12)
+        before = nets.critic.vector.copy()  # the update writes the very memory nets.critic views
+        critic_update(nets, hyper, batch, sup, 0.5)
+        assert nets.critic_opt.step_count == 1
+        assert np.allclose(nets.critic.vector, before, atol=1e-12)
+
+
+    def test_nonfinite_loss_leaves_nets_unchanged(self):
+        rng = np.random.default_rng(6)
+        hyper = tiny_hyper()
+        nets = make_agent(hyper, seed=2)
+        critic_update(nets, hyper, random_batch(rng), None, 0.0)
+        batch = random_batch(rng)
+        batch = replace(batch, rewards=np.where(np.arange(batch.rewards.size) == 1, np.inf, batch.rewards))
+        before = [a.copy() for a in (nets.params, nets.targets, nets.critic_opt.m, nets.critic_opt.v)]
+        with pytest.raises(NumericalError, match="critic loss"):
+            critic_update(nets, hyper, batch, None, 0.0)
+        for a, b in zip(before, (nets.params, nets.targets, nets.critic_opt.m, nets.critic_opt.v)):
+            assert np.array_equal(a, b)
+        assert nets.critic_opt.step_count == 1
 
 
 class TestActorUpdate:
@@ -191,12 +243,12 @@ class TestActorUpdate:
         # make live critic different from target critic
         bumped = nets.critic.with_vector(nets.critic.vector + 0.5)
         nets = AgentNets(nets.actor, bumped, nets.target_actor, nets.target_critic,
-                         nets.actor_opt, nets.critic_opt)
+                         hyper.actor_lr, hyper.critic_lr)
         batch = random_batch(rng)
         _, grads_now = actor_objective_grads(nets, hyper, batch, None, 0.0)
         # swapping the live critic must not change the actor gradient
         nets2 = AgentNets(nets.actor, nets.target_critic, nets.target_actor, nets.target_critic,
-                          nets.actor_opt, nets.critic_opt)
+                          hyper.actor_lr, hyper.critic_lr)
         _, grads_same_target = actor_objective_grads(nets2, hyper, batch, None, 0.0)
         assert np.array_equal(grads_now, grads_same_target)
 
@@ -208,9 +260,24 @@ class TestActorUpdate:
         sup = SupervisionBatch(state, target_action, np.zeros(1))
         batch = TransitionBatch(state, np.zeros((1, 2)), state.copy(), np.zeros(1), np.ones(1, dtype=bool))
         for _ in range(500):
-            nets = actor_update(nets, hyper, batch, sup, 1e4)
+            actor_update(nets, hyper, batch, sup, 1e4)
         result = policy_action(nets.actor, hyper, state)
         assert np.allclose(result, target_action, atol=5e-3)
+
+
+    def test_nonfinite_objective_leaves_nets_unchanged(self):
+        rng = np.random.default_rng(7)
+        hyper = tiny_hyper()
+        nets = make_agent(hyper, seed=4)
+        sup = random_supervision(rng)
+        sup = replace(sup, actions=np.where(np.arange(sup.actions.size).reshape(sup.actions.shape) == 3,
+                                            np.inf, sup.actions))
+        before = [a.copy() for a in (nets.params, nets.targets, nets.actor_opt.m, nets.actor_opt.v)]
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="actor objective"):
+            actor_update(nets, hyper, random_batch(rng), sup, 0.5)
+        for a, b in zip(before, (nets.params, nets.targets, nets.actor_opt.m, nets.actor_opt.v)):
+            assert np.array_equal(a, b)
+        assert nets.actor_opt.step_count == 0
 
 
 class TestTargetUpdate:
@@ -219,17 +286,124 @@ class TestTargetUpdate:
         nets = make_agent(hyper, seed=1)
         rng = np.random.default_rng(0)
         batch = random_batch(rng)
-        nets = critic_update(nets, hyper, batch, None, 0.0)
-        nets = actor_update(nets, hyper, batch, None, 0.0)
-        before_t = nets.target_critic.vector
-        source = nets.critic.vector
-        updated = target_update(nets, 0.25)
-        after_t = updated.target_critic.vector
+        critic_update(nets, hyper, batch, None, 0.0)
+        actor_update(nets, hyper, batch, None, 0.0)
+        # snapshots: the update writes the memory that nets.target_critic views
+        before_t = nets.target_critic.vector.copy()
+        before_ta = nets.target_actor.vector.copy()
+        source = nets.critic.vector.copy()
+        assert not np.array_equal(before_t, source)
+        target_update(nets, 0.25)
+        after_t = nets.target_critic.vector
         # each coordinate stays between its old value and the source value
         low = np.minimum(before_t, source) - 1e-15
         high = np.maximum(before_t, source) + 1e-15
         assert np.all(after_t >= low) and np.all(after_t <= high)
         assert np.allclose(after_t, 0.25 * source + 0.75 * before_t)
+        assert np.allclose(nets.target_actor.vector, 0.25 * nets.actor.vector + 0.75 * before_ta)
+        assert np.array_equal(nets.critic.vector, source)  # the sources are only read
+
+
+# -- oracle: the functional learner that returned new nets on every update ----------
+# Kept verbatim from before the learner updated its joint vectors in place.
+
+
+@dataclass(frozen=True)
+class OracleNets:
+    actor: MlpParams
+    critic: MlpParams
+    target_actor: MlpParams
+    target_critic: MlpParams
+    actor_opt: AdamState
+    critic_opt: AdamState
+
+
+def oracle_make_agent(hyper, seed) -> OracleNets:
+    base = list(np.atleast_1d(np.asarray(seed)).ravel())
+    actor = mlp_init([6, *hyper.actor_hidden, 2], "tanh", seed=base + [0])
+    critic = mlp_init([8, *hyper.critic_hidden, 1], "identity", seed=base + [1])
+    size_a, size_c = actor.vector.size, critic.vector.size
+    return OracleNets(actor, critic, actor, critic,
+                      AdamState(np.zeros(size_a), np.zeros(size_a), 0, hyper.actor_lr),
+                      AdamState(np.zeros(size_c), np.zeros(size_c), 0, hyper.critic_lr))
+
+
+def oracle_adam_step(state, params, grads):
+    if grads.shape != params.vector.shape:
+        raise ShapeError(f"gradient of shape {grads.shape} for {params.vector.size} parameters")
+    # a non-finite entry anywhere poisons the sum
+    if not np.isfinite(grads.sum()):
+        raise NumericalError("non-finite gradient passed to adam_step")
+
+    t = state.step_count + 1
+    b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, state.learning_rate
+    scale1 = lr / (1.0 - b1**t)
+    inv_sqrt_corr2 = 1.0 / np.sqrt(1.0 - b2**t)
+
+    m = b1 * state.m + (1.0 - b1) * grads
+    v = b2 * state.v + (1.0 - b2) * (grads * grads)
+    new_params = params.with_vector(params.vector - scale1 * m / (np.sqrt(v) * inv_sqrt_corr2 + eps))
+    return new_params, AdamState(m, v, t, lr)
+
+
+def oracle_soft_update(target, source, rate):
+    if not (0.0 < rate <= 1.0):
+        raise ConfigurationError(f"soft-update rate must lie in (0, 1], got {rate}")
+    if target.layer_sizes != source.layer_sizes:
+        raise ShapeError("target and source networks have different layer sizes")
+    return target.with_vector(rate * source.vector + (1.0 - rate) * target.vector)
+
+
+def oracle_critic_update(nets, hyper, batch, sup_batch, supervision_weight):
+    loss, grads = critic_loss_grads(nets, hyper, batch, sup_batch, supervision_weight)
+    if not np.isfinite(loss):
+        raise NumericalError("critic loss is non-finite; parameters unchanged")
+    critic, critic_opt = oracle_adam_step(nets.critic_opt, nets.critic, grads)
+    return replace(nets, critic=critic, critic_opt=critic_opt)
+
+
+def oracle_actor_update(nets, hyper, batch, sup_batch, supervision_weight):
+    objective, grads = actor_objective_grads(nets, hyper, batch, sup_batch, supervision_weight)
+    if not np.isfinite(objective):
+        raise NumericalError("actor objective is non-finite; parameters unchanged")
+    actor, actor_opt = oracle_adam_step(nets.actor_opt, nets.actor, grads)
+    return replace(nets, actor=actor, actor_opt=actor_opt)
+
+
+def oracle_target_update(nets, rate):
+    return replace(
+        nets,
+        target_actor=oracle_soft_update(nets.target_actor, nets.actor, rate),
+        target_critic=oracle_soft_update(nets.target_critic, nets.critic, rate),
+    )
+
+
+class TestInPlaceLearnerMatchesFunctionalOracle:
+    @pytest.mark.parametrize("hidden", [(8,), (64, 64)], ids=["tiny", "64x64"])
+    @pytest.mark.parametrize("supervised", [False, True], ids=["pure", "supervised"])
+    def test_300_update_triples_bitwise(self, hidden, supervised):
+        hyper = tiny_hyper(actor_hidden=hidden, critic_hidden=hidden, actor_lr=1e-3, critic_lr=3e-3,
+                           target_rate=0.01)
+        seed = [5, 0]
+        nets = make_agent(hyper, seed)
+        oracle = oracle_make_agent(hyper, seed)
+        rng = np.random.default_rng(21)
+        for k in range(300):
+            batch = random_batch(rng, n=16)
+            sup, w = (random_supervision(rng, n=8), supervision_weight(k, 10.0)) if supervised else (None, 0.0)
+            critic_update(nets, hyper, batch, sup, w)
+            actor_update(nets, hyper, batch, sup, w)
+            target_update(nets, hyper.target_rate)
+            oracle = oracle_critic_update(oracle, hyper, batch, sup, w)
+            oracle = oracle_actor_update(oracle, hyper, batch, sup, w)
+            oracle = oracle_target_update(oracle, hyper.target_rate)
+        for name in ("actor", "critic", "target_actor", "target_critic"):
+            assert np.array_equal(getattr(nets, name).vector, getattr(oracle, name).vector), name
+        for name in ("actor_opt", "critic_opt"):
+            mine, theirs = getattr(nets, name), getattr(oracle, name)
+            assert np.array_equal(mine.m, theirs.m) and np.array_equal(mine.v, theirs.v), name
+            assert mine.step_count == theirs.step_count == 300
+        assert not np.array_equal(nets.target_actor.vector, nets.actor.vector)
 
 
 class TestSupervisionWeight:

@@ -136,9 +136,9 @@ class TestPureDdpgReduction:
                     next_state, done = next_states[0], bool(successes[0]) or t == env.horizon - 1
                     r2.push(Transition(state, action, next_state, float(rewards[0]), done))
                     batch = transition_batch_from_rows(r2.sample_rows(hyper.batch_size, streams.replay))
-                    nets = critic_update(nets, hyper, batch, None, 0.0)
-                    nets = actor_update(nets, hyper, batch, None, 0.0)
-                    nets = target_update(nets, hyper.target_rate)
+                    critic_update(nets, hyper, batch, None, 0.0)
+                    actor_update(nets, hyper, batch, None, 0.0)
+                    target_update(nets, hyper.target_rate)
                     state = next_state
                     if done:
                         break

@@ -426,6 +426,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert "do not fit in memory" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("key", ["eval_episodes", "train_eval_episodes"])
+    def test_unallocatable_evaluation_rejected_before_out_exists(self, tiny_spec_path, tmp_path, capsys, key):
+        # the final evaluation used to fail only after a seed had trained and written its artifacts
+        spec = spec_with_line(tiny_spec_path, f"{key} = {10**15}")
+        out = tmp_path / "out"
+        assert cli_main(["train", "--spec", str(spec), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "do not fit in memory" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_negative_seed_exit_code(self, tiny_spec_path, tmp_path):
         with pytest.raises(SystemExit) as exc:  # argparse rejects it before any command runs
             self._eval_exit_code(tmp_path, json.dumps(self._checkpoint_payload(tmp_path)), "--seed", "-1")

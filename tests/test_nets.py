@@ -5,6 +5,7 @@ import pytest
 
 from guided_ddpg.exceptions import ConfigurationError, NumericalError, ShapeError, SpecError
 from guided_ddpg.nets import (
+    MlpParams,
     adam_init,
     adam_step,
     layer_views,
@@ -204,14 +205,19 @@ class TestBackward:
         assert np.allclose(batch_grads, summed)
 
 
+def writable(params):
+    """A writable copy of a net's vector, for the in-place updates to write."""
+    return params.vector.copy()
+
+
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
         params = mlp_init([2, 2], seed=0)
         state = adam_init(params, 1e-3)
-        zero = np.zeros(params.vector.size)
-        new_params, new_state = adam_step(state, params, zero)
-        assert np.array_equal(new_params.vector, params.vector)
-        assert new_state.step_count == 1
+        vector = writable(params)
+        adam_step(state, vector, np.zeros(params.vector.size))
+        assert np.array_equal(vector, params.vector)
+        assert state.step_count == 1
 
     def test_first_step_magnitude_is_learning_rate(self):
         params = mlp_init([2, 2], seed=0)
@@ -222,131 +228,162 @@ class TestAdam:
         for w, b in zip(weights, biases):
             w[...] = 0.5
             b[...] = -0.25
-        new_params, _ = adam_step(state, params, grads)
-        delta = new_params.vector - params.vector
+        vector = writable(params)
+        adam_step(state, vector, grads)
+        delta = vector - params.vector
         assert np.allclose(np.abs(delta), lr, rtol=1e-6)
         # update opposes the gradient sign
         assert np.all(np.sign(delta) == -np.sign(grads))
 
     def test_determinism(self):
         params = mlp_init([3, 4, 1], seed=8)
-        state = adam_init(params, 1e-3)
         grads, _ = backward(params, np.ones((1, 3)), np.ones((1, 1)))
-        a_params, a_state = adam_step(state, params, grads)
-        b_params, b_state = adam_step(state, params, grads)
-        assert np.array_equal(a_params.vector, b_params.vector)
-        assert a_state.step_count == b_state.step_count
+        a_state, b_state = adam_init(params, 1e-3), adam_init(params, 1e-3)
+        a_vector, b_vector = writable(params), writable(params)
+        adam_step(a_state, a_vector, grads)
+        adam_step(b_state, b_vector, grads)
+        assert np.array_equal(a_vector, b_vector)
+        assert np.array_equal(a_state.m, b_state.m) and np.array_equal(a_state.v, b_state.v)
+        assert a_state.step_count == b_state.step_count == 1
 
     def test_nonfinite_gradient_rejected(self):
+        # the check runs before any write: parameters, moments and step count stay as they were
+        rng = np.random.default_rng(3)
         params = mlp_init([2, 1], seed=0)
         state = adam_init(params, 1e-3)
+        vector = writable(params)
+        adam_step(state, vector, rng.normal(size=vector.size))
         for poison in (np.nan, np.inf, -np.inf):
-            bad = np.array([poison, 0.0, 0.0])
-            with pytest.raises(NumericalError):
-                adam_step(state, params, bad)
+            for at in range(vector.size):
+                bad = rng.normal(size=vector.size)
+                bad[at] = poison
+                before = [a.copy() for a in (vector, state.m, state.v)]
+                with pytest.raises(NumericalError):
+                    adam_step(state, vector, bad)
+                for a, b in zip(before, (vector, state.m, state.v)):
+                    assert np.array_equal(a, b)
+                assert state.step_count == 1
 
     def test_wrong_gradient_length_rejected(self):
         params = mlp_init([2, 1], seed=0)
+        state = adam_init(params, 1e-3)
+        vector = writable(params)
         with pytest.raises(ShapeError):
-            adam_step(adam_init(params, 1e-3), params, np.zeros(4))
+            adam_step(state, vector, np.zeros(4))
+        with pytest.raises(ShapeError):  # moments sized for another net
+            adam_step(adam_init(mlp_init([3, 1], seed=0), 1e-3), vector, np.zeros(3))
+        with pytest.raises(ValueError, match="read-only"):
+            adam_step(state, params.vector, np.zeros(3))
+        assert np.array_equal(vector, params.vector)
+        assert state.step_count == 0 and not state.m.any() and not state.v.any()
 
     def test_matches_per_layer_oracle_bitwise(self):
         rng = np.random.default_rng(12)
         params = mlp_init([6, 16, 16, 2], seed=4)
         state = adam_init(params, 1e-3)
+        vector = writable(params)
         sizes = params.layer_sizes
         p = layer_arrays(sizes, params.vector)
         m = [np.zeros_like(a) for a in p]
         v = [np.zeros_like(a) for a in p]
         for k in range(6):
             grads = rng.normal(scale=10.0 ** (k - 3), size=params.vector.size)
-            params, state = adam_step(state, params, grads)
+            adam_step(state, vector, grads)
             p, m, v = per_layer_adam(p, layer_arrays(sizes, grads), m, v, k, 1e-3)
             assert state.step_count == k + 1
-            assert np.array_equal(params.vector, flatten(p))
+            assert np.array_equal(vector, flatten(p))
             assert np.array_equal(state.m, flatten(m))
             assert np.array_equal(state.v, flatten(v))
 
     def test_inputs_unchanged(self):
+        # the gradient is the one argument adam_step only reads; the parameters and
+        # moments are written where they lie, so every view of them sees the step
         rng = np.random.default_rng(13)
         params = mlp_init([3, 4, 1], seed=8)
         state = adam_init(params, 1e-3)
-        params, state = adam_step(state, params, rng.normal(size=params.vector.size))
-        grads = rng.normal(size=params.vector.size)
-        before = [a.copy() for a in (params.vector, state.m, state.v, grads)]
-        new_params, new_state = adam_step(state, params, grads)
-        for a, b in zip(before, (params.vector, state.m, state.v, grads)):
-            assert np.array_equal(a, b)
-        assert state.step_count == 1
-        for new in (new_params.vector, new_state.m, new_state.v):
-            assert not any(np.shares_memory(new, old) for old in (params.vector, state.m, state.v, grads))
+        vector = writable(params)
+        view = MlpParams(params.layer_sizes, vector)
+        m, v = state.m, state.v
+        grads = rng.normal(size=vector.size)
+        before_grads = grads.copy()
+        adam_step(state, vector, grads)
+        assert np.array_equal(grads, before_grads)
+        assert state.m is m and state.v is v
+        assert np.shares_memory(view.vector, vector)
+        assert not np.array_equal(view.vector, params.vector)
+        expected, _, _ = per_layer_adam([params.vector], [grads], [np.zeros(vector.size)],
+                                        [np.zeros(vector.size)], 0, 1e-3)
+        assert np.array_equal(view.vector, expected[0])
 
 
 class TestSoftUpdate:
     def test_rate_one_copies_source(self):
-        target = mlp_init([3, 2], seed=1)
-        source = mlp_init([3, 2], seed=2)
-        updated = soft_update(target, source, 1.0)
-        assert np.array_equal(updated.vector, source.vector)
+        target = writable(mlp_init([3, 2], seed=1))
+        source = mlp_init([3, 2], seed=2).vector
+        soft_update(target, source, 1.0)
+        assert np.array_equal(target, source)
 
     def test_paper_rate_arithmetic(self):
-        target = mlp_init([2, 2], seed=0)
-        target = target.with_vector(np.zeros(6))
-        source = target.with_vector(np.ones(6))
-        updated = soft_update(target, source, 0.001)
-        assert np.allclose(updated.vector, 0.001)
+        target, source = np.zeros(6), np.ones(6)
+        soft_update(target, source, 0.001)
+        assert np.allclose(target, 0.001)
 
     def test_geometric_decay_toward_fixed_source(self):
         rng = np.random.default_rng(5)
-        target = mlp_init([4, 3], seed=3)
-        source = target.with_vector(rng.normal(size=target.vector.size))
+        target = writable(mlp_init([4, 3], seed=3))
+        source = rng.normal(size=target.size)
         rate = 0.05
-        gap0 = np.linalg.norm(target.vector - source.vector)
-        current = target
+        gap0 = np.linalg.norm(target - source)
         for k in range(1, 30):
-            current = soft_update(current, source, rate)
-            gap = np.linalg.norm(current.vector - source.vector)
+            soft_update(target, source, rate)
+            gap = np.linalg.norm(target - source)
             assert np.isclose(gap, gap0 * (1 - rate) ** k, rtol=1e-10)
 
     def test_convex_combination_property(self):
         rng = np.random.default_rng(7)
-        target = mlp_init([5, 4, 2], seed=1)
-        tvec = rng.normal(size=target.vector.size)
-        svec = rng.normal(size=tvec.size)
-        t = target.with_vector(tvec)
-        s = target.with_vector(svec)
+        size = mlp_init([5, 4, 2], seed=1).vector.size
+        tvec = rng.normal(size=size)
+        svec = rng.normal(size=size)
         for rate in (0.001, 0.3, 0.77, 1.0):
-            u = soft_update(t, s, rate).vector
+            u = tvec.copy()
+            soft_update(u, svec, rate)
             low = np.minimum(tvec, svec) - 1e-15
             high = np.maximum(tvec, svec) + 1e-15
             assert np.all(u >= low) and np.all(u <= high)
 
     def test_matches_per_layer_oracle_bitwise(self):
         rng = np.random.default_rng(9)
-        target = mlp_init([6, 16, 16, 1], seed=1)
-        expected = layer_arrays(target.layer_sizes, target.vector)
+        params = mlp_init([6, 16, 16, 1], seed=1)
+        target = writable(params)
+        expected = layer_arrays(params.layer_sizes, target)
         for rate in (0.001, 0.001, 0.3, 0.77, 1.0):
-            source = target.with_vector(rng.normal(size=target.vector.size))
-            target = soft_update(target, source, rate)
-            expected = per_layer_soft_update(expected, layer_arrays(source.layer_sizes, source.vector), rate)
-            assert np.array_equal(target.vector, flatten(expected))
+            source = rng.normal(size=target.size)
+            soft_update(target, source, rate)
+            expected = per_layer_soft_update(expected, layer_arrays(params.layer_sizes, source), rate)
+            assert np.array_equal(target, flatten(expected))
 
     def test_inputs_unchanged(self):
+        # the source is only read; the target is written where it lies
         rng = np.random.default_rng(10)
-        target = mlp_init([4, 3], seed=3)
-        source = target.with_vector(rng.normal(size=target.vector.size))
-        before_t, before_s = target.vector.copy(), source.vector.copy()
-        updated = soft_update(target, source, 0.25)
-        assert np.array_equal(target.vector, before_t)
-        assert np.array_equal(source.vector, before_s)
-        assert not np.shares_memory(updated.vector, target.vector)
-        assert not np.shares_memory(updated.vector, source.vector)
+        params = mlp_init([4, 3], seed=3)
+        target = writable(params)
+        view = MlpParams(params.layer_sizes, target)
+        source = rng.normal(size=target.size)
+        before_t, before_s = target.copy(), source.copy()
+        soft_update(target, source, 0.25)
+        assert np.array_equal(source, before_s)
+        assert np.array_equal(view.vector, 0.25 * before_s + 0.75 * before_t)
+        assert np.shares_memory(view.vector, target)
 
     @pytest.mark.parametrize("rate", [0.0, -0.1, 1.5])
     def test_bad_rate_rejected(self, rate):
-        params = mlp_init([2, 2], seed=0)
+        target = writable(mlp_init([2, 2], seed=0))
+        before = target.copy()
         with pytest.raises(ConfigurationError):
-            soft_update(params, params, rate)
+            soft_update(target, target.copy(), rate)
+        with pytest.raises(ShapeError):
+            soft_update(target, np.zeros(target.size + 1), 0.5)
+        assert np.array_equal(target, before)
 
 
 class TestSerialization:
