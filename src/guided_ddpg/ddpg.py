@@ -61,6 +61,8 @@ class DdpgHyper:
     # no defaults: for_env derives the scaling from the task, and a checkpoint stores it
     action_bound: float = field(kw_only=True)
     obs_scale: tuple[float, ...] = field(kw_only=True)
+    # obs_scale as a read-only array, built once for every scaling of net inputs
+    obs_scale_array: Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 <= self.discount < 1.0):
@@ -80,6 +82,11 @@ class DdpgHyper:
         if any(s < 0.0 for s in self.noise_scale):
             raise ConfigurationError("noise scales must be >= 0")
         _check_ou_rate(self.noise_theta, self.noise_dt)
+        scale = np.asarray(self.obs_scale, dtype=np.float64)
+        if scale.shape != (STATE_DIM,) or not np.isfinite(scale).all():
+            raise ConfigurationError(f"obs_scale must hold {STATE_DIM} finite numbers, got {self.obs_scale}")
+        scale.flags.writeable = False
+        object.__setattr__(self, "obs_scale_array", scale)
 
     @classmethod
     def for_env(cls, env: InsertionEnvConfig, **overrides) -> "DdpgHyper":
@@ -133,7 +140,7 @@ def make_agent(hyper: DdpgHyper, seed) -> AgentNets:
 
 
 def _scaled_obs(hyper: DdpgHyper, states: Array) -> Array:
-    return np.asarray(states) * np.asarray(hyper.obs_scale)
+    return np.asarray(states) * hyper.obs_scale_array
 
 
 def policy_action(actor: MlpParams, hyper: DdpgHyper, states: Array) -> Array:

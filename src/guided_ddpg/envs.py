@@ -3,7 +3,9 @@
 A point-mass peg (tracked at its bottom-center) must descend into a slot cut
 into a rigid table. Contact with the table, the slot walls, and the slot
 floor is modeled with a stiff spring-damper penalty, so the local dynamics
-change sharply between free flight, edge contact, and in-hole sliding. The
+change sharply between free flight, edge contact, and in-hole sliding. That
+penalty model lives in :func:`contact_forces` alone, one Python-float loop
+over rows; :func:`env_reset` and :func:`env_step` both call it. The
 observation is the full state, one ``(6,)`` row: position (columns 0:2),
 velocity (2:4) and the contact force acting on the peg (4:6).
 
@@ -102,62 +104,66 @@ class Transition:
     done: bool
 
 
-def contact_force(config: InsertionEnvConfig, position: Array, velocity: Array) -> Array:
-    """Penalty contact force on the peg at the given configuration.
+def contact_forces(config: InsertionEnvConfig, positions: Array, velocities: Array) -> Array:
+    """Penalty contact force on the peg for each row of ``(N, 2)`` positions
+    and velocities, as ``(N, 2)`` rows.
 
-    The table body is the union of three axis-aligned blocks (left of the
-    slot, right of the slot, below the slot floor). Each block that overlaps
-    the peg pushes it out along the axis of least penetration with a
-    spring-damper force, clamped at zero so contacts never pull.
+    This is the simulator's one contact model; a single configuration is a
+    one-row call. The table body is the union of three axis-aligned blocks
+    (left of the slot, right of the slot, below the slot floor). Each block
+    that overlaps the peg pushes it out along the axis of least penetration
+    with a spring-damper force, clamped at zero so contacts never pull. The
+    workspace box walls push the same way.
+
+    The config is read once per call; each row's force is then computed from
+    that row alone in Python floats, so it does not depend on the other rows.
+    It stays a loop because training steps one row at a time, where a
+    vectorized form of the same model is more than ten times slower.
     """
-    x, y = float(position[0]), float(position[1])
-    vx, vy = float(velocity[0]), float(velocity[1])
     c = config.hole_center_offset
     wp, wh = config.peg_half_width, config.hole_half_width
     k, cd = config.wall_stiffness, config.wall_damping
+    left_edge, right_edge, peg_width = c - wh, c + wh, 2.0 * wp
+    depth, half, height = config.hole_depth, config.workspace_half_width, config.workspace_height
 
-    fx = 0.0
-    fy = 0.0
-    if y < 0.0:
-        depth_y = -y
-        # Left block: x <= c - wh, y <= 0. Penetration from the right.
-        pen = (c - wh) - (x - wp)
+    forces = []
+    for (x, y), (vx, vy) in zip(positions.tolist(), velocities.tolist()):
+        fx = 0.0
+        fy = 0.0
+        if y < 0.0:
+            depth_y = -y
+            # Left block: x <= c - wh, y <= 0. Penetration from the right.
+            pen = left_edge - (x - wp)
+            if pen > 0.0:
+                ax = min(pen, peg_width)
+                if ax < depth_y:
+                    fx += max(0.0, k * ax - cd * vx)
+                else:
+                    fy += max(0.0, k * depth_y - cd * vy)
+            # Right block: x >= c + wh, y <= 0. Penetration from the left.
+            pen = (x + wp) - right_edge
+            if pen > 0.0:
+                ax = min(pen, peg_width)
+                if ax < depth_y:
+                    fx -= max(0.0, k * ax + cd * vx)
+                else:
+                    fy += max(0.0, k * depth_y - cd * vy)
+        # Bottom block: y <= -hole_depth, laterally unbounded.
+        pen = -depth - y
         if pen > 0.0:
-            ax = min(pen, 2.0 * wp)
-            if ax < depth_y:
-                fx += max(0.0, k * ax - cd * vx)
-            else:
-                fy += max(0.0, k * depth_y - cd * vy)
-        # Right block: x >= c + wh, y <= 0. Penetration from the left.
-        pen = (x + wp) - (c + wh)
+            fy += max(0.0, k * pen - cd * vy)
+        # Workspace box: side walls against the peg's sides, ceiling above.
+        pen = -half - (x - wp)
         if pen > 0.0:
-            ax = min(pen, 2.0 * wp)
-            if ax < depth_y:
-                fx -= max(0.0, k * ax + cd * vx)
-            else:
-                fy += max(0.0, k * depth_y - cd * vy)
-    # Bottom block: y <= -hole_depth, laterally unbounded.
-    pen = -config.hole_depth - y
-    if pen > 0.0:
-        fy += max(0.0, k * pen - cd * vy)
-    # Workspace box: side walls against the peg's sides, ceiling above.
-    half = config.workspace_half_width
-    pen = -half - (x - wp)
-    if pen > 0.0:
-        fx += max(0.0, k * pen - cd * vx)
-    pen = (x + wp) - half
-    if pen > 0.0:
-        fx -= max(0.0, k * pen + cd * vx)
-    pen = y - config.workspace_height
-    if pen > 0.0:
-        fy -= max(0.0, k * pen + cd * vy)
-    return np.array([fx, fy])
-
-
-def contact_forces(config: InsertionEnvConfig, positions: Array, velocities: Array) -> Array:
-    """:func:`contact_force` of each row of ``(N, 2)`` positions and velocities, as ``(N, 2)``."""
-    forces = [contact_force(config, p, v) for p, v in zip(positions.tolist(), velocities.tolist())]
-    return np.array(forces).reshape(len(forces), 2)  # (0, 2) for no rows, not (0,)
+            fx += max(0.0, k * pen - cd * vx)
+        pen = (x + wp) - half
+        if pen > 0.0:
+            fx -= max(0.0, k * pen + cd * vx)
+        pen = y - height
+        if pen > 0.0:
+            fy -= max(0.0, k * pen + cd * vy)
+        forces.append((fx, fy))
+    return np.array(forces, dtype=np.float64).reshape(len(forces), 2)  # (0, 2) for no rows, not (0,)
 
 
 def env_reset(config: InsertionEnvConfig, seed, n: int) -> Array:
@@ -205,6 +211,17 @@ def successes(positions: Array, config: InsertionEnvConfig) -> Array:
     )
 
 
+def clip_actions(config: InsertionEnvConfig, actions: Array) -> Array:
+    """``actions`` clipped elementwise to ``[-action_bound, action_bound]``.
+
+    The bits of ``np.clip(actions, -b, b)`` without its Python wrapper: the
+    config requires ``b > 0``, so no bound is a zero whose sign a tie could
+    pick, and a NaN passes through both forms.
+    """
+    bound = config.action_bound
+    return np.minimum(np.maximum(actions, -bound), bound)
+
+
 def env_step(config: InsertionEnvConfig, states: Array, actions: Array) -> tuple[Array, Array, Array]:
     """Advance ``N`` rows one step with semi-implicit Euler integration.
 
@@ -224,9 +241,9 @@ def env_step(config: InsertionEnvConfig, states: Array, actions: Array) -> tuple
     actions = np.asarray(actions, dtype=np.float64)
     if states.ndim != 2 or states.shape[1] != STATE_DIM:
         raise InputError(f"states must be (N, {STATE_DIM}) rows, got shape {states.shape}")
-    if actions.shape != (len(states), ACTION_DIM) or not np.all(np.isfinite(actions)):
+    if actions.shape != (len(states), ACTION_DIM) or not np.isfinite(actions).all():
         raise InputError(f"actions must be finite ({len(states)}, {ACTION_DIM}) rows, got {actions!r}")
-    a = np.clip(actions, -config.action_bound, config.action_bound)
+    a = clip_actions(config, actions)
 
     position, velocity, force = states[:, 0:2], states[:, 2:4], states[:, 4:6]
     new_velocity = velocity + config.dt * ((a + force) / config.mass)
@@ -234,7 +251,7 @@ def env_step(config: InsertionEnvConfig, states: Array, actions: Array) -> tuple
     next_states = np.concatenate(
         [new_position, new_velocity, contact_forces(config, new_position, new_velocity)], axis=1
     )
-    if not np.all(np.isfinite(next_states)):
+    if not np.isfinite(next_states).all():
         raise InputError("environment state diverged to non-finite values")
 
     return next_states, -costs(position, a, config), successes(new_position, config)
@@ -268,7 +285,7 @@ def rollout(config: InsertionEnvConfig, controller, rng) -> Rollout:
     succeeded = False
     for t in range(config.horizon):
         action = np.asarray(controller(t, states[0]), dtype=np.float64)
-        action = np.clip(action, -config.action_bound, config.action_bound)
+        action = clip_actions(config, action)
         states, reward, success = env_step(config, states, action[None])
         succeeded = succeeded or bool(success[0])
         done = bool(success[0]) or t == config.horizon - 1

@@ -33,6 +33,7 @@ from .envs import (
     InsertionEnvConfig,
     Rollout,
     Transition,
+    clip_actions,
     env_reset,
     env_step,
     rollout,  # noqa: F401  (unused here; the benchmark's tracer wraps guided.rollout by name)
@@ -211,6 +212,15 @@ def rollout_transitions(roll: Rollout) -> list:
     ]
 
 
+def replay_buffers(config: TrainConfig) -> tuple[ReplayBuffer, ReplayBuffer]:
+    """The empty rings of a run: supervision samples ``r1`` and transitions ``r2``.
+
+    Raises :class:`ConfigurationError` for a capacity whose ring does not fit
+    in memory, so a caller can size a run before it starts.
+    """
+    return supervision_buffer(config.r1_capacity), transition_buffer(config.r2_capacity)
+
+
 def evaluation_arrays(env: InsertionEnvConfig, n_episodes: int) -> tuple[Array, Array, Array]:
     """The per-episode arrays of a lockstep evaluation: rewards by time step, steps, successes.
 
@@ -309,7 +319,7 @@ def ddpg_block(
         steps = 0
         for t in range(env.horizon):
             action = policy_action(nets.actor, hyper, state)[0]
-            action = np.clip(action + noise.sample(streams.noise), -env.action_bound, env.action_bound)
+            action = clip_actions(env, action + noise.sample(streams.noise))
             next_state, rewards, successes = env_step(env, state, action[None])
             reward, success = float(rewards[0]), bool(successes[0])
             episode_success = episode_success or success
@@ -350,8 +360,7 @@ def train(config: TrainConfig) -> tuple[AgentNets, TrainingLog]:
     hyper = config.hyper
     nets = make_agent(hyper, streams.net_seed)
     noise = OrnsteinUhlenbeckNoise(2, hyper.noise_scale, hyper.noise_theta, hyper.noise_dt)
-    r1: ReplayBuffer = supervision_buffer(config.r1_capacity)
-    r2: ReplayBuffer = transition_buffer(config.r2_capacity)
+    r1, r2 = replay_buffers(config)
     log = TrainingLog()
     dual = DualState(eta=config.eta_init, epsilon=config.kl_step)
 

@@ -22,7 +22,7 @@ import numpy as np
 from .ddpg import DdpgHyper
 from .envs import ACTION_DIM, STATE_DIM, InsertionEnvConfig
 from .exceptions import SpecError
-from .guided import TrainConfig, TrainingLog, evaluate_policy, evaluation_arrays, train
+from .guided import TrainConfig, TrainingLog, evaluate_policy, evaluation_arrays, replay_buffers, train
 from .nets import MlpParams, mlp_from_dict, mlp_to_dict
 from .trajopt import SupervisorConfig
 
@@ -68,7 +68,7 @@ def config_keys(sections) -> dict:
     for section, cls, skipped in sections:
         hints = get_type_hints(cls)
         for f in fields(cls):
-            if f.name not in skipped:
+            if f.init and f.name not in skipped:
                 keys[f"{section}_{f.name}" if f.name in keys else f.name] = (cls, f, hints[f.name])
     return keys
 
@@ -226,8 +226,8 @@ def load_agent_checkpoint(path) -> tuple[MlpParams, DdpgHyper]:
                           obs_scale=tuple(float(s) for s in payload["obs_scale"]))
     except (TypeError, ValueError) as exc:
         raise SpecError(f"checkpoint {path}: bad action_bound or obs_scale: {exc}") from exc
-    if len(hyper.obs_scale) != STATE_DIM or not hyper.action_bound > 0.0:
-        raise SpecError(f"checkpoint {path}: obs_scale needs {STATE_DIM} entries and action_bound must be > 0")
+    if not hyper.action_bound > 0.0:
+        raise SpecError(f"checkpoint {path}: action_bound must be > 0, got {hyper.action_bound}")
     return actor, hyper
 
 
@@ -261,7 +261,8 @@ def _median_or_none(values: list) -> Optional[float]:
 def run_experiment(spec_path, out_dir) -> Path:
     """Train every seed in the spec and write per-seed plus aggregate artifacts."""
     spec = parse_spec(spec_path)
-    # evaluation sizes its arrays only after a seed has trained; reject a count that cannot fit first
+    # train sizes its rings and evaluation its arrays only once a seed runs; reject sizes that cannot fit first
+    replay_buffers(spec.train)
     evaluation_arrays(spec.train.env, spec.eval_episodes)
     if spec.train.eval_every > 0:
         evaluation_arrays(spec.train.env, spec.train.eval_episodes)

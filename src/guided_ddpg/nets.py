@@ -91,10 +91,6 @@ class MlpParams:
     def n_layers(self) -> int:
         return len(self.weights)
 
-    def with_vector(self, vector: Array) -> "MlpParams":
-        """The same architecture with other parameter values."""
-        return MlpParams(self.layer_sizes, vector, self.output_activation)
-
 
 @dataclass
 class AdamState:
@@ -148,8 +144,10 @@ def mlp_forward(params: MlpParams, x: Array) -> tuple[Array, list[Array]]:
     acts = [h]
     last = params.n_layers - 1
     for t, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w.T + b
-        h = np.tanh(z) if t < last or params.output_activation == "tanh" else z
+        h = h @ w.T  # a new array, so the in-place steps below never touch the input rows
+        h += b
+        if t < last or params.output_activation == "tanh":
+            np.tanh(h, out=h)
         acts.append(h)
     return h, acts
 

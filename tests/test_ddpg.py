@@ -22,6 +22,8 @@ from guided_ddpg.exceptions import ConfigurationError, InputError, NumericalErro
 from guided_ddpg.nets import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, AdamState, MlpParams, mlp_init
 from guided_ddpg.replay import SupervisionBatch, TransitionBatch
 
+import verbatim_oracles
+
 
 def tiny_hyper(**overrides) -> DdpgHyper:
     defaults = dict(actor_hidden=(8,), critic_hidden=(8,), action_bound=2.0,
@@ -122,7 +124,7 @@ class TestCriticTarget:
         b = 0.37
         vec = np.zeros(nets.critic.vector.size)
         vec[-1] = b  # the output bias closes the parameter vector
-        critic = nets.critic.with_vector(vec)
+        critic = MlpParams(nets.critic.layer_sizes, vec, nets.critic.output_activation)
         assert np.array_equal(critic.biases[-1], [b])
         nets = AgentNets(nets.actor, critic, nets.target_actor, critic, hyper.actor_lr, hyper.critic_lr)
         batch = TransitionBatch(
@@ -147,7 +149,7 @@ class TestCriticUpdate:
         y = critic_target(batch, nets, hyper)
 
         def loss_of(vec):
-            critic = nets.critic.with_vector(vec)
+            critic = MlpParams(nets.critic.layer_sizes, vec, nets.critic.output_activation)
             q = critic_value(critic, hyper, batch.states, batch.actions)
             value = np.mean((q - y) ** 2)
             qs = critic_value(critic, hyper, sup.states, sup.actions)
@@ -219,7 +221,7 @@ class TestActorUpdate:
         _, analytic = actor_objective_grads(nets, hyper, batch, sup, w_to)
 
         def objective_of(vec):
-            actor = nets.actor.with_vector(vec)
+            actor = MlpParams(nets.actor.layer_sizes, vec, nets.actor.output_activation)
             acts = policy_action(actor, hyper, batch.states)
             value = -np.mean(critic_value(nets.target_critic, hyper, batch.states, acts))
             sup_acts = policy_action(actor, hyper, sup.states)
@@ -241,7 +243,7 @@ class TestActorUpdate:
         hyper = tiny_hyper()
         nets = make_agent(hyper, seed=11)
         # make live critic different from target critic
-        bumped = nets.critic.with_vector(nets.critic.vector + 0.5)
+        bumped = MlpParams(nets.critic.layer_sizes, nets.critic.vector + 0.5, nets.critic.output_activation)
         nets = AgentNets(nets.actor, bumped, nets.target_actor, nets.target_critic,
                          hyper.actor_lr, hyper.critic_lr)
         batch = random_batch(rng)
@@ -305,7 +307,8 @@ class TestTargetUpdate:
 
 
 # -- oracle: the functional learner that returned new nets on every update ----------
-# Kept verbatim from before the learner updated its joint vectors in place.
+# Kept verbatim from before the learner updated its joint vectors in place; its
+# losses are the verbatim ones of tests/verbatim_oracles.py, not the live ones.
 
 
 @dataclass(frozen=True)
@@ -342,7 +345,8 @@ def oracle_adam_step(state, params, grads):
 
     m = b1 * state.m + (1.0 - b1) * grads
     v = b2 * state.v + (1.0 - b2) * (grads * grads)
-    new_params = params.with_vector(params.vector - scale1 * m / (np.sqrt(v) * inv_sqrt_corr2 + eps))
+    new_params = MlpParams(params.layer_sizes, params.vector - scale1 * m / (np.sqrt(v) * inv_sqrt_corr2 + eps),
+                           params.output_activation)
     return new_params, AdamState(m, v, t, lr)
 
 
@@ -351,11 +355,12 @@ def oracle_soft_update(target, source, rate):
         raise ConfigurationError(f"soft-update rate must lie in (0, 1], got {rate}")
     if target.layer_sizes != source.layer_sizes:
         raise ShapeError("target and source networks have different layer sizes")
-    return target.with_vector(rate * source.vector + (1.0 - rate) * target.vector)
+    return MlpParams(target.layer_sizes, rate * source.vector + (1.0 - rate) * target.vector,
+                     target.output_activation)
 
 
 def oracle_critic_update(nets, hyper, batch, sup_batch, supervision_weight):
-    loss, grads = critic_loss_grads(nets, hyper, batch, sup_batch, supervision_weight)
+    loss, grads = verbatim_oracles.critic_loss_grads(nets, hyper, batch, sup_batch, supervision_weight)
     if not np.isfinite(loss):
         raise NumericalError("critic loss is non-finite; parameters unchanged")
     critic, critic_opt = oracle_adam_step(nets.critic_opt, nets.critic, grads)
@@ -363,7 +368,7 @@ def oracle_critic_update(nets, hyper, batch, sup_batch, supervision_weight):
 
 
 def oracle_actor_update(nets, hyper, batch, sup_batch, supervision_weight):
-    objective, grads = actor_objective_grads(nets, hyper, batch, sup_batch, supervision_weight)
+    objective, grads = verbatim_oracles.actor_objective_grads(nets, hyper, batch, sup_batch, supervision_weight)
     if not np.isfinite(objective):
         raise NumericalError("actor objective is non-finite; parameters unchanged")
     actor, actor_opt = oracle_adam_step(nets.actor_opt, nets.actor, grads)
@@ -494,6 +499,19 @@ class TestHyper:
         with pytest.raises(ConfigurationError, match=key):
             tiny_hyper(**{key: widths})
         assert getattr(tiny_hyper(**{key: (1,)}), key) == (1,)
+
+    @pytest.mark.parametrize("obs_scale", [(1.0,) * 5, (1.0,) * 7, (1.0, 1.0, float("nan"), 1.0, 1.0, 1.0),
+                                           (float("inf"),) * 6, ()])
+    def test_rejects_obs_scale_without_six_finite_entries(self, obs_scale):
+        with pytest.raises(ConfigurationError, match="obs_scale"):
+            tiny_hyper(obs_scale=obs_scale)
+
+    def test_obs_scale_array_follows_obs_scale_and_is_read_only(self):
+        hyper = tiny_hyper(obs_scale=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
+        assert np.array_equal(hyper.obs_scale_array, np.arange(1.0, 7.0))
+        assert not hyper.obs_scale_array.flags.writeable
+        assert hyper == replace(hyper, obs_scale=hyper.obs_scale)  # the array is not compared
+        assert np.array_equal(replace(hyper, obs_scale=(1.0,) * 6).obs_scale_array, np.ones(6))
 
     def test_scaling_has_no_default(self):
         # DdpgHyper.for_env derives the scaling from the task; a literal default disagreed with it

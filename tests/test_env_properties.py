@@ -8,7 +8,6 @@ from hypothesis import strategies as st  # noqa: E402
 
 from guided_ddpg.envs import (  # noqa: E402
     InsertionEnvConfig,
-    contact_force,
     contact_forces,
     env_reset,
     env_step,
@@ -120,7 +119,7 @@ def test_contact_is_never_adhesive(config, state):
     """Each body pushes the peg out of itself, never pulls: a force component
     points toward a body only if another body on the far side is penetrated."""
     x, y, vx, vy = state
-    fx, fy = contact_force(config, np.array([x, y]), np.array([vx, vy]))
+    ((fx, fy),) = contact_forces(config, np.array([[x, y]]), np.array([[vx, vy]]))
     hit = overlaps(config, x, y)
     if not (hit["right_block"] or hit["right_wall"]):
         assert fx >= 0.0  # only the right bodies push toward -x

@@ -3,7 +3,8 @@ import pytest
 
 from guided_ddpg.envs import (
     InsertionEnvConfig,
-    contact_force,
+    clip_actions,
+    contact_forces,
     costs,
     env_reset,
     env_step,
@@ -13,10 +14,17 @@ from guided_ddpg.envs import (
 from guided_ddpg.exceptions import ConfigurationError, InputError
 from guided_ddpg.harness import load_env_config
 
+from verbatim_oracles import contact_force as verbatim_contact_force
+
 
 @pytest.fixture
 def config():
     return InsertionEnvConfig()
+
+
+def contact_force(config, position, velocity):
+    """:func:`contact_forces` of one configuration, as one ``(2,)`` force."""
+    return contact_forces(config, np.asarray(position, dtype=float)[None], np.asarray(velocity, dtype=float)[None])[0]
 
 
 def free_space_state(x=0.0, y=0.01, vx=0.0, vy=0.0):
@@ -129,6 +137,42 @@ class TestContact:
         assert force[0] >= 0.0
 
 
+class TestContactMatchesVerbatimOracle:
+    """The per-call loop computes the one-row model's bits, signs of zero included."""
+
+    @pytest.mark.parametrize("geometry", [
+        {},
+        {"hole_center_offset": 0.002},
+        {"hole_center_offset": -0.002},
+        {"hole_half_width": 0.00501},
+    ], ids=["default", "shift+", "shift-", "tight"])
+    def test_random_rows_bitwise(self, geometry):
+        config = InsertionEnvConfig(**geometry)
+        rng = np.random.default_rng(31)
+        n = 4000
+        positions = np.column_stack([rng.uniform(-0.026, 0.026, n), rng.uniform(-0.03, 0.026, n)])
+        velocities = rng.normal(scale=0.5, size=(n, 2)) * rng.choice([1e-3, 1.0, 30.0], size=(n, 1))
+        # exact signed zeros in every column, and rows on the slot's edges and floor
+        for column in (positions, velocities):
+            column[rng.uniform(size=(n, 2)) < 0.1] = 0.0
+            column[rng.uniform(size=(n, 2)) < 0.1] = -0.0
+        c, wp, wh = config.hole_center_offset, config.peg_half_width, config.hole_half_width
+        positions[:8, 0] = [c - wh + wp, c + wh - wp, c - wh + wp, c + wh - wp, c, c, c - wh, c + wh]
+        positions[:8, 1] = [-0.01, -0.01, -0.0, 0.0, -config.hole_depth, -0.0, -wp, -wp]
+        forces = contact_forces(config, positions, velocities)
+        want = np.array([verbatim_contact_force(config, p, v) for p, v in zip(positions, velocities)])
+        assert forces.shape == (n, 2) and forces.dtype == np.float64
+        assert np.array_equal(forces, want)
+        assert np.array_equal(np.signbit(forces), np.signbit(want))
+        assert (forces != 0.0).any(axis=1).sum() > n // 4  # the draw does reach the bodies
+        for i in range(0, n, 97):  # a row alone gets its bits in the batch
+            alone = contact_forces(config, positions[i:i + 1], velocities[i:i + 1])
+            assert np.array_equal(alone, want[i:i + 1]) and np.array_equal(np.signbit(alone), np.signbit(want[i:i + 1]))
+
+    def test_no_rows(self, config):
+        assert contact_forces(config, np.zeros((0, 2)), np.zeros((0, 2))).shape == (0, 2)
+
+
 class TestStep:
     def test_free_space_zero_action_is_static(self, config):
         state = free_space_state()
@@ -161,6 +205,17 @@ class TestStep:
         assert np.array_equal(over[0], at[0]) and over[1] == at[1]
         inside = step_one(config, free_space_state(), np.array([0.5 * bound, -bound]))
         assert not np.array_equal(over[0], inside[0])
+
+    @pytest.mark.parametrize("bound", [5.0, 1e-300, 0.25])
+    def test_clip_actions_is_np_clip_bitwise(self, bound):
+        config = InsertionEnvConfig(action_bound=bound)
+        rng = np.random.default_rng(5)
+        actions = rng.normal(scale=2.0 * bound, size=(500, 2))
+        actions[:6] = [[0.0, -0.0], [bound, -bound], [-bound, bound], [np.nan, np.inf], [-np.inf, -0.0], [2e-300, -2e-300]]
+        clipped = clip_actions(config, actions)
+        want = np.clip(actions, -bound, bound)
+        assert np.array_equal(clipped, want, equal_nan=True)
+        assert np.array_equal(np.signbit(clipped), np.signbit(want))
 
     def test_nonfinite_action_rejected(self, config):
         for bad in (np.array([np.nan, 0.0]), np.array([0.0, np.inf])):

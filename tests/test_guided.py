@@ -15,6 +15,7 @@ from guided_ddpg.ddpg import (
 from guided_ddpg.envs import InsertionEnvConfig, Transition, env_reset, env_step, rollout, successes
 from guided_ddpg.exceptions import ConfigurationError, InputError, SupervisorError
 from guided_ddpg.guided import EvalMetrics, TrainConfig, evaluate_policy, rng_streams, train
+from guided_ddpg.nets import MlpParams
 from guided_ddpg.replay import transition_batch_from_rows, transition_buffer
 from guided_ddpg.trajopt import SupervisorConfig
 
@@ -184,7 +185,7 @@ class TestEvaluation:
         config = tiny_config(env=env)
         nets = make_agent(config.hyper, 0)
         # zero out the actor: outputs 0 force, peg never reaches the target
-        actor = nets.actor.with_vector(np.zeros(nets.actor.vector.size))
+        actor = MlpParams(nets.actor.layer_sizes, np.zeros(nets.actor.vector.size), nets.actor.output_activation)
         metrics = evaluate_policy(actor, config.hyper, env, 5, seed=1)
         assert metrics.success_rate == 0.0
 
@@ -256,7 +257,7 @@ def constant_push_actor(hyper, push):
     actor = make_agent(hyper, 0).actor
     vector = np.zeros(actor.vector.size)
     vector[-2:] = np.arctanh(np.asarray(push) / hyper.action_bound)
-    return actor.with_vector(vector)
+    return MlpParams(actor.layer_sizes, vector, actor.output_activation)
 
 
 # Geometries: the default slot, a wide slot with a lenient tolerance (episodes
@@ -315,6 +316,6 @@ class TestLockstepMatchesPerEpisodeLoop:
         env = InsertionEnvConfig(horizon=10)
         hyper = DdpgHyper.for_env(env, actor_hidden=(8,))
         actor = make_agent(hyper, 0).actor
-        actor = actor.with_vector(np.full(actor.vector.size, np.nan))
+        actor = MlpParams(actor.layer_sizes, np.full(actor.vector.size, np.nan), actor.output_activation)
         with pytest.raises(InputError):
             evaluate_policy(actor, hyper, env, 4, seed=0)

@@ -413,6 +413,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert str(sizes) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("obs_scale", [[1.0, float("nan"), 1.0, 1.0, 1.0, 1.0], [1.0] * 5],
+                             ids=["nan", "five"])
+    def test_checkpoint_bad_obs_scale_exit_code(self, tmp_path, capsys, obs_scale):
+        payload = self._checkpoint_payload(tmp_path)
+        payload["obs_scale"] = obs_scale
+        assert self._eval_exit_code(tmp_path, json.dumps(payload)) == 2
+        err = capsys.readouterr().err
+        assert "obs_scale must hold 6 finite numbers" in err and "Traceback" not in err
+
     def test_unallocatable_evaluation_exit_code(self, tiny_spec_path, tmp_path, capsys):
         # 10**15 episodes need more than a 47-bit address space, so the allocation fails at once
         ckpt = tmp_path / "ckpt.json"
@@ -461,6 +470,7 @@ class TestCli:
         spec.write_text(tiny_spec_path.read_text().replace("r2_capacity = 500", "r2_capacity = 10000000000000"))
         assert cli_main(["train", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
         assert "does not fit in memory" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()  # the rings are sized before --out is made
 
     @pytest.mark.parametrize("value,code", [("0.1", 2), ("0.0, -0.02", 0)])
     def test_env_config_target_point(self, tmp_path, value, code):

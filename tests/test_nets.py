@@ -17,6 +17,8 @@ from guided_ddpg.nets import (
     soft_update,
 )
 
+import verbatim_oracles
+
 
 def forward(params, x):
     return mlp_forward(params, x)[0]
@@ -32,7 +34,7 @@ def finite_difference_grad(params, x, output_gradient, h=1e-5):
     g = np.asarray(output_gradient, dtype=np.float64)
 
     def loss(vec):
-        return float(np.sum(forward(params.with_vector(vec), x) * g))
+        return float(np.sum(forward(MlpParams(params.layer_sizes, vec, params.output_activation), x) * g))
 
     theta = params.vector
     grad = np.zeros_like(theta)
@@ -109,13 +111,14 @@ class TestInit:
 class TestForward:
     def test_identity_network(self):
         params = mlp_init([3, 3], output_activation="identity", seed=0)
-        params = params.with_vector(np.concatenate([np.eye(3).ravel(), np.zeros(3)]))
+        params = MlpParams(params.layer_sizes, np.concatenate([np.eye(3).ravel(), np.zeros(3)]),
+                           params.output_activation)
         x = np.array([[0.3, -1.2, 4.0]])
         assert np.allclose(forward(params, x), x)
 
     def test_hand_affine(self):
         params = mlp_init([2, 2], seed=0)
-        params = params.with_vector(np.array([2.0, 0.0, 0.0, 3.0, 1.0, -1.0]))
+        params = MlpParams(params.layer_sizes, np.array([2.0, 0.0, 0.0, 3.0, 1.0, -1.0]), params.output_activation)
         assert np.allclose(forward(params, np.array([[1.0, 1.0]])), [[3.0, 2.0]])
 
     def test_zero_weights_give_output_bias(self):
@@ -124,7 +127,7 @@ class TestForward:
         # set final bias only: it closes the parameter vector
         vec = np.zeros(params.vector.size)
         vec[-2:] = out_bias
-        params_zero = params.with_vector(vec)
+        params_zero = MlpParams(params.layer_sizes, vec, params.output_activation)
         assert np.array_equal(params_zero.biases[-1], out_bias)
         xs = np.array([np.zeros(4), np.ones(4), [3.0, -2.0, 0.1, 9.0]])
         assert np.allclose(forward(params_zero, xs), np.tile(out_bias, (3, 1)))
@@ -439,7 +442,7 @@ class TestFlatLayout:
     def test_vector_is_read_only_and_caller_array_is_not(self):
         params = mlp_init([3, 2], seed=0)
         vec = np.arange(8.0)
-        frozen = params.with_vector(vec)
+        frozen = MlpParams(params.layer_sizes, vec, params.output_activation)
         with pytest.raises(ValueError):
             frozen.vector[0] = 1.0
         with pytest.raises(ValueError):
@@ -450,7 +453,7 @@ class TestFlatLayout:
     def test_wrong_vector_length_rejected(self):
         params = mlp_init([3, 2], seed=0)
         with pytest.raises(ShapeError):
-            params.with_vector(np.zeros(7))
+            MlpParams(params.layer_sizes, np.zeros(7), params.output_activation)
 
 
 class TestReducedBackward:
@@ -470,3 +473,58 @@ class TestReducedBackward:
         assert np.array_equal(only_params, full_params)
         assert np.array_equal(only_input, full_input)
         assert only_input.shape == x.shape
+
+
+def assert_same_bits(mine, want):
+    assert mine.shape == want.shape
+    assert np.array_equal(mine, want)
+    assert np.array_equal(np.signbit(mine), np.signbit(want))
+
+
+class TestPassesMatchVerbatimOracle:
+    """The passes compute the bits of their verbatim copies, signs of zero included."""
+
+    @pytest.mark.parametrize("rows", [1, 8, 64])
+    @pytest.mark.parametrize("output_dim", [1, 2])
+    @pytest.mark.parametrize("output_activation", ["identity", "tanh"])
+    # no hidden layer and a one-unit one make K = 1 matmuls, where a signed zero is easiest to lose
+    @pytest.mark.parametrize("hidden", [(8,), (64, 64), (), (1,)], ids=["8", "64x64", "none", "1"])
+    def test_forward_and_backward_bitwise(self, hidden, output_activation, output_dim, rows):
+        rng = np.random.default_rng(rows * 10 + output_dim)
+        params = mlp_init([8, *hidden, output_dim], output_activation, seed=3)
+        vector = params.vector.copy()
+        vector[rng.uniform(size=vector.size) < 0.05] = 0.0
+        vector[rng.uniform(size=vector.size) < 0.05] = -0.0
+        params = MlpParams(params.layer_sizes, vector, output_activation)
+        for _ in range(5):
+            x = rng.normal(size=(rows, 8))
+            x[rng.uniform(size=x.shape) < 0.1] = -0.0
+            g = rng.normal(size=(rows, output_dim))
+            g[rng.uniform(size=g.shape) < 0.3] = 0.0
+            g[rng.uniform(size=g.shape) < 0.3] = -0.0
+            out, acts = mlp_forward(params, x)
+            want_out, want_acts = verbatim_oracles.mlp_forward(params, x)
+            assert_same_bits(out, want_out)
+            assert len(acts) == len(want_acts)
+            for a, b in zip(acts, want_acts):
+                assert_same_bits(a, b)
+            for flags in ({}, {"wrt_input": False}, {"wrt_params": False}):
+                mine = mlp_backward(params, x, g, acts, **flags)
+                want = verbatim_oracles.mlp_backward(params, x, g, want_acts, **flags)
+                for m, w in zip(mine, want):
+                    assert (m is None) == (w is None)
+                    if w is not None:
+                        assert_same_bits(m, w)
+
+    def test_passes_leave_their_arguments_alone(self):
+        params = mlp_init([4, 8, 1], "tanh", seed=0)
+        x = np.random.default_rng(0).normal(size=(5, 4))
+        g = np.full((5, 1), -0.0)
+        x0, g0 = x.copy(), g.copy()
+        _, acts = mlp_forward(params, x)
+        acts0 = [a.copy() for a in acts]
+        mlp_backward(params, x, g, acts)
+        assert_same_bits(x, x0)
+        assert_same_bits(g, g0)
+        for a, b in zip(acts, acts0):
+            assert_same_bits(a, b)
