@@ -187,6 +187,15 @@ def env_reset(config: InsertionEnvConfig, seed, n: int) -> Array:
     return states
 
 
+def initial_state_distribution(config: InsertionEnvConfig) -> tuple[Array, Array]:
+    """Exact mean and covariance of an :func:`env_reset` row; only the lateral offset varies."""
+    mean = np.zeros(STATE_DIM)
+    mean[1] = config.start_height
+    cov = np.zeros((STATE_DIM, STATE_DIM))
+    cov[0, 0] = config.reset_range**2 / 3.0
+    return mean, cov
+
+
 def _norms(rows: Array) -> Array:
     # vecdot runs the dot kernel np.linalg.norm uses on one vector, so each
     # entry equals the norm of that row alone, to the last bit.

@@ -122,7 +122,6 @@ class TrainConfig:
 
 @dataclass
 class EpisodeRecord:
-    index: int  # global episode ordinal across all phases
     epoch: int
     phase: str  # trajopt_sample | supervised | ddpg
     n_roll: Optional[int]  # exploratory-episode counter value at episode start
@@ -177,31 +176,36 @@ class TrainingLog:
 
     def write_csv(self, path) -> None:
         """Deterministic log export: wall-clock timings deliberately excluded."""
-        with open(path, "w", newline="\n", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["row_type", "epoch", "phase", "episode", "n_roll", "steps",
-                 "episode_return", "success", "w_to", "success_rate", "mean_return", "mean_steps"]
-            )
-            for e in self.episodes:
-                writer.writerow(
-                    ["episode", e.epoch, e.phase, e.index,
-                     "" if e.n_roll is None else e.n_roll, e.steps,
-                     repr(float(e.episode_return)), int(e.success),
-                     "" if e.w_to is None else repr(float(e.w_to)), "", "", ""]
-                )
-            for ev in self.evals:
-                writer.writerow(
-                    ["eval", ev.epoch, "eval", "", ev.n_roll, "", "", "", "",
-                     repr(float(ev.success_rate)), repr(float(ev.mean_return)), repr(float(ev.mean_steps))]
-                )
+        rows = [
+            ["episode", e.epoch, e.phase, i, "" if e.n_roll is None else e.n_roll, e.steps,
+             repr(float(e.episode_return)), int(e.success),
+             "" if e.w_to is None else repr(float(e.w_to)), "", "", ""]
+            for i, e in enumerate(self.episodes)
+        ]
+        rows += [
+            ["eval", ev.epoch, "eval", "", ev.n_roll, "", "", "", "",
+             repr(float(ev.success_rate)), repr(float(ev.mean_return)), repr(float(ev.mean_steps))]
+            for ev in self.evals
+        ]
+        write_table(path, ["row_type", "epoch", "phase", "episode", "n_roll", "steps", "episode_return",
+                           "success", "w_to", "success_rate", "mean_return", "mean_steps"], rows)
 
     def write_timings_csv(self, path) -> None:
-        with open(path, "w", newline="\n", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["episode", "wall_clock_s"])
-            for e in self.episodes:
-                writer.writerow([e.index, f"{e.wall_clock:.6f}"])
+        write_table(path, ["episode", "wall_clock_s"],
+                    ([i, f"{e.wall_clock:.6f}"] for i, e in enumerate(self.episodes)))
+
+
+def write_table(path, header, rows) -> None:
+    """Write one CSV artifact table: ``header``, then each row of ``rows``.
+
+    This is the one dialect of the run's tables: UTF-8; the csv module's
+    default quoting, only where a cell needs it; and ``"\\r\\n"`` after every
+    row on every platform. Each caller formats its own cells.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def rollout_transitions(roll: Rollout) -> list:
@@ -272,16 +276,6 @@ def evaluate_policy(actor, hyper: DdpgHyper, env: InsertionEnvConfig, n_episodes
     return EvalMetrics(float(np.mean(succeeded)), float(np.mean(returns)), float(np.mean(steps)))
 
 
-def _run_evaluation(nets: AgentNets, config: TrainConfig, log: TrainingLog, epoch: int, n_roll: int) -> EvalRecord:
-    metrics = evaluate_policy(
-        nets.actor, config.hyper, config.env, config.eval_episodes,
-        [config.seed, STREAM_EVAL, len(log.evals)],
-    )
-    record = EvalRecord(epoch, n_roll, metrics.success_rate, metrics.mean_return, metrics.mean_steps)
-    log.evals.append(record)
-    return record
-
-
 def ddpg_block(
     nets: AgentNets,
     config: TrainConfig,
@@ -340,14 +334,16 @@ def ddpg_block(
             if done:
                 break
         log.episodes.append(
-            EpisodeRecord(len(log.episodes), epoch, "ddpg", n_roll, steps, episode_return,
-                          episode_success, w_to, time.perf_counter() - t_start)
+            EpisodeRecord(epoch, "ddpg", n_roll, steps, episode_return, episode_success, w_to,
+                          time.perf_counter() - t_start)
         )
         n_roll += 1
 
         if config.eval_every > 0 and n_roll % config.eval_every == 0:
-            record = _run_evaluation(nets, config, log, epoch, n_roll)
-            if config.stop_at_threshold and record.success_rate >= config.success_threshold:
+            metrics = evaluate_policy(nets.actor, hyper, env, config.eval_episodes,
+                                      [config.seed, STREAM_EVAL, len(log.evals)])
+            log.evals.append(EvalRecord(epoch, n_roll, metrics.success_rate, metrics.mean_return, metrics.mean_steps))
+            if config.stop_at_threshold and metrics.success_rate >= config.success_threshold:
                 stop = True
                 break
     return n_roll, stop
@@ -379,19 +375,12 @@ def train(config: TrainConfig) -> tuple[AgentNets, TrainingLog]:
             except SupervisorError as exc:
                 log.epochs.append(EpochRecord(epoch, "degraded", str(exc), []))
             else:
-                for roll in result.sample_rollouts:
+                phases = ["trajopt_sample"] * len(result.sample_rollouts) + ["supervised"]
+                for phase, roll in zip(phases, result.sample_rollouts + [result.final_rollout]):
                     r2.extend(rollout_transitions(roll))
-                    log.episodes.append(
-                        EpisodeRecord(len(log.episodes), epoch, "trajopt_sample", None, roll.steps,
-                                      roll.episode_return, roll.success, None, time.perf_counter() - t_start)
-                    )
-                r2.extend(rollout_transitions(result.final_rollout))
+                    log.episodes.append(EpisodeRecord(epoch, phase, None, roll.steps, roll.episode_return,
+                                                      roll.success, None, time.perf_counter() - t_start))
                 r1.extend(result.supervision)
-                log.episodes.append(
-                    EpisodeRecord(len(log.episodes), epoch, "supervised", None, result.final_rollout.steps,
-                                  result.final_rollout.episode_return, result.final_rollout.success, None,
-                                  time.perf_counter() - t_start)
-                )
                 log.epochs.append(EpochRecord(epoch, "ok", "", result.diagnostics))
         else:
             log.epochs.append(EpochRecord(epoch, "skipped", "n_trajopt=0", []))

@@ -1,14 +1,15 @@
 """Experiment runner: spec files, multi-seed training, evaluation, sweeps.
 
 A spec is a flat ``key = value`` file in the format :func:`read_config`
-documents. Training artifacts are one directory per seed (deterministic log
-CSV, timings CSV, checkpoint, summary JSON) plus aggregate learning curves
-and a comparison table over seeds. Evaluation and adaptability sweeps run
-from checkpoints without touching any training state.
+documents. Training writes one directory per seed (deterministic
+``training_log.csv`` and ``supervisor_diag.csv``, ``timings.csv``, the actor
+and critic in ``checkpoint.json``, ``summary.json``) plus, over seeds, the
+deterministic ``learning_curves.csv`` and the medians in ``aggregate.json``
+and ``comparison_table.csv``. Evaluation and adaptability sweeps
+(``sweep.csv``) run from checkpoints without touching any training state.
 """
 from __future__ import annotations
 
-import csv
 import json
 import math
 import time
@@ -22,7 +23,7 @@ import numpy as np
 from .ddpg import DdpgHyper
 from .envs import ACTION_DIM, STATE_DIM, InsertionEnvConfig
 from .exceptions import SpecError
-from .guided import TrainConfig, TrainingLog, evaluate_policy, evaluation_arrays, replay_buffers, train
+from .guided import TrainConfig, TrainingLog, evaluate_policy, evaluation_arrays, replay_buffers, train, write_table
 from .nets import MlpParams, mlp_from_dict, mlp_to_dict
 from .trajopt import SupervisorConfig
 
@@ -189,6 +190,12 @@ def pure_ddpg_config(config: TrainConfig) -> TrainConfig:
 
 
 def save_agent_checkpoint(path, nets, hyper: DdpgHyper) -> None:
+    """Write the actor and critic, with the scaling they were trained with, as JSON.
+
+    The target nets are left out: :func:`load_agent_checkpoint` reads only
+    the actor, and nothing reads the targets. A version-1 file that also holds
+    ``target_actor`` and ``target_critic`` still loads.
+    """
     payload = {
         "format": "agent-checkpoint",
         "version": 1,
@@ -196,8 +203,6 @@ def save_agent_checkpoint(path, nets, hyper: DdpgHyper) -> None:
         "obs_scale": list(hyper.obs_scale),
         "actor": mlp_to_dict(nets.actor),
         "critic": mlp_to_dict(nets.critic),
-        "target_actor": mlp_to_dict(nets.target_actor),
-        "target_critic": mlp_to_dict(nets.target_critic),
     }
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
@@ -233,24 +238,20 @@ def load_agent_checkpoint(path) -> tuple[MlpParams, DdpgHyper]:
 
 def _write_learning_curves(out: Path, logs: dict) -> None:
     """Median/IQR of evaluation success over seeds, on the shared n_roll grid."""
-    grid = sorted({ev.n_roll for log in logs.values() for ev in log.evals})
-    with open(out, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n_roll", "n_seeds", "success_median", "success_q25", "success_q75",
-                         "return_median"])
-        for n_roll in grid:
-            succ = []
-            rets = []
-            for log in logs.values():
-                for ev in log.evals:
-                    if ev.n_roll == n_roll:
-                        succ.append(ev.success_rate)
-                        rets.append(ev.mean_return)
-            writer.writerow([
-                n_roll, len(succ),
-                repr(float(np.median(succ))), repr(float(np.quantile(succ, 0.25))),
-                repr(float(np.quantile(succ, 0.75))), repr(float(np.median(rets))),
-            ])
+    by_n_roll: dict = {}  # n_roll -> the evaluations at it, in seed order
+    for log in logs.values():
+        for ev in log.evals:
+            by_n_roll.setdefault(ev.n_roll, []).append(ev)
+    rows = []
+    for n_roll in sorted(by_n_roll):
+        succ = [ev.success_rate for ev in by_n_roll[n_roll]]
+        rets = [ev.mean_return for ev in by_n_roll[n_roll]]
+        rows.append([
+            n_roll, len(succ),
+            repr(float(np.median(succ))), repr(float(np.quantile(succ, 0.25))),
+            repr(float(np.quantile(succ, 0.75))), repr(float(np.median(rets))),
+        ])
+    write_table(out, ["n_roll", "n_seeds", "success_median", "success_q25", "success_q75", "return_median"], rows)
 
 
 def _median_or_none(values: list) -> Optional[float]:
@@ -321,19 +322,18 @@ def run_experiment(spec_path, out_dir) -> Path:
 
 
 def _write_supervisor_diagnostics(path, log: TrainingLog) -> None:
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "status", "subiter", "eta", "epsilon", "achieved_kl",
-                         "expected_improvement", "actual_improvement", "mean_sample_cost", "dual_status"])
-        for rec in log.epochs:
-            if not rec.diagnostics:
-                writer.writerow([rec.epoch, rec.status, "", "", "", "", "", "", "", rec.detail])
-            for diag in rec.diagnostics:
-                writer.writerow([
-                    rec.epoch, rec.status, diag.subiter, repr(diag.eta), repr(diag.epsilon),
-                    repr(diag.achieved_kl), repr(diag.expected_improvement),
-                    repr(diag.actual_improvement), repr(diag.mean_sample_cost), diag.status,
-                ])
+    rows = []
+    for rec in log.epochs:
+        if not rec.diagnostics:
+            rows.append([rec.epoch, rec.status, "", "", "", "", "", "", "", rec.detail])
+        for diag in rec.diagnostics:
+            rows.append([
+                rec.epoch, rec.status, diag.subiter, repr(diag.eta), repr(diag.epsilon),
+                repr(diag.achieved_kl), repr(diag.expected_improvement),
+                repr(diag.actual_improvement), repr(diag.mean_sample_cost), diag.status,
+            ])
+    write_table(path, ["epoch", "status", "subiter", "eta", "epsilon", "achieved_kl", "expected_improvement",
+                       "actual_improvement", "mean_sample_cost", "dual_status"], rows)
 
 
 _COMPARISON_COLUMNS = ("algorithm", "median_rollouts_to_threshold", "median_wall_clock_s",
@@ -341,14 +341,11 @@ _COMPARISON_COLUMNS = ("algorithm", "median_rollouts_to_threshold", "median_wall
 
 
 def _write_comparison(path, aggregates: list) -> None:
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_COMPARISON_COLUMNS)
-        for agg in aggregates:
-            writer.writerow([
-                agg["algorithm"], agg["median_rollouts_to_threshold"],
-                f"{agg['median_wall_clock_s']:.2f}", agg["median_final_success_rate"],
-            ])
+    write_table(path, _COMPARISON_COLUMNS, (
+        [agg["algorithm"], agg["median_rollouts_to_threshold"],
+         f"{agg['median_wall_clock_s']:.2f}", agg["median_final_success_rate"]]
+        for agg in aggregates
+    ))
 
 
 def _read_aggregate(run_dir) -> dict:
@@ -402,13 +399,8 @@ def adaptability_sweep(
     rows = []
     for clearance in clearances:
         for offset in hole_offsets:
-            extremes = dict(
-                hole_half_width=env.peg_half_width + clearance,
-                hole_center_offset=offset,
-                success_tolerance=None,
-                target_point=None,
-            )
-            sub_env = replace(env, **extremes)
+            sub_env = replace(env, hole_half_width=env.peg_half_width + clearance, hole_center_offset=offset,
+                              success_tolerance=None, target_point=None)
             metrics = evaluate_policy(actor, hyper, sub_env, n_episodes, next(cell_seeds))
             rows.append({
                 "clearance": clearance,
@@ -417,13 +409,6 @@ def adaptability_sweep(
                 "mean_return": metrics.mean_return,
                 "mean_steps": metrics.mean_steps,
             })
-    with open(out_path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["clearance_m", "hole_offset_m", "success_rate", "mean_return", "mean_steps"])
-        for row in rows:
-            writer.writerow([
-                repr(float(row["clearance"])), repr(float(row["hole_offset"])),
-                repr(float(row["success_rate"])), repr(float(row["mean_return"])),
-                repr(float(row["mean_steps"])),
-            ])
+    write_table(out_path, ["clearance_m", "hole_offset_m", "success_rate", "mean_return", "mean_steps"],
+                ([repr(float(value)) for value in row.values()] for row in rows))
     return rows

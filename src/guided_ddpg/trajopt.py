@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .envs import InsertionEnvConfig, Rollout, rollout
+from .envs import ACTION_DIM, STATE_DIM, InsertionEnvConfig, Rollout, initial_state_distribution, rollout
 from .exceptions import (
     InputError,
     NotPositiveDefiniteError,
@@ -279,18 +279,19 @@ def kl_divergence(p: TrajectoryDistribution, other: LinearGaussianPolicy) -> flo
 def lqg_backward(
     dynamics: LinearDynamics,
     cost: QuadraticCost,
-    prior: LinearGaussianPolicy | None,
+    prior: LinearGaussianPolicy,
     eta: float,
     lm_reg: float = 0.0,
 ) -> LinearGaussianPolicy:
     """Maximum-entropy Riccati recursion on the dual surrogate cost.
 
-    The surrogate at each step is ``cost / eta - log prior(u | s)``; with no
-    prior the recursion reduces to a plain finite-horizon LQR solve of the
-    quadratic cost, and the returned covariance is the inverse action
-    Hessian. Raises :class:`NotPositiveDefiniteError` when that Hessian
-    (plus ``lm_reg`` on its diagonal) fails its Cholesky factorization, and
-    :class:`NumericalError` when a solve would receive non-finite values.
+    The surrogate at each step is ``cost / eta - log prior(u | s)``, and the
+    returned covariance is the inverse action Hessian. A flat prior (zero
+    gains, covariance ``c I``, ``c`` large) adds only ``I / c`` to that
+    Hessian: the recursion tends to an LQR solve of ``cost / eta``. Raises
+    :class:`NotPositiveDefiniteError` when the Hessian (plus ``lm_reg`` on its
+    diagonal) fails its Cholesky factorization, and :class:`NumericalError`
+    when a solve would receive non-finite values.
     """
     if eta <= 0.0:
         raise InputError(f"eta must be positive, got {eta}")
@@ -301,26 +302,23 @@ def lqg_backward(
     n, m = cost.state_dim, cost.action_dim
     if cost.horizon != T or dynamics.F.shape[1] != n:
         raise ShapeError("dynamics and cost horizons/dimensions disagree")
-    if prior is not None and (prior.horizon != T or prior.action_dim != m):
+    if prior.horizon != T or prior.action_dim != m:
         raise ShapeError("prior horizon/dimensions disagree with dynamics")
 
     eye = np.eye(m)
-    quad = cost.Czz / eta
-    lin = cost.cz / eta
-    if prior is not None:
-        l2 = _chol_or_raise(prior.C, "prior covariance")
-        _require_finite("prior covariance", l2)
-        # LAPACK returns Fortran-ordered inverses; keeping that layout per
-        # step keeps the products below bitwise equal to per-step ones.
-        prior_inv = np.empty((T, m, m)).transpose(0, 2, 1)
-        for t in range(T):
-            prior_inv[t] = dpotrs(l2[t], eye, lower=1)[0]
-        M = np.empty((T, m, n + m))
-        M[:, :, :n] = -prior.K
-        M[:, :, n:] = eye
-        MT = M.transpose(0, 2, 1)
-        quad = quad + MT @ prior_inv @ M
-        lin = lin - (MT @ (prior_inv @ prior.k[:, :, None]))[:, :, 0]
+    l2 = _chol_or_raise(prior.C, "prior covariance")
+    _require_finite("prior covariance", l2)
+    # LAPACK returns Fortran-ordered inverses; keeping that layout per
+    # step keeps the products below bitwise equal to per-step ones.
+    prior_inv = np.empty((T, m, m)).transpose(0, 2, 1)
+    for t in range(T):
+        prior_inv[t] = dpotrs(l2[t], eye, lower=1)[0]
+    M = np.empty((T, m, n + m))
+    M[:, :, :n] = -prior.K
+    M[:, :, n:] = eye
+    MT = M.transpose(0, 2, 1)
+    quad = cost.Czz / eta + MT @ prior_inv @ M
+    lin = cost.cz / eta - (MT @ (prior_inv @ prior.k[:, :, None]))[:, :, 0]
 
     K = np.zeros((T, m, n))
     k = np.zeros((T, m))
@@ -564,8 +562,6 @@ class SmoothedInsertionCost:
         self.action_weight = env.action_cost_weight
         self.smoothing = smoothing
         self.terminal_weight = terminal_weight
-        self.state_dim = 6
-        self.action_dim = 2
 
     def _norm_expansion(self, x: Array) -> tuple[float, Array, Array]:
         h = float(np.sqrt(x @ x + self.smoothing**2))
@@ -583,13 +579,11 @@ class SmoothedInsertionCost:
         states = np.asarray(states, dtype=np.float64)
         actions = np.asarray(actions, dtype=np.float64)
         T = actions.shape[0]
-        n, m = self.state_dim, self.action_dim
+        n, m = STATE_DIM, ACTION_DIM
         Czz = np.zeros((T, n + m, n + m))
         cz = np.zeros((T, n + m))
         const = np.zeros(T)
-        P = np.zeros((2, n))
-        P[0, 0] = 1.0
-        P[1, 1] = 1.0
+        P = np.eye(2, n)  # picks the position, columns 0:2, out of a state
 
         for t in range(T):
             s_bar, u_bar = states[t], actions[t]
@@ -683,14 +677,6 @@ def _sample_cost(roll: Rollout, env: InsertionEnvConfig, terminal_weight: float)
     plus the terminal distance term of :class:`SmoothedInsertionCost`, unsmoothed."""
     terminal = float(np.linalg.norm(roll.states[-1, 0:2] - env.target))
     return sum(-r for r in roll.rewards.tolist()) + terminal_weight * terminal
-
-
-def initial_state_distribution(env: InsertionEnvConfig) -> tuple[Array, Array]:
-    """Exact mean/covariance of the reset distribution (uniform lateral offset)."""
-    mean = np.array([0.0, env.start_height, 0.0, 0.0, 0.0, 0.0])
-    cov = np.zeros((6, 6))
-    cov[0, 0] = env.reset_range**2 / 3.0
-    return mean, cov
 
 
 def run_supervisor(

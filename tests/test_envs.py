@@ -8,6 +8,7 @@ from guided_ddpg.envs import (
     costs,
     env_reset,
     env_step,
+    initial_state_distribution,
     rollout,
     successes,
 )
@@ -87,6 +88,20 @@ class TestReset:
             assert np.all(states[:, 2:4] == 0.0)
             # the reset force is +0.0: no valid reset starts inside a body
             assert np.all(states[:, 4:6] == 0.0) and not np.signbit(states[:, 4:6]).any()
+
+    def test_distribution_moments_match_resets(self, config):
+        mean, cov = initial_state_distribution(config)
+        assert mean.shape == (6,) and cov.shape == (6, 6)
+        states = env_reset(config, 0, 20_000)
+        # the sample mean of the lateral offset is within 4 standard errors
+        assert abs(states[:, 0].mean() - mean[0]) < 4.0 * np.sqrt(cov[0, 0] / len(states))
+        assert np.cov(states[:, 0]) == pytest.approx(cov[0, 0], rel=0.05)
+        assert np.array_equal(states[0, 1:], mean[1:])
+        off_lateral = cov.copy()
+        off_lateral[0, 0] = 0.0
+        assert not off_lateral.any()
+        assert np.array_equal(initial_state_distribution(InsertionEnvConfig(reset_range=0.0))[0],
+                              env_reset(InsertionEnvConfig(reset_range=0.0), 0, 1)[0])
 
 
 class TestContact:

@@ -218,10 +218,36 @@ class TestCheckpoints:
         path = tmp_path / "ckpt.json"
         save_agent_checkpoint(path, make_agent(hyper, 0), hyper)
         payload = json.loads(path.read_text())
-        for net, output in (("actor", "tanh"), ("critic", "identity"),
-                            ("target_actor", "tanh"), ("target_critic", "identity")):
+        for net, output in (("actor", "tanh"), ("critic", "identity")):
             assert payload[net]["hidden_activation"] == "tanh"
             assert payload[net]["output_activation"] == output
+
+    def test_payload_holds_only_the_actor_and_critic_nets(self, tmp_path):
+        hyper = DdpgHyper.for_env(InsertionEnvConfig(), actor_hidden=(8,), critic_hidden=(8,))
+        nets = make_agent(hyper, 0)
+        path = tmp_path / "ckpt.json"
+        save_agent_checkpoint(path, nets, hyper)
+        payload = json.loads(path.read_text())
+        assert sorted(payload) == ["action_bound", "actor", "critic", "format", "obs_scale", "version"]
+        assert payload["actor"] == mlp_to_dict(nets.actor)
+        assert payload["critic"] == mlp_to_dict(nets.critic)
+
+    def test_file_with_target_nets_still_loads(self, tmp_path):
+        # earlier versions wrote the target nets too, under the same version 1 header
+        hyper = DdpgHyper.for_env(InsertionEnvConfig(), actor_hidden=(8,), critic_hidden=(8,))
+        nets = make_agent(hyper, 5)
+        nets.targets += 1.0  # targets that differ from the actor and critic cannot be mistaken for them
+        path = tmp_path / "ckpt.json"
+        save_agent_checkpoint(path, nets, hyper)
+        payload = json.loads(path.read_text())
+        payload["target_actor"] = mlp_to_dict(nets.target_actor)
+        payload["target_critic"] = mlp_to_dict(nets.target_critic)
+        path.write_text(json.dumps(payload))
+        actor, loaded_hyper = load_agent_checkpoint(path)
+        assert np.array_equal(actor.vector, nets.actor.vector)
+        assert actor.layer_sizes == nets.actor.layer_sizes
+        assert loaded_hyper.action_bound == hyper.action_bound
+        assert loaded_hyper.obs_scale == hyper.obs_scale
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -6,7 +6,7 @@ import scipy.linalg
 
 from guided_ddpg import trajopt
 from guided_ddpg.ddpg import DdpgHyper, make_agent, policy_action
-from guided_ddpg.envs import InsertionEnvConfig, rollout
+from guided_ddpg.envs import InsertionEnvConfig, initial_state_distribution, rollout
 from guided_ddpg.exceptions import (
     InputError,
     NotPositiveDefiniteError,
@@ -26,7 +26,6 @@ from guided_ddpg.trajopt import (
     cost_to_go,
     expected_cost,
     fit_dynamics,
-    initial_state_distribution,
     kl_divergence,
     linearize_policy,
     lqg_backward,
@@ -75,6 +74,12 @@ def constant_policy(horizon, n, m, K=None, k=None, cov=None):
                                 np.tile(cov, (horizon, 1, 1)))
 
 
+def flat_prior(horizon, n, m):
+    """Zero gains and covariance 1e12 I: its pull on the backward pass is about
+    1e-12 of a unit cost, so lqg_backward against it is LQR to that order."""
+    return constant_policy(horizon, n, m, cov=1e12 * np.eye(m))
+
+
 # ---------------------------------------------------------------------------
 # The per-step stage implementations the vectorized ones replaced, kept as
 # oracles: lqg_backward and lqg_forward must match them bitwise, and
@@ -115,7 +120,7 @@ def oracle_kl_divergence(p: TrajectoryDistribution, other: LinearGaussianPolicy)
 def oracle_lqg_backward(
     dynamics: LinearDynamics,
     cost: QuadraticCost,
-    prior: LinearGaussianPolicy | None,
+    prior: LinearGaussianPolicy,
     eta: float,
     lm_reg: float = 0.0,
 ) -> LinearGaussianPolicy:
@@ -126,15 +131,13 @@ def oracle_lqg_backward(
     n, m = cost.state_dim, cost.action_dim
     if cost.horizon != T or dynamics.F.shape[1] != n:
         raise ShapeError("dynamics and cost horizons/dimensions disagree")
-    if prior is not None and (prior.horizon != T or prior.action_dim != m):
+    if prior.horizon != T or prior.action_dim != m:
         raise ShapeError("prior horizon/dimensions disagree with dynamics")
 
-    prior_inv = None
-    if prior is not None:
-        prior_inv = []
-        for t in range(T):
-            l2 = _oracle_chol(prior.C[t], "prior covariance")
-            prior_inv.append(scipy.linalg.cho_solve((l2, True), np.eye(m)))
+    prior_inv = []
+    for t in range(T):
+        l2 = _oracle_chol(prior.C[t], "prior covariance")
+        prior_inv.append(scipy.linalg.cho_solve((l2, True), np.eye(m)))
 
     K = np.zeros((T, m, n))
     k = np.zeros((T, m))
@@ -142,13 +145,10 @@ def oracle_lqg_backward(
     Vxx = cost.Cxx_T / eta
     vx = cost.cx_T / eta
     for t in range(T - 1, -1, -1):
-        quad = cost.Czz[t] / eta
-        lin = cost.cz[t] / eta
-        if prior is not None:
-            Ci = prior_inv[t]
-            M = np.concatenate([-prior.K[t], np.eye(m)], axis=1)
-            quad = quad + M.T @ Ci @ M
-            lin = lin - M.T @ (Ci @ prior.k[t])
+        Ci = prior_inv[t]
+        M = np.concatenate([-prior.K[t], np.eye(m)], axis=1)
+        quad = cost.Czz[t] / eta + M.T @ Ci @ M
+        lin = cost.cz[t] / eta - M.T @ (Ci @ prior.k[t])
 
         Ft = dynamics.F[t]
         ft = dynamics.f[t]
@@ -389,7 +389,7 @@ class TestLqgBackward:
             m = int(rng.integers(1, 5))
             horizon = int(rng.integers(3, 40))
             A, B, Q, R, Qf, dynamics, cost = lqr_problem(rng, n, m, horizon)
-            policy = lqg_backward(dynamics, cost, prior=None, eta=1.0)
+            policy = lqg_backward(dynamics, cost, prior=flat_prior(horizon, n, m), eta=1.0)
             oracle = riccati_oracle(A, B, Q, R, Qf, horizon)
             for t in range(horizon):
                 assert np.max(np.abs(policy.K[t] + oracle[t])) < 1e-6
@@ -428,7 +428,7 @@ class TestLqgBackward:
         Czz[0, 0, 0] = 2 * Q[0, 0]
         Czz[0, 1, 1] = 2 * R[0, 0]
         cost = QuadraticCost(Czz, np.zeros((1, 2)), np.zeros(1), 2 * Qf, np.zeros(1), 0.0, 1, 1)
-        policy = lqg_backward(dynamics, cost, None, eta=1.0)
+        policy = lqg_backward(dynamics, cost, flat_prior(1, 1, 1), eta=1.0)
         q_uu = 2 * R[0, 0] + B[0, 0] ** 2 * 2 * Qf[0, 0]
         assert policy.C[0, 0, 0] == pytest.approx(1.0 / q_uu, rel=1e-12)
 
@@ -556,7 +556,7 @@ class TestUpdateTrajectory:
         rng = np.random.default_rng(11)
         n, m, horizon = 2, 1, 8
         _, _, _, _, _, dynamics, cost = lqr_problem(rng, n, m, horizon)
-        optimal = lqg_backward(dynamics, cost, None, eta=1.0)
+        optimal = lqg_backward(dynamics, cost, flat_prior(horizon, n, m), eta=1.0)
         dual = DualState(eta=1.0, epsilon=1e-6)
         result = update_trajectory(dynamics, prior=optimal, dual=dual, cost=cost,
                                    init_mean=np.zeros(n), init_cov=0.1 * np.eye(n),
@@ -652,6 +652,7 @@ def _exact_kl(traj, other, mpmath):
 
 
 class TestStagesMatchOracles:
+    # with_prior=False anchors the backward pass on a flat prior: the LQR limit
     @pytest.mark.parametrize("with_prior", [True, False])
     @pytest.mark.parametrize("lm_reg", [0.0, 1e-6])
     @pytest.mark.parametrize("cond", [1.0, 1e8])
@@ -659,7 +660,7 @@ class TestStagesMatchOracles:
         rng = np.random.default_rng([int(with_prior), int(lm_reg > 0), int(cond)])
         for _ in range(25):
             dynamics, cost, prior, _, mu0, S0 = random_stage_problem(rng, cond)
-            prior = prior if with_prior else None
+            prior = prior if with_prior else flat_prior(dynamics.horizon, cost.state_dim, cost.action_dim)
             eta = 10.0 ** rng.uniform(-2, 3)
             want = oracle_lqg_backward(dynamics, cost, prior, eta, lm_reg)
             got = lqg_backward(dynamics, cost, prior, eta, lm_reg)
@@ -675,7 +676,8 @@ class TestStagesMatchOracles:
         rng = np.random.default_rng([7, int(with_prior), int(lm_reg > 0)])
         for _ in range(25):
             dynamics, cost, prior, other, mu0, S0 = random_stage_problem(rng)
-            policy = lqg_backward(dynamics, cost, prior if with_prior else None, 10.0 ** rng.uniform(-2, 3), lm_reg)
+            anchor = prior if with_prior else flat_prior(dynamics.horizon, cost.state_dim, cost.action_dim)
+            policy = lqg_backward(dynamics, cost, anchor, 10.0 ** rng.uniform(-2, 3), lm_reg)
             traj = lqg_forward(dynamics, policy, mu0, S0)
             reference = prior if with_prior else other
             assert kl_divergence(traj, reference) == pytest.approx(oracle_kl_divergence(traj, reference), rel=1e-12)
