@@ -1,7 +1,8 @@
 """Command-line entry point: train, eval, compare, sweep.
 
 Exit codes: 0 success, 2 spec/schema problems and invalid inputs,
-3 numerical failure, 1 anything else.
+3 numerical failure, 1 anything else. Inputs are validated before ``--out``
+is made, so an invalid spec, checkpoint or result file leaves no ``--out``.
 """
 from __future__ import annotations
 
@@ -49,7 +50,6 @@ def _cmd_eval(args) -> int:
 
 def _cmd_compare(args) -> int:
     out_path = Path(args.out) / "comparison.csv"
-    Path(args.out).mkdir(parents=True, exist_ok=True)
     result = compare_runs(args.run_a, args.run_b, out_path)
     print(json.dumps({"comparison_csv": str(out_path), "rollouts_ratio_a_over_b": result["rollouts_ratio_a_over_b"]}, indent=2))
     return EXIT_OK
@@ -57,7 +57,6 @@ def _cmd_compare(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = parse_spec(args.spec)
-    Path(args.out).mkdir(parents=True, exist_ok=True)
     out_path = Path(args.out) / "sweep.csv"
     rows = adaptability_sweep(
         args.checkpoint, spec.train.env, spec.sweep_clearances, spec.sweep_hole_offsets,

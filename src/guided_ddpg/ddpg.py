@@ -3,7 +3,8 @@
 The critic regresses onto bootstrapped targets plus (weighted) optimizer
 value targets; the actor ascends the target critic plus a (weighted) L2 pull
 toward optimizer actions. With supervision weight zero both updates reduce
-exactly to standard DDPG.
+exactly to standard DDPG. Exploration adds Ornstein-Uhlenbeck noise of the
+fixed scale :data:`OU_SCALE`, rate :data:`OU_THETA` and time step :data:`OU_DT`.
 
 The learner's state is one :class:`AgentNets`, updated in place once per
 environment step: :func:`critic_update` and :func:`actor_update` write the
@@ -34,12 +35,9 @@ from .replay import SupervisionBatch, TransitionBatch
 
 Array = np.ndarray
 
-
-def _check_ou_rate(theta: float, dt: float) -> None:
-    # each step scales the noise state by 1 - theta * dt, which must lie in (-1, 1) to stay bounded
-    if not (theta > 0.0 and dt > 0.0 and theta * dt < 2.0):
-        raise ConfigurationError(f"noise_theta > 0, noise_dt > 0 and noise_theta * noise_dt < 2 required, "
-                                 f"got {theta} and {dt}")
+OU_SCALE = 1.0  # diffusion scale (N) of the exploration noise on each action axis
+OU_THETA = 0.15  # mean-reversion rate of the exploration noise
+OU_DT = 1.0  # time step of the exploration noise; each step scales its state by 1 - OU_THETA * OU_DT
 
 
 @dataclass(frozen=True)
@@ -55,9 +53,6 @@ class DdpgHyper:
     critic_lr: float = 1e-3
     actor_hidden: tuple[int, ...] = (64, 64)
     critic_hidden: tuple[int, ...] = (64, 64)
-    noise_scale: tuple[float, float] = (1.0, 1.0)
-    noise_theta: float = 0.15
-    noise_dt: float = 1.0
     # no defaults: for_env derives the scaling from the task, and a checkpoint stores it
     action_bound: float = field(kw_only=True)
     obs_scale: tuple[float, ...] = field(kw_only=True)
@@ -79,9 +74,8 @@ class DdpgHyper:
         if any(w < 1 for w in (*self.actor_hidden, *self.critic_hidden)):
             raise ConfigurationError(f"actor_hidden and critic_hidden widths must be >= 1, "
                                      f"got {self.actor_hidden} and {self.critic_hidden}")
-        if any(s < 0.0 for s in self.noise_scale):
-            raise ConfigurationError("noise scales must be >= 0")
-        _check_ou_rate(self.noise_theta, self.noise_dt)
+        if not (np.isfinite(self.action_bound) and self.action_bound > 0.0):
+            raise ConfigurationError(f"action_bound must be positive and finite, got {self.action_bound}")
         scale = np.asarray(self.obs_scale, dtype=np.float64)
         if scale.shape != (STATE_DIM,) or not np.isfinite(scale).all():
             raise ConfigurationError(f"obs_scale must hold {STATE_DIM} finite numbers, got {self.obs_scale}")
@@ -280,26 +274,18 @@ def supervision_weight(n_roll: int, c: float) -> float:
 
 
 class OrnsteinUhlenbeckNoise:
-    """Zero-mean temporally correlated exploration noise.
+    """Zero-mean temporally correlated exploration noise on ``dim`` axes.
 
-    ``x += theta * (0 - x) * dt + scale * sqrt(dt) * N(0, 1)``; a zero scale
-    yields the zero vector forever.
+    ``x += OU_THETA * (0 - x) * OU_DT + OU_SCALE * sqrt(OU_DT) * N(0, 1)``.
     """
 
-    def __init__(self, dim: int, scale, theta: float, dt: float):
-        scale = np.broadcast_to(np.asarray(scale, dtype=np.float64), (dim,)).copy()
-        if np.any(scale < 0.0):
-            raise ConfigurationError("noise scale must be >= 0")
-        _check_ou_rate(theta, dt)
+    def __init__(self, dim: int):
         self.dim = dim
-        self.scale = scale
-        self.theta = theta
-        self.dt = dt
         self._x = np.zeros(dim)
 
     def reset(self) -> None:
         self._x = np.zeros(self.dim)
 
     def sample(self, rng: np.random.Generator) -> Array:
-        self._x = self._x + self.theta * (-self._x) * self.dt + self.scale * np.sqrt(self.dt) * rng.standard_normal(self.dim)
+        self._x = self._x + OU_THETA * (-self._x) * OU_DT + OU_SCALE * np.sqrt(OU_DT) * rng.standard_normal(self.dim)
         return self._x.copy()

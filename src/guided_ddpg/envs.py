@@ -23,7 +23,7 @@ never observes ``hole_center_offset``. A penalty-walled workspace box
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,7 +37,12 @@ ACTION_DIM = 2
 
 @dataclass(frozen=True)
 class InsertionEnvConfig:
-    """Geometry, contact, and episode parameters. Units are SI throughout."""
+    """Geometry, contact, and episode parameters. Units are SI throughout.
+
+    ``success_tolerance`` and ``target_point`` are overrides, ``None`` when
+    unset; ``tolerance`` (by default 5 % of ``hole_depth``) and ``target`` (by
+    default the slot floor's center, a read-only ``(2,)`` array) resolve them.
+    """
 
     peg_half_width: float = 0.005
     hole_half_width: float = 0.0055
@@ -56,6 +61,8 @@ class InsertionEnvConfig:
     workspace_height: float = 0.02
     success_tolerance: float | None = None
     target_point: tuple[float, float] | None = None
+    tolerance: float = field(init=False, repr=False, compare=False)
+    target: Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.peg_half_width <= 0.0 or self.hole_half_width < self.peg_half_width:
@@ -78,21 +85,18 @@ class InsertionEnvConfig:
             raise ConfigurationError(
                 f"reset_range must be in [0, workspace_half_width - peg_half_width], got {self.reset_range}"
             )
-        if self.success_tolerance is None:
-            object.__setattr__(self, "success_tolerance", 0.05 * self.hole_depth)
-        if self.success_tolerance <= 0.0:
-            raise ConfigurationError(f"success_tolerance must be > 0, got {self.success_tolerance}")
-        if self.target_point is None:
-            object.__setattr__(self, "target_point", (self.hole_center_offset, -self.hole_depth))
-        object.__setattr__(self, "target_point", (float(self.target_point[0]), float(self.target_point[1])))
+        tolerance = 0.05 * self.hole_depth if self.success_tolerance is None else self.success_tolerance
+        if tolerance <= 0.0:
+            raise ConfigurationError(f"success_tolerance must be > 0, got {tolerance}")
+        point = (self.hole_center_offset, -self.hole_depth) if self.target_point is None else self.target_point
+        target = np.array([float(point[0]), float(point[1])])
+        target.flags.writeable = False
+        object.__setattr__(self, "tolerance", tolerance)
+        object.__setattr__(self, "target", target)
 
     @property
     def clearance(self) -> float:
         return self.hole_half_width - self.peg_half_width
-
-    @property
-    def target(self) -> Array:
-        return np.array(self.target_point)
 
 
 @dataclass(frozen=True)
@@ -215,7 +219,7 @@ def successes(positions: Array, config: InsertionEnvConfig) -> Array:
     allow = config.action_bound / config.wall_stiffness
     return (
         (positions[..., 1] < 0.0)
-        & (_norms(positions - config.target) < config.success_tolerance)
+        & (_norms(positions - config.target) < config.tolerance)
         & (np.abs(positions[..., 0] - config.hole_center_offset) <= config.clearance + allow)
     )
 

@@ -30,6 +30,7 @@ from .ddpg import (
     target_update,
 )
 from .envs import (
+    ACTION_DIM,
     InsertionEnvConfig,
     Rollout,
     Transition,
@@ -46,7 +47,7 @@ from .replay import (
     transition_batch_from_rows,
     transition_buffer,
 )
-from .trajopt import DualState, SupervisorConfig, run_supervisor
+from .trajopt import ETA_INIT, DualState, SupervisorConfig, run_supervisor
 
 Array = np.ndarray
 
@@ -98,8 +99,7 @@ class TrainConfig:
     success_threshold: float = 0.9
     stop_at_threshold: bool = False
     max_rollouts: Optional[int] = None
-    kl_step: float = 100.0
-    eta_init: float = 1.0
+    kl_step: float = 100.0  # the trust region epsilon the first dual search starts from
 
     def __post_init__(self):
         if self.epochs < 0 or self.n_ddpg < 0 or self.n_inc < 0 or self.n_trajopt < 0:
@@ -111,8 +111,8 @@ class TrainConfig:
                 f"eval_every >= 0 and success_threshold in [0, 1] required, "
                 f"got {self.eval_every} and {self.success_threshold}"
             )
-        if not (self.kl_step > 0.0 and self.eta_init > 0.0):
-            raise ConfigurationError(f"kl_step and eta_init must be > 0, got {self.kl_step} and {self.eta_init}")
+        if not self.kl_step > 0.0:
+            raise ConfigurationError(f"kl_step must be > 0, got {self.kl_step}")
         if self.eval_every > 0 and self.eval_episodes < 1:
             raise ConfigurationError(f"eval_episodes must be >= 1 when eval_every > 0, got {self.eval_episodes}")
         if self.hyper.action_bound != self.env.action_bound:
@@ -355,10 +355,10 @@ def train(config: TrainConfig) -> tuple[AgentNets, TrainingLog]:
     streams = rng_streams(config.seed)
     hyper = config.hyper
     nets = make_agent(hyper, streams.net_seed)
-    noise = OrnsteinUhlenbeckNoise(2, hyper.noise_scale, hyper.noise_theta, hyper.noise_dt)
+    noise = OrnsteinUhlenbeckNoise(ACTION_DIM)
     r1, r2 = replay_buffers(config)
     log = TrainingLog()
-    dual = DualState(eta=config.eta_init, epsilon=config.kl_step)
+    dual = DualState(eta=ETA_INIT, epsilon=config.kl_step)
 
     def actor_fn(states):  # the supervisor runs between DDPG blocks, so it sees the actor fixed
         return policy_action(nets.actor, hyper, states)

@@ -75,16 +75,13 @@ def config_keys(sections) -> dict:
 
 
 def _parse_value(text: str, hint):
-    optional = get_origin(hint) in (Union, UnionType)
-    if optional:
+    if get_origin(hint) in (Union, UnionType):
         (hint,) = (arg for arg in get_args(hint) if arg is not NoneType)
     if get_origin(hint) is tuple:
         args = get_args(hint)
         items = tuple(_parse_value(x.strip(), args[0]) for x in text.split(",") if x.strip())
         if args[-1] is Ellipsis:
             return items
-        if len(items) == 1 and not optional:  # a per-axis scale, given once for every axis
-            items *= len(args)
         if len(items) != len(args):
             raise ValueError(f"expected {len(args)} comma-separated numbers, got {text!r}")
         return items
@@ -122,11 +119,11 @@ def read_config(path, sections) -> dict:
     - A value is parsed by its field's type annotation: ``int``; ``float``,
       which must be finite; ``bool`` as ``true``/``false``, ``yes``/``no`` or
       ``1``/``0``, in any case; ``str`` as written; ``tuple[T, ...]`` as
-      comma-separated items, possibly none; a pair ``tuple[float, float]`` as
-      two comma-separated numbers, where one number fills both axes
-      (``noise_scale``, ``exploration_std``); and ``Optional[T]`` as ``T``,
-      except that an optional pair is a point (``target_point``) and needs
-      both numbers.
+      comma-separated items, possibly none; ``Optional[T]`` as ``T``; and a
+      pair, the point ``target_point``, as two comma-separated numbers.
+    - The methods' numerical settings are constants of
+      :mod:`guided_ddpg.trajopt` and :mod:`guided_ddpg.ddpg`, not keys: a
+      file that sets one, such as ``terminal_weight``, has an unknown key.
 
     Every problem in the file is reported in one :class:`SpecError`, each
     with its line number; a missing file stays an ``OSError``.
@@ -231,8 +228,6 @@ def load_agent_checkpoint(path) -> tuple[MlpParams, DdpgHyper]:
                           obs_scale=tuple(float(s) for s in payload["obs_scale"]))
     except (TypeError, ValueError) as exc:
         raise SpecError(f"checkpoint {path}: bad action_bound or obs_scale: {exc}") from exc
-    if not hyper.action_bound > 0.0:
-        raise SpecError(f"checkpoint {path}: action_bound must be > 0, got {hyper.action_bound}")
     return actor, hyper
 
 
@@ -366,8 +361,12 @@ def _read_aggregate(run_dir) -> dict:
 
 
 def compare_runs(dir_a, dir_b, out_path) -> dict:
-    """Merge two aggregate results into one table; a malformed ``aggregate.json`` raises :class:`SpecError`."""
+    """Merge two aggregate results into one table; a malformed ``aggregate.json`` raises :class:`SpecError`.
+
+    The directory of ``out_path`` is made only once both aggregates are read.
+    """
     rows = [_read_aggregate(dir_a), _read_aggregate(dir_b)]
+    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     _write_comparison(out_path, rows)
     a, b = rows
     ratio = None
@@ -390,7 +389,8 @@ def adaptability_sweep(
     Clearances are absolute (hole half-width minus peg half-width, meters);
     offsets shift the true hole center while the policy stays fixed. Cell
     ``(i, j)`` draws its episodes from the ``i * len(hole_offsets) + j``-th
-    child of ``SeedSequence(seed)``.
+    child of ``SeedSequence(seed)``. The directory of ``out_path`` is made
+    only once every cell is evaluated, so a sweep that fails leaves none.
     """
     actor, hyper = load_agent_checkpoint(checkpoint_path)
     clearances = clearances or (env.clearance,)
@@ -399,8 +399,7 @@ def adaptability_sweep(
     rows = []
     for clearance in clearances:
         for offset in hole_offsets:
-            sub_env = replace(env, hole_half_width=env.peg_half_width + clearance, hole_center_offset=offset,
-                              success_tolerance=None, target_point=None)
+            sub_env = replace(env, hole_half_width=env.peg_half_width + clearance, hole_center_offset=offset)
             metrics = evaluate_policy(actor, hyper, sub_env, n_episodes, next(cell_seeds))
             rows.append({
                 "clearance": clearance,
@@ -409,6 +408,7 @@ def adaptability_sweep(
                 "mean_return": metrics.mean_return,
                 "mean_steps": metrics.mean_steps,
             })
+    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     write_table(out_path, ["clearance_m", "hole_offset_m", "success_rate", "mean_return", "mean_steps"],
                 ([repr(float(value)) for value in row.values()] for row in rows))
     return rows

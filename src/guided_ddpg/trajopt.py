@@ -12,6 +12,10 @@ Conventions: a horizon-``T`` problem has ``T+1`` states and ``T`` actions;
 dynamics are ``s' = F [s; u] + f + noise``; controllers are
 ``u = K s + k + N(0, C)``.
 
+The method's numerical settings are the constants below, not config fields,
+among them ``ETA_INIT``, ``DYNAMICS_REG``, ``EXPLORATION_STD``,
+``COST_SMOOTHING``, ``TERMINAL_WEIGHT`` and ``MAX_DUAL_ITERATIONS``.
+
 scipy is imported on the first supervisor solve, not with the module: pure
 DDPG, evaluation and the command line never solve, and importing
 ``scipy.linalg`` would double their start-up time and memory.
@@ -36,6 +40,7 @@ from .replay import SupervisionSample
 
 Array = np.ndarray
 
+ETA_INIT = 1.0  # the dual variable eta that a run's first dual search starts from
 ETA_MIN = 1e-8  # floor of the dual variable eta: the weakest pull toward the prior
 ETA_MAX = 1e16  # ceiling of eta: the strongest pull toward the prior
 ETA_FACTOR = 10.0  # step of the dual search's walk until it brackets the trust region
@@ -44,7 +49,12 @@ EPSILON_MAX = 1e9  # ceiling of the trust region
 EPSILON_SHRINK_RATIO = 0.25  # realized / predicted improvement below which the trust region halves
 EPSILON_GROW_RATIO = 0.75  # realized / predicted improvement above which it grows by 1.5x
 KL_RTOL = 0.1  # largest relative miss of the trust region by the achieved KL that counts as converged
+MAX_DUAL_ITERATIONS = 20  # backward passes one dual search of a supervisor epoch may make
 POLICY_FIT_REG = 1e-6  # ridge on the state Gram matrix of a policy fit; bounds its gains on collinear states
+DYNAMICS_REG = 1e-6  # ridge on the [state; action; 1] Gram matrix of each step's dynamics fit
+EXPLORATION_STD = 1.0  # std (N) of the white noise on each action axis of the actor's first samples
+COST_SMOOTHING = 1e-4  # alpha of the optimizer's smoothed norms sqrt(|.|^2 + alpha^2) (m, N)
+TERMINAL_WEIGHT = 1.0  # weight of the terminal distance term in the optimizer's cost
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +158,8 @@ def _solve_pos(gram: Array, rhs: Array, what: str) -> Array:
         raise NumericalError(f"{what} failed") from exc
 
 
-def fit_dynamics(states: Array, actions: Array, reg: float) -> LinearDynamics:
-    """Per-step ridge regression of next state on [state; action].
+def fit_dynamics(states: Array, actions: Array) -> LinearDynamics:
+    """Per-step ridge regression of next state on [state; action], with ridge :data:`DYNAMICS_REG`.
 
     ``states`` has shape (N, T+1, n) and ``actions`` (N, T, m) over N
     rollouts of equal horizon. The residual covariance is symmetrized and
@@ -172,7 +182,7 @@ def fit_dynamics(states: Array, actions: Array, reg: float) -> LinearDynamics:
     for t in range(horizon):
         X = np.concatenate([states[:, t, :], actions[:, t, :], np.ones((n_roll, 1))], axis=1)
         Y = states[:, t + 1, :]
-        gram = X.T @ X + reg * np.eye(n + m + 1)
+        gram = X.T @ X + DYNAMICS_REG * np.eye(n + m + 1)
         beta = _solve_pos(gram, X.T @ Y, f"dynamics fit at step {t}")
         F[t] = beta[: n + m].T
         f[t] = beta[n + m]
@@ -551,20 +561,20 @@ def cost_to_go(rewards: Array, discount: float) -> Array:
 class SmoothedInsertionCost:
     """Quadratic expansions of the insertion stage cost for the backward pass.
 
-    Both norms in the stage cost are smoothed as ``sqrt(|.|^2 + alpha^2)`` so
-    gradients and (positive semidefinite) Hessians exist at the target and at
-    zero action. The terminal state cost repeats the distance term,
-    optionally reweighted.
+    Both norms in the stage cost are smoothed as ``sqrt(|.|^2 + alpha^2)``,
+    with ``alpha`` :data:`COST_SMOOTHING`, so gradients and (positive
+    semidefinite) Hessians exist at the target and at zero action. The
+    terminal state cost repeats the distance term, weighted by
+    :data:`TERMINAL_WEIGHT`.
     """
 
-    def __init__(self, env: InsertionEnvConfig, smoothing: float, terminal_weight: float):
+    def __init__(self, env: InsertionEnvConfig):
         self.target = env.target
         self.action_weight = env.action_cost_weight
-        self.smoothing = smoothing
-        self.terminal_weight = terminal_weight
 
-    def _norm_expansion(self, x: Array) -> tuple[float, Array, Array]:
-        h = float(np.sqrt(x @ x + self.smoothing**2))
+    @staticmethod
+    def _norm_expansion(x: Array) -> tuple[float, Array, Array]:
+        h = float(np.sqrt(x @ x + COST_SMOOTHING**2))
         grad = x / h
         hess = np.eye(x.size) / h - np.outer(x, x) / h**3
         return h, grad, hess
@@ -603,10 +613,10 @@ class SmoothedInsertionCost:
 
         s_T = states[-1]
         val_p, g_p, h_p = self._norm_expansion(P @ s_T - self.target)
-        Cxx_T = self.terminal_weight * (P.T @ h_p @ P)
-        gx = self.terminal_weight * (P.T @ g_p)
+        Cxx_T = TERMINAL_WEIGHT * (P.T @ h_p @ P)
+        gx = TERMINAL_WEIGHT * (P.T @ g_p)
         cx_T = gx - Cxx_T @ s_T
-        const_T = self.terminal_weight * val_p - float(gx @ s_T) + 0.5 * float(s_T @ Cxx_T @ s_T)
+        const_T = TERMINAL_WEIGHT * val_p - float(gx @ s_T) + 0.5 * float(s_T @ Cxx_T @ s_T)
         return QuadraticCost(Czz, cz, const, Cxx_T, cx_T, float(const_T), n, m)
 
 
@@ -616,24 +626,16 @@ class SmoothedInsertionCost:
 
 @dataclass(frozen=True)
 class SupervisorConfig:
-    """Knobs of one trajectory-optimization epoch."""
+    """Rollouts per sub-iteration, the one setting of a trajectory-optimization epoch.
+
+    The rest are constants: ``DYNAMICS_REG``, ``EXPLORATION_STD``,
+    ``COST_SMOOTHING``, ``TERMINAL_WEIGHT`` and ``MAX_DUAL_ITERATIONS``."""
 
     samples_per_subiter: int = 5
-    exploration_std: tuple[float, float] = (1.0, 1.0)
-    dynamics_reg: float = 1e-6
-    smoothing: float = 1e-4
-    terminal_weight: float = 1.0
-    max_dual_iterations: int = 20
 
     def __post_init__(self):
         if self.samples_per_subiter < 2:
             raise InputError("need >= 2 rollouts per sub-iteration to fit dynamics")
-        if self.max_dual_iterations < 1 or self.dynamics_reg < 0.0 or min(self.exploration_std) < 0.0:
-            # no dual iterations or a negative regularizer would leave every epoch degraded
-            raise InputError("max_dual_iterations >= 1, dynamics_reg >= 0 and exploration_std >= 0 required")
-        if self.terminal_weight < 0.0:
-            # a negative terminal cost rewards ending far from the slot and can leave the cost unbounded below
-            raise InputError(f"terminal_weight must be >= 0, got {self.terminal_weight}")
 
 
 @dataclass
@@ -672,11 +674,11 @@ def _linear_gaussian_controller(policy: LinearGaussianPolicy, rng: np.random.Gen
     return controller
 
 
-def _sample_cost(roll: Rollout, env: InsertionEnvConfig, terminal_weight: float) -> float:
+def _sample_cost(roll: Rollout, env: InsertionEnvConfig) -> float:
     """Total cost of a sampled rollout: its stage costs, the negated rewards,
     plus the terminal distance term of :class:`SmoothedInsertionCost`, unsmoothed."""
     terminal = float(np.linalg.norm(roll.states[-1, 0:2] - env.target))
-    return sum(-r for r in roll.rewards.tolist()) + terminal_weight * terminal
+    return sum(-r for r in roll.rewards.tolist()) + TERMINAL_WEIGHT * terminal
 
 
 def run_supervisor(
@@ -690,8 +692,8 @@ def run_supervisor(
 ) -> tuple[SupervisorResult, DualState]:
     """One supervision epoch: fit, optimize, and emit value-labeled samples.
 
-    Sub-iteration zero samples the current actor (plus white exploration
-    noise) and uses its linearization as the trust-region anchor; later
+    Sub-iteration zero samples the current actor (plus white noise of std
+    :data:`EXPLORATION_STD`) and uses its linearization as the trust-region anchor; later
     sub-iterations anchor on the previous optimized controller. All sampled
     rollouts are returned for the transition buffer; the extra closing
     rollout of the final controller provides the supervision samples.
@@ -700,9 +702,9 @@ def run_supervisor(
     """
     if n_subiters < 1:
         raise InputError("n_subiters must be >= 1")
-    cost_model = SmoothedInsertionCost(env, cfg.smoothing, cfg.terminal_weight)
-    explore_cov = np.diag(np.asarray(cfg.exploration_std, dtype=np.float64) ** 2)
-    chol_explore = np.diag(np.asarray(cfg.exploration_std, dtype=np.float64))
+    cost_model = SmoothedInsertionCost(env)
+    explore_cov = EXPLORATION_STD**2 * np.eye(ACTION_DIM)
+    chol_explore = EXPLORATION_STD * np.eye(ACTION_DIM)
     mu0, S0 = initial_state_distribution(env)
 
     sample_rollouts: list[Rollout] = []
@@ -722,14 +724,14 @@ def run_supervisor(
 
             states = np.stack([r.states for r in batch])
             actions = np.stack([r.actions for r in batch])
-            mean_cost = float(np.mean([_sample_cost(r, env, cfg.terminal_weight) for r in batch]))
+            mean_cost = float(np.mean([_sample_cost(r, env) for r in batch]))
 
             actual_improvement = np.nan
             if expected_improvement is not None and prev_mean_cost is not None:
                 actual_improvement = prev_mean_cost - mean_cost
                 dual = update_epsilon(dual, expected_improvement, actual_improvement)
 
-            dynamics = fit_dynamics(states, actions, cfg.dynamics_reg)
+            dynamics = fit_dynamics(states, actions)
             if current is None:
                 prior = linearize_policy(policy_fn, states, explore_cov)
             else:
@@ -737,7 +739,7 @@ def run_supervisor(
             quad_cost = cost_model.quadratize(states.mean(axis=0), actions.mean(axis=0))
 
             result = update_trajectory(
-                dynamics, prior, dual, quad_cost, mu0, S0, max_dual_iterations=cfg.max_dual_iterations
+                dynamics, prior, dual, quad_cost, mu0, S0, max_dual_iterations=MAX_DUAL_ITERATIONS
             )
             dual = result.dual
             current = result.policy

@@ -13,7 +13,9 @@ bytes. ``tests/test_golden.py`` checks that against ``tests/golden.json``:
   seed 0's checkpoint.
 
 The bits depend on numpy and on the BLAS kernels it runs, so the file also
-stores a platform fingerprint; the test skips on another platform.
+stores a platform fingerprint; the test skips on another platform. A
+``DYNAMIC_ARCH`` OpenBLAS picks its kernels when it loads, by CPU, so the
+fingerprint holds the core it picked as well as the build it reports.
 
 A change that is meant to keep every byte leaves ``golden.json`` as it is.
 A change that moves the numbers regenerates it::
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -48,14 +51,37 @@ GOLDEN = Path(__file__).with_name("golden.json")
 SEEDS = (0, 7)
 
 
+def openblas_corename():
+    """The kernel set numpy's bundled OpenBLAS chose at run time, or ``None``.
+
+    It is read from the library's ``*_get_corename*`` function, through
+    ctypes; a numpy without a bundled OpenBLAS, or one whose library lacks
+    the function, gives ``None``.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas_", "openblas_"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}get_corename{suffix}", None)
+                if get is not None:
+                    get.argtypes, get.restype = [], ctypes.c_char_p
+                    return get().decode()
+    return None
+
+
 def platform_fingerprint() -> dict:
-    """The numpy version and the BLAS build that numpy reports."""
+    """The numpy version, the BLAS build that numpy reports and the OpenBLAS core it runs."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "numpy": np.__version__,
         "blas_name": blas.get("name"),
         "blas_version": blas.get("version"),
         "openblas_configuration": blas.get("openblas configuration"),
+        "openblas_corename": openblas_corename(),
     }
 
 

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from guided_ddpg.ddpg import (
+    OU_DT,
+    OU_SCALE,
+    OU_THETA,
     AgentNets,
     DdpgHyper,
     OrnsteinUhlenbeckNoise,
@@ -432,17 +435,11 @@ class TestSupervisionWeight:
 
 
 class TestNoise:
-    def test_zero_scale_is_zero_forever(self):
-        noise = OrnsteinUhlenbeckNoise(2, 0.0, 0.15, 1.0)
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            assert np.all(noise.sample(rng) == 0.0)
-
     def test_fixed_seed_repeats_sequence(self):
-        a = OrnsteinUhlenbeckNoise(2, 0.5, 0.15, 1.0)
-        b = OrnsteinUhlenbeckNoise(2, 0.5, 0.15, 1.0)
+        a = OrnsteinUhlenbeckNoise(2)
+        b = OrnsteinUhlenbeckNoise(2)
         seq_a = [a.sample(np.random.default_rng(42)) for _ in range(1)]
-        a2 = OrnsteinUhlenbeckNoise(2, 0.5, 0.15, 1.0)
+        a2 = OrnsteinUhlenbeckNoise(2)
         rng1, rng2 = np.random.default_rng(5), np.random.default_rng(5)
         seq1 = np.array([a2.sample(rng1) for _ in range(50)])
         seq2 = np.array([b.sample(rng2) for _ in range(50)])
@@ -450,40 +447,24 @@ class TestNoise:
 
     def test_empirical_mean_near_zero(self):
         # CLT bound: |mean| < 3 * stationary std / sqrt(n)
-        noise = OrnsteinUhlenbeckNoise(1, 1.0, theta=0.15, dt=1.0)
+        noise = OrnsteinUhlenbeckNoise(1)
         rng = np.random.default_rng(17)
         n = 100_000
         samples = np.array([noise.sample(rng)[0] for _ in range(n)])
         # correlated draws: effective sample size is n * (theta / (2 - theta)) approximately;
         # use a conservative inflation of the CLT bound instead
-        # stationary std of x' = (1 - theta dt) x + scale sqrt(dt) N(0, 1) at scale 1
-        sigma = 1.0 / np.sqrt(2.0 * noise.theta - noise.theta**2 * noise.dt)
-        assert abs(samples.mean()) < 3 * sigma / np.sqrt(n) * np.sqrt(2 / noise.theta)
+        # stationary std of x' = (1 - theta dt) x + scale sqrt(dt) N(0, 1)
+        sigma = OU_SCALE / np.sqrt(2.0 * OU_THETA - OU_THETA**2 * OU_DT)
+        assert abs(samples.mean()) < 3 * sigma / np.sqrt(n) * np.sqrt(2 / OU_THETA)
 
     def test_reset_restarts_from_zero(self):
-        noise = OrnsteinUhlenbeckNoise(2, 1.0, 0.15, 1.0)
+        noise = OrnsteinUhlenbeckNoise(2)
         rng = np.random.default_rng(3)
         first = noise.sample(rng)
         noise.reset()
         rng2 = np.random.default_rng(3)
         again = noise.sample(rng2)
         assert np.array_equal(first, again)
-
-    def test_negative_scale_rejected(self):
-        with pytest.raises(ConfigurationError):
-            OrnsteinUhlenbeckNoise(2, -1.0, 0.15, 1.0)
-
-    @pytest.mark.parametrize("theta,dt", [(0.0, 1.0), (-0.1, 1.0), (0.15, 0.0), (0.15, -1.0), (3.0, 1.0),
-                                          (1.0, 2.0), (-3.0, -1.0)])
-    def test_hyper_rejects_diverging_or_degenerate_noise(self, theta, dt):
-        # the noise state is scaled by 1 - theta * dt each step; built without DdpgHyper,
-        # theta = 3 used to reach |x| = 1.8e17 after 60 samples
-        with pytest.raises(ConfigurationError, match="noise_theta"):
-            tiny_hyper(noise_theta=theta, noise_dt=dt)
-        with pytest.raises(ConfigurationError, match="noise_theta"):
-            OrnsteinUhlenbeckNoise(1, 1.0, theta=theta, dt=dt)
-        assert tiny_hyper(noise_theta=1.99, noise_dt=1.0).noise_theta == 1.99
-        assert OrnsteinUhlenbeckNoise(1, 1.0, theta=1.99, dt=1.0).theta == 1.99
 
 
 class TestHyper:
@@ -512,6 +493,12 @@ class TestHyper:
         assert not hyper.obs_scale_array.flags.writeable
         assert hyper == replace(hyper, obs_scale=hyper.obs_scale)  # the array is not compared
         assert np.array_equal(replace(hyper, obs_scale=(1.0,) * 6).obs_scale_array, np.ones(6))
+
+    @pytest.mark.parametrize("bound", [0.0, -5.0, float("inf"), float("nan")])
+    def test_rejects_action_bound_not_positive_and_finite(self, bound):
+        # a negative bound flipped every action's sign and the critic's action scaling
+        with pytest.raises(ConfigurationError, match="action_bound"):
+            tiny_hyper(action_bound=bound)
 
     def test_scaling_has_no_default(self):
         # DdpgHyper.for_env derives the scaling from the task; a literal default disagreed with it

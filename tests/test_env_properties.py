@@ -34,8 +34,8 @@ actions = st.tuples(st.floats(-12.0, 12.0), st.floats(-12.0, 12.0))
 @st.composite
 def near_target(draw, config: InsertionEnvConfig):
     """A slow peg close to the slot floor, where a step may cross the success boundary."""
-    tx, ty = config.target_point
-    reach = 1.5 * config.success_tolerance
+    tx, ty = config.target
+    reach = 1.5 * config.tolerance
     return (tx + draw(st.floats(-reach, reach)), ty + draw(st.floats(-reach, reach)),
             draw(st.floats(-0.1, 0.1)), draw(st.floats(-0.1, 0.1)))
 

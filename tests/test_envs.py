@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -42,7 +44,8 @@ def step_one(config, state, action):
 class TestConfig:
     def test_defaults_valid(self, config):
         assert config.clearance >= 0.0
-        assert config.success_tolerance == pytest.approx(0.05 * config.hole_depth)
+        assert (config.success_tolerance, config.target_point) == (None, None)
+        assert config.tolerance == pytest.approx(0.05 * config.hole_depth)
         assert tuple(config.target) == (config.hole_center_offset, -config.hole_depth)
 
     def test_clearance_invariant(self):
@@ -52,6 +55,17 @@ class TestConfig:
     def test_target_follows_offset(self):
         cfg = InsertionEnvConfig(hole_center_offset=0.0011)
         assert cfg.target[0] == pytest.approx(0.0011)
+
+    def test_replace_moves_the_default_target_and_tolerance(self):
+        # the resolved values used to be written back into the override fields, so replace kept them
+        cfg = replace(InsertionEnvConfig(), hole_center_offset=0.001, hole_depth=0.03)
+        assert tuple(cfg.target) == (0.001, -0.03)
+        assert cfg.tolerance == 0.05 * 0.03
+        assert not cfg.target.flags.writeable
+        assert cfg == InsertionEnvConfig(hole_center_offset=0.001, hole_depth=0.03)
+        # an override holds through replace
+        pinned = replace(InsertionEnvConfig(target_point=(0.0, -0.01), success_tolerance=0.002), hole_depth=0.03)
+        assert (tuple(pinned.target), pinned.tolerance) == ((0.0, -0.01), 0.002)
 
     @pytest.mark.parametrize("kwargs", [dict(dt=0.0), dict(horizon=0), dict(wall_stiffness=0.0),
                                         dict(reset_range=0.02), dict(reset_range=-0.001),
@@ -306,7 +320,7 @@ class TestSuccess:
     ])
     def test_each_clause_at_its_boundary(self, cfg, base, step, clause):
         """Rows just inside and just outside one clause's edge, ``step`` pointing out; the other clauses hold."""
-        edge = {"tolerance": cfg.success_tolerance, "lateral": cfg.clearance + cfg.action_bound / cfg.wall_stiffness,
+        edge = {"tolerance": cfg.tolerance, "lateral": cfg.clearance + cfg.action_bound / cfg.wall_stiffness,
                 "surface": 0.0}[clause]
         base, step = np.array(base), np.array(step) / np.linalg.norm(step)
         rows = np.array([base + (edge + d) * step for d in (-1e-7, 1e-7)])

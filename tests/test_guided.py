@@ -122,7 +122,7 @@ class TestPureDdpgReduction:
         # independent reference implementation of the standard loop
         streams = rng_streams(config.seed)
         nets = make_agent(hyper, streams.net_seed)
-        noise = OrnsteinUhlenbeckNoise(2, hyper.noise_scale, hyper.noise_theta, hyper.noise_dt)
+        noise = OrnsteinUhlenbeckNoise(2)
         r2 = transition_buffer(config.r2_capacity)
         n_ddpg = config.n_ddpg
         for _epoch in range(config.epochs):
@@ -207,8 +207,7 @@ class TestEvaluation:
         for threshold in (0.0, 1.0):
             assert tiny_config(success_threshold=threshold).success_threshold == threshold
 
-    @pytest.mark.parametrize("overrides", [dict(kl_step=0.0), dict(kl_step=-1.0), dict(eta_init=0.0),
-                                           dict(eta_init=-1.0)])
+    @pytest.mark.parametrize("overrides", [dict(kl_step=0.0), dict(kl_step=-1.0)])
     def test_non_positive_trust_region_settings_rejected(self, overrides):
         with pytest.raises(ConfigurationError, match=next(iter(overrides))):
             tiny_config(**overrides)

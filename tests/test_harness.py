@@ -59,6 +59,14 @@ def tiny_spec_path(tmp_path):
     return path
 
 
+# The settings that became constants of trajopt and ddpg, each with the value it had as a default.
+REMOVED_SETTINGS = {
+    "eta_init": "1.0", "dynamics_reg": "1e-6", "exploration_std": "1.0, 1.0", "smoothing": "1e-4",
+    "terminal_weight": "1.0", "max_dual_iterations": "20", "noise_scale": "1.0, 1.0", "noise_theta": "0.15",
+    "noise_dt": "1.0",
+}
+
+
 def spec_with_line(tiny_spec_path, line: str):
     """A copy of the tiny spec in which ``line`` sets its key: it replaces the line that sets it, if any."""
     key = line.split("=")[0].strip()
@@ -111,9 +119,12 @@ class TestConfigReader:
         return path
 
     def test_every_key_parses_back_to_its_default(self, tmp_path):
-        # max_rollouts defaults to None, which no value spells, so it is written as 500
-        hyper = DdpgHyper.for_env(InsertionEnvConfig())
-        spec = ExperimentSpec(algorithm="pure_ddpg", train=TrainConfig(hyper=hyper, max_rollouts=500), seeds=(3,))
+        # max_rollouts, success_tolerance and target_point default to None, which no value spells,
+        # so they are written as numbers
+        env = InsertionEnvConfig(success_tolerance=0.001, target_point=(0.0, -0.02))
+        hyper = DdpgHyper.for_env(env)
+        spec = ExperimentSpec(algorithm="pure_ddpg", train=TrainConfig(env=env, hyper=hyper, max_rollouts=500),
+                              seeds=(3,))
         owners = {ExperimentSpec: spec, TrainConfig: spec.train, InsertionEnvConfig: spec.train.env,
                   DdpgHyper: spec.train.hyper, SupervisorConfig: spec.train.supervisor}
         lines = []
@@ -124,7 +135,7 @@ class TestConfigReader:
         path.write_text("\n".join(lines))
         assert parse_spec(path) == spec
 
-    @pytest.mark.parametrize("key", ["sweep_clearances", "kl_step", "mass", "supervision_decay", "smoothing"])
+    @pytest.mark.parametrize("key", ["sweep_clearances", "kl_step", "mass", "supervision_decay", "target_rate"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_float_rejected(self, tmp_path, key, value):
         with pytest.raises(SpecError, match=f"line 3: bad value for '{key}'"):
@@ -143,12 +154,18 @@ class TestConfigReader:
         assert "line 7: key 'mass' already given on line 4" in message
         assert "line 6: unknown key 'warp'" in message
 
-    @pytest.mark.parametrize("line", ["max_dual_iterations = 0", "dynamics_reg = -1e-6",
-                                      "exploration_std = -1.0", "exploration_std = 1.0, -0.5",
-                                      "terminal_weight = -1"])
-    def test_bad_supervisor_config_rejected(self, tmp_path, line):
-        with pytest.raises(SpecError):
+    @pytest.mark.parametrize("key", list(REMOVED_SETTINGS))
+    def test_removed_setting_is_an_unknown_key(self, tmp_path, tiny_spec_path, capsys, key):
+        # each is given its old default, so only the key can be at fault
+        line = f"{key} = {REMOVED_SETTINGS[key]}"
+        assert key not in config_keys(SPEC_SECTIONS)
+        with pytest.raises(SpecError, match=f"line 3: unknown key '{key}'"):
             parse_spec(self._spec_path(tmp_path, line + "\n"))
+        out = tmp_path / "o"
+        assert cli_main(["train", "--spec", str(spec_with_line(tiny_spec_path, line)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown key '{key}'" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestPureDdpgTransform:
@@ -371,8 +388,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert "spec error" in err and key in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("line", ["terminal_weight = -1", "success_threshold = 7", "eval_every = -1",
-                                      "noise_theta = 3", "kl_step = 0", "eta_init = -1", "actor_lr = 0",
+    def test_compare_of_incomplete_aggregate_leaves_no_out(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "aggregate.json").write_text('{"algorithm": "guided_ddpg"}')
+        out = tmp_path / "cmp"
+        assert cli_main(["compare", "--run-a", str(run), "--run-b", str(run), "--out", str(out)]) == 2
+        assert "lacks" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_of_non_json_checkpoint_leaves_no_out(self, tiny_spec_path, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text("{not json")
+        out = tmp_path / "sweep"
+        assert cli_main(["sweep", "--checkpoint", str(ckpt), "--spec", str(tiny_spec_path), "--out", str(out)]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["success_threshold = 7", "eval_every = -1", "kl_step = 0", "actor_lr = 0",
                                       "critic_lr = -1", "actor_hidden = 0", "critic_hidden = 8,0"])
     def test_out_of_range_setting_exit_code(self, tiny_spec_path, tmp_path, capsys, line):
         spec = spec_with_line(tiny_spec_path, line)
@@ -409,6 +442,14 @@ class TestCli:
     def test_checkpoint_invalid_json_exit_code(self, tmp_path, capsys):
         assert self._eval_exit_code(tmp_path, "{not json") == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bound", [-5.0, 0.0])
+    def test_checkpoint_non_positive_action_bound_exit_code(self, tmp_path, capsys, bound):
+        payload = self._checkpoint_payload(tmp_path)
+        payload["action_bound"] = bound
+        assert self._eval_exit_code(tmp_path, json.dumps(payload)) == 2
+        err = capsys.readouterr().err
+        assert "action_bound must be positive and finite" in err and "Traceback" not in err
 
     def test_checkpoint_missing_actor_exit_code(self, tmp_path):
         payload = self._checkpoint_payload(tmp_path)

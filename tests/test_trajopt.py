@@ -36,8 +36,6 @@ from guided_ddpg.trajopt import (
     update_trajectory,
 )
 
-CFG = SupervisorConfig()  # the supervisor settings a training run passes by default
-
 
 def riccati_oracle(A, B, Q, R, Qf, horizon):
     """Independent discrete-time finite-horizon Riccati recursion (u = -K x)."""
@@ -229,7 +227,7 @@ class TestFitDynamics:
         states[:, 0] = rng.normal(size=(n_roll, n))
         for t in range(horizon):
             states[:, t + 1] = states[:, t] @ A.T + actions[:, t] @ B.T
-        dyn = fit_dynamics(states, actions, CFG.dynamics_reg)
+        dyn = fit_dynamics(states, actions)
         for t in range(horizon):
             assert np.allclose(dyn.F[t], np.concatenate([A, B], axis=1), atol=1e-6)
             assert np.allclose(dyn.f[t], 0.0, atol=1e-6)
@@ -240,7 +238,7 @@ class TestFitDynamics:
         states = np.tile(c, (10, 4, 1))
         states[:, 0] = np.random.default_rng(1).normal(size=(10, 2))
         actions = np.zeros((10, 3, 1))
-        dyn = fit_dynamics(states, actions, CFG.dynamics_reg)
+        dyn = fit_dynamics(states, actions)
         # steps 1.. have constant inputs; check the first step which has spread
         assert np.allclose(dyn.F[0] @ np.zeros(3) + dyn.f[0], c, atol=1e-5)
         pred = states[0, 1] @ dyn.F[1][:, :2].T + dyn.f[1]
@@ -257,7 +255,7 @@ class TestFitDynamics:
         states[:, 0] = rng.normal(size=(n_roll, n))
         for t in range(horizon):
             states[:, t + 1] = states[:, t] @ A.T + actions[:, t] @ B.T + noise_std * rng.normal(size=(n_roll, n))
-        dyn = fit_dynamics(states, actions, CFG.dynamics_reg)
+        dyn = fit_dynamics(states, actions)
         truth = np.concatenate([A, B], axis=1)
         for t in range(horizon):
             # OLS oracle: standard errors from the unregularized normal equations
@@ -277,11 +275,11 @@ class TestFitDynamics:
         states = 1e300 * rng.normal(size=(5, 4, 3))
         actions = 1e300 * rng.normal(size=(5, 3, 2))
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError, match="dynamics fit at step 0"):
-            fit_dynamics(states, actions, CFG.dynamics_reg)
+            fit_dynamics(states, actions)
 
     def test_too_few_rollouts_rejected(self):
         with pytest.raises(InputError):
-            fit_dynamics(np.zeros((1, 3, 2)), np.zeros((1, 2, 1)), CFG.dynamics_reg)
+            fit_dynamics(np.zeros((1, 3, 2)), np.zeros((1, 2, 1)))
 
 
 class TestLinearizePolicy:
@@ -524,9 +522,9 @@ def fitted_insertion_problem(seed=0, n_rollouts=8):
     rolls = [rollout(env, controller, rng) for _ in range(n_rollouts)]
     states = np.stack([r.states for r in rolls])
     actions = np.stack([r.actions for r in rolls])
-    dynamics = fit_dynamics(states, actions, CFG.dynamics_reg)
+    dynamics = fit_dynamics(states, actions)
     prior = linearize_policy(lambda S: policy_action(nets.actor, hyper, S), states, 0.64 * np.eye(2))
-    cost_model = SmoothedInsertionCost(env, CFG.smoothing, CFG.terminal_weight)
+    cost_model = SmoothedInsertionCost(env)
     quad = cost_model.quadratize(states.mean(axis=0), actions.mean(axis=0))
     mu0, S0 = initial_state_distribution(env)
     return dynamics, prior, quad, mu0, S0
@@ -539,7 +537,8 @@ class TestUpdateTrajectory:
         A, B, Q, R, Qf, dynamics, cost = lqr_problem(rng, n, m, horizon)
         prior = constant_policy(horizon, n, m, K=rng.normal(scale=0.1, size=(m, n)), cov=np.eye(m))
         dual = DualState(eta=1.0, epsilon=1e8)
-        result = update_trajectory(dynamics, prior, dual, cost, np.zeros(n), 0.05 * np.eye(n), CFG.max_dual_iterations)
+        result = update_trajectory(dynamics, prior, dual, cost, np.zeros(n), 0.05 * np.eye(n),
+                                   trajopt.MAX_DUAL_ITERATIONS)
         oracle = riccati_oracle(A, B, Q, R, Qf, horizon)
         for t in range(horizon):
             assert np.max(np.abs(result.policy.K[t] + oracle[t])) < 1e-4
@@ -548,7 +547,7 @@ class TestUpdateTrajectory:
         dynamics, prior, quad, mu0, S0 = fitted_insertion_problem()
         for eps in (1e-3, 1e-2, 1e-1):
             dual = DualState(eta=1.0, epsilon=eps)
-            result = update_trajectory(dynamics, prior, dual, quad, mu0, S0, CFG.max_dual_iterations)
+            result = update_trajectory(dynamics, prior, dual, quad, mu0, S0, trajopt.MAX_DUAL_ITERATIONS)
             assert result.achieved_kl <= 1.5 * eps
             assert result.new_cost <= result.prior_cost + 1e-6
 
@@ -560,7 +559,7 @@ class TestUpdateTrajectory:
         dual = DualState(eta=1.0, epsilon=1e-6)
         result = update_trajectory(dynamics, prior=optimal, dual=dual, cost=cost,
                                    init_mean=np.zeros(n), init_cov=0.1 * np.eye(n),
-                                   max_dual_iterations=CFG.max_dual_iterations)
+                                   max_dual_iterations=trajopt.MAX_DUAL_ITERATIONS)
         assert result.achieved_kl <= 1.5e-6
         assert np.max(np.abs(result.policy.K - optimal.K)) < 1e-3
         assert result.new_cost <= result.prior_cost + 1e-6
@@ -599,13 +598,13 @@ class TestUpdateTrajectory:
             dynamics, cost, prior, _, mu0, S0 = random_stage_problem(rng)
             for eta in (1e12, 1e16):
                 result = update_trajectory(dynamics, prior, DualState(eta=eta, epsilon=1.0), cost, mu0, S0,
-                                           CFG.max_dual_iterations)
+                                           trajopt.MAX_DUAL_ITERATIONS)
                 assert 0.0 <= result.achieved_kl <= 1.0 + trajopt.KL_RTOL
 
     def test_returned_covariances_positive_definite(self):
         dynamics, prior, quad, mu0, S0 = fitted_insertion_problem(seed=2)
         result = update_trajectory(dynamics, prior, DualState(eta=1.0, epsilon=1e-2), quad, mu0, S0,
-                                   CFG.max_dual_iterations)
+                                   trajopt.MAX_DUAL_ITERATIONS)
         for t in range(result.policy.horizon):
             eigvals = np.linalg.eigvalsh(result.policy.C[t])
             assert np.min(eigvals) > 0.0
@@ -795,7 +794,7 @@ class TestCostToGo:
 class TestCostModel:
     def test_quadratic_expansion_matches_cost_locally(self):
         env = InsertionEnvConfig()
-        model = SmoothedInsertionCost(env, smoothing=1e-4, terminal_weight=1.0)
+        model = SmoothedInsertionCost(env)
         rng = np.random.default_rng(13)
         states = rng.normal(scale=0.01, size=(4, 6))
         actions = rng.normal(scale=0.5, size=(3, 2))
@@ -811,7 +810,7 @@ class TestCostModel:
 
     def test_hessians_positive_semidefinite(self):
         env = InsertionEnvConfig()
-        model = SmoothedInsertionCost(env, CFG.smoothing, CFG.terminal_weight)
+        model = SmoothedInsertionCost(env)
         rng = np.random.default_rng(14)
         quad = model.quadratize(rng.normal(scale=0.01, size=(3, 6)), rng.normal(size=(2, 2)))
         for t in range(2):
