@@ -154,6 +154,13 @@ class TestConfigReader:
         assert "line 7: key 'mass' already given on line 4" in message
         assert "line 6: unknown key 'warp'" in message
 
+    # the supervisor settings that became constants are rejected whatever value a spec gives them
+    @pytest.mark.parametrize("line", ["exploration_std = -1.0", "exploration_std = 1.0, -0.5",
+                                      "terminal_weight = -1"])
+    def test_bad_supervisor_config_rejected(self, tmp_path, line):
+        with pytest.raises(SpecError, match=f"line 3: unknown key '{line.split()[0]}'"):
+            parse_spec(self._spec_path(tmp_path, line + "\n"))
+
     @pytest.mark.parametrize("key", list(REMOVED_SETTINGS))
     def test_removed_setting_is_an_unknown_key(self, tmp_path, tiny_spec_path, capsys, key):
         # each is given its old default, so only the key can be at fault
@@ -405,8 +412,10 @@ class TestCli:
         assert "not valid JSON" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("line", ["success_threshold = 7", "eval_every = -1", "kl_step = 0", "actor_lr = 0",
-                                      "critic_lr = -1", "actor_hidden = 0", "critic_hidden = 8,0"])
+    # terminal_weight is no longer a key; a spec that sets it, in range or not, exits 2 on the parse
+    @pytest.mark.parametrize("line", ["terminal_weight = -1", "success_threshold = 7", "eval_every = -1",
+                                      "kl_step = 0", "actor_lr = 0", "critic_lr = -1", "actor_hidden = 0",
+                                      "critic_hidden = 8,0"])
     def test_out_of_range_setting_exit_code(self, tiny_spec_path, tmp_path, capsys, line):
         spec = spec_with_line(tiny_spec_path, line)
         assert cli_main(["train", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
