@@ -78,6 +78,15 @@ class InsertionEnvConfig:
             raise ConfigurationError(f"action_cost_weight must be >= 0, got {self.action_cost_weight}")
         if self.mass <= 0.0 or self.action_bound <= 0.0:
             raise ConfigurationError("mass and action_bound must be positive")
+        # Jury's test on the semi-implicit Euler step of a wall's spring-damper;
+        # written with `not <` so that an overflow to NaN is rejected too.
+        spring = self.dt * self.dt * self.wall_stiffness / self.mass
+        damper = 2.0 * self.dt * self.wall_damping / self.mass
+        if not spring + damper < 4.0:
+            raise ConfigurationError(
+                "unstable integration step: dt^2 * wall_stiffness / mass + 2 * dt * wall_damping / mass"
+                f" must be < 4, got {spring + damper:.6g}"
+            )
         if self.workspace_half_width <= self.hole_half_width or self.workspace_height <= self.start_height:
             raise ConfigurationError("workspace box must contain the slot and the start pose")
         if not 0.0 <= self.reset_range <= self.workspace_half_width - self.peg_half_width:

@@ -144,18 +144,30 @@ class QuadraticCost:
 
 
 def _solve_pos(gram: Array, rhs: Array, what: str) -> Array:
-    """``gram^-1 rhs`` for a symmetric positive definite ``gram`` (LAPACK posv).
+    """``gram[t]^-1 rhs[t]`` for each slice of a ``(T, d, d)`` stack of symmetric
+    positive definite matrices (one LAPACK posv per slice).
 
-    Raises :class:`NumericalError` on non-finite input or a failed factorization.
+    Raises :class:`NumericalError` naming the first step whose input is not
+    finite or whose Gram matrix fails to factor.
     """
-    _require_finite(what, gram, rhs)
+    finite = np.isfinite(gram).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=(1, 2))
     # Deferred so that pure DDPG and evaluation never load scipy.
     import scipy.linalg
 
-    try:
-        return scipy.linalg.solve(gram, rhs, assume_a="pos")
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(f"{what} failed") from exc
+    if finite.all():
+        try:
+            return scipy.linalg.solve(gram, rhs, assume_a="pos")
+        except scipy.linalg.LinAlgError:
+            pass
+    # scipy names no failing slice; posv fails where the Cholesky factorization does.
+    for t, ok in enumerate(finite):
+        if not ok:
+            raise NumericalError(f"{what} at step {t} received non-finite values")
+        try:
+            np.linalg.cholesky(gram[t])
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"{what} at step {t} failed") from exc
+    raise NumericalError(f"{what} failed")
 
 
 def fit_dynamics(states: Array, actions: Array) -> LinearDynamics:
@@ -163,7 +175,9 @@ def fit_dynamics(states: Array, actions: Array) -> LinearDynamics:
 
     ``states`` has shape (N, T+1, n) and ``actions`` (N, T, m) over N
     rollouts of equal horizon. The residual covariance is symmetrized and
-    eigenvalue-clipped to be positive semidefinite.
+    eigenvalue-clipped to be positive semidefinite. Slice ``t`` of each stack
+    is step ``t``'s fit, with a one-step fit's bits. ``F`` is a C-order copy: a
+    transposed view would send ``F[t] @ z`` to another kernel, with other bits.
     """
     states = np.asarray(states, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.float64)
@@ -176,34 +190,31 @@ def fit_dynamics(states: Array, actions: Array) -> LinearDynamics:
         raise ShapeError("states must have one more step than actions")
     n, m = states.shape[2], actions.shape[2]
 
-    F = np.zeros((horizon, n, n + m))
-    f = np.zeros((horizon, n))
-    Sigma = np.zeros((horizon, n, n))
-    for t in range(horizon):
-        X = np.concatenate([states[:, t, :], actions[:, t, :], np.ones((n_roll, 1))], axis=1)
-        Y = states[:, t + 1, :]
-        gram = X.T @ X + DYNAMICS_REG * np.eye(n + m + 1)
-        beta = _solve_pos(gram, X.T @ Y, f"dynamics fit at step {t}")
-        F[t] = beta[: n + m].T
-        f[t] = beta[n + m]
-        resid = Y - X @ beta
-        cov = resid.T @ resid / n_roll
-        cov = 0.5 * (cov + cov.T)
-        evals, evecs = np.linalg.eigh(cov)
-        Sigma[t] = (evecs * np.maximum(evals, 0.0)) @ evecs.T
+    X = np.concatenate([states[:, :-1], actions, np.ones((n_roll, horizon, 1))], axis=2)
+    X = np.ascontiguousarray(X.transpose(1, 0, 2))
+    Y = states[:, 1:].transpose(1, 0, 2)
+    XT = X.transpose(0, 2, 1)
+    gram = XT @ X + DYNAMICS_REG * np.eye(n + m + 1)
+    beta = _solve_pos(gram, XT @ Y, "dynamics fit")
+    F = np.ascontiguousarray(beta[:, : n + m].transpose(0, 2, 1))
+    f = beta[:, n + m]
+    resid = Y - X @ beta
+    cov = resid.transpose(0, 2, 1) @ resid / n_roll
+    cov = 0.5 * (cov + cov.transpose(0, 2, 1))
+    evals, evecs = np.linalg.eigh(cov)
+    Sigma = (evecs * np.maximum(evals, 0.0)[:, None, :]) @ evecs.transpose(0, 2, 1)
     return LinearDynamics(F, f, Sigma)
 
 
-def linearize_policy(
-    policy_fn: Callable[[Array], Array],
-    states: Array,
-    noise_cov: Array,
-) -> LinearGaussianPolicy:
+def linearize_policy(policy_fn: Callable[[Array], Array], states: Array, noise_cov: Array) -> LinearGaussianPolicy:
     """Affine fit of a deterministic policy around sampled states, per step.
 
-    ``policy_fn`` maps a batch of states (B, n) to actions (B, m). The fitted
-    covariance is set to ``noise_cov`` (the exploration-noise covariance),
-    which keeps KL divergences against the prior finite.
+    ``policy_fn`` maps a batch of states (B, n) to actions (B, m); it is called
+    once per step, as one call on all rows would move the actions' last bits.
+    The fitted covariance is set to ``noise_cov`` (the exploration-noise
+    covariance), which keeps KL divergences against the prior finite. Slice
+    ``t`` of each stack is step ``t``'s fit, with a one-step fit's bits. ``K`` is
+    a C-order copy: a transposed view would send ``K[t] @ s`` to another kernel.
     """
     states = np.asarray(states, dtype=np.float64)
     if states.ndim != 3:
@@ -213,22 +224,18 @@ def linearize_policy(
         raise InputError("need at least one rollout and one step")
     n = states.shape[2]
     noise_cov = np.asarray(noise_cov, dtype=np.float64)
-    m = noise_cov.shape[0]
 
-    K = np.zeros((horizon, m, n))
-    k = np.zeros((horizon, m))
-    C = np.tile(noise_cov, (horizon, 1, 1))
-    for t in range(horizon):
-        S = states[:, t, :]
-        U = np.atleast_2d(policy_fn(S))
-        s_mean = S.mean(axis=0)
-        u_mean = U.mean(axis=0)
-        Sc = S - s_mean
-        Uc = U - u_mean
-        gram = Sc.T @ Sc + POLICY_FIT_REG * np.eye(n)
-        K[t] = _solve_pos(gram, Sc.T @ Uc, f"policy linearization at step {t}").T
-        k[t] = u_mean - K[t] @ s_mean
-    return LinearGaussianPolicy(K, k, C)
+    S = states[:, :-1].transpose(1, 0, 2)
+    U = np.stack([np.atleast_2d(policy_fn(S[t])) for t in range(horizon)])
+    s_mean = S.mean(axis=1)
+    u_mean = U.mean(axis=1)
+    Sc = S - s_mean[:, None, :]
+    Uc = U - u_mean[:, None, :]
+    ScT = Sc.transpose(0, 2, 1)
+    gram = ScT @ Sc + POLICY_FIT_REG * np.eye(n)
+    K = np.ascontiguousarray(_solve_pos(gram, ScT @ Uc, "policy linearization").transpose(0, 2, 1))
+    k = u_mean - (K @ s_mean[:, :, None])[:, :, 0]
+    return LinearGaussianPolicy(K, k, np.tile(noise_cov, (horizon, 1, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -572,51 +579,41 @@ class SmoothedInsertionCost:
         self.target = env.target
         self.action_weight = env.action_cost_weight
 
-    @staticmethod
-    def _norm_expansion(x: Array) -> tuple[float, Array, Array]:
-        h = float(np.sqrt(x @ x + COST_SMOOTHING**2))
-        grad = x / h
-        hess = np.eye(x.size) / h - np.outer(x, x) / h**3
-        return h, grad, hess
-
     def quadratize(self, states: Array, actions: Array) -> QuadraticCost:
         """Expand the smoothed cost around a nominal trajectory.
 
         Expansions are converted to absolute coordinates (valid jointly with
         the affine dynamics), so stage quadratics can be compared across
-        candidate policies.
+        candidate policies. The smoothed norm is expanded on all actions and
+        positions at once; slice ``t`` of each stage stack is step ``t``'s.
         """
         states = np.asarray(states, dtype=np.float64)
         actions = np.asarray(actions, dtype=np.float64)
         T = actions.shape[0]
         n, m = STATE_DIM, ACTION_DIM
-        Czz = np.zeros((T, n + m, n + m))
-        cz = np.zeros((T, n + m))
-        const = np.zeros(T)
         P = np.eye(2, n)  # picks the position, columns 0:2, out of a state
 
-        for t in range(T):
-            s_bar, u_bar = states[t], actions[t]
-            val_p, g_p, h_p = self._norm_expansion(P @ s_bar - self.target)
-            val_u, g_u, h_u = self._norm_expansion(u_bar)
+        x = np.concatenate([actions, states @ P.T - self.target])  # T actions, then T+1 positions
+        h = np.sqrt(np.vecdot(x, x) + COST_SMOOTHING**2)
+        grad = x / h[:, None]
+        # Python's float pow, element by element: numpy's array power can differ in the last bit.
+        h3 = np.array([v**3 for v in h.tolist()])
+        hess = np.eye(2) / h[:, None, None] - x[:, :, None] * x[:, None, :] / h3[:, None, None]
+        u, p, w = slice(0, T), slice(T, 2 * T), self.action_weight
 
-            H = np.zeros((n + m, n + m))
-            H[:n, :n] = P.T @ h_p @ P
-            H[n:, n:] = self.action_weight * h_u
-            g = np.concatenate([P.T @ g_p, self.action_weight * g_u])
-            z_bar = np.concatenate([s_bar, u_bar])
-            value = val_p + self.action_weight * val_u
-
-            Czz[t] = H
-            cz[t] = g - H @ z_bar
-            const[t] = value - g @ z_bar + 0.5 * float(z_bar @ H @ z_bar)
+        Czz = np.zeros((T, n + m, n + m))
+        Czz[:, :2, :2] = hess[p]
+        Czz[:, n:, n:] = w * hess[u]
+        g = np.concatenate([grad[p] @ P, w * grad[u]], axis=1)
+        z = np.concatenate([states[:T], actions], axis=1)
+        cz = g - (Czz @ z[:, :, None])[:, :, 0]
+        const = h[p] + w * h[u] - np.vecdot(g, z) + 0.5 * (z[:, None, :] @ Czz @ z[:, :, None])[:, 0, 0]
 
         s_T = states[-1]
-        val_p, g_p, h_p = self._norm_expansion(P @ s_T - self.target)
-        Cxx_T = TERMINAL_WEIGHT * (P.T @ h_p @ P)
-        gx = TERMINAL_WEIGHT * (P.T @ g_p)
+        Cxx_T = TERMINAL_WEIGHT * (P.T @ hess[-1] @ P)
+        gx = TERMINAL_WEIGHT * (P.T @ grad[-1])
         cx_T = gx - Cxx_T @ s_T
-        const_T = TERMINAL_WEIGHT * val_p - float(gx @ s_T) + 0.5 * float(s_T @ Cxx_T @ s_T)
+        const_T = TERMINAL_WEIGHT * h[-1] - float(gx @ s_T) + 0.5 * float(s_T @ Cxx_T @ s_T)
         return QuadraticCost(Czz, cz, const, Cxx_T, cx_T, float(const_T), n, m)
 
 
@@ -666,7 +663,7 @@ def _gaussian_controller(policy_fn, chol: Array, rng: np.random.Generator):
 
 
 def _linear_gaussian_controller(policy: LinearGaussianPolicy, rng: np.random.Generator):
-    chols = [np.linalg.cholesky(policy.C[t]) for t in range(policy.horizon)]
+    chols = np.linalg.cholesky(policy.C)
 
     def controller(t: int, state: Array) -> Array:
         return policy.K[t] @ state + policy.k[t] + chols[t] @ rng.standard_normal(policy.action_dim)

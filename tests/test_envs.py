@@ -76,6 +76,19 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             InsertionEnvConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [dict(mass=1e-300), dict(dt=1e300), dict(wall_damping=1e6),
+                                        dict(dt=0.5, mass=1.0, wall_stiffness=16.0, wall_damping=0.0),
+                                        dict(dt=0.5, mass=1.0, wall_stiffness=4.0, wall_damping=3.0)])
+    def test_unstable_integration_step_rejected(self, kwargs):
+        # dt^2 k / m + 2 dt c / m >= 4: the last two sit exactly on the boundary
+        with pytest.raises(ConfigurationError, match="unstable integration step"):
+            InsertionEnvConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [dict(dt=0.5, mass=1.0, wall_stiffness=15.99, wall_damping=0.0),
+                                        dict(dt=0.5, mass=1.0, wall_stiffness=4.0, wall_damping=2.99)])
+    def test_step_just_inside_the_stability_bound_accepted(self, kwargs):
+        InsertionEnvConfig(**kwargs)
+
 
 class TestReset:
     def test_fixed_seed_repeats(self, config):
@@ -254,6 +267,14 @@ class TestStep:
             env_step(config, free_space_state(), np.zeros((2, 2)))  # one action per row
         with pytest.raises(InputError):
             env_step(config, free_space_state()[0], np.zeros((1, 2)))  # states must be rows
+
+    @pytest.mark.parametrize("column,value", [(2, np.inf), (4, np.nan), (0, 1e308)])
+    def test_diverged_state_raises_input_error(self, config, column, value):
+        # a valid config keeps the step stable, so a hand-built row is what diverges
+        state = free_space_state()
+        state[0, column] = value
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InputError, match="diverged"):
+            step_one(config, state, np.zeros(2))
 
     def test_reward_is_negative_cost(self, config):
         state = free_space_state(x=0.001)

@@ -423,6 +423,18 @@ class TestCli:
         assert line.split()[0] in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()  # rejected when the spec is parsed
 
+    @pytest.mark.parametrize("lines", [["mass = 1e-300"], ["dt = 1e300"], ["wall_damping = 1e6", "horizon = 60"]])
+    def test_unstable_integration_step_exit_code(self, tiny_spec_path, tmp_path, capsys, lines):
+        # each once diverged or overflowed mid-run, after --out was made
+        spec = tiny_spec_path
+        for line in lines:
+            spec = spec_with_line(spec, line)
+        with np.errstate(all="ignore"):
+            assert cli_main(["train", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "unstable integration step" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_overflowing_dynamics_fit_exit_code(self, tiny_spec_path, tmp_path, capsys):
         # a bound of 1e300 overflows the supervisor's dynamics fit, which degrades its epoch
         spec = spec_with_line(tiny_spec_path, "action_bound = 1e300")
@@ -577,7 +589,7 @@ class TestCli:
         with np.errstate(over="ignore", invalid="ignore"):
             assert self._eval_exit_code(tmp_path, text, "--env-config", str(env_cfg)) == 2
         err = capsys.readouterr().err
-        assert "input error" in err and "diverged" in err and "Traceback" not in err
+        assert "spec error" in err and "unstable integration step" in err and "Traceback" not in err
 
     def test_sweep_with_negative_hole_offset(self, tiny_spec_path, tmp_path, capsys):
         spec = tmp_path / "neg.spec"

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
+import verbatim_oracles
 
 from guided_ddpg import trajopt
 from guided_ddpg.ddpg import DdpgHyper, make_agent, policy_action
@@ -281,6 +284,48 @@ class TestFitDynamics:
         with pytest.raises(InputError):
             fit_dynamics(np.zeros((1, 3, 2)), np.zeros((1, 2, 1)))
 
+    def test_overflow_at_a_later_step_is_named(self):
+        rng = np.random.default_rng(3)
+        states, actions = rng.normal(size=(5, 6, 3)), rng.normal(size=(5, 5, 2))
+        actions[:, 3] *= 1e300  # only step 3's Gram matrix overflows
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalError, match="dynamics fit at step 3 received non-finite values"):
+            fit_dynamics(states, actions)
+
+
+class TestSolvePos:
+    @staticmethod
+    def _stack(rng, horizon=5, d=3):
+        a = rng.normal(size=(horizon, d, d))
+        return a @ a.transpose(0, 2, 1) + np.eye(d), rng.normal(size=(horizon, d, 2))
+
+    def test_names_the_first_step_that_fails_to_factor(self):
+        gram, rhs = self._stack(np.random.default_rng(1))
+        gram[2] = -np.eye(3)
+        gram[4] = np.zeros((3, 3))
+        with pytest.raises(NumericalError, match="^fit at step 2 failed$") as exc:
+            trajopt._solve_pos(gram, rhs, "fit")
+        assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+
+    def test_a_failure_no_step_shows_is_still_raised(self, monkeypatch):
+        def failing_solve(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular")
+
+        monkeypatch.setattr(scipy.linalg, "solve", failing_solve)
+        with pytest.raises(NumericalError, match="^fit failed$"):
+            trajopt._solve_pos(*self._stack(np.random.default_rng(1)), "fit")
+
+    @pytest.mark.parametrize("where", ["gram", "rhs"])
+    def test_names_the_first_step_with_non_finite_input(self, where):
+        gram, rhs = self._stack(np.random.default_rng(2))
+        (gram if where == "gram" else rhs)[3, 0, 1] = np.nan
+        (gram if where == "gram" else rhs)[4, 1, 0] = np.inf
+        with pytest.raises(NumericalError, match="^fit at step 3 received non-finite values$"):
+            trajopt._solve_pos(gram, rhs, "fit")
+        gram[1] = -np.eye(3)  # an earlier step that fails to factor is named first, as in a loop over steps
+        with pytest.raises(NumericalError, match="^fit at step 1 failed$"):
+            trajopt._solve_pos(gram, rhs, "fit")
+
 
 class TestLinearizePolicy:
     def test_affine_policy_recovered_exactly(self):
@@ -315,6 +360,13 @@ class TestLinearizePolicy:
         z = W @ mean_state + b
         jac = (1.0 - np.tanh(z) ** 2)[:, None] * W
         assert np.max(np.abs(policy.K[0] - jac)) < 1e-3
+
+    def test_non_finite_actions_name_their_step(self):
+        states = np.random.default_rng(6).normal(size=(6, 4, 3))
+        fn = lambda S: np.where(S[:, :2] == states[0, 2, :2], np.inf, S[:, :2])  # inf only at step 2
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NumericalError, match="policy linearization at step 2 received non-finite values"):
+            linearize_policy(fn, states, np.eye(2))
 
 
 class TestKlDivergence:
@@ -768,6 +820,124 @@ class TestStagesMatchOracles:
         with pytest.raises(SupervisorError):
             run_supervisor(env, lambda S: policy_action(nets.actor, hyper, S), 1,
                            DualState(eta=1.0, epsilon=20.0), SupervisorConfig(), 0.99, np.random.default_rng(0))
+
+
+def _bits(a):
+    """Shape, dtype and bytes: equal only for the same values with the same signs of zero."""
+    a = np.asarray(a)
+    return a.shape, a.dtype, a.tobytes()
+
+
+def stage_inputs(case: str, horizon: int):
+    """Rollout-like ``(N, T+1, 6)`` states and ``(N, T, 2)`` actions for the stage oracles."""
+    rng = np.random.default_rng(horizon)
+    n_roll = 5 if case == "five_rollouts" else 12  # 5 rollouts leave 9 regressors rank-deficient
+    scale = np.array([0.01, 0.01, 0.1, 0.1, 50.0, 50.0])
+    states = scale * rng.normal(size=(n_roll, horizon + 1, 6))
+    actions = rng.normal(scale=2.0, size=(n_roll, horizon, 2))
+    if case == "zero_actions":
+        actions[:] = 0.0
+    if case == "at_target":
+        states[:, :, :2] = InsertionEnvConfig().target
+    return states, actions
+
+
+class TestStackedStagesMatchVerbatim:
+    """The stacked stages give the bits of the per-step code they replaced
+    (``tests/verbatim_oracles.py``), signs of zero included."""
+
+    CASES = ["random", "zero_actions", "at_target", "five_rollouts"]
+
+    @staticmethod
+    def _policy_fn():
+        hyper = DdpgHyper.for_env(InsertionEnvConfig())
+        nets = make_agent(hyper, seed=2)
+        return lambda S: policy_action(nets.actor, hyper, S)
+
+    @pytest.mark.parametrize("horizon", [6, 100])
+    @pytest.mark.parametrize("case", CASES)
+    def test_fit_dynamics(self, case, horizon):
+        states, actions = stage_inputs(case, horizon)
+        got, want = fit_dynamics(states, actions), verbatim_oracles.fit_dynamics(states, actions)
+        for name in ("F", "f", "Sigma"):
+            assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
+
+    @pytest.mark.parametrize("horizon", [6, 100])
+    @pytest.mark.parametrize("case", CASES)
+    def test_linearize_policy(self, case, horizon):
+        states, _ = stage_inputs(case, horizon)
+        policy_fn = self._policy_fn()
+        got = linearize_policy(policy_fn, states, 0.64 * np.eye(2))
+        want = verbatim_oracles.linearize_policy(policy_fn, states, 0.64 * np.eye(2))
+        for name in ("K", "k", "C"):
+            assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
+
+    @pytest.mark.parametrize("horizon", [6, 100])
+    @pytest.mark.parametrize("case", CASES)
+    def test_quadratize(self, case, horizon):
+        states, actions = stage_inputs(case, horizon)
+        model = SmoothedInsertionCost(InsertionEnvConfig())
+        for s, u in ((states.mean(axis=0), actions.mean(axis=0)), (states[0], actions[0])):
+            got, want = model.quadratize(s, u), verbatim_oracles.quadratize(model, s, u)
+            for name in ("Czz", "cz", "const", "Cxx_T", "cx_T"):
+                assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
+            assert type(got.const_T) is float and _bits(got.const_T) == _bits(want.const_T)
+
+    def test_linear_gaussian_controller(self):
+        states, _ = stage_inputs("random", 100)
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(100, 2, 2))
+        policy = replace(linearize_policy(self._policy_fn(), states, np.eye(2)),
+                         C=a @ a.transpose(0, 2, 1) + 1e-3 * np.eye(2))
+        got = trajopt._linear_gaussian_controller(policy, np.random.default_rng(6))
+        want = verbatim_oracles.linear_gaussian_controller(policy, np.random.default_rng(6))
+        for t in range(policy.horizon):
+            assert _bits(got(t, states[0, t])) == _bits(want(t, states[0, t]))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_later_stages_get_the_same_bits(self, case):
+        # Equal values in another memory layout would pass the tests above but
+        # send the backward and forward passes' products to other kernels.
+        states, actions = stage_inputs(case, 100)
+        policy_fn = self._policy_fn()
+        model = SmoothedInsertionCost(InsertionEnvConfig())
+        mu0, S0 = initial_state_distribution(InsertionEnvConfig())
+        results = []
+        for fit, linearize, quadratize in (
+            (fit_dynamics, linearize_policy, model.quadratize),
+            (verbatim_oracles.fit_dynamics, verbatim_oracles.linearize_policy,
+             lambda s, u: verbatim_oracles.quadratize(model, s, u)),
+        ):
+            dynamics = fit(states, actions)
+            prior = linearize(policy_fn, states, 0.64 * np.eye(2))
+            cost = quadratize(states.mean(axis=0), actions.mean(axis=0))
+            policy = lqg_backward(dynamics, cost, prior, 1.0)
+            traj = lqg_forward(dynamics, policy, mu0, S0)
+            prior_traj = lqg_forward(dynamics, prior, mu0, S0)
+            results.append([_bits(a) for a in (policy.K, policy.k, policy.C, traj.mean, traj.cov, prior_traj.cov)]
+                           + [kl_divergence(traj, prior), expected_cost(cost, traj)])
+        assert results[0] == results[1]
+
+    def test_run_supervisor_equals_the_per_step_stages(self, monkeypatch):
+        env = InsertionEnvConfig(horizon=40)
+        policy_fn = self._policy_fn()
+
+        def supervise():
+            result, dual = run_supervisor(env, policy_fn, 3, DualState(eta=1.0, epsilon=20.0),
+                                          SupervisorConfig(), 0.99, np.random.default_rng(4))
+            return ([(_bits(s.state), _bits(s.action), s.q_value) for s in result.supervision],
+                    [(_bits(r.states), _bits(r.actions)) for r in result.sample_rollouts],
+                    [vars(d) for d in result.diagnostics], (dual.eta, dual.epsilon))
+
+        got = supervise()
+        monkeypatch.setattr(trajopt, "fit_dynamics", verbatim_oracles.fit_dynamics)
+        monkeypatch.setattr(trajopt, "linearize_policy", verbatim_oracles.linearize_policy)
+        monkeypatch.setattr(SmoothedInsertionCost, "quadratize", verbatim_oracles.quadratize)
+        want = supervise()
+        assert got[0] == want[0] and got[1] == want[1] and got[3] == want[3]
+        # NaN != NaN: the first sub-iteration has no measured improvement
+        assert [{k: _bits(v) for k, v in d.items()} for d in got[2]] == \
+            [{k: _bits(v) for k, v in d.items()} for d in want[2]]
 
 
 class TestCostToGo:

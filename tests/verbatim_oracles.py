@@ -11,17 +11,34 @@ zero included:
 - ``critic_loss_grads`` and ``actor_objective_grads`` (with the helpers they
   call): the learner's losses, before the precomputed observation scale.
   They call the verbatim MLP passes here, so they do not depend on the live
-  ones.
+  ones;
+- ``fit_dynamics``, ``linearize_policy`` and ``quadratize`` (with
+  ``_solve_pos`` and ``_norm_expansion``): the supervisor's model fits and
+  cost expansion, before they were stacked over the horizon. They loop over
+  the steps and solve or expand one step at a time;
+- ``linear_gaussian_controller``: the supervisor's sampling controller,
+  before it factored every step's covariance in one stacked call.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from guided_ddpg.ddpg import AgentNets, DdpgHyper
-from guided_ddpg.envs import InsertionEnvConfig
-from guided_ddpg.exceptions import NumericalError, ShapeError
+from guided_ddpg.envs import ACTION_DIM, STATE_DIM, InsertionEnvConfig
+from guided_ddpg.exceptions import InputError, NumericalError, ShapeError
 from guided_ddpg.nets import MlpParams, layer_views
 from guided_ddpg.replay import SupervisionBatch, TransitionBatch
+from guided_ddpg.trajopt import (
+    COST_SMOOTHING,
+    DYNAMICS_REG,
+    POLICY_FIT_REG,
+    TERMINAL_WEIGHT,
+    LinearDynamics,
+    LinearGaussianPolicy,
+    QuadraticCost,
+    SmoothedInsertionCost,
+    _require_finite,
+)
 
 Array = np.ndarray
 
@@ -242,3 +259,144 @@ def actor_objective_grads(
         )
         grads = grads + sup_grads
     return objective, grads
+
+
+def _solve_pos(gram: Array, rhs: Array, what: str) -> Array:
+    """``gram^-1 rhs`` for a symmetric positive definite ``gram`` (LAPACK posv).
+
+    Raises :class:`NumericalError` on non-finite input or a failed factorization.
+    """
+    _require_finite(what, gram, rhs)
+    # Deferred so that pure DDPG and evaluation never load scipy.
+    import scipy.linalg
+
+    try:
+        return scipy.linalg.solve(gram, rhs, assume_a="pos")
+    except scipy.linalg.LinAlgError as exc:
+        raise NumericalError(f"{what} failed") from exc
+
+
+def fit_dynamics(states: Array, actions: Array) -> LinearDynamics:
+    """Per-step ridge regression of next state on [state; action], with ridge :data:`DYNAMICS_REG`.
+
+    ``states`` has shape (N, T+1, n) and ``actions`` (N, T, m) over N
+    rollouts of equal horizon. The residual covariance is symmetrized and
+    eigenvalue-clipped to be positive semidefinite.
+    """
+    states = np.asarray(states, dtype=np.float64)
+    actions = np.asarray(actions, dtype=np.float64)
+    if states.ndim != 3 or actions.ndim != 3 or states.shape[0] != actions.shape[0]:
+        raise ShapeError("states (N,T+1,n) and actions (N,T,m) required")
+    n_roll, horizon = actions.shape[0], actions.shape[1]
+    if n_roll < 2:
+        raise InputError(f"need >= 2 rollouts to fit dynamics, got {n_roll}")
+    if states.shape[1] != horizon + 1:
+        raise ShapeError("states must have one more step than actions")
+    n, m = states.shape[2], actions.shape[2]
+
+    F = np.zeros((horizon, n, n + m))
+    f = np.zeros((horizon, n))
+    Sigma = np.zeros((horizon, n, n))
+    for t in range(horizon):
+        X = np.concatenate([states[:, t, :], actions[:, t, :], np.ones((n_roll, 1))], axis=1)
+        Y = states[:, t + 1, :]
+        gram = X.T @ X + DYNAMICS_REG * np.eye(n + m + 1)
+        beta = _solve_pos(gram, X.T @ Y, f"dynamics fit at step {t}")
+        F[t] = beta[: n + m].T
+        f[t] = beta[n + m]
+        resid = Y - X @ beta
+        cov = resid.T @ resid / n_roll
+        cov = 0.5 * (cov + cov.T)
+        evals, evecs = np.linalg.eigh(cov)
+        Sigma[t] = (evecs * np.maximum(evals, 0.0)) @ evecs.T
+    return LinearDynamics(F, f, Sigma)
+
+
+def linearize_policy(policy_fn, states: Array, noise_cov: Array) -> LinearGaussianPolicy:
+    """Affine fit of a deterministic policy around sampled states, per step.
+
+    ``policy_fn`` maps a batch of states (B, n) to actions (B, m). The fitted
+    covariance is set to ``noise_cov`` (the exploration-noise covariance),
+    which keeps KL divergences against the prior finite.
+    """
+    states = np.asarray(states, dtype=np.float64)
+    if states.ndim != 3:
+        raise ShapeError("states must have shape (N, T+1, n)")
+    n_roll, horizon = states.shape[0], states.shape[1] - 1
+    if n_roll < 1 or horizon < 1:
+        raise InputError("need at least one rollout and one step")
+    n = states.shape[2]
+    noise_cov = np.asarray(noise_cov, dtype=np.float64)
+    m = noise_cov.shape[0]
+
+    K = np.zeros((horizon, m, n))
+    k = np.zeros((horizon, m))
+    C = np.tile(noise_cov, (horizon, 1, 1))
+    for t in range(horizon):
+        S = states[:, t, :]
+        U = np.atleast_2d(policy_fn(S))
+        s_mean = S.mean(axis=0)
+        u_mean = U.mean(axis=0)
+        Sc = S - s_mean
+        Uc = U - u_mean
+        gram = Sc.T @ Sc + POLICY_FIT_REG * np.eye(n)
+        K[t] = _solve_pos(gram, Sc.T @ Uc, f"policy linearization at step {t}").T
+        k[t] = u_mean - K[t] @ s_mean
+    return LinearGaussianPolicy(K, k, C)
+
+
+def _norm_expansion(x: Array) -> tuple[float, Array, Array]:
+    h = float(np.sqrt(x @ x + COST_SMOOTHING**2))
+    grad = x / h
+    hess = np.eye(x.size) / h - np.outer(x, x) / h**3
+    return h, grad, hess
+
+
+def quadratize(model: SmoothedInsertionCost, states: Array, actions: Array) -> QuadraticCost:
+    """Expand the smoothed cost around a nominal trajectory.
+
+    Expansions are converted to absolute coordinates (valid jointly with
+    the affine dynamics), so stage quadratics can be compared across
+    candidate policies.
+    """
+    states = np.asarray(states, dtype=np.float64)
+    actions = np.asarray(actions, dtype=np.float64)
+    T = actions.shape[0]
+    n, m = STATE_DIM, ACTION_DIM
+    Czz = np.zeros((T, n + m, n + m))
+    cz = np.zeros((T, n + m))
+    const = np.zeros(T)
+    P = np.eye(2, n)  # picks the position, columns 0:2, out of a state
+
+    for t in range(T):
+        s_bar, u_bar = states[t], actions[t]
+        val_p, g_p, h_p = _norm_expansion(P @ s_bar - model.target)
+        val_u, g_u, h_u = _norm_expansion(u_bar)
+
+        H = np.zeros((n + m, n + m))
+        H[:n, :n] = P.T @ h_p @ P
+        H[n:, n:] = model.action_weight * h_u
+        g = np.concatenate([P.T @ g_p, model.action_weight * g_u])
+        z_bar = np.concatenate([s_bar, u_bar])
+        value = val_p + model.action_weight * val_u
+
+        Czz[t] = H
+        cz[t] = g - H @ z_bar
+        const[t] = value - g @ z_bar + 0.5 * float(z_bar @ H @ z_bar)
+
+    s_T = states[-1]
+    val_p, g_p, h_p = _norm_expansion(P @ s_T - model.target)
+    Cxx_T = TERMINAL_WEIGHT * (P.T @ h_p @ P)
+    gx = TERMINAL_WEIGHT * (P.T @ g_p)
+    cx_T = gx - Cxx_T @ s_T
+    const_T = TERMINAL_WEIGHT * val_p - float(gx @ s_T) + 0.5 * float(s_T @ Cxx_T @ s_T)
+    return QuadraticCost(Czz, cz, const, Cxx_T, cx_T, float(const_T), n, m)
+
+
+def linear_gaussian_controller(policy: LinearGaussianPolicy, rng: np.random.Generator):
+    chols = [np.linalg.cholesky(policy.C[t]) for t in range(policy.horizon)]
+
+    def controller(t: int, state: Array) -> Array:
+        return policy.K[t] @ state + policy.k[t] + chols[t] @ rng.standard_normal(policy.action_dim)
+
+    return controller
