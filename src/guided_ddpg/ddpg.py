@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .envs import ACTION_DIM, STATE_DIM, InsertionEnvConfig
-from .exceptions import ConfigurationError, InputError, NumericalError, ShapeError
+from .exceptions import ConfigurationError, InputError, NumericalError
 from .nets import (
     MlpParams,
     adam_init,
@@ -106,21 +106,18 @@ class AgentNets:
     :func:`target_update` make. A snapshot that must not move with training
     is a ``.copy()`` of a vector.
 
-    The constructor copies the four given nets, so the result never aliases
-    them or each other, and starts both Adam states from zero.
+    The constructor copies the two given nets, so the result never aliases
+    them; each target starts equal to its source and each Adam state at zero.
     """
 
-    def __init__(self, actor: MlpParams, critic: MlpParams, target_actor: MlpParams,
-                 target_critic: MlpParams, actor_lr: float, critic_lr: float):
-        if target_actor.layer_sizes != actor.layer_sizes or target_critic.layer_sizes != critic.layer_sizes:
-            raise ShapeError("a target net's layer sizes differ from its source's")
+    def __init__(self, actor: MlpParams, critic: MlpParams, actor_lr: float, critic_lr: float):
         self.params = np.concatenate([critic.vector, actor.vector])
-        self.targets = np.concatenate([target_critic.vector, target_actor.vector])
+        self.targets = self.params.copy()
         n = critic.vector.size
         self.critic = MlpParams(critic.layer_sizes, self.params[:n], critic.output_activation)
         self.actor = MlpParams(actor.layer_sizes, self.params[n:], actor.output_activation)
-        self.target_critic = MlpParams(critic.layer_sizes, self.targets[:n], target_critic.output_activation)
-        self.target_actor = MlpParams(actor.layer_sizes, self.targets[n:], target_actor.output_activation)
+        self.target_critic = MlpParams(critic.layer_sizes, self.targets[:n], critic.output_activation)
+        self.target_actor = MlpParams(actor.layer_sizes, self.targets[n:], actor.output_activation)
         self.critic_opt = adam_init(critic, critic_lr)
         self.actor_opt = adam_init(actor, actor_lr)
 
@@ -130,7 +127,7 @@ def make_agent(hyper: DdpgHyper, seed) -> AgentNets:
     base = list(np.atleast_1d(np.asarray(seed)).ravel())
     actor = mlp_init([STATE_DIM, *hyper.actor_hidden, ACTION_DIM], "tanh", seed=base + [0])
     critic = mlp_init([STATE_DIM + ACTION_DIM, *hyper.critic_hidden, 1], "identity", seed=base + [1])
-    return AgentNets(actor, critic, actor, critic, hyper.actor_lr, hyper.critic_lr)
+    return AgentNets(actor, critic, hyper.actor_lr, hyper.critic_lr)
 
 
 def _scaled_obs(hyper: DdpgHyper, states: Array) -> Array:

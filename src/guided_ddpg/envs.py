@@ -87,8 +87,11 @@ class InsertionEnvConfig:
                 "unstable integration step: dt^2 * wall_stiffness / mass + 2 * dt * wall_damping / mass"
                 f" must be < 4, got {spring + damper:.6g}"
             )
-        if self.workspace_half_width <= self.hole_half_width or self.workspace_height <= self.start_height:
-            raise ConfigurationError("workspace box must contain the slot and the start pose")
+        slot_edge = abs(self.hole_center_offset) + self.hole_half_width
+        if not slot_edge < self.workspace_half_width or self.workspace_height <= self.start_height:
+            raise ConfigurationError("workspace box must contain the slot and the start pose: |hole_center_offset|"
+                                     f" + hole_half_width = {slot_edge:.6g} must be < workspace_half_width, and"
+                                     " start_height < workspace_height")
         if not 0.0 <= self.reset_range <= self.workspace_half_width - self.peg_half_width:
             # a wider reset could start the peg inside a side wall
             raise ConfigurationError(

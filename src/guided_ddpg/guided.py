@@ -97,8 +97,6 @@ class TrainConfig:
     eval_every: int = 25
     eval_episodes: int = 20
     success_threshold: float = 0.9
-    stop_at_threshold: bool = False
-    max_rollouts: Optional[int] = None
     kl_step: float = 100.0  # the trust region epsilon the first dual search starts from
 
     def __post_init__(self):
@@ -288,21 +286,16 @@ def ddpg_block(
     epoch: int,
     log: TrainingLog,
     t_start: float,
-) -> tuple[int, bool]:
+) -> int:
     """Run exploratory episodes with one update triple per environment step.
 
-    Updates ``nets`` in place. Returns the new exploratory-episode count and
-    whether the stop condition (evaluation success threshold) was reached.
+    Updates ``nets`` in place and returns the new exploratory-episode count.
     """
     hyper = config.hyper
     env = config.env
     c = hyper.supervision_decay
-    stop = False
 
     for _ in range(n_episodes):
-        if config.max_rollouts is not None and n_roll >= config.max_rollouts:
-            stop = True
-            break
         w_to = supervision_weight(n_roll, c) if c > 0.0 else 0.0
         effective_w = w_to if len(r1) > 0 else 0.0
 
@@ -343,10 +336,7 @@ def ddpg_block(
             metrics = evaluate_policy(nets.actor, hyper, env, config.eval_episodes,
                                       [config.seed, STREAM_EVAL, len(log.evals)])
             log.evals.append(EvalRecord(epoch, n_roll, metrics.success_rate, metrics.mean_return, metrics.mean_steps))
-            if config.stop_at_threshold and metrics.success_rate >= config.success_threshold:
-                stop = True
-                break
-    return n_roll, stop
+    return n_roll
 
 
 def train(config: TrainConfig) -> tuple[AgentNets, TrainingLog]:
@@ -385,12 +375,8 @@ def train(config: TrainConfig) -> tuple[AgentNets, TrainingLog]:
         else:
             log.epochs.append(EpochRecord(epoch, "skipped", "n_trajopt=0", []))
 
-        n_roll, stop = ddpg_block(
-            nets, config, r1, r2, streams, noise, n_roll, n_ddpg, epoch, log, t_start
-        )
+        n_roll = ddpg_block(nets, config, r1, r2, streams, noise, n_roll, n_ddpg, epoch, log, t_start)
         n_ddpg += config.n_inc
-        if stop:
-            break
 
     log.r1_pushed = r1.total_pushed
     log.r2_pushed = r2.total_pushed

@@ -85,13 +85,6 @@ def _parse_value(text: str, hint):
         if len(items) != len(args):
             raise ValueError(f"expected {len(args)} comma-separated numbers, got {text!r}")
         return items
-    if hint is bool:
-        lowered = text.lower()
-        if lowered in ("true", "1", "yes"):
-            return True
-        if lowered in ("false", "0", "no"):
-            return False
-        raise ValueError(f"expected boolean, got {text!r}")
     if hint is float:
         value = float(text)
         if not math.isfinite(value):
@@ -117,8 +110,7 @@ def read_config(path, sections) -> dict:
       A key left out keeps its field's default; a field with no default must
       be given. No key may be given twice.
     - A value is parsed by its field's type annotation: ``int``; ``float``,
-      which must be finite; ``bool`` as ``true``/``false``, ``yes``/``no`` or
-      ``1``/``0``, in any case; ``str`` as written; ``tuple[T, ...]`` as
+      which must be finite; ``str`` as written; ``tuple[T, ...]`` as
       comma-separated items, possibly none; ``Optional[T]`` as ``T``; and a
       pair, the point ``target_point``, as two comma-separated numbers.
     - The methods' numerical settings are constants of

@@ -487,7 +487,6 @@ def update_trajectory(
     cost: QuadraticCost,
     init_mean: Array,
     init_cov: Array,
-    max_dual_iterations: int,
 ) -> TrajOptResult:
     """Solve the KL-constrained problem by adapting the dual variable.
 
@@ -511,10 +510,8 @@ def update_trajectory(
     eta_ceil = None  # above this, divergence is inside the trust region
     lm_reg = 0.0
     best = None  # (new_cost, policy, kl, eta) among feasible iterates
-    iterations = 0
 
-    while iterations < max_dual_iterations:
-        iterations += 1
+    for iterations in range(1, MAX_DUAL_ITERATIONS + 1):
         try:
             policy = lqg_backward(dynamics, cost, prior, eta, lm_reg)
         except NotPositiveDefiniteError:
@@ -565,6 +562,14 @@ def cost_to_go(rewards: Array, discount: float) -> Array:
 # Insertion-task cost model
 
 
+def _cube(v: float) -> float:
+    """``v**3`` by Python's float pow, whose bits numpy's array power can miss; ``inf`` past the float range."""
+    try:
+        return v**3
+    except OverflowError:
+        return np.inf
+
+
 class SmoothedInsertionCost:
     """Quadratic expansions of the insertion stage cost for the backward pass.
 
@@ -596,8 +601,7 @@ class SmoothedInsertionCost:
         x = np.concatenate([actions, states @ P.T - self.target])  # T actions, then T+1 positions
         h = np.sqrt(np.vecdot(x, x) + COST_SMOOTHING**2)
         grad = x / h[:, None]
-        # Python's float pow, element by element: numpy's array power can differ in the last bit.
-        h3 = np.array([v**3 for v in h.tolist()])
+        h3 = np.array([_cube(v) for v in h.tolist()])  # a cube past the float range gives hess = I / h
         hess = np.eye(2) / h[:, None, None] - x[:, :, None] * x[:, None, :] / h3[:, None, None]
         u, p, w = slice(0, T), slice(T, 2 * T), self.action_weight
 
@@ -735,9 +739,7 @@ def run_supervisor(
                 prior = current
             quad_cost = cost_model.quadratize(states.mean(axis=0), actions.mean(axis=0))
 
-            result = update_trajectory(
-                dynamics, prior, dual, quad_cost, mu0, S0, max_dual_iterations=MAX_DUAL_ITERATIONS
-            )
+            result = update_trajectory(dynamics, prior, dual, quad_cost, mu0, S0)
             dual = result.dual
             current = result.policy
             expected_improvement = result.prior_cost - result.new_cost
@@ -754,7 +756,7 @@ def run_supervisor(
                     status=result.status,
                 )
             )
-    except (NumericalError, TrustRegionError) as exc:
+    except NumericalError as exc:
         raise SupervisorError(f"trajectory optimization failed: {exc}") from exc
 
     final = rollout(env, _linear_gaussian_controller(current, rng), rng)

@@ -1,9 +1,10 @@
-"""The exit-code contract of ``guided-ddpg train``, as a property over spec edits.
+"""The exit-code contract of ``guided-ddpg``, as properties over input edits.
 
-Each example sets one key of the tiny spec to an extreme value and runs the
-command in-process. Whatever the edit, the command exits 0, 2 or 3 without a
-traceback; exit 2 leaves no ``--out`` behind; exit 0 leaves every artifact
-written and readable.
+Each example sets one key of a tiny spec, of an environment file or of a
+tiny checkpoint to an extreme value and runs ``train``, ``eval`` or
+``sweep`` in-process. Whatever the edit, the command exits with one of the
+codes its test allows and without a traceback; exit 2 leaves no ``--out``
+behind; exit 0 leaves every artifact written and readable.
 """
 import contextlib
 import csv
@@ -13,21 +14,46 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from guided_ddpg.cli import main as cli_main
-from guided_ddpg.harness import SPEC_SECTIONS, config_keys
+from guided_ddpg.ddpg import DdpgHyper, make_agent
+from guided_ddpg.envs import STATE_DIM, InsertionEnvConfig
+from guided_ddpg.harness import SPEC_SECTIONS, config_keys, save_agent_checkpoint
 from test_harness import TINY_SPEC
 
-EXTREMES = ("0", "-1", "1e-12", "-1e-12", "1e300", "1e-300")
+EXTREMES = ("0", "-1", "1e-12", "-1e-12", "1e150", "1e300", "1e-300")
 SEED_ARTIFACTS = ("training_log.csv", "timings.csv", "checkpoint.json", "supervisor_diag.csv", "summary.json")
+SPEC_KEYS = sorted(config_keys(SPEC_SECTIONS))
+ENV_KEYS = sorted(config_keys([("env", InsertionEnvConfig, ())]))
+ENV_FILE = "horizon = 6\n"
+# Where each checkpoint edit writes: the bound, each input scale, the actor's first weight and last bias.
+CHECKPOINT_ENTRIES = (("action_bound",), *(("obs_scale", i) for i in range(STATE_DIM)),
+                      ("actor", "weights", 0, 0, 0), ("actor", "biases", -1, 0))
 
 
-def edited_spec(key: str, value: str) -> str:
-    """The tiny spec with ``key = value`` in place of the line that sets ``key``, if any."""
-    kept = [line for line in TINY_SPEC.splitlines() if line.split("=")[0].strip() != key]
+def edited(text: str, key: str, value: str) -> str:
+    """``text`` with ``key = value`` in place of the line that sets ``key``, if any."""
+    kept = [line for line in text.splitlines() if line.split("=")[0].strip() != key]
     return "\n".join(kept + [f"{key} = {value}"]) + "\n"
+
+
+def run_cli(argv) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of one in-process command."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(stdout), np.errstate(all="ignore"):
+        code = cli_main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def assert_contract(code: int, stderr: str, allowed, out: Path | None = None) -> None:
+    """``code`` is one of ``allowed``, stderr holds no traceback, and exit 2 left no ``out``."""
+    assert code in allowed, stderr
+    assert "Traceback" not in stderr
+    if code == 2 and out is not None:
+        assert not out.exists()
 
 
 def assert_readable(path: Path) -> None:
@@ -38,21 +64,29 @@ def assert_readable(path: Path) -> None:
         assert next(csv.reader(io.StringIO(text)), None), f"{path.name} has no header row"
 
 
-# 300 examples exhaust the 44 keys x 6 values (about 4 s): hypothesis stops once every pair has run.
+def assert_eval_result(stdout: str) -> None:
+    assert set(json.loads(stdout)) == {"success_rate", "mean_return", "mean_steps"}
+
+
+@pytest.fixture(scope="module")
+def checkpoint_text(tmp_path_factory) -> str:
+    """A tiny checkpoint, built once: a fresh 8-unit actor for a 6-step environment."""
+    env = InsertionEnvConfig(horizon=6)
+    hyper = DdpgHyper.for_env(env, actor_hidden=(8,), critic_hidden=(8,))
+    path = tmp_path_factory.mktemp("checkpoint") / "checkpoint.json"
+    save_agent_checkpoint(path, make_agent(hyper, 0), hyper)
+    return path.read_text(encoding="utf-8")
+
+
+# 300 examples exhaust the 42 keys x 7 values (about 6 s): hypothesis stops once every pair has run.
 @settings(max_examples=300, derandomize=True, deadline=None)
-@given(key=st.sampled_from(sorted(config_keys(SPEC_SECTIONS))), value=st.sampled_from(EXTREMES))
+@given(key=st.sampled_from(SPEC_KEYS), value=st.sampled_from(EXTREMES))
 def test_train_keeps_the_exit_code_contract(key, value):
     with tempfile.TemporaryDirectory() as tmp:
         spec, out = Path(tmp) / "edited.spec", Path(tmp) / "out"
-        spec.write_text(edited_spec(key, value))
-        stderr = io.StringIO()
-        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()), \
-                np.errstate(all="ignore"):
-            code = cli_main(["train", "--spec", str(spec), "--out", str(out)])
-        assert code in (0, 2, 3), stderr.getvalue()
-        assert "Traceback" not in stderr.getvalue()
-        if code == 2:
-            assert not out.exists()
+        spec.write_text(edited(TINY_SPEC, key, value))
+        code, _, stderr = run_cli(["train", "--spec", str(spec), "--out", str(out)])
+        assert_contract(code, stderr, (0, 2, 3), out)
         if code == 0:
             aggregate = json.loads((out / "aggregate.json").read_text(encoding="utf-8"))
             for seed in aggregate["seeds"]:
@@ -60,3 +94,51 @@ def test_train_keeps_the_exit_code_contract(key, value):
                     assert_readable(out / f"seed_{seed}" / name)
             for path in out.rglob("*.*"):
                 assert_readable(path)
+
+
+# 150 examples exhaust the 17 keys x 7 values; an environment file never makes a numerical failure.
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(key=st.sampled_from(ENV_KEYS), value=st.sampled_from(EXTREMES))
+def test_eval_with_an_edited_env_config_keeps_the_exit_code_contract(checkpoint_text, key, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt, env_file = Path(tmp) / "checkpoint.json", Path(tmp) / "env.cfg"
+        ckpt.write_text(checkpoint_text, encoding="utf-8")
+        env_file.write_text(edited(ENV_FILE, key, value))
+        code, stdout, stderr = run_cli(["eval", "--checkpoint", str(ckpt), "--env-config", str(env_file),
+                                        "--episodes", "2"])
+    assert_contract(code, stderr, (0, 2))
+    if code == 0:
+        assert_eval_result(stdout)
+
+
+# 100 examples exhaust the 9 entries x 7 values.
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(entry=st.sampled_from(CHECKPOINT_ENTRIES), value=st.sampled_from(EXTREMES))
+def test_eval_of_an_edited_checkpoint_keeps_the_exit_code_contract(checkpoint_text, entry, value):
+    payload = json.loads(checkpoint_text)
+    *parents, last = entry
+    node = payload
+    for part in parents:
+        node = node[part]
+    node[last] = float(value)
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = Path(tmp) / "checkpoint.json"
+        ckpt.write_text(json.dumps(payload), encoding="utf-8")
+        code, stdout, stderr = run_cli(["eval", "--checkpoint", str(ckpt), "--episodes", "2"])
+    assert_contract(code, stderr, (0, 2, 3))
+    if code == 0:
+        assert_eval_result(stdout)
+
+
+# 300 examples exhaust the 42 keys x 7 values.
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(key=st.sampled_from(SPEC_KEYS), value=st.sampled_from(EXTREMES))
+def test_sweep_keeps_the_exit_code_contract(checkpoint_text, key, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt, spec, out = Path(tmp) / "checkpoint.json", Path(tmp) / "edited.spec", Path(tmp) / "out"
+        ckpt.write_text(checkpoint_text, encoding="utf-8")
+        spec.write_text(edited(TINY_SPEC, key, value))
+        code, _, stderr = run_cli(["sweep", "--checkpoint", str(ckpt), "--spec", str(spec), "--out", str(out)])
+        assert_contract(code, stderr, (0, 2, 3), out)
+        if code == 0:
+            assert_readable(out / "sweep.csv")

@@ -89,6 +89,19 @@ class TestConfig:
     def test_step_just_inside_the_stability_bound_accepted(self, kwargs):
         InsertionEnvConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [dict(hole_center_offset=0.03), dict(hole_center_offset=-0.03),
+                                        dict(hole_center_offset=1e300), dict(hole_center_offset=0.0145),
+                                        dict(hole_center_offset=-0.0145), dict(hole_half_width=0.02),
+                                        dict(workspace_height=0.005)])
+    def test_slot_or_start_outside_the_workspace_rejected(self, kwargs):
+        # |hole_center_offset| + hole_half_width < workspace_half_width; +-0.0145 + 0.0055 is exactly 0.02
+        with pytest.raises(ConfigurationError, match="workspace box must contain the slot"):
+            InsertionEnvConfig(**kwargs)
+
+    @pytest.mark.parametrize("offset", [0.0144, -0.0144])
+    def test_slot_just_inside_the_workspace_accepted(self, offset):
+        assert InsertionEnvConfig(hole_center_offset=offset).target[0] == offset
+
 
 class TestReset:
     def test_fixed_seed_repeats(self, config):

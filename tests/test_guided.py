@@ -85,11 +85,6 @@ class TestAccounting:
         weights = [r.w_to for r in ddpg_rows]
         assert all(a >= b for a, b in zip(weights, weights[1:]))
 
-    def test_max_rollouts_caps_training(self):
-        config = tiny_config(epochs=5, n_ddpg=4, n_trajopt=0, max_rollouts=6)
-        _, log = train(config)
-        assert len(log.episodes_by_phase("ddpg")) == 6
-
 
 class TestDeterminism:
     def test_identical_runs_identical_csv(self, tmp_path):
@@ -220,13 +215,6 @@ class TestEvaluation:
             TrainConfig(env=InsertionEnvConfig(action_bound=2.0), hyper=DdpgHyper.for_env(InsertionEnvConfig()))
         env = InsertionEnvConfig(action_bound=2.0)
         assert TrainConfig(env=env, hyper=DdpgHyper.for_env(env)).hyper.action_bound == 2.0
-
-    def test_stop_at_threshold_halts(self):
-        # an always-evaluating config with an impossible-to-miss threshold of 0
-        config = tiny_config(epochs=3, n_ddpg=5, n_trajopt=0, eval_every=1,
-                             eval_episodes=1, success_threshold=0.0, stop_at_threshold=True)
-        _, log = train(config)
-        assert len(log.episodes_by_phase("ddpg")) == 1
 
 
 def per_episode_results(actor, hyper, env, n_episodes, seed) -> list:

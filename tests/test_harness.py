@@ -59,11 +59,12 @@ def tiny_spec_path(tmp_path):
     return path
 
 
-# The settings that became constants of trajopt and ddpg, each with the value it had as a default.
+# The settings that became constants of trajopt and ddpg, each with the value it had as a default,
+# and the two run controls that could end training before its schedule, each with a value it accepted.
 REMOVED_SETTINGS = {
     "eta_init": "1.0", "dynamics_reg": "1e-6", "exploration_std": "1.0, 1.0", "smoothing": "1e-4",
     "terminal_weight": "1.0", "max_dual_iterations": "20", "noise_scale": "1.0, 1.0", "noise_theta": "0.15",
-    "noise_dt": "1.0",
+    "noise_dt": "1.0", "stop_at_threshold": "false", "max_rollouts": "100",
 }
 
 
@@ -119,11 +120,11 @@ class TestConfigReader:
         return path
 
     def test_every_key_parses_back_to_its_default(self, tmp_path):
-        # max_rollouts, success_tolerance and target_point default to None, which no value spells,
+        # success_tolerance and target_point default to None, which no value spells,
         # so they are written as numbers
         env = InsertionEnvConfig(success_tolerance=0.001, target_point=(0.0, -0.02))
         hyper = DdpgHyper.for_env(env)
-        spec = ExperimentSpec(algorithm="pure_ddpg", train=TrainConfig(env=env, hyper=hyper, max_rollouts=500),
+        spec = ExperimentSpec(algorithm="pure_ddpg", train=TrainConfig(env=env, hyper=hyper),
                               seeds=(3,))
         owners = {ExperimentSpec: spec, TrainConfig: spec.train, InsertionEnvConfig: spec.train.env,
                   DdpgHyper: spec.train.hyper, SupervisorConfig: spec.train.supervisor}
@@ -163,7 +164,7 @@ class TestConfigReader:
 
     @pytest.mark.parametrize("key", list(REMOVED_SETTINGS))
     def test_removed_setting_is_an_unknown_key(self, tmp_path, tiny_spec_path, capsys, key):
-        # each is given its old default, so only the key can be at fault
+        # each is given a value it once accepted, so only the key can be at fault
         line = f"{key} = {REMOVED_SETTINGS[key]}"
         assert key not in config_keys(SPEC_SECTIONS)
         with pytest.raises(SpecError, match=f"line 3: unknown key '{key}'"):
@@ -434,6 +435,39 @@ class TestCli:
         err = capsys.readouterr().err
         assert "unstable integration step" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("line", ["hole_center_offset = 0.03", "hole_center_offset = 1e300"])
+    def test_slot_outside_the_workspace_exit_code(self, tiny_spec_path, tmp_path, capsys, line):
+        # the first trained on a slot outside the box; the second exited 3 after --out was made
+        spec = spec_with_line(tiny_spec_path, line)
+        with np.errstate(all="ignore"):
+            assert cli_main(["train", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "workspace box must contain the slot" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_sweep_cell_outside_the_workspace_exit_code(self, tiny_spec_path, tmp_path, capsys):
+        spec = tmp_path / "far.spec"
+        spec.write_text(tiny_spec_path.read_text().replace(
+            "sweep_hole_offsets = 0.0,0.0005", "sweep_hole_offsets = 0.0,0.03"))
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text(json.dumps(self._checkpoint_payload(tmp_path)))
+        assert cli_main(["sweep", "--checkpoint", str(ckpt), "--spec", str(spec),
+                         "--out", str(tmp_path / "sweep")]) == 2
+        err = capsys.readouterr().err
+        assert "workspace box must contain the slot" in err and "Traceback" not in err
+        assert not (tmp_path / "sweep").exists()
+
+    def test_far_start_exit_code(self, tiny_spec_path, tmp_path, capsys):
+        # the cube of the supervisor's cost norm overflowed Python's float pow, a traceback with exit 1;
+        # tests/test_cli_properties.py runs the single keys that did the same at 1e150
+        spec = spec_with_line(spec_with_line(tiny_spec_path, "start_height = 1e150"), "workspace_height = 2e150")
+        with np.errstate(all="ignore"):
+            code = cli_main(["train", "--spec", str(spec), "--out", str(tmp_path / "o")])
+        assert code in (0, 2, 3)
+        assert "Traceback" not in capsys.readouterr().err
+        if code == 2:
+            assert not (tmp_path / "o").exists()
 
     def test_overflowing_dynamics_fit_exit_code(self, tiny_spec_path, tmp_path, capsys):
         # a bound of 1e300 overflows the supervisor's dynamics fit, which degrades its epoch

@@ -589,8 +589,7 @@ class TestUpdateTrajectory:
         A, B, Q, R, Qf, dynamics, cost = lqr_problem(rng, n, m, horizon)
         prior = constant_policy(horizon, n, m, K=rng.normal(scale=0.1, size=(m, n)), cov=np.eye(m))
         dual = DualState(eta=1.0, epsilon=1e8)
-        result = update_trajectory(dynamics, prior, dual, cost, np.zeros(n), 0.05 * np.eye(n),
-                                   trajopt.MAX_DUAL_ITERATIONS)
+        result = update_trajectory(dynamics, prior, dual, cost, np.zeros(n), 0.05 * np.eye(n))
         oracle = riccati_oracle(A, B, Q, R, Qf, horizon)
         for t in range(horizon):
             assert np.max(np.abs(result.policy.K[t] + oracle[t])) < 1e-4
@@ -599,7 +598,7 @@ class TestUpdateTrajectory:
         dynamics, prior, quad, mu0, S0 = fitted_insertion_problem()
         for eps in (1e-3, 1e-2, 1e-1):
             dual = DualState(eta=1.0, epsilon=eps)
-            result = update_trajectory(dynamics, prior, dual, quad, mu0, S0, trajopt.MAX_DUAL_ITERATIONS)
+            result = update_trajectory(dynamics, prior, dual, quad, mu0, S0)
             assert result.achieved_kl <= 1.5 * eps
             assert result.new_cost <= result.prior_cost + 1e-6
 
@@ -610,8 +609,7 @@ class TestUpdateTrajectory:
         optimal = lqg_backward(dynamics, cost, flat_prior(horizon, n, m), eta=1.0)
         dual = DualState(eta=1.0, epsilon=1e-6)
         result = update_trajectory(dynamics, prior=optimal, dual=dual, cost=cost,
-                                   init_mean=np.zeros(n), init_cov=0.1 * np.eye(n),
-                                   max_dual_iterations=trajopt.MAX_DUAL_ITERATIONS)
+                                   init_mean=np.zeros(n), init_cov=0.1 * np.eye(n))
         assert result.achieved_kl <= 1.5e-6
         assert np.max(np.abs(result.policy.K - optimal.K)) < 1e-3
         assert result.new_cost <= result.prior_cost + 1e-6
@@ -638,7 +636,7 @@ class TestUpdateTrajectory:
         monkeypatch.setattr(trajopt, "lqg_backward", counting_backward)
         monkeypatch.setattr(trajopt, "kl_divergence", lambda traj, prior: np.inf)
         with pytest.raises(TrustRegionError):
-            update_trajectory(dynamics, prior, DualState(eta=1.0, epsilon=1e-2), quad, mu0, S0, max_dual_iterations=50)
+            update_trajectory(dynamics, prior, DualState(eta=1.0, epsilon=1e-2), quad, mu0, S0)
         assert len(etas) == 17
         assert etas == [10.0**i for i in range(17)] and etas[-1] == trajopt.ETA_MAX
 
@@ -649,14 +647,12 @@ class TestUpdateTrajectory:
         for _ in range(20):
             dynamics, cost, prior, _, mu0, S0 = random_stage_problem(rng)
             for eta in (1e12, 1e16):
-                result = update_trajectory(dynamics, prior, DualState(eta=eta, epsilon=1.0), cost, mu0, S0,
-                                           trajopt.MAX_DUAL_ITERATIONS)
+                result = update_trajectory(dynamics, prior, DualState(eta=eta, epsilon=1.0), cost, mu0, S0)
                 assert 0.0 <= result.achieved_kl <= 1.0 + trajopt.KL_RTOL
 
     def test_returned_covariances_positive_definite(self):
         dynamics, prior, quad, mu0, S0 = fitted_insertion_problem(seed=2)
-        result = update_trajectory(dynamics, prior, DualState(eta=1.0, epsilon=1e-2), quad, mu0, S0,
-                                   trajopt.MAX_DUAL_ITERATIONS)
+        result = update_trajectory(dynamics, prior, DualState(eta=1.0, epsilon=1e-2), quad, mu0, S0)
         for t in range(result.policy.horizon):
             eigvals = np.linalg.eigvalsh(result.policy.C[t])
             assert np.min(eigvals) > 0.0
@@ -986,6 +982,20 @@ class TestCostModel:
         for t in range(2):
             assert np.min(np.linalg.eigvalsh(quad.Czz[t])) >= -1e-12
         assert np.min(np.linalg.eigvalsh(quad.Cxx_T)) >= -1e-12
+
+    def test_distance_whose_cube_overflows_expands(self):
+        # the smoothed norm of a position 1e150 from the target is about 1e150; its cube passes the
+        # float range, so the norm's Hessian I / h - x x' / h^3 must read I / h instead of raising
+        env = InsertionEnvConfig()
+        model = SmoothedInsertionCost(env)
+        states = np.zeros((3, 6))
+        states[:, 0] = 1e150
+        quad = model.quadratize(states, np.zeros((2, 2)))
+        for t in range(2):
+            assert np.allclose(quad.Czz[t, :2, :2], np.eye(2) / 1e150, rtol=1e-12, atol=0.0)
+        assert np.allclose(quad.Cxx_T[:2, :2], trajopt.TERMINAL_WEIGHT * np.eye(2) / 1e150, rtol=1e-12, atol=0.0)
+        for part in (quad.Czz, quad.cz, quad.const, quad.Cxx_T, quad.cx_T, quad.const_T):
+            assert np.all(np.isfinite(part))
 
 
 class TestSupervisor:
