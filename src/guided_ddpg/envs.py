@@ -101,6 +101,13 @@ class InsertionEnvConfig:
         if tolerance <= 0.0:
             raise ConfigurationError(f"success_tolerance must be > 0, got {tolerance}")
         point = (self.hole_center_offset, -self.hole_depth) if self.target_point is None else self.target_point
+        # The stage cost squares the distance to the target; from the farthest
+        # start pose that square must be finite, or every return is -inf.
+        lateral = abs(float(point[0])) + self.reset_range
+        vertical = self.start_height - float(point[1])
+        if not lateral * lateral + vertical * vertical < np.inf:
+            raise ConfigurationError(f"the target is too far from the start pose: {lateral:.6g} m across and"
+                                     f" {vertical:.6g} m down, a distance whose square overflows")
         target = np.array([float(point[0]), float(point[1])])
         target.flags.writeable = False
         object.__setattr__(self, "tolerance", tolerance)

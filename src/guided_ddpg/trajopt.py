@@ -15,10 +15,6 @@ dynamics are ``s' = F [s; u] + f + noise``; controllers are
 The method's numerical settings are the constants below, not config fields,
 among them ``ETA_INIT``, ``DYNAMICS_REG``, ``EXPLORATION_STD``,
 ``COST_SMOOTHING``, ``TERMINAL_WEIGHT`` and ``MAX_DUAL_ITERATIONS``.
-
-scipy is imported on the first supervisor solve, not with the module: pure
-DDPG, evaluation and the command line never solve, and importing
-``scipy.linalg`` would double their start-up time and memory.
 """
 from __future__ import annotations
 
@@ -143,23 +139,59 @@ class QuadraticCost:
 # Model fitting
 
 
+def _tril_solve(lower: Array, rhs: Array) -> Array:
+    """``lower^-1 rhs`` for a lower-triangular matrix or stack, with OpenBLAS dtrsm's bits.
+
+    dtrsm solves the leading rows in blocks of 8, 4, 2 and 1, the binary
+    digits of the size, and subtracts one product with the rows already solved
+    before each later block. This does the same, solving each block as its
+    row-and-column-reversed upper-triangular system: LU pivots nowhere on a
+    triangular matrix, so ``np.linalg.solve`` runs dtrsm's upper kernel. Blocks
+    of 16 lead larger sizes; those solve correctly, with other bits than dtrsm.
+    """
+    d = lower.shape[-1]
+    out = np.empty(np.broadcast_shapes(lower.shape[:-2], rhs.shape[:-2]) + rhs.shape[-2:])
+    start = 0
+    for size in [16] * (d // 16) + [s for s in (8, 4, 2, 1) if d & s]:
+        stop = start + size
+        block = rhs[..., start:stop, :]
+        if start:
+            rows = [start, start] if size == 1 else slice(start, stop)  # one row would run gemv, not gemm
+            with np.errstate(over="ignore", invalid="ignore"):  # dtrsm overflows silently
+                block = block - (lower[..., rows, :start] @ out[..., :start, :])[..., :size, :]
+        diag = lower[..., start:stop, start:stop][..., ::-1, ::-1]
+        out[..., start:stop, :] = np.linalg.solve(diag, block[..., ::-1, :])[..., ::-1, :]
+        start = stop
+    return out
+
+
+def _cho_solve(lower: Array, rhs: Array) -> Array:
+    """``(L L')^-1 rhs`` from a lower Cholesky factor ``L`` or a stack of them,
+    with the bits of LAPACK potrs on OpenBLAS at sizes below 16.
+
+    Like potrs it raises nothing on a factor, whose diagonal is positive: a
+    solve that overflows returns inf or NaN.
+    """
+    return np.linalg.solve(lower.mT, _tril_solve(lower, rhs))
+
+
 def _solve_pos(gram: Array, rhs: Array, what: str) -> Array:
     """``gram[t]^-1 rhs[t]`` for each slice of a ``(T, d, d)`` stack of symmetric
-    positive definite matrices (one LAPACK posv per slice).
+    positive definite matrices, with the bits of LAPACK posv on the upper
+    triangle (potrf then potrs with ``uplo='U'``).
 
     Raises :class:`NumericalError` naming the first step whose input is not
     finite or whose Gram matrix fails to factor.
     """
     finite = np.isfinite(gram).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=(1, 2))
-    # Deferred so that pure DDPG and evaluation never load scipy.
-    import scipy.linalg
-
     if finite.all():
         try:
-            return scipy.linalg.solve(gram, rhs, assume_a="pos")
-        except scipy.linalg.LinAlgError:
+            upper = np.linalg.cholesky(gram, upper=True)
+        except np.linalg.LinAlgError:
             pass
-    # scipy names no failing slice; posv fails where the Cholesky factorization does.
+        else:
+            return _cho_solve(upper.mT, rhs)
+    # numpy names no failing slice; find the first step that fails to factor.
     for t, ok in enumerate(finite):
         if not ok:
             raise NumericalError(f"{what} at step {t} received non-finite values")
@@ -312,9 +344,6 @@ def lqg_backward(
     """
     if eta <= 0.0:
         raise InputError(f"eta must be positive, got {eta}")
-    # Deferred so that pure DDPG and evaluation never load scipy.
-    from scipy.linalg.lapack import dpotrs
-
     T = dynamics.horizon
     n, m = cost.state_dim, cost.action_dim
     if cost.horizon != T or dynamics.F.shape[1] != n:
@@ -325,11 +354,10 @@ def lqg_backward(
     eye = np.eye(m)
     l2 = _chol_or_raise(prior.C, "prior covariance")
     _require_finite("prior covariance", l2)
-    # LAPACK returns Fortran-ordered inverses; keeping that layout per
-    # step keeps the products below bitwise equal to per-step ones.
+    # The products below are bitwise equal to per-step ones only with
+    # inverses in the Fortran order that LAPACK's potrs returns.
     prior_inv = np.empty((T, m, m)).transpose(0, 2, 1)
-    for t in range(T):
-        prior_inv[t] = dpotrs(l2[t], eye, lower=1)[0]
+    prior_inv[:] = _cho_solve(l2, eye)
     M = np.empty((T, m, n + m))
     M[:, :, :n] = -prior.K
     M[:, :, n:] = eye
@@ -362,7 +390,7 @@ def lqg_backward(
         rhs[:, :n] = Qux
         rhs[:, n] = q[n:]
         _require_finite("Riccati solve", l_uu, rhs)
-        sol = dpotrs(l_uu, rhs, lower=1)[0]
+        sol = _cho_solve(l_uu, rhs)
         K[t] = -sol[:, :n]
         k[t] = -sol[:, n]
         Cuu = sol[:, n + 1:]

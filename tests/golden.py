@@ -85,6 +85,17 @@ def platform_fingerprint() -> dict:
     }
 
 
+def platform_mismatch() -> dict:
+    """``{key: (stored, here)}`` for each fingerprint entry that differs from ``golden.json``'s.
+
+    Empty on the platform the stored bits were made on; tests that pin the
+    bits of a BLAS or LAPACK kernel skip elsewhere.
+    """
+    stored = json.loads(GOLDEN.read_text(encoding="utf-8"))["platform"]
+    return {key: (stored.get(key), value) for key, value in platform_fingerprint().items()
+            if stored.get(key) != value}
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 

@@ -56,16 +56,25 @@ def assert_contract(code: int, stderr: str, allowed, out: Path | None = None) ->
         assert not out.exists()
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+def strict_json(text: str):
+    """``json.loads`` that fails on ``NaN``, ``Infinity`` and ``-Infinity``, which Python writes but JSON lacks."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def assert_readable(path: Path) -> None:
     text = path.read_text(encoding="utf-8")
     if path.suffix == ".json":
-        json.loads(text)
+        strict_json(text)
     else:
         assert next(csv.reader(io.StringIO(text)), None), f"{path.name} has no header row"
 
 
 def assert_eval_result(stdout: str) -> None:
-    assert set(json.loads(stdout)) == {"success_rate", "mean_return", "mean_steps"}
+    assert set(strict_json(stdout)) == {"success_rate", "mean_return", "mean_steps"}
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +97,7 @@ def test_train_keeps_the_exit_code_contract(key, value):
         code, _, stderr = run_cli(["train", "--spec", str(spec), "--out", str(out)])
         assert_contract(code, stderr, (0, 2, 3), out)
         if code == 0:
-            aggregate = json.loads((out / "aggregate.json").read_text(encoding="utf-8"))
+            aggregate = strict_json((out / "aggregate.json").read_text(encoding="utf-8"))
             for seed in aggregate["seeds"]:
                 for name in SEED_ARTIFACTS:
                     assert_readable(out / f"seed_{seed}" / name)
@@ -115,7 +124,7 @@ def test_eval_with_an_edited_env_config_keeps_the_exit_code_contract(checkpoint_
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(entry=st.sampled_from(CHECKPOINT_ENTRIES), value=st.sampled_from(EXTREMES))
 def test_eval_of_an_edited_checkpoint_keeps_the_exit_code_contract(checkpoint_text, entry, value):
-    payload = json.loads(checkpoint_text)
+    payload = strict_json(checkpoint_text)
     *parents, last = entry
     node = payload
     for part in parents:

@@ -103,6 +103,22 @@ class TestConfig:
         assert InsertionEnvConfig(hole_center_offset=offset).target[0] == offset
 
 
+    @pytest.mark.parametrize("kwargs", [dict(hole_depth=1e300), dict(target_point=(1e300, 0.0)),
+                                        dict(target_point=(0.0, -1e155)), dict(target_point=(0.0, np.nan)),
+                                        dict(start_height=1e155, workspace_height=2e155)])
+    def test_target_too_far_from_the_start_rejected(self, kwargs):
+        # the squared distance to the target overflows, so every stage cost would be inf
+        with pytest.raises(ConfigurationError, match="too far from the start pose"):
+            InsertionEnvConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [dict(hole_depth=1e150), dict(target_point=(1e150, -1e150)),
+                                        dict(start_height=1e150, workspace_height=2e150)])
+    def test_target_far_but_squarable_accepted(self, kwargs):
+        config = InsertionEnvConfig(**kwargs)
+        start = np.array([config.reset_range, config.start_height])
+        assert np.isfinite(np.sum((start - config.target) ** 2))
+
+
 class TestReset:
     def test_fixed_seed_repeats(self, config):
         a = env_reset(config, 42, 5)

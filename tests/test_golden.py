@@ -8,16 +8,14 @@ import json
 
 import pytest
 
-from golden import GOLDEN, compute_checksums, platform_fingerprint
+from golden import GOLDEN, compute_checksums, platform_mismatch
 
 STORED = json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
 @pytest.fixture(scope="module")
 def computed(tmp_path_factory):
-    here = platform_fingerprint()
-    mismatch = {key: (STORED["platform"].get(key), value) for key, value in here.items()
-                if STORED["platform"].get(key) != value}
+    mismatch = platform_mismatch()
     if mismatch:
         pytest.skip(f"golden checksums were made on another platform; (stored, here): {mismatch}")
     return compute_checksums(tmp_path_factory.mktemp("golden"))

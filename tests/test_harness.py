@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -468,6 +472,29 @@ class TestCli:
         assert "Traceback" not in capsys.readouterr().err
         if code == 2:
             assert not (tmp_path / "o").exists()
+
+    def test_far_start_trains_without_a_linalg_warning(self, tiny_spec_path, tmp_path):
+        # scipy's posv printed two LinAlgWarning blocks on the supervisor's ill-conditioned fits here;
+        # a fresh interpreter shows what a user sees on stderr, which pytest's own capture would hide
+        spec = spec_with_line(spec_with_line(tiny_spec_path, "start_height = 1e150"), "workspace_height = 2e150")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run([sys.executable, "-m", "guided_ddpg.cli", "train", "--spec", str(spec),
+                               "--out", str(tmp_path / "o")], env=env, capture_output=True, text=True,
+                              timeout=300, check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert "LinAlgWarning" not in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
+
+    def test_target_too_far_from_the_start_exit_code(self, tiny_spec_path, tmp_path, capsys):
+        # every return was -inf: train exited 3 after --out was made, eval printed -Infinity with exit 0
+        spec = spec_with_line(tiny_spec_path, "hole_depth = 1e300")
+        assert cli_main(["train", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+        assert "too far from the start pose" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        env_cfg = tmp_path / "env.cfg"
+        env_cfg.write_text("horizon = 6\nhole_depth = 1e300\n")
+        text = json.dumps(self._checkpoint_payload(tmp_path))
+        assert self._eval_exit_code(tmp_path, text, "--env-config", str(env_cfg)) == 2
+        assert "too far from the start pose" in capsys.readouterr().err
 
     def test_overflowing_dynamics_fit_exit_code(self, tiny_spec_path, tmp_path, capsys):
         # a bound of 1e300 overflows the supervisor's dynamics fit, which degrades its epoch

@@ -1,8 +1,11 @@
-"""scipy loads on the first supervisor solve and on no other path.
+"""scipy loads on no path of the package.
 
-Each case runs in a fresh interpreter: other tests import scipy into the
-pytest process, so ``sys.modules`` there says nothing.
+The supervisor's solves, its last use, run on numpy alone. Each case below
+runs in a fresh interpreter: other tests import scipy into the pytest
+process, so ``sys.modules`` there says nothing. An AST scan of every module
+catches an import, deferred ones included, that no case reaches.
 """
+import ast
 import os
 import subprocess
 import sys
@@ -11,6 +14,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+MODULES = sorted(path.name for path in (SRC / "guided_ddpg").glob("*.py"))
 
 TINY_TRAIN = """
 from guided_ddpg.ddpg import DdpgHyper
@@ -29,29 +33,53 @@ config = TrainConfig(
 """
 
 CASES = {
-    "import_package": ("import guided_ddpg", False),
-    "import_cli": ("from guided_ddpg import cli", False),
-    "pure_train": (TINY_TRAIN + "_, log = train(pure_ddpg_config(config))\nassert log.evals", False),
+    "import_package": "import guided_ddpg",
+    "import_cli": "from guided_ddpg import cli",
+    "pure_train": TINY_TRAIN + "_, log = train(pure_ddpg_config(config))\nassert log.evals",
     "evaluate_policy": (
         "from guided_ddpg.ddpg import DdpgHyper, make_agent\n"
         "from guided_ddpg.envs import InsertionEnvConfig\n"
         "from guided_ddpg.guided import evaluate_policy\n"
         "env = InsertionEnvConfig(horizon=6)\n"
         "hyper = DdpgHyper.for_env(env, actor_hidden=(8,), critic_hidden=(8,))\n"
-        "evaluate_policy(make_agent(hyper, 0).actor, hyper, env, 3, seed=0)",
-        False,
+        "evaluate_policy(make_agent(hyper, 0).actor, hyper, env, 3, seed=0)"
     ),
-    "guided_train": (TINY_TRAIN + "_, log = train(config)\nassert log.epochs[0].status == 'ok'", True),
+    "guided_train": TINY_TRAIN + "_, log = train(config)\nassert log.epochs[0].status == 'ok'",
 }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_scipy_loads_only_for_the_supervisor(case):
-    code, loads_scipy = CASES[case]
-    script = code + "\nimport sys\nprint(sorted(k for k in sys.modules if k.startswith('scipy')))\n"
+    # the name is kept from when the supervisor loaded scipy; now no case does
+    script = CASES[case] + "\nimport sys\nprint(sorted(k for k in sys.modules if k.startswith('scipy')))\n"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
                           timeout=120, check=False)
     assert proc.returncode == 0, proc.stderr
     loaded = proc.stdout.strip().splitlines()[-1]
-    assert (loaded != "[]") == loads_scipy, loaded
+    assert loaded == "[]", loaded
+
+
+def scipy_imports(source: str) -> list:
+    """``"line N: module"`` for each import of scipy in ``source``, at any depth."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {name}" for name in modules if name.split(".")[0] == "scipy"]
+    return found
+
+
+def test_the_scan_finds_deferred_and_from_imports():
+    source = ("import numpy as np\nimport scipy\n\ndef f():\n    import scipy.linalg as la\n"
+              "    from scipy.linalg.lapack import dpotrs\n    from .scipy import x\n    import scipyx\n")
+    assert scipy_imports(source) == ["line 2: scipy", "line 5: scipy.linalg", "line 6: scipy.linalg.lapack"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_imports_scipy(module):
+    assert scipy_imports((SRC / "guided_ddpg" / module).read_text(encoding="utf-8")) == []

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.linalg
 import verbatim_oracles
+from golden import platform_mismatch
 
 from guided_ddpg import trajopt
 from guided_ddpg.ddpg import DdpgHyper, make_agent, policy_action
@@ -38,6 +39,20 @@ from guided_ddpg.trajopt import (
     update_eta,
     update_trajectory,
 )
+
+
+@pytest.fixture(scope="module")
+def lapack_bits():
+    """``scipy.linalg``, on the platform whose LAPACK bits ``tests/golden.json`` pins.
+
+    The numpy solves reproduce OpenBLAS's blocking, so they give LAPACK's bits
+    where the kernels are the ones they were checked against; elsewhere the
+    tests that compare bits with scipy skip, as do those without scipy.
+    """
+    mismatch = platform_mismatch()
+    if mismatch:
+        pytest.skip(f"LAPACK bits are pinned on another platform; (stored, here): {mismatch}")
+    return pytest.importorskip("scipy.linalg")
 
 
 def riccati_oracle(A, B, Q, R, Qf, horizon):
@@ -84,7 +99,8 @@ def flat_prior(horizon, n, m):
 # ---------------------------------------------------------------------------
 # The per-step stage implementations the vectorized ones replaced, kept as
 # oracles: lqg_backward and lqg_forward must match them bitwise, and
-# kl_divergence and expected_cost to 1e-12 relative.
+# kl_divergence and expected_cost to 1e-12 relative. Their solves are scipy's,
+# so lqg_backward matches only where the lapack_bits fixture runs.
 
 
 def _oracle_chol(mat: np.ndarray, what: str) -> np.ndarray:
@@ -100,6 +116,7 @@ def oracle_kl_divergence(p: TrajectoryDistribution, other: LinearGaussianPolicy)
     if pol.horizon != other.horizon or pol.action_dim != other.action_dim:
         raise ShapeError("policies must share horizon and dimensions")
     m = pol.action_dim
+    cho_solve = pytest.importorskip("scipy.linalg").cho_solve
     total = 0.0
     for t in range(pol.horizon):
         c1 = pol.C[t]
@@ -108,11 +125,11 @@ def oracle_kl_divergence(p: TrajectoryDistribution, other: LinearGaussianPolicy)
         l2 = _oracle_chol(c2, "policy covariance")
         logdet1 = 2.0 * np.sum(np.log(np.diag(l1)))
         logdet2 = 2.0 * np.sum(np.log(np.diag(l2)))
-        c2_inv_c1 = scipy.linalg.cho_solve((l2, True), c1)
+        c2_inv_c1 = cho_solve((l2, True), c1)
         dK = pol.K[t] - other.K[t]
         d = dK @ p.mean[t] + (pol.k[t] - other.k[t])
-        c2_inv_d = scipy.linalg.cho_solve((l2, True), d)
-        c2_inv_dK = scipy.linalg.cho_solve((l2, True), dK)
+        c2_inv_d = cho_solve((l2, True), d)
+        c2_inv_dK = cho_solve((l2, True), dK)
         quad = float(d @ c2_inv_d) + float(np.trace(c2_inv_dK @ p.cov[t] @ dK.T))
         total += 0.5 * (logdet2 - logdet1 - m + float(np.trace(c2_inv_c1)) + quad)
     return float(total)
@@ -135,10 +152,11 @@ def oracle_lqg_backward(
     if prior.horizon != T or prior.action_dim != m:
         raise ShapeError("prior horizon/dimensions disagree with dynamics")
 
+    cho_solve = pytest.importorskip("scipy.linalg").cho_solve
     prior_inv = []
     for t in range(T):
         l2 = _oracle_chol(prior.C[t], "prior covariance")
-        prior_inv.append(scipy.linalg.cho_solve((l2, True), np.eye(m)))
+        prior_inv.append(cho_solve((l2, True), np.eye(m)))
 
     K = np.zeros((T, m, n))
     k = np.zeros((T, m))
@@ -163,9 +181,9 @@ def oracle_lqg_backward(
         qx = q[:n]
 
         l_uu = _oracle_chol(Quu, "action Hessian")
-        K[t] = -scipy.linalg.cho_solve((l_uu, True), Qux)
-        k[t] = -scipy.linalg.cho_solve((l_uu, True), qu)
-        Cuu = scipy.linalg.cho_solve((l_uu, True), np.eye(m))
+        K[t] = -cho_solve((l_uu, True), Qux)
+        k[t] = -cho_solve((l_uu, True), qu)
+        Cuu = cho_solve((l_uu, True), np.eye(m))
         C[t] = 0.5 * (Cuu + Cuu.T)
 
         Vxx = Qxx + Qux.T @ K[t]
@@ -308,10 +326,14 @@ class TestSolvePos:
         assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
 
     def test_a_failure_no_step_shows_is_still_raised(self, monkeypatch):
-        def failing_solve(*args, **kwargs):
-            raise np.linalg.LinAlgError("singular")
+        cholesky = np.linalg.cholesky
 
-        monkeypatch.setattr(scipy.linalg, "solve", failing_solve)
+        def failing_on_stacks(a, *args, **kwargs):
+            if np.ndim(a) == 3:
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return cholesky(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing_on_stacks)
         with pytest.raises(NumericalError, match="^fit failed$"):
             trajopt._solve_pos(*self._stack(np.random.default_rng(1)), "fit")
 
@@ -325,6 +347,132 @@ class TestSolvePos:
         gram[1] = -np.eye(3)  # an earlier step that fails to factor is named first, as in a loop over steps
         with pytest.raises(NumericalError, match="^fit at step 1 failed$"):
             trajopt._solve_pos(gram, rhs, "fit")
+
+
+def ridge_stack(rng, horizon, d, k, n_samples, reg):
+    """``X' X + reg I`` and ``X' Y`` per step, ``Y`` with ``k`` columns, from ``n_samples`` rows:
+    rank-deficient but for the ridge when ``n_samples < d``."""
+    X = rng.normal(size=(horizon, n_samples, d)) * 10.0 ** rng.uniform(-3, 2, size=(horizon, 1, d))
+    Y = rng.normal(size=(horizon, n_samples, k))
+    XT = X.transpose(0, 2, 1)
+    return XT @ X + reg * np.eye(d), XT @ Y
+
+
+def spd_stack(rng, count, d, scales=(-8, 8)):
+    """``count`` random SPD ``(d, d)`` matrices, each scaled by a random power of ten in ``scales``."""
+    a = rng.normal(size=(count, d, d))
+    return (a @ a.transpose(0, 2, 1) + 0.1 * np.eye(d)) * 10.0 ** rng.uniform(*scales, size=(count, 1, 1))
+
+
+OVERFLOWING_FACTOR = np.array([[1e-160, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+OVERFLOWING_RHS = np.array([[1e200, 1.0], [1.0, 1.0], [1.0, 1.0]])
+
+
+class TestCholeskySolves:
+    """The blocked numpy solves are correct solves at every size, bits aside."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 6, 9, 15, 16, 17, 31, 40])
+    def test_tril_solve_solves(self, d):
+        rng = np.random.default_rng(d)
+        lower = np.tril(rng.normal(size=(4, d, d)) / d, -1) + np.eye(d) * rng.uniform(1.0, 2.0, size=(4, 1, d))
+        rhs = rng.normal(size=(4, d, 3))
+        got = trajopt._tril_solve(lower, rhs)
+        assert np.allclose(lower @ got, rhs, rtol=1e-10, atol=1e-10)
+        assert np.allclose(got, np.linalg.solve(lower, rhs), rtol=1e-8, atol=1e-10)
+        # a 2-D factor solves as one slice of the stack, and an identity broadcast over it inverts each slice
+        assert np.array_equal(trajopt._tril_solve(lower[0], rhs[0]), got[0])
+        assert np.allclose(lower @ trajopt._tril_solve(lower, np.eye(d)), np.eye(d), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("d,k", [(9, 6), (6, 2), (2, 9), (2, 2), (3, 7), (20, 4)])
+    def test_solve_pos_and_cho_solve_match_numpy(self, d, k):
+        rng = np.random.default_rng([d, k])
+        gram = spd_stack(rng, 50, d, scales=(-3, 3))
+        rhs = rng.normal(size=(50, d, k))
+        want = np.linalg.solve(gram, rhs)
+        assert np.allclose(trajopt._solve_pos(gram, rhs, "fit"), want, rtol=1e-7, atol=0)
+        got = trajopt._cho_solve(np.linalg.cholesky(gram), rhs)
+        assert np.allclose(got, want, rtol=1e-7, atol=0)
+
+    @pytest.mark.parametrize("d,k", [(9, 6), (6, 2)])
+    def test_rank_deficient_ridge_fits_are_backward_stable(self, d, k):
+        # the ridge leaves condition numbers near 1e12, so the residual is held to the backward error
+        gram, rhs = ridge_stack(np.random.default_rng(3), 100, d, k, 5, 1e-6)
+        got = trajopt._solve_pos(gram, rhs, "fit")
+        resid = np.abs(gram @ got - rhs).max(axis=(1, 2))
+        assert (resid <= 1e-13 * np.abs(gram).max(axis=(1, 2)) * np.abs(got).max(axis=(1, 2))).all()
+
+    def test_overflow_returns_non_finite_values_silently(self):
+        # as LAPACK does: 1e200 / 1e-160 overflows, and the rows below multiply the inf into NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = trajopt._cho_solve(OVERFLOWING_FACTOR, OVERFLOWING_RHS)
+        assert np.isnan(got[:, 0]).all() and np.isinf(got[0, 1])
+
+
+class TestLapackBits:
+    """The numpy solves give LAPACK's bits at the supervisor's shapes: posv on
+    the upper triangle for the fits, potrs on a lower factor for the prior
+    inverses and the Riccati step, and the scipy backward pass they replaced."""
+
+    @pytest.mark.parametrize("d,k", [(9, 6), (6, 2), (2, 9), (2, 2)])
+    def test_solve_pos_equals_scipy_posv(self, lapack_bits, d, k):
+        rng = np.random.default_rng([11, d, k])
+        gram = spd_stack(rng, 1000, d)
+        rhs = rng.normal(size=(1000, d, k)) * 10.0 ** rng.uniform(-8, 8, size=(1000, 1, 1))
+        assert np.array_equal(trajopt._solve_pos(gram, rhs, "fit"), lapack_bits.solve(gram, rhs, assume_a="pos"))
+        eye = np.broadcast_to(np.eye(d), gram.shape)
+        assert np.array_equal(trajopt._solve_pos(gram, eye, "fit"), lapack_bits.solve(gram, eye, assume_a="pos"))
+
+    @pytest.mark.parametrize("d,k", [(9, 6), (6, 2)])
+    def test_rank_deficient_ridge_fits_equal_scipy_posv(self, lapack_bits, d, k):
+        # five samples per step, as in a supervisor epoch, leave the Gram matrices rank-deficient but for the ridge
+        rng = np.random.default_rng([12, d])
+        for _ in range(300):
+            gram, rhs = ridge_stack(rng, 100, d, k, 5, 1e-6)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # scipy warns of the ill-conditioned ridge
+                want = lapack_bits.solve(gram, rhs, assume_a="pos")
+            assert np.array_equal(trajopt._solve_pos(gram, rhs, "fit"), want)
+
+    @pytest.mark.parametrize("m,k", [(2, 9), (2, 2), (3, 10), (3, 3)])
+    def test_cho_solve_equals_dpotrs(self, lapack_bits, m, k):
+        # the Riccati step solves [Qux | qu | I] (k = n + 1 + m), the prior inverse the identity
+        dpotrs = pytest.importorskip("scipy.linalg.lapack").dpotrs
+        rng = np.random.default_rng([13, m, k])
+        chol = np.linalg.cholesky(spd_stack(rng, 6000, m))
+        rhs = rng.normal(size=(6000, m, k)) * 10.0 ** rng.uniform(-8, 8, size=(6000, 1, 1))
+        rhs[::2, :, k - m:] = np.eye(m)
+        got = trajopt._cho_solve(chol, rhs)
+        for t in range(len(chol)):
+            assert np.array_equal(got[t], dpotrs(chol[t], rhs[t], lower=1)[0]), t
+
+    @pytest.mark.parametrize("d", range(2, 16))
+    def test_every_size_below_16_equals_dpotrs(self, lapack_bits, d):
+        dpotrs = pytest.importorskip("scipy.linalg.lapack").dpotrs
+        rng = np.random.default_rng([14, d])
+        chol = np.linalg.cholesky(spd_stack(rng, 50, d, scales=(-2, 2)))
+        rhs = rng.normal(size=(50, d, 5))
+        got = trajopt._cho_solve(chol, rhs)
+        for t in range(len(chol)):
+            assert np.array_equal(got[t], dpotrs(chol[t], rhs[t], lower=1)[0]), t
+
+    def test_overflow_equals_dpotrs(self, lapack_bits):
+        dpotrs = pytest.importorskip("scipy.linalg.lapack").dpotrs
+        want = dpotrs(OVERFLOWING_FACTOR, OVERFLOWING_RHS, lower=1)[0]
+        # the same infinities and NaNs; a NaN's sign bit may differ, which nothing reads
+        assert np.array_equal(trajopt._cho_solve(OVERFLOWING_FACTOR, OVERFLOWING_RHS), want, equal_nan=True)
+
+    @pytest.mark.parametrize("cond", [1.0, 1e8])
+    @pytest.mark.parametrize("lm_reg", [0.0, 1e-6])
+    def test_lqg_backward_equals_the_scipy_pass(self, lapack_bits, cond, lm_reg):
+        rng = np.random.default_rng([15, int(cond), int(lm_reg > 0)])
+        for _ in range(40):
+            dynamics, cost, prior, _, _, _ = random_stage_problem(rng, cond)
+            eta = 10.0 ** rng.uniform(-2, 3)
+            got = lqg_backward(dynamics, cost, prior, eta, lm_reg)
+            want = verbatim_oracles.lqg_backward(dynamics, cost, prior, eta, lm_reg)
+            for name in ("K", "k", "C"):
+                assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
 
 
 class TestLinearizePolicy:
@@ -703,6 +851,7 @@ class TestStagesMatchOracles:
     @pytest.mark.parametrize("with_prior", [True, False])
     @pytest.mark.parametrize("lm_reg", [0.0, 1e-6])
     @pytest.mark.parametrize("cond", [1.0, 1e8])
+    @pytest.mark.usefixtures("lapack_bits")
     def test_backward_and_forward_bitwise(self, with_prior, lm_reg, cond):
         rng = np.random.default_rng([int(with_prior), int(lm_reg > 0), int(cond)])
         for _ in range(25):
@@ -776,6 +925,7 @@ class TestStagesMatchOracles:
                                           SupervisorConfig(), 0.99, np.random.default_rng(11))
         return result, dual, controllers[-1]
 
+    @pytest.mark.usefixtures("lapack_bits")
     def test_run_supervisor_bitwise_equal_to_oracle_stages(self, monkeypatch):
         env = InsertionEnvConfig(horizon=40)
         hyper = DdpgHyper.for_env(env)
@@ -852,6 +1002,7 @@ class TestStackedStagesMatchVerbatim:
 
     @pytest.mark.parametrize("horizon", [6, 100])
     @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.usefixtures("lapack_bits")
     def test_fit_dynamics(self, case, horizon):
         states, actions = stage_inputs(case, horizon)
         got, want = fit_dynamics(states, actions), verbatim_oracles.fit_dynamics(states, actions)
@@ -860,6 +1011,7 @@ class TestStackedStagesMatchVerbatim:
 
     @pytest.mark.parametrize("horizon", [6, 100])
     @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.usefixtures("lapack_bits")
     def test_linearize_policy(self, case, horizon):
         states, _ = stage_inputs(case, horizon)
         policy_fn = self._policy_fn()
@@ -891,6 +1043,7 @@ class TestStackedStagesMatchVerbatim:
             assert _bits(got(t, states[0, t])) == _bits(want(t, states[0, t]))
 
     @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.usefixtures("lapack_bits")
     def test_later_stages_get_the_same_bits(self, case):
         # Equal values in another memory layout would pass the tests above but
         # send the backward and forward passes' products to other kernels.
@@ -914,6 +1067,7 @@ class TestStackedStagesMatchVerbatim:
                            + [kl_divergence(traj, prior), expected_cost(cost, traj)])
         assert results[0] == results[1]
 
+    @pytest.mark.usefixtures("lapack_bits")
     def test_run_supervisor_equals_the_per_step_stages(self, monkeypatch):
         env = InsertionEnvConfig(horizon=40)
         policy_fn = self._policy_fn()
