@@ -9,7 +9,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+
+import numpy as np
 
 from .envs import InsertionEnvConfig
 from .exceptions import ConfigurationError, InputError, NumericalError
@@ -35,10 +38,27 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
+@contextmanager
+def _overflow_is_invalid_input():
+    """Turn a float overflow during a checkpoint's evaluation into :class:`InputError`.
+
+    A checkpoint's weights and ``obs_scale`` can each be finite and still
+    overflow the actor's matmuls; the saturated actions that follow would
+    give a result that looks valid.
+    """
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise InputError(f"evaluation overflowed ({exc}): the checkpoint's weights and obs_scale, "
+                         "or the environment's settings, are too large") from exc
+
+
 def _cmd_eval(args) -> int:
     actor, hyper = load_agent_checkpoint(args.checkpoint)
     env = load_env_config(args.env_config) if args.env_config else InsertionEnvConfig()
-    metrics = evaluate_policy(actor, hyper, env, args.episodes, args.seed)
+    with _overflow_is_invalid_input():
+        metrics = evaluate_policy(actor, hyper, env, args.episodes, args.seed)
     result = {
         "success_rate": metrics.success_rate,
         "mean_return": metrics.mean_return,
@@ -58,10 +78,11 @@ def _cmd_compare(args) -> int:
 def _cmd_sweep(args) -> int:
     spec = parse_spec(args.spec)
     out_path = Path(args.out) / "sweep.csv"
-    rows = adaptability_sweep(
-        args.checkpoint, spec.train.env, spec.sweep_clearances, spec.sweep_hole_offsets,
-        spec.eval_episodes, args.seed, out_path,
-    )
+    with _overflow_is_invalid_input():
+        rows = adaptability_sweep(
+            args.checkpoint, spec.train.env, spec.sweep_clearances, spec.sweep_hole_offsets,
+            spec.eval_episodes, args.seed, out_path,
+        )
     print(json.dumps({"sweep_csv": str(out_path), "cells": len(rows)}, indent=2))
     return EXIT_OK
 

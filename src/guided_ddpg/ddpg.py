@@ -135,7 +135,11 @@ def _scaled_obs(hyper: DdpgHyper, states: Array) -> Array:
 
 
 def policy_action(actor: MlpParams, hyper: DdpgHyper, states: Array) -> Array:
-    """Deterministic ``(N, 2)`` actions for ``(N, 6)`` state rows, tanh-squashed to the bound."""
+    """Deterministic ``(N, 2)`` actions for ``(N, 6)`` state rows, tanh-squashed to the bound.
+
+    A ``(..., N, 6)`` stack of row blocks gives a ``(..., N, 2)`` stack, each
+    block with the bits of its own call (see :func:`nets.mlp_forward`).
+    """
     return hyper.action_bound * mlp_forward(actor, _scaled_obs(hyper, states))[0]
 
 

@@ -15,6 +15,13 @@ the start of a step from those columns instead of recomputing it, so a
 hand-built state must carry its force there; :func:`env_reset` and
 :func:`env_step` produce only rows that do.
 
+Sampling: :func:`rollout` runs ``n`` noisy full-horizon episodes in lockstep,
+one :func:`env_step` on ``(n, 6)`` rows per time step, and returns them as
+one :class:`Rollout` batch whose ``.steps`` counts all ``n * T`` steps. It
+draws, episode by episode, the reset and then that episode's ``(T, 2)``
+standard-normal noise, so a batch of ``n`` draws what ``n`` one-episode
+batches in a row would.
+
 Geometry (world frame, SI units): the table surface is the plane y = 0; the
 slot spans ``|x - hole_center_offset| <= hole_half_width`` down to
 ``y = -hole_depth``. The peg starts above the surface, and its controller
@@ -291,45 +298,56 @@ def env_step(config: InsertionEnvConfig, states: Array, actions: Array) -> tuple
 
 @dataclass
 class Rollout:
-    """One episode: ``states`` has one more row than ``actions``/``rewards``."""
+    """``n`` episodes of ``T`` steps, sampled together by :func:`rollout`.
+
+    Row ``i`` of each array is episode ``i``: ``states`` is ``(n, T+1, 6)``,
+    ``actions`` ``(n, T, 2)``, ``rewards`` and ``dones`` ``(n, T)``, and
+    ``successes`` ``(n,)``, whether the episode reached a success state.
+    """
 
     states: Array
     actions: Array
     rewards: Array
     dones: Array
-    success: bool
-    steps: int
+    successes: Array
 
     @property
-    def episode_return(self) -> float:
-        return float(self.rewards.sum())
+    def steps(self) -> int:
+        """Every environment step the batch ran, ``n * T``: each episode runs the full horizon."""
+        return self.rewards.size
 
 
-def rollout(config: InsertionEnvConfig, controller, rng) -> Rollout:
-    """Run one episode of exactly ``config.horizon`` steps under ``controller(t, state_vec) -> action``.
+def rollout(config: InsertionEnvConfig, controller, rng, n: int) -> Rollout:
+    """Run ``n`` episodes of exactly ``config.horizon`` steps in lockstep under
+    ``controller(t, states, noise) -> actions``.
 
-    The episode is one :func:`env_step` row; ``actions`` holds the clipped
-    (executed) actions. It always runs the full horizon, so rollouts have
-    equal length; the ``dones`` flags mark success states and the final step.
+    Draw order: episode by episode, the reset (:func:`env_reset` of one row)
+    and then the episode's noise, one ``standard_normal((T, 2))``. So the
+    episodes and the generator's final state are those of ``n`` one-episode
+    calls in a row. At step ``t`` the controller gets the ``(n, 6)`` states and
+    the ``(n, 2)`` noise rows of that step, and returns ``(n, 2)`` actions; one
+    :func:`env_step` then advances every row, as it would advance each alone.
+    ``actions`` holds the clipped (executed) actions. Episodes never stop
+    early, so ``.steps`` counts ``n * T`` steps; ``dones`` marks success
+    states and each episode's final step. ``rng`` is a generator or a seed.
     """
-    states = env_reset(config, rng, 1)
-    trace, actions, rewards, dones = [states[0]], [], [], []
-    succeeded = False
-    for t in range(config.horizon):
-        action = np.asarray(controller(t, states[0]), dtype=np.float64)
-        action = clip_actions(config, action)
-        states, reward, success = env_step(config, states, action[None])
-        succeeded = succeeded or bool(success[0])
-        done = bool(success[0]) or t == config.horizon - 1
-        actions.append(action)
-        rewards.append(reward[0])
-        dones.append(done)
-        trace.append(states[0])
-    return Rollout(
-        states=np.asarray(trace),
-        actions=np.asarray(actions),
-        rewards=np.asarray(rewards),
-        dones=np.asarray(dones, dtype=bool),
-        success=bool(succeeded),
-        steps=len(actions),
-    )
+    rng = np.random.default_rng(rng)
+    horizon = config.horizon
+    row = np.empty((n, STATE_DIM))
+    noise = np.empty((horizon, n, ACTION_DIM))  # noise[t] is step t's rows, contiguous
+    for i in range(n):
+        row[i] = env_reset(config, rng, 1)[0]
+        noise[:, i] = rng.standard_normal((horizon, ACTION_DIM))
+    states = np.empty((n, horizon + 1, STATE_DIM))
+    actions = np.empty((n, horizon, ACTION_DIM))
+    rewards = np.empty((n, horizon))
+    dones = np.empty((n, horizon), dtype=bool)
+    states[:, 0] = row
+    for t in range(horizon):
+        action = clip_actions(config, np.asarray(controller(t, row, noise[t]), dtype=np.float64))
+        row, rewards[:, t], dones[:, t] = env_step(config, row, action)
+        actions[:, t] = action
+        states[:, t + 1] = row
+    successes = dones.any(axis=1)
+    dones[:, -1] = True
+    return Rollout(states, actions, rewards, dones, successes)

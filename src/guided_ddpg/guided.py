@@ -206,12 +206,11 @@ def write_table(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def rollout_transitions(roll: Rollout) -> list:
-    """Split a rollout into stored transitions (actions already clipped)."""
-    return [
-        Transition(roll.states[t], roll.actions[t], roll.states[t + 1], float(roll.rewards[t]), bool(roll.dones[t]))
-        for t in range(roll.steps)
-    ]
+def rollout_transitions(batch: Rollout, i: int) -> list:
+    """Episode ``i`` of a batch as stored transitions (actions already clipped)."""
+    states, actions, rewards, dones = batch.states[i], batch.actions[i], batch.rewards[i], batch.dones[i]
+    return [Transition(states[t], actions[t], states[t + 1], float(rewards[t]), bool(dones[t]))
+            for t in range(len(actions))]
 
 
 def replay_buffers(config: TrainConfig) -> tuple[ReplayBuffer, ReplayBuffer]:
@@ -366,10 +365,11 @@ def train(config: TrainConfig) -> tuple[AgentNets, TrainingLog]:
                 log.epochs.append(EpochRecord(epoch, "degraded", str(exc), []))
             else:
                 phases = ["trajopt_sample"] * len(result.sample_rollouts) + ["supervised"]
-                for phase, roll in zip(phases, result.sample_rollouts + [result.final_rollout]):
-                    r2.extend(rollout_transitions(roll))
-                    log.episodes.append(EpisodeRecord(epoch, phase, None, roll.steps, roll.episode_return,
-                                                      roll.success, None, time.perf_counter() - t_start))
+                for phase, batch in zip(phases, result.sample_rollouts + [result.final_rollout]):
+                    for i, (rewards, success) in enumerate(zip(batch.rewards, batch.successes)):
+                        r2.extend(rollout_transitions(batch, i))
+                        log.episodes.append(EpisodeRecord(epoch, phase, None, rewards.size, float(rewards.sum()),
+                                                          bool(success), None, time.perf_counter() - t_start))
                 r1.extend(result.supervision)
                 log.epochs.append(EpochRecord(epoch, "ok", "", result.diagnostics))
         else:

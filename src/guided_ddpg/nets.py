@@ -8,7 +8,9 @@ step, a soft update and a finiteness check are each one vector operation.
 
 Hidden layers are always tanh; the output layer is identity or tanh.
 Inputs are ``(N, input_dim)`` rows, one sample per row; outputs keep one row
-per input row. Everything is float64.
+per input row. The forward pass also takes stacks of such row blocks,
+``(..., N, input_dim)``, and runs each block as it would run alone. Everything
+is float64.
 
 The forward and backward passes read their arguments and return new arrays.
 :func:`adam_step` and :func:`soft_update` instead write into the vectors they
@@ -126,21 +128,19 @@ def mlp_init(
     return MlpParams(sizes, vector, output_activation)
 
 
-def _rows(params: MlpParams, x: Array) -> Array:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.input_dim:
-        raise ShapeError(f"input shape {np.shape(x)} is not (N, {params.input_dim}) rows")
-    return x
-
-
 def mlp_forward(params: MlpParams, x: Array) -> tuple[Array, list[Array]]:
-    """Evaluate the network on ``(N, input_dim)`` rows.
+    """Evaluate the network on ``(N, input_dim)`` rows or a ``(..., N, input_dim)`` stack of them.
 
-    Returns ``(output, activations)``: the ``(N, output_dim)`` output and the
-    layer activations ``[input, h1, ..., output]`` that :func:`mlp_backward`
-    differentiates through.
+    Returns ``(output, activations)``: the output, one ``output_dim`` row per
+    input row, and the layer activations ``[input, h1, ..., output]`` that
+    :func:`mlp_backward` differentiates through (for ``(N, input_dim)`` rows
+    only). numpy's matmul runs each ``(N, input_dim)`` block of a stack
+    through the kernel a lone block gets, so each block's output has that
+    call's bits; stacking ``(1, input_dim)`` blocks keeps one-row bits.
     """
-    h = _rows(params, x)
+    h = np.asarray(x, dtype=np.float64)
+    if h.ndim < 2 or h.shape[-1] != params.input_dim:
+        raise ShapeError(f"input shape {np.shape(x)} is not (..., N, {params.input_dim}) rows")
     acts = [h]
     last = params.n_layers - 1
     for t, (w, b) in enumerate(zip(params.weights, params.biases)):
@@ -171,7 +171,9 @@ def mlp_backward(
     A gradient the caller does not ask for (``wrt_params`` / ``wrt_input``
     false) is not computed and comes back as ``None``.
     """
-    xb = _rows(params, x)
+    xb = np.asarray(x, dtype=np.float64)
+    if xb.ndim != 2 or xb.shape[1] != params.input_dim:
+        raise ShapeError(f"input shape {np.shape(x)} is not (N, {params.input_dim}) rows")
     g = np.asarray(output_gradient, dtype=np.float64)
     if g.shape != (xb.shape[0], params.output_dim):
         raise ShapeError(f"output_gradient shape {np.shape(output_gradient)} does not match output dim {params.output_dim}")

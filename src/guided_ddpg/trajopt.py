@@ -241,8 +241,10 @@ def fit_dynamics(states: Array, actions: Array) -> LinearDynamics:
 def linearize_policy(policy_fn: Callable[[Array], Array], states: Array, noise_cov: Array) -> LinearGaussianPolicy:
     """Affine fit of a deterministic policy around sampled states, per step.
 
-    ``policy_fn`` maps a batch of states (B, n) to actions (B, m); it is called
-    once per step, as one call on all rows would move the actions' last bits.
+    ``policy_fn`` maps a ``(T, N, n)`` stack of each step's states to the
+    ``(T, N, m)`` stack of actions; it is called once, on the stack, and must
+    give each step's block the bits of a call on that block alone (one call
+    on all ``T N`` rows as a flat batch would move the actions' last bits).
     The fitted covariance is set to ``noise_cov`` (the exploration-noise
     covariance), which keeps KL divergences against the prior finite. Slice
     ``t`` of each stack is step ``t``'s fit, with a one-step fit's bits. ``K`` is
@@ -258,7 +260,7 @@ def linearize_policy(policy_fn: Callable[[Array], Array], states: Array, noise_c
     noise_cov = np.asarray(noise_cov, dtype=np.float64)
 
     S = states[:, :-1].transpose(1, 0, 2)
-    U = np.stack([np.atleast_2d(policy_fn(S[t])) for t in range(horizon)])
+    U = policy_fn(S)
     s_mean = S.mean(axis=1)
     u_mean = U.mean(axis=1)
     Sc = S - s_mean[:, None, :]
@@ -682,32 +684,35 @@ class SubiterDiagnostics:
 @dataclass
 class SupervisorResult:
     supervision: list
-    sample_rollouts: list
-    final_rollout: Rollout
+    sample_rollouts: list  # one Rollout batch per sub-iteration
+    final_rollout: Rollout  # the closing episode, a batch of one
     diagnostics: list
 
 
-def _gaussian_controller(policy_fn, chol: Array, rng: np.random.Generator):
-    def controller(t: int, state: Array) -> Array:
-        return policy_fn(state[None, :])[0] + chol @ rng.standard_normal(chol.shape[0])
+def _gaussian_controller(policy_fn, chol: Array):
+    """The actor plus noise ``chol z``; one forward pass on the ``(n, 1, 6)`` stack keeps one-row bits."""
+    def controller(t: int, states: Array, noise: Array) -> Array:
+        return policy_fn(states[:, None, :])[:, 0] + (chol @ noise[:, :, None])[:, :, 0]
 
     return controller
 
 
-def _linear_gaussian_controller(policy: LinearGaussianPolicy, rng: np.random.Generator):
+def _linear_gaussian_controller(policy: LinearGaussianPolicy):
+    """``K_t s + k_t + chol(C_t) z`` by stacked one-row products, with the bits of per-row ones."""
     chols = np.linalg.cholesky(policy.C)
 
-    def controller(t: int, state: Array) -> Array:
-        return policy.K[t] @ state + policy.k[t] + chols[t] @ rng.standard_normal(policy.action_dim)
+    def controller(t: int, states: Array, noise: Array) -> Array:
+        return (policy.K[t] @ states[:, :, None])[:, :, 0] + policy.k[t] + (chols[t] @ noise[:, :, None])[:, :, 0]
 
     return controller
 
 
-def _sample_cost(roll: Rollout, env: InsertionEnvConfig) -> float:
-    """Total cost of a sampled rollout: its stage costs, the negated rewards,
-    plus the terminal distance term of :class:`SmoothedInsertionCost`, unsmoothed."""
-    terminal = float(np.linalg.norm(roll.states[-1, 0:2] - env.target))
-    return sum(-r for r in roll.rewards.tolist()) + TERMINAL_WEIGHT * terminal
+def _sample_costs(batch: Rollout, env: InsertionEnvConfig) -> list:
+    """Total cost of each sampled episode: its stage costs, the negated rewards
+    summed left to right, plus the terminal distance term of
+    :class:`SmoothedInsertionCost`, unsmoothed."""
+    return [sum(-r for r in rewards) + TERMINAL_WEIGHT * float(np.linalg.norm(final - env.target))
+            for rewards, final in zip(batch.rewards.tolist(), batch.states[:, -1, 0:2])]
 
 
 def run_supervisor(
@@ -723,9 +728,13 @@ def run_supervisor(
 
     Sub-iteration zero samples the current actor (plus white noise of std
     :data:`EXPLORATION_STD`) and uses its linearization as the trust-region anchor; later
-    sub-iterations anchor on the previous optimized controller. All sampled
-    rollouts are returned for the transition buffer; the extra closing
-    rollout of the final controller provides the supervision samples.
+    sub-iterations anchor on the previous optimized controller. Each
+    sub-iteration samples its ``cfg.samples_per_subiter`` episodes as one
+    lockstep :func:`envs.rollout` batch, and the fits read the batch's
+    ``(n, T+1, 6)`` states and ``(n, T, 2)`` actions directly. The result
+    holds one batch per sub-iteration for the transition buffer, and the
+    closing episode of the final controller, a batch of one, whose steps
+    are the supervision samples.
 
     Raises :class:`SupervisorError` when fitting or the dual search fails.
     """
@@ -745,15 +754,13 @@ def run_supervisor(
     try:
         for it in range(n_subiters):
             if current is None:
-                controller = _gaussian_controller(policy_fn, chol_explore, rng)
+                controller = _gaussian_controller(policy_fn, chol_explore)
             else:
-                controller = _linear_gaussian_controller(current, rng)
-            batch = [rollout(env, controller, rng) for _ in range(cfg.samples_per_subiter)]
-            sample_rollouts.extend(batch)
-
-            states = np.stack([r.states for r in batch])
-            actions = np.stack([r.actions for r in batch])
-            mean_cost = float(np.mean([_sample_cost(r, env) for r in batch]))
+                controller = _linear_gaussian_controller(current)
+            batch = rollout(env, controller, rng, cfg.samples_per_subiter)
+            sample_rollouts.append(batch)
+            states, actions = batch.states, batch.actions
+            mean_cost = float(np.mean(_sample_costs(batch, env)))
 
             actual_improvement = np.nan
             if expected_improvement is not None and prev_mean_cost is not None:
@@ -787,7 +794,8 @@ def run_supervisor(
     except NumericalError as exc:
         raise SupervisorError(f"trajectory optimization failed: {exc}") from exc
 
-    final = rollout(env, _linear_gaussian_controller(current, rng), rng)
-    values = cost_to_go(final.rewards, discount)
-    supervision = [SupervisionSample(final.states[t], final.actions[t], float(values[t])) for t in range(final.steps)]
+    final = rollout(env, _linear_gaussian_controller(current), rng, 1)
+    values = cost_to_go(final.rewards[0], discount)
+    supervision = [SupervisionSample(final.states[0, t], final.actions[0, t], float(values[t]))
+                   for t in range(env.horizon)]
     return SupervisorResult(supervision, sample_rollouts, final, diagnostics), dual

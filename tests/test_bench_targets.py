@@ -7,7 +7,9 @@ still exists and is callable, that the update spans still find the
 supervision batch and are entered once per exploratory step, that replay
 stays within its memory budget, and that a tiny training run passes the
 benchmark's own checks of its schedule, buffer counts, supervisor steps and
-determinism.
+determinism. It also pins how the benchmark counts supervisor steps: it wraps
+``trajopt.rollout`` and adds up ``.steps`` of every batch the wrap returns,
+so each batch must count every environment step it ran.
 """
 import inspect
 import sys
@@ -15,13 +17,13 @@ from pathlib import Path
 
 import pytest
 
-from guided_ddpg import ddpg, guided
+from guided_ddpg import ddpg, guided, trajopt
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from perfbench.run import replay_bytes  # noqa: E402
 from perfbench.spans import wrap_targets  # noqa: E402
-from perfbench.workloads import SIZES, train_config, train_once  # noqa: E402
+from perfbench.workloads import SIZES, counting_supervisor_steps, train_config, train_once  # noqa: E402
 
 # what one exploratory step calls, in order, through the names the bench wraps
 STEP_CALLS = ["critic_update", "adam_step", "actor_update", "adam_step", "target_update", "soft_update"]
@@ -81,3 +83,32 @@ def test_tiny_training_workload_passes_its_checks_and_repeats(workload, tmp_path
         assert outcome.problems == []
         assert outcome.failed == 0
     assert outcomes[0].checksums == outcomes[1].checksums
+
+
+def test_each_supervisor_batch_counts_n_times_horizon_steps(monkeypatch):
+    config = train_config("guided_train", 3, SIZES["tiny"])
+    real, batches = trajopt.rollout, []
+
+    def recording(*args, **kwargs):
+        batch = real(*args, **kwargs)
+        batches.append(batch)
+        return batch
+
+    monkeypatch.setattr(trajopt, "rollout", recording)
+    _, log = guided.train(config)
+    assert [rec.status for rec in log.epochs] == ["ok"] * config.epochs
+    n = config.supervisor.samples_per_subiter
+    # each sub-iteration's n episodes as one batch, then the closing episode as a batch of one
+    assert [len(b.states) for b in batches] == ([n] * config.n_trajopt + [1]) * config.epochs
+    assert [b.steps for b in batches] == [len(b.states) * config.env.horizon for b in batches]
+
+
+def test_the_bench_counter_sees_every_supervisor_step():
+    config = train_config("guided_train", 3, SIZES["tiny"])
+    with counting_supervisor_steps() as counted:
+        _, log = guided.train(config)
+    ok_epochs = sum(rec.status == "ok" for rec in log.epochs)
+    assert ok_epochs == config.epochs
+    per_epoch = config.n_trajopt * config.supervisor.samples_per_subiter + 1
+    assert counted[0] == ok_epochs * per_epoch * config.env.horizon
+    assert counted[0] == sum(e.steps for e in log.episodes if e.phase != "ddpg")

@@ -151,3 +151,31 @@ def test_sweep_keeps_the_exit_code_contract(checkpoint_text, key, value):
         assert_contract(code, stderr, (0, 2, 3), out)
         if code == 0:
             assert_readable(out / "sweep.csv")
+
+
+def overflowing_checkpoint(checkpoint_text: str) -> str:
+    """The tiny checkpoint with the actor's first weight and ``obs_scale[0]`` at 1e300:
+    each is finite, but their product overflows the first layer's matmul."""
+    payload = strict_json(checkpoint_text)
+    payload["actor"]["weights"][0][0][0] = 1e300
+    payload["obs_scale"][0] = 1e300
+    return json.dumps(payload)
+
+
+def test_eval_of_a_checkpoint_whose_actor_overflows_exits_2(checkpoint_text, tmp_path):
+    ckpt = tmp_path / "checkpoint.json"
+    ckpt.write_text(overflowing_checkpoint(checkpoint_text), encoding="utf-8")
+    code, stdout, stderr = run_cli(["eval", "--checkpoint", str(ckpt), "--episodes", "2"])
+    assert_contract(code, stderr, (2,))
+    assert "overflow" in stderr
+    assert stdout == ""
+
+
+def test_sweep_of_a_checkpoint_whose_actor_overflows_exits_2_before_out(checkpoint_text, tmp_path):
+    ckpt, spec, out = tmp_path / "checkpoint.json", tmp_path / "tiny.spec", tmp_path / "out"
+    ckpt.write_text(overflowing_checkpoint(checkpoint_text), encoding="utf-8")
+    spec.write_text(TINY_SPEC)
+    code, stdout, stderr = run_cli(["sweep", "--checkpoint", str(ckpt), "--spec", str(spec), "--out", str(out)])
+    assert_contract(code, stderr, (2,), out)
+    assert "overflow" in stderr
+    assert stdout == "" and not out.exists()

@@ -380,31 +380,36 @@ class TestSuccess:
 
 class TestRollout:
     def test_full_horizon_when_not_stopping(self, config):
-        roll = rollout(config, lambda t, s: np.array([100.0, -100.0]), 1)
-        assert roll.steps == config.horizon
-        assert roll.states.shape == (config.horizon + 1, 6)
-        assert roll.dones[-1]
-        # the stored actions are the executed ones, clipped to the bound
-        assert np.array_equal(roll.actions, np.tile([config.action_bound, -config.action_bound], (config.horizon, 1)))
+        for n in (1, 3):
+            roll = rollout(config, lambda t, s, z: np.tile([100.0, -100.0], (len(s), 1)), 1, n)
+            assert roll.steps == n * config.horizon
+            assert roll.states.shape == (n, config.horizon + 1, 6)
+            assert roll.rewards.shape == roll.dones.shape == (n, config.horizon)
+            assert roll.successes.shape == (n,)
+            assert roll.dones[:, -1].all()
+            # the stored actions are the executed ones, clipped to the bound
+            bound = config.action_bound
+            assert np.array_equal(roll.actions, np.tile([bound, -bound], (n, config.horizon, 1)))
 
     def test_success_matches_per_state_oracle(self, config):
         def controller(gain, leave_after):
             # drive toward the slot floor, then pull out at full force
-            def act(t, s):
+            def act(t, s, z):
                 if t >= leave_after:
-                    return np.array([0.0, config.action_bound])
-                return gain * (config.target - s[:2]) - 0.5 * np.sqrt(gain) * s[2:4]
+                    return np.tile([0.0, config.action_bound], (len(s), 1))
+                return gain * (config.target - s[:, :2]) - 0.5 * np.sqrt(gain) * s[:, 2:4]
             return act
 
         outcomes = set()
         for gain, leave_after in [(0.0, 100), (50.0, 100), (50.0, 40), (200.0, 100), (200.0, 40)]:
             for seed in range(3):
-                roll = rollout(config, controller(gain, leave_after), seed)
-                assert roll.steps == config.horizon
-                oracle = bool(successes(roll.states[1:, 0:2], config).any())
-                assert roll.success == oracle
-                assert roll.dones[:-1].tolist() == successes(roll.states[1:-1, 0:2], config).tolist()
-                outcomes.add((oracle, bool(successes(roll.states[-1, 0:2], config))))
+                roll = rollout(config, controller(gain, leave_after), seed, 2)
+                assert roll.steps == 2 * config.horizon
+                for states, dones, success in zip(roll.states, roll.dones, roll.successes):
+                    oracle = bool(successes(states[1:, 0:2], config).any())
+                    assert success == oracle
+                    assert dones[:-1].tolist() == successes(states[1:-1, 0:2], config).tolist()
+                    outcomes.add((oracle, bool(successes(states[-1, 0:2], config))))
         # inserted and still in; inserted, then pulled out before the horizon; never inserted
         assert {(True, True), (True, False), (False, False)} <= outcomes
 

@@ -12,7 +12,7 @@ from guided_ddpg.ddpg import (
     supervision_weight,
     target_update,
 )
-from guided_ddpg.envs import InsertionEnvConfig, Transition, env_reset, env_step, rollout, successes
+from guided_ddpg.envs import InsertionEnvConfig, Transition, env_reset, env_step
 from guided_ddpg.exceptions import ConfigurationError, InputError, SupervisorError
 from guided_ddpg.guided import EvalMetrics, TrainConfig, evaluate_policy, rng_streams, train
 from guided_ddpg.nets import MlpParams
@@ -220,16 +220,20 @@ class TestEvaluation:
 def per_episode_results(actor, hyper, env, n_episodes, seed) -> list:
     """``(success, return, steps)`` of each episode, run one after another.
 
-    Each full-horizon rollout is cut at its first ``done``: a success or the
-    horizon. The policy draws nothing from ``rng``, so the steps after the cut
-    leave later resets unchanged. Success is read from the position at the cut.
+    Each episode is one row, stepped until its first success or the horizon;
+    its return is the numpy sum of its rewards. The policy draws nothing from
+    ``rng``, so each reset is the generator's next draw.
     """
     rng = np.random.default_rng(seed)
     results = []
     for _ in range(n_episodes):
-        roll = rollout(env, lambda t, s: policy_action(actor, hyper, s[None])[0], rng)
-        steps = int(np.argmax(roll.dones)) + 1
-        results.append((bool(successes(roll.states[steps, 0:2], env)), float(roll.rewards[:steps].sum()), steps))
+        state, rewards = env_reset(env, rng, 1), []
+        for _ in range(env.horizon):
+            state, reward, success = env_step(env, state, policy_action(actor, hyper, state))
+            rewards.append(reward[0])
+            if success[0]:
+                break
+        results.append((bool(success[0]), float(np.sum(rewards)), len(rewards)))
     return results
 
 

@@ -145,7 +145,7 @@ class TestForward:
         with pytest.raises(ShapeError):
             mlp_forward(params, np.zeros((1, 4)))
 
-    @pytest.mark.parametrize("shape", [(3,), (2, 1, 3), ()])
+    @pytest.mark.parametrize("shape", [(3,), (2, 1, 4), ()])
     def test_input_that_is_not_rows_rejected(self, shape):
         params = mlp_init([3, 2], seed=0)
         with pytest.raises(ShapeError):
@@ -153,6 +153,27 @@ class TestForward:
         _, acts = mlp_forward(params, np.zeros((1, 3)))
         with pytest.raises(ShapeError):
             mlp_backward(params, np.zeros(shape), np.zeros((1, 2)), acts)
+
+    def test_backward_takes_rows_only(self):
+        params = mlp_init([3, 2], seed=0)
+        out, acts = mlp_forward(params, np.zeros((2, 1, 3)))
+        assert out.shape == (2, 1, 2)
+        with pytest.raises(ShapeError):
+            mlp_backward(params, np.zeros((2, 1, 3)), np.zeros((2, 1, 2)), acts)
+
+    @pytest.mark.parametrize("output_activation", ["identity", "tanh"])
+    @pytest.mark.parametrize("block_rows", [1, 5])
+    def test_stack_has_the_bits_of_each_block_alone(self, block_rows, output_activation):
+        # one forward pass on a (T, N, d) stack equals T passes on its (N, d) blocks, bit for bit,
+        # for C-ordered stacks and for the transposed views the supervisor passes
+        rng = np.random.default_rng(block_rows)
+        for seed in range(10):
+            params = mlp_init([6, 64, 64, 2], output_activation, seed=seed)
+            rows = rng.normal(size=(block_rows, 100, 6))
+            for stack in (rows.transpose(1, 0, 2), np.ascontiguousarray(rows.transpose(1, 0, 2))):
+                got = mlp_forward(params, stack)[0]
+                want = np.stack([mlp_forward(params, block)[0] for block in stack])
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestBackward:

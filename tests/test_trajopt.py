@@ -490,7 +490,7 @@ class TestLinearizePolicy:
     def test_constant_policy_zero_gain(self):
         u0 = np.array([0.5, -1.5])
         states = np.random.default_rng(4).normal(size=(20, 2, 3))
-        policy = linearize_policy(lambda S: np.tile(u0, (S.shape[0], 1)), states, np.eye(2))
+        policy = linearize_policy(lambda S: np.tile(u0, S.shape[:-1] + (1,)), states, np.eye(2))
         assert np.allclose(policy.K[0], 0.0)
         assert np.allclose(policy.k[0], u0)
 
@@ -511,7 +511,7 @@ class TestLinearizePolicy:
 
     def test_non_finite_actions_name_their_step(self):
         states = np.random.default_rng(6).normal(size=(6, 4, 3))
-        fn = lambda S: np.where(S[:, :2] == states[0, 2, :2], np.inf, S[:, :2])  # inf only at step 2
+        fn = lambda S: np.where(S[..., :2] == states[0, 2, :2], np.inf, S[..., :2])  # inf only at step 2
         with np.errstate(invalid="ignore"), \
                 pytest.raises(NumericalError, match="policy linearization at step 2 received non-finite values"):
             linearize_policy(fn, states, np.eye(2))
@@ -714,14 +714,9 @@ def fitted_insertion_problem(seed=0, n_rollouts=8):
     env = InsertionEnvConfig(horizon=40)
     hyper = DdpgHyper.for_env(env)
     nets = make_agent(hyper, seed=seed)
-    rng = np.random.default_rng(seed)
-
-    def controller(t, s):
-        return policy_action(nets.actor, hyper, s[None])[0] + 0.8 * rng.standard_normal(2)
-
-    rolls = [rollout(env, controller, rng) for _ in range(n_rollouts)]
-    states = np.stack([r.states for r in rolls])
-    actions = np.stack([r.actions for r in rolls])
+    controller = trajopt._gaussian_controller(lambda S: policy_action(nets.actor, hyper, S), 0.8 * np.eye(2))
+    batch = rollout(env, controller, np.random.default_rng(seed), n_rollouts)
+    states, actions = batch.states, batch.actions
     dynamics = fit_dynamics(states, actions)
     prior = linearize_policy(lambda S: policy_action(nets.actor, hyper, S), states, 0.64 * np.eye(2))
     cost_model = SmoothedInsertionCost(env)
@@ -988,6 +983,18 @@ def stage_inputs(case: str, horizon: int):
     return states, actions
 
 
+class PresetNormals:
+    """A stand-in generator whose ``standard_normal`` hands out preset rows, one per call, in order."""
+
+    def __init__(self, rows):
+        self._rows = iter(rows)
+
+    def standard_normal(self, size):
+        row = next(self._rows)
+        assert row.shape == (size,)
+        return row.copy()
+
+
 class TestStackedStagesMatchVerbatim:
     """The stacked stages give the bits of the per-step code they replaced
     (``tests/verbatim_oracles.py``), signs of zero included."""
@@ -1032,15 +1039,20 @@ class TestStackedStagesMatchVerbatim:
             assert type(got.const_T) is float and _bits(got.const_T) == _bits(want.const_T)
 
     def test_linear_gaussian_controller(self):
+        # every step's stacked rows against the per-row controller, fed the same noise rows
         states, _ = stage_inputs("random", 100)
         rng = np.random.default_rng(5)
         a = rng.normal(size=(100, 2, 2))
         policy = replace(linearize_policy(self._policy_fn(), states, np.eye(2)),
                          C=a @ a.transpose(0, 2, 1) + 1e-3 * np.eye(2))
-        got = trajopt._linear_gaussian_controller(policy, np.random.default_rng(6))
-        want = verbatim_oracles.linear_gaussian_controller(policy, np.random.default_rng(6))
+        noise = np.random.default_rng(6).standard_normal((policy.horizon, len(states), 2))
+        got = trajopt._linear_gaussian_controller(policy)
+        want = [verbatim_oracles.linear_gaussian_controller(policy, PresetNormals(noise[:, i]))
+                for i in range(len(states))]
         for t in range(policy.horizon):
-            assert _bits(got(t, states[0, t])) == _bits(want(t, states[0, t]))
+            per_row = np.stack([controller(t, states[i, t]) for i, controller in enumerate(want)])
+            for rows in (states[:, t], np.ascontiguousarray(states[:, t])):
+                assert _bits(got(t, rows, noise[t])) == _bits(per_row), t
 
     @pytest.mark.parametrize("case", CASES)
     @pytest.mark.usefixtures("lapack_bits")
@@ -1088,6 +1100,85 @@ class TestStackedStagesMatchVerbatim:
         # NaN != NaN: the first sub-iteration has no measured improvement
         assert [{k: _bits(v) for k, v in d.items()} for d in got[2]] == \
             [{k: _bits(v) for k, v in d.items()} for d in want[2]]
+
+
+def pd_gains(env: InsertionEnvConfig, gain: float) -> LinearGaussianPolicy:
+    """``u = gain (target - p) - 0.5 sqrt(gain) v`` with a little noise: it drives the peg into the slot."""
+    T = env.horizon
+    K = np.zeros((T, 2, 6))
+    K[:, :, 0:2] = -gain * np.eye(2)
+    K[:, :, 2:4] = -0.5 * np.sqrt(gain) * np.eye(2)
+    return LinearGaussianPolicy(K, np.tile(gain * env.target, (T, 1)), np.tile(1e-4 * np.eye(2), (T, 1, 1)))
+
+
+class TestLockstepSamplerMatchesVerbatim:
+    """One lockstep ``rollout`` of ``n`` episodes equals ``n`` episodes of the
+    one-row sampler it replaced (``tests/verbatim_oracles.py``), run one after
+    another on the same generator: the same bits in every array, and the
+    generator left in the same state."""
+
+    @staticmethod
+    def _actor():
+        hyper = DdpgHyper.for_env(InsertionEnvConfig())
+        nets = make_agent(hyper, seed=2)
+        return lambda S: policy_action(nets.actor, hyper, S)
+
+    @staticmethod
+    def _controllers(kind: str, env: InsertionEnvConfig):
+        """The lockstep controller and a factory of its per-row oracle, which draws from the generator it is given."""
+        if kind == "actor":
+            policy_fn, chol = TestLockstepSamplerMatchesVerbatim._actor(), trajopt.EXPLORATION_STD * np.eye(2)
+            return (trajopt._gaussian_controller(policy_fn, chol),
+                    lambda rng: verbatim_oracles.gaussian_controller(policy_fn, chol, rng))
+        if kind == "pd_actor":  # drives the peg into the slot through the actor controller, noise scaled down
+            env_target, chol = env.target, 1e-2 * np.eye(2)
+            policy_fn = lambda S: 200.0 * (env_target - S[..., 0:2]) - 0.5 * np.sqrt(200.0) * S[..., 2:4]  # noqa: E731
+            return (trajopt._gaussian_controller(policy_fn, chol),
+                    lambda rng: verbatim_oracles.gaussian_controller(policy_fn, chol, rng))
+        if kind == "linear_gaussian":
+            states, _ = stage_inputs("random", env.horizon)
+            a = np.random.default_rng(5).normal(size=(env.horizon, 2, 2))
+            policy = replace(linearize_policy(TestLockstepSamplerMatchesVerbatim._actor(), states, np.eye(2)),
+                             C=a @ a.transpose(0, 2, 1) + 1e-3 * np.eye(2))
+        else:
+            policy = pd_gains(env, 200.0)
+        return (trajopt._linear_gaussian_controller(policy),
+                lambda rng: verbatim_oracles.linear_gaussian_controller(policy, rng))
+
+    @staticmethod
+    def assert_matches(env, kind, n, seed):
+        """Run both samplers from ``seed``; return the lockstep batch once every check has passed."""
+        controller, oracle_controller = TestLockstepSamplerMatchesVerbatim._controllers(kind, env)
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        batch = rollout(env, controller, rng, n)
+        # the supervisor built one controller per sub-iteration and ran its episodes one after another
+        per_row = oracle_controller(oracle_rng)
+        want = [verbatim_oracles.rollout(env, per_row, oracle_rng) for _ in range(n)]
+        for name in ("states", "actions", "rewards", "dones"):
+            assert _bits(getattr(batch, name)) == _bits(np.stack([getattr(r, name) for r in want])), name
+        assert batch.successes.dtype == bool
+        assert batch.successes.tolist() == [r.success for r in want]
+        assert [float(rewards.sum()) for rewards in batch.rewards] == [r.episode_return for r in want]
+        assert batch.steps == sum(r.steps for r in want) == n * env.horizon
+        assert _bits(rng.standard_normal(3)) == _bits(oracle_rng.standard_normal(3))
+        return batch
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("horizon", [6, 100])
+    @pytest.mark.parametrize("kind", ["actor", "linear_gaussian"])
+    def test_sampler(self, kind, horizon, n):
+        self.assert_matches(InsertionEnvConfig(horizon=horizon), kind, n, seed=horizon + n)
+
+    @pytest.mark.parametrize("kind", ["pd_actor", "pd_linear_gaussian"])
+    def test_episodes_that_succeed_mid_horizon(self, kind):
+        env = InsertionEnvConfig(horizon=100)
+        batch = self.assert_matches(env, kind, 5, seed=8)
+        # a success before the last step sets a done flag there, and the episode runs on to the horizon
+        assert batch.dones[:, :-1].any(axis=1).all()
+        assert batch.successes.all()
+
+    def test_no_reset_draw_without_a_reset_range(self):
+        self.assert_matches(InsertionEnvConfig(horizon=6, reset_range=0.0), "linear_gaussian", 5, seed=3)
 
 
 class TestCostToGo:
@@ -1163,12 +1254,18 @@ class TestSupervisor:
         result, dual_out = run_supervisor(
             env, lambda S: policy_action(nets.actor, hyper, S), 2, dual, cfg, 0.99, rng,
         )
-        assert len(result.sample_rollouts) == 10
+        # one lockstep batch of 5 episodes per sub-iteration, then the closing episode
+        assert [b.states.shape for b in result.sample_rollouts] == [(5, env.horizon + 1, 6)] * 2
+        assert sum(b.steps for b in result.sample_rollouts) == 10 * env.horizon
+        assert result.final_rollout.states.shape == (1, env.horizon + 1, 6)
         assert result.final_rollout.steps == env.horizon
         assert len(result.supervision) == env.horizon
         assert len(result.diagnostics) == 2
-        # supervision values are discounted suffix sums of that rollout's rewards
-        values = cost_to_go(result.final_rollout.rewards, 0.99)
+        # supervision samples are the closing episode's steps, valued by discounted suffix sums of its rewards
+        for t, sample in enumerate(result.supervision):
+            assert np.array_equal(sample.state, result.final_rollout.states[0, t])
+            assert np.array_equal(sample.action, result.final_rollout.actions[0, t])
+        values = cost_to_go(result.final_rollout.rewards[0], 0.99)
         got = np.array([s.q_value for s in result.supervision])
         assert np.allclose(got, values)
 

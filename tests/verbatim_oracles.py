@@ -18,6 +18,10 @@ zero included:
   the steps and solve or expand one step at a time;
 - ``linear_gaussian_controller``: the supervisor's sampling controller,
   before it factored every step's covariance in one stacked call;
+- ``rollout`` (with its ``Rollout``) and ``gaussian_controller``: the
+  supervisor's sampler, one episode of one row at a time with a controller
+  that draws its own noise, before the episodes of a sub-iteration ran in
+  lockstep;
 - ``lqg_backward``: the Riccati backward pass, before its solves left
   scipy; it calls LAPACK potrs through ``scipy.linalg.lapack.dpotrs``.
 
@@ -26,10 +30,12 @@ extra installs.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from guided_ddpg.ddpg import AgentNets, DdpgHyper
-from guided_ddpg.envs import ACTION_DIM, STATE_DIM, InsertionEnvConfig
+from guided_ddpg.envs import ACTION_DIM, STATE_DIM, InsertionEnvConfig, clip_actions, env_reset, env_step
 from guided_ddpg.exceptions import InputError, NumericalError, ShapeError
 from guided_ddpg.nets import MlpParams, layer_views
 from guided_ddpg.replay import SupervisionBatch, TransitionBatch
@@ -487,3 +493,56 @@ def lqg_backward(
         Vxx = 0.5 * (Vxx + Vxx.T)
         vx = qx + Qux.T @ k[t]
     return LinearGaussianPolicy(K, k, C)
+
+
+@dataclass
+class Rollout:
+    """One episode: ``states`` has one more row than ``actions``/``rewards``."""
+
+    states: Array
+    actions: Array
+    rewards: Array
+    dones: Array
+    success: bool
+    steps: int
+
+    @property
+    def episode_return(self) -> float:
+        return float(self.rewards.sum())
+
+
+def rollout(config: InsertionEnvConfig, controller, rng) -> Rollout:
+    """Run one episode of exactly ``config.horizon`` steps under ``controller(t, state_vec) -> action``.
+
+    The episode is one :func:`env_step` row; ``actions`` holds the clipped
+    (executed) actions. It always runs the full horizon, so rollouts have
+    equal length; the ``dones`` flags mark success states and the final step.
+    """
+    states = env_reset(config, rng, 1)
+    trace, actions, rewards, dones = [states[0]], [], [], []
+    succeeded = False
+    for t in range(config.horizon):
+        action = np.asarray(controller(t, states[0]), dtype=np.float64)
+        action = clip_actions(config, action)
+        states, reward, success = env_step(config, states, action[None])
+        succeeded = succeeded or bool(success[0])
+        done = bool(success[0]) or t == config.horizon - 1
+        actions.append(action)
+        rewards.append(reward[0])
+        dones.append(done)
+        trace.append(states[0])
+    return Rollout(
+        states=np.asarray(trace),
+        actions=np.asarray(actions),
+        rewards=np.asarray(rewards),
+        dones=np.asarray(dones, dtype=bool),
+        success=bool(succeeded),
+        steps=len(actions),
+    )
+
+
+def gaussian_controller(policy_fn, chol: Array, rng: np.random.Generator):
+    def controller(t: int, state: Array) -> Array:
+        return policy_fn(state[None, :])[0] + chol @ rng.standard_normal(chol.shape[0])
+
+    return controller
