@@ -48,7 +48,7 @@ class DdpgHyper:
     target_rate: float = 0.001
     batch_size: int = 64
     supervision_batch_size: int = 64
-    supervision_decay: float = 10.0  # decay constant c; 0 disables supervision
+    supervision_decay: float = 10.0  # decay constant c of supervision_weight; c = 0 disables supervision
     actor_lr: float = 1e-3
     critic_lr: float = 1e-3
     actor_hidden: tuple[int, ...] = (64, 64)
@@ -266,12 +266,12 @@ def target_update(nets: AgentNets, rate: float) -> None:
 
 
 def supervision_weight(n_roll: int, c: float) -> float:
-    """Decaying blend weight ``c / (n_roll + c)``."""
+    """Decaying blend weight ``c / (n_roll + c)``; a decay constant of 0 disables supervision."""
     if n_roll < 0:
         raise InputError(f"n_roll must be >= 0, got {n_roll}")
-    if c <= 0.0:
-        raise InputError(f"decay constant must be > 0, got {c}")
-    return c / (n_roll + c)
+    if c < 0.0:
+        raise InputError(f"decay constant must be >= 0, got {c}")
+    return c / (n_roll + c) if c > 0.0 else 0.0
 
 
 class OrnsteinUhlenbeckNoise:

@@ -21,10 +21,6 @@ class NotPositiveDefiniteError(NumericalError):
     """A matrix required to be positive definite failed its factorization."""
 
 
-class TrustRegionError(NumericalError):
-    """The dual search could not produce any controller inside the trust region."""
-
-
 class SupervisorError(RuntimeError):
     """The trajectory-optimization supervisor failed for one epoch."""
 

@@ -292,10 +292,9 @@ def ddpg_block(
     """
     hyper = config.hyper
     env = config.env
-    c = hyper.supervision_decay
 
     for _ in range(n_episodes):
-        w_to = supervision_weight(n_roll, c) if c > 0.0 else 0.0
+        w_to = supervision_weight(n_roll, hyper.supervision_decay)
         effective_w = w_to if len(r1) > 0 else 0.0
 
         noise.reset()

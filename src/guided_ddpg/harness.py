@@ -4,9 +4,9 @@ A spec is a flat ``key = value`` file in the format :func:`read_config`
 documents. Training writes one directory per seed (deterministic
 ``training_log.csv`` and ``supervisor_diag.csv``, ``timings.csv``, the actor
 and critic in ``checkpoint.json``, ``summary.json``) plus, over seeds, the
-deterministic ``learning_curves.csv`` and the medians in ``aggregate.json``
-and ``comparison_table.csv``. Evaluation and adaptability sweeps
-(``sweep.csv``) run from checkpoints without touching any training state.
+deterministic ``learning_curves.csv`` and the medians in ``aggregate.json``.
+Evaluation and adaptability sweeps (``sweep.csv``) run from checkpoints
+without touching any training state.
 """
 from __future__ import annotations
 
@@ -304,7 +304,6 @@ def run_experiment(spec_path, out_dir) -> Path:
         "per_seed": per_seed_rows,
     }
     (out / "aggregate.json").write_text(json.dumps(aggregate, indent=2), encoding="utf-8")
-    _write_comparison(out / "comparison_table.csv", [aggregate])
     return out
 
 

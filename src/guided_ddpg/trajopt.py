@@ -24,14 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .envs import ACTION_DIM, STATE_DIM, InsertionEnvConfig, Rollout, initial_state_distribution, rollout
-from .exceptions import (
-    InputError,
-    NotPositiveDefiniteError,
-    NumericalError,
-    ShapeError,
-    SupervisorError,
-    TrustRegionError,
-)
+from .exceptions import InputError, NotPositiveDefiniteError, NumericalError, ShapeError, SupervisorError
 from .replay import SupervisionSample
 
 Array = np.ndarray
@@ -327,16 +320,40 @@ def kl_divergence(p: TrajectoryDistribution, other: LinearGaussianPolicy) -> flo
     return float(np.maximum(kl, 0.0))
 
 
+def prior_penalty(prior: LinearGaussianPolicy) -> tuple[Array, Array]:
+    """``-log prior(u | s)`` up to a constant, as ``0.5 z' P z - p' z`` with ``z = [s; u]``.
+
+    Returns the ``(T, n+m, n+m)`` stack ``P`` and the ``(T, n+m)`` stack ``p``.
+    Raises :class:`NotPositiveDefiniteError` when a prior covariance fails its
+    Cholesky factorization and :class:`NumericalError` when its factor is not
+    finite.
+    """
+    T, m, n = prior.K.shape
+    eye = np.eye(m)
+    l2 = _chol_or_raise(prior.C, "prior covariance")
+    _require_finite("prior covariance", l2)
+    # The products below are bitwise equal to per-step ones only with
+    # inverses in the Fortran order that LAPACK's potrs returns.
+    prior_inv = np.empty((T, m, m)).transpose(0, 2, 1)
+    prior_inv[:] = _cho_solve(l2, eye)
+    M = np.empty((T, m, n + m))
+    M[:, :, :n] = -prior.K
+    M[:, :, n:] = eye
+    MT = M.transpose(0, 2, 1)
+    return MT @ prior_inv @ M, (MT @ (prior_inv @ prior.k[:, :, None]))[:, :, 0]
+
+
 def lqg_backward(
     dynamics: LinearDynamics,
     cost: QuadraticCost,
-    prior: LinearGaussianPolicy,
+    penalty: tuple[Array, Array],
     eta: float,
     lm_reg: float = 0.0,
 ) -> LinearGaussianPolicy:
     """Maximum-entropy Riccati recursion on the dual surrogate cost.
 
-    The surrogate at each step is ``cost / eta - log prior(u | s)``, and the
+    The surrogate at each step is ``cost / eta - log prior(u | s)``, whose
+    second term is ``penalty``, the :func:`prior_penalty` of the prior; the
     returned covariance is the inverse action Hessian. A flat prior (zero
     gains, covariance ``c I``, ``c`` large) adds only ``I / c`` to that
     Hessian: the recursion tends to an LQR solve of ``cost / eta``. Raises
@@ -350,22 +367,13 @@ def lqg_backward(
     n, m = cost.state_dim, cost.action_dim
     if cost.horizon != T or dynamics.F.shape[1] != n:
         raise ShapeError("dynamics and cost horizons/dimensions disagree")
-    if prior.horizon != T or prior.action_dim != m:
+    P, p = penalty
+    if P.shape != (T, n + m, n + m):
         raise ShapeError("prior horizon/dimensions disagree with dynamics")
 
     eye = np.eye(m)
-    l2 = _chol_or_raise(prior.C, "prior covariance")
-    _require_finite("prior covariance", l2)
-    # The products below are bitwise equal to per-step ones only with
-    # inverses in the Fortran order that LAPACK's potrs returns.
-    prior_inv = np.empty((T, m, m)).transpose(0, 2, 1)
-    prior_inv[:] = _cho_solve(l2, eye)
-    M = np.empty((T, m, n + m))
-    M[:, :, :n] = -prior.K
-    M[:, :, n:] = eye
-    MT = M.transpose(0, 2, 1)
-    quad = cost.Czz / eta + MT @ prior_inv @ M
-    lin = cost.cz / eta - (MT @ (prior_inv @ prior.k[:, :, None]))[:, :, 0]
+    quad = cost.Czz / eta + P
+    lin = cost.cz / eta - p
 
     K = np.zeros((T, m, n))
     k = np.zeros((T, m))
@@ -464,19 +472,6 @@ def expected_cost(cost: QuadraticCost, traj: TrajectoryDistribution) -> float:
 # Dual / trust-region adaptation
 
 
-def update_eta(dual: DualState, achieved_kl: float) -> DualState:
-    """Scale the dual variable by :data:`ETA_FACTOR` toward the constraint.
-
-    Less divergence than ``dual.epsilon`` means the constraint is
-    over-enforced, so eta shrinks; more means it is under-enforced, so eta
-    grows. The result is clamped to ``[ETA_MIN, ETA_MAX]``.
-    """
-    if achieved_kl < 0.0:
-        raise InputError(f"achieved_kl must be >= 0, got {achieved_kl}")
-    eta = dual.eta / ETA_FACTOR if achieved_kl < dual.epsilon else dual.eta * ETA_FACTOR
-    return replace(dual, eta=float(np.clip(eta, ETA_MIN, ETA_MAX)))
-
-
 def update_epsilon(dual: DualState, expected_improvement: float, actual_improvement: float) -> DualState:
     """Adapt the trust region to the model's predictive quality.
 
@@ -529,9 +524,11 @@ def update_trajectory(
     :data:`KL_RTOL` of the trust region. The search ends early when the walk
     is clamped at ``ETA_MIN`` or ``ETA_MAX``. If it ends without converging,
     the best strictly feasible controller is returned with a warning status,
-    and the absence of any feasible iterate raises :class:`TrustRegionError`.
+    and the absence of any feasible iterate raises :class:`NumericalError`, as
+    does a prior covariance that fails to factor.
     """
     eps = dual.epsilon
+    penalty = prior_penalty(prior)
     prior_traj = lqg_forward(dynamics, prior, init_mean, init_cov)
     prior_cost = expected_cost(cost, prior_traj)
 
@@ -543,7 +540,7 @@ def update_trajectory(
 
     for iterations in range(1, MAX_DUAL_ITERATIONS + 1):
         try:
-            policy = lqg_backward(dynamics, cost, prior, eta, lm_reg)
+            policy = lqg_backward(dynamics, cost, penalty, eta, lm_reg)
         except NotPositiveDefiniteError:
             lm_reg = 2.0 * lm_reg if lm_reg > 0.0 else 1e-8
             continue
@@ -566,15 +563,16 @@ def update_trajectory(
         if eta_floor is not None and eta_ceil is not None:
             eta = float(np.sqrt(eta_floor * eta_ceil))
         else:
-            dual_step = update_eta(replace(dual, eta=eta), kl)
-            if dual_step.eta == eta:
+            # no feasible iterate yet means every KL was too large, so eta grows; else it shrinks
+            step = float(np.clip(eta * ETA_FACTOR if eta_ceil is None else eta / ETA_FACTOR, ETA_MIN, ETA_MAX))
+            if step == eta:
                 break  # clamped at a bound; no further progress possible
-            eta = dual_step.eta
+            eta = step
 
     if best is not None:
         new_cost, policy, kl, eta = best
         return TrajOptResult(policy, replace(dual, eta=eta), kl, prior_cost, new_cost, False, "max_iterations", iterations)
-    raise TrustRegionError("dual search found no controller inside the trust region")
+    raise NumericalError("dual search found no controller inside the trust region")
 
 
 def cost_to_go(rewards: Array, discount: float) -> Array:

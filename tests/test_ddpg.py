@@ -421,7 +421,10 @@ class TestSupervisionWeight:
         with pytest.raises(InputError):
             supervision_weight(-1, 1.0)
         with pytest.raises(InputError):
-            supervision_weight(0, 0.0)
+            supervision_weight(0, -1e-3)
+        # a decay constant of 0 is valid and disables supervision
+        assert supervision_weight(5, 0.0) == 0.0
+        assert supervision_weight(0, 0.0) == 0.0
 
 
 class TestNoise:

@@ -17,7 +17,6 @@ from guided_ddpg.exceptions import (
     NumericalError,
     ShapeError,
     SupervisorError,
-    TrustRegionError,
 )
 from guided_ddpg.trajopt import (
     DualState,
@@ -34,9 +33,9 @@ from guided_ddpg.trajopt import (
     linearize_policy,
     lqg_backward,
     lqg_forward,
+    prior_penalty,
     run_supervisor,
     update_epsilon,
-    update_eta,
     update_trajectory,
 )
 
@@ -469,7 +468,7 @@ class TestLapackBits:
         for _ in range(40):
             dynamics, cost, prior, _, _, _ = random_stage_problem(rng, cond)
             eta = 10.0 ** rng.uniform(-2, 3)
-            got = lqg_backward(dynamics, cost, prior, eta, lm_reg)
+            got = lqg_backward(dynamics, cost, prior_penalty(prior), eta, lm_reg)
             want = verbatim_oracles.lqg_backward(dynamics, cost, prior, eta, lm_reg)
             for name in ("K", "k", "C"):
                 assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
@@ -569,7 +568,7 @@ class TestKlDivergence:
         for _ in range(30):
             dynamics, cost, prior, _, mu0, S0 = random_stage_problem(rng)
             assert kl_divergence(lqg_forward(dynamics, prior, mu0, S0), prior) >= 0.0
-            policy = lqg_backward(dynamics, cost, prior, 10.0 ** rng.uniform(-2, 16))
+            policy = lqg_backward(dynamics, cost, prior_penalty(prior), 10.0 ** rng.uniform(-2, 16))
             assert kl_divergence(lqg_forward(dynamics, policy, mu0, S0), prior) >= 0.0
 
     def test_nan_state_covariance_stays_nan(self):
@@ -587,7 +586,7 @@ class TestLqgBackward:
             m = int(rng.integers(1, 5))
             horizon = int(rng.integers(3, 40))
             A, B, Q, R, Qf, dynamics, cost = lqr_problem(rng, n, m, horizon)
-            policy = lqg_backward(dynamics, cost, prior=flat_prior(horizon, n, m), eta=1.0)
+            policy = lqg_backward(dynamics, cost, prior_penalty(flat_prior(horizon, n, m)), eta=1.0)
             oracle = riccati_oracle(A, B, Q, R, Qf, horizon)
             for t in range(horizon):
                 assert np.max(np.abs(policy.K[t] + oracle[t])) < 1e-6
@@ -607,7 +606,7 @@ class TestLqgBackward:
                                 k=rng.normal(size=m), cov=0.5 * np.eye(m))
         gaps = []
         for eta in (1e0, 1e3, 1e6, 1e9):
-            policy = lqg_backward(dynamics, cost, prior, eta)
+            policy = lqg_backward(dynamics, cost, prior_penalty(prior), eta)
             gaps.append(np.max(np.abs(policy.K - prior.K)) + np.max(np.abs(policy.k - prior.k))
                         + np.max(np.abs(policy.C - prior.C)))
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
@@ -626,7 +625,7 @@ class TestLqgBackward:
         Czz[0, 0, 0] = 2 * Q[0, 0]
         Czz[0, 1, 1] = 2 * R[0, 0]
         cost = QuadraticCost(Czz, np.zeros((1, 2)), np.zeros(1), 2 * Qf, np.zeros(1), 0.0, 1, 1)
-        policy = lqg_backward(dynamics, cost, flat_prior(1, 1, 1), eta=1.0)
+        policy = lqg_backward(dynamics, cost, prior_penalty(flat_prior(1, 1, 1)), eta=1.0)
         q_uu = 2 * R[0, 0] + B[0, 0] ** 2 * 2 * Qf[0, 0]
         assert policy.C[0, 0, 0] == pytest.approx(1.0 / q_uu, rel=1e-12)
 
@@ -675,22 +674,6 @@ class TestLqgForward:
 
 
 class TestDualUpdates:
-    def test_eta_decreases_when_under_target(self):
-        dual = DualState(eta=1.0, epsilon=1.0)
-        assert update_eta(dual, 0.5).eta < 1.0
-
-    def test_eta_increases_when_over_target(self):
-        dual = DualState(eta=1.0, epsilon=1.0)
-        assert update_eta(dual, 2.0).eta > 1.0
-
-    def test_negative_kl_rejected(self):
-        with pytest.raises(InputError, match="achieved_kl"):
-            update_eta(DualState(eta=1.0, epsilon=1.0), -1e-3)
-
-    def test_eta_clamped_at_min(self):
-        dual = DualState(eta=trajopt.ETA_MIN, epsilon=1.0)
-        assert update_eta(dual, 0.1).eta == trajopt.ETA_MIN
-
     def test_epsilon_halves_on_poor_improvement(self):
         dual = DualState(eta=1.0, epsilon=0.4)
         assert update_epsilon(dual, 1.0, 0.01).epsilon == pytest.approx(0.2)
@@ -749,7 +732,7 @@ class TestUpdateTrajectory:
         rng = np.random.default_rng(11)
         n, m, horizon = 2, 1, 8
         _, _, _, _, _, dynamics, cost = lqr_problem(rng, n, m, horizon)
-        optimal = lqg_backward(dynamics, cost, flat_prior(horizon, n, m), eta=1.0)
+        optimal = lqg_backward(dynamics, cost, prior_penalty(flat_prior(horizon, n, m)), eta=1.0)
         dual = DualState(eta=1.0, epsilon=1e-6)
         result = update_trajectory(dynamics, prior=optimal, dual=dual, cost=cost,
                                    init_mean=np.zeros(n), init_cov=0.1 * np.eye(n))
@@ -761,15 +744,14 @@ class TestUpdateTrajectory:
         dynamics, prior, quad, mu0, S0 = fitted_insertion_problem(seed=1)
         kls = []
         for eta in np.logspace(-2, 4, 7):
-            policy = lqg_backward(dynamics, quad, prior, eta)
+            policy = lqg_backward(dynamics, quad, prior_penalty(prior), eta)
             traj = lqg_forward(dynamics, policy, mu0, S0)
             kls.append(kl_divergence(traj, prior))
         assert all(a >= b for a, b in zip(kls, kls[1:]))
 
-    def test_non_finite_kl_walks_eta_up_and_stops_at_its_ceiling(self, monkeypatch):
-        # an iterate with non-finite KL counts as outside the trust region: eta grows tenfold from 1
-        # per backward pass, and the search gives up once it is clamped at 1e16, 17 passes in all
-        dynamics, prior, quad, mu0, S0 = fitted_insertion_problem()
+    @staticmethod
+    def _backward_etas(monkeypatch):
+        """The eta of each backward pass that ``update_trajectory`` makes, appended as it makes it."""
         etas = []
 
         def counting_backward(*args):
@@ -777,15 +759,47 @@ class TestUpdateTrajectory:
             return lqg_backward(*args)
 
         monkeypatch.setattr(trajopt, "lqg_backward", counting_backward)
+        return etas
+
+    def test_non_finite_kl_walks_eta_up_and_stops_at_its_ceiling(self, monkeypatch):
+        # an iterate with non-finite KL counts as outside the trust region: eta grows tenfold from 1
+        # per backward pass, and the search gives up once it is clamped at 1e16, 17 passes in all
+        dynamics, prior, quad, mu0, S0 = fitted_insertion_problem()
+        etas = self._backward_etas(monkeypatch)
         monkeypatch.setattr(trajopt, "kl_divergence", lambda traj, prior: np.inf)
-        with pytest.raises(TrustRegionError):
+        with pytest.raises(NumericalError, match="dual search found no controller"):
             update_trajectory(dynamics, prior, DualState(eta=1.0, epsilon=1e-2), quad, mu0, S0)
         assert len(etas) == 17
         assert etas == [10.0**i for i in range(17)] and etas[-1] == trajopt.ETA_MAX
 
+    def test_zero_kl_walks_eta_down_and_stops_at_its_floor(self, monkeypatch):
+        # every iterate lies inside the trust region, far from its edge: eta falls tenfold from 1 per
+        # backward pass until it is clamped at ETA_MIN, and the search returns the best iterate
+        dynamics, prior, quad, mu0, S0 = fitted_insertion_problem()
+        etas = self._backward_etas(monkeypatch)
+        monkeypatch.setattr(trajopt, "kl_divergence", lambda traj, prior: 0.0)
+        result = update_trajectory(dynamics, prior, DualState(eta=1.0, epsilon=1e-2), quad, mu0, S0)
+        walk = [1.0]
+        while walk[-1] > trajopt.ETA_MIN:
+            walk.append(max(walk[-1] / trajopt.ETA_FACTOR, trajopt.ETA_MIN))
+        assert etas == walk and etas[-1] == trajopt.ETA_MIN
+        assert result.status == "max_iterations" and not result.converged
+        assert result.iterations == len(etas) and result.achieved_kl == 0.0
+        assert result.dual.eta in etas and result.new_cost <= result.prior_cost
+
+    def test_prior_that_fails_to_factor_ends_the_search_before_any_backward_pass(self, monkeypatch):
+        # the prior's penalty is built once per search, so no lm_reg retry can rescue it
+        dynamics, prior, quad, mu0, S0 = fitted_insertion_problem()
+        etas = self._backward_etas(monkeypatch)
+        bad = replace(prior, C=prior.C.copy())
+        bad.C[3] = -np.eye(2)
+        with pytest.raises(NotPositiveDefiniteError, match="prior covariance is not positive definite"):
+            update_trajectory(dynamics, bad, DualState(eta=1.0, epsilon=1e-2), quad, mu0, S0)
+        assert etas == []
+
     def test_search_started_at_large_eta_keeps_a_nonnegative_kl(self):
         # near eta = 1e12-1e16 the optimized policy is the prior up to rounding, whose KL
-        # used to read about -2e-15 and make update_eta raise InputError
+        # used to read about -2e-15 and end the dual search with an InputError
         rng = np.random.default_rng(15)
         for _ in range(20):
             dynamics, cost, prior, _, mu0, S0 = random_stage_problem(rng)
@@ -854,7 +868,7 @@ class TestStagesMatchOracles:
             prior = prior if with_prior else flat_prior(dynamics.horizon, cost.state_dim, cost.action_dim)
             eta = 10.0 ** rng.uniform(-2, 3)
             want = oracle_lqg_backward(dynamics, cost, prior, eta, lm_reg)
-            got = lqg_backward(dynamics, cost, prior, eta, lm_reg)
+            got = lqg_backward(dynamics, cost, prior_penalty(prior), eta, lm_reg)
             for a, b in ((got.K, want.K), (got.k, want.k), (got.C, want.C)):
                 assert np.array_equal(a, b)
             traj = lqg_forward(dynamics, want, mu0, S0)
@@ -868,7 +882,7 @@ class TestStagesMatchOracles:
         for _ in range(25):
             dynamics, cost, prior, other, mu0, S0 = random_stage_problem(rng)
             anchor = prior if with_prior else flat_prior(dynamics.horizon, cost.state_dim, cost.action_dim)
-            policy = lqg_backward(dynamics, cost, anchor, 10.0 ** rng.uniform(-2, 3), lm_reg)
+            policy = lqg_backward(dynamics, cost, prior_penalty(anchor), 10.0 ** rng.uniform(-2, 3), lm_reg)
             traj = lqg_forward(dynamics, policy, mu0, S0)
             reference = prior if with_prior else other
             assert kl_divergence(traj, reference) == pytest.approx(oracle_kl_divergence(traj, reference), rel=1e-12)
@@ -882,7 +896,7 @@ class TestStagesMatchOracles:
         rng = np.random.default_rng(8)
         for _ in range(12):
             dynamics, cost, prior, _, mu0, S0 = random_stage_problem(rng, cond=1e8)
-            policy = lqg_backward(dynamics, cost, prior, 10.0 ** rng.uniform(-2, 3))
+            policy = lqg_backward(dynamics, cost, prior_penalty(prior), 10.0 ** rng.uniform(-2, 3))
             traj = lqg_forward(dynamics, policy, mu0, S0)
             exact = _exact_kl(traj, prior, mpmath)
             error = abs(kl_divergence(traj, prior) - exact)
@@ -895,7 +909,7 @@ class TestStagesMatchOracles:
         f = dynamics.f.copy()
         f[-1, 0] = np.nan
         with pytest.raises(NumericalError) as exc:
-            lqg_backward(LinearDynamics(dynamics.F, f, dynamics.Sigma), cost, prior, 1.0)
+            lqg_backward(LinearDynamics(dynamics.F, f, dynamics.Sigma), cost, prior_penalty(prior), 1.0)
         # not the factorization failure that update_trajectory retries
         assert not isinstance(exc.value, NotPositiveDefiniteError)
         traj = lqg_forward(dynamics, prior, mu0, S0)
@@ -929,6 +943,7 @@ class TestStagesMatchOracles:
         got, got_dual, got_final = self._supervise(env, policy_fn, monkeypatch)
         for name in ("lqg_backward", "lqg_forward", "kl_divergence", "expected_cost"):
             monkeypatch.setattr(trajopt, name, globals()["oracle_" + name])
+        monkeypatch.setattr(trajopt, "prior_penalty", lambda prior: prior)  # the oracle pass takes the prior
         want, want_dual, want_final = self._supervise(env, policy_fn, monkeypatch)
 
         for a, b in ((got_final.K, want_final.K), (got_final.k, want_final.k), (got_final.C, want_final.C)):
@@ -1072,7 +1087,7 @@ class TestStackedStagesMatchVerbatim:
             dynamics = fit(states, actions)
             prior = linearize(policy_fn, states, 0.64 * np.eye(2))
             cost = quadratize(states.mean(axis=0), actions.mean(axis=0))
-            policy = lqg_backward(dynamics, cost, prior, 1.0)
+            policy = lqg_backward(dynamics, cost, prior_penalty(prior), 1.0)
             traj = lqg_forward(dynamics, policy, mu0, S0)
             prior_traj = lqg_forward(dynamics, prior, mu0, S0)
             results.append([_bits(a) for a in (policy.K, policy.k, policy.C, traj.mean, traj.cov, prior_traj.cov)]

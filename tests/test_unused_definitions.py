@@ -1,0 +1,77 @@
+"""Every definition of the package is used by the package or by the benchmark.
+
+A definition is a module's top-level function, class or constant, or a
+method of a top-level class whose name is not a dunder. It counts as used
+when some module of the package loads its name, as an ``ast.Name`` or as the
+attribute of an ``ast.Attribute``, or when ``perfbench/`` imports it or names
+it in a string: the benchmark wraps its targets by name. Code that only
+tests use is deleted, not kept here.
+"""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "guided_ddpg"
+BENCH = ROOT / "perfbench"
+
+
+def definitions(tree: ast.Module) -> list:
+    """``(line, name)`` of each top-level function, class, constant and non-dunder method."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.extend((t.lineno, t.id) for t in targets if isinstance(t, ast.Name))
+        if isinstance(node, ast.ClassDef):
+            found.extend((m.lineno, m.name) for m in node.body if isinstance(m, ast.FunctionDef))
+    return [(line, name) for line, name in found if not (name.startswith("__") and name.endswith("__"))]
+
+
+def loaded_names(tree: ast.AST) -> set:
+    """Every name that ``tree`` reads as a variable or as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def bench_names(tree: ast.AST) -> set:
+    """Every name that ``tree`` imports from a module, and every string constant in it."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def unused_definitions(modules: dict, bench: list) -> list:
+    """``"module line N: name"`` for each definition in ``modules`` (name to source) that nothing uses."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    used = set().union(*(loaded_names(tree) for tree in trees.values()),
+                       *(bench_names(ast.parse(source)) for source in bench))
+    return [f"{module} line {line}: {name}" for module, tree in sorted(trees.items())
+            for line, name in definitions(tree) if name not in used]
+
+
+def test_the_check_finds_an_unused_definition():
+    module = ("LIMIT = 3\nUNUSED = 4\n\nclass Box:\n    def __init__(self):\n        self.n = LIMIT\n\n"
+              "    def size(self):\n        return self.n\n\n    def spare(self):\n        return 0\n\n"
+              "def helper():\n    return Box().size()\n\ndef wrapped():\n    return helper()\n\n"
+              "def orphan():\n    return 1\n")
+    bench = "from pkg.mod import Box\nTARGETS = ['wrapped']\n"
+    assert unused_definitions({"mod.py": module}, [bench]) == [
+        "mod.py line 2: UNUSED", "mod.py line 11: spare", "mod.py line 20: orphan"]
+
+
+def test_every_definition_is_used():
+    modules = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    bench = [path.read_text(encoding="utf-8") for path in sorted(BENCH.rglob("*.py"))]
+    assert "trajopt.py" in modules and bench
+    assert unused_definitions(modules, bench) == []
