@@ -674,6 +674,33 @@ class TestLqgForward:
 
 
 class TestDualUpdates:
+    @staticmethod
+    def _walk(monkeypatch, eta, kls):
+        """Run ``update_trajectory`` from ``eta`` with epsilon 1e-2, its KL read from ``kls`` in turn;
+        return the result and the eta of each backward pass."""
+        dynamics, prior, quad, mu0, S0 = fitted_insertion_problem()
+        etas = TestUpdateTrajectory._backward_etas(monkeypatch)
+        kls = iter(kls)
+        monkeypatch.setattr(trajopt, "kl_divergence", lambda traj, prior: next(kls))
+        result = update_trajectory(dynamics, prior, DualState(eta=eta, epsilon=1e-2), quad, mu0, S0)
+        return result, etas
+
+    def test_eta_decreases_when_under_target(self, monkeypatch):
+        result, etas = self._walk(monkeypatch, 1.0, [0.5e-2, 1e-2])
+        assert etas == [1.0, 1.0 / trajopt.ETA_FACTOR]
+        assert result.converged and result.dual.eta < 1.0
+
+    def test_eta_increases_when_over_target(self, monkeypatch):
+        result, etas = self._walk(monkeypatch, 1.0, [2e-2, 1e-2])
+        assert etas == [1.0, trajopt.ETA_FACTOR]
+        assert result.converged and result.dual.eta > 1.0
+
+    def test_eta_clamped_at_min(self, monkeypatch):
+        # under target at the floor: the walk cannot step down, so the search stops after one pass
+        result, etas = self._walk(monkeypatch, trajopt.ETA_MIN, [0.1e-2])
+        assert etas == [trajopt.ETA_MIN]
+        assert not result.converged and result.dual.eta == trajopt.ETA_MIN
+
     def test_epsilon_halves_on_poor_improvement(self):
         dual = DualState(eta=1.0, epsilon=0.4)
         assert update_epsilon(dual, 1.0, 0.01).epsilon == pytest.approx(0.2)
