@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .envs import ACTION_DIM, STATE_DIM, InsertionEnvConfig
-from .exceptions import ConfigurationError, InputError, NumericalError
+from .exceptions import ConfigurationError, NumericalError
 from .nets import (
     MlpParams,
     adam_init,
@@ -134,6 +134,10 @@ def _scaled_obs(hyper: DdpgHyper, states: Array) -> Array:
     return np.asarray(states) * hyper.obs_scale_array
 
 
+def _critic_input(hyper: DdpgHyper, states: Array, actions: Array) -> Array:
+    return np.concatenate([_scaled_obs(hyper, states), np.asarray(actions) / hyper.action_bound], axis=1)
+
+
 def policy_action(actor: MlpParams, hyper: DdpgHyper, states: Array) -> Array:
     """Deterministic ``(N, 2)`` actions for ``(N, 6)`` state rows, tanh-squashed to the bound.
 
@@ -145,8 +149,7 @@ def policy_action(actor: MlpParams, hyper: DdpgHyper, states: Array) -> Array:
 
 def critic_value(critic: MlpParams, hyper: DdpgHyper, states: Array, actions: Array) -> Array:
     """Q estimates, one per row of the ``(N, 6)`` states and ``(N, 2)`` actions."""
-    x = np.concatenate([_scaled_obs(hyper, states), np.asarray(actions) / hyper.action_bound], axis=1)
-    return mlp_forward(critic, x)[0][:, 0]
+    return mlp_forward(critic, _critic_input(hyper, states, actions))[0][:, 0]
 
 
 def critic_target(batch: TransitionBatch, nets: AgentNets, hyper: DdpgHyper) -> Array:
@@ -171,7 +174,7 @@ def critic_loss_grads(
     mean squared error against the optimizer's value targets.
     """
     y = critic_target(batch, nets, hyper)
-    x = np.concatenate([_scaled_obs(hyper, batch.states), batch.actions / hyper.action_bound], axis=1)
+    x = _critic_input(hyper, batch.states, batch.actions)
     q, cache = mlp_forward(nets.critic, x)
     err = q[:, 0] - y
     n = batch.states.shape[0]
@@ -179,7 +182,7 @@ def critic_loss_grads(
     grads, _ = mlp_backward(nets.critic, x, (2.0 / n) * err[:, None], cache, wrt_input=False)
 
     if sup_batch is not None and supervision_weight > 0.0:
-        xs = np.concatenate([_scaled_obs(hyper, sup_batch.states), sup_batch.actions / hyper.action_bound], axis=1)
+        xs = _critic_input(hyper, sup_batch.states, sup_batch.actions)
         qs, cache_s = mlp_forward(nets.critic, xs)
         err_s = qs[:, 0] - sup_batch.q_values
         ns = sup_batch.states.shape[0]
@@ -267,10 +270,6 @@ def target_update(nets: AgentNets, rate: float) -> None:
 
 def supervision_weight(n_roll: int, c: float) -> float:
     """Decaying blend weight ``c / (n_roll + c)``; a decay constant of 0 disables supervision."""
-    if n_roll < 0:
-        raise InputError(f"n_roll must be >= 0, got {n_roll}")
-    if c < 0.0:
-        raise InputError(f"decay constant must be >= 0, got {c}")
     return c / (n_roll + c) if c > 0.0 else 0.0
 
 

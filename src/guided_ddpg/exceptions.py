@@ -1,4 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each precondition is checked once, where input enters: a setting's range by its
+config class (``InsertionEnvConfig``, ``DdpgHyper``, ``TrainConfig``,
+``SupervisorConfig``, ``ExperimentSpec``), files and arguments by their readers.
+Downstream code raises only on faults it can really meet: non-finite values,
+failed factorizations, overflow and ``MemoryError``. The CLI exits with 2 on
+:class:`ConfigurationError` (:class:`SpecError` included) and :class:`InputError`,
+3 on :class:`NumericalError` and 1 on anything else; training turns a
+:class:`SupervisorError` into a degraded epoch.
+"""
 
 
 class ConfigurationError(ValueError):
@@ -6,7 +16,7 @@ class ConfigurationError(ValueError):
 
 
 class ShapeError(ValueError):
-    """Array arguments whose shapes do not line up."""
+    """A checkpoint's network arrays do not line up."""
 
 
 class InputError(ValueError):

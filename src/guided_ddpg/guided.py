@@ -225,11 +225,9 @@ def replay_buffers(config: TrainConfig) -> tuple[ReplayBuffer, ReplayBuffer]:
 def evaluation_arrays(env: InsertionEnvConfig, n_episodes: int) -> tuple[Array, Array, Array]:
     """The per-episode arrays of a lockstep evaluation: rewards by time step, steps, successes.
 
-    Raises :class:`InputError` for a count below one or one whose arrays do
-    not fit in memory, so a caller can size an evaluation before it starts.
+    Raises :class:`InputError` for a count whose arrays do not fit in memory,
+    so a caller can size an evaluation before it starts.
     """
-    if n_episodes < 1:
-        raise InputError(f"n_episodes must be >= 1, got {n_episodes}")
     try:
         return (np.zeros((n_episodes, env.horizon)), np.full(n_episodes, env.horizon),
                 np.zeros(n_episodes, dtype=bool))

@@ -71,10 +71,7 @@ class MlpParams:
     def __post_init__(self):
         if self.output_activation not in OUTPUT_ACTIVATIONS:
             raise ConfigurationError(f"unknown output activation {self.output_activation!r}")
-        vector = np.asarray(self.vector, dtype=np.float64)
-        if vector.shape != (_param_count(self.layer_sizes),):
-            raise ShapeError(f"vector of shape {vector.shape} does not match layer_sizes {self.layer_sizes}")
-        vector = vector.view()  # freezing a view leaves the caller's array writable
+        vector = np.asarray(self.vector, dtype=np.float64).view()  # freezing a view leaves the caller's array writable
         vector.flags.writeable = False
         weights, biases = layer_views(self.layer_sizes, vector)
         object.__setattr__(self, "vector", vector)
@@ -117,8 +114,6 @@ def mlp_init(
     The same seed always yields bitwise-identical parameters.
     """
     sizes = tuple(int(s) for s in layer_sizes)
-    if len(sizes) < 2 or any(s < 1 for s in sizes):
-        raise ConfigurationError(f"layer_sizes must have >=2 entries, all >=1, got {layer_sizes}")
     rng = np.random.default_rng(seed)
     vector = np.zeros(_param_count(sizes))
     for w in layer_views(sizes, vector)[0]:
@@ -139,8 +134,6 @@ def mlp_forward(params: MlpParams, x: Array) -> tuple[Array, list[Array]]:
     call's bits; stacking ``(1, input_dim)`` blocks keeps one-row bits.
     """
     h = np.asarray(x, dtype=np.float64)
-    if h.ndim < 2 or h.shape[-1] != params.input_dim:
-        raise ShapeError(f"input shape {np.shape(x)} is not (..., N, {params.input_dim}) rows")
     acts = [h]
     last = params.n_layers - 1
     for t, (w, b) in enumerate(zip(params.weights, params.biases)):
@@ -171,20 +164,13 @@ def mlp_backward(
     A gradient the caller does not ask for (``wrt_params`` / ``wrt_input``
     false) is not computed and comes back as ``None``.
     """
-    xb = np.asarray(x, dtype=np.float64)
-    if xb.ndim != 2 or xb.shape[1] != params.input_dim:
-        raise ShapeError(f"input shape {np.shape(x)} is not (N, {params.input_dim}) rows")
-    g = np.asarray(output_gradient, dtype=np.float64)
-    if g.shape != (xb.shape[0], params.output_dim):
-        raise ShapeError(f"output_gradient shape {np.shape(output_gradient)} does not match output dim {params.output_dim}")
-
     param_grad = None
     if wrt_params:
         param_grad = np.empty(params.vector.size)
         d_weights, d_biases = layer_views(params.layer_sizes, param_grad)
     last = params.n_layers - 1
 
-    delta = g
+    delta = np.asarray(output_gradient, dtype=np.float64)
     for t in range(last, -1, -1):
         a_out = activations[t + 1]
         if t < last or params.output_activation == "tanh":
@@ -199,8 +185,6 @@ def mlp_backward(
 
 
 def adam_init(params: MlpParams, learning_rate: float) -> AdamState:
-    if learning_rate <= 0.0:
-        raise ConfigurationError(f"learning_rate must be positive, got {learning_rate}")
     size = params.vector.size
     return AdamState(np.zeros(size), np.zeros(size), 0, float(learning_rate))
 
@@ -209,13 +193,8 @@ def adam_step(state: AdamState, vector: Array, grads: Array) -> None:
     """One bias-corrected adaptive-moment update of ``vector``, in place.
 
     Writes ``vector``, ``state.m``, ``state.v`` and ``state.step_count``, and
-    none of them when it raises: shapes and finiteness are checked first.
+    none of them when it raises: the gradient's finiteness is checked first.
     """
-    if not (grads.shape == vector.shape == state.m.shape == state.v.shape):
-        raise ShapeError(f"gradient of shape {grads.shape} for {vector.size} parameters "
-                         f"and moments of {state.m.size}")
-    if not vector.flags.writeable:
-        raise ValueError("adam_step updates its parameter vector in place; it is read-only")
     # a non-finite entry anywhere poisons the sum
     if not np.isfinite(grads.sum()):
         raise NumericalError("non-finite gradient passed to adam_step")
@@ -247,10 +226,6 @@ def adam_step(state: AdamState, vector: Array, grads: Array) -> None:
 
 def soft_update(target: Array, source: Array, rate: float) -> None:
     """Blend ``target = rate * source + (1 - rate) * target`` elementwise, in place."""
-    if not (0.0 < rate <= 1.0):
-        raise ConfigurationError(f"soft-update rate must lie in (0, 1], got {rate}")
-    if target.shape != source.shape:
-        raise ShapeError(f"target of shape {target.shape} and source of shape {source.shape} differ")
     target *= 1.0 - rate
     target += rate * source
 

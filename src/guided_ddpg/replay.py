@@ -43,8 +43,6 @@ class ReplayBuffer:
     """
 
     def __init__(self, capacity: int, packer: Callable[[object], np.ndarray], row_width: int):
-        if capacity < 1:
-            raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
         self.total_pushed = 0
         self._packer = packer

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .envs import ACTION_DIM, STATE_DIM, InsertionEnvConfig, Rollout, initial_state_distribution, rollout
-from .exceptions import InputError, NotPositiveDefiniteError, NumericalError, ShapeError, SupervisorError
+from .exceptions import InputError, NotPositiveDefiniteError, NumericalError, SupervisorError
 from .replay import SupervisionSample
 
 Array = np.ndarray
@@ -103,10 +103,6 @@ class DualState:
 
     eta: float
     epsilon: float
-
-    def __post_init__(self):
-        if self.eta <= 0.0 or self.epsilon <= 0.0:
-            raise InputError("eta and epsilon must be positive")
 
 
 @dataclass(frozen=True)
@@ -206,13 +202,7 @@ def fit_dynamics(states: Array, actions: Array) -> LinearDynamics:
     """
     states = np.asarray(states, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.float64)
-    if states.ndim != 3 or actions.ndim != 3 or states.shape[0] != actions.shape[0]:
-        raise ShapeError("states (N,T+1,n) and actions (N,T,m) required")
     n_roll, horizon = actions.shape[0], actions.shape[1]
-    if n_roll < 2:
-        raise InputError(f"need >= 2 rollouts to fit dynamics, got {n_roll}")
-    if states.shape[1] != horizon + 1:
-        raise ShapeError("states must have one more step than actions")
     n, m = states.shape[2], actions.shape[2]
 
     X = np.concatenate([states[:, :-1], actions, np.ones((n_roll, horizon, 1))], axis=2)
@@ -244,12 +234,7 @@ def linearize_policy(policy_fn: Callable[[Array], Array], states: Array, noise_c
     a C-order copy: a transposed view would send ``K[t] @ s`` to another kernel.
     """
     states = np.asarray(states, dtype=np.float64)
-    if states.ndim != 3:
-        raise ShapeError("states must have shape (N, T+1, n)")
-    n_roll, horizon = states.shape[0], states.shape[1] - 1
-    if n_roll < 1 or horizon < 1:
-        raise InputError("need at least one rollout and one step")
-    n = states.shape[2]
+    horizon, n = states.shape[1] - 1, states.shape[2]
     noise_cov = np.asarray(noise_cov, dtype=np.float64)
 
     S = states[:, :-1].transpose(1, 0, 2)
@@ -299,8 +284,6 @@ def kl_divergence(p: TrajectoryDistribution, other: LinearGaussianPolicy) -> flo
     factorization and :class:`NumericalError` on non-finite solve inputs.
     """
     pol = p.policy
-    if pol.horizon != other.horizon or pol.action_dim != other.action_dim:
-        raise ShapeError("policies must share horizon and dimensions")
     T, m = pol.horizon, pol.action_dim
     l1 = _chol_or_raise(pol.C, "policy covariance")
     l2 = _chol_or_raise(other.C, "policy covariance")
@@ -361,15 +344,9 @@ def lqg_backward(
     diagonal) fails its Cholesky factorization, and :class:`NumericalError`
     when a solve would receive non-finite values.
     """
-    if eta <= 0.0:
-        raise InputError(f"eta must be positive, got {eta}")
     T = dynamics.horizon
     n, m = cost.state_dim, cost.action_dim
-    if cost.horizon != T or dynamics.F.shape[1] != n:
-        raise ShapeError("dynamics and cost horizons/dimensions disagree")
     P, p = penalty
-    if P.shape != (T, n + m, n + m):
-        raise ShapeError("prior horizon/dimensions disagree with dynamics")
 
     eye = np.eye(m)
     quad = cost.Czz / eta + P
@@ -420,8 +397,6 @@ def lqg_forward(
 ) -> TrajectoryDistribution:
     """Propagate Gaussian state marginals through the closed loop."""
     T = dynamics.horizon
-    if policy.horizon != T:
-        raise ShapeError("policy and dynamics horizons disagree")
     n = dynamics.state_dim
     m = policy.action_dim
     mean = np.zeros((T + 1, n))
@@ -478,9 +453,10 @@ def update_epsilon(dual: DualState, expected_improvement: float, actual_improvem
     The region halves when the realized improvement falls far short of the
     model's prediction, grows by 1.5x when the prediction is nearly met, and
     is left alone otherwise (including when no improvement was predicted).
+    A non-finite expected improvement raises :class:`NumericalError`.
     """
     if not np.isfinite(expected_improvement):
-        raise InputError("expected_improvement must be finite")
+        raise NumericalError("expected improvement is non-finite")
     if expected_improvement <= 0.0:
         return dual
     ratio = actual_improvement / expected_improvement
@@ -734,10 +710,9 @@ def run_supervisor(
     closing episode of the final controller, a batch of one, whose steps
     are the supervision samples.
 
-    Raises :class:`SupervisorError` when fitting or the dual search fails.
+    Raises :class:`SupervisorError` when fitting, the trust-region update or
+    the dual search fails.
     """
-    if n_subiters < 1:
-        raise InputError("n_subiters must be >= 1")
     cost_model = SmoothedInsertionCost(env)
     explore_cov = EXPLORATION_STD**2 * np.eye(ACTION_DIM)
     chol_explore = EXPLORATION_STD * np.eye(ACTION_DIM)

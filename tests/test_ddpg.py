@@ -21,8 +21,8 @@ from guided_ddpg.ddpg import (
     supervision_weight,
     target_update,
 )
-from guided_ddpg.exceptions import ConfigurationError, InputError, NumericalError, ShapeError
-from guided_ddpg.nets import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, AdamState, MlpParams, mlp_init
+from guided_ddpg.exceptions import ConfigurationError, NumericalError, ShapeError
+from guided_ddpg.nets import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, AdamState, MlpParams, layer_views, mlp_init
 from guided_ddpg.replay import SupervisionBatch, TransitionBatch
 
 import verbatim_oracles
@@ -204,6 +204,27 @@ class TestCriticUpdate:
         for a, b in zip(before, (nets.params, nets.targets, nets.critic_opt.m, nets.critic_opt.v)):
             assert np.array_equal(a, b)
         assert nets.critic_opt.step_count == 1
+
+    def test_overflowing_target_critic_leaves_nets_unchanged(self):
+        rng = np.random.default_rng(8)
+        hyper = tiny_hyper()
+        nets = make_agent(hyper, seed=4)
+        critic_update(nets, hyper, random_batch(rng), None, 0.0)
+        actor_update(nets, hyper, random_batch(rng), None, 0.0)
+        # the last hidden layer saturates at tanh(100) = 1, so the output sums eight 1e308 terms
+        n = nets.critic.vector.size
+        weights, biases = layer_views(nets.critic.layer_sizes, nets.targets[:n])
+        weights[-2][...] = 0.0
+        biases[-2][...] = 100.0
+        weights[-1][...] = 1e308
+        opts = (nets.critic_opt, nets.actor_opt)
+        state = (nets.params, nets.targets, *(x for o in opts for x in (o.m, o.v)))  # all written in place
+        before = [a.copy() for a in state]
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="target critic"):
+            critic_update(nets, hyper, random_batch(rng), None, 0.0)
+        for a, b in zip(before, state):
+            assert np.array_equal(a, b)
+        assert [o.step_count for o in opts] == [1, 1]
 
 
 class TestActorUpdate:
@@ -418,10 +439,9 @@ class TestSupervisionWeight:
         assert values[-1] > 0.0
 
     def test_invalid_inputs(self):
-        with pytest.raises(InputError):
-            supervision_weight(-1, 1.0)
-        with pytest.raises(InputError):
-            supervision_weight(0, -1e-3)
+        # the decay constant is range-checked where it is set; n_roll is a count the trainer keeps
+        with pytest.raises(ConfigurationError, match="supervision_decay"):
+            tiny_hyper(supervision_decay=-1e-3)
         # a decay constant of 0 is valid and disables supervision
         assert supervision_weight(5, 0.0) == 0.0
         assert supervision_weight(0, 0.0) == 0.0
@@ -466,6 +486,13 @@ class TestHyper:
     def test_rejects_bad_learning_rate(self, key, value):
         with pytest.raises(ConfigurationError, match=key):
             tiny_hyper(**{key: value})
+
+    @pytest.mark.parametrize("rate", [0.0, -0.1, 1.5])
+    def test_rejects_target_rate_outside_unit_interval(self, rate):
+        # the one check of the rate that target_update hands to soft_update
+        with pytest.raises(ConfigurationError, match="target_rate"):
+            tiny_hyper(target_rate=rate)
+        assert tiny_hyper(target_rate=1.0).target_rate == 1.0
 
     @pytest.mark.parametrize("key", ["actor_hidden", "critic_hidden"])
     @pytest.mark.parametrize("widths", [(0,), (8, 0), (-1, 8)])

@@ -292,10 +292,6 @@ class TestStep:
         for bad in (np.array([np.nan, 0.0]), np.array([0.0, np.inf])):
             with pytest.raises(InputError):
                 step_one(config, free_space_state(), bad)
-        with pytest.raises(InputError):
-            env_step(config, free_space_state(), np.zeros((2, 2)))  # one action per row
-        with pytest.raises(InputError):
-            env_step(config, free_space_state()[0], np.zeros((1, 2)))  # states must be rows
 
     @pytest.mark.parametrize("column,value", [(2, np.inf), (4, np.nan), (0, 1e308)])
     def test_diverged_state_raises_input_error(self, config, column, value):

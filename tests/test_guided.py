@@ -185,14 +185,20 @@ class TestEvaluation:
         assert metrics.success_rate == 0.0
 
     def test_empty_evaluation_rejected(self):
-        config = tiny_config()
-        actor = make_agent(config.hyper, 0).actor
-        for n in (0, -3):
-            with pytest.raises(InputError):
-                evaluate_policy(actor, config.hyper, config.env, n, seed=0)
+        # the episode count is checked where it is set: TrainConfig here; the CLI and the spec in test_harness.py
         with pytest.raises(ConfigurationError):
             tiny_config(eval_every=2, eval_episodes=0)
         assert tiny_config(eval_every=0, eval_episodes=0).eval_episodes == 0  # never evaluates
+
+    def test_reset_out_of_memory_is_an_input_error(self, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(guided_mod, "env_reset", no_memory)
+        config = tiny_config()
+        actor = make_agent(config.hyper, 0).actor
+        with pytest.raises(InputError, match="7 evaluation episodes do not fit in memory"):
+            evaluate_policy(actor, config.hyper, config.env, 7, seed=0)
 
     @pytest.mark.parametrize("overrides", [dict(success_threshold=-0.1), dict(success_threshold=7.0),
                                            dict(success_threshold=float("nan")), dict(eval_every=-1)])

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from guided_ddpg.exceptions import ConfigurationError, NumericalError, ShapeError, SpecError
+from guided_ddpg.exceptions import ConfigurationError, NumericalError, SpecError
 from guided_ddpg.nets import (
     MlpParams,
     adam_init,
@@ -98,11 +98,6 @@ class TestInit:
         limit = np.sqrt(6.0 / 30.0)
         assert np.all(np.abs(params.weights[0]) <= limit)
 
-    @pytest.mark.parametrize("sizes", [[3], [], [4, 0], [0, 2]])
-    def test_bad_sizes_rejected(self, sizes):
-        with pytest.raises(ConfigurationError):
-            mlp_init(sizes, seed=0)
-
     def test_bad_activation_rejected(self):
         with pytest.raises(ConfigurationError):
             mlp_init([2, 2], output_activation="sigmoid", seed=0)
@@ -139,27 +134,6 @@ class TestForward:
         rows = np.concatenate([forward(params, x[None]) for x in xs])
         # BLAS may accumulate batched and single-row products in different orders
         assert np.allclose(batch, rows, rtol=1e-13, atol=1e-15)
-
-    def test_shape_error(self):
-        params = mlp_init([3, 2], seed=0)
-        with pytest.raises(ShapeError):
-            mlp_forward(params, np.zeros((1, 4)))
-
-    @pytest.mark.parametrize("shape", [(3,), (2, 1, 4), ()])
-    def test_input_that_is_not_rows_rejected(self, shape):
-        params = mlp_init([3, 2], seed=0)
-        with pytest.raises(ShapeError):
-            mlp_forward(params, np.zeros(shape))
-        _, acts = mlp_forward(params, np.zeros((1, 3)))
-        with pytest.raises(ShapeError):
-            mlp_backward(params, np.zeros(shape), np.zeros((1, 2)), acts)
-
-    def test_backward_takes_rows_only(self):
-        params = mlp_init([3, 2], seed=0)
-        out, acts = mlp_forward(params, np.zeros((2, 1, 3)))
-        assert out.shape == (2, 1, 2)
-        with pytest.raises(ShapeError):
-            mlp_backward(params, np.zeros((2, 1, 3)), np.zeros((2, 1, 2)), acts)
 
     @pytest.mark.parametrize("output_activation", ["identity", "tanh"])
     @pytest.mark.parametrize("block_rows", [1, 5])
@@ -288,19 +262,6 @@ class TestAdam:
                     assert np.array_equal(a, b)
                 assert state.step_count == 1
 
-    def test_wrong_gradient_length_rejected(self):
-        params = mlp_init([2, 1], seed=0)
-        state = adam_init(params, 1e-3)
-        vector = writable(params)
-        with pytest.raises(ShapeError):
-            adam_step(state, vector, np.zeros(4))
-        with pytest.raises(ShapeError):  # moments sized for another net
-            adam_step(adam_init(mlp_init([3, 1], seed=0), 1e-3), vector, np.zeros(3))
-        with pytest.raises(ValueError, match="read-only"):
-            adam_step(state, params.vector, np.zeros(3))
-        assert np.array_equal(vector, params.vector)
-        assert state.step_count == 0 and not state.m.any() and not state.v.any()
-
     def test_matches_per_layer_oracle_bitwise(self):
         rng = np.random.default_rng(12)
         params = mlp_init([6, 16, 16, 2], seed=4)
@@ -399,16 +360,6 @@ class TestSoftUpdate:
         assert np.array_equal(view.vector, 0.25 * before_s + 0.75 * before_t)
         assert np.shares_memory(view.vector, target)
 
-    @pytest.mark.parametrize("rate", [0.0, -0.1, 1.5])
-    def test_bad_rate_rejected(self, rate):
-        target = writable(mlp_init([2, 2], seed=0))
-        before = target.copy()
-        with pytest.raises(ConfigurationError):
-            soft_update(target, target.copy(), rate)
-        with pytest.raises(ShapeError):
-            soft_update(target, np.zeros(target.size + 1), 0.5)
-        assert np.array_equal(target, before)
-
 
 class TestSerialization:
     def test_roundtrip_bit_exact(self):
@@ -470,11 +421,6 @@ class TestFlatLayout:
             frozen.weights[0][0, 0] = 1.0
         vec[0] = -1.0  # the caller's own array stays writable
         assert frozen.weights[0][0, 0] == -1.0
-
-    def test_wrong_vector_length_rejected(self):
-        params = mlp_init([3, 2], seed=0)
-        with pytest.raises(ShapeError):
-            MlpParams(params.layer_sizes, np.zeros(7), params.output_activation)
 
 
 class TestReducedBackward:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from guided_ddpg.envs import Transition
+from guided_ddpg.ddpg import DdpgHyper
+from guided_ddpg.envs import InsertionEnvConfig, Transition
 from guided_ddpg.exceptions import ConfigurationError, InputError
+from guided_ddpg.guided import TrainConfig
 from guided_ddpg.replay import (
     SUPERVISION_ROW_WIDTH,
     TRANSITION_ROW_WIDTH,
@@ -60,10 +62,11 @@ class TestPush:
         assert buf.total_pushed == 23
 
     def test_invalid_capacity(self):
-        with pytest.raises(ConfigurationError):
-            scalar_buffer(0)
-        with pytest.raises(ConfigurationError):
-            transition_buffer(-1)
+        # a capacity below one is rejected where it is set; the ring never sees one
+        hyper = DdpgHyper.for_env(InsertionEnvConfig())
+        for capacities in (dict(r1_capacity=0), dict(r2_capacity=-1)):
+            with pytest.raises(ConfigurationError, match="capacities"):
+                TrainConfig(hyper=hyper, **capacities)
         with pytest.raises(ConfigurationError):  # the whole ring is allocated up front
             transition_buffer(10**13)
 

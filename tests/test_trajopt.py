@@ -297,10 +297,6 @@ class TestFitDynamics:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError, match="dynamics fit at step 0"):
             fit_dynamics(states, actions)
 
-    def test_too_few_rollouts_rejected(self):
-        with pytest.raises(InputError):
-            fit_dynamics(np.zeros((1, 3, 2)), np.zeros((1, 2, 1)))
-
     def test_overflow_at_a_later_step_is_named(self):
         rng = np.random.default_rng(3)
         states, actions = rng.normal(size=(5, 6, 3)), rng.normal(size=(5, 5, 2))
@@ -1004,6 +1000,21 @@ class TestStagesMatchOracles:
             run_supervisor(env, lambda S: policy_action(nets.actor, hyper, S), 1,
                            DualState(eta=1.0, epsilon=20.0), SupervisorConfig(), 0.99, np.random.default_rng(0))
 
+    def test_non_finite_prior_cost_degrades_the_epoch(self, monkeypatch):
+        # the next sub-iteration adapts the trust region to a non-finite expected improvement
+        solve = trajopt.update_trajectory
+
+        def nan_prior_cost(*args, **kwargs):
+            return replace(solve(*args, **kwargs), prior_cost=np.nan)
+
+        monkeypatch.setattr(trajopt, "update_trajectory", nan_prior_cost)
+        env = InsertionEnvConfig(horizon=20)
+        hyper = DdpgHyper.for_env(env)
+        nets = make_agent(hyper, seed=0)
+        with pytest.raises(SupervisorError, match="expected improvement is non-finite"):
+            run_supervisor(env, lambda S: policy_action(nets.actor, hyper, S), 2,
+                           DualState(eta=1.0, epsilon=20.0), SupervisorConfig(), 0.99, np.random.default_rng(0))
+
 
 def _bits(a):
     """Shape, dtype and bytes: equal only for the same values with the same signs of zero."""
@@ -1286,6 +1297,12 @@ class TestCostModel:
 
 
 class TestSupervisor:
+    def test_fewer_than_two_rollouts_per_subiteration_rejected(self):
+        # fit_dynamics needs two rollouts; the sub-iteration's sample count is checked where it is set
+        with pytest.raises(InputError, match="need >= 2 rollouts"):
+            SupervisorConfig(samples_per_subiter=1)
+        assert SupervisorConfig(samples_per_subiter=2).samples_per_subiter == 2
+
     def test_epoch_produces_supervision_and_rollouts(self):
         env = InsertionEnvConfig(horizon=30)
         hyper = DdpgHyper.for_env(env)
