@@ -3,7 +3,8 @@
 The critic regresses onto bootstrapped targets plus (weighted) optimizer
 value targets; the actor ascends the target critic plus a (weighted) L2 pull
 toward optimizer actions. With supervision weight zero both updates reduce
-exactly to standard DDPG. Exploration adds Ornstein-Uhlenbeck noise of the
+exactly to standard DDPG, with DDPG's discount :data:`DISCOUNT` and target
+rate :data:`TARGET_RATE`. Exploration adds Ornstein-Uhlenbeck noise of the
 fixed scale :data:`OU_SCALE`, rate :data:`OU_THETA` and time step :data:`OU_DT`.
 
 The learner's state is one :class:`AgentNets`, updated in place once per
@@ -35,6 +36,8 @@ from .replay import SupervisionBatch, TransitionBatch
 
 Array = np.ndarray
 
+DISCOUNT = 0.99  # per-step discount of the critic's bootstrapped targets and the supervisor's values
+TARGET_RATE = 0.001  # share of the source that each soft update blends into the target nets
 OU_SCALE = 1.0  # diffusion scale (N) of the exploration noise on each action axis
 OU_THETA = 0.15  # mean-reversion rate of the exploration noise
 OU_DT = 1.0  # time step of the exploration noise; each step scales its state by 1 - OU_THETA * OU_DT
@@ -44,13 +47,9 @@ OU_DT = 1.0  # time step of the exploration noise; each step scales its state by
 class DdpgHyper:
     """Learner hyperparameters plus the fixed feature scaling for net inputs."""
 
-    discount: float = 0.99
-    target_rate: float = 0.001
     batch_size: int = 64
     supervision_batch_size: int = 64
     supervision_decay: float = 10.0  # decay constant c of supervision_weight; c = 0 disables supervision
-    actor_lr: float = 1e-3
-    critic_lr: float = 1e-3
     actor_hidden: tuple[int, ...] = (64, 64)
     critic_hidden: tuple[int, ...] = (64, 64)
     # no defaults: for_env derives the scaling from the task, and a checkpoint stores it
@@ -60,17 +59,10 @@ class DdpgHyper:
     obs_scale_array: Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (0.0 <= self.discount < 1.0):
-            raise ConfigurationError(f"discount must lie in [0, 1), got {self.discount}")
-        if not (0.0 < self.target_rate <= 1.0):
-            raise ConfigurationError(f"target_rate must lie in (0, 1], got {self.target_rate}")
         if self.batch_size < 1 or self.supervision_batch_size < 1:
             raise ConfigurationError("batch sizes must be positive")
         if self.supervision_decay < 0.0:
             raise ConfigurationError("supervision_decay must be >= 0")
-        if not all(np.isfinite(lr) and lr > 0.0 for lr in (self.actor_lr, self.critic_lr)):
-            raise ConfigurationError(f"actor_lr and critic_lr must be positive and finite, "
-                                     f"got {self.actor_lr} and {self.critic_lr}")
         if any(w < 1 for w in (*self.actor_hidden, *self.critic_hidden)):
             raise ConfigurationError(f"actor_hidden and critic_hidden widths must be >= 1, "
                                      f"got {self.actor_hidden} and {self.critic_hidden}")
@@ -110,7 +102,7 @@ class AgentNets:
     them; each target starts equal to its source and each Adam state at zero.
     """
 
-    def __init__(self, actor: MlpParams, critic: MlpParams, actor_lr: float, critic_lr: float):
+    def __init__(self, actor: MlpParams, critic: MlpParams):
         self.params = np.concatenate([critic.vector, actor.vector])
         self.targets = self.params.copy()
         n = critic.vector.size
@@ -118,8 +110,8 @@ class AgentNets:
         self.actor = MlpParams(actor.layer_sizes, self.params[n:], actor.output_activation)
         self.target_critic = MlpParams(critic.layer_sizes, self.targets[:n], critic.output_activation)
         self.target_actor = MlpParams(actor.layer_sizes, self.targets[n:], actor.output_activation)
-        self.critic_opt = adam_init(critic, critic_lr)
-        self.actor_opt = adam_init(actor, actor_lr)
+        self.critic_opt = adam_init(critic)
+        self.actor_opt = adam_init(actor)
 
 
 def make_agent(hyper: DdpgHyper, seed) -> AgentNets:
@@ -127,7 +119,7 @@ def make_agent(hyper: DdpgHyper, seed) -> AgentNets:
     base = list(np.atleast_1d(np.asarray(seed)).ravel())
     actor = mlp_init([STATE_DIM, *hyper.actor_hidden, ACTION_DIM], "tanh", seed=base + [0])
     critic = mlp_init([STATE_DIM + ACTION_DIM, *hyper.critic_hidden, 1], "identity", seed=base + [1])
-    return AgentNets(actor, critic, hyper.actor_lr, hyper.critic_lr)
+    return AgentNets(actor, critic)
 
 
 def _scaled_obs(hyper: DdpgHyper, states: Array) -> Array:
@@ -158,7 +150,7 @@ def critic_target(batch: TransitionBatch, nets: AgentNets, hyper: DdpgHyper) -> 
     next_q = critic_value(nets.target_critic, hyper, batch.next_states, next_actions)
     if not np.all(np.isfinite(next_q)):
         raise NumericalError("target critic produced non-finite values")
-    return batch.rewards + hyper.discount * np.where(batch.dones, 0.0, next_q)
+    return batch.rewards + DISCOUNT * np.where(batch.dones, 0.0, next_q)
 
 
 def critic_loss_grads(
@@ -179,7 +171,7 @@ def critic_loss_grads(
     err = q[:, 0] - y
     n = batch.states.shape[0]
     loss = float(np.mean(err**2))
-    grads, _ = mlp_backward(nets.critic, x, (2.0 / n) * err[:, None], cache, wrt_input=False)
+    grads, _ = mlp_backward(nets.critic, (2.0 / n) * err[:, None], cache, wrt_input=False)
 
     if sup_batch is not None and supervision_weight > 0.0:
         xs = _critic_input(hyper, sup_batch.states, sup_batch.actions)
@@ -188,7 +180,7 @@ def critic_loss_grads(
         ns = sup_batch.states.shape[0]
         loss += supervision_weight * float(np.mean(err_s**2))
         sup_grads, _ = mlp_backward(
-            nets.critic, xs, (2.0 * supervision_weight / ns) * err_s[:, None], cache_s, wrt_input=False
+            nets.critic, (2.0 * supervision_weight / ns) * err_s[:, None], cache_s, wrt_input=False
         )
         grads = grads + sup_grads
     return loss, grads
@@ -229,11 +221,11 @@ def actor_objective_grads(
     # dQ/d(action input) of the target critic at (s, actor(s)).
     critic_in = np.concatenate([xs, out], axis=1)
     q, critic_cache = mlp_forward(nets.target_critic, critic_in)
-    _, input_grad = mlp_backward(nets.target_critic, critic_in, np.ones((n, 1)), critic_cache, wrt_params=False)
+    _, input_grad = mlp_backward(nets.target_critic, np.ones((n, 1)), critic_cache, wrt_params=False)
     dq_dout = input_grad[:, xs.shape[1] :]
 
     objective = -float(np.mean(q[:, 0]))
-    grads, _ = mlp_backward(nets.actor, xs, (-1.0 / n) * dq_dout, actor_cache, wrt_input=False)
+    grads, _ = mlp_backward(nets.actor, (-1.0 / n) * dq_dout, actor_cache, wrt_input=False)
 
     if sup_batch is not None and supervision_weight > 0.0:
         xs_s = _scaled_obs(hyper, sup_batch.states)
@@ -242,7 +234,7 @@ def actor_objective_grads(
         ns = sup_batch.states.shape[0]
         objective += supervision_weight * float(np.mean(np.sum(diff**2, axis=1)))
         sup_grads, _ = mlp_backward(
-            nets.actor, xs_s, (2.0 * supervision_weight * hyper.action_bound / ns) * diff, sup_cache,
+            nets.actor, (2.0 * supervision_weight * hyper.action_bound / ns) * diff, sup_cache,
             wrt_input=False,
         )
         grads = grads + sup_grads
@@ -263,9 +255,9 @@ def actor_update(
     adam_step(nets.actor_opt, nets.params[nets.critic.vector.size :], grads)
 
 
-def target_update(nets: AgentNets, rate: float) -> None:
-    """Blend both target nets toward their sources with one soft update, in place."""
-    soft_update(nets.targets, nets.params, rate)
+def target_update(nets: AgentNets) -> None:
+    """Blend both target nets toward their sources at :data:`TARGET_RATE` with one soft update, in place."""
+    soft_update(nets.targets, nets.params, TARGET_RATE)
 
 
 def supervision_weight(n_roll: int, c: float) -> float:

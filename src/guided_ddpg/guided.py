@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .ddpg import (
+    DISCOUNT,
     AgentNets,
     DdpgHyper,
     OrnsteinUhlenbeckNoise,
@@ -59,6 +60,8 @@ STREAM_REPLAY = 3
 STREAM_SUPERVISOR = 4
 STREAM_EVAL = 5
 
+R1_CAPACITY = 2000  # supervision samples the r1 ring keeps; the oldest are overwritten first
+
 
 @dataclass
 class RngStreams:
@@ -91,24 +94,19 @@ class TrainConfig:
     n_ddpg: int = 21
     n_inc: int = 15
     n_trajopt: int = 3
-    r1_capacity: int = 2000
     r2_capacity: int = 1_000_000
     seed: int = 0
     eval_every: int = 25
     eval_episodes: int = 20
-    success_threshold: float = 0.9
     kl_step: float = 100.0  # the trust region epsilon the first dual search starts from
 
     def __post_init__(self):
         if self.epochs < 0 or self.n_ddpg < 0 or self.n_inc < 0 or self.n_trajopt < 0:
             raise ConfigurationError("episode/epoch counts must be non-negative")
-        if self.r1_capacity < 1 or self.r2_capacity < 1:
-            raise ConfigurationError("buffer capacities must be positive")
-        if self.eval_every < 0 or not 0.0 <= self.success_threshold <= 1.0:
-            raise ConfigurationError(
-                f"eval_every >= 0 and success_threshold in [0, 1] required, "
-                f"got {self.eval_every} and {self.success_threshold}"
-            )
+        if self.r2_capacity < 1:
+            raise ConfigurationError(f"r2_capacity must be >= 1, got {self.r2_capacity}")
+        if self.eval_every < 0:
+            raise ConfigurationError(f"eval_every must be >= 0, got {self.eval_every}")
         if not self.kl_step > 0.0:
             raise ConfigurationError(f"kl_step must be > 0, got {self.kl_step}")
         if self.eval_every > 0 and self.eval_episodes < 1:
@@ -219,7 +217,7 @@ def replay_buffers(config: TrainConfig) -> tuple[ReplayBuffer, ReplayBuffer]:
     Raises :class:`ConfigurationError` for a capacity whose ring does not fit
     in memory, so a caller can size a run before it starts.
     """
-    return supervision_buffer(config.r1_capacity), transition_buffer(config.r2_capacity)
+    return supervision_buffer(R1_CAPACITY), transition_buffer(config.r2_capacity)
 
 
 def evaluation_arrays(env: InsertionEnvConfig, n_episodes: int) -> tuple[Array, Array, Array]:
@@ -317,7 +315,7 @@ def ddpg_block(
                 sup = supervision_batch_from_rows(r1.sample_rows(hyper.supervision_batch_size, streams.replay))
             critic_update(nets, hyper, batch, sup, effective_w)
             actor_update(nets, hyper, batch, sup, effective_w)
-            target_update(nets, hyper.target_rate)
+            target_update(nets)
 
             state = next_state
             if done:
@@ -356,7 +354,7 @@ def train(config: TrainConfig) -> tuple[AgentNets, TrainingLog]:
             try:
                 result, dual = run_supervisor(
                     config.env, actor_fn, config.n_trajopt, dual,
-                    config.supervisor, hyper.discount, streams.supervisor,
+                    config.supervisor, DISCOUNT, streams.supervisor,
                 )
             except SupervisorError as exc:
                 log.epochs.append(EpochRecord(epoch, "degraded", str(exc), []))

@@ -31,6 +31,8 @@ ALGORITHMS = ("guided_ddpg", "pure_ddpg")
 
 CSV_SCHEMA_VERSION = 1
 
+SUCCESS_THRESHOLD = 0.9  # evaluation success rate at which a seed's rollouts-to-threshold is read
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -114,8 +116,10 @@ def read_config(path, sections) -> dict:
       comma-separated items, possibly none; ``Optional[T]`` as ``T``; and a
       pair, the point ``target_point``, as two comma-separated numbers.
     - The methods' numerical settings are constants of
-      :mod:`guided_ddpg.trajopt` and :mod:`guided_ddpg.ddpg`, not keys: a
-      file that sets one, such as ``terminal_weight``, has an unknown key.
+      :mod:`guided_ddpg.trajopt`, :mod:`guided_ddpg.ddpg`,
+      :mod:`guided_ddpg.nets`, :mod:`guided_ddpg.guided` and
+      :mod:`guided_ddpg.harness`, not keys: a file that sets one, such as
+      ``terminal_weight`` or ``discount``, has an unknown key.
 
     Every problem in the file is reported in one :class:`SpecError`, each
     with its line number; a missing file stays an ``OSError``.
@@ -276,7 +280,7 @@ def run_experiment(spec_path, out_dir) -> Path:
 
         final_eval = evaluate_policy(nets.actor, config.hyper, config.env, spec.eval_episodes,
                                      [seed, 0xE7A1])
-        to_threshold = log.rollouts_to_threshold(config.success_threshold)
+        to_threshold = log.rollouts_to_threshold(SUCCESS_THRESHOLD)
         summary = {
             "algorithm": spec.algorithm,
             "seed": seed,

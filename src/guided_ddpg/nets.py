@@ -32,6 +32,7 @@ Array = np.ndarray
 
 OUTPUT_ACTIVATIONS = ("identity", "tanh")
 
+ADAM_LEARNING_RATE = 1e-3  # step size of every Adam update, actor's and critic's alike
 ADAM_BETA1 = 0.9  # decay rate of Adam's first-moment estimate
 ADAM_BETA2 = 0.999  # decay rate of Adam's second-moment estimate
 ADAM_EPSILON = 1e-8  # denominator floor; bounds the step where the second moment is near zero
@@ -101,7 +102,6 @@ class AdamState:
     m: Array
     v: Array
     step_count: int
-    learning_rate: float
 
 
 def mlp_init(
@@ -147,7 +147,6 @@ def mlp_forward(params: MlpParams, x: Array) -> tuple[Array, list[Array]]:
 
 def mlp_backward(
     params: MlpParams,
-    x: Array,
     output_gradient: Array,
     activations: list[Array],
     *,
@@ -156,8 +155,9 @@ def mlp_backward(
 ) -> tuple[Array | None, Array | None]:
     """Backpropagate ``output_gradient`` through the network.
 
-    ``x`` holds ``(N, input_dim)`` rows, ``output_gradient`` one output row
-    each, and ``activations`` what :func:`mlp_forward` returned for them.
+    ``activations`` is what :func:`mlp_forward` returned for ``(N, input_dim)``
+    rows, whose input rows it starts with, and ``output_gradient`` holds one
+    output row per input row.
     Returns ``(param_grad, input_grad)``: gradients of a scalar loss whose
     gradient at the network output is ``output_gradient``, with respect to the
     parameter vector (summed over rows) and to the input (one row per row).
@@ -184,9 +184,9 @@ def mlp_backward(
     return param_grad, delta if wrt_input else None
 
 
-def adam_init(params: MlpParams, learning_rate: float) -> AdamState:
+def adam_init(params: MlpParams) -> AdamState:
     size = params.vector.size
-    return AdamState(np.zeros(size), np.zeros(size), 0, float(learning_rate))
+    return AdamState(np.zeros(size), np.zeros(size), 0)
 
 
 def adam_step(state: AdamState, vector: Array, grads: Array) -> None:
@@ -200,7 +200,7 @@ def adam_step(state: AdamState, vector: Array, grads: Array) -> None:
         raise NumericalError("non-finite gradient passed to adam_step")
 
     t = state.step_count + 1
-    b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, state.learning_rate
+    b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, ADAM_LEARNING_RATE
     scale1 = lr / (1.0 - b1**t)
     inv_sqrt_corr2 = 1.0 / np.sqrt(1.0 - b2**t)
 

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from guided_ddpg.ddpg import (
+    DISCOUNT,
     OU_DT,
     OU_SCALE,
     OU_THETA,
+    TARGET_RATE,
     AgentNets,
     DdpgHyper,
     OrnsteinUhlenbeckNoise,
@@ -22,7 +24,16 @@ from guided_ddpg.ddpg import (
     target_update,
 )
 from guided_ddpg.exceptions import ConfigurationError, NumericalError, ShapeError
-from guided_ddpg.nets import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, AdamState, MlpParams, layer_views, mlp_init
+from guided_ddpg.nets import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
+    ADAM_LEARNING_RATE,
+    AdamState,
+    MlpParams,
+    layer_views,
+    mlp_init,
+)
 from guided_ddpg.replay import SupervisionBatch, TransitionBatch
 
 import verbatim_oracles
@@ -30,7 +41,7 @@ import verbatim_oracles
 
 def tiny_hyper(**overrides) -> DdpgHyper:
     defaults = dict(actor_hidden=(8,), critic_hidden=(8,), action_bound=2.0,
-                    obs_scale=(1.0,) * 6, discount=0.9)
+                    obs_scale=(1.0,) * 6)
     defaults.update(overrides)
     return DdpgHyper(**defaults)
 
@@ -69,7 +80,7 @@ class TestAgent:
         assert not np.shares_memory(nets.target_actor.vector, nets.actor.vector)
         assert not np.shares_memory(nets.target_critic.vector, nets.critic.vector)
         assert not np.shares_memory(nets.params, nets.targets)
-        copied = AgentNets(nets.actor, nets.critic, 1e-3, 1e-3)
+        copied = AgentNets(nets.actor, nets.critic)
         for name in ("actor", "critic", "target_actor", "target_critic"):
             assert not np.shares_memory(getattr(copied, name).vector, getattr(nets, name).vector)
 
@@ -108,14 +119,22 @@ class TestCriticTarget:
         )
         assert critic_target(batch, nets, hyper) == pytest.approx([-0.3])
 
-    def test_zero_discount_returns_rewards(self):
-        hyper = tiny_hyper(discount=0.0)
+    def test_only_live_rows_bootstrap_at_discount(self):
+        hyper = tiny_hyper()
         nets = make_agent(hyper, seed=0)
-        batch = random_batch(np.random.default_rng(0))
-        assert np.allclose(critic_target(batch, nets, hyper), batch.rewards)
+        batch = random_batch(np.random.default_rng(0), n=12)
+        assert batch.dones.any() and not batch.dones.all()
+        y = critic_target(batch, nets, hyper)
+        # terminal rows are their rewards, bit for bit, however large the target critic's estimate
+        assert np.array_equal(y[batch.dones], batch.rewards[batch.dones])
+        next_q = critic_value(nets.target_critic, hyper, batch.next_states,
+                              policy_action(nets.target_actor, hyper, batch.next_states))
+        live = ~batch.dones
+        assert np.array_equal(y[live], batch.rewards[live] + DISCOUNT * next_q[live])
+        assert not np.allclose(y[live], batch.rewards[live])
 
     def test_constant_critic_arithmetic(self):
-        hyper = tiny_hyper(discount=0.9)
+        hyper = tiny_hyper()
         nets = make_agent(hyper, seed=0)
         # zero out the critic weights, set output bias to b: Q == b everywhere
         b = 0.37
@@ -123,12 +142,12 @@ class TestCriticTarget:
         vec[-1] = b  # the output bias closes the parameter vector
         critic = MlpParams(nets.critic.layer_sizes, vec, nets.critic.output_activation)
         assert np.array_equal(critic.biases[-1], [b])
-        nets = AgentNets(nets.actor, critic, hyper.actor_lr, hyper.critic_lr)
+        nets = AgentNets(nets.actor, critic)
         batch = TransitionBatch(
             states=np.zeros((1, 6)), actions=np.zeros((1, 2)),
             next_states=np.zeros((1, 6)), rewards=np.array([1.0]), dones=np.array([False]),
         )
-        assert critic_target(batch, nets, hyper) == pytest.approx([1.0 + 0.9 * b])
+        assert critic_target(batch, nets, hyper) == pytest.approx([1.0 + 0.99 * b])  # DDPG's own discount
 
 
 class TestCriticUpdate:
@@ -175,7 +194,7 @@ class TestCriticUpdate:
 
     def test_satisfied_critic_has_zero_gradient(self):
         # build a batch whose targets equal the critic's own outputs
-        hyper = tiny_hyper(discount=0.0)
+        hyper = tiny_hyper()
         nets = make_agent(hyper, seed=7)
         rng = np.random.default_rng(2)
         states = rng.normal(size=(4, 6))
@@ -269,7 +288,7 @@ class TestActorUpdate:
         assert np.array_equal(grads_now, grads_same_target)
 
     def test_large_weight_drives_actor_to_supervision(self):
-        hyper = tiny_hyper(actor_lr=5e-2)
+        hyper = tiny_hyper()
         nets = make_agent(hyper, seed=13)
         state = np.zeros((1, 6))
         target_action = np.array([[0.8, -0.4]])
@@ -309,14 +328,18 @@ class TestTargetUpdate:
         before_ta = nets.target_actor.vector.copy()
         source = nets.critic.vector.copy()
         assert not np.array_equal(before_t, source)
-        target_update(nets, 0.25)
+        target_update(nets)
         after_t = nets.target_critic.vector
+        assert not np.array_equal(after_t, before_t)
         # each coordinate stays between its old value and the source value
         low = np.minimum(before_t, source) - 1e-15
         high = np.maximum(before_t, source) + 1e-15
         assert np.all(after_t >= low) and np.all(after_t <= high)
-        assert np.allclose(after_t, 0.25 * source + 0.75 * before_t)
-        assert np.allclose(nets.target_actor.vector, 0.25 * nets.actor.vector + 0.75 * before_ta)
+        # the blend at DDPG's own rate, in soft_update's order of operations, so bit for bit
+        assert TARGET_RATE == 0.001
+        assert np.array_equal(after_t, before_t * (1.0 - TARGET_RATE) + TARGET_RATE * source)
+        assert np.array_equal(nets.target_actor.vector,
+                              before_ta * (1.0 - TARGET_RATE) + TARGET_RATE * nets.actor.vector)
         assert np.array_equal(nets.critic.vector, source)  # the sources are only read
 
 
@@ -341,8 +364,8 @@ def oracle_make_agent(hyper, seed) -> OracleNets:
     critic = mlp_init([8, *hyper.critic_hidden, 1], "identity", seed=base + [1])
     size_a, size_c = actor.vector.size, critic.vector.size
     return OracleNets(actor, critic, actor, critic,
-                      AdamState(np.zeros(size_a), np.zeros(size_a), 0, hyper.actor_lr),
-                      AdamState(np.zeros(size_c), np.zeros(size_c), 0, hyper.critic_lr))
+                      AdamState(np.zeros(size_a), np.zeros(size_a), 0),
+                      AdamState(np.zeros(size_c), np.zeros(size_c), 0))
 
 
 def oracle_adam_step(state, params, grads):
@@ -353,7 +376,7 @@ def oracle_adam_step(state, params, grads):
         raise NumericalError("non-finite gradient passed to adam_step")
 
     t = state.step_count + 1
-    b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, state.learning_rate
+    b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, ADAM_LEARNING_RATE
     scale1 = lr / (1.0 - b1**t)
     inv_sqrt_corr2 = 1.0 / np.sqrt(1.0 - b2**t)
 
@@ -361,7 +384,7 @@ def oracle_adam_step(state, params, grads):
     v = b2 * state.v + (1.0 - b2) * (grads * grads)
     new_params = MlpParams(params.layer_sizes, params.vector - scale1 * m / (np.sqrt(v) * inv_sqrt_corr2 + eps),
                            params.output_activation)
-    return new_params, AdamState(m, v, t, lr)
+    return new_params, AdamState(m, v, t)
 
 
 def oracle_soft_update(target, source, rate):
@@ -401,8 +424,7 @@ class TestInPlaceLearnerMatchesFunctionalOracle:
     @pytest.mark.parametrize("hidden", [(8,), (64, 64)], ids=["tiny", "64x64"])
     @pytest.mark.parametrize("supervised", [False, True], ids=["pure", "supervised"])
     def test_300_update_triples_bitwise(self, hidden, supervised):
-        hyper = tiny_hyper(actor_hidden=hidden, critic_hidden=hidden, actor_lr=1e-3, critic_lr=3e-3,
-                           target_rate=0.01)
+        hyper = tiny_hyper(actor_hidden=hidden, critic_hidden=hidden)
         seed = [5, 0]
         nets = make_agent(hyper, seed)
         oracle = oracle_make_agent(hyper, seed)
@@ -412,10 +434,10 @@ class TestInPlaceLearnerMatchesFunctionalOracle:
             sup, w = (random_supervision(rng, n=8), supervision_weight(k, 10.0)) if supervised else (None, 0.0)
             critic_update(nets, hyper, batch, sup, w)
             actor_update(nets, hyper, batch, sup, w)
-            target_update(nets, hyper.target_rate)
+            target_update(nets)
             oracle = oracle_critic_update(oracle, hyper, batch, sup, w)
             oracle = oracle_actor_update(oracle, hyper, batch, sup, w)
-            oracle = oracle_target_update(oracle, hyper.target_rate)
+            oracle = oracle_target_update(oracle, TARGET_RATE)
         for name in ("actor", "critic", "target_actor", "target_critic"):
             assert np.array_equal(getattr(nets, name).vector, getattr(oracle, name).vector), name
         for name in ("actor_opt", "critic_opt"):
@@ -481,19 +503,6 @@ class TestNoise:
 
 
 class TestHyper:
-    @pytest.mark.parametrize("key", ["actor_lr", "critic_lr"])
-    @pytest.mark.parametrize("value", [0.0, -1e-3, float("inf"), float("nan")])
-    def test_rejects_bad_learning_rate(self, key, value):
-        with pytest.raises(ConfigurationError, match=key):
-            tiny_hyper(**{key: value})
-
-    @pytest.mark.parametrize("rate", [0.0, -0.1, 1.5])
-    def test_rejects_target_rate_outside_unit_interval(self, rate):
-        # the one check of the rate that target_update hands to soft_update
-        with pytest.raises(ConfigurationError, match="target_rate"):
-            tiny_hyper(target_rate=rate)
-        assert tiny_hyper(target_rate=1.0).target_rate == 1.0
-
     @pytest.mark.parametrize("key", ["actor_hidden", "critic_hidden"])
     @pytest.mark.parametrize("widths", [(0,), (8, 0), (-1, 8)])
     def test_rejects_hidden_width_below_one(self, key, widths):

@@ -14,7 +14,15 @@ from guided_ddpg.ddpg import (
 )
 from guided_ddpg.envs import InsertionEnvConfig, Transition, env_reset, env_step
 from guided_ddpg.exceptions import ConfigurationError, InputError, SupervisorError
-from guided_ddpg.guided import EvalMetrics, TrainConfig, evaluate_policy, rng_streams, train
+from guided_ddpg.guided import (
+    EvalMetrics,
+    EvalRecord,
+    TrainConfig,
+    TrainingLog,
+    evaluate_policy,
+    rng_streams,
+    train,
+)
 from guided_ddpg.nets import MlpParams
 from guided_ddpg.replay import transition_batch_from_rows, transition_buffer
 from guided_ddpg.trajopt import SupervisorConfig
@@ -28,7 +36,7 @@ def tiny_config(**overrides) -> TrainConfig:
     ))
     defaults = dict(
         env=env, hyper=hyper, supervisor=SupervisorConfig(samples_per_subiter=3),
-        epochs=2, n_ddpg=2, n_inc=1, n_trajopt=2, r1_capacity=50, r2_capacity=500,
+        epochs=2, n_ddpg=2, n_inc=1, n_trajopt=2, r2_capacity=500,
         seed=0, eval_every=0, eval_episodes=2, kl_step=20.0,
     )
     defaults.update(overrides)
@@ -134,7 +142,7 @@ class TestPureDdpgReduction:
                     batch = transition_batch_from_rows(r2.sample_rows(hyper.batch_size, streams.replay))
                     critic_update(nets, hyper, batch, None, 0.0)
                     actor_update(nets, hyper, batch, None, 0.0)
-                    target_update(nets, hyper.target_rate)
+                    target_update(nets)
                     state = next_state
                     if done:
                         break
@@ -200,13 +208,10 @@ class TestEvaluation:
         with pytest.raises(InputError, match="7 evaluation episodes do not fit in memory"):
             evaluate_policy(actor, config.hyper, config.env, 7, seed=0)
 
-    @pytest.mark.parametrize("overrides", [dict(success_threshold=-0.1), dict(success_threshold=7.0),
-                                           dict(success_threshold=float("nan")), dict(eval_every=-1)])
+    @pytest.mark.parametrize("overrides", [dict(eval_every=-1)])
     def test_out_of_range_evaluation_settings_rejected(self, overrides):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=next(iter(overrides))):
             tiny_config(**overrides)
-        for threshold in (0.0, 1.0):
-            assert tiny_config(success_threshold=threshold).success_threshold == threshold
 
     @pytest.mark.parametrize("overrides", [dict(kl_step=0.0), dict(kl_step=-1.0)])
     def test_non_positive_trust_region_settings_rejected(self, overrides):
@@ -255,6 +260,30 @@ def constant_push_actor(hyper, push):
     vector = np.zeros(actor.vector.size)
     vector[-2:] = np.arctanh(np.asarray(push) / hyper.action_bound)
     return MlpParams(actor.layer_sizes, vector, actor.output_activation)
+
+
+def log_with_success_rates(*rates) -> TrainingLog:
+    """A log whose evaluations, 25 exploratory episodes apart, read ``rates`` in order."""
+    return TrainingLog(evals=[EvalRecord(epoch=k, n_roll=25 * (k + 1), success_rate=rate,
+                                         mean_return=-1.0, mean_steps=10.0) for k, rate in enumerate(rates)])
+
+
+class TestRolloutsToThreshold:
+    def test_first_evaluation_at_or_above_the_threshold_counts(self):
+        assert log_with_success_rates(0.2, 0.95, 1.0).rollouts_to_threshold(0.9) == 50
+        assert log_with_success_rates(0.2, 0.85, 0.9, 1.0).rollouts_to_threshold(0.9) == 75  # equal meets it
+        assert log_with_success_rates(0.9).rollouts_to_threshold(0.9) == 25
+
+    def test_later_evaluations_do_not_change_it(self):
+        log = log_with_success_rates(0.0, 0.9)
+        for rate in (0.0, 1.0, 0.95):
+            log.evals.append(EvalRecord(epoch=9, n_roll=25 * (len(log.evals) + 1), success_rate=rate,
+                                        mean_return=-1.0, mean_steps=10.0))
+            assert log.rollouts_to_threshold(0.9) == 50
+
+    def test_no_evaluation_at_the_threshold_gives_none(self):
+        assert log_with_success_rates(0.0, 0.85, 0.8999999999999999).rollouts_to_threshold(0.9) is None
+        assert TrainingLog().rollouts_to_threshold(0.9) is None
 
 
 # Geometries: the default slot, a wide slot with a lenient tolerance (episodes

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -10,8 +11,10 @@ import pytest
 
 from guided_ddpg.cli import main as cli_main
 from guided_ddpg.exceptions import SpecError
+import guided_ddpg.harness as harness_mod
 from guided_ddpg.harness import (
     SPEC_SECTIONS,
+    SUCCESS_THRESHOLD,
     ExperimentSpec,
     adaptability_sweep,
     compare_runs,
@@ -63,12 +66,15 @@ def tiny_spec_path(tmp_path):
     return path
 
 
-# The settings that became constants of trajopt and ddpg, each with the value it had as a default,
-# and the two run controls that could end training before its schedule, each with a value it accepted.
+# The settings that became constants of trajopt, ddpg, nets, guided and harness, each with the value
+# it had as a default, and the two run controls that could end training before its schedule, each with
+# a value it accepted.
 REMOVED_SETTINGS = {
     "eta_init": "1.0", "dynamics_reg": "1e-6", "exploration_std": "1.0, 1.0", "smoothing": "1e-4",
     "terminal_weight": "1.0", "max_dual_iterations": "20", "noise_scale": "1.0, 1.0", "noise_theta": "0.15",
     "noise_dt": "1.0", "stop_at_threshold": "false", "max_rollouts": "100",
+    "actor_lr": "0.001", "critic_lr": "0.001", "discount": "0.99", "target_rate": "0.001",
+    "r1_capacity": "2000", "success_threshold": "0.9",
 }
 
 
@@ -140,7 +146,7 @@ class TestConfigReader:
         path.write_text("\n".join(lines))
         assert parse_spec(path) == spec
 
-    @pytest.mark.parametrize("key", ["sweep_clearances", "kl_step", "mass", "supervision_decay", "target_rate"])
+    @pytest.mark.parametrize("key", ["sweep_clearances", "kl_step", "mass", "supervision_decay", "hole_depth"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_float_rejected(self, tmp_path, key, value):
         with pytest.raises(SpecError, match=f"line 3: bad value for '{key}'"):
@@ -189,19 +195,45 @@ class TestPureDdpgTransform:
         assert pure.epochs == spec.train.epochs
 
 
+def read_log_rows(seed_dir, row_type: str) -> list:
+    with open(seed_dir / "training_log.csv", newline="", encoding="utf-8") as fh:
+        return [row for row in csv.DictReader(fh) if row["row_type"] == row_type]
+
+
+def first_n_roll_at(evals: list, threshold: float):
+    return next((int(row["n_roll"]) for row in evals if float(row["success_rate"]) >= threshold), None)
+
+
 class TestRunExperiment:
     def test_artifacts_created(self, tiny_spec_path, tmp_path):
         out = run_experiment(tiny_spec_path, tmp_path / "run")
+        assert SUCCESS_THRESHOLD == 0.9
         for seed in (0, 1):
             seed_dir = out / f"seed_{seed}"
-            assert (seed_dir / "training_log.csv").exists()
-            assert (seed_dir / "timings.csv").exists()
             assert (seed_dir / "checkpoint.json").exists()
+            # one timing per episode row, in the log's order, on a clock that never runs back
+            with open(seed_dir / "timings.csv", newline="", encoding="utf-8") as fh:
+                timings = list(csv.DictReader(fh))
+            episodes = read_log_rows(seed_dir, "episode")
+            assert episodes and [row["episode"] for row in timings] == [row["episode"] for row in episodes]
+            clock = [float(row["wall_clock_s"]) for row in timings]
+            assert clock[0] >= 0.0 and all(a <= b for a, b in zip(clock, clock[1:]))
             summary = json.loads((seed_dir / "summary.json").read_text())
             assert summary["algorithm"] == "guided_ddpg"
-            assert summary["episodes_total"] > 0
+            assert summary["episodes_total"] == len(episodes)
+            evals = read_log_rows(seed_dir, "eval")
+            assert evals and summary["rollouts_to_threshold"] == first_n_roll_at(evals, SUCCESS_THRESHOLD)
         # the over-seed artifacts and nothing else: no table that copies aggregate.json
         assert sorted(p.name for p in out.iterdir()) == ["aggregate.json", "learning_curves.csv", "seed_0", "seed_1"]
+
+    def test_rollouts_to_threshold_is_read_at_success_threshold(self, tiny_spec_path, tmp_path, monkeypatch):
+        # the tiny runs never reach 0.9, so a threshold every evaluation meets shows which one is read
+        monkeypatch.setattr(harness_mod, "SUCCESS_THRESHOLD", 0.0)
+        out = run_experiment(tiny_spec_path, tmp_path / "run")
+        for seed in (0, 1):
+            first_eval = read_log_rows(out / f"seed_{seed}", "eval")[0]
+            summary = json.loads((out / f"seed_{seed}" / "summary.json").read_text())
+            assert summary["rollouts_to_threshold"] == int(first_eval["n_roll"])
 
     def test_empty_run_is_valid(self, tmp_path):
         path = tmp_path / "empty.spec"
@@ -416,7 +448,8 @@ class TestCli:
         assert "not valid JSON" in capsys.readouterr().err
         assert not out.exists()
 
-    # terminal_weight is no longer a key; a spec that sets it, in range or not, exits 2 on the parse
+    # terminal_weight, success_threshold, actor_lr and critic_lr are no longer keys; a spec that sets
+    # one, in range or not, exits 2 on the parse
     @pytest.mark.parametrize("line", ["terminal_weight = -1", "success_threshold = 7", "eval_every = -1",
                                       "kl_step = 0", "actor_lr = 0", "critic_lr = -1", "actor_hidden = 0",
                                       "critic_hidden = 8,0"])

@@ -28,7 +28,7 @@ config = TrainConfig(
     env=env, hyper=DdpgHyper.for_env(env, actor_hidden=(8,), critic_hidden=(8,), batch_size=8,
                                      supervision_batch_size=8, supervision_decay=5.0),
     supervisor=SupervisorConfig(samples_per_subiter=3), epochs=1, n_ddpg=2, n_inc=0, n_trajopt=1,
-    r1_capacity=50, r2_capacity=500, eval_every=1, eval_episodes=2, kl_step=20.0,
+    r2_capacity=500, eval_every=1, eval_episodes=2, kl_step=20.0,
 )
 """
 

@@ -5,6 +5,7 @@ import pytest
 
 from guided_ddpg.exceptions import ConfigurationError, NumericalError, SpecError
 from guided_ddpg.nets import (
+    ADAM_LEARNING_RATE,
     MlpParams,
     adam_init,
     adam_step,
@@ -26,7 +27,7 @@ def forward(params, x):
 
 def backward(params, x, output_gradient, **flags):
     """``mlp_backward`` through the activations of a fresh forward pass."""
-    return mlp_backward(params, x, output_gradient, mlp_forward(params, x)[1], **flags)
+    return mlp_backward(params, output_gradient, mlp_forward(params, x)[1], **flags)
 
 
 def finite_difference_grad(params, x, output_gradient, h=1e-5):
@@ -211,7 +212,7 @@ def writable(params):
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
         params = mlp_init([2, 2], seed=0)
-        state = adam_init(params, 1e-3)
+        state = adam_init(params)
         vector = writable(params)
         adam_step(state, vector, np.zeros(params.vector.size))
         assert np.array_equal(vector, params.vector)
@@ -219,8 +220,7 @@ class TestAdam:
 
     def test_first_step_magnitude_is_learning_rate(self):
         params = mlp_init([2, 2], seed=0)
-        lr = 3e-3
-        state = adam_init(params, lr)
+        state = adam_init(params)
         grads = np.empty(params.vector.size)
         weights, biases = layer_views(params.layer_sizes, grads)
         for w, b in zip(weights, biases):
@@ -229,14 +229,14 @@ class TestAdam:
         vector = writable(params)
         adam_step(state, vector, grads)
         delta = vector - params.vector
-        assert np.allclose(np.abs(delta), lr, rtol=1e-6)
+        assert np.allclose(np.abs(delta), ADAM_LEARNING_RATE, rtol=1e-6)
         # update opposes the gradient sign
         assert np.all(np.sign(delta) == -np.sign(grads))
 
     def test_determinism(self):
         params = mlp_init([3, 4, 1], seed=8)
         grads, _ = backward(params, np.ones((1, 3)), np.ones((1, 1)))
-        a_state, b_state = adam_init(params, 1e-3), adam_init(params, 1e-3)
+        a_state, b_state = adam_init(params), adam_init(params)
         a_vector, b_vector = writable(params), writable(params)
         adam_step(a_state, a_vector, grads)
         adam_step(b_state, b_vector, grads)
@@ -248,7 +248,7 @@ class TestAdam:
         # the check runs before any write: parameters, moments and step count stay as they were
         rng = np.random.default_rng(3)
         params = mlp_init([2, 1], seed=0)
-        state = adam_init(params, 1e-3)
+        state = adam_init(params)
         vector = writable(params)
         adam_step(state, vector, rng.normal(size=vector.size))
         for poison in (np.nan, np.inf, -np.inf):
@@ -265,7 +265,7 @@ class TestAdam:
     def test_matches_per_layer_oracle_bitwise(self):
         rng = np.random.default_rng(12)
         params = mlp_init([6, 16, 16, 2], seed=4)
-        state = adam_init(params, 1e-3)
+        state = adam_init(params)
         vector = writable(params)
         sizes = params.layer_sizes
         p = layer_arrays(sizes, params.vector)
@@ -285,7 +285,7 @@ class TestAdam:
         # moments are written where they lie, so every view of them sees the step
         rng = np.random.default_rng(13)
         params = mlp_init([3, 4, 1], seed=8)
-        state = adam_init(params, 1e-3)
+        state = adam_init(params)
         vector = writable(params)
         view = MlpParams(params.layer_sizes, vector)
         m, v = state.m, state.v
@@ -433,9 +433,9 @@ class TestReducedBackward:
         x = rng.normal(size=(batch, 8))
         g = rng.normal(size=(batch, 1))
         _, cache = mlp_forward(params, x)
-        full_params, full_input = mlp_backward(params, x, g, cache)
-        only_params, no_input = mlp_backward(params, x, g, cache, wrt_input=False)
-        no_params, only_input = mlp_backward(params, x, g, cache, wrt_params=False)
+        full_params, full_input = mlp_backward(params, g, cache)
+        only_params, no_input = mlp_backward(params, g, cache, wrt_input=False)
+        no_params, only_input = mlp_backward(params, g, cache, wrt_params=False)
         assert no_input is None and no_params is None
         assert np.array_equal(only_params, full_params)
         assert np.array_equal(only_input, full_input)
@@ -476,7 +476,7 @@ class TestPassesMatchVerbatimOracle:
             for a, b in zip(acts, want_acts):
                 assert_same_bits(a, b)
             for flags in ({}, {"wrt_input": False}, {"wrt_params": False}):
-                mine = mlp_backward(params, x, g, acts, **flags)
+                mine = mlp_backward(params, g, acts, **flags)
                 want = verbatim_oracles.mlp_backward(params, x, g, want_acts, **flags)
                 for m, w in zip(mine, want):
                     assert (m is None) == (w is None)
@@ -490,7 +490,7 @@ class TestPassesMatchVerbatimOracle:
         x0, g0 = x.copy(), g.copy()
         _, acts = mlp_forward(params, x)
         acts0 = [a.copy() for a in acts]
-        mlp_backward(params, x, g, acts)
+        mlp_backward(params, g, acts)
         assert_same_bits(x, x0)
         assert_same_bits(g, g0)
         for a, b in zip(acts, acts0):

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from guided_ddpg.ddpg import AgentNets, DdpgHyper
+from guided_ddpg.ddpg import DISCOUNT, AgentNets, DdpgHyper
 from guided_ddpg.envs import ACTION_DIM, STATE_DIM, InsertionEnvConfig, clip_actions, env_reset, env_step
 from guided_ddpg.exceptions import InputError, NumericalError, ShapeError
 from guided_ddpg.nets import MlpParams, layer_views
@@ -196,7 +196,7 @@ def critic_target(batch: TransitionBatch, nets: AgentNets, hyper: DdpgHyper) -> 
     next_q = critic_value(nets.target_critic, hyper, batch.next_states, next_actions)
     if not np.all(np.isfinite(next_q)):
         raise NumericalError("target critic produced non-finite values")
-    return batch.rewards + hyper.discount * np.where(batch.dones, 0.0, next_q)
+    return batch.rewards + DISCOUNT * np.where(batch.dones, 0.0, next_q)
 
 
 def critic_loss_grads(
