@@ -9,9 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import guided_ddpg.harness as harness_mod
 from guided_ddpg.cli import main as cli_main
 from guided_ddpg.exceptions import SpecError
-import guided_ddpg.harness as harness_mod
 from guided_ddpg.harness import (
     SPEC_SECTIONS,
     SUCCESS_THRESHOLD,
@@ -200,10 +200,6 @@ def read_log_rows(seed_dir, row_type: str) -> list:
         return [row for row in csv.DictReader(fh) if row["row_type"] == row_type]
 
 
-def first_n_roll_at(evals: list, threshold: float):
-    return next((int(row["n_roll"]) for row in evals if float(row["success_rate"]) >= threshold), None)
-
-
 class TestRunExperiment:
     def test_artifacts_created(self, tiny_spec_path, tmp_path):
         out = run_experiment(tiny_spec_path, tmp_path / "run")
@@ -222,7 +218,8 @@ class TestRunExperiment:
             assert summary["algorithm"] == "guided_ddpg"
             assert summary["episodes_total"] == len(episodes)
             evals = read_log_rows(seed_dir, "eval")
-            assert evals and summary["rollouts_to_threshold"] == first_n_roll_at(evals, SUCCESS_THRESHOLD)
+            first = next((int(row["n_roll"]) for row in evals if float(row["success_rate"]) >= SUCCESS_THRESHOLD), None)
+            assert evals and summary["rollouts_to_threshold"] == first
         # the over-seed artifacts and nothing else: no table that copies aggregate.json
         assert sorted(p.name for p in out.iterdir()) == ["aggregate.json", "learning_curves.csv", "seed_0", "seed_1"]
 
