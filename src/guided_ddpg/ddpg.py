@@ -77,7 +77,7 @@ class DdpgHyper:
     @classmethod
     def for_env(cls, env: InsertionEnvConfig, **overrides) -> "DdpgHyper":
         """Derive feature scales from task geometry so net inputs are O(1)."""
-        length = max(env.hole_depth + env.start_height, 1e-6)
+        length = env.hole_depth + env.start_height
         force = 10.0 * env.action_bound
         defaults = dict(
             action_bound=env.action_bound,

@@ -31,6 +31,7 @@ never observes ``hole_center_offset``. A penalty-walled workspace box
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -44,68 +45,49 @@ ACTION_DIM = 2
 
 @dataclass(frozen=True)
 class InsertionEnvConfig:
-    """Geometry, contact, and episode parameters. Units are SI throughout.
+    """The settings a caller varies, and the simulator's physics as class constants. Units are SI.
 
-    ``success_tolerance`` and ``target_point`` are overrides, ``None`` when
-    unset; ``tolerance`` (by default 5 % of ``hole_depth``) and ``target`` (by
-    default the slot floor's center, a read-only ``(2,)`` array) resolve them.
+    The fields are the horizon, the slot's half-width and offset (the
+    paper's adaptability tests) and the success test: ``success_tolerance``
+    and ``target_point`` are overrides, ``None`` when unset; ``tolerance``
+    (by default 5 % of ``hole_depth``) and ``target`` (by default the slot
+    floor's center, a read-only ``(2,)`` array) resolve them. The constants'
+    values keep the wall's semi-implicit Euler step stable (Jury's test,
+    ``dt**2 * wall_stiffness / mass + 2 * dt * wall_damping / mass < 4``),
+    the start pose below the ceiling and every reset clear of the walls.
     """
 
-    peg_half_width: float = 0.005
+    peg_half_width: ClassVar[float] = 0.005
+    hole_depth: ClassVar[float] = 0.02
+    wall_stiffness: ClassVar[float] = 1.0e4
+    wall_damping: ClassVar[float] = 100.0
+    mass: ClassVar[float] = 2.0
+    dt: ClassVar[float] = 0.01
+    action_bound: ClassVar[float] = 5.0
+    start_height: ClassVar[float] = 0.005
+    reset_range: ClassVar[float] = 0.003
+    action_cost_weight: ClassVar[float] = 1e-4
+    workspace_half_width: ClassVar[float] = 0.02
+    workspace_height: ClassVar[float] = 0.02
+
     hole_half_width: float = 0.0055
-    hole_depth: float = 0.02
     hole_center_offset: float = 0.0
-    wall_stiffness: float = 1.0e4
-    wall_damping: float = 100.0
-    mass: float = 2.0
-    dt: float = 0.01
     horizon: int = 100
-    action_bound: float = 5.0
-    start_height: float = 0.005
-    reset_range: float = 0.003
-    action_cost_weight: float = 1e-4
-    workspace_half_width: float = 0.02
-    workspace_height: float = 0.02
     success_tolerance: float | None = None
     target_point: tuple[float, float] | None = None
     tolerance: float = field(init=False, repr=False, compare=False)
     target: Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.peg_half_width <= 0.0 or self.hole_half_width < self.peg_half_width:
-            raise ConfigurationError("peg_half_width > 0 and hole_half_width >= peg_half_width required")
-        if self.hole_depth <= 0.0 or self.start_height < 0.0:
-            # either would reset the peg inside the table
-            raise ConfigurationError(
-                f"hole_depth > 0 and start_height >= 0 required, got {self.hole_depth} and {self.start_height}"
-            )
-        if self.dt <= 0.0 or self.horizon < 1 or self.wall_stiffness <= 0.0 or self.wall_damping < 0.0:
-            raise ConfigurationError("dt > 0, horizon >= 1, wall_stiffness > 0, wall_damping >= 0 required")
-        if self.action_cost_weight < 0.0:
-            raise ConfigurationError(f"action_cost_weight must be >= 0, got {self.action_cost_weight}")
-        if self.mass <= 0.0 or self.action_bound <= 0.0:
-            raise ConfigurationError("mass and action_bound must be positive")
-        # Jury's test on the semi-implicit Euler step of a wall's spring-damper;
-        # written with `not <` so that an overflow to NaN is rejected too.
-        spring = self.dt * self.dt * self.wall_stiffness / self.mass
-        damper = 2.0 * self.dt * self.wall_damping / self.mass
-        if not spring + damper < 4.0:
-            raise ConfigurationError(
-                "unstable integration step: dt^2 * wall_stiffness / mass + 2 * dt * wall_damping / mass"
-                f" must be < 4, got {spring + damper:.6g}"
-            )
+        if self.hole_half_width < self.peg_half_width or self.horizon < 1:
+            raise ConfigurationError(f"hole_half_width >= peg_half_width and horizon >= 1 required, got"
+                                     f" {self.hole_half_width} and {self.horizon}")
         slot_edge = abs(self.hole_center_offset) + self.hole_half_width
-        if not slot_edge < self.workspace_half_width or self.workspace_height <= self.start_height:
-            raise ConfigurationError("workspace box must contain the slot and the start pose: |hole_center_offset|"
-                                     f" + hole_half_width = {slot_edge:.6g} must be < workspace_half_width, and"
-                                     " start_height < workspace_height")
-        if not 0.0 <= self.reset_range <= self.workspace_half_width - self.peg_half_width:
-            # a wider reset could start the peg inside a side wall
-            raise ConfigurationError(
-                f"reset_range must be in [0, workspace_half_width - peg_half_width], got {self.reset_range}"
-            )
+        if not slot_edge < self.workspace_half_width:
+            raise ConfigurationError("workspace box must contain the slot: |hole_center_offset| + hole_half_width"
+                                     f" = {slot_edge:.6g} must be < workspace_half_width")
         tolerance = 0.05 * self.hole_depth if self.success_tolerance is None else self.success_tolerance
-        if tolerance <= 0.0:
+        if not tolerance > 0.0:  # NaN too: no row would ever succeed
             raise ConfigurationError(f"success_tolerance must be > 0, got {tolerance}")
         point = (self.hole_center_offset, -self.hole_depth) if self.target_point is None else self.target_point
         # The stage cost squares the distance to the target; from the farthest
@@ -204,14 +186,12 @@ def env_reset(config: InsertionEnvConfig, seed, n: int) -> Array:
     ``numpy.random.Generator``; a fixed seed reproduces the rows exactly.
     ``Generator.uniform(size=n)`` yields the same values as ``n`` one-row
     draws, so the rows equal ``n`` successive one-row resets on one
-    generator. No draw is made when ``reset_range`` is zero. Columns 4:6 are
-    :func:`contact_forces` of the reset pose, which is zero for every reset a
-    valid :class:`InsertionEnvConfig` allows.
+    generator. Columns 4:6 are :func:`contact_forces` of the reset pose, which
+    is zero for every reset.
     """
     rng = np.random.default_rng(seed)
     states = np.zeros((n, STATE_DIM))
-    if config.reset_range > 0.0:
-        states[:, 0] = rng.uniform(-config.reset_range, config.reset_range, size=n)
+    states[:, 0] = rng.uniform(-config.reset_range, config.reset_range, size=n)
     states[:, 1] = config.start_height
     states[:, 4:6] = contact_forces(config, states[:, 0:2], states[:, 2:4])
     return states
@@ -254,7 +234,7 @@ def clip_actions(config: InsertionEnvConfig, actions: Array) -> Array:
     """``actions`` clipped elementwise to ``[-action_bound, action_bound]``.
 
     The bits of ``np.clip(actions, -b, b)`` without its Python wrapper: the
-    config requires ``b > 0``, so no bound is a zero whose sign a tie could
+    bound is a positive constant, so it is no zero whose sign a tie could
     pick, and a NaN passes through both forms.
     """
     bound = config.action_bound

@@ -211,26 +211,17 @@ def rollout_transitions(batch: Rollout, i: int) -> list:
             for t in range(len(actions))]
 
 
-def replay_buffers(config: TrainConfig) -> tuple[ReplayBuffer, ReplayBuffer]:
-    """The empty rings of a run: supervision samples ``r1`` and transitions ``r2``.
-
-    Raises :class:`ConfigurationError` for a capacity whose ring does not fit
-    in memory, so a caller can size a run before it starts.
-    """
-    return supervision_buffer(R1_CAPACITY), transition_buffer(config.r2_capacity)
-
-
 def evaluation_arrays(env: InsertionEnvConfig, n_episodes: int) -> tuple[Array, Array, Array]:
     """The per-episode arrays of a lockstep evaluation: rewards by time step, steps, successes.
 
-    Raises :class:`InputError` for a count whose arrays do not fit in memory,
-    so a caller can size an evaluation before it starts.
+    Raises :class:`InputError` for a count or horizon whose arrays do not fit
+    in memory, so a caller can size an evaluation before it starts.
     """
     try:
         return (np.zeros((n_episodes, env.horizon)), np.full(n_episodes, env.horizon),
                 np.zeros(n_episodes, dtype=bool))
-    except MemoryError as exc:
-        raise InputError(f"{n_episodes} evaluation episodes do not fit in memory") from exc
+    except (MemoryError, ValueError) as exc:  # ValueError: a dimension numpy cannot index
+        raise InputError(f"{n_episodes} evaluation episodes of {env.horizon} steps do not fit in memory") from exc
 
 
 def evaluate_policy(actor, hyper: DdpgHyper, env: InsertionEnvConfig, n_episodes: int, seed) -> EvalMetrics:
@@ -340,7 +331,7 @@ def train(config: TrainConfig) -> tuple[AgentNets, TrainingLog]:
     hyper = config.hyper
     nets = make_agent(hyper, streams.net_seed)
     noise = OrnsteinUhlenbeckNoise(ACTION_DIM)
-    r1, r2 = replay_buffers(config)
+    r1, r2 = supervision_buffer(R1_CAPACITY), transition_buffer(config.r2_capacity)
     log = TrainingLog()
     dual = DualState(eta=ETA_INIT, epsilon=config.kl_step)
 

@@ -22,9 +22,10 @@ import numpy as np
 
 from .ddpg import DdpgHyper
 from .envs import ACTION_DIM, STATE_DIM, InsertionEnvConfig
-from .exceptions import SpecError
-from .guided import TrainConfig, TrainingLog, evaluate_policy, evaluation_arrays, replay_buffers, train, write_table
-from .nets import MlpParams, mlp_from_dict, mlp_to_dict
+from .exceptions import ConfigurationError, SpecError
+from .guided import TrainConfig, TrainingLog, evaluate_policy, evaluation_arrays, train, write_table
+from .nets import MlpParams, mlp_from_dict, mlp_to_dict, param_count
+from .replay import SUPERVISION_ROW_WIDTH, TRANSITION_ROW_WIDTH, transition_buffer
 from .trajopt import SupervisorConfig
 
 ALGORITHMS = ("guided_ddpg", "pure_ddpg")
@@ -118,8 +119,10 @@ def read_config(path, sections) -> dict:
     - The methods' numerical settings are constants of
       :mod:`guided_ddpg.trajopt`, :mod:`guided_ddpg.ddpg`,
       :mod:`guided_ddpg.nets`, :mod:`guided_ddpg.guided` and
-      :mod:`guided_ddpg.harness`, not keys: a file that sets one, such as
-      ``terminal_weight`` or ``discount``, has an unknown key.
+      :mod:`guided_ddpg.harness`, and the simulator's physics are class
+      constants of :class:`InsertionEnvConfig`, not keys: a file that sets
+      one, such as ``terminal_weight``, ``discount`` or ``mass``, has an
+      unknown key.
 
     Every problem in the file is reported in one :class:`SpecError`, each
     with its line number; a missing file stays an ``OSError``.
@@ -250,14 +253,37 @@ def _median_or_none(values: list) -> Optional[float]:
     return float(np.median(usable)) if len(usable) == len(values) and values else None
 
 
+def _size_run(spec: ExperimentSpec) -> None:
+    """Allocate and drop each array whose size the spec sets, so that a run that cannot fit fails before
+    ``--out`` is made: the ``r2`` ring, the nets, a sample batch of each ring, an epoch's supervisor
+    rollouts, the pointer array of the log's list of epochs and exploratory episodes, and the evaluation
+    arrays. Raises :class:`ConfigurationError`, or :class:`InputError` for the evaluation arrays."""
+    config, hyper, epochs = spec.train, spec.train.hyper, spec.train.epochs
+    transition_buffer(config.r2_capacity)
+    shapes = {
+        "the nets": (param_count([STATE_DIM, *hyper.actor_hidden, ACTION_DIM])
+                     + param_count([STATE_DIM + ACTION_DIM, *hyper.critic_hidden, 1]),),
+        "a batch_size batch": (hyper.batch_size, TRANSITION_ROW_WIDTH),
+        "a supervision_batch_size batch": (hyper.supervision_batch_size, SUPERVISION_ROW_WIDTH),
+        "an epoch's supervisor rollouts": (config.n_trajopt * config.supervisor.samples_per_subiter,
+                                           config.env.horizon + 1, STATE_DIM),
+        "the log's epochs and exploratory episodes": (epochs * (1 + config.n_ddpg)
+                                                      + config.n_inc * (epochs * (epochs - 1) // 2),),
+    }
+    for what, shape in shapes.items():
+        try:
+            np.empty(shape)
+        except (MemoryError, ValueError) as exc:  # ValueError: a dimension numpy cannot index
+            raise ConfigurationError(f"{what}: an array of shape {shape} does not fit in memory") from exc
+    evaluation_arrays(config.env, spec.eval_episodes)
+    if config.eval_every > 0:
+        evaluation_arrays(config.env, config.eval_episodes)
+
+
 def run_experiment(spec_path, out_dir) -> Path:
     """Train every seed in the spec and write per-seed plus aggregate artifacts."""
     spec = parse_spec(spec_path)
-    # train sizes its rings and evaluation its arrays only once a seed runs; reject sizes that cannot fit first
-    replay_buffers(spec.train)
-    evaluation_arrays(spec.train.env, spec.eval_episodes)
-    if spec.train.eval_every > 0:
-        evaluation_arrays(spec.train.env, spec.train.eval_episodes)
+    _size_run(spec)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -349,9 +375,11 @@ def _read_aggregate(run_dir) -> dict:
         raise SpecError(f"{path} lacks {missing}")
     for key in _COMPARISON_COLUMNS[1:]:
         value = agg[key]
-        is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (is_number or (value is None and key == "median_rollouts_to_threshold")):
-            raise SpecError(f"{path}: {key} must be a number, got {value!r}")
+        rate = key == "median_final_success_rate"
+        high = 1.0 if rate else np.finfo(float).max  # which rejects inf and integers past it, such as 10**400
+        in_range = isinstance(value, (int, float)) and not isinstance(value, bool) and 0.0 <= value <= high
+        if not (in_range or (value is None and key == "median_rollouts_to_threshold")):
+            raise SpecError(f"{path}: {key} must be {'in [0, 1]' if rate else 'a finite number >= 0'}, got {value!r}")
     return agg
 
 

@@ -38,7 +38,7 @@ ADAM_BETA2 = 0.999  # decay rate of Adam's second-moment estimate
 ADAM_EPSILON = 1e-8  # denominator floor; bounds the step where the second moment is near zero
 
 
-def _param_count(layer_sizes: Sequence[int]) -> int:
+def param_count(layer_sizes: Sequence[int]) -> int:
     return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]))
 
 
@@ -115,7 +115,7 @@ def mlp_init(
     """
     sizes = tuple(int(s) for s in layer_sizes)
     rng = np.random.default_rng(seed)
-    vector = np.zeros(_param_count(sizes))
+    vector = np.zeros(param_count(sizes))
     for w in layer_views(sizes, vector)[0]:
         fan_out, fan_in = w.shape
         limit = np.sqrt(6.0 / (fan_in + fan_out))

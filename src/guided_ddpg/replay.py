@@ -48,7 +48,7 @@ class ReplayBuffer:
         self._packer = packer
         try:
             self._rows = np.empty((self.capacity, row_width))
-        except MemoryError as exc:
+        except (MemoryError, ValueError) as exc:  # ValueError: a dimension numpy cannot index
             raise ConfigurationError(f"a replay capacity of {capacity} rows does not fit in memory") from exc
 
     def __len__(self) -> int:

@@ -50,7 +50,7 @@ class TestConfig:
 
     def test_clearance_invariant(self):
         with pytest.raises(ConfigurationError):
-            InsertionEnvConfig(peg_half_width=0.006, hole_half_width=0.005)
+            InsertionEnvConfig(hole_half_width=0.0049)
 
     def test_target_follows_offset(self):
         cfg = InsertionEnvConfig(hole_center_offset=0.0011)
@@ -58,43 +58,39 @@ class TestConfig:
 
     def test_replace_moves_the_default_target_and_tolerance(self):
         # the resolved values used to be written back into the override fields, so replace kept them
-        cfg = replace(InsertionEnvConfig(), hole_center_offset=0.001, hole_depth=0.03)
-        assert tuple(cfg.target) == (0.001, -0.03)
-        assert cfg.tolerance == 0.05 * 0.03
+        cfg = replace(InsertionEnvConfig(), hole_center_offset=0.001)
+        assert tuple(cfg.target) == (0.001, -0.02)
         assert not cfg.target.flags.writeable
-        assert cfg == InsertionEnvConfig(hole_center_offset=0.001, hole_depth=0.03)
-        # an override holds through replace
-        pinned = replace(InsertionEnvConfig(target_point=(0.0, -0.01), success_tolerance=0.002), hole_depth=0.03)
+        assert cfg == InsertionEnvConfig(hole_center_offset=0.001)
+        # an override holds through replace, and clearing it restores the default
+        pinned = replace(InsertionEnvConfig(target_point=(0.0, -0.01), success_tolerance=0.002), hole_center_offset=0.001)
         assert (tuple(pinned.target), pinned.tolerance) == ((0.0, -0.01), 0.002)
+        cleared = replace(pinned, target_point=None, success_tolerance=None)
+        assert (tuple(cleared.target), cleared.tolerance) == ((0.001, -0.02), 0.05 * 0.02)
 
-    @pytest.mark.parametrize("kwargs", [dict(dt=0.0), dict(horizon=0), dict(wall_stiffness=0.0),
-                                        dict(reset_range=0.02), dict(reset_range=-0.001),
-                                        dict(start_height=-0.001), dict(hole_depth=0.0), dict(hole_depth=-0.01),
-                                        dict(peg_half_width=0.0), dict(wall_damping=-1.0),
-                                        dict(success_tolerance=0.0), dict(action_cost_weight=-1e-4)])
+    @pytest.mark.parametrize("kwargs", [dict(horizon=0), dict(horizon=-1), dict(success_tolerance=0.0),
+                                        dict(success_tolerance=-0.001), dict(success_tolerance=np.nan)])
     def test_bad_numbers_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             InsertionEnvConfig(**kwargs)
 
-    @pytest.mark.parametrize("kwargs", [dict(mass=1e-300), dict(dt=1e300), dict(wall_damping=1e6),
-                                        dict(dt=0.5, mass=1.0, wall_stiffness=16.0, wall_damping=0.0),
-                                        dict(dt=0.5, mass=1.0, wall_stiffness=4.0, wall_damping=3.0)])
-    def test_unstable_integration_step_rejected(self, kwargs):
-        # dt^2 k / m + 2 dt c / m >= 4: the last two sit exactly on the boundary
-        with pytest.raises(ConfigurationError, match="unstable integration step"):
-            InsertionEnvConfig(**kwargs)
-
-    @pytest.mark.parametrize("kwargs", [dict(dt=0.5, mass=1.0, wall_stiffness=15.99, wall_damping=0.0),
-                                        dict(dt=0.5, mass=1.0, wall_stiffness=4.0, wall_damping=2.99)])
-    def test_step_just_inside_the_stability_bound_accepted(self, kwargs):
-        InsertionEnvConfig(**kwargs)
+    def test_constants_satisfy_the_physics_preconditions(self):
+        c = InsertionEnvConfig
+        # Jury's test on the semi-implicit Euler step of a wall's spring-damper
+        assert c.dt**2 * c.wall_stiffness / c.mass + 2.0 * c.dt * c.wall_damping / c.mass < 4.0
+        assert 0.0 <= c.start_height < c.workspace_height
+        # a wider reset could start the peg inside a side wall
+        assert 0.0 <= c.reset_range <= c.workspace_half_width - c.peg_half_width
+        assert c.hole_depth > 0.0
+        assert c.peg_half_width > 0.0 and c.mass > 0.0 and c.action_bound > 0.0 and c.action_cost_weight >= 0.0
 
     @pytest.mark.parametrize("kwargs", [dict(hole_center_offset=0.03), dict(hole_center_offset=-0.03),
                                         dict(hole_center_offset=1e300), dict(hole_center_offset=0.0145),
                                         dict(hole_center_offset=-0.0145), dict(hole_half_width=0.02),
-                                        dict(workspace_height=0.005)])
+                                        dict(hole_center_offset=np.nan)])
     def test_slot_or_start_outside_the_workspace_rejected(self, kwargs):
-        # |hole_center_offset| + hole_half_width < workspace_half_width; +-0.0145 + 0.0055 is exactly 0.02
+        # |hole_center_offset| + hole_half_width < workspace_half_width; +-0.0145 + 0.0055 is exactly 0.02.
+        # The start pose is a constant, below the ceiling.
         with pytest.raises(ConfigurationError, match="workspace box must contain the slot"):
             InsertionEnvConfig(**kwargs)
 
@@ -103,16 +99,16 @@ class TestConfig:
         assert InsertionEnvConfig(hole_center_offset=offset).target[0] == offset
 
 
-    @pytest.mark.parametrize("kwargs", [dict(hole_depth=1e300), dict(target_point=(1e300, 0.0)),
+    @pytest.mark.parametrize("kwargs", [dict(target_point=(-1e300, 0.0)), dict(target_point=(1e300, 0.0)),
                                         dict(target_point=(0.0, -1e155)), dict(target_point=(0.0, np.nan)),
-                                        dict(start_height=1e155, workspace_height=2e155)])
+                                        dict(target_point=(0.0, 1e155))])
     def test_target_too_far_from_the_start_rejected(self, kwargs):
         # the squared distance to the target overflows, so every stage cost would be inf
         with pytest.raises(ConfigurationError, match="too far from the start pose"):
             InsertionEnvConfig(**kwargs)
 
-    @pytest.mark.parametrize("kwargs", [dict(hole_depth=1e150), dict(target_point=(1e150, -1e150)),
-                                        dict(start_height=1e150, workspace_height=2e150)])
+    @pytest.mark.parametrize("kwargs", [dict(target_point=(0.0, -1e150)), dict(target_point=(1e150, -1e150)),
+                                        dict(target_point=(0.0, 1e150))])
     def test_target_far_but_squarable_accepted(self, kwargs):
         config = InsertionEnvConfig(**kwargs)
         start = np.array([config.reset_range, config.start_height])
@@ -130,11 +126,6 @@ class TestReset:
         assert env_reset(config, 0, 0).shape == (0, 6)
         next_states, rewards, succeeded = env_step(config, env_reset(config, 0, 0), np.zeros((0, 2)))
         assert next_states.shape == (0, 6) and rewards.shape == (0,) and succeeded.shape == (0,)
-
-    def test_zero_range_is_nominal(self):
-        cfg = InsertionEnvConfig(reset_range=0.0)
-        states = env_reset(cfg, 3, 4)
-        assert np.array_equal(states, np.tile([0.0, cfg.start_height, 0.0, 0.0, 0.0, 0.0], (4, 1)))
 
     def test_lateral_offset_within_bound(self, config):
         for seed in range(1, 200):
@@ -156,8 +147,6 @@ class TestReset:
         off_lateral = cov.copy()
         off_lateral[0, 0] = 0.0
         assert not off_lateral.any()
-        assert np.array_equal(initial_state_distribution(InsertionEnvConfig(reset_range=0.0))[0],
-                              env_reset(InsertionEnvConfig(reset_range=0.0), 0, 1)[0])
 
 
 class TestContact:
@@ -277,9 +266,8 @@ class TestStep:
         inside = step_one(config, free_space_state(), np.array([0.5 * bound, -bound]))
         assert not np.array_equal(over[0], inside[0])
 
-    @pytest.mark.parametrize("bound", [5.0, 1e-300, 0.25])
-    def test_clip_actions_is_np_clip_bitwise(self, bound):
-        config = InsertionEnvConfig(action_bound=bound)
+    def test_clip_actions_is_np_clip_bitwise(self, config):
+        bound = config.action_bound
         rng = np.random.default_rng(5)
         actions = rng.normal(scale=2.0 * bound, size=(500, 2))
         actions[:6] = [[0.0, -0.0], [bound, -bound], [-bound, bound], [np.nan, np.inf], [-np.inf, -0.0], [2e-300, -2e-300]]
@@ -358,7 +346,7 @@ class TestSuccess:
 
     @pytest.mark.parametrize("cfg,base,step,clause", [
         # distance to the target, with the slot wide enough not to decide
-        (InsertionEnvConfig(hole_half_width=0.02, workspace_half_width=0.03), (0.0, -0.02), (0.0, 0.001), "tolerance"),
+        (InsertionEnvConfig(hole_half_width=0.0145), (0.0, -0.02), (0.0, 0.001), "tolerance"),
         # lateral offset: clearance plus the static penetration the contact admits
         (InsertionEnvConfig(hole_center_offset=-0.002, success_tolerance=0.05), (-0.002, -0.01), (0.001, 0.0), "lateral"),
         # the table surface, with the target just above it
@@ -415,12 +403,11 @@ class TestConfigFile:
         path = tmp_path / "env.cfg"
         path.write_text(
             "# insertion geometry (SI units)\n"
-            "peg_half_width = 0.004\n"
-            "hole_half_width = 0.0045\n"
+            "hole_half_width = 0.0065\n"
             "horizon = 80\n"
         )
         cfg = load_env_config(path)
-        assert cfg.peg_half_width == 0.004
+        assert cfg.hole_half_width == 0.0065
         assert cfg.horizon == 80
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -431,7 +418,7 @@ class TestConfigFile:
 
     def test_bad_value_rejected(self, tmp_path):
         path = tmp_path / "env.cfg"
-        path.write_text("mass = heavy\n")
+        path.write_text("hole_half_width = wide\n")
         with pytest.raises(ConfigurationError):
             load_env_config(path)
 

@@ -221,11 +221,12 @@ class TestEvaluation:
     def test_hyper_must_be_given_and_share_the_action_bound(self):
         with pytest.raises(TypeError, match="hyper"):
             TrainConfig()
-        # an actor scaled to 5 N would be clipped to 2 N by the environment and misread by the critic
+        # an actor scaled to 2 N would never use the environment's 5 N, and the critic would
+        # read the noisy actions, clipped to 5 N, as up to 2.5 times the bound
+        env = InsertionEnvConfig()
         with pytest.raises(ConfigurationError, match="action_bound"):
-            TrainConfig(env=InsertionEnvConfig(action_bound=2.0), hyper=DdpgHyper.for_env(InsertionEnvConfig()))
-        env = InsertionEnvConfig(action_bound=2.0)
-        assert TrainConfig(env=env, hyper=DdpgHyper.for_env(env)).hyper.action_bound == 2.0
+            TrainConfig(env=env, hyper=DdpgHyper.for_env(env, action_bound=2.0))
+        assert TrainConfig(env=env, hyper=DdpgHyper.for_env(env)).hyper.action_bound == env.action_bound == 5.0
 
 
 def per_episode_results(actor, hyper, env, n_episodes, seed) -> list:
@@ -287,17 +288,16 @@ class TestRolloutsToThreshold:
 
 
 # Geometries: the default slot, a wide slot with a lenient tolerance (episodes
-# succeed at different steps), negative and positive hole offsets, no reset
-# perturbation, and the widest reset the config accepts, whose starts reach the
-# workspace walls. A wider reset is rejected, so no start is inside a wall and
-# the contact force at t = 0 is always zero, as the reset state records it.
+# succeed at different steps), negative and positive hole offsets, a snug slot
+# with a lenient tolerance, and a slot against the right workspace wall, away
+# from every start.
 ORACLE_ENVS = [
     InsertionEnvConfig(horizon=40),
     InsertionEnvConfig(horizon=60, hole_half_width=0.009, success_tolerance=0.006),
     InsertionEnvConfig(horizon=60, hole_half_width=0.009, hole_center_offset=-0.002, success_tolerance=0.006),
     InsertionEnvConfig(horizon=50, hole_center_offset=0.0015, hole_half_width=0.0065),
-    InsertionEnvConfig(horizon=60, reset_range=0.0, hole_half_width=0.006, success_tolerance=0.005),
-    InsertionEnvConfig(horizon=30, reset_range=0.015),
+    InsertionEnvConfig(horizon=60, hole_half_width=0.006, success_tolerance=0.005),
+    InsertionEnvConfig(horizon=30, hole_center_offset=0.014),
 ]
 
 

@@ -49,8 +49,7 @@ CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_scipy_loads_only_for_the_supervisor(case):
-    # the name is kept from when the supervisor loaded scipy; now no case does
+def test_no_path_loads_scipy(case):
     script = CASES[case] + "\nimport sys\nprint(sorted(k for k in sys.modules if k.startswith('scipy')))\n"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,

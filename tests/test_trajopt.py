@@ -1230,9 +1230,6 @@ class TestLockstepSamplerMatchesVerbatim:
         assert batch.dones[:, :-1].any(axis=1).all()
         assert batch.successes.all()
 
-    def test_no_reset_draw_without_a_reset_range(self):
-        self.assert_matches(InsertionEnvConfig(horizon=6, reset_range=0.0), "linear_gaussian", 5, seed=3)
-
 
 class TestCostToGo:
     def test_zero_discount_returns_rewards(self):
