@@ -42,15 +42,15 @@ def _cmd_train(args) -> int:
 def _overflow_is_invalid_input():
     """Turn a float overflow during a checkpoint's evaluation into :class:`InputError`.
 
-    A checkpoint's weights and ``obs_scale`` can each be finite and still
-    overflow the actor's matmuls; the saturated actions that follow would
-    give a result that looks valid.
+    A checkpoint's weights and biases can each be finite and still overflow
+    the actor's matmuls; the saturated actions that follow would give a
+    result that looks valid.
     """
     try:
         with np.errstate(over="raise"):
             yield
     except FloatingPointError as exc:
-        raise InputError(f"evaluation overflowed ({exc}): the checkpoint's weights and obs_scale, "
+        raise InputError(f"evaluation overflowed ({exc}): the checkpoint's weights, "
                          "or the environment's settings, are too large") from exc
 
 

@@ -88,7 +88,7 @@ class TrainConfig:
     """Everything one training run depends on."""
 
     env: InsertionEnvConfig = field(default_factory=InsertionEnvConfig)
-    hyper: DdpgHyper = field(kw_only=True)  # usually DdpgHyper.for_env(env)
+    hyper: DdpgHyper = field(default_factory=DdpgHyper)
     supervisor: SupervisorConfig = field(default_factory=SupervisorConfig)
     epochs: int = 100
     n_ddpg: int = 21
@@ -111,9 +111,6 @@ class TrainConfig:
             raise ConfigurationError(f"kl_step must be > 0, got {self.kl_step}")
         if self.eval_every > 0 and self.eval_episodes < 1:
             raise ConfigurationError(f"eval_episodes must be >= 1 when eval_every > 0, got {self.eval_episodes}")
-        if self.hyper.action_bound != self.env.action_bound:
-            raise ConfigurationError(f"hyper.action_bound {self.hyper.action_bound} differs from "
-                                     f"env.action_bound {self.env.action_bound}")
 
 
 @dataclass

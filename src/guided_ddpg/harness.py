@@ -55,13 +55,12 @@ class ExperimentSpec:
 
 
 # The config classes a spec sets, each with the fields it cannot set: the
-# nested configs; ``seed``, which each entry of ``seeds`` overrides; and the
-# scaling that DdpgHyper.for_env derives from the environment.
+# nested configs, and ``seed``, which each entry of ``seeds`` overrides.
 SPEC_SECTIONS = (
     ("spec", ExperimentSpec, ("train",)),
     ("train", TrainConfig, ("env", "hyper", "supervisor", "seed")),
     ("env", InsertionEnvConfig, ()),
-    ("hyper", DdpgHyper, ("action_bound", "obs_scale")),
+    ("hyper", DdpgHyper, ()),
     ("supervisor", SupervisorConfig, ()),
 )
 
@@ -186,7 +185,7 @@ def pure_ddpg_config(config: TrainConfig) -> TrainConfig:
 
 
 def save_agent_checkpoint(path, nets, hyper: DdpgHyper) -> None:
-    """Write the actor and critic, with the scaling they were trained with, as JSON.
+    """Write the actor and critic, with the nets' constant input scaling, as JSON.
 
     The target nets are left out: :func:`load_agent_checkpoint` reads only
     the actor, and nothing reads the targets. A version-1 file that also holds
@@ -196,23 +195,33 @@ def save_agent_checkpoint(path, nets, hyper: DdpgHyper) -> None:
         "format": "agent-checkpoint",
         "version": 1,
         "action_bound": hyper.action_bound,
-        "obs_scale": list(hyper.obs_scale),
+        "obs_scale": hyper.obs_scale_array.tolist(),
         "actor": mlp_to_dict(nets.actor),
         "critic": mlp_to_dict(nets.critic),
     }
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
 
-def load_agent_checkpoint(path) -> tuple[MlpParams, DdpgHyper]:
-    """Load the greedy policy: actor parameters plus the scaling it was trained with.
-
-    Raises :class:`SpecError` for a file that is not a well-formed agent checkpoint.
-    """
-    text = Path(path).read_text(encoding="utf-8")  # a missing file stays an OSError
+def _read_json(path):
+    """The value in a JSON file; :class:`SpecError` if it is not UTF-8 JSON or nests too deep to parse."""
     try:
-        payload = json.loads(text)
-    except ValueError as exc:
-        raise SpecError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+        return json.loads(Path(path).read_text(encoding="utf-8"))  # a missing file stays an OSError
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+        raise SpecError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _is_number(value) -> bool:
+    """Whether a parsed JSON value is a number; ``true`` compares equal to 1 but is not one."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def load_agent_checkpoint(path) -> tuple[MlpParams, DdpgHyper]:
+    """Load the greedy policy: the actor, and ``DdpgHyper()``, whose scaling it runs under.
+
+    Raises :class:`SpecError` for a file that is not a well-formed agent checkpoint, or whose
+    ``action_bound`` and ``obs_scale`` are not numbers equal to :class:`DdpgHyper`'s constants.
+    """
+    payload = _read_json(path)
     if not isinstance(payload, dict) or payload.get("format") != "agent-checkpoint" or payload.get("version") != 1:
         raise SpecError(f"unrecognized checkpoint header in {path}")
     missing = [key for key in ("action_bound", "obs_scale", "actor") if key not in payload]
@@ -222,11 +231,12 @@ def load_agent_checkpoint(path) -> tuple[MlpParams, DdpgHyper]:
     if actor.input_dim != STATE_DIM or actor.output_dim != ACTION_DIM:
         raise SpecError(f"checkpoint {path}: actor layer sizes {list(actor.layer_sizes)} do not map "
                         f"{STATE_DIM} state entries to {ACTION_DIM} action entries")
-    try:
-        hyper = DdpgHyper(action_bound=float(payload["action_bound"]),
-                          obs_scale=tuple(float(s) for s in payload["obs_scale"]))
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"checkpoint {path}: bad action_bound or obs_scale: {exc}") from exc
+    hyper = DdpgHyper()
+    bound, scale, constant = payload["action_bound"], payload["obs_scale"], hyper.obs_scale_array.tolist()
+    if not (_is_number(bound) and bound == hyper.action_bound
+            and isinstance(scale, list) and all(map(_is_number, scale)) and scale == constant):
+        raise SpecError(f"checkpoint {path}: action_bound {bound!r} and obs_scale {scale!r} differ from "
+                        f"the nets' constant scaling, {hyper.action_bound!r} and {constant!r}")
     return actor, hyper
 
 
@@ -366,10 +376,7 @@ def _write_comparison(path, aggregates: list) -> None:
 
 def _read_aggregate(run_dir) -> dict:
     path = Path(run_dir) / "aggregate.json"
-    try:
-        agg = json.loads(path.read_text(encoding="utf-8"))  # a missing file stays an OSError
-    except ValueError as exc:
-        raise SpecError(f"{path} is not valid JSON: {exc}") from exc
+    agg = _read_json(path)
     missing = [key for key in _COMPARISON_COLUMNS if not isinstance(agg, dict) or key not in agg]
     if missing:
         raise SpecError(f"{path} lacks {missing}")
@@ -377,7 +384,7 @@ def _read_aggregate(run_dir) -> dict:
         value = agg[key]
         rate = key == "median_final_success_rate"
         high = 1.0 if rate else np.finfo(float).max  # which rejects inf and integers past it, such as 10**400
-        in_range = isinstance(value, (int, float)) and not isinstance(value, bool) and 0.0 <= value <= high
+        in_range = _is_number(value) and 0.0 <= value <= high
         if not (in_range or (value is None and key == "median_rollouts_to_threshold")):
             raise SpecError(f"{path}: {key} must be {'in [0, 1]' if rate else 'a finite number >= 0'}, got {value!r}")
     return agg
@@ -391,10 +398,8 @@ def compare_runs(dir_a, dir_b, out_path) -> dict:
     rows = [_read_aggregate(dir_a), _read_aggregate(dir_b)]
     Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     _write_comparison(out_path, rows)
-    a, b = rows
-    ratio = None
-    if a["median_rollouts_to_threshold"] and b["median_rollouts_to_threshold"]:
-        ratio = a["median_rollouts_to_threshold"] / b["median_rollouts_to_threshold"]
+    a, b = (row["median_rollouts_to_threshold"] for row in rows)
+    ratio = a / b if a is not None and b else None  # None when either median is None or B's is 0
     return {"runs": rows, "rollouts_ratio_a_over_b": ratio}
 
 

@@ -1,4 +1,5 @@
-from dataclasses import dataclass, replace
+import json
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,9 @@ from guided_ddpg.ddpg import (
     supervision_weight,
     target_update,
 )
-from guided_ddpg.exceptions import ConfigurationError, NumericalError, ShapeError
+from guided_ddpg.envs import InsertionEnvConfig
+from guided_ddpg.exceptions import ConfigurationError, NumericalError, ShapeError, SpecError
+from guided_ddpg.harness import load_agent_checkpoint, save_agent_checkpoint
 from guided_ddpg.nets import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -40,17 +43,21 @@ import verbatim_oracles
 
 
 def tiny_hyper(**overrides) -> DdpgHyper:
-    defaults = dict(actor_hidden=(8,), critic_hidden=(8,), action_bound=2.0,
-                    obs_scale=(1.0,) * 6)
+    defaults = dict(actor_hidden=(8,), critic_hidden=(8,))
     defaults.update(overrides)
     return DdpgHyper(**defaults)
 
 
+def random_states(rng, n) -> np.ndarray:
+    """States whose scaled net inputs are standard normal, so the nets see O(1) inputs."""
+    return rng.normal(size=(n, 6)) / DdpgHyper.obs_scale_array
+
+
 def random_batch(rng, n=4) -> TransitionBatch:
     return TransitionBatch(
-        states=rng.normal(size=(n, 6)),
+        states=random_states(rng, n),
         actions=rng.uniform(-1, 1, size=(n, 2)),
-        next_states=rng.normal(size=(n, 6)),
+        next_states=random_states(rng, n),
         rewards=rng.normal(size=n),
         dones=rng.uniform(size=n) < 0.3,
     )
@@ -58,7 +65,7 @@ def random_batch(rng, n=4) -> TransitionBatch:
 
 def random_supervision(rng, n=3) -> SupervisionBatch:
     return SupervisionBatch(
-        states=rng.normal(size=(n, 6)),
+        states=random_states(rng, n),
         actions=rng.uniform(-1, 1, size=(n, 2)),
         q_values=rng.normal(size=n),
     )
@@ -104,7 +111,7 @@ class TestAgent:
     def test_actions_respect_bound(self):
         hyper = tiny_hyper()
         nets = make_agent(hyper, seed=2)
-        states = np.random.default_rng(0).normal(size=(50, 6)) * 10
+        states = random_states(np.random.default_rng(0), 50) * 10
         actions = policy_action(nets.actor, hyper, states)
         assert np.all(np.abs(actions) <= hyper.action_bound)
 
@@ -197,7 +204,7 @@ class TestCriticUpdate:
         hyper = tiny_hyper()
         nets = make_agent(hyper, seed=7)
         rng = np.random.default_rng(2)
-        states = rng.normal(size=(4, 6))
+        states = random_states(rng, 4)
         actions = rng.uniform(-1, 1, size=(4, 2))
         q = critic_value(nets.critic, hyper, states, actions)
         batch = TransitionBatch(states, actions, states.copy(), q.copy(), np.ones(4, dtype=bool))
@@ -510,28 +517,52 @@ class TestHyper:
             tiny_hyper(**{key: widths})
         assert getattr(tiny_hyper(**{key: (1,)}), key) == (1,)
 
+    @staticmethod
+    def _checkpoint_with(tmp_path, key, value):
+        """A checkpoint of a tiny agent whose ``key`` entry holds ``value``."""
+        path = tmp_path / "ckpt.json"
+        save_agent_checkpoint(path, make_agent(tiny_hyper(), 0), tiny_hyper())
+        payload = json.loads(path.read_text())
+        payload[key] = value
+        path.write_text(json.dumps(payload))
+        return path
+
+    # The scaling is no setting, so neither a caller nor a checkpoint can make it anything else
     @pytest.mark.parametrize("obs_scale", [(1.0,) * 5, (1.0,) * 7, (1.0, 1.0, float("nan"), 1.0, 1.0, 1.0),
                                            (float("inf"),) * 6, ()])
-    def test_rejects_obs_scale_without_six_finite_entries(self, obs_scale):
-        with pytest.raises(ConfigurationError, match="obs_scale"):
+    def test_rejects_obs_scale_without_six_finite_entries(self, tmp_path, obs_scale):
+        with pytest.raises(TypeError, match="obs_scale"):
             tiny_hyper(obs_scale=obs_scale)
-
-    def test_obs_scale_array_follows_obs_scale_and_is_read_only(self):
-        hyper = tiny_hyper(obs_scale=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
-        assert np.array_equal(hyper.obs_scale_array, np.arange(1.0, 7.0))
-        assert not hyper.obs_scale_array.flags.writeable
-        assert hyper == replace(hyper, obs_scale=hyper.obs_scale)  # the array is not compared
-        assert np.array_equal(replace(hyper, obs_scale=(1.0,) * 6).obs_scale_array, np.ones(6))
+        with pytest.raises(SpecError, match="obs_scale"):
+            load_agent_checkpoint(self._checkpoint_with(tmp_path, "obs_scale", list(obs_scale)))
 
     @pytest.mark.parametrize("bound", [0.0, -5.0, float("inf"), float("nan")])
-    def test_rejects_action_bound_not_positive_and_finite(self, bound):
+    def test_rejects_action_bound_not_positive_and_finite(self, tmp_path, bound):
         # a negative bound flipped every action's sign and the critic's action scaling
-        with pytest.raises(ConfigurationError, match="action_bound"):
-            tiny_hyper(action_bound=bound)
-
-    def test_scaling_has_no_default(self):
-        # DdpgHyper.for_env derives the scaling from the task; a literal default disagreed with it
         with pytest.raises(TypeError, match="action_bound"):
-            DdpgHyper()
-        with pytest.raises(TypeError, match="obs_scale"):
-            DdpgHyper(action_bound=5.0)
+            tiny_hyper(action_bound=bound)
+        with pytest.raises(SpecError, match="action_bound"):
+            load_agent_checkpoint(self._checkpoint_with(tmp_path, "action_bound", bound))
+
+    def test_scaling_constants_are_the_task_geometry_and_read_only(self):
+        # the expression that derived the scaling from each task, bit for bit
+        env = InsertionEnvConfig()
+        length = env.hole_depth + env.start_height
+        force = 10.0 * env.action_bound
+        derived = np.asarray((1.0 / length, 1.0 / length, 1.0, 1.0, 1.0 / force, 1.0 / force), dtype=np.float64)
+        assert DdpgHyper.obs_scale_array.dtype == np.float64
+        assert DdpgHyper.obs_scale_array.tobytes() == derived.tobytes()
+        assert DdpgHyper.action_bound == env.action_bound == 5.0
+        assert not DdpgHyper.obs_scale_array.flags.writeable
+        with pytest.raises(ValueError):
+            DdpgHyper.obs_scale_array[0] = 1.0
+        hyper = tiny_hyper()
+        assert hyper.obs_scale_array is DdpgHyper.obs_scale_array  # one array, shared by every learner
+        assert replace(hyper, batch_size=3).obs_scale_array is DdpgHyper.obs_scale_array
+
+    def test_scaling_is_not_a_field(self):
+        assert [f.name for f in fields(DdpgHyper)] == [
+            "batch_size", "supervision_batch_size", "supervision_decay", "actor_hidden", "critic_hidden"]
+        assert DdpgHyper.for_env(InsertionEnvConfig(), batch_size=8) == DdpgHyper(batch_size=8)
+        with pytest.raises(TypeError, match="action_bound"):
+            DdpgHyper.for_env(InsertionEnvConfig(), action_bound=2.0)

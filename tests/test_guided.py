@@ -218,15 +218,12 @@ class TestEvaluation:
         with pytest.raises(ConfigurationError, match=next(iter(overrides))):
             tiny_config(**overrides)
 
-    def test_hyper_must_be_given_and_share_the_action_bound(self):
-        with pytest.raises(TypeError, match="hyper"):
-            TrainConfig()
-        # an actor scaled to 2 N would never use the environment's 5 N, and the critic would
-        # read the noisy actions, clipped to 5 N, as up to 2.5 times the bound
-        env = InsertionEnvConfig()
-        with pytest.raises(ConfigurationError, match="action_bound"):
-            TrainConfig(env=env, hyper=DdpgHyper.for_env(env, action_bound=2.0))
-        assert TrainConfig(env=env, hyper=DdpgHyper.for_env(env)).hyper.action_bound == env.action_bound == 5.0
+    def test_hyper_defaults_to_the_default_learner_at_the_env_bound(self):
+        # the bound is a constant of both classes, so no config can pair an actor scaled to 2 N
+        # with the environment's 5 N, whose noisy actions the critic would read as 2.5 times the bound
+        config = TrainConfig()
+        assert config.hyper == DdpgHyper()
+        assert config.hyper.action_bound == config.env.action_bound == 5.0
 
 
 def per_episode_results(actor, hyper, env, n_episodes, seed) -> list:

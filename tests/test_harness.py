@@ -59,6 +59,10 @@ sweep_hole_offsets = 0.0,0.0005
 """
 
 
+# a JSON array nested deeper than Python's recursion limit
+NESTED_JSON = "[" * 100000 + "]" * 100000
+
+
 @pytest.fixture
 def tiny_spec_path(tmp_path):
     path = tmp_path / "tiny.spec"
@@ -268,6 +272,26 @@ class TestRunExperiment:
         assert len(result["runs"]) == 2
 
 
+def write_aggregate(run: Path, rollouts) -> Path:
+    """``run`` made, holding an ``aggregate.json`` whose median rollouts to threshold is ``rollouts``."""
+    run.mkdir()
+    (run / "aggregate.json").write_text(json.dumps({
+        "algorithm": "guided_ddpg", "median_rollouts_to_threshold": rollouts,
+        "median_wall_clock_s": 1.5, "median_final_success_rate": 0.5}))
+    return run
+
+
+class TestCompareRuns:
+    # A's median of 0 read as no median and gave null
+    @pytest.mark.parametrize("a,b,ratio", [(0, 250, 0.0), (100, 250, 0.4), (250, 0, None), (0, 0, None),
+                                           (None, 250, None), (250, None, None)])
+    def test_rollouts_ratio(self, tmp_path, a, b, ratio):
+        result = compare_runs(write_aggregate(tmp_path / "a", a), write_aggregate(tmp_path / "b", b),
+                              tmp_path / "comparison.csv")
+        assert result["rollouts_ratio_a_over_b"] == ratio
+        assert (result["rollouts_ratio_a_over_b"] is None) == (ratio is None)
+
+
 class TestCheckpoints:
     def test_roundtrip(self, tmp_path):
         env = InsertionEnvConfig()
@@ -277,7 +301,7 @@ class TestCheckpoints:
         save_agent_checkpoint(path, nets, hyper)
         actor, loaded_hyper = load_agent_checkpoint(path)
         assert np.array_equal(actor.vector, nets.actor.vector)
-        assert loaded_hyper.action_bound == hyper.action_bound
+        assert loaded_hyper == DdpgHyper() and loaded_hyper.action_bound == hyper.action_bound
         states = np.random.default_rng(0).normal(size=(4, 6)) * 0.01
         assert np.allclose(policy_action(actor, loaded_hyper, states),
                            policy_action(nets.actor, hyper, states))
@@ -298,6 +322,7 @@ class TestCheckpoints:
         save_agent_checkpoint(path, nets, hyper)
         payload = json.loads(path.read_text())
         assert sorted(payload) == ["action_bound", "actor", "critic", "format", "obs_scale", "version"]
+        assert payload["action_bound"] == 5.0 and payload["obs_scale"] == DdpgHyper.obs_scale_array.tolist()
         assert payload["actor"] == mlp_to_dict(nets.actor)
         assert payload["critic"] == mlp_to_dict(nets.critic)
 
@@ -315,8 +340,7 @@ class TestCheckpoints:
         actor, loaded_hyper = load_agent_checkpoint(path)
         assert np.array_equal(actor.vector, nets.actor.vector)
         assert actor.layer_sizes == nets.actor.layer_sizes
-        assert loaded_hyper.action_bound == hyper.action_bound
-        assert loaded_hyper.obs_scale == hyper.obs_scale
+        assert loaded_hyper == DdpgHyper()
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -574,7 +598,7 @@ class TestCli:
         payload["action_bound"] = bound
         assert self._eval_exit_code(tmp_path, json.dumps(payload)) == 2
         err = capsys.readouterr().err
-        assert "action_bound must be positive and finite" in err and "Traceback" not in err
+        assert "action_bound" in err and "constant scaling" in err and "Traceback" not in err
 
     def test_checkpoint_missing_actor_exit_code(self, tmp_path):
         payload = self._checkpoint_payload(tmp_path)
@@ -612,7 +636,39 @@ class TestCli:
         payload["obs_scale"] = obs_scale
         assert self._eval_exit_code(tmp_path, json.dumps(payload)) == 2
         err = capsys.readouterr().err
-        assert "obs_scale must hold 6 finite numbers" in err and "Traceback" not in err
+        assert "obs_scale" in err and "constant scaling" in err and "Traceback" not in err
+
+    # each loaded with exit 0: the bound through float("5") and float(True), the scale as (1, ..., 6)
+    @pytest.mark.parametrize("key,value", [("obs_scale", "123456"), ("action_bound", "5"), ("action_bound", True),
+                                           ("obs_scale", [True if s == 1.0 else s for s in DdpgHyper.obs_scale_array])],
+                             ids=["scale-string", "bound-string", "bound-true", "scale-true"])
+    def test_checkpoint_scaling_of_the_wrong_type_exit_code(self, tmp_path, capsys, key, value):
+        payload = self._checkpoint_payload(tmp_path)
+        payload[key] = value
+        assert self._eval_exit_code(tmp_path, json.dumps(payload)) == 2
+        err = capsys.readouterr().err
+        assert key in err and "constant scaling" in err and "Traceback" not in err
+
+    # each ended in a RecursionError or UnicodeDecodeError traceback with exit 1, except compare on the
+    # bytes, which exited 2 already
+    @pytest.mark.parametrize("content", [NESTED_JSON.encode(), b"\xff\xfe"], ids=["nested", "not-utf8"])
+    @pytest.mark.parametrize("command", ["eval", "sweep", "compare"])
+    def test_unparsable_json_file_exit_code(self, tiny_spec_path, tmp_path, capsys, command, content):
+        out = tmp_path / "out"
+        if command == "compare":
+            run = tmp_path / "run"
+            run.mkdir()
+            path = run / "aggregate.json"
+            argv = ["compare", "--run-a", str(run), "--run-b", str(run), "--out", str(out)]
+        else:
+            path = tmp_path / "ckpt.json"
+            argv = [command, "--checkpoint", str(path), *(["--episodes", "1"] if command == "eval" else
+                                                           ["--spec", str(tiny_spec_path), "--out", str(out)])]
+        path.write_bytes(content)
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert "not valid JSON" in captured.err and "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
 
     def test_unallocatable_evaluation_exit_code(self, tiny_spec_path, tmp_path, capsys):
         # 10**15 episodes need more than a 47-bit address space, so the allocation fails at once

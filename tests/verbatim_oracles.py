@@ -176,7 +176,7 @@ def mlp_backward(
 
 
 def _scaled_obs(hyper: DdpgHyper, states: Array) -> Array:
-    return np.asarray(states) * np.asarray(hyper.obs_scale)
+    return np.asarray(states) * hyper.obs_scale_array
 
 
 def policy_action(actor: MlpParams, hyper: DdpgHyper, states: Array) -> Array:
