@@ -97,6 +97,9 @@ class AgentNets:
 
     The constructor copies the two given nets, so the result never aliases
     them; each target starts equal to its source and each Adam state at zero.
+    The joint vectors and the moments keep the nets' precision: float32 for
+    :func:`make_agent`'s, float64 for the float64 nets that gradient checks
+    and oracles build.
     """
 
     def __init__(self, actor: MlpParams, critic: MlpParams):
@@ -107,16 +110,21 @@ class AgentNets:
         self.actor = MlpParams(actor.layer_sizes, self.params[n:], actor.output_activation)
         self.target_critic = MlpParams(critic.layer_sizes, self.targets[:n], critic.output_activation)
         self.target_actor = MlpParams(actor.layer_sizes, self.targets[n:], actor.output_activation)
-        self.critic_opt = adam_init(critic)
-        self.actor_opt = adam_init(actor)
+        self.critic_opt = adam_init(self.critic)
+        self.actor_opt = adam_init(self.actor)
 
 
 def make_agent(hyper: DdpgHyper, seed) -> AgentNets:
-    """Fresh actor/critic with targets initialized as exact copies."""
+    """Fresh float32 actor/critic with targets initialized as exact copies.
+
+    The weights are ``mlp_init``'s float64 Glorot draws rounded to float32, so
+    a saved actor holds float32-exact values, which a checkpoint loads as float64.
+    """
     base = list(np.atleast_1d(np.asarray(seed)).ravel())
     actor = mlp_init([STATE_DIM, *hyper.actor_hidden, ACTION_DIM], "tanh", seed=base + [0])
     critic = mlp_init([STATE_DIM + ACTION_DIM, *hyper.critic_hidden, 1], "identity", seed=base + [1])
-    return AgentNets(actor, critic)
+    return AgentNets(*(MlpParams(net.layer_sizes, net.vector.astype(np.float32), net.output_activation)
+                       for net in (actor, critic)))
 
 
 def _scaled_obs(hyper: DdpgHyper, states: Array) -> Array:

@@ -90,13 +90,17 @@ class InsertionEnvConfig:
         if not tolerance > 0.0:  # NaN too: no row would ever succeed
             raise ConfigurationError(f"success_tolerance must be > 0, got {tolerance}")
         point = (self.hole_center_offset, -self.hole_depth) if self.target_point is None else self.target_point
-        # The stage cost squares the distance to the target; from the farthest
-        # start pose that square must be finite, or every return is -inf.
+        # The stage cost is the distance d to the target, and the learner's gradients grow as d times
+        # factors no setting bounds exactly: the critic's targets reach 1 / (1 - 0.99) = 100 stage costs,
+        # and each layer multiplies by its weights. Adam squares each gradient in float32, whose largest
+        # value F is about 3.4e38. Requiring d**4 < F (d below about 4.3e9 m from the farthest start pose)
+        # leaves those factors room up to d itself; a tiny-spec run overflowed at d = 5e18 m, not at 1e17 m.
         lateral = abs(float(point[0])) + self.reset_range
         vertical = self.start_height - float(point[1])
-        if not lateral * lateral + vertical * vertical < np.inf:
+        squared = lateral * lateral + vertical * vertical
+        if not squared * squared < float(np.finfo(np.float32).max):
             raise ConfigurationError(f"the target is too far from the start pose: {lateral:.6g} m across and"
-                                     f" {vertical:.6g} m down, a distance whose square overflows")
+                                     f" {vertical:.6g} m down, a distance whose fourth power overflows float32")
         target = np.array([float(point[0]), float(point[1])])
         target.flags.writeable = False
         object.__setattr__(self, "tolerance", tolerance)

@@ -234,8 +234,10 @@ def evaluate_policy(actor, hyper: DdpgHyper, env: InsertionEnvConfig, n_episodes
     difference is the batched policy forward pass, whose actions can differ
     from single-row passes in the last bits; the stiff contact can grow that
     over an episode. Success rate and mean steps equal the per-episode
-    loop's unless a state lands within those bits of the success boundary,
-    and mean return agrees to a few parts in 1e12 on the inputs tried.
+    loop's unless a state lands within those bits of the success boundary.
+    Mean return agrees to a few parts in 1e12 on the inputs tried for a
+    float64 actor, such as a loaded checkpoint's, and to a few parts in 1e9
+    for the learner's float32 actor, whose last bits are float32's.
     """
     rewards, steps, succeeded = evaluation_arrays(env, n_episodes)
     try:
@@ -333,7 +335,7 @@ def train(config: TrainConfig) -> tuple[AgentNets, TrainingLog]:
     dual = DualState(eta=ETA_INIT, epsilon=config.kl_step)
 
     def actor_fn(states):  # the supervisor runs between DDPG blocks, so it sees the actor fixed
-        return policy_action(nets.actor, hyper, states)
+        return policy_action(nets.actor, hyper, states).astype(np.float64)  # its fits stay float64
 
     n_roll = 0
     n_ddpg = config.n_ddpg

@@ -24,7 +24,7 @@ from .ddpg import DdpgHyper
 from .envs import ACTION_DIM, STATE_DIM, InsertionEnvConfig
 from .exceptions import ConfigurationError, SpecError
 from .guided import TrainConfig, TrainingLog, evaluate_policy, evaluation_arrays, train, write_table
-from .nets import MlpParams, mlp_from_dict, mlp_to_dict, param_count
+from .nets import MlpParams, is_json_number, mlp_from_dict, mlp_to_dict, param_count
 from .replay import SUPERVISION_ROW_WIDTH, TRANSITION_ROW_WIDTH, transition_buffer
 from .trajopt import SupervisorConfig
 
@@ -210,11 +210,6 @@ def _read_json(path):
         raise SpecError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _is_number(value) -> bool:
-    """Whether a parsed JSON value is a number; ``true`` compares equal to 1 but is not one."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def load_agent_checkpoint(path) -> tuple[MlpParams, DdpgHyper]:
     """Load the greedy policy: the actor, and ``DdpgHyper()``, whose scaling it runs under.
 
@@ -233,8 +228,8 @@ def load_agent_checkpoint(path) -> tuple[MlpParams, DdpgHyper]:
                         f"{STATE_DIM} state entries to {ACTION_DIM} action entries")
     hyper = DdpgHyper()
     bound, scale, constant = payload["action_bound"], payload["obs_scale"], hyper.obs_scale_array.tolist()
-    if not (_is_number(bound) and bound == hyper.action_bound
-            and isinstance(scale, list) and all(map(_is_number, scale)) and scale == constant):
+    if not (is_json_number(bound) and bound == hyper.action_bound
+            and isinstance(scale, list) and all(map(is_json_number, scale)) and scale == constant):
         raise SpecError(f"checkpoint {path}: action_bound {bound!r} and obs_scale {scale!r} differ from "
                         f"the nets' constant scaling, {hyper.action_bound!r} and {constant!r}")
     return actor, hyper
@@ -384,7 +379,7 @@ def _read_aggregate(run_dir) -> dict:
         value = agg[key]
         rate = key == "median_final_success_rate"
         high = 1.0 if rate else np.finfo(float).max  # which rejects inf and integers past it, such as 10**400
-        in_range = _is_number(value) and 0.0 <= value <= high
+        in_range = is_json_number(value) and 0.0 <= value <= high
         if not (in_range or (value is None and key == "median_rollouts_to_threshold")):
             raise SpecError(f"{path}: {key} must be {'in [0, 1]' if rate else 'a finite number >= 0'}, got {value!r}")
     return agg

@@ -1,7 +1,7 @@
 """Dense feedforward networks with analytic backprop, Adam, and target tracking.
 
-Each network keeps all its parameters in one contiguous float64 vector:
-layer by layer, the weight matrix row-major, then the bias. ``weights[t]`` and
+Each network keeps all its parameters in one contiguous vector: layer by
+layer, the weight matrix row-major, then the bias. ``weights[t]`` and
 ``biases[t]`` are read-only reshaped views of that vector, used by the matmuls.
 Gradients and both Adam moments are vectors in the same layout, so an Adam
 step, a soft update and a finiteness check are each one vector operation.
@@ -9,8 +9,15 @@ step, a soft update and a finiteness check are each one vector operation.
 Hidden layers are always tanh; the output layer is identity or tanh.
 Inputs are ``(N, input_dim)`` rows, one sample per row; outputs keep one row
 per input row. The forward pass also takes stacks of such row blocks,
-``(..., N, input_dim)``, and runs each block as it would run alone. Everything
-is float64.
+``(..., N, input_dim)``, and runs each block as it would run alone.
+
+A network computes in its parameter vector's precision, float32 or float64:
+the forward pass casts its input to it, and the backward pass and
+:func:`adam_init`'s moments follow it. The learner's nets are float32
+(``ddpg.make_agent``); gradient checks, oracles and loaded checkpoints run
+the same code in float64. :func:`adam_step` and :func:`soft_update` keep
+their scalars' Python and float64 types in either precision, and the float32
+learner's bits depend on that.
 
 The forward and backward passes read their arguments and return new arrays.
 :func:`adam_step` and :func:`soft_update` instead write into the vectors they
@@ -60,7 +67,8 @@ class MlpParams:
 
     ``weights[t]`` has shape ``(layer_sizes[t+1], layer_sizes[t])`` and
     ``biases[t]`` has length ``layer_sizes[t+1]``; both are views of
-    ``vector``, which is read-only.
+    ``vector``, which is read-only. A float32 vector stays float32 and any
+    other is made float64.
     """
 
     layer_sizes: tuple[int, ...]
@@ -72,7 +80,8 @@ class MlpParams:
     def __post_init__(self):
         if self.output_activation not in OUTPUT_ACTIVATIONS:
             raise ConfigurationError(f"unknown output activation {self.output_activation!r}")
-        vector = np.asarray(self.vector, dtype=np.float64).view()  # freezing a view leaves the caller's array writable
+        dtype = np.float32 if np.asarray(self.vector).dtype == np.float32 else np.float64
+        vector = np.asarray(self.vector, dtype=dtype).view()  # freezing a view leaves the caller's array writable
         vector.flags.writeable = False
         weights, biases = layer_views(self.layer_sizes, vector)
         object.__setattr__(self, "vector", vector)
@@ -133,7 +142,7 @@ def mlp_forward(params: MlpParams, x: Array) -> tuple[Array, list[Array]]:
     through the kernel a lone block gets, so each block's output has that
     call's bits; stacking ``(1, input_dim)`` blocks keeps one-row bits.
     """
-    h = np.asarray(x, dtype=np.float64)
+    h = np.asarray(x, dtype=params.vector.dtype)
     acts = [h]
     last = params.n_layers - 1
     for t, (w, b) in enumerate(zip(params.weights, params.biases)):
@@ -166,11 +175,11 @@ def mlp_backward(
     """
     param_grad = None
     if wrt_params:
-        param_grad = np.empty(params.vector.size)
+        param_grad = np.empty(params.vector.size, dtype=params.vector.dtype)
         d_weights, d_biases = layer_views(params.layer_sizes, param_grad)
     last = params.n_layers - 1
 
-    delta = np.asarray(output_gradient, dtype=np.float64)
+    delta = np.asarray(output_gradient, dtype=params.vector.dtype)
     for t in range(last, -1, -1):
         a_out = activations[t + 1]
         if t < last or params.output_activation == "tanh":
@@ -185,8 +194,8 @@ def mlp_backward(
 
 
 def adam_init(params: MlpParams) -> AdamState:
-    size = params.vector.size
-    return AdamState(np.zeros(size), np.zeros(size), 0)
+    size, dtype = params.vector.size, params.vector.dtype
+    return AdamState(np.zeros(size, dtype), np.zeros(size, dtype), 0)
 
 
 def adam_step(state: AdamState, vector: Array, grads: Array) -> None:
@@ -240,14 +249,28 @@ def mlp_to_dict(params: MlpParams) -> dict:
     }
 
 
+def is_json_number(value) -> bool:
+    """Whether a parsed JSON value is a number; ``true`` compares equal to 1 but is not one."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def mlp_from_dict(d: dict) -> MlpParams:
-    """Inverse of :func:`mlp_to_dict`; raises :class:`SpecError` on any malformed entry."""
+    """Inverse of :func:`mlp_to_dict`; raises :class:`SpecError` on any malformed entry.
+
+    Layer sizes must be integral numbers and every weight and bias a number:
+    a string such as ``"1"``, which numpy would parse, or a ``true`` is malformed.
+    The parameters load as float64, whatever precision wrote them.
+    """
     try:
+        if not all(is_json_number(s) and float(s).is_integer() for s in d["layer_sizes"]):
+            raise ValueError(f"layer sizes must be integers, got {d['layer_sizes']!r}")
         sizes = tuple(int(s) for s in d["layer_sizes"])
         if len(sizes) < 2 or len(d["weights"]) != len(sizes) - 1 or len(d["biases"]) != len(sizes) - 1:
             raise ShapeError(f"expected {len(sizes) - 1} weight and bias arrays")
         parts = []
         for t, (w, b) in enumerate(zip(d["weights"], d["biases"])):
+            if not (all(map(is_json_number, b)) and all(all(map(is_json_number, row)) for row in w)):
+                raise ValueError(f"layer {t} holds an entry that is not a number")
             w, b = np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64)
             if w.shape != (sizes[t + 1], sizes[t]) or b.shape != (sizes[t + 1],):
                 raise ShapeError(f"layer {t} arrays do not match layer_sizes {sizes}")
@@ -258,5 +281,6 @@ def mlp_from_dict(d: dict) -> MlpParams:
         if d["hidden_activation"] != "tanh":
             raise ValueError(f"hidden activation must be 'tanh', got {d['hidden_activation']!r}")
         return MlpParams(sizes, vector, d["output_activation"])
-    except (KeyError, TypeError, ValueError) as exc:  # ConfigurationError and ShapeError are ValueErrors
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # ConfigurationError and ShapeError are ValueErrors; OverflowError is an integer past float64, as 10**400
         raise SpecError(f"malformed network entry: {exc!r}") from exc

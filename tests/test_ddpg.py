@@ -48,6 +48,13 @@ def tiny_hyper(**overrides) -> DdpgHyper:
     return DdpgHyper(**defaults)
 
 
+def float64_agent(hyper: DdpgHyper, seed) -> AgentNets:
+    """``make_agent``'s Glorot draws kept in float64: the learner's float64 path, bitwise against the oracles."""
+    base = list(np.atleast_1d(np.asarray(seed)).ravel())
+    return AgentNets(mlp_init([6, *hyper.actor_hidden, 2], "tanh", seed=base + [0]),
+                     mlp_init([8, *hyper.critic_hidden, 1], "identity", seed=base + [1]))
+
+
 def random_states(rng, n) -> np.ndarray:
     """States whose scaled net inputs are standard normal, so the nets see O(1) inputs."""
     return rng.normal(size=(n, 6)) / DdpgHyper.obs_scale_array
@@ -92,14 +99,19 @@ class TestAgent:
             assert not np.shares_memory(getattr(copied, name).vector, getattr(nets, name).vector)
 
     def test_nets_are_read_only_views_of_the_joint_vectors(self):
-        nets = make_agent(tiny_hyper(), seed=0)
+        for build, itemsize in ((float64_agent, 8), (make_agent, 4)):
+            self.check_read_only_views(build(tiny_hyper(), 0), itemsize)
+
+    @staticmethod
+    def check_read_only_views(nets, itemsize):
         n = nets.critic.vector.size
         assert np.array_equal(nets.params, np.concatenate([nets.critic.vector, nets.actor.vector]))
         assert np.array_equal(nets.targets, np.concatenate([nets.target_critic.vector, nets.target_actor.vector]))
+        assert nets.params.itemsize == itemsize
         assert nets.critic.vector.ctypes.data == nets.params.ctypes.data
-        assert nets.actor.vector.ctypes.data == nets.params.ctypes.data + 8 * n
+        assert nets.actor.vector.ctypes.data == nets.params.ctypes.data + itemsize * n
         assert nets.target_critic.vector.ctypes.data == nets.targets.ctypes.data
-        assert nets.target_actor.vector.ctypes.data == nets.targets.ctypes.data + 8 * n
+        assert nets.target_actor.vector.ctypes.data == nets.targets.ctypes.data + itemsize * n
         for name in ("actor", "critic", "target_actor", "target_critic"):
             with pytest.raises(ValueError):
                 getattr(nets, name).vector[0] = 1.0
@@ -162,7 +174,7 @@ class TestCriticUpdate:
         """Oracle: numerically differentiate the loss built from forward passes only."""
         rng = np.random.default_rng(4)
         hyper = tiny_hyper()
-        nets = make_agent(hyper, seed=5)
+        nets = float64_agent(hyper, seed=5)
         batch = random_batch(rng, n=3)
         sup = random_supervision(rng, n=2)
         w_to = 0.7
@@ -237,12 +249,12 @@ class TestCriticUpdate:
         nets = make_agent(hyper, seed=4)
         critic_update(nets, hyper, random_batch(rng), None, 0.0)
         actor_update(nets, hyper, random_batch(rng), None, 0.0)
-        # the last hidden layer saturates at tanh(100) = 1, so the output sums eight 1e308 terms
+        # the last hidden layer saturates at tanh(100) = 1, so the output sums eight of the largest finite weights
         n = nets.critic.vector.size
         weights, biases = layer_views(nets.critic.layer_sizes, nets.targets[:n])
         weights[-2][...] = 0.0
         biases[-2][...] = 100.0
-        weights[-1][...] = 1e308
+        weights[-1][...] = np.finfo(nets.targets.dtype).max
         opts = (nets.critic_opt, nets.actor_opt)
         state = (nets.params, nets.targets, *(x for o in opts for x in (o.m, o.v)))  # all written in place
         before = [a.copy() for a in state]
@@ -257,7 +269,7 @@ class TestActorUpdate:
     def test_gradient_matches_finite_difference_of_stated_objective(self):
         rng = np.random.default_rng(8)
         hyper = tiny_hyper()
-        nets = make_agent(hyper, seed=9)
+        nets = float64_agent(hyper, seed=9)
         batch = random_batch(rng, n=3)
         sup = random_supervision(rng, n=2)
         w_to = 0.4
@@ -433,7 +445,7 @@ class TestInPlaceLearnerMatchesFunctionalOracle:
     def test_300_update_triples_bitwise(self, hidden, supervised):
         hyper = tiny_hyper(actor_hidden=hidden, critic_hidden=hidden)
         seed = [5, 0]
-        nets = make_agent(hyper, seed)
+        nets = float64_agent(hyper, seed)
         oracle = oracle_make_agent(hyper, seed)
         rng = np.random.default_rng(21)
         for k in range(300):
@@ -452,6 +464,53 @@ class TestInPlaceLearnerMatchesFunctionalOracle:
             assert np.array_equal(mine.m, theirs.m) and np.array_equal(mine.v, theirs.v), name
             assert mine.step_count == theirs.step_count == 300
         assert not np.array_equal(nets.target_actor.vector, nets.actor.vector)
+
+
+class TestFloat32Learner:
+    """``make_agent``'s learner runs in float32; the same code runs float64 nets in float64."""
+
+    @staticmethod
+    def learner_arrays(nets):
+        return {"params": nets.params, "targets": nets.targets, "critic_opt.m": nets.critic_opt.m,
+                "critic_opt.v": nets.critic_opt.v, "actor_opt.m": nets.actor_opt.m, "actor_opt.v": nets.actor_opt.v}
+
+    def test_nets_and_moments_are_float32_and_stay_so_across_an_update_triple(self):
+        hyper = tiny_hyper()
+        nets = make_agent(hyper, seed=3)
+        assert np.array_equal(nets.params, float64_agent(hyper, 3).params.astype(np.float32))  # the same draws
+        rng = np.random.default_rng(0)
+        for _ in range(2):
+            for name, array in self.learner_arrays(nets).items():
+                assert array.dtype == np.float32, name
+            for name in ("actor", "critic", "target_actor", "target_critic"):
+                assert getattr(nets, name).vector.dtype == np.float32, name
+            assert policy_action(nets.actor, hyper, random_states(rng, 3)).dtype == np.float32
+            batch, sup = random_batch(rng), random_supervision(rng)
+            critic_update(nets, hyper, batch, sup, 0.5)
+            actor_update(nets, hyper, batch, sup, 0.5)
+            target_update(nets)
+        assert nets.critic_opt.step_count == nets.actor_opt.step_count == 2
+
+    @pytest.mark.parametrize("hidden", [(8,), (64, 64)], ids=["tiny", "64x64"])
+    @pytest.mark.parametrize("supervised", [False, True], ids=["pure", "supervised"])
+    def test_first_20_triples_track_the_float64_learner(self, hidden, supervised):
+        hyper = tiny_hyper(actor_hidden=hidden, critic_hidden=hidden)
+        single, double = make_agent(hyper, [5, 0]), float64_agent(hyper, [5, 0])
+        start = double.params.copy()
+        rng = np.random.default_rng(21)
+        for k in range(20):
+            batch = random_batch(rng, n=16)
+            sup, w = (random_supervision(rng, n=8), supervision_weight(k, 10.0)) if supervised else (None, 0.0)
+            for nets in (single, double):
+                critic_update(nets, hyper, batch, sup, w)
+                actor_update(nets, hyper, batch, sup, w)
+                target_update(nets)
+            # about a hundred float32 roundings of a unit weight, a thousandth of what 20 triples move it
+            for name, array in self.learner_arrays(single).items():
+                want = self.learner_arrays(double)[name]
+                scale = 1.0 if name in ("params", "targets") else np.abs(want).max()
+                assert np.abs(array - want).max() <= 1e-5 * scale, (k, name)
+        assert np.abs(double.params - start).max() > 1e-2
 
 
 class TestSupervisionWeight:

@@ -101,18 +101,24 @@ class TestConfig:
 
     @pytest.mark.parametrize("kwargs", [dict(target_point=(-1e300, 0.0)), dict(target_point=(1e300, 0.0)),
                                         dict(target_point=(0.0, -1e155)), dict(target_point=(0.0, np.nan)),
-                                        dict(target_point=(0.0, 1e155))])
+                                        dict(target_point=(0.0, 1e155)), dict(target_point=(0.0, -4.3e9)),
+                                        dict(target_point=(-4.3e9, 0.0))])
     def test_target_too_far_from_the_start_rejected(self, kwargs):
-        # the squared distance to the target overflows, so every stage cost would be inf
+        # just past the float32 bound, where the float32 learner's gradients could overflow, and far past it,
+        # where the squared distance overflows even in float64 and every stage cost would be inf
         with pytest.raises(ConfigurationError, match="too far from the start pose"):
             InsertionEnvConfig(**kwargs)
 
-    @pytest.mark.parametrize("kwargs", [dict(target_point=(0.0, -1e150)), dict(target_point=(1e150, -1e150)),
-                                        dict(target_point=(0.0, 1e150))])
+    @pytest.mark.parametrize("kwargs", [dict(target_point=(0.0, -4.29e9)), dict(target_point=(3e9, -3e9)),
+                                        dict(target_point=(0.0, 4.29e9))])
     def test_target_far_but_squarable_accepted(self, kwargs):
+        # the squared distance from the farthest start pose squares again in float32: d**4 is below its
+        # largest value, whose fourth root lies between 4.29e9 and 4.3e9
+        assert 4.29e9 < float(np.finfo(np.float32).max) ** 0.25 < 4.3e9
         config = InsertionEnvConfig(**kwargs)
         start = np.array([config.reset_range, config.start_height])
-        assert np.isfinite(np.sum((start - config.target) ** 2))
+        squared = np.sum((np.abs(start) + np.abs(config.target)) ** 2)
+        assert np.isfinite(np.float32(squared) * np.float32(squared))
 
 
 class TestReset:

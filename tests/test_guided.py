@@ -170,6 +170,26 @@ class TestDegradation:
         assert log.r1_pushed == 0
 
 
+class TestSupervisorSeesTheActor:
+    def test_actor_fn_returns_the_float32_actors_actions_in_float64(self, monkeypatch):
+        # the supervisor's fits stay float64 while the learner runs in float32
+        seen = []
+        real = guided_mod.run_supervisor
+
+        def spy(env, actor_fn, *args, **kwargs):
+            seen.append(actor_fn)
+            return real(env, actor_fn, *args, **kwargs)
+
+        monkeypatch.setattr(guided_mod, "run_supervisor", spy)
+        config = tiny_config(epochs=1)
+        nets, _ = train(config)
+        assert len(seen) == 1 and nets.actor.vector.dtype == np.float32
+        states = env_reset(config.env, np.random.default_rng(0), 4)
+        actions = seen[0](states)
+        assert actions.dtype == np.float64
+        assert np.array_equal(actions, policy_action(nets.actor, config.hyper, states))
+
+
 class TestEvaluation:
     def test_eval_records_written(self):
         config = tiny_config(epochs=1, n_ddpg=4, n_trajopt=0, eval_every=2, eval_episodes=2)
@@ -310,10 +330,23 @@ class TestLockstepMatchesPerEpisodeLoop:
 
     @pytest.mark.parametrize("env", ORACLE_ENVS)
     def test_agent_actor(self, env):
+        # the learner's float32 actor as a checkpoint loads it, in float64
         hyper = DdpgHyper.for_env(env, actor_hidden=(16, 16))
         for seed in range(3):
             actor = make_agent(hyper, [seed, 9]).actor
+            actor = MlpParams(actor.layer_sizes, actor.vector.astype(np.float64), actor.output_activation)
             self.assert_same_metrics(actor, hyper, env, 7, seed)
+
+    @pytest.mark.parametrize("env", ORACLE_ENVS)
+    def test_float32_agent_actor(self, env):
+        # float32 passes over a batch and over one row differ in float32's last bits, not beyond
+        hyper = DdpgHyper.for_env(env, actor_hidden=(16, 16))
+        for seed in range(3):
+            actor = make_agent(hyper, [seed, 9]).actor
+            got = evaluate_policy(actor, hyper, env, 7, seed)
+            want = per_episode_evaluate_policy(actor, hyper, env, 7, seed)
+            assert (got.success_rate, got.mean_steps) == (want.success_rate, want.mean_steps)
+            assert got.mean_return == pytest.approx(want.mean_return, rel=1e-6, abs=0.0)
 
     @pytest.mark.parametrize("env", ORACLE_ENVS)
     def test_constant_push_actor(self, env):

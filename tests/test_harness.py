@@ -539,19 +539,30 @@ class TestCli:
     def test_far_start_exit_code(self, tiny_spec_path, tmp_path, capsys):
         # with the start 1e150 from the target, the cube of the supervisor's cost norm overflowed Python's
         # float pow, a traceback with exit 1; the start pose is a constant, so the target is what lies far
+        # since the learner runs in float32, such a target is past the distance bound and rejected up front
         spec = spec_with_line(tiny_spec_path, "target_point = 0.0, -1e150")
         with np.errstate(all="ignore"):
             code = cli_main(["train", "--spec", str(spec), "--out", str(tmp_path / "o")])
-        assert code in (0, 2, 3)
+        assert code == 2
         assert "Traceback" not in capsys.readouterr().err
-        if code == 2:
-            assert not (tmp_path / "o").exists()
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("down", ["-4.3e9", "-5e18", "-1e30"])
+    def test_target_past_the_float32_bound_exit_code(self, tiny_spec_path, tmp_path, capsys, down):
+        # the float32 learner trained through overflow warnings at -1e30 and -5e18 (and exited 3 after --out
+        # at -1e150, above); each is now rejected before --out, as is the first distance past the bound
+        spec = spec_with_line(tiny_spec_path, f"target_point = 0.0, {down}")
+        assert cli_main(["train", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "fourth power overflows float32" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_far_start_trains_without_a_linalg_warning(self, tiny_spec_path, tmp_path):
         # with the start 1e150 up, scipy's posv printed two LinAlgWarning blocks on the supervisor's
-        # ill-conditioned fits; the start pose is a constant, so the target is what lies far here.
-        # A fresh interpreter shows what a user sees on stderr, which pytest's own capture would hide
-        spec = spec_with_line(tiny_spec_path, "target_point = 0.0, -1e150")
+        # ill-conditioned fits; the start pose is a constant, so the target is what lies far here, as
+        # far as the float32 bound admits. A fresh interpreter shows what a user sees on stderr, which
+        # pytest's own capture would hide
+        spec = spec_with_line(tiny_spec_path, "target_point = 0.0, -4.29e9")
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
         proc = subprocess.run([sys.executable, "-m", "guided_ddpg.cli", "train", "--spec", str(spec),
                                "--out", str(tmp_path / "o")], env=env, capture_output=True, text=True,
@@ -648,6 +659,41 @@ class TestCli:
         assert self._eval_exit_code(tmp_path, json.dumps(payload)) == 2
         err = capsys.readouterr().err
         assert key in err and "constant scaling" in err and "Traceback" not in err
+
+    @staticmethod
+    def _actor_of_width(width: int, written_sizes: list) -> dict:
+        """A ``6-width-2`` actor entry whose ``layer_sizes`` reads ``written_sizes``."""
+        return dict(mlp_to_dict(mlp_init([6, width, 2], "tanh", seed=0)), layer_sizes=written_sizes)
+
+    # all but the last loaded with exit 0: numpy parsed "1" and True, and int() truncated 4.5 to 4 and True
+    # to 1; the integer past float64's range ended in an OverflowError traceback with exit 1
+    @pytest.mark.parametrize("edit", [
+        lambda actor: actor["weights"][0][0].__setitem__(0, "1"),
+        lambda actor: actor["biases"][-1].__setitem__(0, True),
+        lambda actor: actor.update(TestCli._actor_of_width(4, [6, 4.5, 2])),
+        lambda actor: actor.update(TestCli._actor_of_width(1, [6, True, 2])),
+        lambda actor: actor["weights"][-1][0].__setitem__(0, 10**400),
+    ], ids=["weight-string", "bias-true", "size-4.5", "size-true", "weight-10**400"])
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_checkpoint_actor_entry_not_a_number_exit_code(self, tiny_spec_path, tmp_path, capsys, command, edit):
+        payload = self._checkpoint_payload(tmp_path)
+        edit(payload["actor"])
+        path, out = tmp_path / "ckpt.json", tmp_path / "out"
+        path.write_text(json.dumps(payload))
+        argv = [command, "--checkpoint", str(path), *(["--episodes", "1"] if command == "eval" else
+                                                       ["--spec", str(tiny_spec_path), "--out", str(out)])]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert "malformed network entry" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_checkpoint_integral_float_layer_size_loads(self, tmp_path):
+        payload = self._checkpoint_payload(tmp_path)
+        payload["actor"] = self._actor_of_width(4, [6.0, 4.0, 2])
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(payload))
+        actor, _ = load_agent_checkpoint(path)
+        assert actor.layer_sizes == (6, 4, 2) and actor.vector.dtype == np.float64
 
     # each ended in a RecursionError or UnicodeDecodeError traceback with exit 1, except compare on the
     # bytes, which exited 2 already
