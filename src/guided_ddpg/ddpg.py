@@ -12,9 +12,9 @@ The learner's state is one :class:`AgentNets`, updated in place once per
 environment step: :func:`critic_update` and :func:`actor_update` write the
 critic's and the actor's slice of ``AgentNets.params`` and their Adam moments
 through ``adam_step``, and :func:`target_update` blends ``AgentNets.targets``
-toward ``params`` through one ``soft_update``. Nothing else writes them. Every
-check that can fail runs before the first write, so an update that raises
-leaves the nets as they were.
+toward ``params`` through one ``soft_update``, in float64. Nothing else
+writes them. Every check that can fail runs before the first write, so an
+update that raises leaves the nets as they were.
 """
 from __future__ import annotations
 
@@ -100,11 +100,20 @@ class AgentNets:
     The joint vectors and the moments keep the nets' precision: float32 for
     :func:`make_agent`'s, float64 for the float64 nets that gradient checks
     and oracles build.
+
+    ``targets_float64`` is what :func:`target_update` blends, and ``targets``
+    is its value in the nets' precision. Each blend moves a target by
+    :data:`TARGET_RATE` times its gap to the source, which a float32 target
+    would round away once it falls below half a float32 ulp, stalling about
+    3e-5 short of a fixed source of 1.0; in float64 the target reaches the
+    source to within float32 rounding. For float64 nets the two vectors hold
+    the same values.
     """
 
     def __init__(self, actor: MlpParams, critic: MlpParams):
         self.params = np.concatenate([critic.vector, actor.vector])
         self.targets = self.params.copy()
+        self.targets_float64 = self.params.astype(np.float64)
         n = critic.vector.size
         self.critic = MlpParams(critic.layer_sizes, self.params[:n], critic.output_activation)
         self.actor = MlpParams(actor.layer_sizes, self.params[n:], actor.output_activation)
@@ -261,8 +270,12 @@ def actor_update(
 
 
 def target_update(nets: AgentNets) -> None:
-    """Blend both target nets toward their sources at :data:`TARGET_RATE` with one soft update, in place."""
-    soft_update(nets.targets, nets.params, TARGET_RATE)
+    """Blend both target nets toward their sources at :data:`TARGET_RATE` with one soft update, in place.
+
+    The blend runs on ``nets.targets_float64``, which ``nets.targets`` then copies.
+    """
+    soft_update(nets.targets_float64, nets.params, TARGET_RATE)
+    nets.targets[...] = nets.targets_float64
 
 
 def supervision_weight(n_roll: int, c: float) -> float:

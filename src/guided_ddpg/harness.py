@@ -24,7 +24,7 @@ from .ddpg import DdpgHyper
 from .envs import ACTION_DIM, STATE_DIM, InsertionEnvConfig
 from .exceptions import ConfigurationError, SpecError
 from .guided import TrainConfig, TrainingLog, evaluate_policy, evaluation_arrays, train, write_table
-from .nets import MlpParams, is_json_number, mlp_from_dict, mlp_to_dict, param_count
+from .nets import MlpParams, as_float64, is_json_number, mlp_from_dict, mlp_to_dict, param_count
 from .replay import SUPERVISION_ROW_WIDTH, TRANSITION_ROW_WIDTH, transition_buffer
 from .trajopt import SupervisorConfig
 
@@ -309,7 +309,8 @@ def run_experiment(spec_path, out_dir) -> Path:
         save_agent_checkpoint(seed_dir / "checkpoint.json", nets, config.hyper)
         _write_supervisor_diagnostics(seed_dir / "supervisor_diag.csv", log)
 
-        final_eval = evaluate_policy(nets.actor, config.hyper, config.env, spec.eval_episodes,
+        # in float64, as `eval` and `sweep` run the checkpoint, so their figures match the summary's
+        final_eval = evaluate_policy(as_float64(nets.actor), config.hyper, config.env, spec.eval_episodes,
                                      [seed, 0xE7A1])
         to_threshold = log.rollouts_to_threshold(SUCCESS_THRESHOLD)
         summary = {

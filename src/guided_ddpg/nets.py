@@ -15,16 +15,17 @@ A network computes in its parameter vector's precision, float32 or float64:
 the forward pass casts its input to it, and the backward pass and
 :func:`adam_init`'s moments follow it. The learner's nets are float32
 (``ddpg.make_agent``); gradient checks, oracles and loaded checkpoints run
-the same code in float64. :func:`adam_step` and :func:`soft_update` keep
-their scalars' Python and float64 types in either precision, and the float32
-learner's bits depend on that.
+the same code in float64 (:func:`as_float64` makes such a copy).
+:func:`adam_step` and :func:`soft_update` keep their scalars' Python and
+float64 types in either precision, and the float32 learner's bits depend on
+that; the learner's targets blend in float64 (``ddpg.AgentNets``).
 
 The forward and backward passes read their arguments and return new arrays.
 :func:`adam_step` and :func:`soft_update` instead write into the vectors they
 are given, which belong to whoever allocated them (the learner's are
-``ddpg.AgentNets.params`` and ``.targets``). An :class:`MlpParams` can view
-such a vector without being able to write to it, but it sees every update; a
-snapshot that must not move is a ``.copy()``.
+``ddpg.AgentNets.params`` and ``.targets_float64``). An :class:`MlpParams` can
+view such a vector without being able to write to it, but it sees every
+update; a snapshot that must not move is a ``.copy()``.
 """
 from __future__ import annotations
 
@@ -99,6 +100,11 @@ class MlpParams:
     @property
     def n_layers(self) -> int:
         return len(self.weights)
+
+
+def as_float64(params: MlpParams) -> MlpParams:
+    """A float64 copy of ``params``: the values a checkpoint of them loads, since float32 converts exactly."""
+    return MlpParams(params.layer_sizes, params.vector.astype(np.float64), params.output_activation)
 
 
 @dataclass

@@ -4,11 +4,12 @@ The paper's own metrics must not regress, and a change that moves the
 learner's bits moves every learning curve, so such a change is judged here.
 Each arm trains through ``guided.train`` on the seeds of a schedule: the
 guided arm on ``TrainConfig(epochs=8, seed=s)``, the pure arm on its
-``pure_ddpg_config``, seeds 0-3. Per arm and seed it reads:
+``pure_ddpg_config``, seeds 0-9. Per arm and seed it reads:
 
 - ``auc``: the mean success rate over the run's in-training evaluations
   (23 of 20 episodes at the default schedule);
-- ``final``: the success rate of 50 noise-free episodes after training;
+- ``final``: the success rate of 50 noise-free episodes after training, with
+  the actor in float64 as a checkpoint loads it;
 - ``to_0.5`` and ``to_0.9``: the exploratory episodes run when an evaluation
   first reached 0.5, and ``harness.SUCCESS_THRESHOLD``; a seed that never
   does is censored at the schedule's end, its count of exploratory
@@ -21,17 +22,21 @@ Over seeds, each figure is aggregated by its interquartile mean (IQM) with a
 95 % stratified-bootstrap confidence interval (Agarwal et al.,
 arXiv:2108.13264), in numpy; the one stratum is the one task.
 
-``tests/gate.json`` holds the reference: the schedule, the per-seed figures,
-the aggregates and ``golden.platform_fingerprint()``. A tree passes when its
-guided IQM AUC is at least the reference's minus :data:`MARGIN`, or when its
-bootstrap interval still reaches the reference's IQM, so that a drop counts
-only when it is both larger than the margin and outside the seeds' spread::
+``tests/gate.json`` holds the reference: the schedule, the margin, the
+per-seed figures, the aggregates and ``golden.platform_fingerprint()``. The
+verdict checks the AUC and the final success of both arms. For each, it
+resamples the tree's seeds and the reference's, each with replacement, and
+takes the 95 % interval of the difference of their IQMs; the check fails
+when that whole interval lies below minus the reference's margin. The
+learning curves are bimodal over seeds (a seed mostly learns or mostly does
+not), so ten seeds resolve only large drops: see ROADMAP item 12 for what the
+gate can and cannot tell apart.
 
     PYTHONPATH=src python tests/gate.py           # judge this tree; exit 0 on pass, 1 on fail
     PYTHONPATH=src python tests/gate.py --write   # regenerate tests/gate.json
 
-At the default schedule a seed takes about a minute; ``--jobs`` runs that
-many seeds at a time.
+At the default schedule a seed takes about a minute; the gate trains two at
+a time, so a run takes about ten minutes on two cores.
 """
 from __future__ import annotations
 
@@ -55,12 +60,14 @@ from guided_ddpg.ddpg import DdpgHyper  # noqa: E402
 from guided_ddpg.envs import InsertionEnvConfig  # noqa: E402
 from guided_ddpg.guided import TrainConfig, evaluate_policy, train  # noqa: E402
 from guided_ddpg.harness import SUCCESS_THRESHOLD, pure_ddpg_config  # noqa: E402
+from guided_ddpg.nets import as_float64  # noqa: E402
 from guided_ddpg.trajopt import SupervisorConfig  # noqa: E402
 
 REFERENCE = Path(__file__).with_name("gate.json")
-MARGIN = 0.05  # the drop in guided IQM AUC that fails the gate when it lies outside the interval too
+MARGIN = 0.0  # the drop in a judged IQM that the seeds may show before the gate fails; --write stores it
 ARMS = ("guided", "pure")
 FIGURES = ("auc", "final", "to_0.5", "to_0.9")
+JUDGED = ("auc", "final")  # the figures the verdict checks, in each arm
 BOOTSTRAP_RESAMPLES = 2000
 BOOTSTRAP_SEED = 0x6A7E
 FINAL_EVAL_TAG = 0xE7A1  # the final evaluation's seed tag, as ``harness.run_experiment`` draws it
@@ -74,7 +81,7 @@ class Schedule:
 
 
 SCHEDULES = {
-    "default": Schedule(seeds=(0, 1, 2, 3), config=TrainConfig(epochs=8), final_episodes=50),
+    "default": Schedule(seeds=tuple(range(10)), config=TrainConfig(epochs=8), final_episodes=50),
     # a few seconds in all: the smoke test's shape
     "tiny": Schedule(
         seeds=(0, 1),
@@ -98,7 +105,8 @@ def run_seed(schedule_name: str, arm: str, seed: int) -> dict:
     t0 = time.perf_counter()
     nets, log = train(config)
     wall = time.perf_counter() - t0
-    final = evaluate_policy(nets.actor, config.hyper, config.env, schedule.final_episodes, [seed, FINAL_EVAL_TAG])
+    final = evaluate_policy(as_float64(nets.actor), config.hyper, config.env, schedule.final_episodes,
+                            [seed, FINAL_EVAL_TAG])
     supervised = log.episodes_by_phase("supervised")
     return {
         "seed": seed,
@@ -122,11 +130,21 @@ def iqm(values: np.ndarray) -> np.ndarray:
     return values[..., cut:n - cut].mean(axis=-1)
 
 
-def bootstrap_ci(values, rng: np.random.Generator) -> list:
-    """95 % percentile interval of the IQM over seeds resampled with replacement (one stratum)."""
+def resampled_iqms(values, rng: np.random.Generator) -> np.ndarray:
+    """The IQMs of :data:`BOOTSTRAP_RESAMPLES` resamples of ``values`` with replacement (one stratum)."""
     values = np.asarray(values, dtype=float)
-    picks = rng.integers(0, values.size, size=(BOOTSTRAP_RESAMPLES, values.size))
-    low, high = np.quantile(iqm(values[picks]), [0.025, 0.975])
+    return iqm(values[rng.integers(0, values.size, size=(BOOTSTRAP_RESAMPLES, values.size))])
+
+
+def bootstrap_ci(values, rng: np.random.Generator) -> list:
+    """95 % percentile interval of the IQM over seeds resampled with replacement."""
+    low, high = np.quantile(resampled_iqms(values, rng), [0.025, 0.975])
+    return [float(low), float(high)]
+
+
+def difference_ci(values, reference_values, rng: np.random.Generator) -> list:
+    """95 % percentile interval of ``IQM(values) - IQM(reference_values)``, each side's seeds resampled."""
+    low, high = np.quantile(resampled_iqms(values, rng) - resampled_iqms(reference_values, rng), [0.025, 0.975])
     return [float(low), float(high)]
 
 
@@ -145,14 +163,11 @@ def aggregate(rows: list) -> dict:
     return out
 
 
-def run_gate(schedule_name: str, jobs: int) -> dict:
-    """Every arm on every seed of the schedule, per seed and aggregated."""
+def run_gate(schedule_name: str) -> dict:
+    """Every arm on every seed of the schedule, two at a time, per seed and aggregated."""
     tasks = [(schedule_name, arm, seed) for arm in ARMS for seed in SCHEDULES[schedule_name].seeds]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            rows = list(pool.map(run_seed, *zip(*tasks)))
-    else:
-        rows = [run_seed(*task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=min(2, len(tasks))) as pool:
+        rows = list(pool.map(run_seed, *zip(*tasks)))
     arms = {}
     for arm in ARMS:
         per_seed = [row for task, row in zip(tasks, rows) if task[1] == arm]
@@ -161,18 +176,26 @@ def run_gate(schedule_name: str, jobs: int) -> dict:
             "platform": platform_fingerprint(), "arms": arms}
 
 
-def verdict(result: dict, reference: dict) -> tuple[bool, str]:
-    """Pass or fail of ``result`` against ``reference``, with the line that says why."""
-    ref = reference["arms"]["guided"]["aggregate"]["auc"]["iqm"]
-    got = result["arms"]["guided"]["aggregate"]["auc"]
-    within_margin = got["iqm"] >= ref - MARGIN
-    within_spread = got["ci"][1] >= ref
-    passed = within_margin or within_spread
-    why = (f"guided IQM AUC {got['iqm']:.3f} (95 % CI {got['ci'][0]:.3f}-{got['ci'][1]:.3f}) against the "
-           f"reference's {ref:.3f}, margin {MARGIN}: "
-           + ("within the margin" if within_margin else "the interval reaches the reference" if within_spread
-              else "lower by more than the margin, and the interval does not reach the reference"))
-    return passed, why
+def verdict(result: dict, reference: dict) -> tuple[bool, list]:
+    """Pass or fail of ``result`` against ``reference``, with a line per check that says why.
+
+    Each arm's AUC and final success is a check. A check fails when the whole
+    95 % interval of its IQM difference from the reference lies below minus
+    the reference's margin: the two sets of seeds then show a drop past it.
+    """
+    rng = np.random.default_rng(BOOTSTRAP_SEED)
+    margin = reference["margin"]
+    passed, lines = True, []
+    for arm in ARMS:
+        for figure in JUDGED:
+            got, ref = ([row[figure] for row in run["arms"][arm]["per_seed"]] for run in (result, reference))
+            low, high = difference_ci(got, ref, rng)
+            holds = high >= -margin
+            passed = passed and holds
+            lines.append(f"{arm} {figure}: IQM {iqm(np.asarray(got)):.3f} against the reference's "
+                         f"{iqm(np.asarray(ref)):.3f}, difference 95 % CI {low:+.3f} to {high:+.3f}: "
+                         + ("holds" if holds else f"lower by more than the margin {margin}"))
+    return passed, lines
 
 
 def separation(result: dict) -> str:
@@ -210,26 +233,25 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--write", action="store_true", help="store this tree's figures as the reference")
     parser.add_argument("--schedule", choices=sorted(SCHEDULES), default="default")
-    parser.add_argument("--jobs", type=int, default=2, help="seeds trained at a time (default 2)")
-    parser.add_argument("--reference", type=Path, default=REFERENCE, help=f"default {REFERENCE.name}")
     args = parser.parse_args(argv)
     reference = None
     if not args.write:
-        reference = json.loads(args.reference.read_text(encoding="utf-8"))
+        reference = json.loads(REFERENCE.read_text(encoding="utf-8"))
         if reference["schedule"] != args.schedule or reference["seeds"] != list(SCHEDULES[args.schedule].seeds):
-            print(f"{args.reference} holds schedule {reference['schedule']!r} on seeds {reference['seeds']}, "
+            print(f"{REFERENCE} holds schedule {reference['schedule']!r} on seeds {reference['seeds']}, "
                   f"not {args.schedule!r}")
             return 2
-    result = run_gate(args.schedule, max(1, args.jobs))
+    result = run_gate(args.schedule)
     print(report(result))
     if args.write:
-        args.reference.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
-        print(f"wrote the reference to {args.reference}")
+        REFERENCE.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
+        print(f"wrote the reference to {REFERENCE}")
         return 0
     if reference["platform"] != result["platform"]:
         print(f"note: the reference was made on another platform: {reference['platform']}")
-    passed, why = verdict(result, reference)
-    print(("PASS: " if passed else "FAIL: ") + why)
+    passed, lines = verdict(result, reference)
+    print("\n".join(lines))
+    print("PASS" if passed else "FAIL")
     return 0 if passed else 1
 
 

@@ -94,6 +94,7 @@ class TestAgent:
         assert not np.shares_memory(nets.target_actor.vector, nets.actor.vector)
         assert not np.shares_memory(nets.target_critic.vector, nets.critic.vector)
         assert not np.shares_memory(nets.params, nets.targets)
+        assert not any(np.shares_memory(nets.targets_float64, a) for a in (nets.params, nets.targets))
         copied = AgentNets(nets.actor, nets.critic)
         for name in ("actor", "critic", "target_actor", "target_critic"):
             assert not np.shares_memory(getattr(copied, name).vector, getattr(nets, name).vector)
@@ -354,11 +355,16 @@ class TestTargetUpdate:
         low = np.minimum(before_t, source) - 1e-15
         high = np.maximum(before_t, source) + 1e-15
         assert np.all(after_t >= low) and np.all(after_t <= high)
-        # the blend at DDPG's own rate, in soft_update's order of operations, so bit for bit
+        # the blend at DDPG's own rate, in soft_update's order of operations, run in float64 and
+        # rounded to the nets' float32, so bit for bit
         assert TARGET_RATE == 0.001
-        assert np.array_equal(after_t, before_t * (1.0 - TARGET_RATE) + TARGET_RATE * source)
-        assert np.array_equal(nets.target_actor.vector,
-                              before_ta * (1.0 - TARGET_RATE) + TARGET_RATE * nets.actor.vector)
+
+        def blend(old, new):
+            return (old.astype(np.float64) * (1.0 - TARGET_RATE) + TARGET_RATE * new).astype(np.float32)
+
+        assert np.array_equal(after_t, blend(before_t, source))
+        assert np.array_equal(nets.target_actor.vector, blend(before_ta, nets.actor.vector))
+        assert np.array_equal(nets.targets, nets.targets_float64.astype(np.float32))
         assert np.array_equal(nets.critic.vector, source)  # the sources are only read
 
 
@@ -490,6 +496,15 @@ class TestFloat32Learner:
             actor_update(nets, hyper, batch, sup, 0.5)
             target_update(nets)
         assert nets.critic_opt.step_count == nets.actor_opt.step_count == 2
+        assert nets.targets_float64.dtype == np.float64
+
+    def test_a_target_reaches_a_fixed_source_to_float32_rounding(self):
+        # a float32 blend stalls once TARGET_RATE times the gap is below half an ulp: 3e-5 short of 1.0
+        nets = make_agent(tiny_hyper(actor_hidden=(4,), critic_hidden=(4,)), seed=0)
+        nets.params[...] = 1.0
+        for _ in range(20_000):
+            target_update(nets)
+        assert np.abs(nets.targets - 1.0).max() <= np.finfo(np.float32).eps
 
     @pytest.mark.parametrize("hidden", [(8,), (64, 64)], ids=["tiny", "64x64"])
     @pytest.mark.parametrize("supervised", [False, True], ids=["pure", "supervised"])

@@ -23,7 +23,7 @@ from guided_ddpg.guided import (
     rng_streams,
     train,
 )
-from guided_ddpg.nets import MlpParams
+from guided_ddpg.nets import MlpParams, as_float64
 from guided_ddpg.replay import transition_batch_from_rows, transition_buffer
 from guided_ddpg.trajopt import SupervisorConfig
 
@@ -333,8 +333,7 @@ class TestLockstepMatchesPerEpisodeLoop:
         # the learner's float32 actor as a checkpoint loads it, in float64
         hyper = DdpgHyper.for_env(env, actor_hidden=(16, 16))
         for seed in range(3):
-            actor = make_agent(hyper, [seed, 9]).actor
-            actor = MlpParams(actor.layer_sizes, actor.vector.astype(np.float64), actor.output_activation)
+            actor = as_float64(make_agent(hyper, [seed, 9]).actor)
             self.assert_same_metrics(actor, hyper, env, 7, seed)
 
     @pytest.mark.parametrize("env", ORACLE_ENVS)

@@ -236,6 +236,12 @@ class TestRunExperiment:
             evals = read_log_rows(seed_dir, "eval")
             first = next((int(row["n_roll"]) for row in evals if float(row["success_rate"]) >= SUCCESS_THRESHOLD), None)
             assert evals and summary["rollouts_to_threshold"] == first
+            # the final figures are the ones the saved checkpoint evaluates to, in float64
+            actor, hyper = load_agent_checkpoint(seed_dir / "checkpoint.json")
+            spec = parse_spec(tiny_spec_path)
+            final = evaluate_policy(actor, hyper, spec.train.env, spec.eval_episodes, [seed, 0xE7A1])
+            assert (summary["final_success_rate"], summary["final_mean_return"]) == (final.success_rate,
+                                                                                      final.mean_return)
         # the over-seed artifacts and nothing else: no table that copies aggregate.json
         assert sorted(p.name for p in out.iterdir()) == ["aggregate.json", "learning_curves.csv", "seed_0", "seed_1"]
 
