@@ -30,7 +30,7 @@ takes the 95 % interval of the difference of their IQMs; the check fails
 when that whole interval lies below minus the reference's margin. The
 learning curves are bimodal over seeds (a seed mostly learns or mostly does
 not), so ten seeds resolve only large drops: see ROADMAP item 12 for what the
-gate can and cannot tell apart.
+gate can and cannot tell apart. From the repository root::
 
     PYTHONPATH=src python tests/gate.py           # judge this tree; exit 0 on pass, 1 on fail
     PYTHONPATH=src python tests/gate.py --write   # regenerate tests/gate.json
@@ -64,7 +64,7 @@ from guided_ddpg.nets import as_float64  # noqa: E402
 from guided_ddpg.trajopt import SupervisorConfig  # noqa: E402
 
 REFERENCE = Path(__file__).with_name("gate.json")
-MARGIN = 0.0  # the drop in a judged IQM that the seeds may show before the gate fails; --write stores it
+MARGIN = 0.0  # a check fails when its whole difference interval lies below -margin; --write stores it
 ARMS = ("guided", "pure")
 FIGURES = ("auc", "final", "to_0.5", "to_0.9")
 JUDGED = ("auc", "final")  # the figures the verdict checks, in each arm
