@@ -79,8 +79,7 @@ class DdpgHyper:
     def for_env(cls, env: InsertionEnvConfig, **settings) -> "DdpgHyper":
         """The learner with ``settings``; ``env`` is not read, since every task shares one scaling.
 
-        The benchmark builds its learner through it. :func:`harness.parse_spec` calls it too, so that
-        ``tests/test_unused_definitions.py``, blind to attributes the benchmark calls, counts it as used."""
+        The benchmark builds its learner through it."""
         return cls(**settings)
 
 

@@ -165,7 +165,7 @@ def parse_spec(path) -> ExperimentSpec:
     values = read_config(path, SPEC_SECTIONS)
     try:
         env = InsertionEnvConfig(**values[InsertionEnvConfig])
-        hyper = DdpgHyper.for_env(env, **values[DdpgHyper])
+        hyper = DdpgHyper(**values[DdpgHyper])
         supervisor = SupervisorConfig(**values[SupervisorConfig])
         config = TrainConfig(env=env, hyper=hyper, supervisor=supervisor, **values[TrainConfig])
         return ExperimentSpec(train=config, **values[ExperimentSpec])
@@ -285,6 +285,12 @@ def _size_run(spec: ExperimentSpec) -> None:
         evaluation_arrays(config.env, config.eval_episodes)
 
 
+def final_evaluation(nets, config: TrainConfig, n_episodes: int):
+    """A trained seed's closing evaluation: its actor in float64, as ``eval`` and ``sweep`` run the checkpoint,
+    so that their figures match the summary's."""
+    return evaluate_policy(as_float64(nets.actor), config.hyper, config.env, n_episodes, [config.seed, 0xE7A1])
+
+
 def run_experiment(spec_path, out_dir) -> Path:
     """Train every seed in the spec and write per-seed plus aggregate artifacts."""
     spec = parse_spec(spec_path)
@@ -309,9 +315,7 @@ def run_experiment(spec_path, out_dir) -> Path:
         save_agent_checkpoint(seed_dir / "checkpoint.json", nets, config.hyper)
         _write_supervisor_diagnostics(seed_dir / "supervisor_diag.csv", log)
 
-        # in float64, as `eval` and `sweep` run the checkpoint, so their figures match the summary's
-        final_eval = evaluate_policy(as_float64(nets.actor), config.hyper, config.env, spec.eval_episodes,
-                                     [seed, 0xE7A1])
+        final_eval = final_evaluation(nets, config, spec.eval_episodes)
         to_threshold = log.rollouts_to_threshold(SUCCESS_THRESHOLD)
         summary = {
             "algorithm": spec.algorithm,

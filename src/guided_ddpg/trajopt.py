@@ -18,6 +18,7 @@ among them ``ETA_INIT``, ``DYNAMICS_REG``, ``EXPLORATION_STD``,
 """
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -128,58 +129,19 @@ class QuadraticCost:
 # Model fitting
 
 
-def _tril_solve(lower: Array, rhs: Array) -> Array:
-    """``lower^-1 rhs`` for a lower-triangular matrix or stack, with OpenBLAS dtrsm's bits.
-
-    dtrsm solves the leading rows in blocks of 8, 4, 2 and 1, the binary
-    digits of the size, and subtracts one product with the rows already solved
-    before each later block. This does the same, solving each block as its
-    row-and-column-reversed upper-triangular system: LU pivots nowhere on a
-    triangular matrix, so ``np.linalg.solve`` runs dtrsm's upper kernel. Blocks
-    of 16 lead larger sizes; those solve correctly, with other bits than dtrsm.
-    """
-    d = lower.shape[-1]
-    out = np.empty(np.broadcast_shapes(lower.shape[:-2], rhs.shape[:-2]) + rhs.shape[-2:])
-    start = 0
-    for size in [16] * (d // 16) + [s for s in (8, 4, 2, 1) if d & s]:
-        stop = start + size
-        block = rhs[..., start:stop, :]
-        if start:
-            rows = [start, start] if size == 1 else slice(start, stop)  # one row would run gemv, not gemm
-            with np.errstate(over="ignore", invalid="ignore"):  # dtrsm overflows silently
-                block = block - (lower[..., rows, :start] @ out[..., :start, :])[..., :size, :]
-        diag = lower[..., start:stop, start:stop][..., ::-1, ::-1]
-        out[..., start:stop, :] = np.linalg.solve(diag, block[..., ::-1, :])[..., ::-1, :]
-        start = stop
-    return out
-
-
-def _cho_solve(lower: Array, rhs: Array) -> Array:
-    """``(L L')^-1 rhs`` from a lower Cholesky factor ``L`` or a stack of them,
-    with the bits of LAPACK potrs on OpenBLAS at sizes below 16.
-
-    Like potrs it raises nothing on a factor, whose diagonal is positive: a
-    solve that overflows returns inf or NaN.
-    """
-    return np.linalg.solve(lower.mT, _tril_solve(lower, rhs))
-
-
 def _solve_pos(gram: Array, rhs: Array, what: str) -> Array:
     """``gram[t]^-1 rhs[t]`` for each slice of a ``(T, d, d)`` stack of symmetric
-    positive definite matrices, with the bits of LAPACK posv on the upper
-    triangle (potrf then potrs with ``uplo='U'``).
+    positive definite matrices, by ``np.linalg.solve`` once a Cholesky
+    factorization has checked them.
 
     Raises :class:`NumericalError` naming the first step whose input is not
     finite or whose Gram matrix fails to factor.
     """
     finite = np.isfinite(gram).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=(1, 2))
     if finite.all():
-        try:
-            upper = np.linalg.cholesky(gram, upper=True)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            return _cho_solve(upper.mT, rhs)
+        with suppress(np.linalg.LinAlgError):
+            np.linalg.cholesky(gram)
+            return np.linalg.solve(gram, rhs)
     # numpy names no failing slice; find the first step that fails to factor.
     for t, ok in enumerate(finite):
         if not ok:
@@ -264,7 +226,7 @@ def _chol_or_raise(mat: Array, what: str) -> Array:
 
 def _require_finite(what: str, *arrays: Array) -> None:
     # A NaN off the diagonal passes the Cholesky factorization unnoticed, and
-    # LAPACK solves propagate it silently; this is the guard for both.
+    # numpy's solves propagate it silently; this is the guard for both.
     if not all(np.isfinite(a).all() for a in arrays):
         raise NumericalError(f"{what} received non-finite values")
 
@@ -306,22 +268,17 @@ def kl_divergence(p: TrajectoryDistribution, other: LinearGaussianPolicy) -> flo
 def prior_penalty(prior: LinearGaussianPolicy) -> tuple[Array, Array]:
     """``-log prior(u | s)`` up to a constant, as ``0.5 z' P z - p' z`` with ``z = [s; u]``.
 
-    Returns the ``(T, n+m, n+m)`` stack ``P`` and the ``(T, n+m)`` stack ``p``.
-    Raises :class:`NotPositiveDefiniteError` when a prior covariance fails its
-    Cholesky factorization and :class:`NumericalError` when its factor is not
-    finite.
+    Returns the ``(T, n+m, n+m)`` stack ``P`` and the ``(T, n+m)`` stack ``p``,
+    from ``np.linalg.inv`` of the prior covariances. Raises
+    :class:`NotPositiveDefiniteError` when one fails its Cholesky
+    factorization and :class:`NumericalError` when its factor is not finite.
     """
     T, m, n = prior.K.shape
-    eye = np.eye(m)
-    l2 = _chol_or_raise(prior.C, "prior covariance")
-    _require_finite("prior covariance", l2)
-    # The products below are bitwise equal to per-step ones only with
-    # inverses in the Fortran order that LAPACK's potrs returns.
-    prior_inv = np.empty((T, m, m)).transpose(0, 2, 1)
-    prior_inv[:] = _cho_solve(l2, eye)
+    _require_finite("prior covariance", _chol_or_raise(prior.C, "prior covariance"))
+    prior_inv = np.linalg.inv(prior.C)
     M = np.empty((T, m, n + m))
     M[:, :, :n] = -prior.K
-    M[:, :, n:] = eye
+    M[:, :, n:] = np.eye(m)
     MT = M.transpose(0, 2, 1)
     return MT @ prior_inv @ M, (MT @ (prior_inv @ prior.k[:, :, None]))[:, :, 0]
 
@@ -357,8 +314,7 @@ def lqg_backward(
     C = np.zeros((T, m, m))
     Vxx = cost.Cxx_T / eta
     vx = cost.cx_T / eta
-    # One solve per step against [Qux | qu | I] gives -K, -k and the
-    # covariance, bitwise equal to three separate solves.
+    # One solve per step against [Qux | qu | I] gives -K, -k and the covariance.
     rhs = np.empty((m, n + 1 + m))
     rhs[:, n + 1:] = eye
     reg = lm_reg * eye
@@ -373,11 +329,11 @@ def lqg_backward(
         Qxx = Q[:n, :n]
         qx = q[:n]
 
-        l_uu = _chol_or_raise(Quu, "action Hessian")
+        _chol_or_raise(Quu, "action Hessian")
         rhs[:, :n] = Qux
         rhs[:, n] = q[n:]
-        _require_finite("Riccati solve", l_uu, rhs)
-        sol = _cho_solve(l_uu, rhs)
+        _require_finite("Riccati solve", Quu, rhs)
+        sol = np.linalg.solve(Quu, rhs)
         K[t] = -sol[:, :n]
         k[t] = -sol[:, n]
         Cuu = sol[:, n + 1:]

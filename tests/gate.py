@@ -58,9 +58,8 @@ for path in (ROOT / "src", ROOT / "tests"):
 from golden import platform_fingerprint  # noqa: E402
 from guided_ddpg.ddpg import DdpgHyper  # noqa: E402
 from guided_ddpg.envs import InsertionEnvConfig  # noqa: E402
-from guided_ddpg.guided import TrainConfig, evaluate_policy, train  # noqa: E402
-from guided_ddpg.harness import SUCCESS_THRESHOLD, pure_ddpg_config  # noqa: E402
-from guided_ddpg.nets import as_float64  # noqa: E402
+from guided_ddpg.guided import TrainConfig, train  # noqa: E402
+from guided_ddpg.harness import SUCCESS_THRESHOLD, final_evaluation, pure_ddpg_config  # noqa: E402
 from guided_ddpg.trajopt import SupervisorConfig  # noqa: E402
 
 REFERENCE = Path(__file__).with_name("gate.json")
@@ -70,7 +69,6 @@ FIGURES = ("auc", "final", "to_0.5", "to_0.9")
 JUDGED = ("auc", "final")  # the figures the verdict checks, in each arm
 BOOTSTRAP_RESAMPLES = 2000
 BOOTSTRAP_SEED = 0x6A7E
-FINAL_EVAL_TAG = 0xE7A1  # the final evaluation's seed tag, as ``harness.run_experiment`` draws it
 
 
 @dataclass(frozen=True)
@@ -105,8 +103,7 @@ def run_seed(schedule_name: str, arm: str, seed: int) -> dict:
     t0 = time.perf_counter()
     nets, log = train(config)
     wall = time.perf_counter() - t0
-    final = evaluate_policy(as_float64(nets.actor), config.hyper, config.env, schedule.final_episodes,
-                            [seed, FINAL_EVAL_TAG])
+    final = final_evaluation(nets, config, schedule.final_episodes)
     supervised = log.episodes_by_phase("supervised")
     return {
         "seed": seed,

@@ -1,8 +1,8 @@
 """scipy loads on no path of the package.
 
-The supervisor's solves, its last use, run on numpy alone. Each case below
-runs in a fresh interpreter: other tests import scipy into the pytest
-process, so ``sys.modules`` there says nothing. An AST scan of every module
+The supervisor's solves, its last use, run on numpy alone, and no test
+imports scipy either. Each case below runs in a fresh interpreter, so that
+``sys.modules`` shows only what that path loads. An AST scan of every module
 catches an import, deferred ones included, that no case reaches.
 """
 import ast

@@ -6,7 +6,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import verbatim_oracles
-from golden import platform_mismatch
 
 from guided_ddpg import trajopt
 from guided_ddpg.ddpg import DdpgHyper, make_agent, policy_action
@@ -38,20 +37,6 @@ from guided_ddpg.trajopt import (
     update_epsilon,
     update_trajectory,
 )
-
-
-@pytest.fixture(scope="module")
-def lapack_bits():
-    """``scipy.linalg``, on the platform whose LAPACK bits ``tests/golden.json`` pins.
-
-    The numpy solves reproduce OpenBLAS's blocking, so they give LAPACK's bits
-    where the kernels are the ones they were checked against; elsewhere the
-    tests that compare bits with scipy skip, as do those without scipy.
-    """
-    mismatch = platform_mismatch()
-    if mismatch:
-        pytest.skip(f"LAPACK bits are pinned on another platform; (stored, here): {mismatch}")
-    return pytest.importorskip("scipy.linalg")
 
 
 def riccati_oracle(A, B, Q, R, Qf, horizon):
@@ -98,8 +83,9 @@ def flat_prior(horizon, n, m):
 # ---------------------------------------------------------------------------
 # The per-step stage implementations the vectorized ones replaced, kept as
 # oracles: lqg_backward and lqg_forward must match them bitwise, and
-# kl_divergence and expected_cost to 1e-12 relative. Their solves are scipy's,
-# so lqg_backward matches only where the lapack_bits fixture runs.
+# kl_divergence and expected_cost to 1e-12 relative. Their solves are numpy's:
+# the backward pass inverts each prior covariance and solves each step once,
+# against [Qux | qu | I], as the stacked pass does.
 
 
 def _oracle_chol(mat: np.ndarray, what: str) -> np.ndarray:
@@ -115,7 +101,6 @@ def oracle_kl_divergence(p: TrajectoryDistribution, other: LinearGaussianPolicy)
     if pol.horizon != other.horizon or pol.action_dim != other.action_dim:
         raise ShapeError("policies must share horizon and dimensions")
     m = pol.action_dim
-    cho_solve = pytest.importorskip("scipy.linalg").cho_solve
     total = 0.0
     for t in range(pol.horizon):
         c1 = pol.C[t]
@@ -124,11 +109,11 @@ def oracle_kl_divergence(p: TrajectoryDistribution, other: LinearGaussianPolicy)
         l2 = _oracle_chol(c2, "policy covariance")
         logdet1 = 2.0 * np.sum(np.log(np.diag(l1)))
         logdet2 = 2.0 * np.sum(np.log(np.diag(l2)))
-        c2_inv_c1 = cho_solve((l2, True), c1)
+        c2_inv_c1 = np.linalg.solve(c2, c1)
         dK = pol.K[t] - other.K[t]
         d = dK @ p.mean[t] + (pol.k[t] - other.k[t])
-        c2_inv_d = cho_solve((l2, True), d)
-        c2_inv_dK = cho_solve((l2, True), dK)
+        c2_inv_d = np.linalg.solve(c2, d)
+        c2_inv_dK = np.linalg.solve(c2, dK)
         quad = float(d @ c2_inv_d) + float(np.trace(c2_inv_dK @ p.cov[t] @ dK.T))
         total += 0.5 * (logdet2 - logdet1 - m + float(np.trace(c2_inv_c1)) + quad)
     return float(total)
@@ -151,11 +136,10 @@ def oracle_lqg_backward(
     if prior.horizon != T or prior.action_dim != m:
         raise ShapeError("prior horizon/dimensions disagree with dynamics")
 
-    cho_solve = pytest.importorskip("scipy.linalg").cho_solve
     prior_inv = []
     for t in range(T):
-        l2 = _oracle_chol(prior.C[t], "prior covariance")
-        prior_inv.append(cho_solve((l2, True), np.eye(m)))
+        _oracle_chol(prior.C[t], "prior covariance")
+        prior_inv.append(np.linalg.inv(prior.C[t]))
 
     K = np.zeros((T, m, n))
     k = np.zeros((T, m))
@@ -179,10 +163,11 @@ def oracle_lqg_backward(
         qu = q[n:]
         qx = q[:n]
 
-        l_uu = _oracle_chol(Quu, "action Hessian")
-        K[t] = -cho_solve((l_uu, True), Qux)
-        k[t] = -cho_solve((l_uu, True), qu)
-        Cuu = cho_solve((l_uu, True), np.eye(m))
+        _oracle_chol(Quu, "action Hessian")
+        sol = np.linalg.solve(Quu, np.concatenate([Qux, qu[:, None], np.eye(m)], axis=1))
+        K[t] = -sol[:, :n]
+        k[t] = -sol[:, n]
+        Cuu = sol[:, n + 1:]
         C[t] = 0.5 * (Cuu + Cuu.T)
 
         Vxx = Qxx + Qux.T @ K[t]
@@ -359,115 +344,84 @@ def spd_stack(rng, count, d, scales=(-8, 8)):
     return (a @ a.transpose(0, 2, 1) + 0.1 * np.eye(d)) * 10.0 ** rng.uniform(*scales, size=(count, 1, 1))
 
 
-OVERFLOWING_FACTOR = np.array([[1e-160, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
-OVERFLOWING_RHS = np.array([[1e200, 1.0], [1.0, 1.0], [1.0, 1.0]])
+# L L' with L = [[1e-100, 0], [1, 1]]: its solve against [1e200; 1] is [2e400; -1e300]
+OVERFLOWING_GRAM = np.array([[[1e-200, 1e-100], [1e-100, 2.0]]])
+OVERFLOWING_RHS = np.array([[[1e200], [1.0]]])
+
+
+def residual_within(a, x, b, rtol):
+    """Whether each slice solves ``a x = b`` to ``rtol`` of ``|a| |x|``, the bound of a backward-stable solve."""
+    resid = np.abs(a @ x - b).max(axis=(-2, -1))
+    return bool((resid <= rtol * np.abs(a).max(axis=(-2, -1)) * np.abs(x).max(axis=(-2, -1))).all())
 
 
 class TestCholeskySolves:
-    """The blocked numpy solves are correct solves at every size, bits aside."""
+    """The numpy solves behind their Cholesky checks are accurate solves at every size."""
 
     @pytest.mark.parametrize("d", [1, 2, 3, 6, 9, 15, 16, 17, 31, 40])
-    def test_tril_solve_solves(self, d):
+    def test_solve_pos_solves(self, d):
         rng = np.random.default_rng(d)
-        lower = np.tril(rng.normal(size=(4, d, d)) / d, -1) + np.eye(d) * rng.uniform(1.0, 2.0, size=(4, 1, d))
+        gram = spd_stack(rng, 4, d, scales=(-3, 3))
         rhs = rng.normal(size=(4, d, 3))
-        got = trajopt._tril_solve(lower, rhs)
-        assert np.allclose(lower @ got, rhs, rtol=1e-10, atol=1e-10)
-        assert np.allclose(got, np.linalg.solve(lower, rhs), rtol=1e-8, atol=1e-10)
-        # a 2-D factor solves as one slice of the stack, and an identity broadcast over it inverts each slice
-        assert np.array_equal(trajopt._tril_solve(lower[0], rhs[0]), got[0])
-        assert np.allclose(lower @ trajopt._tril_solve(lower, np.eye(d)), np.eye(d), rtol=0, atol=1e-10)
+        got = trajopt._solve_pos(gram, rhs, "fit")
+        assert residual_within(gram, got, rhs, 1e-14 * d)
+        # a step solves as it would alone, and an identity right-hand side inverts each slice
+        assert np.array_equal(trajopt._solve_pos(gram[1:2], rhs[1:2], "fit")[0], got[1])
+        eye = np.broadcast_to(np.eye(d), gram.shape)
+        assert residual_within(gram, trajopt._solve_pos(gram, eye, "fit"), eye, 1e-14 * d)
 
     @pytest.mark.parametrize("d,k", [(9, 6), (6, 2), (2, 9), (2, 2), (3, 7), (20, 4)])
-    def test_solve_pos_and_cho_solve_match_numpy(self, d, k):
+    def test_solve_pos_matches_a_cholesky_solve(self, d, k):
         rng = np.random.default_rng([d, k])
         gram = spd_stack(rng, 50, d, scales=(-3, 3))
         rhs = rng.normal(size=(50, d, k))
-        want = np.linalg.solve(gram, rhs)
+        lower = np.linalg.cholesky(gram)
+        want = np.linalg.solve(lower.mT, np.linalg.solve(lower, rhs))
         assert np.allclose(trajopt._solve_pos(gram, rhs, "fit"), want, rtol=1e-7, atol=0)
-        got = trajopt._cho_solve(np.linalg.cholesky(gram), rhs)
-        assert np.allclose(got, want, rtol=1e-7, atol=0)
 
     @pytest.mark.parametrize("d,k", [(9, 6), (6, 2)])
     def test_rank_deficient_ridge_fits_are_backward_stable(self, d, k):
         # the ridge leaves condition numbers near 1e12, so the residual is held to the backward error
         gram, rhs = ridge_stack(np.random.default_rng(3), 100, d, k, 5, 1e-6)
-        got = trajopt._solve_pos(gram, rhs, "fit")
-        resid = np.abs(gram @ got - rhs).max(axis=(1, 2))
-        assert (resid <= 1e-13 * np.abs(gram).max(axis=(1, 2)) * np.abs(got).max(axis=(1, 2))).all()
-
-    def test_overflow_returns_non_finite_values_silently(self):
-        # as LAPACK does: 1e200 / 1e-160 overflows, and the rows below multiply the inf into NaN
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = trajopt._cho_solve(OVERFLOWING_FACTOR, OVERFLOWING_RHS)
-        assert np.isnan(got[:, 0]).all() and np.isinf(got[0, 1])
-
-
-class TestLapackBits:
-    """The numpy solves give LAPACK's bits at the supervisor's shapes: posv on
-    the upper triangle for the fits, potrs on a lower factor for the prior
-    inverses and the Riccati step, and the scipy backward pass they replaced."""
-
-    @pytest.mark.parametrize("d,k", [(9, 6), (6, 2), (2, 9), (2, 2)])
-    def test_solve_pos_equals_scipy_posv(self, lapack_bits, d, k):
-        rng = np.random.default_rng([11, d, k])
-        gram = spd_stack(rng, 1000, d)
-        rhs = rng.normal(size=(1000, d, k)) * 10.0 ** rng.uniform(-8, 8, size=(1000, 1, 1))
-        assert np.array_equal(trajopt._solve_pos(gram, rhs, "fit"), lapack_bits.solve(gram, rhs, assume_a="pos"))
-        eye = np.broadcast_to(np.eye(d), gram.shape)
-        assert np.array_equal(trajopt._solve_pos(gram, eye, "fit"), lapack_bits.solve(gram, eye, assume_a="pos"))
-
-    @pytest.mark.parametrize("d,k", [(9, 6), (6, 2)])
-    def test_rank_deficient_ridge_fits_equal_scipy_posv(self, lapack_bits, d, k):
-        # five samples per step, as in a supervisor epoch, leave the Gram matrices rank-deficient but for the ridge
-        rng = np.random.default_rng([12, d])
-        for _ in range(300):
-            gram, rhs = ridge_stack(rng, 100, d, k, 5, 1e-6)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # scipy warns of the ill-conditioned ridge
-                want = lapack_bits.solve(gram, rhs, assume_a="pos")
-            assert np.array_equal(trajopt._solve_pos(gram, rhs, "fit"), want)
-
-    @pytest.mark.parametrize("m,k", [(2, 9), (2, 2), (3, 10), (3, 3)])
-    def test_cho_solve_equals_dpotrs(self, lapack_bits, m, k):
-        # the Riccati step solves [Qux | qu | I] (k = n + 1 + m), the prior inverse the identity
-        dpotrs = pytest.importorskip("scipy.linalg.lapack").dpotrs
-        rng = np.random.default_rng([13, m, k])
-        chol = np.linalg.cholesky(spd_stack(rng, 6000, m))
-        rhs = rng.normal(size=(6000, m, k)) * 10.0 ** rng.uniform(-8, 8, size=(6000, 1, 1))
-        rhs[::2, :, k - m:] = np.eye(m)
-        got = trajopt._cho_solve(chol, rhs)
-        for t in range(len(chol)):
-            assert np.array_equal(got[t], dpotrs(chol[t], rhs[t], lower=1)[0]), t
-
-    @pytest.mark.parametrize("d", range(2, 16))
-    def test_every_size_below_16_equals_dpotrs(self, lapack_bits, d):
-        dpotrs = pytest.importorskip("scipy.linalg.lapack").dpotrs
-        rng = np.random.default_rng([14, d])
-        chol = np.linalg.cholesky(spd_stack(rng, 50, d, scales=(-2, 2)))
-        rhs = rng.normal(size=(50, d, 5))
-        got = trajopt._cho_solve(chol, rhs)
-        for t in range(len(chol)):
-            assert np.array_equal(got[t], dpotrs(chol[t], rhs[t], lower=1)[0]), t
-
-    def test_overflow_equals_dpotrs(self, lapack_bits):
-        dpotrs = pytest.importorskip("scipy.linalg.lapack").dpotrs
-        want = dpotrs(OVERFLOWING_FACTOR, OVERFLOWING_RHS, lower=1)[0]
-        # the same infinities and NaNs; a NaN's sign bit may differ, which nothing reads
-        assert np.array_equal(trajopt._cho_solve(OVERFLOWING_FACTOR, OVERFLOWING_RHS), want, equal_nan=True)
+        assert residual_within(gram, trajopt._solve_pos(gram, rhs, "fit"), rhs, 1e-13)
 
     @pytest.mark.parametrize("cond", [1.0, 1e8])
-    @pytest.mark.parametrize("lm_reg", [0.0, 1e-6])
-    def test_lqg_backward_equals_the_scipy_pass(self, lapack_bits, cond, lm_reg):
-        rng = np.random.default_rng([15, int(cond), int(lm_reg > 0)])
-        for _ in range(40):
+    def test_prior_penalty_inverts_the_prior_covariances(self, cond):
+        rng = np.random.default_rng([16, int(cond)])
+        for _ in range(20):
+            prior = random_stage_problem(rng, cond)[2]
+            n = prior.state_dim
+            P, p = prior_penalty(prior)
+            # the action block of P is C^-1, and the action part of p is C^-1 k
+            assert residual_within(prior.C, P[:, n:, n:], np.eye(prior.action_dim), 1e-14)
+            assert residual_within(prior.C, p[:, n:, None], prior.k[:, :, None], 1e-14)
+
+    @pytest.mark.parametrize("cond", [1.0, 1e8])
+    def test_riccati_step_solves_the_action_hessian(self, cond):
+        # the last step of a random problem, alone: its Q comes from the terminal cost
+        rng = np.random.default_rng([17, int(cond)])
+        for _ in range(20):
             dynamics, cost, prior, _, _, _ = random_stage_problem(rng, cond)
-            eta = 10.0 ** rng.uniform(-2, 3)
-            got = lqg_backward(dynamics, cost, prior_penalty(prior), eta, lm_reg)
-            want = verbatim_oracles.lqg_backward(dynamics, cost, prior, eta, lm_reg)
-            for name in ("K", "k", "C"):
-                assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
+            n, eta = cost.state_dim, 10.0 ** rng.uniform(-2, 3)
+            P, p = prior_penalty(prior)
+            F, f = dynamics.F[-1], dynamics.f[-1]
+            Vxx, vx = cost.Cxx_T / eta, cost.cx_T / eta
+            Q = cost.Czz[-1] / eta + P[-1] + F.T @ Vxx @ F
+            q = cost.cz[-1] / eta - p[-1] + F.T @ (Vxx @ f + vx)
+            Quu = 0.5 * (Q[n:, n:] + Q[n:, n:].T)
+            step = LinearDynamics(dynamics.F[-1:], dynamics.f[-1:], dynamics.Sigma[-1:])
+            last = replace(cost, Czz=cost.Czz[-1:], cz=cost.cz[-1:], const=cost.const[-1:])
+            got = lqg_backward(step, last, (P[-1:], p[-1:]), eta)
+            assert residual_within(Quu, -got.K[0], Q[n:, :n], 1e-14)
+            assert residual_within(Quu, -got.k[0][:, None], q[n:, None], 1e-14)
+            assert residual_within(Quu, got.C[0], np.eye(cost.action_dim), 1e-14)
+
+    def test_overflow_returns_non_finite_values_silently(self):
+        # as LAPACK does, with no warning: 2e400 overflows to inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = trajopt._solve_pos(OVERFLOWING_GRAM, OVERFLOWING_RHS, "fit")
+        assert np.isposinf(got[0, 0, 0]) and got[0, 1, 0] == pytest.approx(-1e300, rel=1e-12)
 
 
 class TestLinearizePolicy:
@@ -883,7 +837,6 @@ class TestStagesMatchOracles:
     @pytest.mark.parametrize("with_prior", [True, False])
     @pytest.mark.parametrize("lm_reg", [0.0, 1e-6])
     @pytest.mark.parametrize("cond", [1.0, 1e8])
-    @pytest.mark.usefixtures("lapack_bits")
     def test_backward_and_forward_bitwise(self, with_prior, lm_reg, cond):
         rng = np.random.default_rng([int(with_prior), int(lm_reg > 0), int(cond)])
         for _ in range(25):
@@ -957,7 +910,6 @@ class TestStagesMatchOracles:
                                           SupervisorConfig(), 0.99, np.random.default_rng(11))
         return result, dual, controllers[-1]
 
-    @pytest.mark.usefixtures("lapack_bits")
     def test_run_supervisor_bitwise_equal_to_oracle_stages(self, monkeypatch):
         env = InsertionEnvConfig(horizon=40)
         hyper = DdpgHyper.for_env(env)
@@ -1062,7 +1014,6 @@ class TestStackedStagesMatchVerbatim:
 
     @pytest.mark.parametrize("horizon", [6, 100])
     @pytest.mark.parametrize("case", CASES)
-    @pytest.mark.usefixtures("lapack_bits")
     def test_fit_dynamics(self, case, horizon):
         states, actions = stage_inputs(case, horizon)
         got, want = fit_dynamics(states, actions), verbatim_oracles.fit_dynamics(states, actions)
@@ -1071,7 +1022,6 @@ class TestStackedStagesMatchVerbatim:
 
     @pytest.mark.parametrize("horizon", [6, 100])
     @pytest.mark.parametrize("case", CASES)
-    @pytest.mark.usefixtures("lapack_bits")
     def test_linearize_policy(self, case, horizon):
         states, _ = stage_inputs(case, horizon)
         policy_fn = self._policy_fn()
@@ -1108,7 +1058,6 @@ class TestStackedStagesMatchVerbatim:
                 assert _bits(got(t, rows, noise[t])) == _bits(per_row), t
 
     @pytest.mark.parametrize("case", CASES)
-    @pytest.mark.usefixtures("lapack_bits")
     def test_later_stages_get_the_same_bits(self, case):
         # Equal values in another memory layout would pass the tests above but
         # send the backward and forward passes' products to other kernels.
@@ -1132,7 +1081,6 @@ class TestStackedStagesMatchVerbatim:
                            + [kl_divergence(traj, prior), expected_cost(cost, traj)])
         assert results[0] == results[1]
 
-    @pytest.mark.usefixtures("lapack_bits")
     def test_run_supervisor_equals_the_per_step_stages(self, monkeypatch):
         env = InsertionEnvConfig(horizon=40)
         policy_fn = self._policy_fn()

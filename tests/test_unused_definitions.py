@@ -3,9 +3,10 @@
 A definition is a module's top-level function, class or constant, or a
 method of a top-level class whose name is not a dunder. It counts as used
 when some module of the package loads its name, as an ``ast.Name`` or as the
-attribute of an ``ast.Attribute``, or when ``perfbench/`` imports it or names
-it in a string: the benchmark wraps its targets by name. Code that only
-tests use is deleted, not kept here.
+attribute of an ``ast.Attribute``, or when a file of ``perfbench/`` imports it,
+names it in a string (the benchmark wraps its targets by name) or reads it as
+an attribute of a name that the same file imports from the package, as in
+``DdpgHyper.for_env``. Code that only tests use is deleted, not kept here.
 """
 import ast
 from pathlib import Path
@@ -40,22 +41,29 @@ def loaded_names(tree: ast.AST) -> set:
     return names
 
 
-def bench_names(tree: ast.AST) -> set:
-    """Every name that ``tree`` imports from a module, and every string constant in it."""
-    names = set()
+def bench_names(tree: ast.AST, package: str) -> set:
+    """Every name that ``tree`` imports from a module, every string constant in it, and every
+    attribute it reads off a name that it imports from ``package``."""
+    names, from_package = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             names.update(alias.name for alias in node.names)
+            if (node.module or "").split(".")[0] == package:
+                from_package.update(alias.asname or alias.name for alias in node.names)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             names.add(node.value)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in from_package:
+            names.add(node.attr)
     return names
 
 
-def unused_definitions(modules: dict, bench: list) -> list:
-    """``"module line N: name"`` for each definition in ``modules`` (name to source) that nothing uses."""
+def unused_definitions(modules: dict, bench: list, package: str) -> list:
+    """``"module line N: name"`` for each definition in ``modules`` (name to source) of ``package`` that
+    nothing uses."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
     used = set().union(*(loaded_names(tree) for tree in trees.values()),
-                       *(bench_names(ast.parse(source)) for source in bench))
+                       *(bench_names(ast.parse(source), package) for source in bench))
     return [f"{module} line {line}: {name}" for module, tree in sorted(trees.items())
             for line, name in definitions(tree) if name not in used]
 
@@ -66,12 +74,17 @@ def test_the_check_finds_an_unused_definition():
               "def helper():\n    return Box().size()\n\ndef wrapped():\n    return helper()\n\n"
               "def orphan():\n    return 1\n")
     bench = "from pkg.mod import Box\nTARGETS = ['wrapped']\n"
-    assert unused_definitions({"mod.py": module}, [bench]) == [
+    assert unused_definitions({"mod.py": module}, [bench], "pkg") == [
         "mod.py line 2: UNUSED", "mod.py line 11: spare", "mod.py line 20: orphan"]
+    # an attribute of a name imported from the package counts; one of an unimported name, or of a
+    # name imported from elsewhere, does not
+    bench += "Box.spare()\nother.orphan()\nfrom os import path\npath.orphan()\n"
+    assert unused_definitions({"mod.py": module}, [bench], "pkg") == [
+        "mod.py line 2: UNUSED", "mod.py line 20: orphan"]
 
 
 def test_every_definition_is_used():
     modules = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     bench = [path.read_text(encoding="utf-8") for path in sorted(BENCH.rglob("*.py"))]
     assert "trajopt.py" in modules and bench
-    assert unused_definitions(modules, bench) == []
+    assert unused_definitions(modules, bench, "guided_ddpg") == []

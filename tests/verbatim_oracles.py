@@ -15,18 +15,15 @@ zero included:
 - ``fit_dynamics``, ``linearize_policy`` and ``quadratize`` (with
   ``_solve_pos`` and ``_norm_expansion``): the supervisor's model fits and
   cost expansion, before they were stacked over the horizon. They loop over
-  the steps and solve or expand one step at a time;
+  the steps and solve or expand one step at a time. ``_solve_pos`` is no
+  longer verbatim: it solves with ``np.linalg.solve``, as the package's fits
+  now do;
 - ``linear_gaussian_controller``: the supervisor's sampling controller,
   before it factored every step's covariance in one stacked call;
 - ``rollout`` (with its ``Rollout``) and ``gaussian_controller``: the
   supervisor's sampler, one episode of one row at a time with a controller
   that draws its own noise, before the episodes of a sub-iteration ran in
-  lockstep;
-- ``lqg_backward``: the Riccati backward pass, before its solves left
-  scipy; it calls LAPACK potrs through ``scipy.linalg.lapack.dpotrs``.
-
-``_solve_pos`` and ``lqg_backward`` import scipy, which only the ``test``
-extra installs.
+  lockstep.
 """
 from __future__ import annotations
 
@@ -48,7 +45,6 @@ from guided_ddpg.trajopt import (
     LinearGaussianPolicy,
     QuadraticCost,
     SmoothedInsertionCost,
-    _chol_or_raise,
     _require_finite,
 )
 
@@ -274,18 +270,16 @@ def actor_objective_grads(
 
 
 def _solve_pos(gram: Array, rhs: Array, what: str) -> Array:
-    """``gram^-1 rhs`` for a symmetric positive definite ``gram`` (LAPACK posv).
+    """``gram^-1 rhs`` for a symmetric positive definite ``gram``.
 
-    Raises :class:`NumericalError` on non-finite input or a failed factorization.
+    Raises :class:`NumericalError` on non-finite input or a failed Cholesky factorization.
     """
     _require_finite(what, gram, rhs)
-    # Deferred so that pure DDPG and evaluation never load scipy.
-    import scipy.linalg
-
     try:
-        return scipy.linalg.solve(gram, rhs, assume_a="pos")
-    except scipy.linalg.LinAlgError as exc:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
         raise NumericalError(f"{what} failed") from exc
+    return np.linalg.solve(gram, rhs)
 
 
 def fit_dynamics(states: Array, actions: Array) -> LinearDynamics:
@@ -412,87 +406,6 @@ def linear_gaussian_controller(policy: LinearGaussianPolicy, rng: np.random.Gene
         return policy.K[t] @ state + policy.k[t] + chols[t] @ rng.standard_normal(policy.action_dim)
 
     return controller
-
-
-def lqg_backward(
-    dynamics: LinearDynamics,
-    cost: QuadraticCost,
-    prior: LinearGaussianPolicy,
-    eta: float,
-    lm_reg: float = 0.0,
-) -> LinearGaussianPolicy:
-    """Maximum-entropy Riccati recursion on the dual surrogate cost.
-
-    The surrogate at each step is ``cost / eta - log prior(u | s)``, and the
-    returned covariance is the inverse action Hessian. A flat prior (zero
-    gains, covariance ``c I``, ``c`` large) adds only ``I / c`` to that
-    Hessian: the recursion tends to an LQR solve of ``cost / eta``. Raises
-    :class:`NotPositiveDefiniteError` when the Hessian (plus ``lm_reg`` on its
-    diagonal) fails its Cholesky factorization, and :class:`NumericalError`
-    when a solve would receive non-finite values.
-    """
-    if eta <= 0.0:
-        raise InputError(f"eta must be positive, got {eta}")
-    # Deferred so that pure DDPG and evaluation never load scipy.
-    from scipy.linalg.lapack import dpotrs
-
-    T = dynamics.horizon
-    n, m = cost.state_dim, cost.action_dim
-    if cost.horizon != T or dynamics.F.shape[1] != n:
-        raise ShapeError("dynamics and cost horizons/dimensions disagree")
-    if prior.horizon != T or prior.action_dim != m:
-        raise ShapeError("prior horizon/dimensions disagree with dynamics")
-
-    eye = np.eye(m)
-    l2 = _chol_or_raise(prior.C, "prior covariance")
-    _require_finite("prior covariance", l2)
-    # LAPACK returns Fortran-ordered inverses; keeping that layout per
-    # step keeps the products below bitwise equal to per-step ones.
-    prior_inv = np.empty((T, m, m)).transpose(0, 2, 1)
-    for t in range(T):
-        prior_inv[t] = dpotrs(l2[t], eye, lower=1)[0]
-    M = np.empty((T, m, n + m))
-    M[:, :, :n] = -prior.K
-    M[:, :, n:] = eye
-    MT = M.transpose(0, 2, 1)
-    quad = cost.Czz / eta + MT @ prior_inv @ M
-    lin = cost.cz / eta - (MT @ (prior_inv @ prior.k[:, :, None]))[:, :, 0]
-
-    K = np.zeros((T, m, n))
-    k = np.zeros((T, m))
-    C = np.zeros((T, m, m))
-    Vxx = cost.Cxx_T / eta
-    vx = cost.cx_T / eta
-    # One solve per step against [Qux | qu | I] gives -K, -k and the
-    # covariance, bitwise equal to three separate solves.
-    rhs = np.empty((m, n + 1 + m))
-    rhs[:, n + 1:] = eye
-    reg = lm_reg * eye
-    for t in range(T - 1, -1, -1):
-        Ft = dynamics.F[t]
-        ft = dynamics.f[t]
-        Q = quad[t] + Ft.T @ Vxx @ Ft
-        q = lin[t] + Ft.T @ (Vxx @ ft + vx)
-
-        Quu = 0.5 * (Q[n:, n:] + Q[n:, n:].T) + reg
-        Qux = Q[n:, :n]
-        Qxx = Q[:n, :n]
-        qx = q[:n]
-
-        l_uu = _chol_or_raise(Quu, "action Hessian")
-        rhs[:, :n] = Qux
-        rhs[:, n] = q[n:]
-        _require_finite("Riccati solve", l_uu, rhs)
-        sol = dpotrs(l_uu, rhs, lower=1)[0]
-        K[t] = -sol[:, :n]
-        k[t] = -sol[:, n]
-        Cuu = sol[:, n + 1:]
-        C[t] = 0.5 * (Cuu + Cuu.T)
-
-        Vxx = Qxx + Qux.T @ K[t]
-        Vxx = 0.5 * (Vxx + Vxx.T)
-        vx = qx + Qux.T @ k[t]
-    return LinearGaussianPolicy(K, k, C)
 
 
 @dataclass
