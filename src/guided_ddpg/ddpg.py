@@ -43,11 +43,12 @@ TARGET_RATE = 0.001  # share of the source that each soft update blends into the
 OU_SCALE = 1.0  # diffusion scale (N) of the exploration noise on each action axis
 OU_THETA = 0.15  # mean-reversion rate of the exploration noise
 OU_DT = 1.0  # time step of the exploration noise; each step scales its state by 1 - OU_THETA * OU_DT
+SUPERVISION_DECAY = 10.0  # decay constant c of supervision_weight; the weight is 1/2 after c exploratory episodes
 
 
 @dataclass(frozen=True)
 class DdpgHyper:
-    """The learner's five settings, and the nets' input scaling as class constants.
+    """The learner's four settings, and the nets' input scaling as class constants.
 
     The task's geometry is fixed, so the scaling is too. Actions are the actor's tanh output times
     ``action_bound``, and the critic reads them divided by it; states enter a net times ``obs_scale_array``.
@@ -62,15 +63,12 @@ class DdpgHyper:
 
     batch_size: int = 64
     supervision_batch_size: int = 64
-    supervision_decay: float = 10.0  # decay constant c of supervision_weight; c = 0 disables supervision
     actor_hidden: tuple[int, ...] = (64, 64)
     critic_hidden: tuple[int, ...] = (64, 64)
 
     def __post_init__(self):
         if self.batch_size < 1 or self.supervision_batch_size < 1:
             raise ConfigurationError("batch sizes must be positive")
-        if self.supervision_decay < 0.0:
-            raise ConfigurationError("supervision_decay must be >= 0")
         if any(w < 1 for w in (*self.actor_hidden, *self.critic_hidden)):
             raise ConfigurationError(f"actor_hidden and critic_hidden widths must be >= 1, "
                                      f"got {self.actor_hidden} and {self.critic_hidden}")
@@ -176,26 +174,25 @@ def critic_loss_grads(
     """Gradient of the critic loss; returns (loss, grads).
 
     Loss: mean squared Bellman error plus ``supervision_weight`` times the
-    mean squared error against the optimizer's value targets.
+    mean squared error against the optimizer's value targets. The supervision
+    rows, stacked under the batch rows, share its forward and backward pass.
     """
     y = critic_target(batch, nets, hyper)
     x = _critic_input(hyper, batch.states, batch.actions)
+    n = batch.states.shape[0]
+    supervised = sup_batch is not None and supervision_weight > 0.0
+    if supervised:
+        x = np.concatenate([x, _critic_input(hyper, sup_batch.states, sup_batch.actions)])
+        y = np.concatenate([y, sup_batch.q_values])
     q, cache = mlp_forward(nets.critic, x)
     err = q[:, 0] - y
-    n = batch.states.shape[0]
-    loss = float(np.mean(err**2))
-    grads, _ = mlp_backward(nets.critic, (2.0 / n) * err[:, None], cache, wrt_input=False)
-
-    if sup_batch is not None and supervision_weight > 0.0:
-        xs = _critic_input(hyper, sup_batch.states, sup_batch.actions)
-        qs, cache_s = mlp_forward(nets.critic, xs)
-        err_s = qs[:, 0] - sup_batch.q_values
+    loss = float(np.mean(err[:n] ** 2))
+    out_grad = (2.0 / n) * err[:, None]
+    if supervised:
         ns = sup_batch.states.shape[0]
-        loss += supervision_weight * float(np.mean(err_s**2))
-        sup_grads, _ = mlp_backward(
-            nets.critic, (2.0 * supervision_weight / ns) * err_s[:, None], cache_s, wrt_input=False
-        )
-        grads = grads + sup_grads
+        loss += supervision_weight * float(np.mean(err[n:] ** 2))
+        out_grad[n:] = (2.0 * supervision_weight / ns) * err[n:, None]
+    grads, _ = mlp_backward(nets.critic, out_grad, cache, wrt_input=False)
     return loss, grads
 
 
@@ -225,32 +222,29 @@ def actor_objective_grads(
     Objective: ``-mean target-critic Q at the actor's actions`` plus
     ``supervision_weight`` times the mean squared distance to the optimizer's
     actions. Gradients flow into the actor through the critic's action input
-    only; critic parameters stay fixed.
+    only; critic parameters stay fixed. The supervision states, stacked under
+    the batch states, share the actor's passes; the target critic sees the batch.
     """
     xs = _scaled_obs(hyper, batch.states)
-    out, actor_cache = mlp_forward(nets.actor, xs)  # in [-1, 1]; action = bound * out
     n = batch.states.shape[0]
+    supervised = sup_batch is not None and supervision_weight > 0.0
+    rows = np.concatenate([xs, _scaled_obs(hyper, sup_batch.states)]) if supervised else xs
+    out, actor_cache = mlp_forward(nets.actor, rows)  # in [-1, 1]; action = bound * out
 
     # dQ/d(action input) of the target critic at (s, actor(s)).
-    critic_in = np.concatenate([xs, out], axis=1)
+    critic_in = np.concatenate([xs, out[:n]], axis=1)
     q, critic_cache = mlp_forward(nets.target_critic, critic_in)
     _, input_grad = mlp_backward(nets.target_critic, np.ones((n, 1)), critic_cache, wrt_params=False)
     dq_dout = input_grad[:, xs.shape[1] :]
 
     objective = -float(np.mean(q[:, 0]))
-    grads, _ = mlp_backward(nets.actor, (-1.0 / n) * dq_dout, actor_cache, wrt_input=False)
-
-    if sup_batch is not None and supervision_weight > 0.0:
-        xs_s = _scaled_obs(hyper, sup_batch.states)
-        out_s, sup_cache = mlp_forward(nets.actor, xs_s)
-        diff = hyper.action_bound * out_s - sup_batch.actions
+    out_grad = (-1.0 / n) * dq_dout
+    if supervised:
+        diff = hyper.action_bound * out[n:] - sup_batch.actions
         ns = sup_batch.states.shape[0]
         objective += supervision_weight * float(np.mean(np.sum(diff**2, axis=1)))
-        sup_grads, _ = mlp_backward(
-            nets.actor, (2.0 * supervision_weight * hyper.action_bound / ns) * diff, sup_cache,
-            wrt_input=False,
-        )
-        grads = grads + sup_grads
+        out_grad = np.concatenate([out_grad, (2.0 * supervision_weight * hyper.action_bound / ns) * diff])
+    grads, _ = mlp_backward(nets.actor, out_grad, actor_cache, wrt_input=False)
     return objective, grads
 
 
@@ -277,9 +271,9 @@ def target_update(nets: AgentNets) -> None:
     nets.targets[...] = nets.targets_float64
 
 
-def supervision_weight(n_roll: int, c: float) -> float:
-    """Decaying blend weight ``c / (n_roll + c)``; a decay constant of 0 disables supervision."""
-    return c / (n_roll + c) if c > 0.0 else 0.0
+def supervision_weight(n_roll: int) -> float:
+    """Decaying blend weight ``c / (n_roll + c)`` with ``c`` = :data:`SUPERVISION_DECAY`."""
+    return SUPERVISION_DECAY / (n_roll + SUPERVISION_DECAY)
 
 
 class OrnsteinUhlenbeckNoise:

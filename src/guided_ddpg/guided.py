@@ -48,7 +48,7 @@ from .replay import (
     transition_batch_from_rows,
     transition_buffer,
 )
-from .trajopt import ETA_INIT, DualState, SupervisorConfig, run_supervisor
+from .trajopt import ETA_INIT, KL_STEP, DualState, SupervisorConfig, run_supervisor
 
 Array = np.ndarray
 
@@ -98,7 +98,6 @@ class TrainConfig:
     seed: int = 0
     eval_every: int = 25
     eval_episodes: int = 20
-    kl_step: float = 100.0  # the trust region epsilon the first dual search starts from
 
     def __post_init__(self):
         if self.epochs < 0 or self.n_ddpg < 0 or self.n_inc < 0 or self.n_trajopt < 0:
@@ -107,8 +106,6 @@ class TrainConfig:
             raise ConfigurationError(f"r2_capacity must be >= 1, got {self.r2_capacity}")
         if self.eval_every < 0:
             raise ConfigurationError(f"eval_every must be >= 0, got {self.eval_every}")
-        if not self.kl_step > 0.0:
-            raise ConfigurationError(f"kl_step must be > 0, got {self.kl_step}")
         if self.eval_every > 0 and self.eval_episodes < 1:
             raise ConfigurationError(f"eval_episodes must be >= 1 when eval_every > 0, got {self.eval_episodes}")
 
@@ -274,14 +271,14 @@ def ddpg_block(
 ) -> int:
     """Run exploratory episodes with one update triple per environment step.
 
+    Each episode applies and logs as ``w_to`` one supervision weight, 0 while ``r1`` is empty.
     Updates ``nets`` in place and returns the new exploratory-episode count.
     """
     hyper = config.hyper
     env = config.env
 
     for _ in range(n_episodes):
-        w_to = supervision_weight(n_roll, hyper.supervision_decay)
-        effective_w = w_to if len(r1) > 0 else 0.0
+        w_to = supervision_weight(n_roll) if len(r1) > 0 else 0.0
 
         noise.reset()
         state = env_reset(env, streams.env, 1)
@@ -301,10 +298,10 @@ def ddpg_block(
 
             batch = transition_batch_from_rows(r2.sample_rows(hyper.batch_size, streams.replay))
             sup = None
-            if effective_w > 0.0:
+            if w_to > 0.0:
                 sup = supervision_batch_from_rows(r1.sample_rows(hyper.supervision_batch_size, streams.replay))
-            critic_update(nets, hyper, batch, sup, effective_w)
-            actor_update(nets, hyper, batch, sup, effective_w)
+            critic_update(nets, hyper, batch, sup, w_to)
+            actor_update(nets, hyper, batch, sup, w_to)
             target_update(nets)
 
             state = next_state
@@ -332,7 +329,7 @@ def train(config: TrainConfig) -> tuple[AgentNets, TrainingLog]:
     noise = OrnsteinUhlenbeckNoise(ACTION_DIM)
     r1, r2 = supervision_buffer(R1_CAPACITY), transition_buffer(config.r2_capacity)
     log = TrainingLog()
-    dual = DualState(eta=ETA_INIT, epsilon=config.kl_step)
+    dual = DualState(eta=ETA_INIT, epsilon=KL_STEP)
 
     def actor_fn(states):  # the supervisor runs between DDPG blocks, so it sees the actor fixed
         return policy_action(nets.actor, hyper, states).astype(np.float64)  # its fits stay float64

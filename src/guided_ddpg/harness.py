@@ -179,9 +179,8 @@ def load_env_config(path) -> InsertionEnvConfig:
 
 
 def pure_ddpg_config(config: TrainConfig) -> TrainConfig:
-    """Strip supervision: no optimizer epochs and zero supervision weight."""
-    hyper = replace(config.hyper, supervision_decay=0.0)
-    return replace(config, hyper=hyper, n_trajopt=0)
+    """Strip supervision: no optimizer epochs, so no supervision sample and a zero supervision weight."""
+    return replace(config, n_trajopt=0)
 
 
 def save_agent_checkpoint(path, nets, hyper: DdpgHyper) -> None:

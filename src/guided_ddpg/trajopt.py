@@ -13,7 +13,7 @@ dynamics are ``s' = F [s; u] + f + noise``; controllers are
 ``u = K s + k + N(0, C)``.
 
 The method's numerical settings are the constants below, not config fields,
-among them ``ETA_INIT``, ``DYNAMICS_REG``, ``EXPLORATION_STD``,
+among them ``ETA_INIT``, ``KL_STEP``, ``DYNAMICS_REG``, ``EXPLORATION_STD``,
 ``COST_SMOOTHING``, ``TERMINAL_WEIGHT`` and ``MAX_DUAL_ITERATIONS``.
 """
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .replay import SupervisionSample
 Array = np.ndarray
 
 ETA_INIT = 1.0  # the dual variable eta that a run's first dual search starts from
+KL_STEP = 100.0  # the trust region epsilon that a run's first dual search starts from
 ETA_MIN = 1e-8  # floor of the dual variable eta: the weakest pull toward the prior
 ETA_MAX = 1e16  # ceiling of eta: the strongest pull toward the prior
 ETA_FACTOR = 10.0  # step of the dual search's walk until it brackets the trust region

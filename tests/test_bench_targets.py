@@ -43,7 +43,8 @@ def test_supervision_batch_is_the_fourth_argument(update):
     assert parameters.index("sup_batch") == 3
 
 
-def test_each_exploratory_step_makes_one_update_triple(monkeypatch):
+@pytest.mark.parametrize("workload", ["guided_train", "pure_train"])
+def test_each_exploratory_step_makes_one_update_triple(monkeypatch, workload):
     calls = []
 
     def counting(owner, name):
@@ -59,7 +60,7 @@ def test_each_exploratory_step_makes_one_update_triple(monkeypatch):
         counting(guided, name)
     for name in ("adam_step", "soft_update"):
         counting(ddpg, name)
-    _, log = guided.train(train_config("pure_train", 0, SIZES["tiny"]))
+    _, log = guided.train(train_config(workload, 0, SIZES["tiny"]))
     steps = sum(e.steps for e in log.episodes_by_phase("ddpg"))
     assert steps > 0
     assert calls == STEP_CALLS * steps

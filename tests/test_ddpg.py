@@ -4,11 +4,13 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 import pytest
 
+import guided_ddpg.ddpg as ddpg_mod
 from guided_ddpg.ddpg import (
     DISCOUNT,
     OU_DT,
     OU_SCALE,
     OU_THETA,
+    SUPERVISION_DECAY,
     TARGET_RATE,
     AgentNets,
     DdpgHyper,
@@ -446,9 +448,14 @@ def oracle_target_update(nets, rate):
 
 
 class TestInPlaceLearnerMatchesFunctionalOracle:
+    SUPERVISED_TOLERANCE = 1e-14  # absolute; about 45 float64 ulps at 1.0
+
     @pytest.mark.parametrize("hidden", [(8,), (64, 64)], ids=["tiny", "64x64"])
     @pytest.mark.parametrize("supervised", [False, True], ids=["pure", "supervised"])
     def test_300_update_triples_bitwise(self, hidden, supervised):
+        """Pure updates keep the oracle's bits. Supervised ones stack the supervision rows under the batch
+        in one pass where the oracle runs two and adds their gradients, which reorders the sums: they stay
+        within ``SUPERVISED_TOLERANCE`` of it (2.2e-16 measured, on nets and moments of order 0.01-1)."""
         hyper = tiny_hyper(actor_hidden=hidden, critic_hidden=hidden)
         seed = [5, 0]
         nets = float64_agent(hyper, seed)
@@ -456,20 +463,56 @@ class TestInPlaceLearnerMatchesFunctionalOracle:
         rng = np.random.default_rng(21)
         for k in range(300):
             batch = random_batch(rng, n=16)
-            sup, w = (random_supervision(rng, n=8), supervision_weight(k, 10.0)) if supervised else (None, 0.0)
+            sup, w = (random_supervision(rng, n=8), supervision_weight(k)) if supervised else (None, 0.0)
             critic_update(nets, hyper, batch, sup, w)
             actor_update(nets, hyper, batch, sup, w)
             target_update(nets)
             oracle = oracle_critic_update(oracle, hyper, batch, sup, w)
             oracle = oracle_actor_update(oracle, hyper, batch, sup, w)
             oracle = oracle_target_update(oracle, TARGET_RATE)
+
+        def same(mine, theirs):
+            if supervised:
+                return np.abs(mine - theirs).max() <= self.SUPERVISED_TOLERANCE
+            return np.array_equal(mine, theirs)
+
         for name in ("actor", "critic", "target_actor", "target_critic"):
-            assert np.array_equal(getattr(nets, name).vector, getattr(oracle, name).vector), name
+            assert same(getattr(nets, name).vector, getattr(oracle, name).vector), name
         for name in ("actor_opt", "critic_opt"):
             mine, theirs = getattr(nets, name), getattr(oracle, name)
-            assert np.array_equal(mine.m, theirs.m) and np.array_equal(mine.v, theirs.v), name
+            assert same(mine.m, theirs.m) and same(mine.v, theirs.v), name
             assert mine.step_count == theirs.step_count == 300
         assert not np.array_equal(nets.target_actor.vector, nets.actor.vector)
+
+
+class TestOnePassPerLoss:
+    @pytest.mark.parametrize("supervised", [False, True], ids=["pure", "supervised"])
+    def test_an_update_triple_makes_5_forward_and_3_backward_passes(self, monkeypatch, supervised):
+        # the critic loss: target actor, target critic, critic forward and one critic backward; the actor
+        # objective: actor and target critic forward, target critic and actor backward. Supervision rows
+        # ride in the critic's and the actor's passes, so they add none.
+        calls = {"mlp_forward": 0, "mlp_backward": 0}
+
+        def counting(name):
+            original = getattr(ddpg_mod, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(ddpg_mod, name, counted)
+
+        for name in calls:
+            counting(name)
+        hyper = tiny_hyper()
+        nets = make_agent(hyper, 0)
+        rng = np.random.default_rng(4)
+        sup, w = (random_supervision(rng), 0.5) if supervised else (None, 0.0)
+        batch = random_batch(rng)
+        critic_update(nets, hyper, batch, sup, w)
+        actor_update(nets, hyper, batch, sup, w)
+        target_update(nets)
+        assert calls == {"mlp_forward": 5, "mlp_backward": 3}
 
 
 class TestFloat32Learner:
@@ -515,7 +558,7 @@ class TestFloat32Learner:
         rng = np.random.default_rng(21)
         for k in range(20):
             batch = random_batch(rng, n=16)
-            sup, w = (random_supervision(rng, n=8), supervision_weight(k, 10.0)) if supervised else (None, 0.0)
+            sup, w = (random_supervision(rng, n=8), supervision_weight(k)) if supervised else (None, 0.0)
             for nets in (single, double):
                 critic_update(nets, hyper, batch, sup, w)
                 actor_update(nets, hyper, batch, sup, w)
@@ -530,24 +573,24 @@ class TestFloat32Learner:
 
 class TestSupervisionWeight:
     def test_starts_at_one(self):
-        assert supervision_weight(0, 3.7) == 1.0
+        assert supervision_weight(0) == 1.0
 
     def test_paper_values(self):
-        assert supervision_weight(999, 1.0) == pytest.approx(0.001, abs=1e-12)
-        assert supervision_weight(900, 100.0) == pytest.approx(0.1, abs=1e-12)
+        # c / (n_roll + c) with c = 10
+        assert SUPERVISION_DECAY == 10.0
+        assert supervision_weight(10) == 0.5
+        assert supervision_weight(90) == pytest.approx(0.1, abs=1e-12)
+        assert supervision_weight(990) == pytest.approx(0.01, abs=1e-12)
 
     def test_strictly_decreasing(self):
-        values = [supervision_weight(n, 5.0) for n in range(200)]
+        values = [supervision_weight(n) for n in range(200)]
         assert all(a > b for a, b in zip(values, values[1:]))
         assert values[-1] > 0.0
 
     def test_invalid_inputs(self):
-        # the decay constant is range-checked where it is set; n_roll is a count the trainer keeps
-        with pytest.raises(ConfigurationError, match="supervision_decay"):
-            tiny_hyper(supervision_decay=-1e-3)
-        # a decay constant of 0 is valid and disables supervision
-        assert supervision_weight(5, 0.0) == 0.0
-        assert supervision_weight(0, 0.0) == 0.0
+        # the decay is a constant, not a setting; a run without supervision samples is what applies none
+        with pytest.raises(TypeError, match="supervision_decay"):
+            tiny_hyper(supervision_decay=0.0)
 
 
 class TestNoise:
@@ -636,7 +679,7 @@ class TestHyper:
 
     def test_scaling_is_not_a_field(self):
         assert [f.name for f in fields(DdpgHyper)] == [
-            "batch_size", "supervision_batch_size", "supervision_decay", "actor_hidden", "critic_hidden"]
+            "batch_size", "supervision_batch_size", "actor_hidden", "critic_hidden"]
         assert DdpgHyper.for_env(InsertionEnvConfig(), batch_size=8) == DdpgHyper(batch_size=8)
         with pytest.raises(TypeError, match="action_bound"):
             DdpgHyper.for_env(InsertionEnvConfig(), action_bound=2.0)

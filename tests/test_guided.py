@@ -3,13 +3,13 @@ import pytest
 
 import guided_ddpg.guided as guided_mod
 from guided_ddpg.ddpg import (
+    SUPERVISION_DECAY,
     DdpgHyper,
     OrnsteinUhlenbeckNoise,
     actor_update,
     critic_update,
     make_agent,
     policy_action,
-    supervision_weight,
     target_update,
 )
 from guided_ddpg.envs import InsertionEnvConfig, Transition, env_reset, env_step
@@ -23,21 +23,21 @@ from guided_ddpg.guided import (
     rng_streams,
     train,
 )
+from guided_ddpg.harness import pure_ddpg_config
 from guided_ddpg.nets import MlpParams, as_float64
 from guided_ddpg.replay import transition_batch_from_rows, transition_buffer
-from guided_ddpg.trajopt import SupervisorConfig
+from guided_ddpg.trajopt import KL_STEP, SupervisorConfig
 
 
 def tiny_config(**overrides) -> TrainConfig:
     env = overrides.pop("env", InsertionEnvConfig(horizon=6))
     hyper = overrides.pop("hyper", DdpgHyper.for_env(
         env, actor_hidden=(8,), critic_hidden=(8,), batch_size=8, supervision_batch_size=8,
-        supervision_decay=5.0,
     ))
     defaults = dict(
         env=env, hyper=hyper, supervisor=SupervisorConfig(samples_per_subiter=3),
         epochs=2, n_ddpg=2, n_inc=1, n_trajopt=2, r2_capacity=500,
-        seed=0, eval_every=0, eval_episodes=2, kl_step=20.0,
+        seed=0, eval_every=0, eval_episodes=2,
     )
     defaults.update(overrides)
     return TrainConfig(**defaults)
@@ -85,7 +85,7 @@ class TestAccounting:
     def test_w_to_matches_schedule_at_logging_time(self):
         config = tiny_config(epochs=2, n_ddpg=3, n_trajopt=1)
         _, log = train(config)
-        c = config.hyper.supervision_decay
+        c = SUPERVISION_DECAY
         ddpg_rows = log.episodes_by_phase("ddpg")
         assert [r.n_roll for r in ddpg_rows] == list(range(len(ddpg_rows)))
         for row in ddpg_rows:
@@ -115,8 +115,7 @@ class TestPureDdpgReduction:
         """With zero supervision weight and no optimizer epochs, the orchestrator
         must be byte-for-byte the textbook off-policy loop on shared rng streams."""
         env = InsertionEnvConfig(horizon=5)
-        hyper = DdpgHyper.for_env(env, actor_hidden=(8,), critic_hidden=(8,), batch_size=4,
-                                  supervision_decay=0.0)
+        hyper = DdpgHyper.for_env(env, actor_hidden=(8,), critic_hidden=(8,), batch_size=4)
         config = tiny_config(env=env, hyper=hyper, epochs=2, n_ddpg=2, n_inc=1,
                              n_trajopt=0, eval_every=0, seed=11)
         nets_guided, log = train(config)
@@ -166,8 +165,21 @@ class TestDegradation:
         assert all(rec.status == "degraded" for rec in log.epochs)
         # training continued: exploratory episodes still ran
         assert len(log.episodes_by_phase("ddpg")) == 2 + 3
-        # with an empty supervision buffer the weight is scheduled but unused
         assert log.r1_pushed == 0
+
+    def test_a_run_whose_epochs_all_degrade_applies_and_logs_zero_weight(self, monkeypatch):
+        # with an empty supervision buffer no weight applies, and the log records the one that did
+        def boom(*args, **kwargs):
+            raise SupervisorError("synthetic failure")
+
+        monkeypatch.setattr(guided_mod, "run_supervisor", boom)
+        config = tiny_config(epochs=2, n_ddpg=2, n_trajopt=2)
+        nets, log = train(config)
+        assert [row.w_to for row in log.episodes_by_phase("ddpg")] == [0.0] * (2 + 3)
+        pure_nets, pure_log = train(pure_ddpg_config(config))
+        assert np.array_equal(nets.params, pure_nets.params)
+        assert ([(e.n_roll, e.steps, e.episode_return, e.w_to) for e in log.episodes]
+                == [(e.n_roll, e.steps, e.episode_return, e.w_to) for e in pure_log.episodes])
 
 
 class TestSupervisorSeesTheActor:
@@ -233,9 +245,11 @@ class TestEvaluation:
         with pytest.raises(ConfigurationError, match=next(iter(overrides))):
             tiny_config(**overrides)
 
+    # the trust region's start is the positive constant trajopt.KL_STEP, so no config sets it, in range or not
     @pytest.mark.parametrize("overrides", [dict(kl_step=0.0), dict(kl_step=-1.0)])
     def test_non_positive_trust_region_settings_rejected(self, overrides):
-        with pytest.raises(ConfigurationError, match=next(iter(overrides))):
+        assert KL_STEP > 0.0
+        with pytest.raises(TypeError, match=next(iter(overrides))):
             tiny_config(**overrides)
 
     def test_hyper_defaults_to_the_default_learner_at_the_env_bound(self):

@@ -44,7 +44,6 @@ n_trajopt = 1
 samples_per_subiter = 3
 eval_every = 2
 train_eval_episodes = 2
-kl_step = 20.0
 r2_capacity = 500
 
 horizon = 6
@@ -52,7 +51,6 @@ actor_hidden = 8
 critic_hidden = 8
 batch_size = 8
 supervision_batch_size = 8
-supervision_decay = 5.0
 
 sweep_clearances = 0.0005,0.0002
 sweep_hole_offsets = 0.0,0.0005
@@ -82,6 +80,7 @@ REMOVED_SETTINGS = {
     "peg_half_width": "0.005", "hole_depth": "0.02", "wall_stiffness": "10000.0", "wall_damping": "100.0",
     "mass": "2.0", "dt": "0.01", "action_bound": "5.0", "start_height": "0.005", "reset_range": "0.003",
     "action_cost_weight": "0.0001", "workspace_half_width": "0.02", "workspace_height": "0.02",
+    "kl_step": "100.0", "supervision_decay": "10.0",
 }
 
 
@@ -153,8 +152,8 @@ class TestConfigReader:
         path.write_text("\n".join(lines))
         assert parse_spec(path) == spec
 
-    @pytest.mark.parametrize("key", ["sweep_clearances", "kl_step", "hole_half_width", "supervision_decay",
-                                     "hole_center_offset"])
+    @pytest.mark.parametrize("key", ["sweep_clearances", "success_tolerance", "hole_half_width",
+                                     "sweep_hole_offsets", "hole_center_offset"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_float_rejected(self, tmp_path, key, value):
         with pytest.raises(SpecError, match=f"line 3: bad value for '{key}'"):
@@ -206,9 +205,7 @@ class TestPureDdpgTransform:
     def test_strips_supervision(self, tiny_spec_path):
         spec = parse_spec(tiny_spec_path)
         pure = pure_ddpg_config(spec.train)
-        assert pure.n_trajopt == 0
-        assert pure.hyper.supervision_decay == 0.0
-        assert pure.epochs == spec.train.epochs
+        assert pure == replace(spec.train, n_trajopt=0)
 
 
 def read_log_rows(seed_dir, row_type: str) -> list:
