@@ -20,7 +20,10 @@ the same code in float64 (:func:`as_float64` makes such a copy).
 float64 types in either precision, and the float32 learner's bits depend on
 that; the learner's targets blend in float64 (``ddpg.AgentNets``).
 
-The forward and backward passes read their arguments and return new arrays.
+The forward and backward passes read their arguments and return new arrays;
+the parameter gradient is the per-layer parts concatenated into the layout.
+Both passes keep the bits of their plain matmul forms, signs of zero
+included (``tests/verbatim_oracles.py`` holds those forms).
 :func:`adam_step` and :func:`soft_update` instead write into the vectors they
 are given, which belong to whoever allocated them (the learner's are
 ``ddpg.AgentNets.params`` and ``.targets_float64``). An :class:`MlpParams` can
@@ -178,11 +181,11 @@ def mlp_backward(
     parameter vector (summed over rows) and to the input (one row per row).
     A gradient the caller does not ask for (``wrt_params`` / ``wrt_input``
     false) is not computed and comes back as ``None``.
+
+    Through a one-unit layer, the critic's output, the input gradient is an
+    outer product, which ``np.dot`` takes in about half of matmul's time.
     """
-    param_grad = None
-    if wrt_params:
-        param_grad = np.empty(params.vector.size, dtype=params.vector.dtype)
-        d_weights, d_biases = layer_views(params.layer_sizes, param_grad)
+    grads = []  # the parameter gradient's parts, last layer first
     last = params.n_layers - 1
 
     delta = np.asarray(output_gradient, dtype=params.vector.dtype)
@@ -191,12 +194,17 @@ def mlp_backward(
         if t < last or params.output_activation == "tanh":
             delta = delta * (1.0 - a_out * a_out)
         if wrt_params:
-            np.matmul(delta.T, activations[t], out=d_weights[t])
-            delta.sum(axis=0, out=d_biases[t])
+            grads += [np.add.reduce(delta, 0), (delta.T @ activations[t]).ravel()]
         if t > 0 or wrt_input:
-            delta = delta @ params.weights[t]
+            w = params.weights[t]
+            if w.shape[0] == 1:
+                # + 0.0 gives matmul's 0 + a*b, a +0.0 where np.dot keeps a -0.0 product of one row
+                delta = np.dot(delta, w)
+                delta += 0.0
+            else:
+                delta = delta @ w
 
-    return param_grad, delta if wrt_input else None
+    return np.concatenate(grads[::-1]) if wrt_params else None, delta if wrt_input else None
 
 
 def adam_init(params: MlpParams) -> AdamState:

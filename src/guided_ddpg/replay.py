@@ -66,7 +66,7 @@ class ReplayBuffer:
         """Draw ``n`` stored rows uniformly with replacement, as an ``(n, row_width)`` copy."""
         if self.total_pushed == 0:
             raise InputError("cannot sample from an empty replay buffer")
-        return self._rows[rng.integers(0, len(self), size=int(n))]
+        return self._rows.take(rng.integers(0, len(self), size=int(n)), axis=0)
 
 
 @dataclass(frozen=True)

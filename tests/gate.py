@@ -36,22 +36,28 @@ gate can and cannot tell apart. From the repository root::
     PYTHONPATH=src python tests/gate.py --write   # regenerate tests/gate.json
 
 At the default schedule a seed takes about a minute; the gate trains two at
-a time, so a run takes about ten minutes on two cores.
+a time, so a run takes about ten minutes on two cores. Each worker runs BLAS
+on one thread (:func:`worker_pool`), as the benchmark does: two workers each
+running a thread per core contend, and a guided seed took about four times
+as long.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-for path in (ROOT / "src", ROOT / "tests"):
+for path in (ROOT / "src", ROOT, ROOT / "tests"):
     if str(path) not in sys.path:
         sys.path.insert(0, str(path))
 
@@ -61,6 +67,7 @@ from guided_ddpg.envs import InsertionEnvConfig  # noqa: E402
 from guided_ddpg.guided import TrainConfig, train  # noqa: E402
 from guided_ddpg.harness import SUCCESS_THRESHOLD, final_evaluation, pure_ddpg_config  # noqa: E402
 from guided_ddpg.trajopt import SupervisorConfig  # noqa: E402
+from perfbench.run import THREAD_ENV  # noqa: E402
 
 REFERENCE = Path(__file__).with_name("gate.json")
 MARGIN = 0.0  # a check fails when its whole difference interval lies below -margin; --write stores it
@@ -160,10 +167,31 @@ def aggregate(rows: list) -> dict:
     return out
 
 
+@contextmanager
+def worker_pool(max_workers: int):
+    """A process pool whose workers run BLAS on one thread.
+
+    OpenBLAS reads its thread count once, when it loads, so the workers are
+    spawned, not forked from this process's loaded numpy, with ``THREAD_ENV``
+    set; this process's environment is restored when the pool has shut down.
+    """
+    saved = {name: os.environ.get(name) for name in THREAD_ENV}
+    os.environ.update(THREAD_ENV)
+    try:
+        with ProcessPoolExecutor(max_workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+            yield pool
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 def run_gate(schedule_name: str) -> dict:
     """Every arm on every seed of the schedule, two at a time, per seed and aggregated."""
     tasks = [(schedule_name, arm, seed) for arm in ARMS for seed in SCHEDULES[schedule_name].seeds]
-    with ProcessPoolExecutor(max_workers=min(2, len(tasks))) as pool:
+    with worker_pool(min(2, len(tasks))) as pool:
         rows = list(pool.map(run_seed, *zip(*tasks)))
     arms = {}
     for arm in ARMS:

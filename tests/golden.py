@@ -51,12 +51,11 @@ GOLDEN = Path(__file__).with_name("golden.json")
 SEEDS = (0, 7)
 
 
-def openblas_corename():
-    """The kernel set numpy's bundled OpenBLAS chose at run time, or ``None``.
+def openblas_function(name: str, restype):
+    """numpy's bundled OpenBLAS's ``name`` function (``get_corename``, ...) through ctypes, or ``None``.
 
-    It is read from the library's ``*_get_corename*`` function, through
-    ctypes; a numpy without a bundled OpenBLAS, or one whose library lacks
-    the function, gives ``None``.
+    ``None`` for a numpy without a bundled OpenBLAS, or whose library lacks it.
+    The function takes no arguments and returns ``restype``.
     """
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(libs.glob("*openblas*")):
@@ -66,11 +65,23 @@ def openblas_corename():
             continue
         for prefix in ("scipy_openblas_", "openblas_"):
             for suffix in ("64_", ""):
-                get = getattr(lib, f"{prefix}get_corename{suffix}", None)
-                if get is not None:
-                    get.argtypes, get.restype = [], ctypes.c_char_p
-                    return get().decode()
+                function = getattr(lib, f"{prefix}{name}{suffix}", None)
+                if function is not None:
+                    function.argtypes, function.restype = [], restype
+                    return function
     return None
+
+
+def openblas_corename():
+    """The kernel set numpy's bundled OpenBLAS chose at run time, or ``None``."""
+    get = openblas_function("get_corename", ctypes.c_char_p)
+    return None if get is None else get().decode()
+
+
+def openblas_threads():
+    """The thread count numpy's bundled OpenBLAS runs with in this process, or ``None``."""
+    get = openblas_function("get_num_threads", ctypes.c_int)
+    return None if get is None else get()
 
 
 def platform_fingerprint() -> dict:

@@ -80,6 +80,23 @@ def random_supervision(rng, n=3) -> SupervisionBatch:
     )
 
 
+def recording_forward(monkeypatch) -> list:
+    """The outputs of every ``mlp_forward`` that ``ddpg`` makes from now on, in order."""
+    outputs, forward = [], ddpg_mod.mlp_forward
+
+    def recorded(*args, **kwargs):
+        out = forward(*args, **kwargs)
+        outputs.append(out[0])
+        return out
+
+    monkeypatch.setattr(ddpg_mod, "mlp_forward", recorded)
+    return outputs
+
+
+AGENTS = pytest.mark.parametrize("agent", [make_agent, float64_agent], ids=["float32", "float64"])
+NON_FINITE = pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+
+
 class TestAgent:
     def test_targets_start_as_copies(self):
         nets = make_agent(tiny_hyper(), seed=0)
@@ -232,6 +249,34 @@ class TestCriticUpdate:
         assert np.allclose(nets.critic.vector, before, atol=1e-12)
 
 
+    @AGENTS
+    @pytest.mark.parametrize("supervised", [False, True], ids=["pure", "supervised"])
+    def test_loss_is_the_mean_of_its_squared_errors(self, monkeypatch, agent, supervised):
+        rng = np.random.default_rng(12)
+        hyper = DdpgHyper()
+        nets = agent(hyper, 3)
+        batch, sup, w = random_batch(rng, n=64), random_supervision(rng, n=48), 0.3
+        y = critic_target(batch, nets, hyper)
+        outputs = recording_forward(monkeypatch)
+        loss, _ = critic_loss_grads(nets, hyper, batch, sup if supervised else None, w)
+        err = outputs[-1][:, 0] - (np.concatenate([y, sup.q_values]) if supervised else y)  # the critic's pass
+        want = np.mean(err[:64] ** 2) + (w * np.mean(err[64:] ** 2) if supervised else 0.0)
+        assert abs(loss - want) <= 1e-12 * want
+
+    @NON_FINITE
+    @pytest.mark.parametrize("term", ["bellman", "supervision"])
+    def test_a_nonfinite_term_trips_the_loss_check(self, term, value):
+        rng = np.random.default_rng(6)
+        hyper = tiny_hyper()
+        nets = make_agent(hyper, seed=2)
+        batch, sup = random_batch(rng), random_supervision(rng)
+        if term == "bellman":
+            batch = replace(batch, rewards=np.where(np.arange(batch.rewards.size) == 1, value, batch.rewards))
+        else:
+            sup = replace(sup, q_values=np.where(np.arange(sup.q_values.size) == 2, value, sup.q_values))
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="critic loss"):
+            critic_update(nets, hyper, batch, sup, 0.5)
+
     def test_nonfinite_loss_leaves_nets_unchanged(self):
         rng = np.random.default_rng(6)
         hyper = tiny_hyper()
@@ -321,6 +366,36 @@ class TestActorUpdate:
         result = policy_action(nets.actor, hyper, state)
         assert np.allclose(result, target_action, atol=5e-3)
 
+
+    @AGENTS
+    @pytest.mark.parametrize("supervised", [False, True], ids=["pure", "supervised"])
+    def test_objective_is_the_mean_of_its_terms(self, monkeypatch, agent, supervised):
+        rng = np.random.default_rng(13)
+        hyper = DdpgHyper()
+        nets = agent(hyper, 5)
+        batch, sup, w = random_batch(rng, n=64), random_supervision(rng, n=48), 0.3
+        outputs = recording_forward(monkeypatch)
+        objective, _ = actor_objective_grads(nets, hyper, batch, sup if supervised else None, w)
+        out, q = outputs  # the actor's pass, then the target critic's
+        want = -np.mean(q, dtype=np.float64)
+        if supervised:
+            want += w * np.mean(np.sum((hyper.action_bound * out[64:] - sup.actions) ** 2, axis=1))
+        assert abs(objective - want) <= 1e-12 * abs(want)
+
+    @NON_FINITE
+    @pytest.mark.parametrize("term", ["target_critic", "supervision"])
+    def test_a_nonfinite_term_trips_the_objective_check(self, term, value):
+        rng = np.random.default_rng(7)
+        hyper = tiny_hyper()
+        nets = make_agent(hyper, seed=4)
+        sup = random_supervision(rng)
+        if term == "target_critic":
+            nets.targets[nets.critic.vector.size - 1] = value  # the target critic's output bias: every row's Q
+        else:
+            sup = replace(sup, actions=np.where(np.arange(sup.actions.size).reshape(sup.actions.shape) == 3,
+                                                value, sup.actions))
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="actor objective"):
+            actor_update(nets, hyper, random_batch(rng), sup, 0.5)
 
     def test_nonfinite_objective_leaves_nets_unchanged(self):
         rng = np.random.default_rng(7)
@@ -569,6 +644,37 @@ class TestFloat32Learner:
                 scale = 1.0 if name in ("params", "targets") else np.abs(want).max()
                 assert np.abs(array - want).max() <= 1e-5 * scale, (k, name)
         assert np.abs(double.params - start).max() > 1e-2
+
+    @pytest.mark.parametrize("supervised", [False, True], ids=["pure", "supervised"])
+    def test_300_triples_keep_the_bits_of_the_layer_view_backward_and_the_mean_losses(self, monkeypatch,
+                                                                                      supervised):
+        # the paper's sizes: 64x64 nets, batches of 64
+        hyper = DdpgHyper()
+        rng = np.random.default_rng(21)
+        data = [(random_batch(rng, n=64), random_supervision(rng, n=64) if supervised else None)
+                for _ in range(300)]
+
+        def trained():
+            nets = make_agent(hyper, [5, 0])
+            for k, (batch, sup) in enumerate(data):
+                w = supervision_weight(k) if supervised else 0.0
+                critic_update(nets, hyper, batch, sup, w)
+                actor_update(nets, hyper, batch, sup, w)
+                target_update(nets)
+            return nets
+
+        mine = trained()
+        with monkeypatch.context() as patch:
+            patch.setattr(ddpg_mod, "critic_loss_grads", verbatim_oracles.critic_loss_grads_by_mean)
+            patch.setattr(ddpg_mod, "actor_objective_grads", verbatim_oracles.actor_objective_grads_by_mean)
+            theirs = trained()
+        for name in ("params", "targets_float64"):
+            assert getattr(mine, name).tobytes() == getattr(theirs, name).tobytes(), name
+        for name in ("critic_opt", "actor_opt"):
+            for moment in ("m", "v"):
+                assert getattr(getattr(mine, name), moment).tobytes() == \
+                    getattr(getattr(theirs, name), moment).tobytes(), (name, moment)
+        assert mine.params.dtype == np.float32 and mine.critic_opt.step_count == 300
 
 
 class TestSupervisionWeight:

@@ -1,11 +1,15 @@
 """The learning gate, ``tests/gate.py``: its figures, its verdict and a run on the tiny schedule."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gate
-from golden import platform_fingerprint
+from golden import openblas_threads, platform_fingerprint
 
 
 def arm_result(aucs) -> dict:
@@ -128,3 +132,20 @@ def test_the_stored_reference_is_the_default_schedule():
     assert stored["schedule"] == "default" and stored["seeds"] == list(range(10))
     assert stored["margin"] == gate.MARGIN
     assert all([row["seed"] for row in stored["arms"][arm]["per_seed"]] == list(range(10)) for arm in gate.ARMS)
+
+
+def test_gate_workers_run_blas_on_one_thread(monkeypatch):
+    # a worker that inherits this process's BLAS, or this environment, runs two threads on two or more cores
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    environment = dict(os.environ)
+    with gate.worker_pool(1) as pool:
+        assert pool.submit(openblas_threads).result(timeout=120) == 1
+    assert dict(os.environ) == environment
+
+
+def test_importing_the_gate_leaves_the_environment_alone():
+    tests = Path(__file__).resolve().parent
+    code = "import os; before = dict(os.environ); import gate; assert dict(os.environ) == before"
+    # unset, so that an import which sets them shows
+    env = {name: value for name, value in os.environ.items() if not name.endswith("_NUM_THREADS")}
+    subprocess.run([sys.executable, "-c", code], cwd=tests, env=env, check=True, timeout=120)

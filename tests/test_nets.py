@@ -483,6 +483,35 @@ class TestPassesMatchVerbatimOracle:
                     if w is not None:
                         assert_same_bits(m, w)
 
+    @pytest.mark.parametrize("rows", [1, 8, 64])
+    @pytest.mark.parametrize("output_dim", [1, 2])
+    @pytest.mark.parametrize("hidden", [(8,), (64, 64), (), (1,)], ids=["8", "64x64", "none", "1"])
+    @pytest.mark.parametrize("input_dim", [8, 1])  # one input unit returns a one-row (1, 1) input gradient
+    def test_float32_backward_keeps_the_bits_of_its_layer_view_form(self, input_dim, hidden, output_dim, rows):
+        # the learner's precision; the oracle above runs float64 only
+        rng = np.random.default_rng(rows * 10 + output_dim)
+        sizes = (input_dim, *hidden, output_dim)
+        vector = mlp_init(sizes, seed=3).vector.astype(np.float32)
+        vector[rng.uniform(size=vector.size) < 0.05] = 0.0
+        vector[rng.uniform(size=vector.size) < 0.05] = -0.0
+        for output_activation in ("identity", "tanh"):
+            params = MlpParams(sizes, vector, output_activation)
+            for _ in range(3):
+                x = rng.normal(size=(rows, input_dim))
+                x[rng.uniform(size=x.shape) < 0.1] = -0.0
+                g = rng.normal(size=(rows, output_dim)).astype(np.float32)
+                g[rng.uniform(size=g.shape) < 0.3] = 0.0
+                g[rng.uniform(size=g.shape) < 0.3] = -0.0
+                _, acts = mlp_forward(params, x)
+                for flags in ({}, {"wrt_input": False}, {"wrt_params": False}):
+                    mine = mlp_backward(params, g, acts, **flags)
+                    want = verbatim_oracles.mlp_backward_into_views(params, g, acts, **flags)
+                    for m, w in zip(mine, want):
+                        assert (m is None) == (w is None)
+                        if w is not None:
+                            assert m.dtype == np.float32
+                            assert_same_bits(m, w)
+
     def test_passes_leave_their_arguments_alone(self):
         params = mlp_init([4, 8, 1], "tanh", seed=0)
         x = np.random.default_rng(0).normal(size=(5, 4))

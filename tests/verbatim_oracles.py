@@ -31,6 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+import guided_ddpg.ddpg as live_ddpg
+import guided_ddpg.nets as live_nets
 from guided_ddpg.ddpg import DISCOUNT, AgentNets, DdpgHyper
 from guided_ddpg.envs import ACTION_DIM, STATE_DIM, InsertionEnvConfig, clip_actions, env_reset, env_step
 from guided_ddpg.exceptions import InputError, NumericalError, ShapeError
@@ -266,6 +268,115 @@ def actor_objective_grads(
             wrt_input=False,
         )
         grads = grads + sup_grads
+    return objective, grads
+
+
+def mlp_backward_into_views(
+    params: MlpParams,
+    output_gradient: Array,
+    activations: list[Array],
+    *,
+    wrt_params: bool = True,
+    wrt_input: bool = True,
+) -> tuple[Array | None, Array | None]:
+    """Backpropagate ``output_gradient`` through the network.
+
+    ``activations`` is what :func:`mlp_forward` returned for ``(N, input_dim)``
+    rows, whose input rows it starts with, and ``output_gradient`` holds one
+    output row per input row.
+    Returns ``(param_grad, input_grad)``: gradients of a scalar loss whose
+    gradient at the network output is ``output_gradient``, with respect to the
+    parameter vector (summed over rows) and to the input (one row per row).
+    A gradient the caller does not ask for (``wrt_params`` / ``wrt_input``
+    false) is not computed and comes back as ``None``.
+    """
+    param_grad = None
+    if wrt_params:
+        param_grad = np.empty(params.vector.size, dtype=params.vector.dtype)
+        d_weights, d_biases = layer_views(params.layer_sizes, param_grad)
+    last = params.n_layers - 1
+
+    delta = np.asarray(output_gradient, dtype=params.vector.dtype)
+    for t in range(last, -1, -1):
+        a_out = activations[t + 1]
+        if t < last or params.output_activation == "tanh":
+            delta = delta * (1.0 - a_out * a_out)
+        if wrt_params:
+            np.matmul(delta.T, activations[t], out=d_weights[t])
+            delta.sum(axis=0, out=d_biases[t])
+        if t > 0 or wrt_input:
+            delta = delta @ params.weights[t]
+
+    return param_grad, delta if wrt_input else None
+
+
+def critic_loss_grads_by_mean(
+    nets: AgentNets,
+    hyper: DdpgHyper,
+    batch: TransitionBatch,
+    sup_batch: SupervisionBatch | None,
+    supervision_weight: float,
+):
+    """Gradient of the critic loss; returns (loss, grads).
+
+    Loss: mean squared Bellman error plus ``supervision_weight`` times the
+    mean squared error against the optimizer's value targets. The supervision
+    rows, stacked under the batch rows, share its forward and backward pass.
+    """
+    y = live_ddpg.critic_target(batch, nets, hyper)
+    x = live_ddpg._critic_input(hyper, batch.states, batch.actions)
+    n = batch.states.shape[0]
+    supervised = sup_batch is not None and supervision_weight > 0.0
+    if supervised:
+        x = np.concatenate([x, live_ddpg._critic_input(hyper, sup_batch.states, sup_batch.actions)])
+        y = np.concatenate([y, sup_batch.q_values])
+    q, cache = live_nets.mlp_forward(nets.critic, x)
+    err = q[:, 0] - y
+    loss = float(np.mean(err[:n] ** 2))
+    out_grad = (2.0 / n) * err[:, None]
+    if supervised:
+        ns = sup_batch.states.shape[0]
+        loss += supervision_weight * float(np.mean(err[n:] ** 2))
+        out_grad[n:] = (2.0 * supervision_weight / ns) * err[n:, None]
+    grads, _ = mlp_backward_into_views(nets.critic, out_grad, cache, wrt_input=False)
+    return loss, grads
+
+
+def actor_objective_grads_by_mean(
+    nets: AgentNets,
+    hyper: DdpgHyper,
+    batch: TransitionBatch,
+    sup_batch: SupervisionBatch | None,
+    supervision_weight: float,
+):
+    """Gradient of the actor's minimization objective; returns (objective, grads).
+
+    Objective: ``-mean target-critic Q at the actor's actions`` plus
+    ``supervision_weight`` times the mean squared distance to the optimizer's
+    actions. Gradients flow into the actor through the critic's action input
+    only; critic parameters stay fixed. The supervision states, stacked under
+    the batch states, share the actor's passes; the target critic sees the batch.
+    """
+    xs = _scaled_obs(hyper, batch.states)
+    n = batch.states.shape[0]
+    supervised = sup_batch is not None and supervision_weight > 0.0
+    rows = np.concatenate([xs, _scaled_obs(hyper, sup_batch.states)]) if supervised else xs
+    out, actor_cache = live_nets.mlp_forward(nets.actor, rows)  # in [-1, 1]; action = bound * out
+
+    # dQ/d(action input) of the target critic at (s, actor(s)).
+    critic_in = np.concatenate([xs, out[:n]], axis=1)
+    q, critic_cache = live_nets.mlp_forward(nets.target_critic, critic_in)
+    _, input_grad = mlp_backward_into_views(nets.target_critic, np.ones((n, 1)), critic_cache, wrt_params=False)
+    dq_dout = input_grad[:, xs.shape[1] :]
+
+    objective = -float(np.mean(q[:, 0]))
+    out_grad = (-1.0 / n) * dq_dout
+    if supervised:
+        diff = hyper.action_bound * out[n:] - sup_batch.actions
+        ns = sup_batch.states.shape[0]
+        objective += supervision_weight * float(np.mean(np.sum(diff**2, axis=1)))
+        out_grad = np.concatenate([out_grad, (2.0 * supervision_weight * hyper.action_bound / ns) * diff])
+    grads, _ = mlp_backward_into_views(nets.actor, out_grad, actor_cache, wrt_input=False)
     return objective, grads
 
 
