@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 spec/schema problems and invalid inputs,
 3 numerical failure, 1 anything else. Inputs are validated before ``--out``
-is made, so an invalid spec, checkpoint or result file leaves no ``--out``.
+is made, so an invalid spec, checkpoint or result file leaves no ``--out``;
+a ``train`` whose seed failed numerically exits 3 after writing the others.
 """
 from __future__ import annotations
 
@@ -70,8 +71,9 @@ def _cmd_eval(args) -> int:
 
 def _cmd_compare(args) -> int:
     out_path = Path(args.out) / "comparison.csv"
-    result = compare_runs(args.run_a, args.run_b, out_path)
-    print(json.dumps({"comparison_csv": str(out_path), "rollouts_ratio_a_over_b": result["rollouts_ratio_a_over_b"]}, indent=2))
+    figures = compare_runs(args.run_a, args.run_b, out_path)
+    print(json.dumps({"comparison_csv": str(out_path),
+                      "difference_ci": {name: figure["difference_ci"] for name, figure in figures.items()}}, indent=2))
     return EXIT_OK
 
 
@@ -118,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--seed", type=_seed, default=0)
     p_eval.set_defaults(func=_cmd_eval)
 
-    p_cmp = sub.add_parser("compare", help="merge two run directories into a comparison table")
+    p_cmp = sub.add_parser("compare", help="interval of the IQM difference of two runs' seeds, per figure")
     p_cmp.add_argument("--run-a", required=True)
     p_cmp.add_argument("--run-b", required=True)
     p_cmp.add_argument("--out", required=True)

@@ -7,7 +7,10 @@ Downstream code raises only on faults it can really meet: non-finite values,
 failed factorizations, overflow and ``MemoryError``. The CLI exits with 2 on
 :class:`ConfigurationError` (:class:`SpecError` included) and :class:`InputError`,
 3 on :class:`NumericalError` and 1 on anything else; training turns a
-:class:`SupervisorError` into a degraded epoch.
+:class:`SupervisorError` into a degraded epoch. A seed whose training raises
+:class:`NumericalError` fails alone: ``train`` records it in ``aggregate.json``
+with its reason, finishes the other seeds, writes every artifact and then
+exits 3.
 """
 
 

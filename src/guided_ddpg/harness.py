@@ -1,43 +1,54 @@
 """Experiment runner: spec files, multi-seed training, evaluation, sweeps.
 
 A spec is a flat ``key = value`` file in the format :func:`read_config`
-documents. Training writes one directory per seed (deterministic
-``training_log.csv`` and ``supervisor_diag.csv``, ``timings.csv``, the actor
-and critic in ``checkpoint.json``, ``summary.json``) plus, over seeds, the
-deterministic ``learning_curves.csv`` and the medians in ``aggregate.json``.
-Evaluation and adaptability sweeps (``sweep.csv``) run from checkpoints
-without touching any training state.
+documents. Training runs the seeds in one pool of spawned worker processes
+and writes one directory per seed (deterministic ``training_log.csv`` and
+``supervisor_diag.csv``, ``timings.csv``, the actor and critic in
+``checkpoint.json``, the seed's figures in ``summary.json``) plus, over
+seeds, the deterministic ``learning_curves.csv`` and ``aggregate.json``:
+each seed's figures, or the reason it failed, and each figure's
+interquartile mean (IQM) with a 95 % bootstrap interval. ``compare`` reads
+two ``aggregate.json`` files and gives, per figure, the interval of the
+difference of their IQMs. Evaluation and adaptability sweeps
+(``sweep.csv``) run from checkpoints without touching any training state.
 """
 from __future__ import annotations
 
 import json
 import math
+import os
 import time
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from types import NoneType, UnionType
-from typing import Optional, Union, get_args, get_origin, get_type_hints
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .ddpg import DdpgHyper
 from .envs import ACTION_DIM, STATE_DIM, InsertionEnvConfig
-from .exceptions import ConfigurationError, SpecError
+from .exceptions import ConfigurationError, NumericalError, SpecError
 from .guided import TrainConfig, TrainingLog, evaluate_policy, evaluation_arrays, train, write_table
 from .nets import MlpParams, as_float64, is_json_number, mlp_from_dict, mlp_to_dict, param_count
 from .replay import SUPERVISION_ROW_WIDTH, TRANSITION_ROW_WIDTH, transition_buffer
 from .trajopt import SupervisorConfig
 
-ALGORITHMS = ("guided_ddpg", "pure_ddpg")
-
 CSV_SCHEMA_VERSION = 1
 
-SUCCESS_THRESHOLD = 0.9  # evaluation success rate at which a seed's rollouts-to-threshold is read
+SUCCESS_THRESHOLD = 0.9  # evaluation success rate at which a seed's rollouts-to-threshold, to_0.9, is read
+
+FIGURES = ("auc", "final", "to_0.5", "to_0.9")  # the per-seed figures aggregated by IQM and compared
+BOOTSTRAP_RESAMPLES = 2000
+BOOTSTRAP_SEED = 0x6A7E
+
+# BLAS on one thread in each worker: two workers that each ran a thread per core contended, and a guided
+# seed took about four times as long
+THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    algorithm: str
     train: TrainConfig
     seeds: tuple[int, ...]
     eval_episodes: int = 50
@@ -45,10 +56,8 @@ class ExperimentSpec:
     sweep_hole_offsets: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise SpecError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
         if not self.seeds or min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
-            # a repeated seed would overwrite its own artifacts and count twice in the medians
+            # a repeated seed would overwrite its own artifacts and count twice in the IQMs
             raise SpecError(f"seeds must be non-empty, distinct and >= 0, got {self.seeds}")
         if self.eval_episodes < 1:
             raise SpecError("eval_episodes must be >= 1")
@@ -234,27 +243,24 @@ def load_agent_checkpoint(path) -> tuple[MlpParams, DdpgHyper]:
     return actor, hyper
 
 
-def _write_learning_curves(out: Path, logs: dict) -> None:
-    """Median/IQR of evaluation success over seeds, on the shared n_roll grid."""
+def _write_learning_curves(out: Path, curves: list) -> None:
+    """Median/IQR of evaluation success over seeds, on the shared n_roll grid.
+
+    ``curves`` holds each finished seed's ``(n_roll, success_rate, mean_return)`` evaluations, in seed order.
+    """
     by_n_roll: dict = {}  # n_roll -> the evaluations at it, in seed order
-    for log in logs.values():
-        for ev in log.evals:
-            by_n_roll.setdefault(ev.n_roll, []).append(ev)
+    for curve in curves:
+        for n_roll, success_rate, mean_return in curve:
+            by_n_roll.setdefault(n_roll, []).append((success_rate, mean_return))
     rows = []
     for n_roll in sorted(by_n_roll):
-        succ = [ev.success_rate for ev in by_n_roll[n_roll]]
-        rets = [ev.mean_return for ev in by_n_roll[n_roll]]
+        succ, rets = zip(*by_n_roll[n_roll])
         rows.append([
             n_roll, len(succ),
             repr(float(np.median(succ))), repr(float(np.quantile(succ, 0.25))),
             repr(float(np.quantile(succ, 0.75))), repr(float(np.median(rets))),
         ])
     write_table(out, ["n_roll", "n_seeds", "success_median", "success_q25", "success_q75", "return_median"], rows)
-
-
-def _median_or_none(values: list) -> Optional[float]:
-    usable = [v for v in values if v is not None]
-    return float(np.median(usable)) if len(usable) == len(values) and values else None
 
 
 def _size_run(spec: ExperimentSpec) -> None:
@@ -290,60 +296,57 @@ def final_evaluation(nets, config: TrainConfig, n_episodes: int):
     return evaluate_policy(as_float64(nets.actor), config.hyper, config.env, n_episodes, [config.seed, 0xE7A1])
 
 
-def run_experiment(spec_path, out_dir) -> Path:
-    """Train every seed in the spec and write per-seed plus aggregate artifacts."""
-    spec = parse_spec(spec_path)
-    _size_run(spec)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def run_label(config: TrainConfig) -> str:
+    """``pure_ddpg`` for a run with no supervisor epochs, ``n_trajopt = 0``; ``guided_ddpg`` otherwise."""
+    return "pure_ddpg" if config.n_trajopt == 0 else "guided_ddpg"
 
-    logs: dict = {}
-    per_seed_rows = []
-    for seed in spec.seeds:
-        config = replace(spec.train, seed=seed)
-        if spec.algorithm == "pure_ddpg":
-            config = pure_ddpg_config(config)
-        t0 = time.perf_counter()
+
+def seed_figures(log: TrainingLog, final) -> dict:
+    """A trained seed's figures, from its log and its :func:`final_evaluation` ``final``: ``auc``, the mean
+    success rate of the in-training evaluations (0 with none); ``final`` and ``final_mean_return``; ``to_0.5``
+    and ``to_0.9``, the exploratory episodes run when an evaluation first reached 0.5 and
+    :data:`SUCCESS_THRESHOLD`, or ``None``; ``budget``, the exploratory episodes run; the ``degraded``
+    supervisor epochs; the supervisor's own closing episodes and their successes; and the log's counters."""
+    supervised = log.episodes_by_phase("supervised")
+    return {
+        "auc": float(np.mean([ev.success_rate for ev in log.evals])) if log.evals else 0.0,
+        "final": final.success_rate,
+        "to_0.5": log.rollouts_to_threshold(0.5),
+        "to_0.9": log.rollouts_to_threshold(SUCCESS_THRESHOLD),
+        "budget": len(log.episodes_by_phase("ddpg")),
+        "degraded": sum(rec.status == "degraded" for rec in log.epochs),
+        "supervised_successes": sum(e.success for e in supervised),
+        "supervised_episodes": len(supervised),
+        "final_mean_return": final.mean_return,
+        "episodes_total": len(log.episodes),
+        "r1_pushed": log.r1_pushed,
+        "r2_pushed": log.r2_pushed,
+    }
+
+
+def train_seed(config: TrainConfig, eval_episodes: int, seed_dir: Path) -> tuple[dict, list]:
+    """One worker's task in :func:`run_experiment`: train ``config``'s seed and write its artifacts into
+    ``seed_dir``. Returns its ``summary.json`` and its evaluations as ``(n_roll, success_rate, mean_return)``.
+
+    A seed whose training or closing evaluation raises :class:`NumericalError` writes nothing and returns
+    ``{"seed", "reason"}`` with no evaluations.
+    """
+    t0 = time.perf_counter()
+    try:
         nets, log = train(config)
         wall = time.perf_counter() - t0
-
-        seed_dir = out / f"seed_{seed}"
-        seed_dir.mkdir(exist_ok=True)
-        log.write_csv(seed_dir / "training_log.csv")
-        log.write_timings_csv(seed_dir / "timings.csv")
-        save_agent_checkpoint(seed_dir / "checkpoint.json", nets, config.hyper)
-        _write_supervisor_diagnostics(seed_dir / "supervisor_diag.csv", log)
-
-        final_eval = final_evaluation(nets, config, spec.eval_episodes)
-        to_threshold = log.rollouts_to_threshold(SUCCESS_THRESHOLD)
-        summary = {
-            "algorithm": spec.algorithm,
-            "seed": seed,
-            "csv_schema_version": CSV_SCHEMA_VERSION,
-            "episodes_total": len(log.episodes),
-            "ddpg_episodes": len(log.episodes_by_phase("ddpg")),
-            "rollouts_to_threshold": to_threshold,
-            "final_success_rate": final_eval.success_rate,
-            "final_mean_return": final_eval.mean_return,
-            "wall_clock_s": wall,
-            "r1_pushed": log.r1_pushed,
-            "r2_pushed": log.r2_pushed,
-        }
-        (seed_dir / "summary.json").write_text(json.dumps(summary, indent=2), encoding="utf-8")
-        logs[seed] = log
-        per_seed_rows.append(summary)
-
-    _write_learning_curves(out / "learning_curves.csv", logs)
-    aggregate = {
-        "algorithm": spec.algorithm,
-        "seeds": list(spec.seeds),
-        "median_rollouts_to_threshold": _median_or_none([r["rollouts_to_threshold"] for r in per_seed_rows]),
-        "median_final_success_rate": float(np.median([r["final_success_rate"] for r in per_seed_rows])),
-        "median_wall_clock_s": float(np.median([r["wall_clock_s"] for r in per_seed_rows])),
-        "per_seed": per_seed_rows,
-    }
-    (out / "aggregate.json").write_text(json.dumps(aggregate, indent=2), encoding="utf-8")
-    return out
+        final = final_evaluation(nets, config, eval_episodes)
+    except NumericalError as exc:
+        return {"seed": config.seed, "reason": str(exc)}, []
+    seed_dir.mkdir(exist_ok=True)
+    log.write_csv(seed_dir / "training_log.csv")
+    log.write_timings_csv(seed_dir / "timings.csv")
+    save_agent_checkpoint(seed_dir / "checkpoint.json", nets, config.hyper)
+    _write_supervisor_diagnostics(seed_dir / "supervisor_diag.csv", log)
+    summary = {"algorithm": run_label(config), "seed": config.seed, "csv_schema_version": CSV_SCHEMA_VERSION,
+               **seed_figures(log, final), "wall_s": wall}
+    (seed_dir / "summary.json").write_text(json.dumps(summary, indent=2), encoding="utf-8")
+    return summary, [(ev.n_roll, ev.success_rate, ev.mean_return) for ev in log.evals]
 
 
 def _write_supervisor_diagnostics(path, log: TrainingLog) -> None:
@@ -361,45 +364,149 @@ def _write_supervisor_diagnostics(path, log: TrainingLog) -> None:
                        "actual_improvement", "mean_sample_cost", "dual_status"], rows)
 
 
-_COMPARISON_COLUMNS = ("algorithm", "median_rollouts_to_threshold", "median_wall_clock_s",
-                       "median_final_success_rate")
+def iqm(values: np.ndarray) -> np.ndarray:
+    """Interquartile mean along the last axis: the mean of the middle half, a quarter cut from each end."""
+    values = np.sort(values, axis=-1)
+    n = values.shape[-1]
+    cut = n // 4
+    return values[..., cut:n - cut].mean(axis=-1)
 
 
-def _write_comparison(path, aggregates: list) -> None:
-    write_table(path, _COMPARISON_COLUMNS, (
-        [agg["algorithm"], agg["median_rollouts_to_threshold"],
-         f"{agg['median_wall_clock_s']:.2f}", agg["median_final_success_rate"]]
-        for agg in aggregates
-    ))
+def resampled_iqms(values, rng: np.random.Generator) -> np.ndarray:
+    """The IQMs of :data:`BOOTSTRAP_RESAMPLES` resamples of ``values`` with replacement (one stratum)."""
+    values = np.asarray(values, dtype=float)
+    return iqm(values[rng.integers(0, values.size, size=(BOOTSTRAP_RESAMPLES, values.size))])
 
 
-def _read_aggregate(run_dir) -> dict:
+def bootstrap_ci(values, rng: np.random.Generator) -> list:
+    """95 % percentile interval of the IQM over seeds resampled with replacement (Agarwal et al.,
+    arXiv:2108.13264; the one stratum is the one task)."""
+    low, high = np.quantile(resampled_iqms(values, rng), [0.025, 0.975])
+    return [float(low), float(high)]
+
+
+def difference_ci(values, reference_values, rng: np.random.Generator) -> list:
+    """95 % percentile interval of ``IQM(values) - IQM(reference_values)``, each side's seeds resampled."""
+    low, high = np.quantile(resampled_iqms(values, rng) - resampled_iqms(reference_values, rng), [0.025, 0.975])
+    return [float(low), float(high)]
+
+
+def _censored(rows: list, figure: str) -> np.ndarray:
+    """``figure`` of each seed's row; a seed that never reached a threshold counts at its budget."""
+    return np.asarray([row["budget"] if row[figure] is None else row[figure] for row in rows], dtype=float)
+
+
+def aggregate(rows: list) -> dict:
+    """The seeds' rows split into ``per_seed``, those that finished, and ``failed``, those with a ``reason``;
+    and, over the finished seeds (``None`` if none finished), the IQM and 95 % bootstrap interval of each of
+    :data:`FIGURES`, the seeds that reached each threshold, and the degraded epochs and the supervisor's own
+    successes in all."""
+    finished = [row for row in rows if "reason" not in row]
+    figures = None
+    if finished:
+        rng = np.random.default_rng(BOOTSTRAP_SEED)
+        figures = {}
+        for figure in FIGURES:
+            values = _censored(finished, figure)
+            figures[figure] = {"iqm": float(iqm(values)), "ci": bootstrap_ci(values, rng)}
+            if figure.startswith("to_"):
+                figures[figure]["reached"] = sum(row[figure] is not None for row in finished)
+        figures["degraded"] = sum(row["degraded"] for row in finished)
+        figures["supervised"] = {"successes": sum(row["supervised_successes"] for row in finished),
+                                 "episodes": sum(row["supervised_episodes"] for row in finished)}
+    return {"aggregate": figures, "per_seed": finished, "failed": [row for row in rows if "reason" in row]}
+
+
+@contextmanager
+def worker_pool(max_workers: int):
+    """A process pool whose workers run BLAS on one thread.
+
+    OpenBLAS reads its thread count once, when it loads, so the workers are
+    spawned, not forked from this process's loaded numpy, with :data:`THREAD_ENV`
+    set; this process's environment is restored when the pool has shut down.
+    """
+    # imported here, not at the top: they add about 25 ms to importing this module, which the benchmark times
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    saved = {name: os.environ.get(name) for name in THREAD_ENV}
+    os.environ.update(THREAD_ENV)
+    try:
+        with ProcessPoolExecutor(max_workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+            yield pool
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
+def run_experiment(spec_path, out_dir) -> Path:
+    """Train every seed in the spec in one :func:`worker_pool` and write per-seed plus aggregate artifacts.
+
+    The pool has a worker per seed, up to the CPUs this process may run on. Seeds share no state, so each
+    seed's artifacts have the bytes that training it alone gives. A seed that raises :class:`NumericalError`
+    is recorded in ``aggregate.json`` with its reason while the others finish; :class:`NumericalError` is
+    then raised, once every artifact is written.
+    """
+    spec = parse_spec(spec_path)
+    _size_run(spec)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    seeds = spec.seeds
+    with worker_pool(min(len(seeds), len(os.sched_getaffinity(0)))) as pool:
+        results = list(pool.map(train_seed, [replace(spec.train, seed=seed) for seed in seeds],
+                                [spec.eval_episodes] * len(seeds), [out / f"seed_{seed}" for seed in seeds]))
+    _write_learning_curves(out / "learning_curves.csv", [curve for _, curve in results])
+    result = {"algorithm": run_label(spec.train), "seeds": list(seeds), **aggregate([row for row, _ in results])}
+    (out / "aggregate.json").write_text(json.dumps(result, indent=2), encoding="utf-8")
+    if result["failed"]:
+        raise NumericalError(f"{len(result['failed'])} of {len(seeds)} seeds failed, recorded in "
+                             f"{out / 'aggregate.json'}: "
+                             + "; ".join(f"seed {row['seed']}: {row['reason']}" for row in result["failed"]))
+    return out
+
+
+def _read_per_seed(run_dir) -> list:
+    """The finished seeds' rows of ``run_dir``'s ``aggregate.json``; :class:`SpecError` unless each holds
+    :data:`FIGURES` and ``budget``, in range."""
     path = Path(run_dir) / "aggregate.json"
     agg = _read_json(path)
-    missing = [key for key in _COMPARISON_COLUMNS if not isinstance(agg, dict) or key not in agg]
-    if missing:
-        raise SpecError(f"{path} lacks {missing}")
-    for key in _COMPARISON_COLUMNS[1:]:
-        value = agg[key]
-        rate = key == "median_final_success_rate"
-        high = 1.0 if rate else np.finfo(float).max  # which rejects inf and integers past it, such as 10**400
-        in_range = is_json_number(value) and 0.0 <= value <= high
-        if not (in_range or (value is None and key == "median_rollouts_to_threshold")):
-            raise SpecError(f"{path}: {key} must be {'in [0, 1]' if rate else 'a finite number >= 0'}, got {value!r}")
-    return agg
+    rows = agg.get("per_seed") if isinstance(agg, dict) else None
+    if not (isinstance(rows, list) and rows and all(isinstance(row, dict) for row in rows)):
+        raise SpecError(f"{path} lacks per_seed, a non-empty list of the finished seeds' figures")
+    for row in rows:
+        missing = [key for key in (*FIGURES, "budget") if key not in row]
+        if missing:
+            raise SpecError(f"{path}: a per_seed row lacks {missing}")
+        for key in (*FIGURES, "budget"):
+            value, rate = row[key], key in ("auc", "final")
+            # a Python float, which compares exactly with integers past it, such as 10**400; inf is past it too
+            high = 1.0 if rate else float(np.finfo(float).max)
+            if not ((is_json_number(value) and 0.0 <= value <= high) or (value is None and key.startswith("to_"))):
+                raise SpecError(f"{path}: per_seed {key} must be "
+                                f"{'in [0, 1]' if rate else 'a finite number >= 0'}, got {value!r}")
+    return rows
 
 
 def compare_runs(dir_a, dir_b, out_path) -> dict:
-    """Merge two aggregate results into one table; a malformed ``aggregate.json`` raises :class:`SpecError`.
+    """Per figure of :data:`FIGURES`, each run's IQM over its finished seeds and the 95 % interval of
+    ``IQM(A) - IQM(B)``, each run's seeds resampled; written to ``out_path`` as a table.
 
-    The directory of ``out_path`` is made only once both aggregates are read.
+    A malformed ``aggregate.json`` raises :class:`SpecError`. The directory of ``out_path`` is made only once
+    both are read.
     """
-    rows = [_read_aggregate(dir_a), _read_aggregate(dir_b)]
+    runs = [_read_per_seed(dir_a), _read_per_seed(dir_b)]
+    rng = np.random.default_rng(BOOTSTRAP_SEED)
+    figures = {}
+    for figure in FIGURES:
+        a, b = (_censored(rows, figure) for rows in runs)
+        figures[figure] = {"iqm_a": float(iqm(a)), "iqm_b": float(iqm(b)), "difference_ci": difference_ci(a, b, rng)}
     Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-    _write_comparison(out_path, rows)
-    a, b = (row["median_rollouts_to_threshold"] for row in rows)
-    ratio = a / b if a is not None and b else None  # None when either median is None or B's is 0
-    return {"runs": rows, "rollouts_ratio_a_over_b": ratio}
+    write_table(out_path, ["figure", "iqm_a", "iqm_b", "difference_ci_low", "difference_ci_high"],
+                ([figure, *map(repr, (f["iqm_a"], f["iqm_b"], *f["difference_ci"]))] for figure, f in figures.items()))
+    return figures
 
 
 def adaptability_sweep(

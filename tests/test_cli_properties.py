@@ -88,7 +88,7 @@ def checkpoint_text(tmp_path_factory) -> str:
     return path.read_text(encoding="utf-8")
 
 
-# 300 examples exhaust the 24 keys x 8 values: hypothesis stops once every pair has run.
+# 300 examples exhaust the 21 keys x 8 values: hypothesis stops once every pair has run.
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(key=st.sampled_from(SPEC_KEYS), value=st.sampled_from(EXTREMES))
 def test_train_keeps_the_exit_code_contract(key, value):
@@ -141,7 +141,7 @@ def test_eval_of_an_edited_checkpoint_keeps_the_exit_code_contract(checkpoint_te
         assert_eval_result(stdout)
 
 
-# 300 examples exhaust the 24 keys x 8 values.
+# 300 examples exhaust the 21 keys x 8 values.
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(key=st.sampled_from(SPEC_KEYS), value=st.sampled_from(EXTREMES))
 def test_sweep_keeps_the_exit_code_contract(checkpoint_text, key, value):

@@ -1,53 +1,45 @@
-"""The learning gate, ``tests/gate.py``: its figures, its verdict and a run on the tiny schedule."""
+"""The learning gate, ``tests/gate.py``: its specs, its verdict and a run on the tiny schedule."""
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
+from dataclasses import replace
 
-import numpy as np
 import pytest
 
 import gate
-from golden import openblas_threads, platform_fingerprint
+from golden import platform_fingerprint
+from guided_ddpg.ddpg import DdpgHyper
+from guided_ddpg.envs import InsertionEnvConfig
+from guided_ddpg.guided import TrainConfig
+from guided_ddpg.harness import FIGURES, aggregate, parse_spec
+from guided_ddpg.trajopt import SupervisorConfig
 
 
 def arm_result(aucs) -> dict:
     rows = [dict(seed=s, auc=a, final=a, budget=100, degraded=0, supervised_successes=0, supervised_episodes=1,
                  wall_s=0.0, **{"to_0.5": None, "to_0.9": None}) for s, a in enumerate(aucs)]
-    return {"per_seed": rows, "aggregate": gate.aggregate(rows)}
+    return {"per_seed": rows, "aggregate": aggregate(rows)["aggregate"]}
 
 
 def result_of(guided_aucs, pure_aucs=(0.0, 0.0, 0.0, 0.0)) -> dict:
     return {"margin": gate.MARGIN, "arms": {"guided": arm_result(guided_aucs), "pure": arm_result(pure_aucs)}}
 
 
-def test_iqm_is_the_mean_of_the_middle_half():
-    assert gate.iqm(np.array([0.0, 1.0, 2.0, 100.0])) == 1.5
-    assert gate.iqm(np.array([9.0, -50.0, 1.0, 2.0, 3.0, 4.0, 70.0, 5.0])) == 3.5
-    assert gate.iqm(np.array([0.25, 0.75])) == 0.5
-    assert np.array_equal(gate.iqm(np.array([[4.0, 1.0, 3.0, 2.0], [1.0, 1.0, 1.0, 5.0]])), [2.5, 1.0])
+# the schedules' configs before they became spec files, which the stored reference was trained on
+TINY = TrainConfig(
+    env=InsertionEnvConfig(horizon=6),
+    hyper=DdpgHyper(batch_size=8, supervision_batch_size=8, actor_hidden=(8,), critic_hidden=(8,)),
+    supervisor=SupervisorConfig(samples_per_subiter=3),
+    epochs=2, n_ddpg=2, n_inc=1, n_trajopt=1, eval_every=1, eval_episodes=3,
+)
+SCHEDULES = {"default": (TrainConfig(epochs=8), tuple(range(10)), 50), "tiny": (TINY, (0, 1), 5)}
 
 
-def test_bootstrap_interval_brackets_the_iqm_and_repeats():
-    values = [0.083, 0.013, 0.061, 0.474]
-    low, high = gate.bootstrap_ci(values, np.random.default_rng(gate.BOOTSTRAP_SEED))
-    assert min(values) <= low <= gate.iqm(np.array(values)) <= high <= max(values)
-    assert [low, high] == gate.bootstrap_ci(values, np.random.default_rng(gate.BOOTSTRAP_SEED))
-
-
-def test_a_seed_that_never_reaches_a_threshold_is_censored_at_its_budget():
-    agg = arm_result([0.1, 0.2, 0.3, 0.4])["aggregate"]
-    assert agg["to_0.9"] == {"iqm": 100.0, "ci": [100.0, 100.0], "reached": 0}
-
-
-def test_difference_interval_brackets_the_difference_and_repeats():
-    got, ref = [0.0, 0.1, 0.1, 0.9], [0.3, 0.3, 0.2, 0.4]
-    low, high = gate.difference_ci(got, ref, np.random.default_rng(gate.BOOTSTRAP_SEED))
-    assert low <= gate.iqm(np.array(got)) - gate.iqm(np.array(ref)) <= high
-    assert [low, high] == gate.difference_ci(got, ref, np.random.default_rng(gate.BOOTSTRAP_SEED))
-    # the spread of both sides widens it past either side's own
-    assert high - low > max(np.diff(gate.bootstrap_ci(v, np.random.default_rng(0)))[0] for v in (got, ref))
+@pytest.mark.parametrize("schedule", gate.SCHEDULES)
+def test_the_arms_specs_are_the_schedule_and_differ_only_in_n_trajopt(schedule):
+    config, seeds, final_episodes = SCHEDULES[schedule]
+    guided, pure = (parse_spec(gate.spec_path(schedule, arm)) for arm in gate.ARMS)
+    assert (guided.train, guided.seeds, guided.eval_episodes) == (config, seeds, final_episodes)
+    assert pure == replace(guided, train=replace(guided.train, n_trajopt=0))
+    assert guided.train.n_trajopt > 0
 
 
 REFERENCE_AUCS = (0.083, 0.013, 0.061, 0.474, 0.404, 0.135, 0.085, 0.596, 0.0, 0.3)
@@ -99,10 +91,11 @@ def test_tiny_schedule_writes_a_reference_and_passes_against_it(tmp_path, capsys
     assert stored["platform"] == platform_fingerprint()
     for arm in gate.ARMS:
         rows = stored["arms"][arm]["per_seed"]
-        assert [row["seed"] for row in rows] == list(gate.SCHEDULES["tiny"].seeds)
+        assert [row["seed"] for row in rows] == [0, 1]
         # 2 + 3 exploratory episodes, each followed by an evaluation
         assert all(row["budget"] == 5 and 0.0 <= row["auc"] <= 1.0 for row in rows)
-        assert set(stored["arms"][arm]["aggregate"]) == {*gate.FIGURES, "degraded", "supervised"}
+        assert set(rows[0]) == set(gate.ROW)
+        assert set(stored["arms"][arm]["aggregate"]) == {*FIGURES, "degraded", "supervised"}
     # one supervised episode per ok epoch in the guided arm, none in the pure one
     assert all(row["supervised_episodes"] + row["degraded"] == 2 for row in stored["arms"]["guided"]["per_seed"])
     assert all(row["supervised_episodes"] == 0 for row in stored["arms"]["pure"]["per_seed"])
@@ -132,20 +125,3 @@ def test_the_stored_reference_is_the_default_schedule():
     assert stored["schedule"] == "default" and stored["seeds"] == list(range(10))
     assert stored["margin"] == gate.MARGIN
     assert all([row["seed"] for row in stored["arms"][arm]["per_seed"]] == list(range(10)) for arm in gate.ARMS)
-
-
-def test_gate_workers_run_blas_on_one_thread(monkeypatch):
-    # a worker that inherits this process's BLAS, or this environment, runs two threads on two or more cores
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    environment = dict(os.environ)
-    with gate.worker_pool(1) as pool:
-        assert pool.submit(openblas_threads).result(timeout=120) == 1
-    assert dict(os.environ) == environment
-
-
-def test_importing_the_gate_leaves_the_environment_alone():
-    tests = Path(__file__).resolve().parent
-    code = "import os; before = dict(os.environ); import gate; assert dict(os.environ) == before"
-    # unset, so that an import which sets them shows
-    env = {name: value for name, value in os.environ.items() if not name.endswith("_NUM_THREADS")}
-    subprocess.run([sys.executable, "-c", code], cwd=tests, env=env, check=True, timeout=120)

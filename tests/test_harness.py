@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,29 +12,36 @@ import pytest
 
 import guided_ddpg.harness as harness_mod
 from guided_ddpg.cli import main as cli_main
-from guided_ddpg.exceptions import SpecError
+from guided_ddpg.exceptions import NumericalError, SpecError
 from guided_ddpg.harness import (
+    BOOTSTRAP_SEED,
+    FIGURES,
     SPEC_SECTIONS,
     SUCCESS_THRESHOLD,
     ExperimentSpec,
     adaptability_sweep,
+    aggregate,
+    bootstrap_ci,
     compare_runs,
     config_keys,
+    difference_ci,
+    iqm,
     load_agent_checkpoint,
     parse_spec,
     pure_ddpg_config,
     run_experiment,
     save_agent_checkpoint,
+    train_seed,
+    worker_pool,
 )
 from guided_ddpg.ddpg import DdpgHyper, make_agent, policy_action
 from guided_ddpg.envs import InsertionEnvConfig
-from guided_ddpg.guided import TrainConfig, evaluate_policy
+from guided_ddpg.guided import TrainConfig, evaluate_policy, train
 from guided_ddpg.nets import mlp_init, mlp_to_dict
 from guided_ddpg.trajopt import SupervisorConfig
 
 TINY_SPEC = """
 # tiny smoke-test experiment
-algorithm = guided_ddpg
 seeds = 0,1
 eval_episodes = 2
 
@@ -69,8 +77,8 @@ def tiny_spec_path(tmp_path):
 
 
 # The settings that became constants of trajopt, ddpg, nets, guided, harness and InsertionEnvConfig,
-# each with the value it had as a default, and the two run controls that could end training before its
-# schedule, each with a value it accepted.
+# each with the value it had as a default; the two run controls that could end training before its
+# schedule, each with a value it accepted; and algorithm, which n_trajopt = 0 replaced.
 REMOVED_SETTINGS = {
     "eta_init": "1.0", "dynamics_reg": "1e-6", "exploration_std": "1.0, 1.0", "smoothing": "1e-4",
     "terminal_weight": "1.0", "max_dual_iterations": "20", "noise_scale": "1.0, 1.0", "noise_theta": "0.15",
@@ -80,7 +88,7 @@ REMOVED_SETTINGS = {
     "peg_half_width": "0.005", "hole_depth": "0.02", "wall_stiffness": "10000.0", "wall_damping": "100.0",
     "mass": "2.0", "dt": "0.01", "action_bound": "5.0", "start_height": "0.005", "reset_range": "0.003",
     "action_cost_weight": "0.0001", "workspace_half_width": "0.02", "workspace_height": "0.02",
-    "kl_step": "100.0", "supervision_decay": "10.0",
+    "kl_step": "100.0", "supervision_decay": "10.0", "algorithm": "guided_ddpg",
 }
 
 
@@ -96,7 +104,6 @@ def spec_with_line(tiny_spec_path, line: str):
 class TestSpecParsing:
     def test_parses_sections(self, tiny_spec_path):
         spec = parse_spec(tiny_spec_path)
-        assert spec.algorithm == "guided_ddpg"
         assert spec.seeds == (0, 1)
         assert spec.train.env.horizon == 6
         assert spec.train.hyper.batch_size == 8
@@ -105,34 +112,33 @@ class TestSpecParsing:
 
     def test_unknown_key_is_schema_error(self, tmp_path):
         path = tmp_path / "bad.spec"
-        path.write_text("algorithm = guided_ddpg\nseeds = 0\nwarp_speed = 9\n")
+        path.write_text("seeds = 0\nwarp_speed = 9\n")
         with pytest.raises(SpecError, match="warp_speed"):
             parse_spec(path)
 
     def test_missing_required_keys(self, tmp_path):
         path = tmp_path / "bad.spec"
         path.write_text("epochs = 3\n")
-        with pytest.raises(SpecError, match="algorithm"):
+        with pytest.raises(SpecError, match="missing required key 'seeds'"):
             parse_spec(path)
 
     def test_bad_value_reported_with_line(self, tmp_path):
         path = tmp_path / "bad.spec"
-        path.write_text("algorithm = guided_ddpg\nseeds = 0\nepochs = many\n")
-        with pytest.raises(SpecError, match="line 3"):
+        path.write_text("seeds = 0\nepochs = many\n")
+        with pytest.raises(SpecError, match="line 2"):
             parse_spec(path)
 
-    def test_bad_algorithm(self, tmp_path):
-        path = tmp_path / "bad.spec"
-        path.write_text("algorithm = sarsa\nseeds = 0\n")
-        with pytest.raises(SpecError):
-            parse_spec(path)
+    def test_seeds_is_the_one_required_key(self, tmp_path):
+        path = tmp_path / "seeds.spec"
+        path.write_text("seeds = 3\n")
+        assert parse_spec(path) == ExperimentSpec(train=TrainConfig(), seeds=(3,))
 
 
 class TestConfigReader:
     @staticmethod
     def _spec_path(tmp_path, lines: str):
         path = tmp_path / "s.spec"
-        path.write_text("algorithm = guided_ddpg\nseeds = 0\n" + lines)
+        path.write_text("# a spec\nseeds = 0\n" + lines)
         return path
 
     def test_every_key_parses_back_to_its_default(self, tmp_path):
@@ -140,8 +146,7 @@ class TestConfigReader:
         # so they are written as numbers
         env = InsertionEnvConfig(success_tolerance=0.001, target_point=(0.0, -0.02))
         hyper = DdpgHyper.for_env(env)
-        spec = ExperimentSpec(algorithm="pure_ddpg", train=TrainConfig(env=env, hyper=hyper),
-                              seeds=(3,))
+        spec = ExperimentSpec(train=TrainConfig(env=env, hyper=hyper, n_trajopt=0), seeds=(3,))
         owners = {ExperimentSpec: spec, TrainConfig: spec.train, InsertionEnvConfig: spec.train.env,
                   DdpgHyper: spec.train.hyper, SupervisorConfig: spec.train.supervisor}
         lines = []
@@ -217,6 +222,7 @@ class TestRunExperiment:
     def test_artifacts_created(self, tiny_spec_path, tmp_path):
         out = run_experiment(tiny_spec_path, tmp_path / "run")
         assert SUCCESS_THRESHOLD == 0.9
+        summaries = []
         for seed in (0, 1):
             seed_dir = out / f"seed_{seed}"
             assert (seed_dir / "checkpoint.json").exists()
@@ -228,35 +234,44 @@ class TestRunExperiment:
             clock = [float(row["wall_clock_s"]) for row in timings]
             assert clock[0] >= 0.0 and all(a <= b for a, b in zip(clock, clock[1:]))
             summary = json.loads((seed_dir / "summary.json").read_text())
-            assert summary["algorithm"] == "guided_ddpg"
+            assert (summary["algorithm"], summary["seed"]) == ("guided_ddpg", seed)
             assert summary["episodes_total"] == len(episodes)
+            assert summary["budget"] == sum(row["phase"] == "ddpg" for row in episodes)
             evals = read_log_rows(seed_dir, "eval")
             first = next((int(row["n_roll"]) for row in evals if float(row["success_rate"]) >= SUCCESS_THRESHOLD), None)
-            assert evals and summary["rollouts_to_threshold"] == first
+            assert evals and summary["to_0.9"] == first
+            assert summary["auc"] == np.mean([float(row["success_rate"]) for row in evals])
             # the final figures are the ones the saved checkpoint evaluates to, in float64
             actor, hyper = load_agent_checkpoint(seed_dir / "checkpoint.json")
             spec = parse_spec(tiny_spec_path)
             final = evaluate_policy(actor, hyper, spec.train.env, spec.eval_episodes, [seed, 0xE7A1])
-            assert (summary["final_success_rate"], summary["final_mean_return"]) == (final.success_rate,
-                                                                                      final.mean_return)
+            assert (summary["final"], summary["final_mean_return"]) == (final.success_rate, final.mean_return)
+            summaries.append(summary)
         # the over-seed artifacts and nothing else: no table that copies aggregate.json
         assert sorted(p.name for p in out.iterdir()) == ["aggregate.json", "learning_curves.csv", "seed_0", "seed_1"]
+        result = json.loads((out / "aggregate.json").read_text())
+        assert result == {"algorithm": "guided_ddpg", "seeds": [0, 1], **aggregate(summaries)}
+        assert result["failed"] == [] and set(result["aggregate"]) == {*FIGURES, "degraded", "supervised"}
 
     def test_rollouts_to_threshold_is_read_at_success_threshold(self, tiny_spec_path, tmp_path, monkeypatch):
-        # the tiny runs never reach 0.9, so a threshold every evaluation meets shows which one is read
+        # the tiny runs never reach 0.9, so a threshold every evaluation meets shows which one is read; the
+        # worker's task runs in this process, where the patch holds
         monkeypatch.setattr(harness_mod, "SUCCESS_THRESHOLD", 0.0)
-        out = run_experiment(tiny_spec_path, tmp_path / "run")
+        spec = parse_spec(tiny_spec_path)
         for seed in (0, 1):
-            first_eval = read_log_rows(out / f"seed_{seed}", "eval")[0]
-            summary = json.loads((out / f"seed_{seed}" / "summary.json").read_text())
-            assert summary["rollouts_to_threshold"] == int(first_eval["n_roll"])
+            seed_dir = tmp_path / f"seed_{seed}"
+            summary, curve = train_seed(replace(spec.train, seed=seed), spec.eval_episodes, seed_dir)
+            first_eval = read_log_rows(seed_dir, "eval")[0]
+            assert summary["to_0.9"] == int(first_eval["n_roll"]) == curve[0][0]
+            assert json.loads((seed_dir / "summary.json").read_text())["to_0.9"] == int(first_eval["n_roll"])
 
     def test_empty_run_is_valid(self, tmp_path):
         path = tmp_path / "empty.spec"
-        path.write_text("algorithm = pure_ddpg\nseeds = 0\nepochs = 0\nhorizon = 5\n")
+        path.write_text("seeds = 0\nepochs = 0\nn_trajopt = 0\nhorizon = 5\n")
         out = run_experiment(path, tmp_path / "run")
         summary = json.loads((out / "seed_0" / "summary.json").read_text())
-        assert summary["episodes_total"] == 0
+        assert summary["episodes_total"] == 0 and summary["algorithm"] == "pure_ddpg"
+        assert json.loads((out / "aggregate.json").read_text())["algorithm"] == "pure_ddpg"
 
     def test_determinism_byte_identical_csv(self, tiny_spec_path, tmp_path):
         out_a = run_experiment(tiny_spec_path, tmp_path / "a")
@@ -270,29 +285,152 @@ class TestRunExperiment:
     def test_compare_runs(self, tiny_spec_path, tmp_path):
         out_a = run_experiment(tiny_spec_path, tmp_path / "a")
         out_b = run_experiment(tiny_spec_path, tmp_path / "b")
-        result = compare_runs(out_a, out_b, tmp_path / "comparison.csv")
+        figures = compare_runs(out_a, out_b, tmp_path / "comparison.csv")
         assert (tmp_path / "comparison.csv").exists()
-        assert len(result["runs"]) == 2
+        assert list(figures) == list(FIGURES)
+        assert all(figure["iqm_a"] == figure["iqm_b"] for figure in figures.values())
 
 
-def write_aggregate(run: Path, rollouts) -> Path:
-    """``run`` made, holding an ``aggregate.json`` whose median rollouts to threshold is ``rollouts``."""
+def raise_on_seed_1(config):
+    if config.seed == 1:
+        raise NumericalError("critic loss is non-finite; parameters unchanged")
+    return train(config)
+
+
+class TestFailedSeed:
+    # a patch reaches no spawned worker, so these run the worker's task, or the whole pool, in this process
+
+    def test_worker_records_the_reason_and_writes_nothing(self, tiny_spec_path, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness_mod, "train", raise_on_seed_1)
+        spec = parse_spec(tiny_spec_path)
+        row, curve = train_seed(replace(spec.train, seed=1), spec.eval_episodes, tmp_path / "seed_1")
+        assert (row, curve) == ({"seed": 1, "reason": "critic loss is non-finite; parameters unchanged"}, [])
+        assert not (tmp_path / "seed_1").exists()
+
+    def test_aggregate_takes_the_figures_over_the_finished_seeds(self):
+        rows = [dict(seed=s, auc=a, final=a, budget=100, degraded=1, supervised_successes=1, supervised_episodes=2,
+                     **{"to_0.5": 10 * s, "to_0.9": None}) for s, a in enumerate((0.2, 0.4, 0.6, 0.8))]
+        failed = {"seed": 4, "reason": "target critic produced non-finite values"}
+        result = aggregate([*rows[:2], failed, *rows[2:]])
+        assert result == {**aggregate(rows), "failed": [failed]}
+        assert result["per_seed"] == rows and result["aggregate"]["auc"]["iqm"] == 0.5
+        assert result["aggregate"]["degraded"] == 4 and result["aggregate"]["to_0.5"]["reached"] == 4
+        assert aggregate([failed]) == {"aggregate": None, "per_seed": [], "failed": [failed]}
+
+    def test_train_exits_3_after_the_other_seeds_write_everything(self, tiny_spec_path, tmp_path, monkeypatch,
+                                                                  capsys):
+        monkeypatch.setattr(harness_mod, "train", raise_on_seed_1)
+        monkeypatch.setattr(harness_mod, "worker_pool", lambda max_workers: ThreadPoolExecutor(1))
+        out = tmp_path / "run"
+        assert cli_main(["train", "--spec", str(tiny_spec_path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "1 of 2 seeds failed" in err and "seed 1: critic loss is non-finite" in err
+        assert sorted(p.name for p in out.iterdir()) == ["aggregate.json", "learning_curves.csv", "seed_0"]
+        result = json.loads((out / "aggregate.json").read_text())
+        assert [row["seed"] for row in result["per_seed"]] == [0] and result["seeds"] == [0, 1]
+        assert result["failed"] == [{"seed": 1, "reason": "critic loss is non-finite; parameters unchanged"}]
+        # seed 0's artifacts are the ones a run of it alone writes, its wall time aside
+        alone = run_experiment(spec_with_line(tiny_spec_path, "seeds = 0"), tmp_path / "alone")
+        for table in ("training_log.csv", "supervisor_diag.csv", "checkpoint.json", "learning_curves.csv"):
+            path = table if table == "learning_curves.csv" else f"seed_0/{table}"
+            assert (out / path).read_bytes() == (alone / path).read_bytes()
+        figures = [{key: value for key, value in json.loads((run / "seed_0" / "summary.json").read_text()).items()
+                    if key != "wall_s"} for run in (out, alone)]
+        assert figures[0] == figures[1]
+
+
+class TestWorkerPool:
+    def test_gate_workers_run_blas_on_one_thread(self, monkeypatch):
+        # a worker that inherits this process's BLAS, or this environment, runs two threads on two or more cores
+        from golden import openblas_threads  # golden imports this module
+
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        environment = dict(os.environ)
+        with worker_pool(1) as pool:
+            assert pool.submit(openblas_threads).result(timeout=120) == 1
+        assert dict(os.environ) == environment
+
+    def test_importing_the_gate_leaves_the_environment_alone(self):
+        # the pool of guided_ddpg.harness, which the gate runs through run_experiment
+        code = ("import os; before = dict(os.environ); import guided_ddpg.harness as h\n"
+                "if __name__ == '__main__':\n"
+                "    with h.worker_pool(1) as pool:\n"
+                "        assert pool.submit(os.getenv, 'OPENBLAS_NUM_THREADS').result(timeout=120) == '1'\n"
+                "    assert dict(os.environ) == before")
+        # unset, so that an import or a pool which sets them shows
+        env = {name: value for name, value in os.environ.items() if not name.endswith("_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+def iqm_of(values) -> float:
+    return float(iqm(np.asarray(values, dtype=float)))
+
+
+class TestIqmAndBootstrap:
+    def test_iqm_is_the_mean_of_the_middle_half(self):
+        assert iqm(np.array([0.0, 1.0, 2.0, 100.0])) == 1.5
+        assert iqm(np.array([9.0, -50.0, 1.0, 2.0, 3.0, 4.0, 70.0, 5.0])) == 3.5
+        assert iqm(np.array([0.25, 0.75])) == 0.5
+        assert np.array_equal(iqm(np.array([[4.0, 1.0, 3.0, 2.0], [1.0, 1.0, 1.0, 5.0]])), [2.5, 1.0])
+
+    def test_bootstrap_interval_brackets_the_iqm_and_repeats(self):
+        values = [0.083, 0.013, 0.061, 0.474]
+        low, high = bootstrap_ci(values, np.random.default_rng(BOOTSTRAP_SEED))
+        assert min(values) <= low <= iqm_of(values) <= high <= max(values)
+        assert [low, high] == bootstrap_ci(values, np.random.default_rng(BOOTSTRAP_SEED))
+
+    def test_a_seed_that_never_reaches_a_threshold_is_censored_at_its_budget(self):
+        rows = [dict(seed=s, auc=a, final=a, budget=100, degraded=0, supervised_successes=0, supervised_episodes=1,
+                     **{"to_0.5": None, "to_0.9": None}) for s, a in enumerate((0.1, 0.2, 0.3, 0.4))]
+        assert aggregate(rows)["aggregate"]["to_0.9"] == {"iqm": 100.0, "ci": [100.0, 100.0], "reached": 0}
+
+    def test_difference_interval_brackets_the_difference_and_repeats(self):
+        got, ref = [0.0, 0.1, 0.1, 0.9], [0.3, 0.3, 0.2, 0.4]
+        low, high = difference_ci(got, ref, np.random.default_rng(BOOTSTRAP_SEED))
+        assert low <= iqm_of(got) - iqm_of(ref) <= high
+        assert [low, high] == difference_ci(got, ref, np.random.default_rng(BOOTSTRAP_SEED))
+        # the spread of both sides widens it past either side's own
+        assert high - low > max(np.diff(bootstrap_ci(v, np.random.default_rng(0)))[0] for v in (got, ref))
+
+
+def seed_row(seed: int, **figures) -> dict:
+    """A per-seed row of ``aggregate.json``: 100 exploratory episodes, neither threshold reached, unless
+    ``figures`` says otherwise."""
+    return {"seed": seed, "auc": 0.5, "final": 0.5, "budget": 100, "to_0.5": None, "to_0.9": None, **figures}
+
+
+def write_aggregate(run: Path, rows) -> Path:
+    """``run`` made, holding an ``aggregate.json`` whose finished seeds are ``rows``."""
     run.mkdir()
-    (run / "aggregate.json").write_text(json.dumps({
-        "algorithm": "guided_ddpg", "median_rollouts_to_threshold": rollouts,
-        "median_wall_clock_s": 1.5, "median_final_success_rate": 0.5}))
+    (run / "aggregate.json").write_text(json.dumps({"algorithm": "guided_ddpg", "per_seed": rows}))
     return run
 
 
 class TestCompareRuns:
-    # A's median of 0 read as no median and gave null
-    @pytest.mark.parametrize("a,b,ratio", [(0, 250, 0.0), (100, 250, 0.4), (250, 0, None), (0, 0, None),
-                                           (None, 250, None), (250, None, None)])
-    def test_rollouts_ratio(self, tmp_path, a, b, ratio):
-        result = compare_runs(write_aggregate(tmp_path / "a", a), write_aggregate(tmp_path / "b", b),
-                              tmp_path / "comparison.csv")
-        assert result["rollouts_ratio_a_over_b"] == ratio
-        assert (result["rollouts_ratio_a_over_b"] is None) == (ratio is None)
+    def test_interval_of_the_iqm_difference_per_figure(self, tmp_path):
+        a = [seed_row(s, auc=x, final=x / 2, **{"to_0.5": 20 * s}) for s, x in enumerate((0.1, 0.5, 0.9, 0.3))]
+        b = [seed_row(s, auc=x, **{"to_0.9": 50}) for s, x in enumerate((0.2, 0.2, 0.4, 0.0, 0.6))]
+        figures = compare_runs(write_aggregate(tmp_path / "a", a), write_aggregate(tmp_path / "b", b),
+                               tmp_path / "comparison.csv")
+        rng = np.random.default_rng(BOOTSTRAP_SEED)
+        for name in FIGURES:
+            # a threshold not reached counts at the budget
+            got, ref = ([100 if row[name] is None else row[name] for row in rows] for rows in (a, b))
+            assert figures[name] == {"iqm_a": iqm_of(got), "iqm_b": iqm_of(ref),
+                                     "difference_ci": difference_ci(got, ref, rng)}
+        assert figures["to_0.9"]["difference_ci"] == [50.0, 50.0]
+        with open(tmp_path / "comparison.csv", newline="", encoding="utf-8") as fh:
+            table = list(csv.reader(fh))
+        assert table[0] == ["figure", "iqm_a", "iqm_b", "difference_ci_low", "difference_ci_high"]
+        assert [[float(x) for x in row[1:]] for row in table[1:]] == [
+            [figures[name]["iqm_a"], figures[name]["iqm_b"], *figures[name]["difference_ci"]] for name in FIGURES]
+
+    def test_a_run_against_itself_brackets_zero(self, tmp_path):
+        run = write_aggregate(tmp_path / "a", [seed_row(s, auc=s / 10) for s in range(8)])
+        for figure in compare_runs(run, run, tmp_path / "comparison.csv").values():
+            low, high = figure["difference_ci"]
+            assert figure["iqm_a"] == figure["iqm_b"] and low <= 0.0 <= high
 
 
 class TestCheckpoints:
@@ -408,7 +546,7 @@ class TestCli:
 
     def test_bad_spec_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.spec"
-        path.write_text("algorithm = nonsense\nseeds = 0\n")
+        path.write_text("seeds = 0\nepochs = many\n")
         assert cli_main(["train", "--spec", str(path), "--out", str(tmp_path / "o")]) == 2
 
     @pytest.mark.parametrize("line", ["seeds = 0,0", "seed = 3"])
@@ -440,11 +578,11 @@ class TestCli:
 
     def test_non_utf8_spec_exit_code(self, tmp_path, capsys):
         spec = tmp_path / "latin.spec"
-        spec.write_bytes(b"algorithm = guided_ddpg\nseeds = 0 # \xff\xfe\n")
+        spec.write_bytes(b"seeds = 0 # \xff\xfe\n")
         assert cli_main(["train", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
         assert "not UTF-8" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ["{not json", '{"algorithm": "x"}'])
+    @pytest.mark.parametrize("text", ["{not json", '{"algorithm": "x"}', '{"per_seed": []}', '{"per_seed": [1]}'])
     def test_malformed_aggregate_exit_code(self, tmp_path, capsys, text):
         run = tmp_path / "run"
         run.mkdir()
@@ -452,49 +590,42 @@ class TestCli:
         assert cli_main(["compare", "--run-a", str(run), "--run-b", str(run), "--out", str(tmp_path / "cmp")]) == 2
         assert "aggregate.json" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key,value", [("median_wall_clock_s", '"slow"'),
-                                           ("median_final_success_rate", "null"),
-                                           ("median_rollouts_to_threshold", '"12"'),
-                                           ("median_wall_clock_s", "true")])
-    def test_aggregate_field_of_wrong_type_exit_code(self, tmp_path, capsys, key, value):
-        fields = {"median_rollouts_to_threshold": "null", "median_wall_clock_s": "1.5",
-                  "median_final_success_rate": "0.5", key: value}
+    @staticmethod
+    def _compare_exit_code(tmp_path, key: str, value: str) -> int:
+        """``compare`` of a run with itself, whose second seed's ``key`` reads the JSON text ``value``."""
+        fields = {"seed": "1", "auc": "0.5", "final": "0.5", "to_0.5": "25", "to_0.9": "null", "budget": "100"}
+        good, bad = ("{" + ", ".join(f'"{k}": {v}' for k, v in row.items()) + "}" for row in (fields, {**fields, key: value}))
         run = tmp_path / "run"
         run.mkdir()
-        (run / "aggregate.json").write_text(
-            '{"algorithm": "guided_ddpg", ' + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}")
-        assert cli_main(["compare", "--run-a", str(run), "--run-b", str(run), "--out", str(tmp_path / "cmp")]) == 2
+        (run / "aggregate.json").write_text(f'{{"algorithm": "guided_ddpg", "per_seed": [{good}, {bad}]}}')
+        return cli_main(["compare", "--run-a", str(run), "--run-b", str(run), "--out", str(tmp_path / "cmp")])
+
+    @pytest.mark.parametrize("key,value", [("final", '"slow"'), ("auc", "null"), ("to_0.9", '"12"'),
+                                           ("budget", "true")])
+    def test_aggregate_field_of_wrong_type_exit_code(self, tmp_path, capsys, key, value):
+        assert self._compare_exit_code(tmp_path, key, value) == 2
         err = capsys.readouterr().err
         assert "spec error" in err and key in err and "Traceback" not in err
 
-    # each exited 0: json reads NaN, Infinity and -1e400 (-inf), and comparison.csv held inf, nan and -inf
-    @pytest.mark.parametrize("key,value", [("median_wall_clock_s", "Infinity"),
-                                           ("median_final_success_rate", "NaN"),
-                                           ("median_rollouts_to_threshold", "-1e400"),
-                                           ("median_final_success_rate", "-3"),
-                                           ("median_final_success_rate", "1.5"),
-                                           ("median_wall_clock_s", "-0.5"),
-                                           ("median_rollouts_to_threshold", "-25")])
+    # each exited 0 as a median: json reads NaN, Infinity and -1e400 (-inf), and comparison.csv held inf,
+    # nan and -inf; an integer past float64's range ended in an OverflowError traceback with exit 1
+    @pytest.mark.parametrize("key,value", [("budget", "Infinity"), ("final", "NaN"), ("to_0.9", "-1e400"),
+                                           ("final", "-3"), ("auc", "1.5"), ("budget", "-0.5"),
+                                           ("to_0.5", "-25"), ("to_0.5", "1e400"),
+                                           pytest.param("budget", "1" + "0" * 400, id="budget-10**400")])
     def test_aggregate_field_not_finite_or_out_of_range_exit_code(self, tmp_path, capsys, key, value):
-        fields = {"median_rollouts_to_threshold": "25", "median_wall_clock_s": "1.5",
-                  "median_final_success_rate": "0.5", key: value}
-        run = tmp_path / "run"
-        run.mkdir()
-        (run / "aggregate.json").write_text(
-            '{"algorithm": "guided_ddpg", ' + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}")
         out = tmp_path / "cmp"
-        assert cli_main(["compare", "--run-a", str(run), "--run-b", str(run), "--out", str(out)]) == 2
+        assert self._compare_exit_code(tmp_path, key, value) == 2
         err = capsys.readouterr().err
         assert "spec error" in err and key in err and "Traceback" not in err
         assert not out.exists()
 
     def test_compare_of_incomplete_aggregate_leaves_no_out(self, tmp_path, capsys):
-        run = tmp_path / "run"
-        run.mkdir()
-        (run / "aggregate.json").write_text('{"algorithm": "guided_ddpg"}')
+        run = write_aggregate(tmp_path / "run", [{"seed": 0, "auc": 0.5, "final": 0.5, "to_0.5": None}])
         out = tmp_path / "cmp"
         assert cli_main(["compare", "--run-a", str(run), "--run-b", str(run), "--out", str(out)]) == 2
-        assert "lacks" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "lacks ['to_0.9', 'budget']" in err
         assert not out.exists()
 
     def test_sweep_of_non_json_checkpoint_leaves_no_out(self, tiny_spec_path, tmp_path, capsys):
