@@ -490,19 +490,24 @@ def _read_per_seed(run_dir) -> list:
     return rows
 
 
+def compare_per_seed(rows_a: list, rows_b: list) -> dict:
+    """Per figure of :data:`FIGURES`, the IQM of each set of per-seed rows and the 95 % interval of
+    ``IQM(A) - IQM(B)``, each set's seeds resampled."""
+    rng = np.random.default_rng(BOOTSTRAP_SEED)
+    figures = {}
+    for figure in FIGURES:
+        a, b = (_censored(rows, figure) for rows in (rows_a, rows_b))
+        figures[figure] = {"iqm_a": float(iqm(a)), "iqm_b": float(iqm(b)), "difference_ci": difference_ci(a, b, rng)}
+    return figures
+
+
 def compare_runs(dir_a, dir_b, out_path) -> dict:
-    """Per figure of :data:`FIGURES`, each run's IQM over its finished seeds and the 95 % interval of
-    ``IQM(A) - IQM(B)``, each run's seeds resampled; written to ``out_path`` as a table.
+    """:func:`compare_per_seed` of two runs' finished seeds, written to ``out_path`` as a table.
 
     A malformed ``aggregate.json`` raises :class:`SpecError`. The directory of ``out_path`` is made only once
     both are read.
     """
-    runs = [_read_per_seed(dir_a), _read_per_seed(dir_b)]
-    rng = np.random.default_rng(BOOTSTRAP_SEED)
-    figures = {}
-    for figure in FIGURES:
-        a, b = (_censored(rows, figure) for rows in runs)
-        figures[figure] = {"iqm_a": float(iqm(a)), "iqm_b": float(iqm(b)), "difference_ci": difference_ci(a, b, rng)}
+    figures = compare_per_seed(_read_per_seed(dir_a), _read_per_seed(dir_b))
     Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     write_table(out_path, ["figure", "iqm_a", "iqm_b", "difference_ci_low", "difference_ci_high"],
                 ([figure, *map(repr, (f["iqm_a"], f["iqm_b"], *f["difference_ci"]))] for figure, f in figures.items()))

@@ -1,5 +1,6 @@
 """The learning gate, ``tests/gate.py``: its specs, its verdict and a run on the tiny schedule."""
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
@@ -7,8 +8,10 @@ import pytest
 import gate
 from golden import platform_fingerprint
 from guided_ddpg.ddpg import DdpgHyper
+from guided_ddpg import harness
 from guided_ddpg.envs import InsertionEnvConfig
-from guided_ddpg.guided import TrainConfig
+from guided_ddpg.exceptions import NumericalError
+from guided_ddpg.guided import TrainConfig, train
 from guided_ddpg.harness import FIGURES, aggregate, parse_spec
 from guided_ddpg.trajopt import SupervisorConfig
 
@@ -110,6 +113,30 @@ def test_tiny_schedule_writes_a_reference_and_passes_against_it(tmp_path, capsys
     assert gate.main(["--schedule", "tiny"]) == 1
     out = capsys.readouterr().out
     assert out.endswith("FAIL\n") and "guided auc: " in out
+
+
+def test_a_failed_seed_fails_the_gate_and_writes_no_reference(tmp_path, capsys, monkeypatch):
+    def raise_on_seed_1(config):
+        if config.seed == 1:
+            raise NumericalError("critic loss is non-finite; parameters unchanged")
+        return train(config)
+
+    # a patch reaches no spawned worker, so the seeds train in this process
+    monkeypatch.setattr(harness, "train", raise_on_seed_1)
+    monkeypatch.setattr(harness, "worker_pool", lambda max_workers: ThreadPoolExecutor(1))
+    reference = tmp_path / "gate.json"
+    monkeypatch.setattr(gate, "REFERENCE", reference)
+    assert gate.main(["--schedule", "tiny", "--write"]) == 1
+    assert not reference.exists()
+    assert capsys.readouterr().out.endswith("the reference is not written\n")
+
+    stored = {"schedule": "tiny", "seeds": [0, 1], "margin": 1.0,  # a margin no surviving seed could fail
+              "arms": {arm: arm_result((0.0, 0.0)) for arm in gate.ARMS}}
+    reference.write_text(json.dumps(stored), encoding="utf-8")
+    assert gate.main(["--schedule", "tiny"]) == 1
+    out = capsys.readouterr().out
+    assert "1 of 2 seeds failed" in out and "seed 1: critic loss is non-finite" in out
+    assert out.endswith("FAIL\n")
 
 
 def test_reference_of_another_schedule_is_refused(tmp_path, capsys, monkeypatch):
