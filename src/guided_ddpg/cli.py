@@ -1,9 +1,11 @@
 """Command-line entry point: train, eval, compare, sweep.
 
-Exit codes: 0 success, 2 spec/schema problems and invalid inputs,
-3 numerical failure, 1 anything else. Inputs are validated before ``--out``
-is made, so an invalid spec, checkpoint or result file leaves no ``--out``;
-a ``train`` whose seed failed numerically exits 3 after writing the others.
+Exit codes: 0 success; 2 invalid input (InputError: a bad spec, config,
+checkpoint or result file, a setting out of range, a size that does not
+fit); 3 numerical failure (NumericalError); 1 anything else. Inputs are
+validated before ``--out`` is made, so an invalid spec, checkpoint or result
+file leaves no ``--out``; a ``train`` whose seed failed numerically exits 3
+after writing the others.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .envs import InsertionEnvConfig
-from .exceptions import ConfigurationError, InputError, NumericalError
+from .exceptions import InputError, NumericalError
 from .guided import evaluate_policy
 from .harness import (
     adaptability_sweep,
@@ -29,7 +31,7 @@ from .harness import (
 
 EXIT_OK = 0
 EXIT_OTHER = 1
-EXIT_SPEC = 2
+EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
 
@@ -140,12 +142,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigurationError as exc:  # SpecError included
-        print(f"spec error: {exc}", file=sys.stderr)
-        return EXIT_SPEC
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_SPEC
+        return EXIT_INPUT
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

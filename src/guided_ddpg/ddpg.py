@@ -27,7 +27,7 @@ from typing import ClassVar
 import numpy as np
 
 from .envs import ACTION_DIM, STATE_DIM, InsertionEnvConfig
-from .exceptions import ConfigurationError, NumericalError
+from .exceptions import InputError, NumericalError
 from .nets import (
     MlpParams,
     adam_init,
@@ -71,10 +71,10 @@ class DdpgHyper:
 
     def __post_init__(self):
         if self.batch_size < 1 or self.supervision_batch_size < 1:
-            raise ConfigurationError("batch sizes must be positive")
+            raise InputError("batch sizes must be positive")
         if any(w < 1 for w in (*self.actor_hidden, *self.critic_hidden)):
-            raise ConfigurationError(f"actor_hidden and critic_hidden widths must be >= 1, "
-                                     f"got {self.actor_hidden} and {self.critic_hidden}")
+            raise InputError(f"actor_hidden and critic_hidden widths must be >= 1, "
+                             f"got {self.actor_hidden} and {self.critic_hidden}")
 
     @classmethod
     def for_env(cls, env: InsertionEnvConfig, **settings) -> "DdpgHyper":

@@ -35,7 +35,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .exceptions import ConfigurationError, InputError
+from .exceptions import InputError
 
 Array = np.ndarray
 
@@ -80,15 +80,15 @@ class InsertionEnvConfig:
 
     def __post_init__(self):
         if self.hole_half_width < self.peg_half_width or self.horizon < 1:
-            raise ConfigurationError(f"hole_half_width >= peg_half_width and horizon >= 1 required, got"
-                                     f" {self.hole_half_width} and {self.horizon}")
+            raise InputError(f"hole_half_width >= peg_half_width and horizon >= 1 required, got"
+                             f" {self.hole_half_width} and {self.horizon}")
         slot_edge = abs(self.hole_center_offset) + self.hole_half_width
         if not slot_edge < self.workspace_half_width:
-            raise ConfigurationError("workspace box must contain the slot: |hole_center_offset| + hole_half_width"
-                                     f" = {slot_edge:.6g} must be < workspace_half_width")
+            raise InputError("workspace box must contain the slot: |hole_center_offset| + hole_half_width"
+                             f" = {slot_edge:.6g} must be < workspace_half_width")
         tolerance = 0.05 * self.hole_depth if self.success_tolerance is None else self.success_tolerance
         if not tolerance > 0.0:  # NaN too: no row would ever succeed
-            raise ConfigurationError(f"success_tolerance must be > 0, got {tolerance}")
+            raise InputError(f"success_tolerance must be > 0, got {tolerance}")
         point = (self.hole_center_offset, -self.hole_depth) if self.target_point is None else self.target_point
         # The stage cost is the distance d to the target, and the learner's gradients grow as d times
         # factors no setting bounds exactly: the critic's targets reach 1 / (1 - 0.99) = 100 stage costs,
@@ -99,8 +99,8 @@ class InsertionEnvConfig:
         vertical = self.start_height - float(point[1])
         squared = lateral * lateral + vertical * vertical
         if not squared * squared < float(np.finfo(np.float32).max):
-            raise ConfigurationError(f"the target is too far from the start pose: {lateral:.6g} m across and"
-                                     f" {vertical:.6g} m down, a distance whose fourth power overflows float32")
+            raise InputError(f"the target is too far from the start pose: {lateral:.6g} m across and"
+                             f" {vertical:.6g} m down, a distance whose fourth power overflows float32")
         target = np.array([float(point[0]), float(point[1])])
         target.flags.writeable = False
         object.__setattr__(self, "tolerance", tolerance)

@@ -1,29 +1,22 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package: one root per exit code of the CLI.
 
 Each precondition is checked once, where input enters: a setting's range by its
 config class (``InsertionEnvConfig``, ``DdpgHyper``, ``TrainConfig``,
 ``SupervisorConfig``, ``ExperimentSpec``), files and arguments by their readers.
 Downstream code raises only on faults it can really meet: non-finite values,
 failed factorizations, overflow and ``MemoryError``. The CLI exits with 2 on
-:class:`ConfigurationError` (:class:`SpecError` included) and :class:`InputError`,
-3 on :class:`NumericalError` and 1 on anything else; training turns a
-:class:`SupervisorError` into a degraded epoch. A seed whose training raises
-:class:`NumericalError` fails alone: ``train`` records it in ``aggregate.json``
-with its reason, finishes the other seeds, writes every artifact and then
-exits 3.
+:class:`InputError`, 3 on :class:`NumericalError` and 1 on anything else;
+training turns a :class:`SupervisorError` into a degraded epoch. A seed whose
+training raises :class:`NumericalError` fails alone: ``train`` records it in
+``aggregate.json`` with its reason, finishes the other seeds, writes every
+artifact and then exits 3.
 """
-
-
-class ConfigurationError(ValueError):
-    """Invalid static configuration (layer sizes, rates, geometry, ...)."""
-
-
-class ShapeError(ValueError):
-    """A checkpoint's network arrays do not line up."""
+from contextlib import contextmanager
 
 
 class InputError(ValueError):
-    """Runtime inputs that violate a precondition (non-finite action, empty buffer)."""
+    """An input that violates a precondition: a setting, a spec, config, checkpoint or result file, a size that
+    does not fit in memory, or a runtime value such as a non-finite action."""
 
 
 class NumericalError(RuntimeError):
@@ -34,9 +27,15 @@ class NotPositiveDefiniteError(NumericalError):
     """A matrix required to be positive definite failed its factorization."""
 
 
-class SupervisorError(RuntimeError):
-    """The trajectory-optimization supervisor failed for one epoch."""
+class SupervisorError(NumericalError):
+    """The trajectory-optimization supervisor failed for one epoch; it wraps the :class:`NumericalError`."""
 
 
-class SpecError(ConfigurationError):
-    """A spec, config, checkpoint or result file failed schema validation."""
+@contextmanager
+def fits_in_memory(message: str):
+    """Raise :class:`InputError` with ``message`` when an allocation inside fails: a ``MemoryError``, or the
+    ``ValueError`` numpy raises for a dimension it cannot index."""
+    try:
+        yield
+    except (MemoryError, ValueError) as exc:
+        raise InputError(message) from exc

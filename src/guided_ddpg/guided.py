@@ -40,7 +40,7 @@ from .envs import (
     env_step,
     rollout,  # noqa: F401  (unused here; the benchmark's tracer wraps guided.rollout by name)
 )
-from .exceptions import ConfigurationError, InputError, SupervisorError
+from .exceptions import InputError, SupervisorError, fits_in_memory
 from .replay import (
     ReplayBuffer,
     supervision_batch_from_rows,
@@ -101,13 +101,13 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 0 or self.n_ddpg < 0 or self.n_inc < 0 or self.n_trajopt < 0:
-            raise ConfigurationError("episode/epoch counts must be non-negative")
+            raise InputError("episode/epoch counts must be non-negative")
         if self.r2_capacity < 1:
-            raise ConfigurationError(f"r2_capacity must be >= 1, got {self.r2_capacity}")
+            raise InputError(f"r2_capacity must be >= 1, got {self.r2_capacity}")
         if self.eval_every < 0:
-            raise ConfigurationError(f"eval_every must be >= 0, got {self.eval_every}")
+            raise InputError(f"eval_every must be >= 0, got {self.eval_every}")
         if self.eval_every > 0 and self.eval_episodes < 1:
-            raise ConfigurationError(f"eval_episodes must be >= 1 when eval_every > 0, got {self.eval_episodes}")
+            raise InputError(f"eval_episodes must be >= 1 when eval_every > 0, got {self.eval_episodes}")
 
 
 @dataclass
@@ -211,11 +211,9 @@ def evaluation_arrays(env: InsertionEnvConfig, n_episodes: int) -> tuple[Array, 
     Raises :class:`InputError` for a count or horizon whose arrays do not fit
     in memory, so a caller can size an evaluation before it starts.
     """
-    try:
+    with fits_in_memory(f"{n_episodes} evaluation episodes of {env.horizon} steps do not fit in memory"):
         return (np.zeros((n_episodes, env.horizon)), np.full(n_episodes, env.horizon),
                 np.zeros(n_episodes, dtype=bool))
-    except (MemoryError, ValueError) as exc:  # ValueError: a dimension numpy cannot index
-        raise InputError(f"{n_episodes} evaluation episodes of {env.horizon} steps do not fit in memory") from exc
 
 
 def evaluate_policy(actor, hyper: DdpgHyper, env: InsertionEnvConfig, n_episodes: int, seed) -> EvalMetrics:
@@ -237,10 +235,9 @@ def evaluate_policy(actor, hyper: DdpgHyper, env: InsertionEnvConfig, n_episodes
     for the learner's float32 actor, whose last bits are float32's.
     """
     rewards, steps, succeeded = evaluation_arrays(env, n_episodes)
-    try:
-        states = env_reset(env, seed, n_episodes)
-    except MemoryError as exc:
-        raise InputError(f"{n_episodes} evaluation episodes do not fit in memory") from exc
+    rng = np.random.default_rng(seed)  # made outside the guard, so that a bad seed stays a ValueError
+    with fits_in_memory(f"{n_episodes} evaluation episodes do not fit in memory"):
+        states = env_reset(env, rng, n_episodes)
     active = np.arange(n_episodes)
     for t in range(env.horizon):
         states, step_rewards, done = env_step(env, states, policy_action(actor, hyper, states))

@@ -22,13 +22,13 @@ from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from types import NoneType, UnionType
-from typing import Union, get_args, get_origin, get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .ddpg import DdpgHyper
 from .envs import ACTION_DIM, STATE_DIM, InsertionEnvConfig
-from .exceptions import ConfigurationError, NumericalError, SpecError
+from .exceptions import InputError, NumericalError, fits_in_memory
 from .guided import TrainConfig, TrainingLog, evaluate_policy, evaluation_arrays, train, write_table
 from .nets import MlpParams, as_float64, is_json_number, mlp_from_dict, mlp_to_dict, param_count
 from .replay import SUPERVISION_ROW_WIDTH, TRANSITION_ROW_WIDTH, transition_buffer
@@ -58,9 +58,9 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.seeds or min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
             # a repeated seed would overwrite its own artifacts and count twice in the IQMs
-            raise SpecError(f"seeds must be non-empty, distinct and >= 0, got {self.seeds}")
+            raise InputError(f"seeds must be non-empty, distinct and >= 0, got {self.seeds}")
         if self.eval_episodes < 1:
-            raise SpecError("eval_episodes must be >= 1")
+            raise InputError("eval_episodes must be >= 1")
 
 
 # The config classes a spec sets, each with the fields it cannot set: the
@@ -86,7 +86,7 @@ def config_keys(sections) -> dict:
 
 
 def _parse_value(text: str, hint):
-    if get_origin(hint) in (Union, UnionType):
+    if get_origin(hint) is UnionType:
         (hint,) = (arg for arg in get_args(hint) if arg is not NoneType)
     if get_origin(hint) is tuple:
         args = get_args(hint)
@@ -101,8 +101,8 @@ def _parse_value(text: str, hint):
         if not math.isfinite(value):
             raise ValueError(f"expected a finite number, got {text!r}")
         return value
-    if hint in (int, str):
-        return hint(text)
+    if hint is int:
+        return int(text)
     raise TypeError(f"no reader for fields of type {hint}")
 
 
@@ -121,9 +121,9 @@ def read_config(path, sections) -> dict:
       A key left out keeps its field's default; a field with no default must
       be given. No key may be given twice.
     - A value is parsed by its field's type annotation: ``int``; ``float``,
-      which must be finite; ``str`` as written; ``tuple[T, ...]`` as
-      comma-separated items, possibly none; ``Optional[T]`` as ``T``; and a
-      pair, the point ``target_point``, as two comma-separated numbers.
+      which must be finite; ``tuple[T, ...]`` as comma-separated items,
+      possibly none; ``T | None`` as ``T``; and a pair, the point
+      ``target_point``, as two comma-separated numbers.
     - The methods' numerical settings are constants of
       :mod:`guided_ddpg.trajopt`, :mod:`guided_ddpg.ddpg`,
       :mod:`guided_ddpg.nets`, :mod:`guided_ddpg.guided` and
@@ -132,14 +132,14 @@ def read_config(path, sections) -> dict:
       one, such as ``terminal_weight``, ``discount`` or ``mass``, has an
       unknown key.
 
-    Every problem in the file is reported in one :class:`SpecError`, each
+    Every problem in the file is reported in one :class:`InputError`, each
     with its line number; a missing file stays an ``OSError``.
     """
     keys = config_keys(sections)
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise SpecError(f"{path} is not UTF-8 text: {exc}") from exc
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
     values: dict = {cls: {} for _, cls, _ in sections}
     problems = []
     first_line: dict = {}
@@ -165,7 +165,7 @@ def read_config(path, sections) -> dict:
         if f.default is MISSING and f.default_factory is MISSING and f.name not in values[cls]:
             problems.append(f"missing required key {key!r}")
     if problems:
-        raise SpecError(f"invalid config {path}:\n  " + "\n  ".join(problems))
+        raise InputError(f"invalid config {path}:\n  " + "\n  ".join(problems))
     return values
 
 
@@ -179,7 +179,7 @@ def parse_spec(path) -> ExperimentSpec:
         config = TrainConfig(env=env, hyper=hyper, supervisor=supervisor, **values[TrainConfig])
         return ExperimentSpec(train=config, **values[ExperimentSpec])
     except (ValueError, TypeError) as exc:
-        raise SpecError(f"invalid spec {path}: {exc}") from exc
+        raise InputError(f"invalid spec {path}: {exc}") from exc
 
 
 def load_env_config(path) -> InsertionEnvConfig:
@@ -211,35 +211,35 @@ def save_agent_checkpoint(path, nets, hyper: DdpgHyper) -> None:
 
 
 def _read_json(path):
-    """The value in a JSON file; :class:`SpecError` if it is not UTF-8 JSON or nests too deep to parse."""
+    """The value in a JSON file; :class:`InputError` if it is not UTF-8 JSON or nests too deep to parse."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))  # a missing file stays an OSError
     except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
-        raise SpecError(f"{path} is not valid JSON: {exc}") from exc
+        raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def load_agent_checkpoint(path) -> tuple[MlpParams, DdpgHyper]:
     """Load the greedy policy: the actor, and ``DdpgHyper()``, whose scaling it runs under.
 
-    Raises :class:`SpecError` for a file that is not a well-formed agent checkpoint, or whose
+    Raises :class:`InputError` for a file that is not a well-formed agent checkpoint, or whose
     ``action_bound`` and ``obs_scale`` are not numbers equal to :class:`DdpgHyper`'s constants.
     """
     payload = _read_json(path)
     if not isinstance(payload, dict) or payload.get("format") != "agent-checkpoint" or payload.get("version") != 1:
-        raise SpecError(f"unrecognized checkpoint header in {path}")
+        raise InputError(f"unrecognized checkpoint header in {path}")
     missing = [key for key in ("action_bound", "obs_scale", "actor") if key not in payload]
     if missing:
-        raise SpecError(f"checkpoint {path} lacks {missing}")
+        raise InputError(f"checkpoint {path} lacks {missing}")
     actor = mlp_from_dict(payload["actor"])
     if actor.input_dim != STATE_DIM or actor.output_dim != ACTION_DIM:
-        raise SpecError(f"checkpoint {path}: actor layer sizes {list(actor.layer_sizes)} do not map "
-                        f"{STATE_DIM} state entries to {ACTION_DIM} action entries")
+        raise InputError(f"checkpoint {path}: actor layer sizes {list(actor.layer_sizes)} do not map "
+                         f"{STATE_DIM} state entries to {ACTION_DIM} action entries")
     hyper = DdpgHyper()
     bound, scale, constant = payload["action_bound"], payload["obs_scale"], hyper.obs_scale_array.tolist()
     if not (is_json_number(bound) and bound == hyper.action_bound
             and isinstance(scale, list) and all(map(is_json_number, scale)) and scale == constant):
-        raise SpecError(f"checkpoint {path}: action_bound {bound!r} and obs_scale {scale!r} differ from "
-                        f"the nets' constant scaling, {hyper.action_bound!r} and {constant!r}")
+        raise InputError(f"checkpoint {path}: action_bound {bound!r} and obs_scale {scale!r} differ from "
+                         f"the nets' constant scaling, {hyper.action_bound!r} and {constant!r}")
     return actor, hyper
 
 
@@ -267,7 +267,7 @@ def _size_run(spec: ExperimentSpec) -> None:
     """Allocate and drop each array whose size the spec sets, so that a run that cannot fit fails before
     ``--out`` is made: the ``r2`` ring, the nets, a sample batch of each ring, an epoch's supervisor
     rollouts, the pointer array of the log's list of epochs and exploratory episodes, and the evaluation
-    arrays. Raises :class:`ConfigurationError`, or :class:`InputError` for the evaluation arrays."""
+    arrays. Raises :class:`InputError` for the first that does not fit."""
     config, hyper, epochs = spec.train, spec.train.hyper, spec.train.epochs
     transition_buffer(config.r2_capacity)
     shapes = {
@@ -281,10 +281,8 @@ def _size_run(spec: ExperimentSpec) -> None:
                                                       + config.n_inc * (epochs * (epochs - 1) // 2),),
     }
     for what, shape in shapes.items():
-        try:
+        with fits_in_memory(f"{what}: an array of shape {shape} does not fit in memory"):
             np.empty(shape)
-        except (MemoryError, ValueError) as exc:  # ValueError: a dimension numpy cannot index
-            raise ConfigurationError(f"{what}: an array of shape {shape} does not fit in memory") from exc
     evaluation_arrays(config.env, spec.eval_episodes)
     if config.eval_every > 0:
         evaluation_arrays(config.env, config.eval_episodes)
@@ -449,13 +447,17 @@ def run_experiment(spec_path, out_dir) -> Path:
     seed's artifacts have the bytes that training it alone gives. A seed that raises :class:`NumericalError`
     is recorded in ``aggregate.json`` with its reason while the others finish; :class:`NumericalError` is
     then raised, once every artifact is written.
+
+    The workers are spawned, and each imports the caller's ``__main__`` again, so a program that calls this
+    must run from a file, ``python -c`` or ``python -m``; one piped on stdin breaks the pool.
     """
     spec = parse_spec(spec_path)
     _size_run(spec)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     seeds = spec.seeds
-    with worker_pool(min(len(seeds), len(os.sched_getaffinity(0)))) as pool:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    with worker_pool(min(len(seeds), cpus)) as pool:
         results = list(pool.map(train_seed, [replace(spec.train, seed=seed) for seed in seeds],
                                 [spec.eval_episodes] * len(seeds), [out / f"seed_{seed}" for seed in seeds]))
     _write_learning_curves(out / "learning_curves.csv", [curve for _, curve in results])
@@ -469,24 +471,24 @@ def run_experiment(spec_path, out_dir) -> Path:
 
 
 def _read_per_seed(run_dir) -> list:
-    """The finished seeds' rows of ``run_dir``'s ``aggregate.json``; :class:`SpecError` unless each holds
+    """The finished seeds' rows of ``run_dir``'s ``aggregate.json``; :class:`InputError` unless each holds
     :data:`FIGURES` and ``budget``, in range."""
     path = Path(run_dir) / "aggregate.json"
     agg = _read_json(path)
     rows = agg.get("per_seed") if isinstance(agg, dict) else None
     if not (isinstance(rows, list) and rows and all(isinstance(row, dict) for row in rows)):
-        raise SpecError(f"{path} lacks per_seed, a non-empty list of the finished seeds' figures")
+        raise InputError(f"{path} lacks per_seed, a non-empty list of the finished seeds' figures")
     for row in rows:
         missing = [key for key in (*FIGURES, "budget") if key not in row]
         if missing:
-            raise SpecError(f"{path}: a per_seed row lacks {missing}")
+            raise InputError(f"{path}: a per_seed row lacks {missing}")
         for key in (*FIGURES, "budget"):
             value, rate = row[key], key in ("auc", "final")
             # a Python float, which compares exactly with integers past it, such as 10**400; inf is past it too
             high = 1.0 if rate else float(np.finfo(float).max)
             if not ((is_json_number(value) and 0.0 <= value <= high) or (value is None and key.startswith("to_"))):
-                raise SpecError(f"{path}: per_seed {key} must be "
-                                f"{'in [0, 1]' if rate else 'a finite number >= 0'}, got {value!r}")
+                raise InputError(f"{path}: per_seed {key} must be "
+                                 f"{'in [0, 1]' if rate else 'a finite number >= 0'}, got {value!r}")
     return rows
 
 
@@ -504,7 +506,7 @@ def compare_per_seed(rows_a: list, rows_b: list) -> dict:
 def compare_runs(dir_a, dir_b, out_path) -> dict:
     """:func:`compare_per_seed` of two runs' finished seeds, written to ``out_path`` as a table.
 
-    A malformed ``aggregate.json`` raises :class:`SpecError`. The directory of ``out_path`` is made only once
+    A malformed ``aggregate.json`` raises :class:`InputError`. The directory of ``out_path`` is made only once
     both are read.
     """
     figures = compare_per_seed(_read_per_seed(dir_a), _read_per_seed(dir_b))

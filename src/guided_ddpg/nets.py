@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exceptions import ConfigurationError, NumericalError, ShapeError, SpecError
+from .exceptions import InputError, NumericalError
 
 Array = np.ndarray
 
@@ -83,7 +83,7 @@ class MlpParams:
 
     def __post_init__(self):
         if self.output_activation not in OUTPUT_ACTIVATIONS:
-            raise ConfigurationError(f"unknown output activation {self.output_activation!r}")
+            raise InputError(f"unknown output activation {self.output_activation!r}")
         dtype = np.float32 if np.asarray(self.vector).dtype == np.float32 else np.float64
         vector = np.asarray(self.vector, dtype=dtype).view()  # freezing a view leaves the caller's array writable
         vector.flags.writeable = False
@@ -269,7 +269,7 @@ def is_json_number(value) -> bool:
 
 
 def mlp_from_dict(d: dict) -> MlpParams:
-    """Inverse of :func:`mlp_to_dict`; raises :class:`SpecError` on any malformed entry.
+    """Inverse of :func:`mlp_to_dict`; raises :class:`InputError` on any malformed entry.
 
     Layer sizes must be integral numbers and every weight and bias a number:
     a string such as ``"1"``, which numpy would parse, or a ``true`` is malformed.
@@ -280,14 +280,14 @@ def mlp_from_dict(d: dict) -> MlpParams:
             raise ValueError(f"layer sizes must be integers, got {d['layer_sizes']!r}")
         sizes = tuple(int(s) for s in d["layer_sizes"])
         if len(sizes) < 2 or len(d["weights"]) != len(sizes) - 1 or len(d["biases"]) != len(sizes) - 1:
-            raise ShapeError(f"expected {len(sizes) - 1} weight and bias arrays")
+            raise ValueError(f"expected {len(sizes) - 1} weight and bias arrays")
         parts = []
         for t, (w, b) in enumerate(zip(d["weights"], d["biases"])):
             if not (all(map(is_json_number, b)) and all(all(map(is_json_number, row)) for row in w)):
                 raise ValueError(f"layer {t} holds an entry that is not a number")
             w, b = np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64)
             if w.shape != (sizes[t + 1], sizes[t]) or b.shape != (sizes[t + 1],):
-                raise ShapeError(f"layer {t} arrays do not match layer_sizes {sizes}")
+                raise ValueError(f"layer {t} arrays do not match layer_sizes {sizes}")
             parts += [w.ravel(), b]
         vector = np.concatenate(parts)
         if not np.all(np.isfinite(vector)):
@@ -296,5 +296,5 @@ def mlp_from_dict(d: dict) -> MlpParams:
             raise ValueError(f"hidden activation must be 'tanh', got {d['hidden_activation']!r}")
         return MlpParams(sizes, vector, d["output_activation"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        # ConfigurationError and ShapeError are ValueErrors; OverflowError is an integer past float64, as 10**400
-        raise SpecError(f"malformed network entry: {exc!r}") from exc
+        # MlpParams raises InputError, a ValueError; OverflowError is an integer past float64, as 10**400
+        raise InputError(f"malformed network entry: {exc!r}") from exc

@@ -17,7 +17,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .envs import Transition
-from .exceptions import ConfigurationError, InputError
+from .exceptions import InputError, fits_in_memory
 
 
 @dataclass(frozen=True)
@@ -46,10 +46,8 @@ class ReplayBuffer:
         self.capacity = int(capacity)
         self.total_pushed = 0
         self._packer = packer
-        try:
+        with fits_in_memory(f"a replay capacity of {capacity} rows does not fit in memory"):
             self._rows = np.empty((self.capacity, row_width))
-        except (MemoryError, ValueError) as exc:  # ValueError: a dimension numpy cannot index
-            raise ConfigurationError(f"a replay capacity of {capacity} rows does not fit in memory") from exc
 
     def __len__(self) -> int:
         return min(self.total_pushed, self.capacity)

@@ -27,7 +27,7 @@ from guided_ddpg.ddpg import (
     target_update,
 )
 from guided_ddpg.envs import InsertionEnvConfig
-from guided_ddpg.exceptions import ConfigurationError, NumericalError, ShapeError, SpecError
+from guided_ddpg.exceptions import InputError, NumericalError
 from guided_ddpg.harness import load_agent_checkpoint, save_agent_checkpoint
 from guided_ddpg.nets import (
     ADAM_BETA1,
@@ -472,7 +472,7 @@ def oracle_make_agent(hyper, seed) -> OracleNets:
 
 def oracle_adam_step(state, params, grads):
     if grads.shape != params.vector.shape:
-        raise ShapeError(f"gradient of shape {grads.shape} for {params.vector.size} parameters")
+        raise ValueError(f"gradient of shape {grads.shape} for {params.vector.size} parameters")
     # a non-finite entry anywhere poisons the sum
     if not np.isfinite(grads.sum()):
         raise NumericalError("non-finite gradient passed to adam_step")
@@ -491,9 +491,9 @@ def oracle_adam_step(state, params, grads):
 
 def oracle_soft_update(target, source, rate):
     if not (0.0 < rate <= 1.0):
-        raise ConfigurationError(f"soft-update rate must lie in (0, 1], got {rate}")
+        raise ValueError(f"soft-update rate must lie in (0, 1], got {rate}")
     if target.layer_sizes != source.layer_sizes:
-        raise ShapeError("target and source networks have different layer sizes")
+        raise ValueError("target and source networks have different layer sizes")
     return MlpParams(target.layer_sizes, rate * source.vector + (1.0 - rate) * target.vector,
                      target.output_activation)
 
@@ -736,7 +736,7 @@ class TestHyper:
     @pytest.mark.parametrize("key", ["actor_hidden", "critic_hidden"])
     @pytest.mark.parametrize("widths", [(0,), (8, 0), (-1, 8)])
     def test_rejects_hidden_width_below_one(self, key, widths):
-        with pytest.raises(ConfigurationError, match=key):
+        with pytest.raises(InputError, match=key):
             tiny_hyper(**{key: widths})
         assert getattr(tiny_hyper(**{key: (1,)}), key) == (1,)
 
@@ -756,7 +756,7 @@ class TestHyper:
     def test_rejects_obs_scale_without_six_finite_entries(self, tmp_path, obs_scale):
         with pytest.raises(TypeError, match="obs_scale"):
             tiny_hyper(obs_scale=obs_scale)
-        with pytest.raises(SpecError, match="obs_scale"):
+        with pytest.raises(InputError, match="obs_scale"):
             load_agent_checkpoint(self._checkpoint_with(tmp_path, "obs_scale", list(obs_scale)))
 
     @pytest.mark.parametrize("bound", [0.0, -5.0, float("inf"), float("nan")])
@@ -764,7 +764,7 @@ class TestHyper:
         # a negative bound flipped every action's sign and the critic's action scaling
         with pytest.raises(TypeError, match="action_bound"):
             tiny_hyper(action_bound=bound)
-        with pytest.raises(SpecError, match="action_bound"):
+        with pytest.raises(InputError, match="action_bound"):
             load_agent_checkpoint(self._checkpoint_with(tmp_path, "action_bound", bound))
 
     def test_scaling_constants_are_the_task_geometry_and_read_only(self):

@@ -14,7 +14,7 @@ from guided_ddpg.envs import (
     rollout,
     successes,
 )
-from guided_ddpg.exceptions import ConfigurationError, InputError
+from guided_ddpg.exceptions import InputError
 from guided_ddpg.harness import load_env_config
 
 from verbatim_oracles import contact_force as verbatim_contact_force
@@ -49,7 +49,7 @@ class TestConfig:
         assert tuple(config.target) == (config.hole_center_offset, -config.hole_depth)
 
     def test_clearance_invariant(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(InputError):
             InsertionEnvConfig(hole_half_width=0.0049)
 
     def test_target_follows_offset(self):
@@ -71,7 +71,7 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [dict(horizon=0), dict(horizon=-1), dict(success_tolerance=0.0),
                                         dict(success_tolerance=-0.001), dict(success_tolerance=np.nan)])
     def test_bad_numbers_rejected(self, kwargs):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(InputError):
             InsertionEnvConfig(**kwargs)
 
     def test_constants_satisfy_the_physics_preconditions(self):
@@ -91,7 +91,7 @@ class TestConfig:
     def test_slot_or_start_outside_the_workspace_rejected(self, kwargs):
         # |hole_center_offset| + hole_half_width < workspace_half_width; +-0.0145 + 0.0055 is exactly 0.02.
         # The start pose is a constant, below the ceiling.
-        with pytest.raises(ConfigurationError, match="workspace box must contain the slot"):
+        with pytest.raises(InputError, match="workspace box must contain the slot"):
             InsertionEnvConfig(**kwargs)
 
     @pytest.mark.parametrize("offset", [0.0144, -0.0144])
@@ -106,7 +106,7 @@ class TestConfig:
     def test_target_too_far_from_the_start_rejected(self, kwargs):
         # just past the float32 bound, where the float32 learner's gradients could overflow, and far past it,
         # where the squared distance overflows even in float64 and every stage cost would be inf
-        with pytest.raises(ConfigurationError, match="too far from the start pose"):
+        with pytest.raises(InputError, match="too far from the start pose"):
             InsertionEnvConfig(**kwargs)
 
     @pytest.mark.parametrize("kwargs", [dict(target_point=(0.0, -4.29e9)), dict(target_point=(3e9, -3e9)),
@@ -419,13 +419,13 @@ class TestConfigFile:
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "env.cfg"
         path.write_text("gravity = 9.81\n")
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(InputError):
             load_env_config(path)
 
     def test_bad_value_rejected(self, tmp_path):
         path = tmp_path / "env.cfg"
         path.write_text("hole_half_width = wide\n")
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(InputError):
             load_env_config(path)
 
     def test_target_point_is_a_pair(self, tmp_path):
@@ -437,5 +437,5 @@ class TestConfigFile:
     def test_malformed_target_point_rejected(self, tmp_path, value):
         path = tmp_path / "env.cfg"
         path.write_text(f"target_point = {value}\n")
-        with pytest.raises(ConfigurationError, match="target_point"):
+        with pytest.raises(InputError, match="target_point"):
             load_env_config(path)

@@ -81,8 +81,10 @@ def test_verdict_reads_the_margin_from_the_reference():
 
 
 def test_separation_reads_the_auc_intervals():
-    assert gate.separation(result_of((0.8, 0.9, 0.85, 0.95), (0.0, 0.1, 0.05, 0.0))) == "guided above pure"
-    assert gate.separation(result_of((0.1, 0.3, 0.2, 0.0), (0.2, 0.1, 0.3, 0.0))) == "the arms' intervals overlap"
+    high, low, mixed = (0.8, 0.9, 0.85, 0.95), (0.0, 0.1, 0.05, 0.0), (0.1, 0.3, 0.2, 0.0)
+    assert gate.separation(result_of(high, low)) == "guided above pure"
+    assert gate.separation(result_of(low, high)) == "pure above guided"
+    assert gate.separation(result_of(mixed, (0.2, 0.1, 0.3, 0.0))) == "the interval of the difference contains 0"
 
 
 def test_tiny_schedule_writes_a_reference_and_passes_against_it(tmp_path, capsys, monkeypatch):

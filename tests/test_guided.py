@@ -13,7 +13,7 @@ from guided_ddpg.ddpg import (
     target_update,
 )
 from guided_ddpg.envs import InsertionEnvConfig, Transition, env_reset, env_step
-from guided_ddpg.exceptions import ConfigurationError, InputError, SupervisorError
+from guided_ddpg.exceptions import InputError, SupervisorError
 from guided_ddpg.guided import (
     EvalMetrics,
     EvalRecord,
@@ -226,7 +226,7 @@ class TestEvaluation:
 
     def test_empty_evaluation_rejected(self):
         # the episode count is checked where it is set: TrainConfig here; the CLI and the spec in test_harness.py
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(InputError):
             tiny_config(eval_every=2, eval_episodes=0)
         assert tiny_config(eval_every=0, eval_episodes=0).eval_episodes == 0  # never evaluates
 
@@ -242,7 +242,7 @@ class TestEvaluation:
 
     @pytest.mark.parametrize("overrides", [dict(eval_every=-1)])
     def test_out_of_range_evaluation_settings_rejected(self, overrides):
-        with pytest.raises(ConfigurationError, match=next(iter(overrides))):
+        with pytest.raises(InputError, match=next(iter(overrides))):
             tiny_config(**overrides)
 
     # the trust region's start is the positive constant trajopt.KL_STEP, so no config sets it, in range or not

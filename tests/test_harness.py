@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import guided_ddpg.harness as harness_mod
+from guided_ddpg import exceptions
 from guided_ddpg.cli import main as cli_main
-from guided_ddpg.exceptions import NumericalError, SpecError
+from guided_ddpg.exceptions import InputError, NumericalError
 from guided_ddpg.harness import (
     BOOTSTRAP_SEED,
     FIGURES,
@@ -113,19 +114,19 @@ class TestSpecParsing:
     def test_unknown_key_is_schema_error(self, tmp_path):
         path = tmp_path / "bad.spec"
         path.write_text("seeds = 0\nwarp_speed = 9\n")
-        with pytest.raises(SpecError, match="warp_speed"):
+        with pytest.raises(InputError, match="warp_speed"):
             parse_spec(path)
 
     def test_missing_required_keys(self, tmp_path):
         path = tmp_path / "bad.spec"
         path.write_text("epochs = 3\n")
-        with pytest.raises(SpecError, match="missing required key 'seeds'"):
+        with pytest.raises(InputError, match="missing required key 'seeds'"):
             parse_spec(path)
 
     def test_bad_value_reported_with_line(self, tmp_path):
         path = tmp_path / "bad.spec"
         path.write_text("seeds = 0\nepochs = many\n")
-        with pytest.raises(SpecError, match="line 2"):
+        with pytest.raises(InputError, match="line 2"):
             parse_spec(path)
 
     def test_seeds_is_the_one_required_key(self, tmp_path):
@@ -161,7 +162,7 @@ class TestConfigReader:
                                      "sweep_hole_offsets", "hole_center_offset"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_float_rejected(self, tmp_path, key, value):
-        with pytest.raises(SpecError, match=f"line 3: bad value for '{key}'"):
+        with pytest.raises(InputError, match=f"line 3: bad value for '{key}'"):
             parse_spec(self._spec_path(tmp_path, f"{key} = {value}\n"))
 
     def test_target_point_in_spec(self, tmp_path):
@@ -170,7 +171,7 @@ class TestConfigReader:
 
     def test_duplicate_key_reported_with_both_lines(self, tmp_path):
         path = self._spec_path(tmp_path, "epochs = 1\nhorizon = 9\nepochs = 3\nwarp = 1\nhorizon = 9\n")
-        with pytest.raises(SpecError) as exc:
+        with pytest.raises(InputError) as exc:
             parse_spec(path)
         message = str(exc.value)
         assert "line 5: key 'epochs' already given on line 3" in message
@@ -181,7 +182,7 @@ class TestConfigReader:
     @pytest.mark.parametrize("line", ["exploration_std = -1.0", "exploration_std = 1.0, -0.5",
                                       "terminal_weight = -1"])
     def test_bad_supervisor_config_rejected(self, tmp_path, line):
-        with pytest.raises(SpecError, match=f"line 3: unknown key '{line.split()[0]}'"):
+        with pytest.raises(InputError, match=f"line 3: unknown key '{line.split()[0]}'"):
             parse_spec(self._spec_path(tmp_path, line + "\n"))
 
     @pytest.mark.parametrize("key", list(REMOVED_SETTINGS))
@@ -189,7 +190,7 @@ class TestConfigReader:
         # each is given a value it once accepted, so only the key can be at fault
         line = f"{key} = {REMOVED_SETTINGS[key]}"
         assert key not in config_keys(SPEC_SECTIONS)
-        with pytest.raises(SpecError, match=f"line 3: unknown key '{key}'"):
+        with pytest.raises(InputError, match=f"line 3: unknown key '{key}'"):
             parse_spec(self._spec_path(tmp_path, line + "\n"))
         out = tmp_path / "o"
         assert cli_main(["train", "--spec", str(spec_with_line(tiny_spec_path, line)), "--out", str(out)]) == 2
@@ -340,7 +341,7 @@ class TestFailedSeed:
 
 
 class TestWorkerPool:
-    def test_gate_workers_run_blas_on_one_thread(self, monkeypatch):
+    def test_worker_pool_runs_blas_on_one_thread(self, monkeypatch):
         # a worker that inherits this process's BLAS, or this environment, runs two threads on two or more cores
         from golden import openblas_threads  # golden imports this module
 
@@ -350,7 +351,7 @@ class TestWorkerPool:
             assert pool.submit(openblas_threads).result(timeout=120) == 1
         assert dict(os.environ) == environment
 
-    def test_importing_the_gate_leaves_the_environment_alone(self):
+    def test_importing_harness_and_running_its_worker_pool_leave_the_environment_alone(self):
         # the pool of guided_ddpg.harness, which the gate runs through run_experiment
         code = ("import os; before = dict(os.environ); import guided_ddpg.harness as h\n"
                 "if __name__ == '__main__':\n"
@@ -487,7 +488,7 @@ class TestCheckpoints:
         path = tmp_path / "bad.json"
         for header in ('{"format": "other", "version": 1}', '{"format": "agent-checkpoint", "version": 9}', "[1, 2]"):
             path.write_text(header)
-            with pytest.raises(SpecError, match="header"):
+            with pytest.raises(InputError, match="header"):
                 load_agent_checkpoint(path)
 
 
@@ -543,6 +544,31 @@ class TestCli:
         assert cli_main(["compare", "--run-a", str(out), "--run-b", str(out),
                          "--out", str(tmp_path / "cmp")]) == 0
         assert (tmp_path / "cmp" / "comparison.csv").exists()
+
+    def test_train_without_sched_getaffinity(self, tiny_spec_path, tmp_path, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity; train ended in an AttributeError traceback there,
+        # after --out was made
+        monkeypatch.delattr(os, "sched_getaffinity")
+        out = tmp_path / "run"
+        assert cli_main(["train", "--spec", str(tiny_spec_path), "--out", str(out)]) == 0
+        assert (out / "aggregate.json").exists()
+
+    @pytest.mark.parametrize("error", [cls for cls in vars(exceptions).values() if isinstance(cls, type)
+                                       and issubclass(cls, Exception) and cls.__module__ == exceptions.__name__]
+                             + [OSError], ids=lambda cls: cls.__name__)
+    def test_each_exception_type_exits_with_its_documented_code(self, tmp_path, capsys, monkeypatch, error):
+        # README's exit codes: every exception type of the package, including one added later, has one
+        codes = [code for root, code in ((exceptions.InputError, 2), (exceptions.NumericalError, 3), (OSError, 1))
+                 if issubclass(error, root)]
+        assert len(codes) == 1, f"{error.__name__} has no documented exit code"
+
+        def raise_error(spec_path, out_dir):
+            raise error("the message")
+
+        monkeypatch.setattr("guided_ddpg.cli.run_experiment", raise_error)
+        assert cli_main(["train", "--spec", str(tmp_path / "any.spec"), "--out", str(tmp_path / "o")]) == codes[0]
+        err = capsys.readouterr().err
+        assert "the message" in err and "Traceback" not in err
 
     def test_bad_spec_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.spec"
@@ -605,7 +631,7 @@ class TestCli:
     def test_aggregate_field_of_wrong_type_exit_code(self, tmp_path, capsys, key, value):
         assert self._compare_exit_code(tmp_path, key, value) == 2
         err = capsys.readouterr().err
-        assert "spec error" in err and key in err and "Traceback" not in err
+        assert "input error" in err and key in err and "Traceback" not in err
 
     # each exited 0 as a median: json reads NaN, Infinity and -1e400 (-inf), and comparison.csv held inf,
     # nan and -inf; an integer past float64's range ended in an OverflowError traceback with exit 1
@@ -617,7 +643,7 @@ class TestCli:
         out = tmp_path / "cmp"
         assert self._compare_exit_code(tmp_path, key, value) == 2
         err = capsys.readouterr().err
-        assert "spec error" in err and key in err and "Traceback" not in err
+        assert "input error" in err and key in err and "Traceback" not in err
         assert not out.exists()
 
     def test_compare_of_incomplete_aggregate_leaves_no_out(self, tmp_path, capsys):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from guided_ddpg.exceptions import ConfigurationError, NumericalError, SpecError
+from guided_ddpg.exceptions import InputError, NumericalError
 from guided_ddpg.nets import (
     ADAM_LEARNING_RATE,
     MlpParams,
@@ -100,7 +100,7 @@ class TestInit:
         assert np.all(np.abs(params.weights[0]) <= limit)
 
     def test_bad_activation_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(InputError):
             mlp_init([2, 2], output_activation="sigmoid", seed=0)
 
 
@@ -388,11 +388,11 @@ class TestSerialization:
     def test_malformed_entries_rejected(self, corrupt):
         d = json.loads(json.dumps(mlp_to_dict(mlp_init([3, 4, 2], seed=0))))
         corrupt(d)
-        with pytest.raises(SpecError):
+        with pytest.raises(InputError):
             mlp_from_dict(d)
 
     def test_non_object_rejected(self):
-        with pytest.raises(SpecError):
+        with pytest.raises(InputError):
             mlp_from_dict([1, 2, 3])
 
 

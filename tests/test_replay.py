@@ -3,7 +3,7 @@ import pytest
 
 from guided_ddpg.ddpg import DdpgHyper
 from guided_ddpg.envs import InsertionEnvConfig, Transition
-from guided_ddpg.exceptions import ConfigurationError, InputError
+from guided_ddpg.exceptions import InputError
 from guided_ddpg.guided import TrainConfig
 from guided_ddpg.replay import (
     SUPERVISION_ROW_WIDTH,
@@ -64,9 +64,9 @@ class TestPush:
     def test_invalid_capacity(self):
         # a capacity below one is rejected where it is set; the ring never sees one
         hyper = DdpgHyper.for_env(InsertionEnvConfig())
-        with pytest.raises(ConfigurationError, match="r2_capacity"):
+        with pytest.raises(InputError, match="r2_capacity"):
             TrainConfig(hyper=hyper, r2_capacity=-1)
-        with pytest.raises(ConfigurationError):  # the whole ring is allocated up front
+        with pytest.raises(InputError):  # the whole ring is allocated up front
             transition_buffer(10**13)
 
     def test_pushed_item_is_not_kept(self):

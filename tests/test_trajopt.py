@@ -14,7 +14,6 @@ from guided_ddpg.exceptions import (
     InputError,
     NotPositiveDefiniteError,
     NumericalError,
-    ShapeError,
     SupervisorError,
 )
 from guided_ddpg.trajopt import (
@@ -99,7 +98,7 @@ def oracle_kl_divergence(p: TrajectoryDistribution, other: LinearGaussianPolicy)
     """Sum over steps of the expected Gaussian KL between action conditionals."""
     pol = p.policy
     if pol.horizon != other.horizon or pol.action_dim != other.action_dim:
-        raise ShapeError("policies must share horizon and dimensions")
+        raise ValueError("policies must share horizon and dimensions")
     m = pol.action_dim
     total = 0.0
     for t in range(pol.horizon):
@@ -132,9 +131,9 @@ def oracle_lqg_backward(
     T = dynamics.horizon
     n, m = cost.state_dim, cost.action_dim
     if cost.horizon != T or dynamics.F.shape[1] != n:
-        raise ShapeError("dynamics and cost horizons/dimensions disagree")
+        raise ValueError("dynamics and cost horizons/dimensions disagree")
     if prior.horizon != T or prior.action_dim != m:
-        raise ShapeError("prior horizon/dimensions disagree with dynamics")
+        raise ValueError("prior horizon/dimensions disagree with dynamics")
 
     prior_inv = []
     for t in range(T):
@@ -185,7 +184,7 @@ def oracle_lqg_forward(
     """Propagate Gaussian state marginals through the closed loop."""
     T = dynamics.horizon
     if policy.horizon != T:
-        raise ShapeError("policy and dynamics horizons disagree")
+        raise ValueError("policy and dynamics horizons disagree")
     n = dynamics.state_dim
     mean = np.zeros((T + 1, n))
     cov = np.zeros((T + 1, n, n))

@@ -35,7 +35,7 @@ import guided_ddpg.ddpg as live_ddpg
 import guided_ddpg.nets as live_nets
 from guided_ddpg.ddpg import DISCOUNT, AgentNets, DdpgHyper
 from guided_ddpg.envs import ACTION_DIM, STATE_DIM, InsertionEnvConfig, clip_actions, env_reset, env_step
-from guided_ddpg.exceptions import InputError, NumericalError, ShapeError
+from guided_ddpg.exceptions import InputError, NumericalError
 from guided_ddpg.nets import MlpParams, layer_views
 from guided_ddpg.replay import SupervisionBatch, TransitionBatch
 from guided_ddpg.trajopt import (
@@ -108,7 +108,7 @@ def contact_force(config: InsertionEnvConfig, position: Array, velocity: Array) 
 def _rows(params: MlpParams, x: Array) -> Array:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.input_dim:
-        raise ShapeError(f"input shape {np.shape(x)} is not (N, {params.input_dim}) rows")
+        raise ValueError(f"input shape {np.shape(x)} is not (N, {params.input_dim}) rows")
     return x
 
 
@@ -151,7 +151,7 @@ def mlp_backward(
     xb = _rows(params, x)
     g = np.asarray(output_gradient, dtype=np.float64)
     if g.shape != (xb.shape[0], params.output_dim):
-        raise ShapeError(f"output_gradient shape {np.shape(output_gradient)} does not match output dim {params.output_dim}")
+        raise ValueError(f"output_gradient shape {np.shape(output_gradient)} does not match output dim {params.output_dim}")
 
     param_grad = None
     if wrt_params:
@@ -403,12 +403,12 @@ def fit_dynamics(states: Array, actions: Array) -> LinearDynamics:
     states = np.asarray(states, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.float64)
     if states.ndim != 3 or actions.ndim != 3 or states.shape[0] != actions.shape[0]:
-        raise ShapeError("states (N,T+1,n) and actions (N,T,m) required")
+        raise ValueError("states (N,T+1,n) and actions (N,T,m) required")
     n_roll, horizon = actions.shape[0], actions.shape[1]
     if n_roll < 2:
         raise InputError(f"need >= 2 rollouts to fit dynamics, got {n_roll}")
     if states.shape[1] != horizon + 1:
-        raise ShapeError("states must have one more step than actions")
+        raise ValueError("states must have one more step than actions")
     n, m = states.shape[2], actions.shape[2]
 
     F = np.zeros((horizon, n, n + m))
@@ -438,7 +438,7 @@ def linearize_policy(policy_fn, states: Array, noise_cov: Array) -> LinearGaussi
     """
     states = np.asarray(states, dtype=np.float64)
     if states.ndim != 3:
-        raise ShapeError("states must have shape (N, T+1, n)")
+        raise ValueError("states must have shape (N, T+1, n)")
     n_roll, horizon = states.shape[0], states.shape[1] - 1
     if n_roll < 1 or horizon < 1:
         raise InputError("need at least one rollout and one step")
