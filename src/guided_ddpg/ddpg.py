@@ -46,6 +46,7 @@ TARGET_RATE = 0.001  # share of the source that each soft update blends into the
 OU_SCALE = 1.0  # diffusion scale (N) of the exploration noise on each action axis
 OU_THETA = 0.15  # mean-reversion rate of the exploration noise
 OU_DT = 1.0  # time step of the exploration noise; each step scales its state by 1 - OU_THETA * OU_DT
+_OU_DIFFUSION = OU_SCALE * np.sqrt(OU_DT)  # the noise's per-step diffusion, a numpy float64
 SUPERVISION_DECAY = 10.0  # decay constant c of supervision_weight; the weight is 1/2 after c exploratory episodes
 
 
@@ -140,8 +141,8 @@ def _scaled_obs(hyper: DdpgHyper, states: Array) -> Array:
     return np.asarray(states) * hyper.obs_scale_array
 
 
-def _critic_input(hyper: DdpgHyper, states: Array, actions: Array) -> Array:
-    return np.concatenate([_scaled_obs(hyper, states), np.asarray(actions) / hyper.action_bound], axis=1)
+def _critic_input(nets: AgentNets, hyper: DdpgHyper, scaled_states: Array, actions: Array) -> Array:
+    return np.concatenate([scaled_states, actions / hyper.action_bound], axis=1, dtype=nets.params.dtype)
 
 
 def policy_action(actor: MlpParams, hyper: DdpgHyper, states: Array) -> Array:
@@ -153,15 +154,14 @@ def policy_action(actor: MlpParams, hyper: DdpgHyper, states: Array) -> Array:
     return hyper.action_bound * mlp_forward(actor, _scaled_obs(hyper, states))[0]
 
 
-def critic_value(critic: MlpParams, hyper: DdpgHyper, states: Array, actions: Array) -> Array:
-    """Q estimates, one per row of the ``(N, 6)`` states and ``(N, 2)`` actions."""
-    return mlp_forward(critic, _critic_input(hyper, states, actions))[0][:, 0]
-
-
 def critic_target(batch: TransitionBatch, nets: AgentNets, hyper: DdpgHyper) -> Array:
-    """Bootstrapped targets from the target nets; terminal rows are not bootstrapped."""
-    next_actions = policy_action(nets.target_actor, hyper, batch.next_states)
-    next_q = critic_value(nets.target_critic, hyper, batch.next_states, next_actions)
+    """Bootstrapped targets from the target nets; terminal rows are not bootstrapped.
+
+    The next states are scaled once for both nets, and the critic reads the actor's action ``bound * out``
+    divided by the bound, as it reads any action."""
+    xn = _scaled_obs(hyper, batch.next_states)
+    next_actions = hyper.action_bound * mlp_forward(nets.target_actor, xn)[0]
+    next_q = mlp_forward(nets.target_critic, _critic_input(nets, hyper, xn, next_actions))[0][:, 0]
     if not np.isfinite(next_q).all():
         raise NumericalError("target critic produced non-finite values")
     return batch.rewards + DISCOUNT * np.where(batch.dones, 0.0, next_q)
@@ -181,11 +181,11 @@ def critic_loss_grads(
     rows, stacked under the batch rows, share its forward and backward pass.
     """
     y = critic_target(batch, nets, hyper)
-    x = _critic_input(hyper, batch.states, batch.actions)
+    x = _critic_input(nets, hyper, _scaled_obs(hyper, batch.states), batch.actions)
     n = batch.states.shape[0]
     supervised = sup_batch is not None and supervision_weight > 0.0
     if supervised:
-        x = np.concatenate([x, _critic_input(hyper, sup_batch.states, sup_batch.actions)])
+        x = np.concatenate([x, _critic_input(nets, hyper, _scaled_obs(hyper, sup_batch.states), sup_batch.actions)])
         y = np.concatenate([y, sup_batch.q_values])
     q, cache = mlp_forward(nets.critic, x)
     err = q[:, 0] - y  # float64, as y is, so the loss sums in float64
@@ -228,10 +228,10 @@ def actor_objective_grads(
     only; critic parameters stay fixed. The supervision states, stacked under
     the batch states, share the actor's passes; the target critic sees the batch.
     """
-    xs = _scaled_obs(hyper, batch.states)
+    xs = _scaled_obs(hyper, batch.states).astype(nets.params.dtype, copy=False)  # rounded as mlp_forward would
     n = batch.states.shape[0]
     supervised = sup_batch is not None and supervision_weight > 0.0
-    rows = np.concatenate([xs, _scaled_obs(hyper, sup_batch.states)]) if supervised else xs
+    rows = np.concatenate([xs, _scaled_obs(hyper, sup_batch.states)], dtype=xs.dtype) if supervised else xs
     out, actor_cache = mlp_forward(nets.actor, rows)  # in [-1, 1]; action = bound * out
 
     # dQ/d(action input) of the target critic at (s, actor(s)).
@@ -293,5 +293,5 @@ class OrnsteinUhlenbeckNoise:
         self._x = np.zeros(self.dim)
 
     def sample(self, rng: np.random.Generator) -> Array:
-        self._x = self._x + OU_THETA * (-self._x) * OU_DT + OU_SCALE * np.sqrt(OU_DT) * rng.standard_normal(self.dim)
+        self._x = self._x + OU_THETA * (-self._x) * OU_DT + _OU_DIFFUSION * rng.standard_normal(self.dim)
         return self._x.copy()

@@ -7,6 +7,12 @@ bytes. ``tests/test_golden.py`` checks that against ``tests/golden.json``:
   ``guided_train`` and ``pure_train`` runs (``perfbench.workloads.train_once``)
   at seeds 0 and 7;
 - the ``sweep_results`` of the benchmark's tiny ``eval_sweep`` at seeds 0 and 7;
+- the same outputs of short runs at the benchmark's paper sizes, at seeds 0
+  and 7 (:data:`PAPER_SCHEDULES`, and :data:`PAPER_EPISODES_PER_CELL`
+  episodes per sweep cell). numpy's matmul bits depend on the shape (at
+  64x64 float32, ``h @ w.T`` and ``h @ np.ascontiguousarray(w.T)`` differ
+  below 19 rows), so the tiny runs alone leave the 64-wide products at 64
+  rows that every benchmark workload runs unpinned;
 - the deterministic tables of a command-line run of the tiny experiment spec
   of ``tests/test_harness.py``: each seed's ``training_log.csv`` and
   ``supervisor_diag.csv``, ``learning_curves.csv``, and the ``sweep.csv`` of
@@ -34,6 +40,7 @@ import io
 import json
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +56,11 @@ from test_harness import TINY_SPEC  # noqa: E402
 
 GOLDEN = Path(__file__).with_name("golden.json")
 SEEDS = (0, 7)
+PAPER_SCHEDULES = {
+    "guided_train": dict(epochs=1, n_ddpg=2, n_inc=0),
+    "pure_train": dict(epochs=1, n_ddpg=3, n_inc=0),
+}
+PAPER_EPISODES_PER_CELL = 2
 
 
 def openblas_function(name: str, restype):
@@ -126,9 +138,14 @@ def compute_checksums(workdir: Path) -> dict:
             outcome = train_once(train_config(workload, seed, SIZES["tiny"]), workdir)
             for key, value in outcome.checksums.items():
                 sums[f"{workload}/seed_{seed}/{key}"] = value
+            paper = replace(train_config(workload, seed, SIZES["paper"]), **PAPER_SCHEDULES[workload])
+            for key, value in train_once(paper, workdir).checksums.items():
+                sums[f"paper/{workload}/seed_{seed}/{key}"] = value
     for seed in SEEDS:
         outcome = eval_once(eval_setup(seed, SIZES["tiny"], workdir))
         sums[f"eval_sweep/seed_{seed}/sweep_results"] = outcome.checksums["sweep_results"]
+        outcome = eval_once(eval_setup(seed, SIZES["paper"], workdir), PAPER_EPISODES_PER_CELL)
+        sums[f"paper/eval_sweep/seed_{seed}/sweep_results"] = outcome.checksums["sweep_results"]
 
     spec = workdir / "tiny.spec"
     spec.write_text(TINY_SPEC, encoding="utf-8")

@@ -20,7 +20,6 @@ from guided_ddpg.ddpg import (
     critic_loss_grads,
     critic_target,
     critic_update,
-    critic_value,
     make_agent,
     policy_action,
     supervision_weight,
@@ -37,6 +36,7 @@ from guided_ddpg.nets import (
     AdamState,
     MlpParams,
     layer_views,
+    mlp_forward,
     mlp_init,
 )
 from guided_ddpg.replay import SupervisionBatch, TransitionBatch
@@ -55,6 +55,12 @@ def float64_agent(hyper: DdpgHyper, seed) -> AgentNets:
     base = list(np.atleast_1d(np.asarray(seed)).ravel())
     return AgentNets(mlp_init([6, *hyper.actor_hidden, 2], "tanh", seed=base + [0]),
                      mlp_init([8, *hyper.critic_hidden, 1], "identity", seed=base + [1]))
+
+
+def critic_value(critic: MlpParams, hyper: DdpgHyper, states, actions) -> np.ndarray:
+    """Q estimates, one per row of the ``(N, 6)`` states and ``(N, 2)`` actions, as the learner's critic reads them."""
+    x = np.concatenate([states * hyper.obs_scale_array, actions / hyper.action_bound], axis=1)
+    return mlp_forward(critic, x)[0][:, 0]
 
 
 def random_states(rng, n) -> np.ndarray:

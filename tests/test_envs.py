@@ -7,7 +7,6 @@ from guided_ddpg.envs import (
     InsertionEnvConfig,
     clip_actions,
     contact_forces,
-    costs,
     env_reset,
     env_step,
     initial_state_distribution,
@@ -299,7 +298,8 @@ class TestStep:
         state = free_space_state(x=0.001)
         action = np.array([0.5, -0.5])
         _, reward, _ = step_one(config, state, action)
-        assert reward == -costs(state[0, 0:2], action, config)
+        stage_cost = config.action_cost_weight * np.linalg.norm(action) + np.linalg.norm(state[0, 0:2] - config.target)
+        assert reward == -stage_cost
         assert reward <= 0.0
 
     def test_force_is_read_from_the_state(self, config):
@@ -324,16 +324,23 @@ class TestStep:
         assert np.array_equal(run(), run())
 
 
+def rewards_at_rest(config, positions, actions):
+    """``env_step``'s rewards for rows at rest at ``positions`` carrying zero force: minus their stage costs."""
+    states = np.zeros((len(positions), 6))
+    states[:, 0:2] = positions
+    return env_step(config, states, np.asarray(actions, dtype=float))[1]
+
+
 class TestCost:
     def test_zero_at_target_with_zero_action(self, config):
-        assert costs(config.target, np.zeros(2), config) == 0.0
+        assert rewards_at_rest(config, [config.target], np.zeros((1, 2))) == 0.0
 
     def test_unit_distance(self, config):
-        assert costs(config.target + [0.0, 1.0], np.zeros(2), config) == pytest.approx(1.0)
+        assert rewards_at_rest(config, [config.target + [0.0, 1.0]], np.zeros((1, 2))) == pytest.approx(-1.0)
 
     def test_action_norm_weighting(self, config):
         rows = np.array([config.target, config.target])
-        assert costs(rows, np.array([[3.0, 4.0], [0.0, 0.0]]), config) == pytest.approx([5e-4, 0.0])
+        assert rewards_at_rest(config, rows, [[3.0, 4.0], [0.0, 0.0]]) == pytest.approx([-5e-4, 0.0])
 
 
 class TestSuccess:

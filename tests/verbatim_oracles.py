@@ -324,11 +324,12 @@ def critic_loss_grads_by_mean(
     rows, stacked under the batch rows, share its forward and backward pass.
     """
     y = live_ddpg.critic_target(batch, nets, hyper)
-    x = live_ddpg._critic_input(hyper, batch.states, batch.actions)
+    x = np.concatenate([_scaled_obs(hyper, batch.states), batch.actions / hyper.action_bound], axis=1)
     n = batch.states.shape[0]
     supervised = sup_batch is not None and supervision_weight > 0.0
     if supervised:
-        x = np.concatenate([x, live_ddpg._critic_input(hyper, sup_batch.states, sup_batch.actions)])
+        xs = np.concatenate([_scaled_obs(hyper, sup_batch.states), sup_batch.actions / hyper.action_bound], axis=1)
+        x = np.concatenate([x, xs])
         y = np.concatenate([y, sup_batch.q_values])
     q, cache = live_nets.mlp_forward(nets.critic, x)
     err = q[:, 0] - y
