@@ -62,12 +62,7 @@ def _cmd_eval(args) -> int:
     env = load_env_config(args.env_config) if args.env_config else InsertionEnvConfig()
     with _overflow_is_invalid_input():
         metrics = evaluate_policy(actor, hyper, env, args.episodes, args.seed)
-    result = {
-        "success_rate": metrics.success_rate,
-        "mean_return": metrics.mean_return,
-        "mean_steps": metrics.mean_steps,
-    }
-    print(json.dumps(result, indent=2))
+    print(json.dumps(vars(metrics), indent=2))
     return EXIT_OK
 
 

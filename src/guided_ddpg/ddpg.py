@@ -5,7 +5,8 @@ value targets; the actor ascends the target critic plus a (weighted) L2 pull
 toward optimizer actions. With supervision weight zero both updates reduce
 exactly to standard DDPG, with DDPG's discount :data:`DISCOUNT` and target
 rate :data:`TARGET_RATE`. Exploration adds Ornstein-Uhlenbeck noise of the
-fixed scale :data:`OU_SCALE`, rate :data:`OU_THETA` and time step :data:`OU_DT`.
+fixed scale :data:`OU_SCALE`, rate :data:`OU_THETA` and time step :data:`OU_DT`:
+:func:`ou_noise_step` maps the noise's value to the next, and the caller holds it.
 The nets' input scaling is a pair of :class:`DdpgHyper` class constants.
 
 The learner's state is one :class:`AgentNets`, updated in place once per
@@ -279,19 +280,7 @@ def supervision_weight(n_roll: int) -> float:
     return SUPERVISION_DECAY / (n_roll + SUPERVISION_DECAY)
 
 
-class OrnsteinUhlenbeckNoise:
-    """Zero-mean temporally correlated exploration noise on ``dim`` axes.
-
-    ``x += OU_THETA * (0 - x) * OU_DT + OU_SCALE * sqrt(OU_DT) * N(0, 1)``.
-    """
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self._x = np.zeros(dim)
-
-    def reset(self) -> None:
-        self._x = np.zeros(self.dim)
-
-    def sample(self, rng: np.random.Generator) -> Array:
-        self._x = self._x + OU_THETA * (-self._x) * OU_DT + _OU_DIFFUSION * rng.standard_normal(self.dim)
-        return self._x.copy()
+def ou_noise_step(x: Array, rng: np.random.Generator) -> Array:
+    """The exploration noise's next value after ``x``, a new array; an episode starts it at zeros:
+    ``x + OU_THETA * (0 - x) * OU_DT + OU_SCALE * sqrt(OU_DT) * N(0, 1)`` on each axis."""
+    return x + OU_THETA * (-x) * OU_DT + _OU_DIFFUSION * rng.standard_normal(x.shape)

@@ -22,10 +22,10 @@ from .ddpg import (
     DISCOUNT,
     AgentNets,
     DdpgHyper,
-    OrnsteinUhlenbeckNoise,
     actor_update,
     critic_update,
     make_agent,
+    ou_noise_step,
     policy_action,
     supervision_weight,
     target_update,
@@ -59,6 +59,7 @@ STREAM_NOISE = 2
 STREAM_REPLAY = 3
 STREAM_SUPERVISOR = 4
 STREAM_EVAL = 5
+STREAM_FINAL_EVAL = 0xE7A1  # a trained seed's closing evaluation, which harness.final_evaluation runs
 
 R1_CAPACITY = 2000  # supervision samples the r1 ring keeps; the oldest are overwritten first
 
@@ -123,15 +124,6 @@ class EpisodeRecord:
 
 
 @dataclass
-class EvalRecord:
-    epoch: int
-    n_roll: int
-    success_rate: float
-    mean_return: float
-    mean_steps: float
-
-
-@dataclass
 class EpochRecord:
     epoch: int
     status: str  # ok | degraded | skipped
@@ -144,6 +136,12 @@ class EvalMetrics:
     success_rate: float
     mean_return: float
     mean_steps: float
+
+
+@dataclass
+class EvalRecord(EvalMetrics):
+    epoch: int
+    n_roll: int
 
 
 @dataclass
@@ -259,7 +257,6 @@ def ddpg_block(
     r1: ReplayBuffer,
     r2: ReplayBuffer,
     streams: RngStreams,
-    noise: OrnsteinUhlenbeckNoise,
     n_roll: int,
     n_episodes: int,
     epoch: int,
@@ -268,7 +265,9 @@ def ddpg_block(
 ) -> int:
     """Run exploratory episodes with one update triple per environment step.
 
-    Each episode applies and logs as ``w_to`` one supervision weight, 0 while ``r1`` is empty.
+    Each episode applies and logs as ``w_to`` one supervision weight, 0 while ``r1`` is empty. Its
+    Ornstein-Uhlenbeck noise starts at zeros and takes one :func:`ou_noise_step` on ``streams.noise`` per
+    step, added to the actor's action before the clip. An episode ends on success or at the horizon.
     Updates ``nets`` in place and returns the new exploratory-episode count.
     """
     hyper = config.hyper
@@ -277,21 +276,17 @@ def ddpg_block(
     for _ in range(n_episodes):
         w_to = supervision_weight(n_roll) if len(r1) > 0 else 0.0
 
-        noise.reset()
+        noise = np.zeros(ACTION_DIM)
         state = env_reset(env, streams.env, 1)
         episode_return = 0.0
-        episode_success = False
-        steps = 0
         for t in range(env.horizon):
-            action = policy_action(nets.actor, hyper, state)[0]
-            action = clip_actions(env, action + noise.sample(streams.noise))
+            noise = ou_noise_step(noise, streams.noise)
+            action = clip_actions(env, policy_action(nets.actor, hyper, state)[0] + noise)
             next_state, rewards, successes = env_step(env, state, action[None])
             reward, success = float(rewards[0]), bool(successes[0])
-            episode_success = episode_success or success
             done = success or t == env.horizon - 1
             r2.push(Transition(state[0], action, next_state[0], reward, done))
             episode_return += reward
-            steps += 1
 
             batch = transition_batch_from_rows(r2.sample_rows(hyper.batch_size, streams.replay))
             sup = None
@@ -305,15 +300,14 @@ def ddpg_block(
             if done:
                 break
         log.episodes.append(
-            EpisodeRecord(epoch, "ddpg", n_roll, steps, episode_return, episode_success, w_to,
-                          time.perf_counter() - t_start)
+            EpisodeRecord(epoch, "ddpg", n_roll, t + 1, episode_return, success, w_to, time.perf_counter() - t_start)
         )
         n_roll += 1
 
         if config.eval_every > 0 and n_roll % config.eval_every == 0:
             metrics = evaluate_policy(nets.actor, hyper, env, config.eval_episodes,
                                       [config.seed, STREAM_EVAL, len(log.evals)])
-            log.evals.append(EvalRecord(epoch, n_roll, metrics.success_rate, metrics.mean_return, metrics.mean_steps))
+            log.evals.append(EvalRecord(**vars(metrics), epoch=epoch, n_roll=n_roll))
     return n_roll
 
 
@@ -323,7 +317,6 @@ def train(config: TrainConfig) -> tuple[AgentNets, TrainingLog]:
     streams = rng_streams(config.seed)
     hyper = config.hyper
     nets = make_agent(hyper, streams.net_seed)
-    noise = OrnsteinUhlenbeckNoise(ACTION_DIM)
     r1, r2 = supervision_buffer(R1_CAPACITY), transition_buffer(config.r2_capacity)
     log = TrainingLog()
     dual = DualState(eta=ETA_INIT, epsilon=KL_STEP)
@@ -354,7 +347,7 @@ def train(config: TrainConfig) -> tuple[AgentNets, TrainingLog]:
         else:
             log.epochs.append(EpochRecord(epoch, "skipped", "n_trajopt=0", []))
 
-        n_roll = ddpg_block(nets, config, r1, r2, streams, noise, n_roll, n_ddpg, epoch, log, t_start)
+        n_roll = ddpg_block(nets, config, r1, r2, streams, n_roll, n_ddpg, epoch, log, t_start)
         n_ddpg += config.n_inc
 
     log.r1_pushed = r1.total_pushed

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, replace
@@ -29,7 +30,7 @@ import numpy as np
 from .ddpg import DdpgHyper
 from .envs import ACTION_DIM, STATE_DIM, InsertionEnvConfig
 from .exceptions import InputError, NumericalError, fits_in_memory
-from .guided import TrainConfig, TrainingLog, evaluate_policy, evaluation_arrays, train, write_table
+from .guided import STREAM_FINAL_EVAL, TrainConfig, TrainingLog, evaluate_policy, evaluation_arrays, train, write_table
 from .nets import MlpParams, as_float64, is_json_number, mlp_from_dict, mlp_to_dict, param_count
 from .replay import SUPERVISION_ROW_WIDTH, TRANSITION_ROW_WIDTH, transition_buffer
 from .trajopt import SupervisorConfig
@@ -291,7 +292,7 @@ def _size_run(spec: ExperimentSpec) -> None:
 def final_evaluation(nets, config: TrainConfig, n_episodes: int):
     """A trained seed's closing evaluation: its actor in float64, as ``eval`` and ``sweep`` run the checkpoint,
     so that their figures match the summary's."""
-    return evaluate_policy(as_float64(nets.actor), config.hyper, config.env, n_episodes, [config.seed, 0xE7A1])
+    return evaluate_policy(as_float64(nets.actor), config.hyper, config.env, n_episodes, [config.seed, STREAM_FINAL_EVAL])
 
 
 def run_label(config: TrainConfig) -> str:
@@ -449,10 +450,14 @@ def run_experiment(spec_path, out_dir) -> Path:
     then raised, once every artifact is written.
 
     The workers are spawned, and each imports the caller's ``__main__`` again, so a program that calls this
-    must run from a file, ``python -c`` or ``python -m``; one piped on stdin breaks the pool.
+    must run from a file, ``python -c`` or ``python -m``; for one read from stdin it raises :class:`InputError`
+    before ``out_dir`` is made.
     """
     spec = parse_spec(spec_path)
     _size_run(spec)
+    if getattr(sys.modules["__main__"], "__file__", None) == "<stdin>":  # a worker cannot read it again
+        raise InputError("run_experiment's workers re-import __main__, which was read from stdin: run the program "
+                         "from a file, with python -c or with python -m")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     seeds = spec.seeds
@@ -542,13 +547,7 @@ def adaptability_sweep(
         for offset in hole_offsets:
             sub_env = replace(env, hole_half_width=env.peg_half_width + clearance, hole_center_offset=offset)
             metrics = evaluate_policy(actor, hyper, sub_env, n_episodes, next(cell_seeds))
-            rows.append({
-                "clearance": clearance,
-                "hole_offset": offset,
-                "success_rate": metrics.success_rate,
-                "mean_return": metrics.mean_return,
-                "mean_steps": metrics.mean_steps,
-            })
+            rows.append({"clearance": clearance, "hole_offset": offset, **vars(metrics)})
     Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     write_table(out_path, ["clearance_m", "hole_offset_m", "success_rate", "mean_return", "mean_steps"],
                 ([repr(float(value)) for value in row.values()] for row in rows))

@@ -14,13 +14,13 @@ from guided_ddpg.ddpg import (
     TARGET_RATE,
     AgentNets,
     DdpgHyper,
-    OrnsteinUhlenbeckNoise,
     actor_objective_grads,
     actor_update,
     critic_loss_grads,
     critic_target,
     critic_update,
     make_agent,
+    ou_noise_step,
     policy_action,
     supervision_weight,
     target_update,
@@ -705,37 +705,34 @@ class TestSupervisionWeight:
             tiny_hyper(supervision_decay=0.0)
 
 
+def ou_sequence(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
+    """``n`` successive noise values on ``dim`` axes, from zeros, as an episode draws them."""
+    x, values = np.zeros(dim), []
+    for _ in range(n):
+        x = ou_noise_step(x, rng)
+        values.append(x)
+    return np.array(values)
+
+
 class TestNoise:
     def test_fixed_seed_repeats_sequence(self):
-        a = OrnsteinUhlenbeckNoise(2)
-        b = OrnsteinUhlenbeckNoise(2)
-        seq_a = [a.sample(np.random.default_rng(42)) for _ in range(1)]
-        a2 = OrnsteinUhlenbeckNoise(2)
-        rng1, rng2 = np.random.default_rng(5), np.random.default_rng(5)
-        seq1 = np.array([a2.sample(rng1) for _ in range(50)])
-        seq2 = np.array([b.sample(rng2) for _ in range(50)])
+        seq1 = ou_sequence(np.random.default_rng(5), 50, 2)
+        seq2 = ou_sequence(np.random.default_rng(5), 50, 2)
         assert np.array_equal(seq1, seq2)
 
     def test_empirical_mean_near_zero(self):
         # CLT bound: |mean| < 3 * stationary std / sqrt(n)
-        noise = OrnsteinUhlenbeckNoise(1)
-        rng = np.random.default_rng(17)
         n = 100_000
-        samples = np.array([noise.sample(rng)[0] for _ in range(n)])
+        samples = ou_sequence(np.random.default_rng(17), n, 1)[:, 0]
         # correlated draws: effective sample size is n * (theta / (2 - theta)) approximately;
         # use a conservative inflation of the CLT bound instead
         # stationary std of x' = (1 - theta dt) x + scale sqrt(dt) N(0, 1)
         sigma = OU_SCALE / np.sqrt(2.0 * OU_THETA - OU_THETA**2 * OU_DT)
         assert abs(samples.mean()) < 3 * sigma / np.sqrt(n) * np.sqrt(2 / OU_THETA)
 
-    def test_reset_restarts_from_zero(self):
-        noise = OrnsteinUhlenbeckNoise(2)
-        rng = np.random.default_rng(3)
-        first = noise.sample(rng)
-        noise.reset()
-        rng2 = np.random.default_rng(3)
-        again = noise.sample(rng2)
-        assert np.array_equal(first, again)
+    def test_one_step_from_zeros_is_the_scaled_draw(self):
+        first = ou_noise_step(np.zeros(2), np.random.default_rng(3))
+        assert np.array_equal(first, OU_SCALE * np.sqrt(OU_DT) * np.random.default_rng(3).standard_normal(2))
 
 
 class TestHyper:

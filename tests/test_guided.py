@@ -3,9 +3,11 @@ import pytest
 
 import guided_ddpg.guided as guided_mod
 from guided_ddpg.ddpg import (
+    OU_DT,
+    OU_SCALE,
+    OU_THETA,
     SUPERVISION_DECAY,
     DdpgHyper,
-    OrnsteinUhlenbeckNoise,
     actor_update,
     critic_update,
     make_agent,
@@ -110,48 +112,84 @@ class TestDeterminism:
         assert not np.array_equal(nets_a.actor.vector, nets_b.actor.vector)
 
 
+def reference_loop(config: TrainConfig, act):
+    """The textbook off-policy DDPG loop on ``config``'s rng streams, with ``act(actor, hyper, states)`` as the
+    policy. Returns its nets and each episode's ``(steps, success, return)``, counted as the loop runs."""
+    env, hyper = config.env, config.hyper
+    streams = rng_streams(config.seed)
+    nets = make_agent(hyper, streams.net_seed)
+    r2 = transition_buffer(config.r2_capacity)
+    episodes = []
+    n_ddpg = config.n_ddpg
+    for _epoch in range(config.epochs):
+        for _ep in range(n_ddpg):
+            noise = np.zeros(2)
+            state = env_reset(env, streams.env, 1)[0]
+            steps, success, episode_return = 0, False, 0.0
+            for t in range(env.horizon):
+                draw = streams.noise.standard_normal(2)
+                noise = noise + OU_THETA * (-noise) * OU_DT + OU_SCALE * np.sqrt(OU_DT) * draw
+                action = act(nets.actor, hyper, state[None])[0]
+                action = np.clip(action + noise, -env.action_bound, env.action_bound)
+                next_states, rewards, successes = env_step(env, state[None], action[None])
+                next_state, done = next_states[0], bool(successes[0]) or t == env.horizon - 1
+                r2.push(Transition(state, action, next_state, float(rewards[0]), done))
+                steps, success = steps + 1, success or bool(successes[0])
+                episode_return += float(rewards[0])
+                batch = transition_batch_from_rows(r2.sample_rows(hyper.batch_size, streams.replay))
+                critic_update(nets, hyper, batch, None, 0.0)
+                actor_update(nets, hyper, batch, None, 0.0)
+                target_update(nets)
+                state = next_state
+                if done:
+                    break
+            episodes.append((steps, success, episode_return))
+        n_ddpg += config.n_inc
+    return nets, episodes
+
+
+def pd_controller(env: InsertionEnvConfig):
+    """``u = 200 (target - p) - 0.5 sqrt(200) v`` in the form of ``policy_action``: it drives the peg into the slot."""
+    def act(actor, hyper, states):
+        return 200.0 * (env.target - states[:, 0:2]) - 0.5 * np.sqrt(200.0) * states[:, 2:4]
+    return act
+
+
 class TestPureDdpgReduction:
-    def test_bitwise_identical_to_reference_loop(self):
-        """With zero supervision weight and no optimizer epochs, the orchestrator
-        must be byte-for-byte the textbook off-policy loop on shared rng streams."""
-        env = InsertionEnvConfig(horizon=5)
-        hyper = DdpgHyper.for_env(env, actor_hidden=(8,), critic_hidden=(8,), batch_size=4)
-        config = tiny_config(env=env, hyper=hyper, epochs=2, n_ddpg=2, n_inc=1,
-                             n_trajopt=0, eval_every=0, seed=11)
+    """With zero supervision weight and no optimizer epochs, the orchestrator must be byte for byte the
+    textbook off-policy loop on shared rng streams (:func:`reference_loop`), in its nets and in its
+    exploratory episodes' records."""
+
+    @staticmethod
+    def _assert_matches_reference(config, act):
         nets_guided, log = train(config)
         assert all(r.w_to == 0.0 for r in log.episodes_by_phase("ddpg"))
-
-        # independent reference implementation of the standard loop
-        streams = rng_streams(config.seed)
-        nets = make_agent(hyper, streams.net_seed)
-        noise = OrnsteinUhlenbeckNoise(2)
-        r2 = transition_buffer(config.r2_capacity)
-        n_ddpg = config.n_ddpg
-        for _epoch in range(config.epochs):
-            for _ep in range(n_ddpg):
-                noise.reset()
-                state = env_reset(env, streams.env, 1)[0]
-                for t in range(env.horizon):
-                    action = policy_action(nets.actor, hyper, state[None])[0]
-                    action = np.clip(action + noise.sample(streams.noise),
-                                     -env.action_bound, env.action_bound)
-                    next_states, rewards, successes = env_step(env, state[None], action[None])
-                    next_state, done = next_states[0], bool(successes[0]) or t == env.horizon - 1
-                    r2.push(Transition(state, action, next_state, float(rewards[0]), done))
-                    batch = transition_batch_from_rows(r2.sample_rows(hyper.batch_size, streams.replay))
-                    critic_update(nets, hyper, batch, None, 0.0)
-                    actor_update(nets, hyper, batch, None, 0.0)
-                    target_update(nets)
-                    state = next_state
-                    if done:
-                        break
-            n_ddpg += config.n_inc
-
+        nets, episodes = reference_loop(config, act)
         for name in ("actor", "critic", "target_actor", "target_critic"):
             assert np.array_equal(
                 getattr(nets_guided, name).vector,
                 getattr(nets, name).vector,
             ), f"{name} parameters diverged from the reference loop"
+        assert [(e.steps, e.success, e.episode_return) for e in log.episodes_by_phase("ddpg")] == episodes
+        return episodes
+
+    def test_bitwise_identical_to_reference_loop(self):
+        env = InsertionEnvConfig(horizon=5)
+        hyper = DdpgHyper.for_env(env, actor_hidden=(8,), critic_hidden=(8,), batch_size=4)
+        config = tiny_config(env=env, hyper=hyper, epochs=2, n_ddpg=2, n_inc=1,
+                             n_trajopt=0, eval_every=0, seed=11)
+        self._assert_matches_reference(config, policy_action)
+
+    def test_episodes_that_succeed_before_the_horizon_match_the_reference(self, monkeypatch):
+        # a PD controller in place of the actor succeeds mid-horizon, where an episode's steps and success
+        # are the step it stopped at, not the horizon's
+        env = InsertionEnvConfig(horizon=60, hole_half_width=0.009, success_tolerance=0.006)
+        hyper = DdpgHyper.for_env(env, actor_hidden=(8,), critic_hidden=(8,), batch_size=4)
+        config = tiny_config(env=env, hyper=hyper, epochs=2, n_ddpg=2, n_inc=1,
+                             n_trajopt=0, eval_every=0, seed=3)
+        monkeypatch.setattr(guided_mod, "policy_action", pd_controller(env))
+        episodes = self._assert_matches_reference(config, pd_controller(env))
+        assert len(episodes) == 5 and all(success and steps < env.horizon for steps, success, _ in episodes)
 
 
 class TestDegradation:

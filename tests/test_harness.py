@@ -37,7 +37,7 @@ from guided_ddpg.harness import (
 )
 from guided_ddpg.ddpg import DdpgHyper, make_agent, policy_action
 from guided_ddpg.envs import InsertionEnvConfig
-from guided_ddpg.guided import TrainConfig, evaluate_policy, train
+from guided_ddpg.guided import STREAM_FINAL_EVAL, TrainConfig, evaluate_policy, train
 from guided_ddpg.nets import mlp_init, mlp_to_dict
 from guided_ddpg.trajopt import SupervisorConfig
 
@@ -245,7 +245,7 @@ class TestRunExperiment:
             # the final figures are the ones the saved checkpoint evaluates to, in float64
             actor, hyper = load_agent_checkpoint(seed_dir / "checkpoint.json")
             spec = parse_spec(tiny_spec_path)
-            final = evaluate_policy(actor, hyper, spec.train.env, spec.eval_episodes, [seed, 0xE7A1])
+            final = evaluate_policy(actor, hyper, spec.train.env, spec.eval_episodes, [seed, STREAM_FINAL_EVAL])
             assert (summary["final"], summary["final_mean_return"]) == (final.success_rate, final.mean_return)
             summaries.append(summary)
         # the over-seed artifacts and nothing else: no table that copies aggregate.json
@@ -362,6 +362,22 @@ class TestWorkerPool:
         env = {name: value for name, value in os.environ.items() if not name.endswith("_NUM_THREADS")}
         env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+    def test_a_program_read_from_stdin_is_refused_before_out_is_made(self, tiny_spec_path, tmp_path):
+        # each spawned worker re-runs __main__ from its path, which for stdin is "<stdin>": the pool broke
+        # with BrokenProcessPool and left an empty --out
+        out = tmp_path / "run"
+        code = ("from guided_ddpg.exceptions import InputError\nfrom guided_ddpg.harness import run_experiment\n"
+                "try:\n"
+                f"    run_experiment({str(tiny_spec_path)!r}, {str(out)!r})\n"
+                "except InputError as exc:\n"
+                "    print(exc)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run([sys.executable, "-"], input=code, env=env, capture_output=True, text=True,
+                              timeout=120, check=False)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        assert "read from stdin" in proc.stdout and "python -c" in proc.stdout, proc.stdout
+        assert not out.exists()
 
 
 def iqm_of(values) -> float:

@@ -7,6 +7,10 @@ attribute of an ``ast.Attribute``, or when a file of ``perfbench/`` imports it,
 names it in a string (the benchmark wraps its targets by name) or reads it as
 an attribute of a name that the same file imports from the package, as in
 ``DdpgHyper.for_env``. Code that only tests use is deleted, not kept here.
+
+Every parameter of a top-level function or method is read in its body too, or
+updated there in place (``vector -= step``), except those in
+:data:`UNREAD_PARAMETERS`, each with its reason.
 """
 import ast
 from pathlib import Path
@@ -14,6 +18,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "guided_ddpg"
 BENCH = ROOT / "perfbench"
+
+UNREAD_PARAMETERS = {
+    "ddpg.py: DdpgHyper.for_env(env)": "the benchmark builds its learner as DdpgHyper.for_env(env, ...); every task "
+                                       "shares one scaling, so env is not read (ROADMAP item 1)",
+}
 
 
 def definitions(tree: ast.Module) -> list:
@@ -66,6 +75,41 @@ def unused_definitions(modules: dict, bench: list, package: str) -> list:
                        *(bench_names(ast.parse(source), package) for source in bench))
     return [f"{module} line {line}: {name}" for module, tree in sorted(trees.items())
             for line, name in definitions(tree) if name not in used]
+
+
+def unread_parameters(modules: dict) -> list:
+    """``"module: function(parameter)"`` for each parameter of a top-level function or method in ``modules``
+    (name to source) that its body neither reads nor updates in place; ``self`` and ``cls`` are not counted."""
+    found = []
+    for module, source in sorted(modules.items()):
+        tree = ast.parse(source)
+        functions = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        functions += [(f"{node.name}.{m.name}", m) for node in tree.body if isinstance(node, ast.ClassDef)
+                      for m in node.body if isinstance(m, ast.FunctionDef)]
+        for name, function in functions:
+            args = function.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg) if a]
+            read = loaded_names(function) | {node.target.id for node in ast.walk(function)
+                                             if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name)}
+            found += [f"{module}: {name}({param})" for param in params
+                      if param not in read and param not in ("self", "cls")]
+    return found
+
+
+def test_the_check_finds_an_unread_parameter():
+    module = ("def scaled(x, factor, spare):\n    spare = 2\n    return x * factor\n\n"
+              "def shift(vector, step):\n    vector -= step\n\n"
+              "def nested(rows, *args, **kwargs):\n    def inner():\n        return rows\n    return inner()\n\n"
+              "class Box:\n    def size(self, unit):\n        return 3\n\n"
+              "    @classmethod\n    def make(cls, n):\n        return cls()\n")
+    assert unread_parameters({"mod.py": module}) == [
+        "mod.py: scaled(spare)", "mod.py: nested(args)", "mod.py: nested(kwargs)", "mod.py: Box.size(unit)",
+        "mod.py: Box.make(n)"]
+
+
+def test_every_parameter_is_read():
+    modules = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_parameters(modules) == list(UNREAD_PARAMETERS)
 
 
 def test_the_check_finds_an_unused_definition():
