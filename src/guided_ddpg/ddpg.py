@@ -1,7 +1,7 @@
 """Actor-critic learner with optional supervision from a trajectory optimizer.
 
 The critic regresses onto bootstrapped targets plus (weighted) optimizer
-value targets; the actor ascends the target critic plus a (weighted) L2 pull
+value targets, the :func:`cost_to_go` of the optimizer's rewards; the actor ascends the target critic plus a (weighted) L2 pull
 toward optimizer actions. With supervision weight zero both updates reduce
 exactly to standard DDPG, with DDPG's discount :data:`DISCOUNT` and target
 rate :data:`TARGET_RATE`. Exploration adds Ornstein-Uhlenbeck noise of the
@@ -42,7 +42,7 @@ from .replay import SupervisionBatch, TransitionBatch
 
 Array = np.ndarray
 
-DISCOUNT = 0.99  # per-step discount of the critic's bootstrapped targets and the supervisor's values
+DISCOUNT = 0.99  # per-step discount of the critic's bootstrapped targets and of the supervision labels
 TARGET_RATE = 0.001  # share of the source that each soft update blends into the target nets
 OU_SCALE = 1.0  # diffusion scale (N) of the exploration noise on each action axis
 OU_THETA = 0.15  # mean-reversion rate of the exploration noise
@@ -166,6 +166,17 @@ def critic_target(batch: TransitionBatch, nets: AgentNets, hyper: DdpgHyper) -> 
     if not np.isfinite(next_q).all():
         raise NumericalError("target critic produced non-finite values")
     return batch.rewards + DISCOUNT * np.where(batch.dones, 0.0, next_q)
+
+
+def cost_to_go(rewards: Array, discount: float) -> Array:
+    """Discounted suffix sums of a reward sequence (reward units): the supervision labels, at :data:`DISCOUNT`."""
+    rewards = np.asarray(rewards, dtype=np.float64)
+    out = np.zeros_like(rewards)
+    acc = 0.0
+    for t in range(rewards.size - 1, -1, -1):
+        acc = rewards[t] + discount * acc
+        out[t] = acc
+    return out
 
 
 def critic_loss_grads(

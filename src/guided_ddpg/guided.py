@@ -1,8 +1,8 @@
 """Training orchestrator: alternating supervision epochs and DDPG blocks.
 
-Each epoch first runs the trajectory optimizer to refresh the supervision
-buffer, then a block of exploratory episodes during which every environment
-step applies one critic update, one actor update, and one target update.
+Each epoch first runs the trajectory optimizer and labels its closing episode
+into the supervision buffer, then a block of exploratory episodes during which
+every environment step applies one critic, one actor and one target update.
 The supervision weight decays with the number of completed exploratory
 episodes, and the block length grows by a fixed increment per epoch.
 
@@ -23,6 +23,7 @@ from .ddpg import (
     AgentNets,
     DdpgHyper,
     actor_update,
+    cost_to_go,
     critic_update,
     make_agent,
     ou_noise_step,
@@ -33,7 +34,6 @@ from .ddpg import (
 from .envs import (
     ACTION_DIM,
     InsertionEnvConfig,
-    Rollout,
     Transition,
     clip_actions,
     env_reset,
@@ -43,12 +43,13 @@ from .envs import (
 from .exceptions import InputError, SupervisorError, fits_in_memory
 from .replay import (
     ReplayBuffer,
+    SupervisionSample,
     supervision_batch_from_rows,
     supervision_buffer,
     transition_batch_from_rows,
     transition_buffer,
 )
-from .trajopt import ETA_INIT, KL_STEP, DualState, SupervisorConfig, run_supervisor
+from .trajopt import DualState, SupervisorConfig, run_supervisor
 
 Array = np.ndarray
 
@@ -196,13 +197,6 @@ def write_table(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def rollout_transitions(batch: Rollout, i: int) -> list:
-    """Episode ``i`` of a batch as stored transitions (actions already clipped)."""
-    states, actions, rewards, dones = batch.states[i], batch.actions[i], batch.rewards[i], batch.dones[i]
-    return [Transition(states[t], actions[t], states[t + 1], float(rewards[t]), bool(dones[t]))
-            for t in range(len(actions))]
-
-
 def evaluation_arrays(env: InsertionEnvConfig, n_episodes: int) -> tuple[Array, Array, Array]:
     """The per-episode arrays of a lockstep evaluation: rewards by time step, steps, successes.
 
@@ -319,7 +313,7 @@ def train(config: TrainConfig) -> tuple[AgentNets, TrainingLog]:
     nets = make_agent(hyper, streams.net_seed)
     r1, r2 = supervision_buffer(R1_CAPACITY), transition_buffer(config.r2_capacity)
     log = TrainingLog()
-    dual = DualState(eta=ETA_INIT, epsilon=KL_STEP)
+    dual = DualState()
 
     def actor_fn(states):  # the supervisor runs between DDPG blocks, so it sees the actor fixed
         return policy_action(nets.actor, hyper, states).astype(np.float64)  # its fits stay float64
@@ -329,20 +323,24 @@ def train(config: TrainConfig) -> tuple[AgentNets, TrainingLog]:
     for epoch in range(config.epochs):
         if config.n_trajopt > 0:
             try:
-                result, dual = run_supervisor(
-                    config.env, actor_fn, config.n_trajopt, dual,
-                    config.supervisor, DISCOUNT, streams.supervisor,
-                )
+                result, dual = run_supervisor(config.env, actor_fn, config.n_trajopt, dual, config.supervisor,
+                                              streams.supervisor)
             except SupervisorError as exc:
                 log.epochs.append(EpochRecord(epoch, "degraded", str(exc), []))
             else:
+                final = result.final_rollout
                 phases = ["trajopt_sample"] * len(result.sample_rollouts) + ["supervised"]
-                for phase, batch in zip(phases, result.sample_rollouts + [result.final_rollout]):
-                    for i, (rewards, success) in enumerate(zip(batch.rewards, batch.successes)):
-                        r2.extend(rollout_transitions(batch, i))
+                for phase, batch in zip(phases, result.sample_rollouts + [final]):
+                    for states, actions, rewards, dones, success in zip(
+                            batch.states, batch.actions, batch.rewards, batch.dones, batch.successes):
+                        r2.extend(Transition(states[t], actions[t], states[t + 1], float(rewards[t]), bool(dones[t]))
+                                  for t in range(rewards.size))
                         log.episodes.append(EpisodeRecord(epoch, phase, None, rewards.size, float(rewards.sum()),
                                                           bool(success), None, time.perf_counter() - t_start))
-                r1.extend(result.supervision)
+                # the closing episode's steps, labeled with their discounted cost-to-go, supervise the learner
+                values = cost_to_go(final.rewards[0], DISCOUNT)
+                r1.extend(SupervisionSample(final.states[0, t], final.actions[0, t], float(values[t]))
+                          for t in range(values.size))
                 log.epochs.append(EpochRecord(epoch, "ok", "", result.diagnostics))
         else:
             log.epochs.append(EpochRecord(epoch, "skipped", "n_trajopt=0", []))

@@ -26,7 +26,6 @@ import numpy as np
 
 from .envs import ACTION_DIM, STATE_DIM, InsertionEnvConfig, Rollout, initial_state_distribution, rollout
 from .exceptions import InputError, NotPositiveDefiniteError, NumericalError, SupervisorError
-from .replay import SupervisionSample
 
 Array = np.ndarray
 
@@ -101,10 +100,10 @@ class TrajectoryDistribution:
 
 @dataclass(frozen=True)
 class DualState:
-    """Dual variable and trust region of the KL-constrained optimization."""
+    """Dual variable and trust region of the KL-constrained optimization; a run starts from the defaults."""
 
-    eta: float
-    epsilon: float
+    eta: float = ETA_INIT
+    epsilon: float = KL_STEP
 
 
 @dataclass(frozen=True)
@@ -508,17 +507,6 @@ def update_trajectory(
     raise NumericalError("dual search found no controller inside the trust region")
 
 
-def cost_to_go(rewards: Array, discount: float) -> Array:
-    """Discounted suffix sums of a reward sequence (reward units)."""
-    rewards = np.asarray(rewards, dtype=np.float64)
-    out = np.zeros_like(rewards)
-    acc = 0.0
-    for t in range(rewards.size - 1, -1, -1):
-        acc = rewards[t] + discount * acc
-        out[t] = acc
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Insertion-task cost model
 
@@ -614,7 +602,6 @@ class SubiterDiagnostics:
 
 @dataclass
 class SupervisorResult:
-    supervision: list
     sample_rollouts: list  # one Rollout batch per sub-iteration
     final_rollout: Rollout  # the closing episode, a batch of one
     diagnostics: list
@@ -652,10 +639,9 @@ def run_supervisor(
     n_subiters: int,
     dual: DualState,
     cfg: SupervisorConfig,
-    discount: float,
     rng: np.random.Generator,
 ) -> tuple[SupervisorResult, DualState]:
-    """One supervision epoch: fit, optimize, and emit value-labeled samples.
+    """One supervision epoch: fit, optimize, and roll out the optimized controller.
 
     Sub-iteration zero samples the current actor (plus white noise of std
     :data:`EXPLORATION_STD`) and uses its linearization as the trust-region anchor; later
@@ -663,9 +649,8 @@ def run_supervisor(
     sub-iteration samples its ``cfg.samples_per_subiter`` episodes as one
     lockstep :func:`envs.rollout` batch, and the fits read the batch's
     ``(n, T+1, 6)`` states and ``(n, T, 2)`` actions directly. The result
-    holds one batch per sub-iteration for the transition buffer, and the
-    closing episode of the final controller, a batch of one, whose steps
-    are the supervision samples.
+    holds one batch per sub-iteration and the closing episode of the final
+    controller, a batch of one; the learner turns them into its own samples.
 
     Raises :class:`SupervisorError` when fitting, the trust-region update or
     the dual search fails.
@@ -725,7 +710,4 @@ def run_supervisor(
         raise SupervisorError(f"trajectory optimization failed: {exc}") from exc
 
     final = rollout(env, _linear_gaussian_controller(current), rng, 1)
-    values = cost_to_go(final.rewards[0], discount)
-    supervision = [SupervisionSample(final.states[0, t], final.actions[0, t], float(values[t]))
-                   for t in range(env.horizon)]
-    return SupervisorResult(supervision, sample_rollouts, final, diagnostics), dual
+    return SupervisorResult(sample_rollouts, final, diagnostics), dual

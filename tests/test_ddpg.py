@@ -16,6 +16,7 @@ from guided_ddpg.ddpg import (
     DdpgHyper,
     actor_objective_grads,
     actor_update,
+    cost_to_go,
     critic_loss_grads,
     critic_target,
     critic_update,
@@ -681,6 +682,27 @@ class TestFloat32Learner:
                 assert getattr(getattr(mine, name), moment).tobytes() == \
                     getattr(getattr(theirs, name), moment).tobytes(), (name, moment)
         assert mine.params.dtype == np.float32 and mine.critic_opt.step_count == 300
+
+
+class TestCostToGo:
+    def test_zero_discount_returns_rewards(self):
+        r = np.array([1.0, -2.0, 3.0])
+        assert np.array_equal(cost_to_go(r, 0.0), r)
+
+    def test_geometric_sum(self):
+        r = -np.ones(3)
+        out = cost_to_go(r, 0.5)
+        assert out[0] == pytest.approx(-1.75)
+        assert out[1] == pytest.approx(-1.5)
+        assert out[2] == pytest.approx(-1.0)
+
+    def test_suffix_sum_oracle(self):
+        rng = np.random.default_rng(12)
+        r = rng.normal(size=50)
+        gamma = 0.97
+        # brute force: for each t, sum gamma^(k-t) r_k
+        expected = np.array([sum(gamma ** (k - t) * r[k] for k in range(t, 50)) for t in range(50)])
+        assert np.allclose(cost_to_go(r, gamma), expected, rtol=1e-12)
 
 
 class TestSupervisionWeight:

@@ -3,12 +3,14 @@ import pytest
 
 import guided_ddpg.guided as guided_mod
 from guided_ddpg.ddpg import (
+    DISCOUNT,
     OU_DT,
     OU_SCALE,
     OU_THETA,
     SUPERVISION_DECAY,
     DdpgHyper,
     actor_update,
+    cost_to_go,
     critic_update,
     make_agent,
     policy_action,
@@ -27,8 +29,22 @@ from guided_ddpg.guided import (
 )
 from guided_ddpg.harness import pure_ddpg_config
 from guided_ddpg.nets import MlpParams, as_float64
-from guided_ddpg.replay import transition_batch_from_rows, transition_buffer
+from guided_ddpg.replay import (
+    SUPERVISION_ROW_WIDTH,
+    TRANSITION_ROW_WIDTH,
+    ReplayBuffer,
+    pack_supervision,
+    pack_transition,
+    transition_batch_from_rows,
+    transition_buffer,
+)
 from guided_ddpg.trajopt import KL_STEP, SupervisorConfig
+
+
+def _bits(a):
+    """Shape, dtype and bytes: equal only for the same values with the same signs of zero."""
+    a = np.asarray(a)
+    return a.shape, a.dtype, a.tobytes()
 
 
 def tiny_config(**overrides) -> TrainConfig:
@@ -218,6 +234,48 @@ class TestDegradation:
         assert np.array_equal(nets.params, pure_nets.params)
         assert ([(e.n_roll, e.steps, e.episode_return, e.w_to) for e in log.episodes]
                 == [(e.n_roll, e.steps, e.episode_return, e.w_to) for e in pure_log.episodes])
+
+
+class TestTheLearnerStoresTheSupervisorsEpisodes:
+    def test_r1_holds_each_closing_step_with_its_cost_to_go_label_and_r2_every_step(self, monkeypatch):
+        # the supervisor returns trajectories; train labels the closing episode's steps at the learner's DISCOUNT
+        results, stored = [], {"r1": [], "r2": []}
+        supervise = guided_mod.run_supervisor
+
+        def keep_result(*args, **kwargs):
+            results.append(supervise(*args, **kwargs))
+            return results[-1]
+
+        def recording_ring(name, packer, width):
+            def pack(item):
+                stored[name].append(packer(item))
+                return stored[name][-1]
+
+            return lambda capacity: ReplayBuffer(capacity, pack, width)
+
+        monkeypatch.setattr(guided_mod, "run_supervisor", keep_result)
+        monkeypatch.setattr(guided_mod, "supervision_buffer",
+                            recording_ring("r1", pack_supervision, SUPERVISION_ROW_WIDTH))
+        monkeypatch.setattr(guided_mod, "transition_buffer",
+                            recording_ring("r2", pack_transition, TRANSITION_ROW_WIDTH))
+        config = tiny_config(epochs=1, n_ddpg=0, n_trajopt=2)
+        _, log = train(config)
+        assert [rec.status for rec in log.epochs] == ["ok"]
+        ((result, _),) = results
+
+        final = result.final_rollout
+        labels = cost_to_go(final.rewards[0], DISCOUNT)
+        want_r1 = np.concatenate([final.states[0, :-1], final.actions[0], labels[:, None]], axis=1)
+        assert _bits(np.stack(stored["r1"])) == _bits(want_r1)
+        assert len(stored["r1"]) == config.env.horizon == log.r1_pushed
+
+        # every episode of the epoch, sub-iteration batches first and the closing one last, step by step
+        episodes = [(b.states[i], b.actions[i], b.rewards[i], b.dones[i])
+                    for b in result.sample_rollouts + [final] for i in range(b.rewards.shape[0])]
+        want_r2 = np.concatenate([np.concatenate([s[:-1], a, s[1:], r[:, None], d[:, None]], axis=1)
+                                  for s, a, r, d in episodes])
+        assert _bits(np.stack(stored["r2"])) == _bits(want_r2)
+        assert len(episodes) == 2 * config.supervisor.samples_per_subiter + 1
 
 
 class TestSupervisorSeesTheActor:

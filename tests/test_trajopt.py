@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -24,7 +24,6 @@ from guided_ddpg.trajopt import (
     SmoothedInsertionCost,
     SupervisorConfig,
     TrajectoryDistribution,
-    cost_to_go,
     expected_cost,
     fit_dynamics,
     kl_divergence,
@@ -906,7 +905,7 @@ class TestStagesMatchOracles:
         with monkeypatch.context() as patch:
             patch.setattr(trajopt, "update_trajectory", recording)
             result, dual = run_supervisor(env, policy_fn, 3, DualState(eta=1.0, epsilon=20.0),
-                                          SupervisorConfig(), 0.99, np.random.default_rng(11))
+                                          SupervisorConfig(), np.random.default_rng(11))
         return result, dual, controllers[-1]
 
     def test_run_supervisor_bitwise_equal_to_oracle_stages(self, monkeypatch):
@@ -922,10 +921,9 @@ class TestStagesMatchOracles:
 
         for a, b in ((got_final.K, want_final.K), (got_final.k, want_final.k), (got_final.C, want_final.C)):
             assert np.array_equal(a, b)
-        assert len(got.supervision) == len(want.supervision) == env.horizon
-        for a, b in zip(got.supervision, want.supervision):
-            assert np.array_equal(a.state, b.state) and np.array_equal(a.action, b.action)
-            assert a.q_value == b.q_value
+        assert got.final_rollout.steps == want.final_rollout.steps == env.horizon
+        for name in ("states", "actions", "rewards"):
+            assert _bits(getattr(got.final_rollout, name)) == _bits(getattr(want.final_rollout, name))
         for a, b in zip(got.sample_rollouts, want.sample_rollouts):
             assert np.array_equal(a.states, b.states)
         assert (got_dual.eta, got_dual.epsilon) == (want_dual.eta, want_dual.epsilon)
@@ -949,7 +947,7 @@ class TestStagesMatchOracles:
         nets = make_agent(hyper, seed=0)
         with pytest.raises(SupervisorError):
             run_supervisor(env, lambda S: policy_action(nets.actor, hyper, S), 1,
-                           DualState(eta=1.0, epsilon=20.0), SupervisorConfig(), 0.99, np.random.default_rng(0))
+                           DualState(eta=1.0, epsilon=20.0), SupervisorConfig(), np.random.default_rng(0))
 
     def test_non_finite_prior_cost_degrades_the_epoch(self, monkeypatch):
         # the next sub-iteration adapts the trust region to a non-finite expected improvement
@@ -964,7 +962,7 @@ class TestStagesMatchOracles:
         nets = make_agent(hyper, seed=0)
         with pytest.raises(SupervisorError, match="expected improvement is non-finite"):
             run_supervisor(env, lambda S: policy_action(nets.actor, hyper, S), 2,
-                           DualState(eta=1.0, epsilon=20.0), SupervisorConfig(), 0.99, np.random.default_rng(0))
+                           DualState(eta=1.0, epsilon=20.0), SupervisorConfig(), np.random.default_rng(0))
 
 
 def _bits(a):
@@ -1086,8 +1084,8 @@ class TestStackedStagesMatchVerbatim:
 
         def supervise():
             result, dual = run_supervisor(env, policy_fn, 3, DualState(eta=1.0, epsilon=20.0),
-                                          SupervisorConfig(), 0.99, np.random.default_rng(4))
-            return ([(_bits(s.state), _bits(s.action), s.q_value) for s in result.supervision],
+                                          SupervisorConfig(), np.random.default_rng(4))
+            return ([_bits(getattr(result.final_rollout, name)) for name in ("states", "actions", "rewards")],
                     [(_bits(r.states), _bits(r.actions)) for r in result.sample_rollouts],
                     [vars(d) for d in result.diagnostics], (dual.eta, dual.epsilon))
 
@@ -1178,27 +1176,6 @@ class TestLockstepSamplerMatchesVerbatim:
         assert batch.successes.all()
 
 
-class TestCostToGo:
-    def test_zero_discount_returns_rewards(self):
-        r = np.array([1.0, -2.0, 3.0])
-        assert np.array_equal(cost_to_go(r, 0.0), r)
-
-    def test_geometric_sum(self):
-        r = -np.ones(3)
-        out = cost_to_go(r, 0.5)
-        assert out[0] == pytest.approx(-1.75)
-        assert out[1] == pytest.approx(-1.5)
-        assert out[2] == pytest.approx(-1.0)
-
-    def test_suffix_sum_oracle(self):
-        rng = np.random.default_rng(12)
-        r = rng.normal(size=50)
-        gamma = 0.97
-        # brute force: for each t, sum gamma^(k-t) r_k
-        expected = np.array([sum(gamma ** (k - t) * r[k] for k in range(t, 50)) for t in range(50)])
-        assert np.allclose(cost_to_go(r, gamma), expected, rtol=1e-12)
-
-
 class TestCostModel:
     def test_quadratic_expansion_matches_cost_locally(self):
         env = InsertionEnvConfig()
@@ -1241,13 +1218,16 @@ class TestCostModel:
 
 
 class TestSupervisor:
+    def test_a_run_starts_its_dual_search_from_the_module_constants(self):
+        assert DualState() == DualState(eta=trajopt.ETA_INIT, epsilon=trajopt.KL_STEP)
+
     def test_fewer_than_two_rollouts_per_subiteration_rejected(self):
         # fit_dynamics needs two rollouts; the sub-iteration's sample count is checked where it is set
         with pytest.raises(InputError, match="need >= 2 rollouts"):
             SupervisorConfig(samples_per_subiter=1)
         assert SupervisorConfig(samples_per_subiter=2).samples_per_subiter == 2
 
-    def test_epoch_produces_supervision_and_rollouts(self):
+    def test_epoch_produces_sample_batches_and_a_closing_episode(self):
         env = InsertionEnvConfig(horizon=30)
         hyper = DdpgHyper.for_env(env)
         nets = make_agent(hyper, seed=0)
@@ -1255,22 +1235,17 @@ class TestSupervisor:
         dual = DualState(eta=1.0, epsilon=20.0)
         rng = np.random.default_rng(0)
         result, dual_out = run_supervisor(
-            env, lambda S: policy_action(nets.actor, hyper, S), 2, dual, cfg, 0.99, rng,
+            env, lambda S: policy_action(nets.actor, hyper, S), 2, dual, cfg, rng,
         )
         # one lockstep batch of 5 episodes per sub-iteration, then the closing episode
         assert [b.states.shape for b in result.sample_rollouts] == [(5, env.horizon + 1, 6)] * 2
         assert sum(b.steps for b in result.sample_rollouts) == 10 * env.horizon
         assert result.final_rollout.states.shape == (1, env.horizon + 1, 6)
         assert result.final_rollout.steps == env.horizon
-        assert len(result.supervision) == env.horizon
+        assert result.final_rollout.rewards.shape == (1, env.horizon)
         assert len(result.diagnostics) == 2
-        # supervision samples are the closing episode's steps, valued by discounted suffix sums of its rewards
-        for t, sample in enumerate(result.supervision):
-            assert np.array_equal(sample.state, result.final_rollout.states[0, t])
-            assert np.array_equal(sample.action, result.final_rollout.actions[0, t])
-        values = cost_to_go(result.final_rollout.rewards[0], 0.99)
-        got = np.array([s.q_value for s in result.supervision])
-        assert np.allclose(got, values)
+        # the supervisor returns trajectories; the learner labels them (tests/test_guided.py)
+        assert [f.name for f in fields(result)] == ["sample_rollouts", "final_rollout", "diagnostics"]
 
     def test_deterministic_under_seed(self):
         env = InsertionEnvConfig(horizon=20)
@@ -1282,13 +1257,11 @@ class TestSupervisor:
             dual = DualState(eta=1.0, epsilon=20.0)
             rng = np.random.default_rng(seed)
             result, _ = run_supervisor(
-                env, lambda S: policy_action(nets.actor, hyper, S), 1, dual, cfg, 0.99, rng,
+                env, lambda S: policy_action(nets.actor, hyper, S), 1, dual, cfg, rng,
             )
             return result
 
         a, b = run(7), run(7)
         assert np.array_equal(a.final_rollout.states, b.final_rollout.states)
-        assert np.array_equal(
-            np.array([s.q_value for s in a.supervision]),
-            np.array([s.q_value for s in b.supervision]),
-        )
+        for name in ("states", "actions", "rewards"):
+            assert _bits(getattr(a.final_rollout, name)) == _bits(getattr(b.final_rollout, name))
