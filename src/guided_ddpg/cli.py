@@ -5,12 +5,14 @@ checkpoint or result file, a setting out of range, a size that does not
 fit); 3 numerical failure (NumericalError); 1 anything else. Inputs are
 validated before ``--out`` is made, so an invalid spec, checkpoint or result
 file leaves no ``--out``; a ``train`` whose seed failed numerically exits 3
-after writing the others.
+after writing the others. A ``train`` sent SIGTERM or SIGINT ends its workers
+and exits 1.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -35,8 +37,22 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
 
+class Interrupted(Exception):
+    """``train`` received SIGTERM or SIGINT."""
+
+
+def _raise_interrupted(signum, frame):
+    raise Interrupted(f"{signal.Signals(signum).name} received")
+
+
 def _cmd_train(args) -> int:
-    out = run_experiment(args.spec, args.out)
+    handled = (signal.SIGTERM, signal.SIGINT)
+    previous = [signal.signal(signum, _raise_interrupted) for signum in handled]
+    try:
+        out = run_experiment(args.spec, args.out)
+    finally:
+        for signum, handler in zip(handled, previous):
+            signal.signal(signum, handler)
     print(f"artifacts written to {out}")
     return EXIT_OK
 
@@ -145,6 +161,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_OTHER
+    except Interrupted as exc:
+        print(f"interrupted: {exc}; the workers were ended", file=sys.stderr)
         return EXIT_OTHER
 
 

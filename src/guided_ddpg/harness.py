@@ -171,14 +171,19 @@ def read_config(path, sections) -> dict:
 
 
 def parse_spec(path) -> ExperimentSpec:
-    """Parse and validate an experiment spec: a :func:`read_config` file over :data:`SPEC_SECTIONS`."""
+    """Parse and validate an experiment spec: a :func:`read_config` file over :data:`SPEC_SECTIONS`.
+
+    The environment of every :func:`sweep_cells` cell is built too, so a spec that trains also sweeps.
+    """
     values = read_config(path, SPEC_SECTIONS)
     try:
         env = InsertionEnvConfig(**values[InsertionEnvConfig])
         hyper = DdpgHyper(**values[DdpgHyper])
         supervisor = SupervisorConfig(**values[SupervisorConfig])
         config = TrainConfig(env=env, hyper=hyper, supervisor=supervisor, **values[TrainConfig])
-        return ExperimentSpec(train=config, **values[ExperimentSpec])
+        spec = ExperimentSpec(train=config, **values[ExperimentSpec])
+        sweep_cells(env, spec.sweep_clearances, spec.sweep_hole_offsets)
+        return spec
     except (ValueError, TypeError) as exc:
         raise InputError(f"invalid spec {path}: {exc}") from exc
 
@@ -423,6 +428,9 @@ def worker_pool(max_workers: int):
     OpenBLAS reads its thread count once, when it loads, so the workers are
     spawned, not forked from this process's loaded numpy, with :data:`THREAD_ENV`
     set; this process's environment is restored when the pool has shut down.
+    An exception out of the block, such as the one ``train`` raises on SIGTERM,
+    cancels the pending tasks and terminates the workers instead of waiting for
+    their tasks, which can run for hours.
     """
     # imported here, not at the top: they add about 25 ms to importing this module, which the benchmark times
     import multiprocessing
@@ -430,9 +438,17 @@ def worker_pool(max_workers: int):
 
     saved = {name: os.environ.get(name) for name in THREAD_ENV}
     os.environ.update(THREAD_ENV)
+    others = set(multiprocessing.active_children())
     try:
         with ProcessPoolExecutor(max_workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-            yield pool
+            try:
+                yield pool
+            except BaseException:
+                pool.shutdown(wait=False, cancel_futures=True)
+                for worker in set(multiprocessing.active_children()) - others:
+                    worker.terminate()
+                    worker.join()
+                raise
     finally:
         for name, value in saved.items():
             if value is None:
@@ -521,6 +537,21 @@ def compare_runs(dir_a, dir_b, out_path) -> dict:
     return figures
 
 
+def sweep_cells(env: InsertionEnvConfig, clearances: tuple[float, ...], hole_offsets: tuple[float, ...]) -> list:
+    """``(clearance, hole_offset, cell_env)`` for each cell of a sweep grid, row by row: ``env`` with its hole
+    ``clearance`` wider than the peg and its center at ``hole_offset``. An empty axis holds ``env``'s own value.
+    Raises :class:`InputError` naming the first cell whose environment is invalid."""
+    cells = []
+    for clearance in clearances or (env.clearance,):
+        for offset in hole_offsets or (env.hole_center_offset,):
+            try:
+                cell = replace(env, hole_half_width=env.peg_half_width + clearance, hole_center_offset=offset)
+            except InputError as exc:
+                raise InputError(f"sweep cell with clearance {clearance} and hole offset {offset}: {exc}") from exc
+            cells.append((clearance, offset, cell))
+    return cells
+
+
 def adaptability_sweep(
     checkpoint_path,
     env: InsertionEnvConfig,
@@ -530,7 +561,7 @@ def adaptability_sweep(
     seed: int,
     out_path,
 ) -> list:
-    """Evaluate one trained policy across clearances and hole offsets.
+    """Evaluate one trained policy across the :func:`sweep_cells` of clearances and hole offsets.
 
     Clearances are absolute (hole half-width minus peg half-width, meters);
     offsets shift the true hole center while the policy stays fixed. Cell
@@ -539,15 +570,11 @@ def adaptability_sweep(
     only once every cell is evaluated, so a sweep that fails leaves none.
     """
     actor, hyper = load_agent_checkpoint(checkpoint_path)
-    clearances = clearances or (env.clearance,)
-    hole_offsets = hole_offsets or (env.hole_center_offset,)
-    cell_seeds = iter(np.random.SeedSequence(seed).spawn(len(clearances) * len(hole_offsets)))
+    cells = sweep_cells(env, clearances, hole_offsets)
     rows = []
-    for clearance in clearances:
-        for offset in hole_offsets:
-            sub_env = replace(env, hole_half_width=env.peg_half_width + clearance, hole_center_offset=offset)
-            metrics = evaluate_policy(actor, hyper, sub_env, n_episodes, next(cell_seeds))
-            rows.append({"clearance": clearance, "hole_offset": offset, **vars(metrics)})
+    for (clearance, offset, cell_env), cell_seed in zip(cells, np.random.SeedSequence(seed).spawn(len(cells))):
+        metrics = evaluate_policy(actor, hyper, cell_env, n_episodes, cell_seed)
+        rows.append({"clearance": clearance, "hole_offset": offset, **vars(metrics)})
     Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     write_table(out_path, ["clearance_m", "hole_offset_m", "success_rate", "mean_return", "mean_steps"],
                 ([repr(float(value)) for value in row.values()] for row in rows))

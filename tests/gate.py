@@ -28,9 +28,9 @@ repository root::
     PYTHONPATH=src python tests/gate.py           # judge this tree; exit 0 on pass, 1 on fail
     PYTHONPATH=src python tests/gate.py --write   # regenerate tests/gate.json
 
-At the default schedule a seed takes about a minute. ``run_experiment``
-trains a seed per CPU at a time, each worker running BLAS on one thread, so
-a run takes about ten minutes on two CPUs.
+At the default schedule a seed takes 25-40 s. ``run_experiment`` trains a
+seed per CPU at a time, each worker running BLAS on one thread, so a run of
+both arms takes about 5-7 minutes on two CPUs (one arm took 145-171 s).
 """
 from __future__ import annotations
 

@@ -1,8 +1,10 @@
 import csv
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -340,6 +342,14 @@ class TestFailedSeed:
         assert figures[0] == figures[1]
 
 
+def process_exists(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
 class TestWorkerPool:
     def test_worker_pool_runs_blas_on_one_thread(self, monkeypatch):
         # a worker that inherits this process's BLAS, or this environment, runs two threads on two or more cores
@@ -362,6 +372,46 @@ class TestWorkerPool:
         env = {name: value for name, value in os.environ.items() if not name.endswith("_NUM_THREADS")}
         env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="SIGTERM and SIGINT are POSIX signals")
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=lambda s: signal.Signals(s).name)
+    def test_an_interrupted_train_exits_1_and_leaves_no_worker_running(self, tiny_spec_path, tmp_path, signum):
+        # a SIGTERM killed train alone, and its spawned workers trained on, orphaned
+        spec = spec_with_line(tiny_spec_path, "epochs = 100000")  # hours of training, so the workers are busy
+        workers = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+        # train in a program that prints its workers' pids once they are all started
+        code = ("import multiprocessing, sys, threading, time\nfrom guided_ddpg.cli import main\n"
+                "def report():\n"
+                f"    while len(multiprocessing.active_children()) < {workers}:\n"
+                "        time.sleep(0.05)\n"
+                "    print(*(child.pid for child in multiprocessing.active_children()), flush=True)\n"
+                "threading.Thread(target=report, daemon=True).start()\n"
+                f"sys.exit(main(['train', '--spec', {str(spec)!r}, '--out', {str(tmp_path / 'run')!r}]))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        # stderr goes to a file: a worker that outlives train would hold a pipe open, and reading it would hang
+        with open(tmp_path / "stderr.txt", "w+", encoding="utf-8") as err:
+            proc = subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE, stderr=err,
+                                    text=True)
+            pids = []
+            try:
+                pids = [int(pid) for pid in proc.stdout.readline().split()]
+                assert len(pids) == workers
+                proc.send_signal(signum)
+                assert proc.wait(timeout=30) == 1
+                err.seek(0)
+                assert err.read().splitlines() == [
+                    f"interrupted: {signal.Signals(signum).name} received; the workers were ended"]
+                deadline = time.monotonic() + 10
+                while (alive := [pid for pid in pids if process_exists(pid)]) and time.monotonic() < deadline:
+                    time.sleep(0.1)
+                assert alive == []
+            finally:  # a failed run leaves nothing running either
+                for pid in pids:
+                    if process_exists(pid):
+                        os.kill(pid, signal.SIGKILL)
+                proc.kill()
+                proc.wait()
+                proc.stdout.close()
 
     def test_a_program_read_from_stdin_is_refused_before_out_is_made(self, tiny_spec_path, tmp_path):
         # each spawned worker re-runs __main__ from its path, which for stdin is "<stdin>": the pool broke
@@ -711,6 +761,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert "workspace box must contain the slot" in err and "Traceback" not in err
         assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("line", ["sweep_clearances = -1", "sweep_hole_offsets = 0.0,0.03"])
+    def test_a_spec_that_sweep_rejects_exits_2_at_train_before_out(self, tiny_spec_path, tmp_path, line):
+        # train accepted sweep_clearances = -1 and exited 0, and sweep on the same spec then exited 2
+        spec = spec_with_line(tiny_spec_path, line)
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text(json.dumps(self._checkpoint_payload(tmp_path)))
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        errors = []
+        for args in (["train", "--spec", str(spec)], ["sweep", "--checkpoint", str(ckpt), "--spec", str(spec)]):
+            out = tmp_path / args[0]
+            proc = subprocess.run([sys.executable, "-m", "guided_ddpg.cli", *args, "--out", str(out)], env=env,
+                                  capture_output=True, text=True, timeout=120, check=False)
+            assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
+            assert not out.exists()
+            errors.append(proc.stderr)
+        assert errors[0] == errors[1] and "invalid spec" in errors[0] and "sweep cell" in errors[0]
 
     def test_far_start_exit_code(self, tiny_spec_path, tmp_path, capsys):
         # with the start 1e150 from the target, the cube of the supervisor's cost norm overflowed Python's

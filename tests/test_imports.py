@@ -1,9 +1,12 @@
-"""scipy loads on no path of the package.
+"""scipy loads on no path of the package, and the supervisor imports no learner module.
 
 The supervisor's solves, its last use, run on numpy alone, and no test
 imports scipy either. Each case below runs in a fresh interpreter, so that
 ``sys.modules`` shows only what that path loads. An AST scan of every module
-catches an import, deferred ones included, that no case reaches.
+catches an import, deferred ones included, that no case reaches. A second
+scan pins the layering: ``trajopt`` returns trajectories, and the learner
+(``ddpg``, ``replay``, ``guided``) labels and stores them, so ``trajopt``
+imports only ``envs`` and ``exceptions`` from the package.
 """
 import ast
 import os
@@ -82,3 +85,32 @@ def test_the_scan_finds_deferred_and_from_imports():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_module_imports_scipy(module):
     assert scipy_imports((SRC / "guided_ddpg" / module).read_text(encoding="utf-8")) == []
+
+
+def package_imports(source: str) -> set:
+    """The package's modules that ``source``, a module of the package, imports, at any depth."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):  # relative: from .x import y, or from . import x
+            names = [f"guided_ddpg.{node.module}" if node.module else f"guided_ddpg.{alias.name}"
+                     for alias in node.names]
+        else:
+            continue
+        found |= {name.split(".")[1] for name in names
+                  if name.startswith("guided_ddpg.") and name.split(".")[1] != "__init__"}
+    return found
+
+
+def test_the_layering_scan_finds_relative_absolute_and_deferred_imports():
+    source = ("import numpy as np\nfrom .envs import rollout\nfrom . import replay, nets\n\ndef f():\n"
+              "    import guided_ddpg.ddpg\n    from guided_ddpg import harness\n    from .exceptions import InputError\n")
+    assert package_imports(source) == {"envs", "replay", "nets", "ddpg", "harness", "exceptions"}
+
+
+def test_the_supervisor_imports_only_the_environment_and_the_exceptions():
+    source = (SRC / "guided_ddpg" / "trajopt.py").read_text(encoding="utf-8")
+    assert package_imports(source) <= {"envs", "exceptions"}
