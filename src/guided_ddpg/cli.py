@@ -163,7 +163,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OTHER
     except Interrupted as exc:
-        print(f"interrupted: {exc}; the workers were ended", file=sys.stderr)
+        print(f"interrupted: {exc}", file=sys.stderr)
         return EXIT_OTHER
 
 

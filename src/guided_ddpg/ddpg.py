@@ -1,8 +1,9 @@
 """Actor-critic learner with optional supervision from a trajectory optimizer.
 
 The critic regresses onto bootstrapped targets plus (weighted) optimizer
-value targets, the :func:`cost_to_go` of the optimizer's rewards; the actor ascends the target critic plus a (weighted) L2 pull
-toward optimizer actions. With supervision weight zero both updates reduce
+value targets, the :func:`cost_to_go` of the optimizer's rewards; the actor
+ascends the target critic plus a (weighted) L2 pull toward optimizer
+actions. With supervision weight zero both updates reduce
 exactly to standard DDPG, with DDPG's discount :data:`DISCOUNT` and target
 rate :data:`TARGET_RATE`. Exploration adds Ornstein-Uhlenbeck noise of the
 fixed scale :data:`OU_SCALE`, rate :data:`OU_THETA` and time step :data:`OU_DT`:
