@@ -127,7 +127,7 @@ class EpisodeRecord:
 @dataclass
 class EpochRecord:
     epoch: int
-    status: str  # ok | degraded | skipped
+    status: str  # ok | degraded
     detail: str
     diagnostics: list
 
@@ -342,8 +342,6 @@ def train(config: TrainConfig) -> tuple[AgentNets, TrainingLog]:
                 r1.extend(SupervisionSample(final.states[0, t], final.actions[0, t], float(values[t]))
                           for t in range(values.size))
                 log.epochs.append(EpochRecord(epoch, "ok", "", result.diagnostics))
-        else:
-            log.epochs.append(EpochRecord(epoch, "skipped", "n_trajopt=0", []))
 
         n_roll = ddpg_block(nets, config, r1, r2, streams, n_roll, n_ddpg, epoch, log, t_start)
         n_ddpg += config.n_inc

@@ -656,51 +656,42 @@ def run_supervisor(
     the dual search fails.
     """
     cost_model = SmoothedInsertionCost(env)
-    explore_cov = EXPLORATION_STD**2 * np.eye(ACTION_DIM)
-    chol_explore = EXPLORATION_STD * np.eye(ACTION_DIM)
     mu0, S0 = initial_state_distribution(env)
 
     sample_rollouts: list[Rollout] = []
     diagnostics: list[SubiterDiagnostics] = []
-    current: LinearGaussianPolicy | None = None
-    expected_improvement = None
-    prev_mean_cost = None
+    controller = _gaussian_controller(policy_fn, EXPLORATION_STD * np.eye(ACTION_DIM))
+    prior: LinearGaussianPolicy | None = None  # the actor's linearization until the first update replaces it
+    previous = None  # (expected improvement, mean sample cost) of the last sub-iteration
 
     try:
         for it in range(n_subiters):
-            if current is None:
-                controller = _gaussian_controller(policy_fn, chol_explore)
-            else:
-                controller = _linear_gaussian_controller(current)
             batch = rollout(env, controller, rng, cfg.samples_per_subiter)
             sample_rollouts.append(batch)
             states, actions = batch.states, batch.actions
             mean_cost = float(np.mean(_sample_costs(batch, env)))
 
             actual_improvement = np.nan
-            if expected_improvement is not None and prev_mean_cost is not None:
-                actual_improvement = prev_mean_cost - mean_cost
-                dual = update_epsilon(dual, expected_improvement, actual_improvement)
+            if previous is not None:
+                actual_improvement = previous[1] - mean_cost
+                dual = update_epsilon(dual, previous[0], actual_improvement)
 
             dynamics = fit_dynamics(states, actions)
-            if current is None:
-                prior = linearize_policy(policy_fn, states, explore_cov)
-            else:
-                prior = current
+            if prior is None:
+                prior = linearize_policy(policy_fn, states, EXPLORATION_STD**2 * np.eye(ACTION_DIM))
             quad_cost = cost_model.quadratize(states.mean(axis=0), actions.mean(axis=0))
 
             result = update_trajectory(dynamics, prior, dual, quad_cost, mu0, S0)
-            dual = result.dual
-            current = result.policy
-            expected_improvement = result.prior_cost - result.new_cost
-            prev_mean_cost = mean_cost
+            dual, prior = result.dual, result.policy
+            previous = (result.prior_cost - result.new_cost, mean_cost)
+            controller = _linear_gaussian_controller(result.policy)
             diagnostics.append(
                 SubiterDiagnostics(
                     subiter=it,
                     eta=result.dual.eta,
                     epsilon=dual.epsilon,
                     achieved_kl=result.achieved_kl,
-                    expected_improvement=float(expected_improvement),
+                    expected_improvement=float(previous[0]),
                     actual_improvement=float(actual_improvement),
                     mean_sample_cost=mean_cost,
                     status=result.status,
@@ -709,5 +700,5 @@ def run_supervisor(
     except NumericalError as exc:
         raise SupervisorError(f"trajectory optimization failed: {exc}") from exc
 
-    final = rollout(env, _linear_gaussian_controller(current), rng, 1)
+    final = rollout(env, controller, rng, 1)
     return SupervisorResult(sample_rollouts, final, diagnostics), dual
