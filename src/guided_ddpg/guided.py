@@ -180,6 +180,11 @@ class TrainingLog:
                            "success", "w_to", "success_rate", "mean_return", "mean_steps"], rows)
 
     def write_timings_csv(self, path) -> None:
+        """Each episode's ``wall_clock_s``, the time since ``train`` started when the episode was logged.
+
+        A supervisor epoch's episodes are logged together once :func:`run_supervisor` returns, so their stamps
+        agree to within microseconds and the epoch's whole supervisor time falls before its first
+        ``trajopt_sample`` row."""
         write_table(path, ["episode", "wall_clock_s"],
                     ([i, f"{e.wall_clock:.6f}"] for i, e in enumerate(self.episodes)))
 

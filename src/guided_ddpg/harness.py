@@ -421,16 +421,30 @@ def aggregate(rows: list) -> dict:
     return {"aggregate": figures, "per_seed": finished, "failed": [row for row in rows if "reason" in row]}
 
 
+def _exit_with_parent(parent_pid: int) -> None:
+    """A worker's initializer: a daemon thread ends the worker once its parent is no longer ``parent_pid``,
+    looking about every 0.5 s."""
+    import threading  # here, not at the top, so that importing this module, which the benchmark times, does not grow
+
+    def watch():
+        while os.getppid() == parent_pid:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 @contextmanager
 def worker_pool(max_workers: int):
-    """A process pool whose workers run BLAS on one thread.
+    """A process pool whose workers run BLAS on one thread and exit with this process.
 
     OpenBLAS reads its thread count once, when it loads, so the workers are
     spawned, not forked from this process's loaded numpy, with :data:`THREAD_ENV`
     set; this process's environment is restored when the pool has shut down.
     An exception out of the block, such as the one ``train`` raises on SIGTERM,
     cancels the pending tasks and terminates the workers instead of waiting for
-    their tasks, which can run for hours.
+    their tasks, which can run for hours. A process killed outright runs no
+    handler, so each worker also watches its parent and exits once it is gone.
     """
     # imported here, not at the top: they add about 25 ms to importing this module, which the benchmark times
     import multiprocessing
@@ -440,7 +454,8 @@ def worker_pool(max_workers: int):
     os.environ.update(THREAD_ENV)
     others = set(multiprocessing.active_children())
     try:
-        with ProcessPoolExecutor(max_workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        with ProcessPoolExecutor(max_workers, mp_context=multiprocessing.get_context("spawn"),
+                                 initializer=_exit_with_parent, initargs=(os.getpid(),)) as pool:
             try:
                 yield pool
             except BaseException:

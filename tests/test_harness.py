@@ -268,6 +268,17 @@ class TestRunExperiment:
             assert summary["to_0.9"] == int(first_eval["n_roll"]) == curve[0][0]
             assert json.loads((seed_dir / "summary.json").read_text())["to_0.9"] == int(first_eval["n_roll"])
 
+    def test_a_pure_run_records_no_supervisor_epoch(self, tiny_spec_path, tmp_path):
+        # an epoch without a supervisor is no epoch at all to the log, the diagnostics table and the summary
+        pure = pure_ddpg_config(parse_spec(tiny_spec_path).train)
+        _, log = train(pure)
+        assert log.epochs == []
+        summary, _ = train_seed(pure, 2, tmp_path / "seed_0")
+        with open(tmp_path / "seed_0" / "supervisor_diag.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 1 and rows[0][:3] == ["epoch", "status", "subiter"]
+        assert summary["degraded"] == 0 == json.loads((tmp_path / "seed_0" / "summary.json").read_text())["degraded"]
+
     def test_empty_run_is_valid(self, tmp_path):
         path = tmp_path / "empty.spec"
         path.write_text("seeds = 0\nepochs = 0\nn_trajopt = 0\nhorizon = 5\n")
@@ -373,10 +384,12 @@ class TestWorkerPool:
         env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
-    @pytest.mark.skipif(sys.platform == "win32", reason="SIGTERM and SIGINT are POSIX signals")
-    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=lambda s: signal.Signals(s).name)
+    @pytest.mark.skipif(sys.platform == "win32", reason="SIGTERM, SIGINT and SIGKILL are POSIX signals")
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT, signal.SIGKILL],
+                             ids=lambda s: signal.Signals(s).name)
     def test_an_interrupted_train_exits_1_and_leaves_no_worker_running(self, tiny_spec_path, tmp_path, signum):
-        # a SIGTERM killed train alone, and its spawned workers trained on, orphaned
+        # a SIGTERM killed train alone, and its spawned workers trained on, orphaned; a SIGKILL, which runs no
+        # handler in train, still did
         spec = spec_with_line(tiny_spec_path, "epochs = 100000")  # hours of training, so the workers are busy
         workers = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
         # train in a program that prints its workers' pids once they are all started, or after 60 s
@@ -398,9 +411,12 @@ class TestWorkerPool:
                 pids = [int(pid) for pid in proc.stdout.readline().split()]
                 assert len(pids) == workers
                 proc.send_signal(signum)
-                assert proc.wait(timeout=30) == 1
-                err.seek(0)
-                assert err.read().splitlines() == [f"interrupted: {signal.Signals(signum).name} received"]
+                if signum == signal.SIGKILL:  # stderr unchecked: the resource tracker warns of leaked semaphores
+                    assert proc.wait(timeout=30) == -signal.SIGKILL
+                else:
+                    assert proc.wait(timeout=30) == 1
+                    err.seek(0)
+                    assert err.read().splitlines() == [f"interrupted: {signal.Signals(signum).name} received"]
                 deadline = time.monotonic() + 10
                 while (alive := [pid for pid in pids if process_exists(pid)]) and time.monotonic() < deadline:
                     time.sleep(0.1)

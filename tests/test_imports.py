@@ -1,12 +1,14 @@
-"""scipy loads on no path of the package, and the supervisor imports no learner module.
+"""scipy loads on no path of the package, and each module imports only modules of a lower layer.
 
 The supervisor's solves, its last use, run on numpy alone, and no test
 imports scipy either. Each case below runs in a fresh interpreter, so that
 ``sys.modules`` shows only what that path loads. An AST scan of every module
 catches an import, deferred ones included, that no case reaches. A second
-scan pins the layering: ``trajopt`` returns trajectories, and the learner
-(``ddpg``, ``replay``, ``guided``) labels and stores them, so ``trajopt``
-imports only ``envs`` and ``exceptions`` from the package.
+scan pins the whole import graph against one rank table, :data:`RANKS`: a
+module imports only modules of a lower rank. So ``trajopt`` returns
+trajectories and imports no learner module (``replay``, ``ddpg``,
+``guided``), which labels and stores them; ``harness`` imports no command
+of ``cli``; and ``exceptions`` imports nothing of the package.
 """
 import ast
 import os
@@ -111,6 +113,14 @@ def test_the_layering_scan_finds_relative_absolute_and_deferred_imports():
     assert package_imports(source) == {"envs", "replay", "nets", "ddpg", "harness", "exceptions"}
 
 
-def test_the_supervisor_imports_only_the_environment_and_the_exceptions():
-    source = (SRC / "guided_ddpg" / "trajopt.py").read_text(encoding="utf-8")
-    assert package_imports(source) <= {"envs", "exceptions"}
+# The package's layers, lowest first: a module of rank r imports only modules of a rank below r.
+RANKS = {"exceptions": 0, "envs": 1, "nets": 1, "replay": 2, "trajopt": 2, "ddpg": 3, "guided": 4, "harness": 5,
+         "cli": 6}
+
+
+@pytest.mark.parametrize("module", [name for name in MODULES if name != "__init__.py"])
+def test_each_module_imports_only_modules_of_a_lower_rank(module):
+    name = module.removesuffix(".py")
+    assert name in RANKS, f"{name} has no rank in RANKS"
+    imported = package_imports((SRC / "guided_ddpg" / module).read_text(encoding="utf-8"))
+    assert {other: RANKS[other] for other in imported if RANKS[other] >= RANKS[name]} == {}
