@@ -459,10 +459,12 @@ def worker_pool(max_workers: int):
             try:
                 yield pool
             except BaseException:
-                pool.shutdown(wait=False, cancel_futures=True)
                 for worker in set(multiprocessing.active_children()) - others:
                     worker.terminate()
                     worker.join()
+                # then wait for the pool's manager thread, which the dead workers end: left running, it races
+                # the interpreter's exit and can print an OSError traceback after train's one line
+                pool.shutdown(cancel_futures=True)
                 raise
     finally:
         for name, value in saved.items():

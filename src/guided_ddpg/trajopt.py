@@ -661,7 +661,7 @@ def run_supervisor(
     sample_rollouts: list[Rollout] = []
     diagnostics: list[SubiterDiagnostics] = []
     controller = _gaussian_controller(policy_fn, EXPLORATION_STD * np.eye(ACTION_DIM))
-    prior: LinearGaussianPolicy | None = None  # the actor's linearization until the first update replaces it
+    prior: LinearGaussianPolicy | None = None  # the actor's linearization, fit to the first batch, then each update's
     previous = None  # (expected improvement, mean sample cost) of the last sub-iteration
 
     try:

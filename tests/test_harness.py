@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -383,6 +384,15 @@ class TestWorkerPool:
         env = {name: value for name, value in os.environ.items() if not name.endswith("_NUM_THREADS")}
         env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+    def test_an_exception_out_of_the_block_leaves_no_thread_of_the_pool_running(self):
+        # the pool's manager thread, left running, raced the interpreter's exit and could print a traceback
+        before = set(threading.enumerate())
+        with pytest.raises(KeyboardInterrupt):
+            with worker_pool(1) as pool:
+                pool.submit(time.sleep, 60)
+                raise KeyboardInterrupt
+        assert set(threading.enumerate()) - before == set()
 
     @pytest.mark.skipif(sys.platform == "win32", reason="SIGTERM, SIGINT and SIGKILL are POSIX signals")
     @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT, signal.SIGKILL],

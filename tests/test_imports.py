@@ -7,8 +7,8 @@ catches an import, deferred ones included, that no case reaches. A second
 scan pins the whole import graph against one rank table, :data:`RANKS`: a
 module imports only modules of a lower rank. So ``trajopt`` returns
 trajectories and imports no learner module (``replay``, ``ddpg``,
-``guided``), which labels and stores them; ``harness`` imports no command
-of ``cli``; and ``exceptions`` imports nothing of the package.
+``guided``), which labels and stores them; ``harness`` imports nothing of
+``cli``; and ``exceptions`` imports nothing of the package.
 """
 import ast
 import os
