@@ -81,20 +81,20 @@ class LinearGaussianPolicy:
         return self.K.shape[0]
 
     @property
-    def state_dim(self) -> int:
-        return self.K.shape[2]
-
-    @property
     def action_dim(self) -> int:
         return self.K.shape[1]
 
 
 @dataclass(frozen=True)
 class TrajectoryDistribution:
-    """Gaussian state marginals of a policy rolled through linear dynamics."""
+    """Gaussian marginals of a policy rolled through linear dynamics: of the
+    state at each of the ``T+1`` steps, and of ``z = [s; u]`` at each of the
+    ``T`` steps that take an action."""
 
     mean: Array  # (T+1, n)
     cov: Array  # (T+1, n, n)
+    joint_mean: Array  # (T, n+m)
+    joint_cov: Array  # (T, n+m, n+m)
     policy: LinearGaussianPolicy
 
 
@@ -119,10 +119,6 @@ class QuadraticCost:
     const_T: float
     state_dim: int
     action_dim: int
-
-    @property
-    def horizon(self) -> int:
-        return self.Czz.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -351,46 +347,44 @@ def lqg_forward(
     init_mean: Array,
     init_cov: Array,
 ) -> TrajectoryDistribution:
-    """Propagate Gaussian state marginals through the closed loop."""
+    """Propagate Gaussian marginals through the closed loop.
+
+    Step ``t`` builds the moments of ``z = [s; u]`` from the state's and the
+    controller, mean ``[mu; K mu + k]`` and covariance
+    ``[[S, S K'], [K S, K S K' + C]]``, keeps them as row ``t`` of the joint
+    stacks, and maps them through ``F_t`` to the next state's.
+    """
     T = dynamics.horizon
     n = dynamics.state_dim
     m = policy.action_dim
     mean = np.zeros((T + 1, n))
     cov = np.zeros((T + 1, n, n))
+    joint_mean = np.empty((T, n + m))
+    joint_cov = np.empty((T, n + m, n + m))
     mean[0] = np.asarray(init_mean, dtype=np.float64)
     cov[0] = np.asarray(init_cov, dtype=np.float64)
-    mu_z = np.empty(n + m)
-    joint_cov = np.empty((n + m, n + m))
     for t in range(T):
         Kt, kt, Ct = policy.K[t], policy.k[t], policy.C[t]
         mu, S = mean[t], cov[t]
+        mu_z, cov_z = joint_mean[t], joint_cov[t]
         SKt = S @ Kt.T
         mu_z[:n] = mu
         mu_z[n:] = Kt @ mu + kt
-        joint_cov[:n, :n] = S
-        joint_cov[:n, n:] = SKt
-        joint_cov[n:, :n] = SKt.T
-        joint_cov[n:, n:] = Kt @ SKt + Ct
+        cov_z[:n, :n] = S
+        cov_z[:n, n:] = SKt
+        cov_z[n:, :n] = SKt.T
+        cov_z[n:, n:] = Kt @ SKt + Ct
         mean[t + 1] = dynamics.F[t] @ mu_z + dynamics.f[t]
-        nxt = dynamics.F[t] @ joint_cov @ dynamics.F[t].T + dynamics.Sigma[t]
+        nxt = dynamics.F[t] @ cov_z @ dynamics.F[t].T + dynamics.Sigma[t]
         cov[t + 1] = 0.5 * (nxt + nxt.T)
-    return TrajectoryDistribution(mean, cov, policy)
+    return TrajectoryDistribution(mean, cov, joint_mean, joint_cov, policy)
 
 
 def expected_cost(cost: QuadraticCost, traj: TrajectoryDistribution) -> float:
-    """Exact Gaussian expectation of the quadratic cost under ``traj``."""
-    pol = traj.policy
-    T, n, m = cost.horizon, pol.state_dim, pol.action_dim
-    mu, S = traj.mean[:T], traj.cov[:T]
-    SKt = S @ pol.K.transpose(0, 2, 1)
-    mu_z = np.empty((T, n + m))
-    mu_z[:, :n] = mu
-    mu_z[:, n:] = np.einsum("tij,tj->ti", pol.K, mu) + pol.k
-    cov_z = np.empty((T, n + m, n + m))
-    cov_z[:, :n, :n] = S
-    cov_z[:, :n, n:] = SKt
-    cov_z[:, n:, :n] = SKt.transpose(0, 2, 1)
-    cov_z[:, n:, n:] = pol.K @ SKt + pol.C
+    """Exact Gaussian expectation of the quadratic cost under ``traj``: the
+    stage costs under its ``[s; u]`` moments, the terminal cost under its
+    last state's."""
+    mu_z, cov_z = traj.joint_mean, traj.joint_cov
     stage = 0.5 * (np.einsum("ti,tij,tj->t", mu_z, cost.Czz, mu_z) + np.einsum("tij,tji->t", cost.Czz, cov_z))
     stage += np.einsum("ti,ti->t", cost.cz, mu_z) + cost.const
     mu_T, S_T = traj.mean[-1], traj.cov[-1]

@@ -129,7 +129,7 @@ def oracle_lqg_backward(
         raise InputError(f"eta must be positive, got {eta}")
     T = dynamics.horizon
     n, m = cost.state_dim, cost.action_dim
-    if cost.horizon != T or dynamics.F.shape[1] != n:
+    if cost.Czz.shape[0] != T or dynamics.F.shape[1] != n:
         raise ValueError("dynamics and cost horizons/dimensions disagree")
     if prior.horizon != T or prior.action_dim != m:
         raise ValueError("prior horizon/dimensions disagree with dynamics")
@@ -189,23 +189,26 @@ def oracle_lqg_forward(
     cov = np.zeros((T + 1, n, n))
     mean[0] = np.asarray(init_mean, dtype=np.float64)
     cov[0] = np.asarray(init_cov, dtype=np.float64)
+    joint_means, joint_covs = [], []
     for t in range(T):
         Kt, kt, Ct = policy.K[t], policy.k[t], policy.C[t]
         mu, S = mean[t], cov[t]
         mu_u = Kt @ mu + kt
         SKt = S @ Kt.T
-        joint_cov = np.block([[S, SKt], [SKt.T, Kt @ SKt + Ct]])
-        mean[t + 1] = dynamics.F[t] @ np.concatenate([mu, mu_u]) + dynamics.f[t]
-        nxt = dynamics.F[t] @ joint_cov @ dynamics.F[t].T + dynamics.Sigma[t]
+        joint_means.append(np.concatenate([mu, mu_u]))
+        joint_covs.append(np.block([[S, SKt], [SKt.T, Kt @ SKt + Ct]]))
+        mean[t + 1] = dynamics.F[t] @ joint_means[t] + dynamics.f[t]
+        nxt = dynamics.F[t] @ joint_covs[t] @ dynamics.F[t].T + dynamics.Sigma[t]
         cov[t + 1] = 0.5 * (nxt + nxt.T)
-    return TrajectoryDistribution(mean, cov, policy)
+    return TrajectoryDistribution(mean, cov, np.stack(joint_means), np.stack(joint_covs), policy)
 
 
 def oracle_expected_cost(cost: QuadraticCost, traj: TrajectoryDistribution) -> float:
-    """Exact Gaussian expectation of the quadratic cost under ``traj``."""
+    """Exact Gaussian expectation of the quadratic cost under ``traj``, its
+    ``[s; u]`` moments rebuilt from the state marginals and the policy."""
     pol = traj.policy
     total = 0.0
-    for t in range(cost.horizon):
+    for t in range(pol.horizon):
         Kt, kt, Ct = pol.K[t], pol.k[t], pol.C[t]
         mu, S = traj.mean[t], traj.cov[t]
         mu_z = np.concatenate([mu, Kt @ mu + kt])
@@ -388,7 +391,7 @@ class TestCholeskySolves:
         rng = np.random.default_rng([16, int(cond)])
         for _ in range(20):
             prior = random_stage_problem(rng, cond)[2]
-            n = prior.state_dim
+            n = prior.K.shape[2]
             P, p = prior_penalty(prior)
             # the action block of P is C^-1, and the action part of p is C^-1 k
             assert residual_within(prior.C, P[:, n:, n:], np.eye(prior.action_dim), 1e-14)
@@ -522,7 +525,8 @@ class TestKlDivergence:
     def test_nan_state_covariance_stays_nan(self):
         # update_trajectory counts a non-finite KL as infinite, so the clamp at zero must keep a NaN
         pol = constant_policy(3, 2, 2, K=np.ones((2, 2)), cov=np.eye(2))
-        traj = TrajectoryDistribution(np.zeros((4, 2)), np.full((4, 2, 2), np.nan), pol)
+        traj = TrajectoryDistribution(np.zeros((4, 2)), np.full((4, 2, 2), np.nan), np.zeros((3, 4)),
+                                      np.full((3, 4, 4), np.nan), pol)
         assert np.isnan(kl_divergence(traj, constant_policy(3, 2, 2, cov=np.eye(2))))
 
 
@@ -847,7 +851,8 @@ class TestStagesMatchOracles:
                 assert np.array_equal(a, b)
             traj = lqg_forward(dynamics, want, mu0, S0)
             ref = oracle_lqg_forward(dynamics, want, mu0, S0)
-            assert np.array_equal(traj.mean, ref.mean) and np.array_equal(traj.cov, ref.cov)
+            for name in ("mean", "cov", "joint_mean", "joint_cov"):
+                assert np.array_equal(getattr(traj, name), getattr(ref, name))
 
     @pytest.mark.parametrize("with_prior", [True, False])
     @pytest.mark.parametrize("lm_reg", [0.0, 1e-6])
@@ -890,7 +895,7 @@ class TestStagesMatchOracles:
         mean = traj.mean.copy()
         mean[0, 0] = np.inf
         with pytest.raises(NumericalError):
-            kl_divergence(TrajectoryDistribution(mean, traj.cov, prior), prior)
+            kl_divergence(replace(traj, mean=mean), prior)
 
     @staticmethod
     def _supervise(env, policy_fn, monkeypatch):
