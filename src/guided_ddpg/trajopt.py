@@ -427,7 +427,6 @@ class TrajOptResult:
     prior_cost: float
     new_cost: float
     converged: bool
-    status: str
     iterations: int
 
 
@@ -449,9 +448,10 @@ def update_trajectory(
     trust region. On convergence the achieved KL lies within
     :data:`KL_RTOL` of the trust region. The search ends early when the walk
     is clamped at ``ETA_MIN`` or ``ETA_MAX``. If it ends without converging,
-    the best strictly feasible controller is returned with a warning status,
-    and the absence of any feasible iterate raises :class:`NumericalError`, as
-    does a prior covariance that fails to factor.
+    the feasible controller (KL at most the trust region) of lowest expected
+    cost is returned with ``converged`` false, and the absence of any
+    feasible iterate raises :class:`NumericalError`, as does a prior
+    covariance that fails to factor.
     """
     eps = dual.epsilon
     penalty = prior_penalty(prior)
@@ -479,7 +479,7 @@ def update_trajectory(
         if kl <= eps and (best is None or new_cost < best[0]):
             best = (new_cost, policy, kl, eta)
         if abs(kl - eps) <= KL_RTOL * eps:
-            return TrajOptResult(policy, replace(dual, eta=eta), kl, prior_cost, new_cost, True, "converged", iterations)
+            return TrajOptResult(policy, replace(dual, eta=eta), kl, prior_cost, new_cost, True, iterations)
 
         if kl > eps:
             eta_floor = eta if eta_floor is None else max(eta_floor, eta)
@@ -497,7 +497,7 @@ def update_trajectory(
 
     if best is not None:
         new_cost, policy, kl, eta = best
-        return TrajOptResult(policy, replace(dual, eta=eta), kl, prior_cost, new_cost, False, "max_iterations", iterations)
+        return TrajOptResult(policy, replace(dual, eta=eta), kl, prior_cost, new_cost, False, iterations)
     raise NumericalError("dual search found no controller inside the trust region")
 
 
@@ -688,7 +688,7 @@ def run_supervisor(
                     expected_improvement=float(previous[0]),
                     actual_improvement=float(actual_improvement),
                     mean_sample_cost=mean_cost,
-                    status=result.status,
+                    status="converged" if result.converged else "max_iterations",
                 )
             )
     except NumericalError as exc:

