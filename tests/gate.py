@@ -20,10 +20,13 @@ The verdict checks the AUC and the final success of both arms. For each,
 against the reference's gives the 95 % interval of the difference of their
 IQMs, each side's seeds resampled; the check fails when that whole interval
 lies below minus the reference's margin. A seed that fails numerically has
-no figures, so it fails the gate, and ``--write`` then writes no reference. The learning curves are bimodal over seeds (a seed
-mostly learns or mostly does not), so ten seeds resolve only large drops:
-see ROADMAP item 12 for what the gate can and cannot tell apart. From the
-repository root::
+no figures, so it fails the gate, and ``--write`` then writes no reference.
+Before the verdict, the gate says for each arm on how many seeds every
+figure but ``wall_s`` equals the reference's, naming the seeds that differ:
+a change meant to keep the learner's bits should read all of them equal.
+The learning curves are bimodal over seeds (a seed mostly learns or mostly
+does not), so ten seeds resolve only large drops: see ROADMAP item 12 for
+what the gate can and cannot tell apart. From the repository root::
 
     PYTHONPATH=src python tests/gate.py           # judge this tree; exit 0 on pass, 1 on fail
     PYTHONPATH=src python tests/gate.py --write   # regenerate tests/gate.json
@@ -97,6 +100,18 @@ def verdict(result: dict, reference: dict) -> tuple[bool, list]:
     return passed, lines
 
 
+def equal_figures(result: dict, reference: dict) -> list:
+    """A line per arm: on how many seeds every ``ROW`` entry but ``wall_s`` equals the reference's, and which differ."""
+    lines = []
+    for arm in ARMS:
+        got, want = ({row["seed"]: [row[key] for key in ROW if key != "wall_s"] for row in run["arms"][arm]["per_seed"]}
+                     for run in (result, reference))
+        differ = [seed for seed in got if got[seed] != want.get(seed)]
+        lines.append(f"{arm}: every figure but wall_s equals the reference's on {len(got) - len(differ)} of "
+                     f"{len(got)} seeds" + (f"; seeds {', '.join(map(str, differ))} differ" if differ else ""))
+    return lines
+
+
 def separation(result: dict) -> str:
     """Guided against pure by ``compare``'s 95 % interval of ``IQM(guided AUC) - IQM(pure AUC)``."""
     low, high = compare_per_seed(*(result["arms"][arm]["per_seed"] for arm in ARMS))["auc"]["difference_ci"]
@@ -156,6 +171,7 @@ def main(argv=None) -> int:
         return 0
     if reference["platform"] != result["platform"]:
         print(f"note: the reference was made on another platform: {reference['platform']}")
+    print("\n".join(equal_figures(result, reference)))
     passed, lines = verdict(result, reference)
     print("\n".join(lines))
     print("PASS" if passed else "FAIL")

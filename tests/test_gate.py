@@ -80,6 +80,24 @@ def test_verdict_reads_the_margin_from_the_reference():
     assert gate.verdict(result, {**reference, "margin": 0.05})[0] is True
 
 
+def test_equal_figures_names_the_seeds_whose_figures_moved():
+    reference = result_of(REFERENCE_AUCS, (0.1, 0.2, 0.3, 0.4))
+    assert gate.equal_figures(reference, reference) == [
+        "guided: every figure but wall_s equals the reference's on 10 of 10 seeds",
+        "pure: every figure but wall_s equals the reference's on 4 of 4 seeds",
+    ]
+    result = result_of(REFERENCE_AUCS, (0.1, 0.2, 0.3, 0.4))
+    result["arms"]["guided"]["per_seed"][3]["auc"] += 1e-12  # a last-place move the verdict passes
+    result["arms"]["guided"]["per_seed"][7]["degraded"] = 1
+    for row in result["arms"]["pure"]["per_seed"]:
+        row["wall_s"] = 9.9  # timing is not a figure
+    assert gate.verdict(result, reference)[0]
+    assert gate.equal_figures(result, reference) == [
+        "guided: every figure but wall_s equals the reference's on 8 of 10 seeds; seeds 3, 7 differ",
+        "pure: every figure but wall_s equals the reference's on 4 of 4 seeds",
+    ]
+
+
 def test_separation_reads_the_auc_intervals():
     high, low, mixed = (0.8, 0.9, 0.85, 0.95), (0.0, 0.1, 0.05, 0.0), (0.1, 0.3, 0.2, 0.0)
     assert gate.separation(result_of(high, low)) == "guided above pure"
@@ -107,14 +125,15 @@ def test_tiny_schedule_writes_a_reference_and_passes_against_it(tmp_path, capsys
     capsys.readouterr()
 
     assert gate.main(["--schedule", "tiny"]) == 0
-    assert capsys.readouterr().out.endswith("PASS\n")
+    out = capsys.readouterr().out
+    assert out.endswith("PASS\n") and "guided: every figure but wall_s equals the reference's on 2 of 2 seeds\n" in out
 
     for row in stored["arms"]["guided"]["per_seed"]:
         row["auc"] = 1.0  # a reference no tiny run can come near
     reference.write_text(json.dumps(stored), encoding="utf-8")
     assert gate.main(["--schedule", "tiny"]) == 1
     out = capsys.readouterr().out
-    assert out.endswith("FAIL\n") and "guided auc: " in out
+    assert out.endswith("FAIL\n") and "guided auc: " in out and "on 0 of 2 seeds; seeds 0, 1 differ" in out
 
 
 def test_a_failed_seed_fails_the_gate_and_writes_no_reference(tmp_path, capsys, monkeypatch):
