@@ -8,9 +8,12 @@ adapted until the achieved KL divergence matches the requested step size;
 the step size itself adapts to how well model-predicted improvements match
 real rollout improvements.
 
-Conventions: a horizon-``T`` problem has ``T+1`` states and ``T`` actions;
-dynamics are ``s' = F [s; u] + f + noise``; controllers are
-``u = K s + k + N(0, C)``.
+Conventions: a horizon-``T`` problem has ``T+1`` states of ``n`` entries and
+``T`` actions of ``m``; dynamics are ``s' = F [s; u] + f + noise`` with ``F``
+of shape ``(T, n, n+m)``; controllers are ``u = K s + k + N(0, C)`` with ``K``
+of shape ``(T, m, n)``; stage costs are quadratic in ``z = [s; u]`` with
+``Czz`` of shape ``(T, n+m, n+m)``. The problem types hold only their arrays,
+and every function reads ``T``, ``n`` and ``m`` from the arrays' shapes.
 
 The method's numerical settings are the constants below, not config fields,
 among them ``ETA_INIT``, ``KL_STEP``, ``DYNAMICS_REG``, ``EXPLORATION_STD``,
@@ -24,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .envs import ACTION_DIM, STATE_DIM, InsertionEnvConfig, Rollout, initial_state_distribution, rollout
+from .envs import ACTION_DIM, InsertionEnvConfig, Rollout, initial_state_distribution, rollout
 from .exceptions import InputError, NotPositiveDefiniteError, NumericalError, SupervisorError
 
 Array = np.ndarray
@@ -59,14 +62,6 @@ class LinearDynamics:
     f: Array  # (T, n)
     Sigma: Array  # (T, n, n)
 
-    @property
-    def horizon(self) -> int:
-        return self.F.shape[0]
-
-    @property
-    def state_dim(self) -> int:
-        return self.F.shape[1]
-
 
 @dataclass(frozen=True)
 class LinearGaussianPolicy:
@@ -75,14 +70,6 @@ class LinearGaussianPolicy:
     K: Array  # (T, m, n)
     k: Array  # (T, m)
     C: Array  # (T, m, m)
-
-    @property
-    def horizon(self) -> int:
-        return self.K.shape[0]
-
-    @property
-    def action_dim(self) -> int:
-        return self.K.shape[1]
 
 
 @dataclass(frozen=True)
@@ -108,8 +95,8 @@ class DualState:
 
 @dataclass(frozen=True)
 class QuadraticCost:
-    """Stage costs ``0.5 z' Czz z + cz' z + const`` with ``z = [s; u]``,
-    plus a terminal state cost."""
+    """Stage costs ``0.5 z' Czz z + cz' z + const`` with ``z = [s; u]`` and
+    ``Czz`` of shape ``(T, n+m, n+m)``, plus a terminal state cost."""
 
     Czz: Array  # (T, n+m, n+m)
     cz: Array  # (T, n+m)
@@ -117,8 +104,6 @@ class QuadraticCost:
     Cxx_T: Array  # (n, n)
     cx_T: Array  # (n,)
     const_T: float
-    state_dim: int
-    action_dim: int
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +227,7 @@ def kl_divergence(p: TrajectoryDistribution, other: LinearGaussianPolicy) -> flo
     factorization and :class:`NumericalError` on non-finite solve inputs.
     """
     pol = p.policy
-    T, m = pol.horizon, pol.action_dim
+    T, m, _ = pol.K.shape
     l1 = _chol_or_raise(pol.C, "policy covariance")
     l2 = _chol_or_raise(other.C, "policy covariance")
     dK = pol.K - other.K
@@ -297,8 +282,8 @@ def lqg_backward(
     diagonal) fails its Cholesky factorization, and :class:`NumericalError`
     when a solve would receive non-finite values.
     """
-    T = dynamics.horizon
-    n, m = cost.state_dim, cost.action_dim
+    T, n, nm = dynamics.F.shape
+    m = nm - n
     P, p = penalty
 
     eye = np.eye(m)
@@ -354,9 +339,8 @@ def lqg_forward(
     ``[[S, S K'], [K S, K S K' + C]]``, keeps them as row ``t`` of the joint
     stacks, and maps them through ``F_t`` to the next state's.
     """
-    T = dynamics.horizon
-    n = dynamics.state_dim
-    m = policy.action_dim
+    T, n, _ = dynamics.F.shape
+    m = policy.K.shape[1]
     mean = np.zeros((T + 1, n))
     cov = np.zeros((T + 1, n, n))
     joint_mean = np.empty((T, n + m))
@@ -537,8 +521,8 @@ class SmoothedInsertionCost:
         """
         states = np.asarray(states, dtype=np.float64)
         actions = np.asarray(actions, dtype=np.float64)
-        T = actions.shape[0]
-        n, m = STATE_DIM, ACTION_DIM
+        T, m = actions.shape
+        n = states.shape[1]
         P = np.eye(2, n)  # picks the position, columns 0:2, out of a state
 
         x = np.concatenate([actions, states @ P.T - self.target])  # T actions, then T+1 positions
@@ -561,7 +545,7 @@ class SmoothedInsertionCost:
         gx = TERMINAL_WEIGHT * (P.T @ grad[-1])
         cx_T = gx - Cxx_T @ s_T
         const_T = TERMINAL_WEIGHT * h[-1] - float(gx @ s_T) + 0.5 * float(s_T @ Cxx_T @ s_T)
-        return QuadraticCost(Czz, cz, const, Cxx_T, cx_T, float(const_T), n, m)
+        return QuadraticCost(Czz, cz, const, Cxx_T, cx_T, float(const_T))
 
 
 # ---------------------------------------------------------------------------

@@ -59,8 +59,7 @@ def lqr_problem(rng, n, m, horizon):
     Czz = np.zeros((horizon, n + m, n + m))
     Czz[:, :n, :n] = 2.0 * Q
     Czz[:, n:, n:] = 2.0 * R
-    cost = QuadraticCost(Czz, np.zeros((horizon, n + m)), np.zeros(horizon),
-                         2.0 * Qf, np.zeros(n), 0.0, n, m)
+    cost = QuadraticCost(Czz, np.zeros((horizon, n + m)), np.zeros(horizon), 2.0 * Qf, np.zeros(n), 0.0)
     return A, B, Q, R, Qf, dynamics, cost
 
 
@@ -96,11 +95,11 @@ def _oracle_chol(mat: np.ndarray, what: str) -> np.ndarray:
 def oracle_kl_divergence(p: TrajectoryDistribution, other: LinearGaussianPolicy) -> float:
     """Sum over steps of the expected Gaussian KL between action conditionals."""
     pol = p.policy
-    if pol.horizon != other.horizon or pol.action_dim != other.action_dim:
+    if pol.K.shape[:2] != other.K.shape[:2]:
         raise ValueError("policies must share horizon and dimensions")
-    m = pol.action_dim
+    T, m, _ = pol.K.shape
     total = 0.0
-    for t in range(pol.horizon):
+    for t in range(T):
         c1 = pol.C[t]
         c2 = other.C[t]
         l1 = _oracle_chol(c1, "policy covariance")
@@ -127,11 +126,11 @@ def oracle_lqg_backward(
     """Maximum-entropy Riccati recursion on the dual surrogate cost."""
     if eta <= 0.0:
         raise InputError(f"eta must be positive, got {eta}")
-    T = dynamics.horizon
-    n, m = cost.state_dim, cost.action_dim
-    if cost.Czz.shape[0] != T or dynamics.F.shape[1] != n:
+    T, n, nm = dynamics.F.shape
+    m = nm - n
+    if cost.Czz.shape != (T, nm, nm):
         raise ValueError("dynamics and cost horizons/dimensions disagree")
-    if prior.horizon != T or prior.action_dim != m:
+    if prior.K.shape[:2] != (T, m):
         raise ValueError("prior horizon/dimensions disagree with dynamics")
 
     prior_inv = []
@@ -181,10 +180,9 @@ def oracle_lqg_forward(
     init_cov: np.ndarray,
 ) -> TrajectoryDistribution:
     """Propagate Gaussian state marginals through the closed loop."""
-    T = dynamics.horizon
-    if policy.horizon != T:
+    T, n, _ = dynamics.F.shape
+    if policy.K.shape[0] != T:
         raise ValueError("policy and dynamics horizons disagree")
-    n = dynamics.state_dim
     mean = np.zeros((T + 1, n))
     cov = np.zeros((T + 1, n, n))
     mean[0] = np.asarray(init_mean, dtype=np.float64)
@@ -208,7 +206,7 @@ def oracle_expected_cost(cost: QuadraticCost, traj: TrajectoryDistribution) -> f
     ``[s; u]`` moments rebuilt from the state marginals and the policy."""
     pol = traj.policy
     total = 0.0
-    for t in range(pol.horizon):
+    for t in range(pol.K.shape[0]):
         Kt, kt, Ct = pol.K[t], pol.k[t], pol.C[t]
         mu, S = traj.mean[t], traj.cov[t]
         mu_z = np.concatenate([mu, Kt @ mu + kt])
@@ -394,7 +392,7 @@ class TestCholeskySolves:
             n = prior.K.shape[2]
             P, p = prior_penalty(prior)
             # the action block of P is C^-1, and the action part of p is C^-1 k
-            assert residual_within(prior.C, P[:, n:, n:], np.eye(prior.action_dim), 1e-14)
+            assert residual_within(prior.C, P[:, n:, n:], np.eye(prior.K.shape[1]), 1e-14)
             assert residual_within(prior.C, p[:, n:, None], prior.k[:, :, None], 1e-14)
 
     @pytest.mark.parametrize("cond", [1.0, 1e8])
@@ -403,7 +401,7 @@ class TestCholeskySolves:
         rng = np.random.default_rng([17, int(cond)])
         for _ in range(20):
             dynamics, cost, prior, _, _, _ = random_stage_problem(rng, cond)
-            n, eta = cost.state_dim, 10.0 ** rng.uniform(-2, 3)
+            n, eta = dynamics.F.shape[1], 10.0 ** rng.uniform(-2, 3)
             P, p = prior_penalty(prior)
             F, f = dynamics.F[-1], dynamics.f[-1]
             Vxx, vx = cost.Cxx_T / eta, cost.cx_T / eta
@@ -415,7 +413,7 @@ class TestCholeskySolves:
             got = lqg_backward(step, last, (P[-1:], p[-1:]), eta)
             assert residual_within(Quu, -got.K[0], Q[n:, :n], 1e-14)
             assert residual_within(Quu, -got.k[0][:, None], q[n:, None], 1e-14)
-            assert residual_within(Quu, got.C[0], np.eye(cost.action_dim), 1e-14)
+            assert residual_within(Quu, got.C[0], np.eye(prior.K.shape[1]), 1e-14)
 
     def test_overflow_returns_non_finite_values_silently(self):
         # as LAPACK does, with no warning: 2e400 overflows to inf
@@ -552,8 +550,7 @@ class TestLqgBackward:
         F = np.tile(np.concatenate([A, B], axis=1), (horizon, 1, 1))
         dynamics = LinearDynamics(F, np.zeros((horizon, n)), np.zeros((horizon, n, n)))
         Czz = np.tile(np.eye(n + m), (horizon, 1, 1))
-        cost = QuadraticCost(Czz, np.zeros((horizon, n + m)), np.zeros(horizon),
-                             np.eye(n), np.zeros(n), 0.0, n, m)
+        cost = QuadraticCost(Czz, np.zeros((horizon, n + m)), np.zeros(horizon), np.eye(n), np.zeros(n), 0.0)
         prior = constant_policy(horizon, n, m, K=0.05 * rng.normal(size=(m, n)),
                                 k=rng.normal(size=m), cov=0.5 * np.eye(m))
         gaps = []
@@ -576,7 +573,7 @@ class TestLqgBackward:
         Czz = np.zeros((1, 2, 2))
         Czz[0, 0, 0] = 2 * Q[0, 0]
         Czz[0, 1, 1] = 2 * R[0, 0]
-        cost = QuadraticCost(Czz, np.zeros((1, 2)), np.zeros(1), 2 * Qf, np.zeros(1), 0.0, 1, 1)
+        cost = QuadraticCost(Czz, np.zeros((1, 2)), np.zeros(1), 2 * Qf, np.zeros(1), 0.0)
         policy = lqg_backward(dynamics, cost, prior_penalty(flat_prior(1, 1, 1)), eta=1.0)
         q_uu = 2 * R[0, 0] + B[0, 0] ** 2 * 2 * Qf[0, 0]
         assert policy.C[0, 0, 0] == pytest.approx(1.0 / q_uu, rel=1e-12)
@@ -789,7 +786,7 @@ class TestUpdateTrajectory:
     def test_returned_covariances_positive_definite(self):
         dynamics, prior, quad, mu0, S0 = fitted_insertion_problem(seed=2)
         result = update_trajectory(dynamics, prior, DualState(eta=1.0, epsilon=1e-2), quad, mu0, S0)
-        for t in range(result.policy.horizon):
+        for t in range(result.policy.K.shape[0]):
             eigvals = np.linalg.eigvalsh(result.policy.C[t])
             assert np.min(eigvals) > 0.0
 
@@ -808,7 +805,7 @@ def random_stage_problem(rng, cond=1.0):
                         rng.normal(size=(T, n, m))], axis=2)
     dynamics = LinearDynamics(F, rng.normal(size=(T, n)), np.stack([0.01 * _spd(rng, n) for _ in range(T)]))
     cost = QuadraticCost(np.stack([_spd(rng, n + m) for _ in range(T)]), rng.normal(size=(T, n + m)),
-                         rng.normal(size=T), _spd(rng, n), rng.normal(size=n), 0.3, n, m)
+                         rng.normal(size=T), _spd(rng, n), rng.normal(size=n), 0.3)
 
     def policy():
         return LinearGaussianPolicy(rng.normal(scale=0.3, size=(T, m, n)), rng.normal(size=(T, m)),
@@ -822,7 +819,7 @@ def _exact_kl(traj, other, mpmath):
     mpmath.mp.dps = 40
     pol = traj.policy
     total = mpmath.mpf(0)
-    for t in range(pol.horizon):
+    for t in range(pol.K.shape[0]):
         c1, c2 = mpmath.matrix(pol.C[t].tolist()), mpmath.matrix(other.C[t].tolist())
         dK = mpmath.matrix((pol.K[t] - other.K[t]).tolist())
         d = dK * mpmath.matrix(traj.mean[t].tolist()) + mpmath.matrix((pol.k[t] - other.k[t]).tolist())
@@ -843,7 +840,8 @@ class TestStagesMatchOracles:
         rng = np.random.default_rng([int(with_prior), int(lm_reg > 0), int(cond)])
         for _ in range(25):
             dynamics, cost, prior, _, mu0, S0 = random_stage_problem(rng, cond)
-            prior = prior if with_prior else flat_prior(dynamics.horizon, cost.state_dim, cost.action_dim)
+            T, m, n = prior.K.shape
+            prior = prior if with_prior else flat_prior(T, n, m)
             eta = 10.0 ** rng.uniform(-2, 3)
             want = oracle_lqg_backward(dynamics, cost, prior, eta, lm_reg)
             got = lqg_backward(dynamics, cost, prior_penalty(prior), eta, lm_reg)
@@ -860,7 +858,8 @@ class TestStagesMatchOracles:
         rng = np.random.default_rng([7, int(with_prior), int(lm_reg > 0)])
         for _ in range(25):
             dynamics, cost, prior, other, mu0, S0 = random_stage_problem(rng)
-            anchor = prior if with_prior else flat_prior(dynamics.horizon, cost.state_dim, cost.action_dim)
+            T, m, n = prior.K.shape
+            anchor = prior if with_prior else flat_prior(T, n, m)
             policy = lqg_backward(dynamics, cost, prior_penalty(anchor), 10.0 ** rng.uniform(-2, 3), lm_reg)
             traj = lqg_forward(dynamics, policy, mu0, S0)
             reference = prior if with_prior else other
@@ -1050,11 +1049,11 @@ class TestStackedStagesMatchVerbatim:
         a = rng.normal(size=(100, 2, 2))
         policy = replace(linearize_policy(self._policy_fn(), states, np.eye(2)),
                          C=a @ a.transpose(0, 2, 1) + 1e-3 * np.eye(2))
-        noise = np.random.default_rng(6).standard_normal((policy.horizon, len(states), 2))
+        noise = np.random.default_rng(6).standard_normal((policy.K.shape[0], len(states), 2))
         got = trajopt._linear_gaussian_controller(policy)
         want = [verbatim_oracles.linear_gaussian_controller(policy, PresetNormals(noise[:, i]))
                 for i in range(len(states))]
-        for t in range(policy.horizon):
+        for t in range(policy.K.shape[0]):
             per_row = np.stack([controller(t, states[i, t]) for i, controller in enumerate(want)])
             for rows in (states[:, t], np.ascontiguousarray(states[:, t])):
                 assert _bits(got(t, rows, noise[t])) == _bits(per_row), t

@@ -508,14 +508,14 @@ def quadratize(model: SmoothedInsertionCost, states: Array, actions: Array) -> Q
     gx = TERMINAL_WEIGHT * (P.T @ g_p)
     cx_T = gx - Cxx_T @ s_T
     const_T = TERMINAL_WEIGHT * val_p - float(gx @ s_T) + 0.5 * float(s_T @ Cxx_T @ s_T)
-    return QuadraticCost(Czz, cz, const, Cxx_T, cx_T, float(const_T), n, m)
+    return QuadraticCost(Czz, cz, const, Cxx_T, cx_T, float(const_T))
 
 
 def linear_gaussian_controller(policy: LinearGaussianPolicy, rng: np.random.Generator):
-    chols = [np.linalg.cholesky(policy.C[t]) for t in range(policy.horizon)]
+    chols = [np.linalg.cholesky(policy.C[t]) for t in range(policy.K.shape[0])]
 
     def controller(t: int, state: Array) -> Array:
-        return policy.K[t] @ state + policy.k[t] + chols[t] @ rng.standard_normal(policy.action_dim)
+        return policy.K[t] @ state + policy.k[t] + chols[t] @ rng.standard_normal(policy.K.shape[1])
 
     return controller
 
