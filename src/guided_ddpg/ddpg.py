@@ -169,13 +169,13 @@ def critic_target(batch: TransitionBatch, nets: AgentNets, hyper: DdpgHyper) -> 
     return batch.rewards + DISCOUNT * np.where(batch.dones, 0.0, next_q)
 
 
-def cost_to_go(rewards: Array, discount: float) -> Array:
-    """Discounted suffix sums of a reward sequence (reward units): the supervision labels, at :data:`DISCOUNT`."""
+def cost_to_go(rewards: Array) -> Array:
+    """Suffix sums of a reward sequence discounted at :data:`DISCOUNT` (reward units): the supervision labels."""
     rewards = np.asarray(rewards, dtype=np.float64)
     out = np.zeros_like(rewards)
     acc = 0.0
     for t in range(rewards.size - 1, -1, -1):
-        acc = rewards[t] + discount * acc
+        acc = rewards[t] + DISCOUNT * acc
         out[t] = acc
     return out
 

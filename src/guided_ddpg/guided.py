@@ -19,7 +19,6 @@ from typing import Optional
 import numpy as np
 
 from .ddpg import (
-    DISCOUNT,
     AgentNets,
     DdpgHyper,
     actor_update,
@@ -343,7 +342,7 @@ def train(config: TrainConfig) -> tuple[AgentNets, TrainingLog]:
                         log.episodes.append(EpisodeRecord(epoch, phase, None, rewards.size, float(rewards.sum()),
                                                           bool(success), None, time.perf_counter() - t_start))
                 # the closing episode's steps, labeled with their discounted cost-to-go, supervise the learner
-                values = cost_to_go(final.rewards[0], DISCOUNT)
+                values = cost_to_go(final.rewards[0])
                 r1.extend(SupervisionSample(final.states[0, t], final.actions[0, t], float(values[t]))
                           for t in range(values.size))
                 log.epochs.append(EpochRecord(epoch, "ok", "", result.diagnostics))

@@ -685,24 +685,19 @@ class TestFloat32Learner:
 
 
 class TestCostToGo:
-    def test_zero_discount_returns_rewards(self):
-        r = np.array([1.0, -2.0, 3.0])
-        assert np.array_equal(cost_to_go(r, 0.0), r)
-
     def test_geometric_sum(self):
         r = -np.ones(3)
-        out = cost_to_go(r, 0.5)
-        assert out[0] == pytest.approx(-1.75)
-        assert out[1] == pytest.approx(-1.5)
+        out = cost_to_go(r)
+        assert out[0] == pytest.approx(-(1.0 + DISCOUNT + DISCOUNT**2))
+        assert out[1] == pytest.approx(-(1.0 + DISCOUNT))
         assert out[2] == pytest.approx(-1.0)
 
     def test_suffix_sum_oracle(self):
         rng = np.random.default_rng(12)
         r = rng.normal(size=50)
-        gamma = 0.97
-        # brute force: for each t, sum gamma^(k-t) r_k
-        expected = np.array([sum(gamma ** (k - t) * r[k] for k in range(t, 50)) for t in range(50)])
-        assert np.allclose(cost_to_go(r, gamma), expected, rtol=1e-12)
+        # brute force: for each t, sum DISCOUNT^(k-t) r_k
+        expected = np.array([sum(DISCOUNT ** (k - t) * r[k] for k in range(t, 50)) for t in range(50)])
+        assert np.allclose(cost_to_go(r), expected, rtol=1e-12)
 
 
 class TestSupervisionWeight:

@@ -3,7 +3,6 @@ import pytest
 
 import guided_ddpg.guided as guided_mod
 from guided_ddpg.ddpg import (
-    DISCOUNT,
     OU_DT,
     OU_SCALE,
     OU_THETA,
@@ -238,7 +237,7 @@ class TestDegradation:
 
 class TestTheLearnerStoresTheSupervisorsEpisodes:
     def test_r1_holds_each_closing_step_with_its_cost_to_go_label_and_r2_every_step(self, monkeypatch):
-        # the supervisor returns trajectories; train labels the closing episode's steps at the learner's DISCOUNT
+        # the supervisor returns trajectories; train labels the closing episode's steps with their cost_to_go
         results, stored = [], {"r1": [], "r2": []}
         supervise = guided_mod.run_supervisor
 
@@ -264,7 +263,7 @@ class TestTheLearnerStoresTheSupervisorsEpisodes:
         ((result, _),) = results
 
         final = result.final_rollout
-        labels = cost_to_go(final.rewards[0], DISCOUNT)
+        labels = cost_to_go(final.rewards[0])
         want_r1 = np.concatenate([final.states[0, :-1], final.actions[0], labels[:, None]], axis=1)
         assert _bits(np.stack(stored["r1"])) == _bits(want_r1)
         assert len(stored["r1"]) == config.env.horizon == log.r1_pushed
