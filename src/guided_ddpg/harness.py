@@ -37,9 +37,9 @@ from .trajopt import SupervisorConfig
 
 CSV_SCHEMA_VERSION = 1
 
-SUCCESS_THRESHOLD = 0.9  # evaluation success rate at which a seed's rollouts-to-threshold, to_0.9, is read
+THRESHOLDS = (0.5, 0.9)  # evaluation success rates at which a seed's rollouts-to-threshold, to_<rate>, are read
 
-FIGURES = ("auc", "final", "to_0.5", "to_0.9")  # the per-seed figures aggregated by IQM and compared
+FIGURES = ("auc", "final", *(f"to_{rate}" for rate in THRESHOLDS))  # the per-seed figures aggregated by IQM and compared
 BOOTSTRAP_RESAMPLES = 2000
 BOOTSTRAP_SEED = 0x6A7E
 
@@ -307,16 +307,15 @@ def run_label(config: TrainConfig) -> str:
 
 def seed_figures(log: TrainingLog, final) -> dict:
     """A trained seed's figures, from its log and its :func:`final_evaluation` ``final``: ``auc``, the mean
-    success rate of the in-training evaluations (0 with none); ``final`` and ``final_mean_return``; ``to_0.5``
-    and ``to_0.9``, the exploratory episodes run when an evaluation first reached 0.5 and
-    :data:`SUCCESS_THRESHOLD`, or ``None``; ``budget``, the exploratory episodes run; the ``degraded``
-    supervisor epochs; the supervisor's own closing episodes and their successes; and the log's counters."""
+    success rate of the in-training evaluations (0 with none); ``final`` and ``final_mean_return``; ``to_<rate>``
+    for each rate of :data:`THRESHOLDS`, the exploratory episodes run when an evaluation first reached it, or
+    ``None``; ``budget``, the exploratory episodes run; the ``degraded`` supervisor epochs; the supervisor's own
+    closing episodes and their successes; and the log's counters."""
     supervised = log.episodes_by_phase("supervised")
     return {
         "auc": float(np.mean([ev.success_rate for ev in log.evals])) if log.evals else 0.0,
         "final": final.success_rate,
-        "to_0.5": log.rollouts_to_threshold(0.5),
-        "to_0.9": log.rollouts_to_threshold(SUCCESS_THRESHOLD),
+        **{f"to_{rate}": log.rollouts_to_threshold(rate) for rate in THRESHOLDS},
         "budget": len(log.episodes_by_phase("ddpg")),
         "degraded": sum(rec.status == "degraded" for rec in log.epochs),
         "supervised_successes": sum(e.success for e in supervised),

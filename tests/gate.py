@@ -58,7 +58,7 @@ SCHEDULES = ("default", "tiny")
 MARGIN = 0.0  # a check fails when its whole difference interval lies below -margin; --write stores it
 ARMS = ("guided", "pure")
 JUDGED = ("auc", "final")  # the figures the verdict checks, in each arm
-ROW = ("seed", "auc", "final", "to_0.5", "to_0.9", "budget", "degraded", "supervised_successes",
+ROW = ("seed", *FIGURES, "budget", "degraded", "supervised_successes",
        "supervised_episodes", "wall_s")  # a seed's entries in the reference
 
 
@@ -129,8 +129,9 @@ def report(result: dict) -> str:
         agg = data["aggregate"]
         lines.append(f"{arm}:")
         for row in data["per_seed"]:
+            thresholds = "  ".join(f"{key} {row[key]}" for key in FIGURES if key.startswith("to_"))
             lines.append(f"  seed {row['seed']}: auc {row['auc']:.3f}  final {row['final']:.2f}  "
-                         f"to_0.5 {row['to_0.5']}  to_0.9 {row['to_0.9']}  degraded {row['degraded']}  "
+                         f"{thresholds}  degraded {row['degraded']}  "
                          f"supervised {row['supervised_successes']}/{row['supervised_episodes']}  "
                          f"{row['wall_s']} s")
         for figure in FIGURES:

@@ -21,7 +21,7 @@ from guided_ddpg.harness import (
     BOOTSTRAP_SEED,
     FIGURES,
     SPEC_SECTIONS,
-    SUCCESS_THRESHOLD,
+    THRESHOLDS,
     ExperimentSpec,
     adaptability_sweep,
     aggregate,
@@ -225,7 +225,7 @@ def read_log_rows(seed_dir, row_type: str) -> list:
 class TestRunExperiment:
     def test_artifacts_created(self, tiny_spec_path, tmp_path):
         out = run_experiment(tiny_spec_path, tmp_path / "run")
-        assert SUCCESS_THRESHOLD == 0.9
+        assert THRESHOLDS == (0.5, 0.9)
         summaries = []
         for seed in (0, 1):
             seed_dir = out / f"seed_{seed}"
@@ -242,8 +242,10 @@ class TestRunExperiment:
             assert summary["episodes_total"] == len(episodes)
             assert summary["budget"] == sum(row["phase"] == "ddpg" for row in episodes)
             evals = read_log_rows(seed_dir, "eval")
-            first = next((int(row["n_roll"]) for row in evals if float(row["success_rate"]) >= SUCCESS_THRESHOLD), None)
-            assert evals and summary["to_0.9"] == first
+            assert evals
+            for rate in THRESHOLDS:
+                first = next((int(row["n_roll"]) for row in evals if float(row["success_rate"]) >= rate), None)
+                assert summary[f"to_{rate}"] == first, rate
             assert summary["auc"] == np.mean([float(row["success_rate"]) for row in evals])
             # the final figures are the ones the saved checkpoint evaluates to, in float64
             actor, hyper = load_agent_checkpoint(seed_dir / "checkpoint.json")
@@ -257,17 +259,18 @@ class TestRunExperiment:
         assert result == {"algorithm": "guided_ddpg", "seeds": [0, 1], **aggregate(summaries)}
         assert result["failed"] == [] and set(result["aggregate"]) == {*FIGURES, "degraded", "supervised"}
 
-    def test_rollouts_to_threshold_is_read_at_success_threshold(self, tiny_spec_path, tmp_path, monkeypatch):
-        # the tiny runs never reach 0.9, so a threshold every evaluation meets shows which one is read; the
-        # worker's task runs in this process, where the patch holds
-        monkeypatch.setattr(harness_mod, "SUCCESS_THRESHOLD", 0.0)
+    def test_rollouts_to_threshold_is_read_at_each_of_the_thresholds(self, tiny_spec_path, tmp_path, monkeypatch):
+        # the tiny runs never reach 0.9, so a threshold every evaluation meets in its place shows which one is
+        # read, and under which key; the worker's task runs in this process, where the patch holds
+        monkeypatch.setattr(harness_mod, "THRESHOLDS", (0.5, 0.0))
         spec = parse_spec(tiny_spec_path)
         for seed in (0, 1):
             seed_dir = tmp_path / f"seed_{seed}"
             summary, curve = train_seed(replace(spec.train, seed=seed), spec.eval_episodes, seed_dir)
             first_eval = read_log_rows(seed_dir, "eval")[0]
-            assert summary["to_0.9"] == int(first_eval["n_roll"]) == curve[0][0]
-            assert json.loads((seed_dir / "summary.json").read_text())["to_0.9"] == int(first_eval["n_roll"])
+            assert [key for key in summary if key.startswith("to_")] == ["to_0.5", "to_0.0"]
+            assert summary["to_0.0"] == int(first_eval["n_roll"]) == curve[0][0]
+            assert json.loads((seed_dir / "summary.json").read_text())["to_0.0"] == int(first_eval["n_roll"])
 
     def test_a_pure_run_records_no_supervisor_epoch(self, tiny_spec_path, tmp_path):
         # an epoch without a supervisor is no epoch at all to the log, the diagnostics table and the summary
