@@ -699,6 +699,15 @@ class TestCostToGo:
         expected = np.array([sum(DISCOUNT ** (k - t) * r[k] for k in range(t, 50)) for t in range(50)])
         assert np.allclose(cost_to_go(r), expected, rtol=1e-12)
 
+    def test_one_step_recursion(self):
+        # each label is its reward plus DISCOUNT times the next label, bit for bit; integer rewards come back float64
+        r = np.array([3, -1, 0, 2, -5])
+        out = cost_to_go(r)
+        assert out.shape == r.shape and out.dtype == np.float64
+        assert out[-1] == r[-1]
+        assert np.array_equal(out[:-1], r[:-1] + DISCOUNT * out[1:])
+        assert cost_to_go(np.zeros(0)).shape == (0,)
+
 
 class TestSupervisionWeight:
     def test_starts_at_one(self):
