@@ -110,6 +110,10 @@ class TrainConfig:
         if self.eval_every > 0 and self.eval_episodes < 1:
             raise InputError(f"eval_episodes must be >= 1 when eval_every > 0, got {self.eval_episodes}")
 
+    def episodes_before(self, epoch: int) -> int:
+        """The exploratory episodes run before ``epoch``, where epoch ``e`` runs ``n_ddpg + e * n_inc``."""
+        return epoch * self.n_ddpg + self.n_inc * (epoch * (epoch - 1) // 2)
+
 
 @dataclass
 class EpisodeRecord:
@@ -151,6 +155,7 @@ class TrainingLog:
     epochs: list = field(default_factory=list)
     r1_pushed: int = 0
     r2_pushed: int = 0
+    t_start: float = field(default_factory=time.perf_counter, compare=False)  # the run's clock; stamps count from it
 
     def episodes_by_phase(self, phase: str) -> list:
         return [e for e in self.episodes if e.phase == phase]
@@ -255,23 +260,21 @@ def ddpg_block(
     r1: ReplayBuffer,
     r2: ReplayBuffer,
     streams: RngStreams,
-    n_roll: int,
-    n_episodes: int,
     epoch: int,
     log: TrainingLog,
-    t_start: float,
-) -> int:
-    """Run exploratory episodes with one update triple per environment step.
+) -> None:
+    """Run ``epoch``'s exploratory episodes with one update triple per environment step.
 
-    Each episode applies and logs as ``w_to`` one supervision weight, 0 while ``r1`` is empty. Its
-    Ornstein-Uhlenbeck noise starts at zeros and takes one :func:`ou_noise_step` on ``streams.noise`` per
-    step, added to the actor's action before the clip. An episode ends on success or at the horizon.
-    Updates ``nets`` in place and returns the new exploratory-episode count.
+    The episodes are numbered, as their ``n_roll``, from ``config.episodes_before(epoch)`` up to
+    ``config.episodes_before(epoch + 1)``. Each applies and logs as ``w_to`` one supervision weight, 0 while
+    ``r1`` is empty. Its Ornstein-Uhlenbeck noise starts at zeros and takes one :func:`ou_noise_step` on
+    ``streams.noise`` per step, added to the actor's action before the clip. An episode ends on success or at
+    the horizon. Updates ``nets`` in place.
     """
     hyper = config.hyper
     env = config.env
 
-    for _ in range(n_episodes):
+    for n_roll in range(config.episodes_before(epoch), config.episodes_before(epoch + 1)):
         w_to = supervision_weight(n_roll) if len(r1) > 0 else 0.0
 
         noise = np.zeros(ACTION_DIM)
@@ -297,33 +300,27 @@ def ddpg_block(
             state = next_state
             if done:
                 break
-        log.episodes.append(
-            EpisodeRecord(epoch, "ddpg", n_roll, t + 1, episode_return, success, w_to, time.perf_counter() - t_start)
-        )
-        n_roll += 1
+        log.episodes.append(EpisodeRecord(epoch, "ddpg", n_roll, t + 1, episode_return, success, w_to,
+                                          time.perf_counter() - log.t_start))
 
-        if config.eval_every > 0 and n_roll % config.eval_every == 0:
+        if config.eval_every > 0 and (n_roll + 1) % config.eval_every == 0:
             metrics = evaluate_policy(nets.actor, hyper, env, config.eval_episodes,
                                       [config.seed, STREAM_EVAL, len(log.evals)])
-            log.evals.append(EvalRecord(**vars(metrics), epoch=epoch, n_roll=n_roll))
-    return n_roll
+            log.evals.append(EvalRecord(**vars(metrics), epoch=epoch, n_roll=n_roll + 1))
 
 
 def train(config: TrainConfig) -> tuple[AgentNets, TrainingLog]:
     """Full training run; deterministic given the config (seed included)."""
-    t_start = time.perf_counter()
+    log = TrainingLog()
     streams = rng_streams(config.seed)
     hyper = config.hyper
     nets = make_agent(hyper, streams.net_seed)
     r1, r2 = supervision_buffer(R1_CAPACITY), transition_buffer(config.r2_capacity)
-    log = TrainingLog()
     dual = DualState()
 
     def actor_fn(states):  # the supervisor runs between DDPG blocks, so it sees the actor fixed
         return policy_action(nets.actor, hyper, states).astype(np.float64)  # its fits stay float64
 
-    n_roll = 0
-    n_ddpg = config.n_ddpg
     for epoch in range(config.epochs):
         if config.n_trajopt > 0:
             try:
@@ -340,15 +337,14 @@ def train(config: TrainConfig) -> tuple[AgentNets, TrainingLog]:
                         r2.extend(Transition(states[t], actions[t], states[t + 1], float(rewards[t]), bool(dones[t]))
                                   for t in range(rewards.size))
                         log.episodes.append(EpisodeRecord(epoch, phase, None, rewards.size, float(rewards.sum()),
-                                                          bool(success), None, time.perf_counter() - t_start))
+                                                          bool(success), None, time.perf_counter() - log.t_start))
                 # the closing episode's steps, labeled with their discounted cost-to-go, supervise the learner
                 values = cost_to_go(final.rewards[0])
                 r1.extend(SupervisionSample(final.states[0, t], final.actions[0, t], float(values[t]))
                           for t in range(values.size))
                 log.epochs.append(EpochRecord(epoch, "ok", "", result.diagnostics))
 
-        n_roll = ddpg_block(nets, config, r1, r2, streams, n_roll, n_ddpg, epoch, log, t_start)
-        n_ddpg += config.n_inc
+        ddpg_block(nets, config, r1, r2, streams, epoch, log)
 
     log.r1_pushed = r1.total_pushed
     log.r2_pushed = r2.total_pushed

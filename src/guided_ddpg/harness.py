@@ -283,8 +283,7 @@ def _size_run(spec: ExperimentSpec) -> None:
         "a supervision_batch_size batch": (hyper.supervision_batch_size, SUPERVISION_ROW_WIDTH),
         "an epoch's supervisor rollouts": (config.n_trajopt * config.supervisor.samples_per_subiter,
                                            config.env.horizon + 1, STATE_DIM),
-        "the log's epochs and exploratory episodes": (epochs * (1 + config.n_ddpg)
-                                                      + config.n_inc * (epochs * (epochs - 1) // 2),),
+        "the log's epochs and exploratory episodes": (epochs + config.episodes_before(epochs),),
     }
     for what, shape in shapes.items():
         with fits_in_memory(f"{what}: an array of shape {shape} does not fit in memory"):
@@ -334,10 +333,9 @@ def train_seed(config: TrainConfig, eval_episodes: int, seed_dir: Path) -> tuple
     A seed whose training or closing evaluation raises :class:`NumericalError` writes nothing and returns
     ``{"seed", "reason"}`` with no evaluations.
     """
-    t0 = time.perf_counter()
     try:
         nets, log = train(config)
-        wall = time.perf_counter() - t0
+        wall = time.perf_counter() - log.t_start
         final = final_evaluation(nets, config, eval_episodes)
     except NumericalError as exc:
         return {"seed": config.seed, "reason": str(exc)}, []

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,33 @@ class TestAccounting:
             assert len(in_epoch) == expected_per_epoch[e]
             ddpg = [r for r in in_epoch if r.phase == "ddpg"]
             assert len(ddpg) == config.n_ddpg + e * config.n_inc
+
+    @pytest.mark.parametrize("n_ddpg, n_inc", [(2, 1), (0, 3), (5, 0), (21, 15)])
+    def test_episodes_before_is_the_running_sum_of_block_lengths(self, n_ddpg, n_inc):
+        config = tiny_config(n_ddpg=n_ddpg, n_inc=n_inc)
+        running = 0
+        for epoch in range(12):
+            assert config.episodes_before(epoch) == running
+            running += n_ddpg + epoch * n_inc
+
+    def test_the_default_schedule_runs_76350_exploratory_episodes(self):
+        config = TrainConfig()
+        assert config.episodes_before(config.epochs) == 76_350
+
+    def test_each_epochs_exploratory_episodes_are_numbered_from_episodes_before(self):
+        config = tiny_config(epochs=3, n_ddpg=2, n_inc=2, n_trajopt=1)
+        _, log = train(config)
+        for e in range(config.epochs):
+            n_rolls = [r.n_roll for r in log.episodes if r.epoch == e and r.phase == "ddpg"]
+            assert n_rolls == list(range(config.episodes_before(e), config.episodes_before(e + 1)))
+
+    def test_episode_stamps_count_from_the_logs_clock(self):
+        before = time.perf_counter()
+        _, log = train(tiny_config(epochs=2, n_trajopt=1))
+        elapsed = time.perf_counter() - log.t_start
+        stamps = [e.wall_clock for e in log.episodes]
+        assert before <= log.t_start
+        assert 0.0 <= stamps[0] and stamps == sorted(stamps) and stamps[-1] <= elapsed
 
     def test_buffer_provenance(self):
         config = tiny_config(epochs=2, n_ddpg=2, n_trajopt=1)
