@@ -334,14 +334,14 @@ def train(config: TrainConfig) -> tuple[AgentNets, TrainingLog]:
                 for phase, batch in zip(phases, result.sample_rollouts + [final]):
                     for states, actions, rewards, dones, success in zip(
                             batch.states, batch.actions, batch.rewards, batch.dones, batch.successes):
-                        r2.extend(Transition(states[t], actions[t], states[t + 1], float(rewards[t]), bool(dones[t]))
-                                  for t in range(rewards.size))
+                        for t in range(rewards.size):
+                            r2.push(Transition(states[t], actions[t], states[t + 1], float(rewards[t]), bool(dones[t])))
                         log.episodes.append(EpisodeRecord(epoch, phase, None, rewards.size, float(rewards.sum()),
                                                           bool(success), None, time.perf_counter() - log.t_start))
                 # the closing episode's steps, labeled with their discounted cost-to-go, supervise the learner
                 values = cost_to_go(final.rewards[0])
-                r1.extend(SupervisionSample(final.states[0, t], final.actions[0, t], float(values[t]))
-                          for t in range(values.size))
+                for t in range(values.size):
+                    r1.push(SupervisionSample(final.states[0, t], final.actions[0, t], float(values[t])))
                 log.epochs.append(EpochRecord(epoch, "ok", "", result.diagnostics))
 
         ddpg_block(nets, config, r1, r2, streams, epoch, log)

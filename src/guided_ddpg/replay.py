@@ -12,7 +12,7 @@ states therefore give bitwise-equal batches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -55,10 +55,6 @@ class ReplayBuffer:
     def push(self, item) -> None:
         self._rows[self.total_pushed % self.capacity] = self._packer(item)
         self.total_pushed += 1
-
-    def extend(self, items: Iterable) -> None:
-        for item in items:
-            self.push(item)
 
     def sample_rows(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``n`` stored rows uniformly with replacement, as an ``(n, row_width)`` copy."""

@@ -37,7 +37,8 @@ def make_transition(i: int) -> Transition:
 class TestPush:
     def test_fifo_eviction(self):
         buf = scalar_buffer(2)
-        buf.extend([1, 2, 3])
+        for x in [1, 2, 3]:
+            buf.push(x)
         assert len(buf) == 2
         assert stored(buf) == {2.0, 3.0}
 
@@ -49,14 +50,16 @@ class TestPush:
     def test_order_preserved_under_capacity(self):
         # below capacity the k-th push sits in row k, so index draws map to pushes in order
         buf = scalar_buffer(10)
-        buf.extend(range(7))
+        for x in range(7):
+            buf.push(x)
         rng = np.random.default_rng(3)
         idx = np.random.default_rng(3).integers(0, 7, size=50)
         assert np.array_equal(buf.sample_rows(50, rng)[:, 0], idx.astype(float))
 
     def test_holds_exactly_last_capacity_items(self):
         buf = scalar_buffer(5)
-        buf.extend(range(23))
+        for x in range(23):
+            buf.push(x)
         assert len(buf) == 5
         assert stored(buf) == {18.0, 19.0, 20.0, 21.0, 22.0}
         assert buf.total_pushed == 23
@@ -86,7 +89,8 @@ class TestSample:
 
     def test_deterministic_under_fixed_rng(self):
         buf = scalar_buffer(100)
-        buf.extend(range(50))
+        for x in range(50):
+            buf.push(x)
         a = buf.sample_rows(20, np.random.default_rng(7))
         b = buf.sample_rows(20, np.random.default_rng(7))
         assert np.array_equal(a, b)
@@ -100,14 +104,16 @@ class TestSample:
     def test_uniformity_binomial_bound(self):
         # 10_000 draws over two rows: the frequency of the first must be a fair coin's
         buf = scalar_buffer(2)
-        buf.extend([0, 1])
+        for x in [0, 1]:
+            buf.push(x)
         draws = buf.sample_rows(10_000, np.random.default_rng(123))[:, 0]
         freq = np.count_nonzero(draws == 0.0) / draws.size
         assert 0.47 <= freq <= 0.53
 
     def test_samples_are_stored_items(self):
         buf = scalar_buffer(8)
-        buf.extend(range(100))  # leaves 92..99
+        for x in range(100):  # leaves 92..99
+            buf.push(x)
         draws = buf.sample_rows(50, np.random.default_rng(1))
         assert draws.shape == (50, 1)
         assert set(draws[:, 0].tolist()) <= set(map(float, range(92, 100)))
@@ -137,7 +143,8 @@ class TestStacking:
 
     def test_factory_buffers_round_trip(self):
         buf = transition_buffer(3)
-        buf.extend(make_transition(i) for i in range(5))  # leaves 2, 3, 4
+        for i in range(5):  # leaves 2, 3, 4
+            buf.push(make_transition(i))
         batch = transition_batch_from_rows(buf.sample_rows(200, np.random.default_rng(4)))
         assert set(batch.rewards.tolist()) == {-2.0, -3.0, -4.0}
         assert np.array_equal(batch.dones, batch.rewards % 2 == 0)
