@@ -114,7 +114,8 @@ def read_config(path, sections) -> dict:
     environment files (:func:`load_env_config`):
 
     - UTF-8 text with one ``key = value`` per line. ``#`` starts a comment;
-      blank lines are skipped. Units are SI.
+      blank lines are skipped. A leading byte-order mark is ignored. Units
+      are SI.
     - The keys are the field names of the config classes in ``sections``,
       without the fields a section lists as not settable. A name that an
       earlier section already uses gets its section's prefix, so
@@ -138,7 +139,7 @@ def read_config(path, sections) -> dict:
     """
     keys = config_keys(sections)
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
     values: dict = {cls: {} for _, cls, _ in sections}

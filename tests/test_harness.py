@@ -31,6 +31,7 @@ from guided_ddpg.harness import (
     difference_ci,
     iqm,
     load_agent_checkpoint,
+    load_env_config,
     parse_spec,
     pure_ddpg_config,
     run_experiment,
@@ -180,6 +181,27 @@ class TestConfigReader:
         assert "line 5: key 'epochs' already given on line 3" in message
         assert "line 7: key 'horizon' already given on line 4" in message
         assert "line 6: unknown key 'warp'" in message
+
+    def test_a_leading_byte_order_mark_is_ignored(self, tmp_path):
+        # some editors save UTF-8 with a leading U+FEFF; it is not part of the first key
+        for name, text, read in [("s.spec", "seeds = 0,1\nepochs = 2\nhorizon = 6\n", parse_spec),
+                                 ("env.cfg", "horizon = 9\nhole_center_offset = 0.001\n", load_env_config)]:
+            plain, marked = tmp_path / f"plain_{name}", tmp_path / f"marked_{name}"
+            plain.write_text(text, encoding="utf-8")
+            marked.write_text("\ufeff" + text, encoding="utf-8")
+            assert read(marked) == read(plain)
+
+    @pytest.mark.parametrize("text, problem", [
+        ("\ufeff\ufeffseeds = 0\n", "line 1: unknown key '\\ufeffseeds'"),
+        ("seeds = 0\n\ufeffepochs = 2\n", "line 2: unknown key '\\ufeffepochs'"),
+        ("seeds = \ufeff0\n", "line 1: bad value for 'seeds'"),
+    ])
+    def test_a_byte_order_mark_anywhere_else_is_rejected(self, tmp_path, text, problem):
+        path = tmp_path / "s.spec"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InputError) as exc:
+            parse_spec(path)
+        assert problem in str(exc.value)
 
     # the supervisor settings that became constants are rejected whatever value a spec gives them
     @pytest.mark.parametrize("line", ["exploration_std = -1.0", "exploration_std = 1.0, -0.5",
