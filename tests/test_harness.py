@@ -203,6 +203,14 @@ class TestConfigReader:
             parse_spec(path)
         assert problem in str(exc.value)
 
+    def test_readme_tables_every_spec_key_and_the_default_schedule(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        specs = readme.split("## Specs", 1)[1].split("\n## ", 1)[0]
+        tabled = [line.split("`")[1] for line in specs.splitlines() if line.startswith("| `")]
+        assert tabled == list(config_keys(SPEC_SECTIONS))
+        config = TrainConfig()
+        assert f"= {config.episodes_before(config.epochs):,}`" in specs
+
     # the supervisor settings that became constants are rejected whatever value a spec gives them
     @pytest.mark.parametrize("line", ["exploration_std = -1.0", "exploration_std = 1.0, -0.5",
                                       "terminal_weight = -1"])
