@@ -11,6 +11,10 @@ an attribute of a name that the same file imports from the package, as in
 Every parameter of a top-level function or method is read in its body too, or
 updated there in place (``vector -= step``), except those in
 :data:`UNREAD_PARAMETERS`, each with its reason.
+
+Every annotated field of a class of the package is read as an attribute, by
+name, somewhere in the package or in ``perfbench/``: a field that is only
+written holds a value nobody uses.
 """
 import ast
 from pathlib import Path
@@ -96,6 +100,36 @@ def unread_parameters(modules: dict) -> list:
             found += [f"{module}: {name}({param})" for param in params
                       if param not in read and param not in ("self", "cls")]
     return found
+
+
+def unread_fields(modules: dict, others: list) -> list:
+    """``"module line N: Class.field"`` for each annotated field of a class in ``modules`` (name to source) whose
+    name no source in ``modules`` or ``others`` reads as an attribute, ``x.field`` in a load."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    read = {node.attr for tree in [*trees.values(), *map(ast.parse, others)] for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [f"{module} line {item.lineno}: {cls.name}.{item.target.id}" for module, tree in sorted(trees.items())
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for item in cls.body if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            and item.target.id not in read]
+
+
+def test_the_check_finds_an_unread_field():
+    module = ("from dataclasses import dataclass\n\n@dataclass\nclass Point:\n    x: float\n    y: float\n"
+              "    label: str = ''\n    unit: str = 'm'\n\n"
+              "def norm(p):\n    p.label = 'seen'\n    unit = p.x\n    return unit\n")
+    bench = "def show(p):\n    return p.y\n"
+    # written but never read, or read only as a bare name: both are unread
+    assert unread_fields({"mod.py": module}, [bench]) == ["mod.py line 7: Point.label", "mod.py line 8: Point.unit"]
+    assert unread_fields({"mod.py": module}, []) == [
+        "mod.py line 6: Point.y", "mod.py line 7: Point.label", "mod.py line 8: Point.unit"]
+
+
+def test_every_field_is_read():
+    modules = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    bench = [path.read_text(encoding="utf-8") for path in sorted(BENCH.rglob("*.py"))]
+    assert "guided.py" in modules and bench
+    assert unread_fields(modules, bench) == []
 
 
 def test_the_check_finds_an_unread_parameter():
