@@ -99,10 +99,6 @@ class TestAccounting:
             assert config.episodes_before(epoch) == running
             running += n_ddpg + epoch * n_inc
 
-    def test_the_default_schedule_runs_76350_exploratory_episodes(self):
-        config = TrainConfig()
-        assert config.episodes_before(config.epochs) == 76_350
-
     def test_each_epochs_exploratory_episodes_are_numbered_from_episodes_before(self):
         config = tiny_config(epochs=3, n_ddpg=2, n_inc=2, n_trajopt=1)
         _, log = train(config)
